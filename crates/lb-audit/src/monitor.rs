@@ -872,7 +872,7 @@ mod tests {
         // tier exactly as it does to a single coordinator: the shard
         // workers report partial sums upward, the root settles, and its
         // settlement gauge stream must pass every streaming check.
-        use lb_proto::{run_round_sharded_observed, NodeSpec, ProtocolConfig};
+        use lb_proto::{run_round, NodeSpec, Observers, ProtocolConfig, RoundSpec, Transport};
         use lb_sim::driver::SimulationConfig;
         use lb_sim::server::ServiceModel;
 
@@ -896,15 +896,19 @@ mod tests {
             },
             ..ProtocolConfig::default()
         };
-        let report = run_round_sharded_observed(
-            &mech,
-            &specs,
-            &config,
-            5,
-            Arc::clone(&monitor) as Arc<dyn Collector>,
-        )
-        .expect("sharded round settles");
-        assert_eq!(report.rates.len(), specs.len());
+        let spec = RoundSpec {
+            transport: Transport::Sharded {
+                shards: 5,
+                profiler: None,
+            },
+            observers: Observers {
+                collector: Arc::clone(&monitor) as Arc<dyn Collector>,
+                ..Observers::default()
+            },
+            ..RoundSpec::new(&mech, &specs, config)
+        };
+        let report = run_round(&spec).expect("sharded round settles");
+        assert_eq!(report.outcome.rates.len(), specs.len());
 
         let audit = monitor
             .latest_report()

@@ -7,7 +7,7 @@ use lb_mechanism::{
     frugality_ratio, run_mechanism, CompensationBonusMechanism, MechanismError, Profile,
     UnverifiedCompensationBonus,
 };
-use lb_proto::{run_protocol_round, NodeSpec, ProtocolConfig};
+use lb_proto::{run_round, NodeSpec, ProtocolConfig, ProtocolError, RoundSpec};
 use lb_sim::driver::{verified_round, SimulationConfig};
 use lb_sim::estimator::EstimatorConfig;
 use lb_sim::server::ServiceModel;
@@ -143,7 +143,9 @@ pub fn message_counts() -> Result<Table, MechanismError> {
                 estimator: EstimatorConfig::default(),
             },
         };
-        let outcome = run_protocol_round(&mech, &specs, &config)?;
+        let outcome = run_round(&RoundSpec::new(&mech, &specs, config))
+            .map_err(ProtocolError::into_mechanism)?
+            .outcome;
         t.row(&[
             n.to_string(),
             outcome.stats.messages.to_string(),
@@ -257,7 +259,7 @@ pub fn figure2_chart() -> Result<(crate::chart::BarChart, crate::chart::BarChart
 /// # Errors
 /// Propagates protocol errors.
 pub fn fault_tolerance() -> Result<Table, MechanismError> {
-    use lb_proto::faults::{run_protocol_round_with_faults, FaultPlan};
+    use lb_proto::{ChaosConfig, FaultPlan, Transport};
     let mech = CompensationBonusMechanism::paper();
     let specs: Vec<NodeSpec> = paper_true_values()
         .iter()
@@ -307,7 +309,19 @@ pub fn fault_tolerance() -> Result<Table, MechanismError> {
         "Messages",
     ]);
     for (name, plan) in scenarios {
-        let out = run_protocol_round_with_faults(&mech, &specs, &config, &plan)?;
+        // Declarative faults with no retransmission: a lost bid excludes.
+        let chaos = ChaosConfig {
+            plan,
+            bid_retries: 0,
+            ..ChaosConfig::reliable(config.simulation.seed)
+        };
+        let spec = RoundSpec {
+            transport: Transport::Chaos(chaos),
+            ..RoundSpec::new(&mech, &specs, config)
+        };
+        let out = run_round(&spec)
+            .map_err(ProtocolError::into_mechanism)?
+            .outcome;
         let latency: f64 = out
             .rates
             .iter()
@@ -349,7 +363,9 @@ pub fn audit_demo() -> Result<Table, MechanismError> {
             estimator: EstimatorConfig::default(),
         },
     };
-    let outcome = run_protocol_round(&mech, &specs, &config)?;
+    let outcome = run_round(&RoundSpec::new(&mech, &specs, config))
+        .map_err(ProtocolError::into_mechanism)?
+        .outcome;
     let mut record = SettlementRecord {
         bids: specs.iter().map(|s| s.bid).collect(),
         estimated_exec_values: outcome.estimated_exec_values.clone(),
@@ -689,7 +705,9 @@ pub fn churn_demo() -> Result<Table, MechanismError> {
     let mut t = Table::new(&["Round", "n", "Total latency", "Fastest machine's payment"]);
     for (name, trues) in rounds {
         let specs: Vec<NodeSpec> = trues.iter().map(|&v| NodeSpec::truthful(v)).collect();
-        let out = run_protocol_round(&mech, &specs, &config)?;
+        let out = run_round(&RoundSpec::new(&mech, &specs, config))
+            .map_err(ProtocolError::into_mechanism)?
+            .outcome;
         let latency: f64 = out
             .rates
             .iter()
@@ -888,7 +906,7 @@ pub fn figure1_simulated(horizon: f64, seed: u64) -> Result<Table, MechanismErro
 /// # Errors
 /// Propagates mechanism errors from the session.
 pub fn telemetry_demo() -> Result<String, MechanismError> {
-    use lb_proto::{run_chaos_session_observed, ChaosConfig, ChaosSessionConfig};
+    use lb_proto::{run_chaos_session, ChaosConfig, ChaosSessionConfig, Observers};
     use lb_telemetry::{render_timeline, MetricsRegistry, RingCollector};
     use std::sync::Arc;
 
@@ -909,12 +927,16 @@ pub fn telemetry_demo() -> Result<String, MechanismError> {
     let session = ChaosSessionConfig::new(3, ChaosConfig::heavy(11));
     let trues = [1.0, 1.0, 2.0, 2.0];
     let ring = Arc::new(RingCollector::new(65_536));
-    run_chaos_session_observed(
+    run_chaos_session(
         &CompensationBonusMechanism::paper(),
         &config,
         &session,
         |_, _| trues.iter().map(|&t| NodeSpec::truthful(t)).collect(),
-        ring.clone(),
+        &Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+        None,
     )?;
 
     let events = ring.snapshot();

@@ -27,7 +27,7 @@
 
 use lb_mechanism::CompensationBonusMechanism;
 use lb_prof::RoundProfiler;
-use lb_proto::{drive_sharded_round_profiled, Coordinator, FaultPlan, RoundId};
+use lb_proto::{drive_sharded_round, Coordinator, FaultPlan, RoundId};
 use lb_telemetry::Json;
 use std::time::Instant;
 
@@ -97,10 +97,9 @@ fn time_batch(
             RoundId(round),
             config.simulation,
         )
-        .expect("bench coordinator")
-        .with_strict(true);
+        .expect("bench coordinator");
         let attach = (every > 0).then_some(&mut profiler);
-        let (stats, _) = drive_sharded_round_profiled(
+        let (stats, _) = drive_sharded_round(
             &mut root,
             specs,
             &config,

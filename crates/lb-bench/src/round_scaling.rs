@@ -24,7 +24,7 @@
 //! ```
 
 use lb_mechanism::CompensationBonusMechanism;
-use lb_proto::{run_round_sharded, NodeSpec, ProtocolConfig};
+use lb_proto::{drive_sharded_round, Coordinator, FaultPlan, NodeSpec, ProtocolConfig, RoundId};
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
 use lb_stats::{Reservoir, Xoshiro256StarStar};
@@ -115,10 +115,24 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
             ];
             let start = Instant::now();
             for _ in 0..rounds {
-                let report =
-                    run_round_sharded(&mech, &specs, &config, SHARDS).expect("bench round settles");
-                assert_eq!(report.rates.len(), n);
-                let t = report.timings;
+                let mut root = Coordinator::try_new(
+                    &mech,
+                    n,
+                    config.total_rate,
+                    RoundId(0),
+                    config.simulation,
+                )
+                .expect("bench coordinator");
+                let (_, t) = drive_sharded_round(
+                    &mut root,
+                    &specs,
+                    &config,
+                    SHARDS,
+                    &FaultPlan::none(),
+                    None,
+                )
+                .expect("bench round settles");
+                assert!(root.is_sealed());
                 for (res, seconds) in phases
                     .iter_mut()
                     .zip([t.collect, t.allocate, t.execute, t.settle])

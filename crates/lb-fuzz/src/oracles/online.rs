@@ -18,7 +18,7 @@
 //!    fires right after warmup (join-only prefix, slot order = dense
 //!    order), where the incremental sum is bit-identical to the batch
 //!    fold — so the [`lb_proto::OnlineSession`] tick must pay out
-//!    bit-identically to [`run_protocol_round`] on the same specs, seed
+//!    bit-identically to [`run_round`] on the same specs, seed
 //!    and config.
 //! 3. **Session accounting and durability.** Over the whole stream the
 //!    session's ledger must equal the sum of its per-tick fan-outs, tick
@@ -30,8 +30,8 @@ use crate::generate::rng_for;
 use lb_core::inv_sum_dd;
 use lb_mechanism::{CompensationBonusMechanism, OnlinePool, VerifiedMechanism};
 use lb_proto::{
-    read_journal, run_protocol_round, split_rounds, Journal, MemJournal, NodeSpec, OnlineApplied,
-    OnlineEvent, OnlineSession, ProtocolConfig,
+    read_journal, run_round, split_rounds, Journal, MemJournal, NodeSpec, OnlineApplied,
+    OnlineEvent, OnlineSession, ProtocolConfig, RoundSpec,
 };
 use lb_sim::churn::{ChurnConfig, ChurnEvent, ChurnGen};
 use lb_sim::driver::SimulationConfig;
@@ -224,8 +224,9 @@ pub fn check(seed: u64) -> Result<(), String> {
     // Property 2: the first tick settled the warmup population, join-only
     // history — bit-identical to the batch protocol round on those specs.
     let first = first_tick.ok_or("stream settled no tick")?;
-    let batch = run_protocol_round(&mech, &warmup_specs, &config)
-        .map_err(|e| format!("batch reference round: {e}"))?;
+    let batch = run_round(&RoundSpec::new(&mech, &warmup_specs, config))
+        .map_err(|e| format!("batch reference round: {e}"))?
+        .outcome;
     if first.len() != batch.payments.len() {
         return Err(format!(
             "first tick paid {} machines, batch round {}",

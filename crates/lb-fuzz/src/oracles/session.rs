@@ -20,8 +20,8 @@
 use crate::generate::{chaos_config, node_specs, rng_for};
 use lb_mechanism::CompensationBonusMechanism;
 use lb_proto::{
-    audit_settlement, chaos_message_bound, replay_check, run_chaos_round, ChaosConfig,
-    ChaosRoundReport, NodeSpec, ProtocolConfig, SettlementRecord,
+    audit_settlement, chaos_message_bound, replay_check, run_round, ChaosConfig, NodeSpec,
+    ProtocolConfig, RoundReport, RoundSpec, SettlementRecord, Transport,
 };
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
@@ -43,7 +43,7 @@ fn protocol_config(total_rate: f64, sim_seed: u64) -> ProtocolConfig {
 }
 
 fn check_invariants(
-    report: &ChaosRoundReport,
+    report: &RoundReport,
     specs: &[NodeSpec],
     chaos: &ChaosConfig,
     total_rate: f64,
@@ -132,7 +132,11 @@ pub fn check(seed: u64) -> Result<(), String> {
     let config = protocol_config(total_rate, sim_seed);
     let mech = CompensationBonusMechanism::paper();
 
-    let report = match run_chaos_round(&mech, &specs, &config, &chaos) {
+    let spec = RoundSpec {
+        transport: Transport::Chaos(chaos.clone()),
+        ..RoundSpec::new(&mech, &specs, config)
+    };
+    let report = match run_round(&spec) {
         Ok(report) => report,
         // Typed failure is legitimate under chaos (e.g. too few respondents
         // to settle); the oracle hunts panics and invariant violations.
@@ -143,7 +147,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     // Determinism spot-check (every 8th iteration — it doubles the cost):
     // the same seeds must reproduce the identical round, faults included.
     if seed % 8 == 0 {
-        let replay = run_chaos_round(&mech, &specs, &config, &chaos)
+        let replay = run_round(&spec)
             .map_err(|e| format!("replay errored where the first run succeeded: {e}"))?;
         if replay.outcome.rates != report.outcome.rates
             || replay.outcome.payments != report.outcome.payments

@@ -5,9 +5,10 @@
 //! two properties of [`lb_proto::shard`]:
 //!
 //! 1. **Topology transparency.** The sharded round (random `k`) must be
-//!    bit-identical to the single-coordinator lossy runtime on the same
-//!    inputs: allocation rates, payments, verification estimates (all
-//!    compared via `to_bits`), the exclusion set and the anomaly totals.
+//!    bit-identical to the single-coordinator round on the same inputs —
+//!    the fault plan run as a chaos configuration with `bid_retries: 0`:
+//!    allocation rates, payments, verification estimates (all compared via
+//!    `to_bits`), the exclusion set and the anomaly totals.
 //!    The shard tier only repartitions *where* bids are gathered and
 //!    partial harmonic sums are folded; any observable difference is a bug
 //!    in the aggregation (see the `TwoF64` merge contract in
@@ -25,9 +26,9 @@
 use crate::generate::{node_specs, rng_for};
 use lb_mechanism::CompensationBonusMechanism;
 use lb_proto::{
-    drive_sharded_round, recover_round, report_from_root, run_protocol_round_with_faults,
-    Coordinator, FaultPlan, Journal, JournalReplay, MemJournal, ProtocolConfig, RoundContext,
-    RoundId, ShardPhaseTimings,
+    drive_sharded_round, recover_round, report_from_root, run_round, ChaosConfig, Coordinator,
+    FaultPlan, Journal, JournalReplay, MemJournal, ProtocolConfig, RoundContext, RoundId,
+    RoundSpec, Transport,
 };
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
@@ -98,15 +99,31 @@ pub fn check(seed: u64) -> Result<(), String> {
     let round = RoundId(0);
 
     // Property 1: sharded == single-coordinator, bit for bit.
-    let single = run_protocol_round_with_faults(&mech, &specs, &config, &faults)
-        .map_err(|e| format!("single-coordinator round: {e}"))?;
+    let chaos = ChaosConfig {
+        plan: faults.clone(),
+        bid_retries: 0,
+        ..ChaosConfig::reliable(config.simulation.seed)
+    };
+    let single = run_round(&RoundSpec {
+        transport: Transport::Chaos(chaos),
+        ..RoundSpec::new(&mech, &specs, config)
+    })
+    .map_err(|e| format!("single-coordinator round: {e}"))?;
+    if single.anomalies.total() != 0 {
+        return Err(format!(
+            "single coordinator: clean drops produced {} anomalies",
+            single.anomalies.total()
+        ));
+    }
+    let single = single.outcome;
     let mut root = Coordinator::try_new(&mech, n, config.total_rate, round, config.simulation)
-        .map_err(|e| format!("root: {e}"))?
-        .with_strict(true);
-    let (stats, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults)
+        .map_err(|e| format!("root: {e}"))?;
+    let (stats, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults, None)
         .map_err(|e| format!("sharded round (k = {shards}): {e}"))?;
-    let report = report_from_root(&root, stats, shards, ShardPhaseTimings::default())
-        .map_err(|e| format!("report: {e}"))?;
+    let report = report_from_root(&root, &specs, stats).map_err(|e| format!("report: {e}"))?;
+    let excluded = &report.excluded;
+    let anomalies = report.anomalies;
+    let report = report.outcome;
 
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     if bits(&single.rates) != bits(&report.rates) {
@@ -125,16 +142,15 @@ pub fn check(seed: u64) -> Result<(), String> {
         return Err(format!("k = {shards}: verification estimates diverged"));
     }
     let single_excluded: Vec<bool> = (0..n).map(|i| single.rates[i] == 0.0).collect();
-    if single_excluded != report.excluded {
+    if single_excluded != *excluded {
         return Err(format!(
-            "k = {shards}: exclusions diverged: single {single_excluded:?} sharded {:?}",
-            report.excluded
+            "k = {shards}: exclusions diverged: single {single_excluded:?} sharded {excluded:?}"
         ));
     }
-    if report.anomalies.total() != 0 {
+    if anomalies.total() != 0 {
         return Err(format!(
             "k = {shards}: clean drops produced {} anomalies",
-            report.anomalies.total()
+            anomalies.total()
         ));
     }
 
@@ -149,7 +165,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     let mut durable = Coordinator::try_new(&mech, n, ctx.total_rate, round, ctx.sim)
         .map_err(|e| format!("durable root: {e}"))?
         .with_journal(journal.clone());
-    drive_sharded_round(&mut durable, &specs, &config, shards, &faults)
+    drive_sharded_round(&mut durable, &specs, &config, shards, &faults, None)
         .map_err(|e| format!("durable sharded round: {e}"))?;
     let reference_bytes = journal
         .borrow()
@@ -166,7 +182,7 @@ pub fn check(seed: u64) -> Result<(), String> {
         )));
         let (mut rec, _report) = recover_round(&mech, revived.clone(), &ctx, noop_collector(), 0.0)
             .map_err(|e| format!("cut {cut}: recover: {e}"))?;
-        drive_sharded_round(&mut rec, &specs, &config, shards, &faults)
+        drive_sharded_round(&mut rec, &specs, &config, shards, &faults, None)
             .map_err(|e| format!("cut {cut}: re-drive: {e}"))?;
         let payments = bits(rec.payments().ok_or("recovered round has no payments")?);
         if payments != reference_payments {

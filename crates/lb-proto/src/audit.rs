@@ -147,7 +147,7 @@ pub fn audit_broadcast_cost_observed(
 mod tests {
     use super::*;
     use crate::node::NodeSpec;
-    use crate::runtime::{run_protocol_round, ProtocolConfig};
+    use crate::runtime::{run_round, ProtocolConfig, RoundSpec};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
     use lb_mechanism::CompensationBonusMechanism;
     use lb_sim::driver::SimulationConfig;
@@ -171,7 +171,9 @@ mod tests {
                 estimator: lb_sim::estimator::EstimatorConfig::default(),
             },
         };
-        let outcome = run_protocol_round(&mech, &specs, &config).unwrap();
+        let outcome = run_round(&RoundSpec::new(&mech, &specs, config))
+            .map(|r| r.outcome)
+            .unwrap();
         SettlementRecord {
             bids: specs.iter().map(|s| s.bid).collect(),
             estimated_exec_values: outcome.estimated_exec_values.clone(),

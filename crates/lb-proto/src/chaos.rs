@@ -1,17 +1,24 @@
-//! Chaos runtime: seeded probabilistic fault injection with retransmission.
+//! The round engine: the one event loop every single-coordinator round
+//! runs through, plus seeded probabilistic fault injection with
+//! retransmission.
 //!
-//! The declarative fault path ([`crate::faults`]) loses *named* messages and
-//! excludes on first loss. This module stresses the mechanism the way a real
-//! deployment would be stressed: every frame independently risks being
-//! dropped, duplicated, corrupted, or delay-jittered, driven by a seeded
+//! The loop is written once against a small transport trait: the
+//! in-memory [`SimNetwork`] — reliable, or fault-injecting through a
+//! [`ChaosConfig`] — or the OS-thread channels of [`crate::threaded`]. A lossy link arms
+//! retry timers; a lossless one arms none and only falls back to the
+//! drain-timeout rules if it ever runs dry without progress.
+//!
+//! Under chaos every frame independently risks being dropped, duplicated,
+//! corrupted, or delay-jittered, driven by a seeded
 //! [`lb_stats::Xoshiro256StarStar`] stream so any failure reproduces from its
 //! seed alone. On top of the hostile link the coordinator runs a
 //! *retransmission protocol*: missing bids are re-requested with bounded
 //! retries and exponential backoff in simulated time, and only a machine
 //! that stays silent through every retry is excluded (the `L_{-i}`
-//! counterfactual of the paper). The coordinator itself is run in graceful
-//! mode, so duplicated, stale, or misrouted frames are absorbed and counted
-//! as [`Anomaly`] events rather than panicking.
+//! counterfactual of the paper). The declarative faults of [`FaultPlan`]
+//! layer on top; with `bid_retries: 0` a plan excludes on first loss. The
+//! coordinator absorbs duplicated, stale, or misrouted frames and counts
+//! them as [`Anomaly`] events.
 //!
 //! The incentive properties are seed-independent: whatever the fault
 //! schedule, allocation over the respondents sums to `R`, settled payments
@@ -20,35 +27,30 @@
 //! soak tests at the bottom of this file assert exactly that over a hundred
 //! seeds.
 
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
+use crate::coordinator::{check_width, Coordinator, CoordinatorPhase, ProtocolError};
 use crate::faults::FaultPlan;
 use crate::journal::{CrashingJournal, Journal};
 use crate::message::{Message, RoundId};
-use crate::network::{Endpoint, FrameFate, MessageStats, NetPoll, SimNetwork};
+use crate::network::{Endpoint, FrameFate, Link, MessageStats, NetPoll, SimNetwork};
 use crate::node::{NodeAgent, NodeSpec};
 use crate::recovery::{recover_round, RoundContext};
-use crate::runtime::{ProtocolConfig, ProtocolOutcome};
+use crate::runtime::{ProtocolConfig, RoundReport};
 use crate::trace::{Anomaly, AnomalyStats, RoundTrace, TraceEntry};
-use lb_mechanism::{MechanismError, VerifiedMechanism};
+use lb_core::CoreError;
+use lb_mechanism::VerifiedMechanism;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
 use lb_stats::{Rng, Xoshiro256StarStar};
-use lb_telemetry::{noop_collector, Collector, Field, SpanId, Subsystem, TraceContext};
+use lb_telemetry::{noop_collector, Collector, Field, Subsystem, TraceContext};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-fn codec_err(e: crate::codec::CodecError) -> MechanismError {
-    MechanismError::Core(lb_core::CoreError::Infeasible {
-        reason: e.to_string(),
-    })
-}
 
 /// Configuration of the chaos injector and the retransmission protocol.
 ///
 /// Probabilities apply independently per frame; `plan` layers the
 /// declarative faults of [`FaultPlan`] on top (a frame is lost if either
-/// source says so), which makes the old path a special case of this one.
+/// source says so).
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed of the chaos RNG. Round `r` uses the non-overlapping stream
@@ -81,8 +83,8 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// A fault-free configuration: all probabilities zero, retries armed.
-    /// With this configuration the chaos runtime reproduces
-    /// [`crate::runtime::run_protocol_round`] bit for bit.
+    /// With this configuration a chaos round reproduces the reliable
+    /// transport bit for bit.
     #[must_use]
     pub fn reliable(seed: u64) -> Self {
         Self {
@@ -112,44 +114,53 @@ impl ChaosConfig {
         }
     }
 
-    fn validate(&self) {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("duplicate_prob", self.duplicate_prob),
-            ("corrupt_prob", self.corrupt_prob),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "ChaosConfig: {name} must be in [0, 1], got {p}"
-            );
+    /// Checks every field is in range.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::InvalidConfig`] naming the first field out
+    /// of range.
+    pub fn validate(&self) -> Result<(), ProtocolError> {
+        let checks = [
+            (
+                (0.0..=1.0).contains(&self.drop_prob),
+                "drop_prob must be in [0, 1]",
+            ),
+            (
+                (0.0..=1.0).contains(&self.duplicate_prob),
+                "duplicate_prob must be in [0, 1]",
+            ),
+            (
+                (0.0..=1.0).contains(&self.corrupt_prob),
+                "corrupt_prob must be in [0, 1]",
+            ),
+            (
+                self.jitter.is_finite() && self.jitter >= 0.0,
+                "jitter must be finite and >= 0",
+            ),
+            (
+                self.retry_timeout.is_finite() && self.retry_timeout > 0.0,
+                "retry_timeout must be positive",
+            ),
+            (
+                self.backoff.is_finite() && self.backoff >= 1.0,
+                "backoff must be >= 1",
+            ),
+            (
+                self.exec_timeout.is_finite() && self.exec_timeout > 0.0,
+                "exec_timeout must be positive",
+            ),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, what)) => Err(ProtocolError::InvalidConfig { what }),
+            None => Ok(()),
         }
-        assert!(
-            self.jitter.is_finite() && self.jitter >= 0.0,
-            "ChaosConfig: invalid jitter"
-        );
-        assert!(
-            self.retry_timeout.is_finite() && self.retry_timeout > 0.0,
-            "ChaosConfig: retry_timeout must be positive"
-        );
-        assert!(
-            self.backoff.is_finite() && self.backoff >= 1.0,
-            "ChaosConfig: backoff must be >= 1"
-        );
-        assert!(
-            self.exec_timeout.is_finite() && self.exec_timeout > 0.0,
-            "ChaosConfig: exec_timeout must be positive"
-        );
     }
 }
 
 /// Per-round fate oracle: one seeded RNG stream deciding every frame's fate.
 struct ChaosInjector {
     rng: Xoshiro256StarStar,
-    drop_prob: f64,
-    duplicate_prob: f64,
-    corrupt_prob: f64,
-    jitter: f64,
-    plan: FaultPlan,
+    chaos: ChaosConfig,
     /// Shared with the owning [`ChaosRuntime`] so `lose_bid_attempts`
     /// counts transmissions across the whole session ("the first `k`
     /// ever"), letting a transient fault heal in a later round.
@@ -162,11 +173,7 @@ impl ChaosInjector {
             // Stream `round` of the base seed: reproducible, and provably
             // non-overlapping with every other round's stream.
             rng: Xoshiro256StarStar::seed_from_u64(config.seed).stream(round.0),
-            drop_prob: config.drop_prob,
-            duplicate_prob: config.duplicate_prob,
-            corrupt_prob: config.corrupt_prob,
-            jitter: config.jitter,
-            plan: config.plan.clone(),
+            chaos: config.clone(),
             bid_attempts,
         }
     }
@@ -174,14 +181,15 @@ impl ChaosInjector {
     fn fate(&mut self, from: Endpoint, to: Endpoint, message: &Message) -> FrameFate {
         // Exactly five draws per frame regardless of the outcome, so one
         // frame's fate never shifts the random stream seen by the next.
-        let drop = self.rng.next_bool(self.drop_prob);
-        let duplicate = self.rng.next_bool(self.duplicate_prob);
-        let corrupt = self.rng.next_bool(self.corrupt_prob);
-        let extra_delay = self.rng.next_range(0.0, self.jitter);
-        let duplicate_extra_delay = self.rng.next_range(0.0, self.jitter);
-        let declared =
-            self.plan
-                .drops_counted(from, to, message, &mut self.bid_attempts.borrow_mut());
+        let c = &self.chaos;
+        let drop = self.rng.next_bool(c.drop_prob);
+        let duplicate = self.rng.next_bool(c.duplicate_prob);
+        let corrupt = self.rng.next_bool(c.corrupt_prob);
+        let extra_delay = self.rng.next_range(0.0, c.jitter);
+        let duplicate_extra_delay = self.rng.next_range(0.0, c.jitter);
+        let declared = c
+            .plan
+            .drops_counted(from, to, message, &mut self.bid_attempts.borrow_mut());
         FrameFate {
             drop: drop || declared,
             duplicate,
@@ -203,28 +211,25 @@ pub struct ChaosNetStats {
     pub corrupted: u64,
 }
 
-/// Everything one chaotic round produced.
-#[derive(Debug, Clone)]
-pub struct ChaosRoundReport {
-    /// The protocol outcome (full width; excluded machines at rate 0,
-    /// payment 0).
-    pub outcome: ProtocolOutcome,
-    /// Which machines ended the round excluded (quarantined up front or
-    /// silent through every retry).
-    pub excluded: Vec<bool>,
-    /// Number of bid re-requests sent (one per missing machine per retry).
-    pub retries: u64,
-    /// Anomalies absorbed by the coordinator and the runtime combined.
-    pub anomalies: AnomalyStats,
-    /// The coordinator's-eye trace of the round: accepted inbound frames at
-    /// delivery time, outbound frames at send time.
-    pub trace: RoundTrace,
-    /// Link-level fault counters for the round.
-    pub faults: ChaosNetStats,
+impl ChaosNetStats {
+    fn since(self, earlier: Self) -> Self {
+        Self {
+            dropped: self.dropped - earlier.dropped,
+            duplicated: self.duplicated - earlier.duplicated,
+            corrupted: self.corrupted - earlier.corrupted,
+        }
+    }
+
+    /// Adds another round's counters.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.corrupted += other.corrupted;
+    }
 }
 
 /// What it took to push one round through its crash schedule
-/// ([`ChaosRuntime::run_round_durable`]).
+/// ([`ChaosRuntime::run_round`] with a journal).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRecoveryStats {
     /// Injected crashes consumed while completing the round.
@@ -235,26 +240,397 @@ pub struct RoundRecoveryStats {
     pub truncated_bytes: u64,
 }
 
-/// Timers the chaos runtime interleaves with frame arrivals.
+/// Timers the engine interleaves with frame arrivals.
 #[derive(Debug, Clone, Copy)]
-enum ChaosTimer {
+pub(crate) enum ChaosTimer {
     /// Re-request missing bids (or give up and exclude) for `round`.
     BidTimeout { round: RoundId, attempt: u32 },
     /// Settle `round` from measurements even though acks are missing.
     ExecTimeout { round: RoundId },
 }
 
-/// A persistent chaotic transport plus the retransmission driver.
+/// One round's frame schedule and link bookkeeping, beyond what the
+/// coordinator itself records.
+pub(crate) struct Drive {
+    /// The coordinator's-eye trace: accepted inbound frames at delivery
+    /// time, outbound frames at send time.
+    pub trace: RoundTrace,
+    /// Anomalies absorbed on the link, before the coordinator.
+    pub anomalies: AnomalyStats,
+    /// Bid re-requests sent.
+    pub retries: u64,
+    /// The round's traffic.
+    pub stats: MessageStats,
+    /// The round's link-level faults.
+    pub faults: ChaosNetStats,
+}
+
+impl Drive {
+    /// The round's report, read off the settled coordinator and the node
+    /// agents that served it.
+    pub(crate) fn report(
+        self,
+        coordinator: &Coordinator<'_>,
+        specs: &[NodeSpec],
+        nodes: &[NodeAgent],
+    ) -> Result<RoundReport, ProtocolError> {
+        let mut report = RoundReport::settled(coordinator, specs, nodes, self.stats)?;
+        report.anomalies.merge(&self.anomalies);
+        report.retries = self.retries;
+        report.trace = self.trace;
+        report.faults = self.faults;
+        Ok(report)
+    }
+}
+
+/// The event loop of one round: delivers frames and fires timers in time
+/// order until the coordinator is done and the link has drained.
+///
+/// Node-bound frames are served by `nodes` (the simulated network; the
+/// threaded link serves its own on worker threads and passes none);
+/// `actual_exec` is the world the verification simulation runs against.
+/// `retry` is the retransmission policy of a lossy link; `None` arms no
+/// timers. `opening` overrides the initial fan-out: `None` opens a fresh
+/// round (bid requests to the active machines), `Some(msgs)` re-sends the
+/// fan-out a recovered coordinator derived from its replayed state
+/// ([`Coordinator::resume`]). With `seal` the round is sealed in the journal
+/// once settled and drained.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive_round<L: Link>(
+    link: &mut L,
+    timers: &mut EventQueue<ChaosTimer>,
+    retry: Option<&ChaosConfig>,
+    collector: &dyn Collector,
+    coordinator: &mut Coordinator<'_>,
+    nodes: &mut [NodeAgent],
+    actual_exec: &[f64],
+    active: &[bool],
+    opening: Option<Vec<(u32, Message)>>,
+    seal: bool,
+) -> Result<Drive, ProtocolError> {
+    let round = coordinator.round();
+    let stats0 = link.stats();
+    let faults0 = link.faults();
+    let mut out = Drive {
+        trace: RoundTrace::default(),
+        anomalies: AnomalyStats::default(),
+        retries: 0,
+        stats: MessageStats::default(),
+        faults: ChaosNetStats::default(),
+    };
+    let mut exec_timer_armed = false;
+    let mut now: SimTime = link.now().max(timers.now());
+
+    // Open the round's telemetry spans first so the opening frames already
+    // carry the current phase span in their trace context.
+    coordinator.begin_round_telemetry();
+    let opening = match opening {
+        Some(outgoing) => outgoing,
+        None => (0u32..)
+            .zip(active)
+            .filter(|&(_, &is_active)| is_active)
+            .map(|(i, _)| (i, Message::RequestBid { round }))
+            .collect(),
+    };
+    send_from_coordinator(link, coordinator, opening, now, &mut out.trace)?;
+    if let Some(chaos) = retry {
+        if coordinator.phase() == CoordinatorPhase::CollectingBids {
+            timers.schedule(
+                now + chaos.retry_timeout,
+                ChaosTimer::BidTimeout { round, attempt: 0 },
+            );
+        }
+    }
+
+    loop {
+        if coordinator.phase() == CoordinatorPhase::Done && link.pending() == 0 {
+            break;
+        }
+        let take_frame = match (link.next_arrival_time(), timers.peek_time()) {
+            (Some(f), Some(t)) => f <= t,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => {
+                // Nothing in flight and no timer armed, yet the round is not
+                // done: the link drained without progress. Close the stuck
+                // phase so the round always terminates.
+                coordinator.set_now(now.seconds());
+                let outgoing = match coordinator.phase() {
+                    CoordinatorPhase::CollectingBids => coordinator.close_bidding(actual_exec)?,
+                    CoordinatorPhase::Executing => coordinator.close_execution()?,
+                    CoordinatorPhase::Settling | CoordinatorPhase::Done => break,
+                };
+                send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace)?;
+                arm_exec_timer(timers, retry, coordinator, now, &mut exec_timer_armed);
+                continue;
+            }
+        };
+
+        if take_frame {
+            match link.poll()? {
+                None => {}
+                Some(NetPoll::Corrupt { at, .. }) => {
+                    now = now.max(at);
+                    note_link_anomaly(collector, now, &mut out.anomalies, Anomaly::CorruptFrame);
+                }
+                Some(NetPoll::Frame(delivery)) => {
+                    now = now.max(delivery.at);
+                    match delivery.to {
+                        Endpoint::Node(i) => {
+                            let agent = nodes.get_mut(i as usize);
+                            let anomaly = match agent {
+                                // Addressed nowhere, or a node-originated
+                                // message bounced back to a node.
+                                None => Some(Anomaly::Misrouted),
+                                Some(_) if delivery.message.machine().is_some() => {
+                                    Some(Anomaly::Misrouted)
+                                }
+                                // Straggler from a previous round.
+                                Some(_) if delivery.message.round() != round => {
+                                    Some(Anomaly::StaleRound)
+                                }
+                                Some(agent) => {
+                                    let at = now.seconds();
+                                    let phase_span = coordinator.phase_span();
+                                    let reply = agent.serve(
+                                        &delivery.message,
+                                        delivery.ctx,
+                                        collector,
+                                        || at,
+                                        |parent| parent == phase_span,
+                                    );
+                                    if let Some((reply, child)) = reply {
+                                        link.send(
+                                            Endpoint::Node(i),
+                                            Endpoint::Coordinator,
+                                            &reply,
+                                            child.as_ref(),
+                                        )?;
+                                    }
+                                    None
+                                }
+                            };
+                            if let Some(anomaly) = anomaly {
+                                note_link_anomaly(collector, now, &mut out.anomalies, anomaly);
+                            }
+                        }
+                        Endpoint::Coordinator => {
+                            coordinator.set_now(now.seconds());
+                            let before = coordinator.anomalies().total();
+                            let outgoing = coordinator.handle(&delivery.message, actual_exec)?;
+                            if coordinator.anomalies().total() == before {
+                                // Accepted: it enters the audit trail.
+                                out.trace.entries.push(TraceEntry {
+                                    at: delivery.at.seconds(),
+                                    from: delivery.from,
+                                    to: delivery.to,
+                                    message: delivery.message,
+                                });
+                            }
+                            send_from_coordinator(
+                                link,
+                                coordinator,
+                                outgoing,
+                                now,
+                                &mut out.trace,
+                            )?;
+                        }
+                    }
+                }
+            }
+        } else if let (Some((at, timer)), Some(chaos)) = (timers.pop(), retry) {
+            // Keep the two clocks in lockstep: safe because the timer was
+            // chosen only when no earlier frame is pending.
+            link.advance_to(at);
+            now = now.max(at);
+            coordinator.set_now(now.seconds());
+            fire_timer(
+                link,
+                timers,
+                chaos,
+                collector,
+                coordinator,
+                actual_exec,
+                timer,
+                now,
+                &mut out,
+            )?;
+        }
+
+        arm_exec_timer(timers, retry, coordinator, now, &mut exec_timer_armed);
+    }
+
+    if seal {
+        coordinator.set_now(now.seconds());
+        coordinator.seal()?;
+    }
+    // A round recovered *after* its settle re-opened telemetry spans for
+    // this generation (so its re-emitted settlement gauges parent cleanly)
+    // but has no settle() call left to close them; close here. No-op when
+    // settle already ended the round's telemetry.
+    coordinator.end_telemetry();
+
+    out.stats = MessageStats {
+        messages: link.stats().messages - stats0.messages,
+        bytes: link.stats().bytes - stats0.bytes,
+    };
+    out.faults = link.faults().since(faults0);
+    Ok(out)
+}
+
+/// Arms the execution timeout once, as the round enters execution on a
+/// lossy link.
+fn arm_exec_timer(
+    timers: &mut EventQueue<ChaosTimer>,
+    retry: Option<&ChaosConfig>,
+    coordinator: &Coordinator<'_>,
+    now: SimTime,
+    armed: &mut bool,
+) {
+    let Some(chaos) = retry else { return };
+    if !*armed && coordinator.phase() == CoordinatorPhase::Executing {
+        *armed = true;
+        timers.schedule(
+            now + chaos.exec_timeout,
+            ChaosTimer::ExecTimeout {
+                round: coordinator.round(),
+            },
+        );
+    }
+}
+
+/// Handles one fired timer: re-requests missing bids with backoff, or
+/// falls back to exclusion once retries are exhausted, or settles without
+/// the missing acks. Timers of earlier rounds are ignored.
+#[allow(clippy::too_many_arguments)]
+fn fire_timer<L: Link>(
+    link: &mut L,
+    timers: &mut EventQueue<ChaosTimer>,
+    chaos: &ChaosConfig,
+    collector: &dyn Collector,
+    coordinator: &mut Coordinator<'_>,
+    actual_exec: &[f64],
+    timer: ChaosTimer,
+    now: SimTime,
+    out: &mut Drive,
+) -> Result<(), ProtocolError> {
+    let round = coordinator.round();
+    match timer {
+        ChaosTimer::BidTimeout { round: r, attempt }
+            if r == round && coordinator.phase() == CoordinatorPhase::CollectingBids =>
+        {
+            let missing = coordinator.missing_bids();
+            if missing.is_empty() || attempt >= chaos.bid_retries {
+                // Retries exhausted: fall back to exclusion.
+                let outgoing = coordinator.close_bidding(actual_exec)?;
+                return send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace);
+            }
+            // Retransmissions carry the same `phase.collect_bids` context as
+            // the originals: they are part of the same trace.
+            for i in missing {
+                out.retries += 1;
+                if collector.enabled() {
+                    collector.instant(
+                        now.seconds(),
+                        "chaos.retransmit",
+                        Subsystem::Chaos,
+                        vec![
+                            Field::u64("machine", u64::from(i)),
+                            Field::u64("attempt", u64::from(attempt)),
+                        ],
+                    );
+                }
+                let request = vec![(i, Message::RequestBid { round })];
+                send_from_coordinator(link, coordinator, request, now, &mut out.trace)?;
+            }
+            let delay = chaos.retry_timeout
+                * chaos
+                    .backoff
+                    .powi(i32::try_from(attempt + 1).unwrap_or(i32::MAX));
+            collector.histogram(now.seconds(), "chaos.backoff", Subsystem::Chaos, delay);
+            timers.schedule(
+                now + delay,
+                ChaosTimer::BidTimeout {
+                    round,
+                    attempt: attempt + 1,
+                },
+            );
+            Ok(())
+        }
+        ChaosTimer::ExecTimeout { round: r }
+            if r == round && coordinator.phase() == CoordinatorPhase::Executing =>
+        {
+            let outgoing = coordinator.close_execution()?;
+            send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace)
+        }
+        // Stale timer from an earlier round, or a phase already left.
+        ChaosTimer::BidTimeout { .. } | ChaosTimer::ExecTimeout { .. } => Ok(()),
+    }
+}
+
+/// Counts a link-level anomaly and mirrors it as an `anomaly` telemetry
+/// instant on the chaos lane (the coordinator emits its own for the frames
+/// it absorbs itself).
+fn note_link_anomaly(
+    collector: &dyn Collector,
+    at: SimTime,
+    stats: &mut AnomalyStats,
+    anomaly: Anomaly,
+) {
+    stats.record(anomaly);
+    if collector.enabled() {
+        collector.instant(
+            at.seconds(),
+            "anomaly",
+            Subsystem::Chaos,
+            vec![Field::str("kind", anomaly.name())],
+        );
+    }
+}
+
+/// Sends coordinator-outbound messages, recording them in the trace at the
+/// coordinator's send instant. Frames carry the coordinator's trace
+/// context *after* the transition that produced `outgoing`, so they carry
+/// the span of the phase they belong to.
+fn send_from_coordinator<L: Link>(
+    link: &mut L,
+    coordinator: &Coordinator<'_>,
+    outgoing: Vec<(u32, Message)>,
+    now: SimTime,
+    trace: &mut RoundTrace,
+) -> Result<(), ProtocolError> {
+    let wire = coordinator.wire_context();
+    for (i, message) in outgoing {
+        link.send(
+            Endpoint::Coordinator,
+            Endpoint::Node(i),
+            &message,
+            wire.as_ref(),
+        )?;
+        trace.entries.push(TraceEntry {
+            at: now.seconds(),
+            from: Endpoint::Coordinator,
+            to: Endpoint::Node(i),
+            message,
+        });
+    }
+    Ok(())
+}
+
+/// A persistent simulated transport plus the round engine.
 ///
 /// The network (and its clock) lives across rounds, so late frames from a
-/// previous round can straggle into the next one — where the graceful
-/// coordinator absorbs them as [`Anomaly::StaleRound`]. Construct once,
-/// then call [`ChaosRuntime::run_round`] per round; multi-round sessions
-/// with health tracking live in [`crate::session::run_chaos_session`].
+/// previous round can straggle into the next one — where the coordinator
+/// absorbs them as [`Anomaly::StaleRound`]. Construct once, then call
+/// [`ChaosRuntime::run_round`] per round; multi-round sessions with health
+/// tracking live in [`crate::session::run_chaos_session`].
 pub struct ChaosRuntime {
     network: SimNetwork,
     timers: EventQueue<ChaosTimer>,
     chaos: ChaosConfig,
+    /// Whether the link can lose frames. A lossless runtime installs no
+    /// fault injector and arms no retry timers.
+    lossy: bool,
     protocol: ProtocolConfig,
     n: usize,
     /// Session-cumulative bid-transmission counts for the declarative
@@ -276,21 +652,62 @@ impl std::fmt::Debug for ChaosRuntime {
 impl ChaosRuntime {
     /// Creates a chaos runtime for `n` machines.
     ///
-    /// # Panics
-    /// Panics if `n == 0` or the chaos configuration is invalid.
-    #[must_use]
-    pub fn new(n: usize, protocol: ProtocolConfig, chaos: ChaosConfig) -> Self {
-        assert!(n > 0, "ChaosRuntime: need at least one node");
-        chaos.validate();
-        Self {
-            network: SimNetwork::with_constant_latency(protocol.link_latency),
+    /// # Errors
+    /// Returns [`ProtocolError::MissingState`] for `n == 0`,
+    /// [`ProtocolError::TooManyNodes`] beyond the `u32` wire width, and
+    /// [`ProtocolError::InvalidConfig`] for an invalid chaos configuration
+    /// or link latency, or a `retry_timeout` or `exec_timeout` that does not
+    /// exceed one round trip (`2 · link_latency`): such a timer fires before
+    /// any reply can arrive and excludes every machine.
+    pub fn new(
+        n: usize,
+        protocol: ProtocolConfig,
+        chaos: ChaosConfig,
+    ) -> Result<Self, ProtocolError> {
+        chaos.validate()?;
+        let round_trip = 2.0 * protocol.link_latency;
+        if chaos.retry_timeout <= round_trip || chaos.exec_timeout <= round_trip {
+            return Err(ProtocolError::InvalidConfig {
+                what: "retry_timeout and exec_timeout must exceed 2 * link_latency",
+            });
+        }
+        Self::build(n, protocol, chaos, true)
+    }
+
+    /// A runtime over the reliable network: no injector, no retry timers,
+    /// and round traces rooted at the simulation seed.
+    pub(crate) fn reliable(n: usize, protocol: ProtocolConfig) -> Result<Self, ProtocolError> {
+        Self::build(
+            n,
+            protocol,
+            ChaosConfig::reliable(protocol.simulation.seed),
+            false,
+        )
+    }
+
+    fn build(
+        n: usize,
+        protocol: ProtocolConfig,
+        chaos: ChaosConfig,
+        lossy: bool,
+    ) -> Result<Self, ProtocolError> {
+        check_width(n)?;
+        let latency = protocol.link_latency;
+        if !(latency.is_finite() && latency >= 0.0) {
+            return Err(ProtocolError::InvalidConfig {
+                what: "link_latency must be finite and >= 0",
+            });
+        }
+        Ok(Self {
+            network: SimNetwork::with_constant_latency(latency),
             timers: EventQueue::new(),
             chaos,
+            lossy,
             protocol,
             n,
             bid_attempts: Rc::new(RefCell::new(vec![0; n])),
             collector: noop_collector(),
-        }
+        })
     }
 
     /// The current unified simulated time of the runtime (network clock and
@@ -303,7 +720,7 @@ impl ChaosRuntime {
 
     /// Attaches a telemetry collector. It is forwarded to the underlying
     /// network (frame-level `net.*` events) and to every round's coordinator
-    /// (`round`/`phase.*` spans, anomaly and exclusion instants); the runtime
+    /// (`round`/`phase.*` spans, anomaly and exclusion instants); the engine
     /// itself adds `chaos.retransmit` instants, `chaos.backoff` delay samples
     /// and link-level anomaly instants. All events carry simulated time.
     pub fn set_collector(&mut self, collector: Arc<dyn Collector>) {
@@ -311,7 +728,7 @@ impl ChaosRuntime {
         self.collector = collector;
     }
 
-    /// Runs one round over the chaotic network.
+    /// Runs one round over the network.
     ///
     /// `active[i] == false` quarantines machine `i` for this round: it is
     /// excluded up front and receives no bid request. Each round derives its
@@ -319,95 +736,46 @@ impl ChaosRuntime {
     /// [`crate::session::run_session`]) and its chaos stream as stream
     /// `round` of the chaos seed.
     ///
-    /// # Errors
-    /// Propagates mechanism errors — notably
-    /// [`MechanismError::NeedTwoAgents`] when fewer than two machines'
-    /// bids survive every retry.
+    /// With a `journal` the round is durable: it runs against the
+    /// crash-injecting journal, recovering and resuming after every
+    /// injected crash until it completes. Each continuation replays the
+    /// journal's valid prefix into a fresh coordinator ([`recover_round`]),
+    /// re-derives the in-flight fan-out from the reconstructed state
+    /// ([`Coordinator::resume`]) and rejoins the event loop. The network and
+    /// timer queues survive the crash: frames sent before it still arrive
+    /// afterwards, and the recovered coordinator absorbs the resulting
+    /// duplicates as anomalies. The report's message/fault counters cover
+    /// the final continuation only (earlier continuations died with the
+    /// crashed process); allocations, payments and exclusions are
+    /// reconstructed state and therefore bit-identical to an uninterrupted
+    /// run.
     ///
-    /// # Panics
-    /// Panics if `specs` or `active` have the wrong length.
-    pub fn run_round<M: VerifiedMechanism>(
+    /// # Errors
+    /// Returns [`lb_core::CoreError::LengthMismatch`] (as
+    /// [`ProtocolError::Mechanism`]) when `specs` or `active` do not have
+    /// one entry per machine, leaving the runtime untouched. Otherwise
+    /// propagates mechanism errors — notably
+    /// [`lb_mechanism::MechanismError::NeedTwoAgents`] when fewer than two
+    /// machines' bids survive every retry — and non-crash journal errors
+    /// (crashes themselves are consumed by the recovery loop).
+    pub fn run_round(
         &mut self,
-        mechanism: &M,
+        mechanism: &dyn VerifiedMechanism,
         specs: &[NodeSpec],
         round: RoundId,
         active: &[bool],
-    ) -> Result<ChaosRoundReport, MechanismError> {
+        journal: Option<&Rc<RefCell<CrashingJournal>>>,
+    ) -> Result<(RoundReport, RoundRecoveryStats), ProtocolError> {
         let n = self.n;
-        assert_eq!(specs.len(), n, "run_round: specs length mismatch");
-        assert_eq!(active.len(), n, "run_round: active length mismatch");
-
-        let mut sim = self.protocol.simulation;
-        sim.seed = sim.seed.wrapping_add(round.0);
-        let mut coordinator = Coordinator::new(mechanism, n, self.protocol.total_rate, round, sim)
-            .with_collector(Arc::clone(&self.collector));
-        if self.collector.enabled() {
-            // One deterministic trace per round, derived from the chaos seed
-            // so a replay of the same seed reproduces identical trace ids.
-            // Head-based sampling happens one level up (the session swaps in
-            // a noop collector for unsampled rounds), so an instrumented
-            // round here is always sampled.
-            coordinator =
-                coordinator.with_trace(TraceContext::root(self.chaos.seed, round.0, true));
-        }
-        coordinator.set_now(self.network.now().max(self.timers.now()).seconds());
-        let result = (|| {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    coordinator.exclude(i)?;
+        for len in [specs.len(), active.len()] {
+            if len != n {
+                return Err(CoreError::LengthMismatch {
+                    expected: n,
+                    actual: len,
                 }
+                .into());
             }
-            self.drive_round(
-                mechanism,
-                specs,
-                round,
-                &mut coordinator,
-                active,
-                None,
-                false,
-            )
-        })();
-        if result.is_err() {
-            // A failed round (e.g. NeedTwoAgents) abandons the coordinator
-            // mid-phase; close its spans so the recording replays cleanly.
-            coordinator.end_telemetry();
         }
-        result.map_err(ProtocolError::into_mechanism)
-    }
-
-    /// Runs one round against a crash-injecting journal, recovering and
-    /// resuming after every injected crash until the round completes.
-    ///
-    /// Each continuation replays the journal's valid prefix into a fresh
-    /// coordinator ([`recover_round`]), re-derives the in-flight fan-out
-    /// from the reconstructed state ([`Coordinator::resume`]) and rejoins
-    /// the normal event loop. The network and timer queues live in the
-    /// runtime and deliberately survive the crash: frames sent before the
-    /// crash still arrive afterwards, and the recovered coordinator must
-    /// absorb the resulting duplicates as anomalies. The returned report's
-    /// message/fault counters cover the final continuation only (earlier
-    /// continuations died with the crashed process); allocations, payments
-    /// and exclusions are reconstructed state and therefore bit-identical
-    /// to an uninterrupted run.
-    ///
-    /// # Errors
-    /// Propagates non-crash protocol errors (crashes themselves are
-    /// consumed by the retry loop).
-    ///
-    /// # Panics
-    /// Panics if `specs` or `active` have the wrong length.
-    pub fn run_round_durable<M: VerifiedMechanism>(
-        &mut self,
-        mechanism: &M,
-        specs: &[NodeSpec],
-        round: RoundId,
-        active: &[bool],
-        journal: &Rc<RefCell<CrashingJournal>>,
-    ) -> Result<(ChaosRoundReport, RoundRecoveryStats), ProtocolError> {
-        let n = self.n;
-        assert_eq!(specs.len(), n, "run_round_durable: specs length mismatch");
-        assert_eq!(active.len(), n, "run_round_durable: active length mismatch");
-
         let mut sim = self.protocol.simulation;
         sim.seed = sim.seed.wrapping_add(round.0);
         let ctx = RoundContext {
@@ -420,22 +788,49 @@ impl ChaosRuntime {
         let mut stats = RoundRecoveryStats::default();
 
         loop {
-            let now = self.network.now().max(self.timers.now()).seconds();
-            let (mut coordinator, recovery) = recover_round(
-                mechanism,
-                Rc::clone(journal) as Rc<RefCell<dyn Journal>>,
-                &ctx,
-                Arc::clone(&self.collector),
-                now,
-            )?;
-            stats.records_replayed += recovery.records_replayed;
+            let now = self.now().seconds();
+            let (mut coordinator, replayed) = match journal {
+                Some(journal) => {
+                    let (coordinator, recovery) = recover_round(
+                        mechanism,
+                        Rc::clone(journal) as Rc<RefCell<dyn Journal>>,
+                        &ctx,
+                        Arc::clone(&self.collector),
+                        now,
+                    )?;
+                    stats.records_replayed += recovery.records_replayed;
+                    (coordinator, recovery.records_replayed)
+                }
+                None => (
+                    Coordinator::try_new(mechanism, n, ctx.total_rate, round, sim)?
+                        .with_collector(Arc::clone(&self.collector)),
+                    0,
+                ),
+            };
             if self.collector.enabled() {
+                // One deterministic trace per round, derived from the chaos
+                // seed so a replay of the same seed reproduces identical
+                // trace ids. Head-based sampling happens one level up (an
+                // unsampled round runs with the noop collector), so an
+                // instrumented round here is always sampled.
                 coordinator =
                     coordinator.with_trace(TraceContext::root(self.chaos.seed, round.0, true));
             }
             coordinator.set_now(now);
+            if self.lossy {
+                // Fresh per-attempt injector: fresh RNG stream, but
+                // session-cumulative bid-attempt counts.
+                let mut injector =
+                    ChaosInjector::new(&self.chaos, round, Rc::clone(&self.bid_attempts));
+                self.network
+                    .set_fate_fn(move |from, to, m| injector.fate(from, to, m));
+            }
+            let mut nodes: Vec<NodeAgent> = (0u32..)
+                .zip(specs)
+                .map(|(i, &spec)| NodeAgent::new(i, spec))
+                .collect();
             let attempt = (|coordinator: &mut Coordinator<'_>| {
-                let opening = if recovery.records_replayed > 0 {
+                let opening = if replayed > 0 {
                     Some(coordinator.resume(&actual_exec)?)
                 } else {
                     None
@@ -449,480 +844,37 @@ impl ChaosRuntime {
                         }
                     }
                 }
-                self.drive_round(mechanism, specs, round, coordinator, active, opening, true)
+                drive_round(
+                    &mut self.network,
+                    &mut self.timers,
+                    self.lossy.then_some(&self.chaos),
+                    &*self.collector,
+                    coordinator,
+                    &mut nodes,
+                    &actual_exec,
+                    active,
+                    opening,
+                    journal.is_some(),
+                )
             })(&mut coordinator);
-            if attempt.is_err() {
-                coordinator.end_telemetry();
-            }
             match attempt {
-                Ok(report) => return Ok((report, stats)),
-                Err(e) if e.is_crash() => {
-                    stats.crashes += 1;
-                    let replay = journal.borrow_mut().revive()?;
-                    stats.truncated_bytes += replay.truncated_tail as u64;
+                Ok(drive) => return Ok((drive.report(&coordinator, specs, &nodes)?, stats)),
+                Err(e) => {
+                    // An abandoned round (e.g. NeedTwoAgents, or a crash)
+                    // closes its spans so the recording replays cleanly.
+                    coordinator.end_telemetry();
+                    match journal {
+                        Some(journal) if e.is_crash() => {
+                            stats.crashes += 1;
+                            let replay = journal.borrow_mut().revive()?;
+                            stats.truncated_bytes += replay.truncated_tail as u64;
+                        }
+                        _ => return Err(e),
+                    }
                 }
-                Err(e) => return Err(e),
             }
         }
     }
-
-    /// The event loop of one round, split out of [`ChaosRuntime::run_round`]
-    /// so every `?` exit funnels through one place that can close the
-    /// coordinator's telemetry spans.
-    ///
-    /// `opening` overrides the initial fan-out: `None` opens a fresh round
-    /// (bid requests to the active machines), `Some(msgs)` re-sends the
-    /// fan-out a recovered coordinator derived from its replayed state
-    /// ([`Coordinator::resume`]). With `seal` the round is sealed in the
-    /// journal once settled and drained.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_round<M: VerifiedMechanism>(
-        &mut self,
-        mechanism: &M,
-        specs: &[NodeSpec],
-        round: RoundId,
-        coordinator: &mut Coordinator<'_>,
-        active: &[bool],
-        opening: Option<Vec<(u32, Message)>>,
-        seal: bool,
-    ) -> Result<ChaosRoundReport, ProtocolError> {
-        let n = self.n;
-        let mut nodes: Vec<NodeAgent> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| NodeAgent::new(u32::try_from(i).expect("fits u32"), spec))
-            .collect();
-        let actual_exec: Vec<f64> = specs.iter().map(|s| s.exec_value).collect();
-
-        // Fresh per-round injector: fresh RNG stream, but session-cumulative
-        // bid-attempt counts.
-        let mut injector = ChaosInjector::new(&self.chaos, round, Rc::clone(&self.bid_attempts));
-        self.network
-            .set_fate_fn(move |from, to, m| injector.fate(from, to, m));
-
-        // Counter snapshots so the report carries per-round deltas.
-        let stats0 = self.network.stats();
-        let dropped0 = self.network.dropped();
-        let duplicated0 = self.network.duplicated();
-        let corrupted0 = self.network.corrupted();
-
-        let mut trace = RoundTrace::default();
-        let mut runtime_anomalies = AnomalyStats::default();
-        let mut retries: u64 = 0;
-        let mut exec_timer_armed = false;
-        let mut now: SimTime = self.network.now().max(self.timers.now());
-
-        // Open: bid requests to the active machines only (fresh round), or
-        // the fan-out a recovered coordinator re-derived from its journal.
-        // Open the round's telemetry spans first so these frames already
-        // carry the current phase span in their trace context.
-        coordinator.begin_round_telemetry();
-        match opening {
-            None => {
-                let wire = coordinator.wire_context();
-                for (i, &is_active) in active.iter().enumerate() {
-                    if !is_active {
-                        continue;
-                    }
-                    let msg = Message::RequestBid { round };
-                    let to = u32::try_from(i).expect("fits u32");
-                    trace.entries.push(TraceEntry {
-                        at: now.seconds(),
-                        from: Endpoint::Coordinator,
-                        to: Endpoint::Node(to),
-                        message: msg.clone(),
-                    });
-                    self.network.send_traced(
-                        Endpoint::Coordinator,
-                        Endpoint::Node(to),
-                        &msg,
-                        wire.as_ref(),
-                    );
-                }
-            }
-            Some(outgoing) => {
-                let wire = coordinator.wire_context();
-                self.send_from_coordinator(outgoing, now, &mut trace, wire.as_ref())?;
-            }
-        }
-        if coordinator.phase() == CoordinatorPhase::CollectingBids {
-            self.timers.schedule(
-                now + self.chaos.retry_timeout,
-                ChaosTimer::BidTimeout { round, attempt: 0 },
-            );
-        }
-
-        loop {
-            if coordinator.phase() == CoordinatorPhase::Done && self.network.pending() == 0 {
-                break;
-            }
-            let next_frame = self.network.next_arrival_time();
-            let next_timer = self.timers.peek_time();
-            let take_frame = match (next_frame, next_timer) {
-                (Some(f), Some(t)) => f <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => {
-                    // Defensive: no pending events but the round is stuck.
-                    // Fall back to the declarative runtime's drain-timeout
-                    // rules so the round always terminates.
-                    coordinator.set_now(now.seconds());
-                    match coordinator.phase() {
-                        CoordinatorPhase::Done => break,
-                        CoordinatorPhase::CollectingBids => {
-                            let outgoing = coordinator.close_bidding(&actual_exec)?;
-                            let wire = coordinator.wire_context();
-                            self.send_from_coordinator(outgoing, now, &mut trace, wire.as_ref())?;
-                        }
-                        CoordinatorPhase::Executing => {
-                            let outgoing = coordinator.close_execution()?;
-                            let wire = coordinator.wire_context();
-                            self.send_from_coordinator(outgoing, now, &mut trace, wire.as_ref())?;
-                        }
-                        CoordinatorPhase::Settling => unreachable!("settling is instantaneous"),
-                    }
-                    if !exec_timer_armed && coordinator.phase() == CoordinatorPhase::Executing {
-                        exec_timer_armed = true;
-                        self.timers.schedule(
-                            now + self.chaos.exec_timeout,
-                            ChaosTimer::ExecTimeout { round },
-                        );
-                    }
-                    continue;
-                }
-            };
-
-            if take_frame {
-                match self
-                    .network
-                    .poll()
-                    .map_err(codec_err)?
-                    .expect("arrival pending")
-                {
-                    NetPoll::Corrupt { at, .. } => {
-                        now = now.max(at);
-                        self.note_link_anomaly(now, &mut runtime_anomalies, Anomaly::CorruptFrame);
-                    }
-                    NetPoll::Frame(delivery) => {
-                        now = now.max(delivery.at);
-                        match delivery.to {
-                            Endpoint::Node(i) => {
-                                let idx = i as usize;
-                                if idx >= n || delivery.message.machine().is_some() {
-                                    // Addressed nowhere, or a node-originated
-                                    // message bounced back to a node.
-                                    self.note_link_anomaly(
-                                        now,
-                                        &mut runtime_anomalies,
-                                        Anomaly::Misrouted,
-                                    );
-                                } else if delivery.message.round() != round {
-                                    // Straggler from a previous round.
-                                    self.note_link_anomaly(
-                                        now,
-                                        &mut runtime_anomalies,
-                                        Anomaly::StaleRound,
-                                    );
-                                } else {
-                                    // Continue the trace the frame carried.
-                                    // Chaos can deliver a context whose span
-                                    // already closed (a duplicate straggling
-                                    // past a phase transition); those degrade
-                                    // to instants so the recording still
-                                    // replays cleanly.
-                                    let ctx = delivery
-                                        .ctx
-                                        .filter(|c| c.sampled && self.collector.enabled());
-                                    let span = ctx.map_or(SpanId::NULL, |c| {
-                                        let at = now.seconds();
-                                        let fields = vec![Field::u64("machine", u64::from(i))];
-                                        let name = match delivery.message {
-                                            Message::RequestBid { .. } => "node.bid",
-                                            Message::Assign { .. } => "node.execute",
-                                            Message::Payment { .. } => {
-                                                self.collector.instant(
-                                                    at,
-                                                    "node.payment",
-                                                    Subsystem::Node,
-                                                    fields,
-                                                );
-                                                return SpanId::NULL;
-                                            }
-                                            _ => return SpanId::NULL,
-                                        };
-                                        let parent = SpanId(c.span_id);
-                                        if parent.is_null() || parent != coordinator.phase_span() {
-                                            self.collector.instant(
-                                                at,
-                                                name,
-                                                Subsystem::Node,
-                                                fields,
-                                            );
-                                            return SpanId::NULL;
-                                        }
-                                        self.collector.span_start_in(
-                                            at,
-                                            name,
-                                            Subsystem::Node,
-                                            parent,
-                                            fields,
-                                        )
-                                    });
-                                    let reply = nodes[idx].handle(&delivery.message);
-                                    if !span.is_null() {
-                                        self.collector.span_end(now.seconds(), span);
-                                    }
-                                    if let Some(reply) = reply {
-                                        let child = ctx
-                                            .filter(|_| !span.is_null())
-                                            .map(|c| c.with_span(span.0));
-                                        self.network.send_traced(
-                                            Endpoint::Node(i),
-                                            Endpoint::Coordinator,
-                                            &reply,
-                                            child.as_ref(),
-                                        );
-                                    }
-                                }
-                            }
-                            Endpoint::Coordinator => {
-                                coordinator.set_now(now.seconds());
-                                let before = coordinator.anomalies().total();
-                                let outgoing =
-                                    coordinator.handle(&delivery.message, &actual_exec)?;
-                                if coordinator.anomalies().total() == before {
-                                    // Accepted: it enters the audit trail.
-                                    trace.entries.push(TraceEntry {
-                                        at: delivery.at.seconds(),
-                                        from: delivery.from,
-                                        to: delivery.to,
-                                        message: delivery.message.clone(),
-                                    });
-                                }
-                                let wire = coordinator.wire_context();
-                                self.send_from_coordinator(
-                                    outgoing,
-                                    now,
-                                    &mut trace,
-                                    wire.as_ref(),
-                                )?;
-                            }
-                        }
-                    }
-                }
-            } else {
-                let (at, timer) = self.timers.pop().expect("timer pending");
-                // Keep the two clocks in lockstep: safe because the timer
-                // was chosen only when no earlier frame is pending.
-                self.network.advance_to(at);
-                now = now.max(at);
-                coordinator.set_now(now.seconds());
-                match timer {
-                    ChaosTimer::BidTimeout { round: r, attempt } if r == round => {
-                        if coordinator.phase() == CoordinatorPhase::CollectingBids {
-                            let missing = coordinator.missing_bids();
-                            if missing.is_empty() || attempt >= self.chaos.bid_retries {
-                                // Retries exhausted: fall back to exclusion.
-                                let outgoing = coordinator.close_bidding(&actual_exec)?;
-                                let wire = coordinator.wire_context();
-                                self.send_from_coordinator(
-                                    outgoing,
-                                    now,
-                                    &mut trace,
-                                    wire.as_ref(),
-                                )?;
-                            } else {
-                                // Retransmissions carry the same
-                                // `phase.collect_bids` context as the
-                                // originals: they are part of the same trace.
-                                let wire = coordinator.wire_context();
-                                for &i in &missing {
-                                    retries += 1;
-                                    if self.collector.enabled() {
-                                        self.collector.instant(
-                                            now.seconds(),
-                                            "chaos.retransmit",
-                                            Subsystem::Chaos,
-                                            vec![
-                                                Field::u64("machine", u64::from(i)),
-                                                Field::u64("attempt", u64::from(attempt)),
-                                            ],
-                                        );
-                                    }
-                                    let msg = Message::RequestBid { round };
-                                    trace.entries.push(TraceEntry {
-                                        at: now.seconds(),
-                                        from: Endpoint::Coordinator,
-                                        to: Endpoint::Node(i),
-                                        message: msg.clone(),
-                                    });
-                                    self.network.send_traced(
-                                        Endpoint::Coordinator,
-                                        Endpoint::Node(i),
-                                        &msg,
-                                        wire.as_ref(),
-                                    );
-                                }
-                                let delay = self.chaos.retry_timeout
-                                    * self
-                                        .chaos
-                                        .backoff
-                                        .powi(i32::try_from(attempt + 1).unwrap_or(i32::MAX));
-                                self.collector.histogram(
-                                    now.seconds(),
-                                    "chaos.backoff",
-                                    Subsystem::Chaos,
-                                    delay,
-                                );
-                                self.timers.schedule(
-                                    now + delay,
-                                    ChaosTimer::BidTimeout {
-                                        round,
-                                        attempt: attempt + 1,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    ChaosTimer::ExecTimeout { round: r } if r == round => {
-                        if coordinator.phase() == CoordinatorPhase::Executing {
-                            let outgoing = coordinator.close_execution()?;
-                            let wire = coordinator.wire_context();
-                            self.send_from_coordinator(outgoing, now, &mut trace, wire.as_ref())?;
-                        }
-                    }
-                    // Stale timer from an earlier round: ignore.
-                    ChaosTimer::BidTimeout { .. } | ChaosTimer::ExecTimeout { .. } => {}
-                }
-            }
-
-            if !exec_timer_armed && coordinator.phase() == CoordinatorPhase::Executing {
-                exec_timer_armed = true;
-                self.timers.schedule(
-                    now + self.chaos.exec_timeout,
-                    ChaosTimer::ExecTimeout { round },
-                );
-            }
-        }
-
-        if seal {
-            coordinator.set_now(now.seconds());
-            coordinator.seal()?;
-        }
-        // A round recovered *after* its settle re-opened telemetry spans for
-        // this generation (so its re-emitted settlement gauges parent
-        // cleanly) but has no settle() call left to close them; close here.
-        // No-op when settle already ended the round's telemetry.
-        coordinator.end_telemetry();
-
-        let payments = coordinator.payments().expect("settled").to_vec();
-        let estimated = coordinator
-            .estimated_exec_values()
-            .expect("verified")
-            .to_vec();
-        let allocation = coordinator.allocation().expect("allocated");
-        let rates: Vec<f64> = (0..n).map(|i| allocation.rate(i)).collect();
-        let utilities: Vec<f64> = (0..n)
-            .map(|i| {
-                // Node-side accounting where settlement reached the node;
-                // the coordinator's ledger elsewhere (identical by
-                // construction — see `faults.rs`).
-                nodes[i]
-                    .utility(mechanism.valuation_model())
-                    .unwrap_or(if rates[i] == 0.0 {
-                        payments[i]
-                    } else {
-                        payments[i] + mechanism.valuation(rates[i], specs[i].exec_value)
-                    })
-            })
-            .collect();
-
-        let stats1 = self.network.stats();
-        let mut anomalies = runtime_anomalies;
-        anomalies.merge(coordinator.anomalies());
-        Ok(ChaosRoundReport {
-            outcome: ProtocolOutcome {
-                rates,
-                payments,
-                utilities,
-                estimated_exec_values: estimated,
-                stats: MessageStats {
-                    messages: stats1.messages - stats0.messages,
-                    bytes: stats1.bytes - stats0.bytes,
-                },
-            },
-            excluded: coordinator.excluded().to_vec(),
-            retries,
-            anomalies,
-            trace,
-            faults: ChaosNetStats {
-                dropped: self.network.dropped() - dropped0,
-                duplicated: self.network.duplicated() - duplicated0,
-                corrupted: self.network.corrupted() - corrupted0,
-            },
-        })
-    }
-
-    /// Counts a link-level anomaly and mirrors it as an `anomaly` telemetry
-    /// instant on the chaos lane (the coordinator emits its own for the
-    /// frames it absorbs itself).
-    fn note_link_anomaly(&self, at: SimTime, stats: &mut AnomalyStats, anomaly: Anomaly) {
-        stats.record(anomaly);
-        if self.collector.enabled() {
-            self.collector.instant(
-                at.seconds(),
-                "anomaly",
-                Subsystem::Chaos,
-                vec![Field::str("kind", anomaly.name())],
-            );
-        }
-    }
-
-    /// Sends coordinator-outbound messages, recording them in the trace at
-    /// the current unified time (the coordinator's send instant). `wire` is
-    /// the coordinator's trace context *after* the transition that produced
-    /// `outgoing`, so frames carry the span of the phase they belong to.
-    fn send_from_coordinator(
-        &mut self,
-        outgoing: Vec<(u32, Message)>,
-        now: SimTime,
-        trace: &mut RoundTrace,
-        wire: Option<&TraceContext>,
-    ) -> Result<(), MechanismError> {
-        for (i, msg) in outgoing {
-            trace.entries.push(TraceEntry {
-                at: now.seconds(),
-                from: Endpoint::Coordinator,
-                to: Endpoint::Node(i),
-                message: msg.clone(),
-            });
-            self.network
-                .send_traced(Endpoint::Coordinator, Endpoint::Node(i), &msg, wire);
-        }
-        Ok(())
-    }
-}
-
-/// Runs a single round under chaos, constructing a fresh [`ChaosRuntime`].
-///
-/// With [`ChaosConfig::reliable`] this is bit-identical to
-/// [`crate::runtime::run_protocol_round`].
-///
-/// # Errors
-/// Propagates mechanism errors (see [`ChaosRuntime::run_round`]).
-///
-/// # Panics
-/// Panics if `specs` is empty or the chaos configuration is invalid.
-pub fn run_chaos_round<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    chaos: &ChaosConfig,
-) -> Result<ChaosRoundReport, MechanismError> {
-    assert!(!specs.is_empty(), "run_chaos_round: need at least one node");
-    let mut runtime = ChaosRuntime::new(specs.len(), *config, chaos.clone());
-    let active = vec![true; specs.len()];
-    runtime.run_round(mechanism, specs, RoundId(0), &active)
 }
 
 /// The message bound the retransmission protocol guarantees per round:
@@ -937,9 +889,9 @@ pub fn chaos_message_bound(n: usize, bid_retries: u32, duplicated: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::audit::{audit_settlement, SettlementRecord};
-    use crate::runtime::run_protocol_round;
+    use crate::runtime::{run_round, RoundSpec, Transport};
     use crate::trace::replay_check;
-    use lb_mechanism::CompensationBonusMechanism;
+    use lb_mechanism::{CompensationBonusMechanism, MechanismError};
     use lb_sim::driver::SimulationConfig;
     use lb_sim::server::ServiceModel;
     use lb_stats::prop;
@@ -968,8 +920,39 @@ mod tests {
             .collect()
     }
 
+    /// Runs a single round under chaos on a fresh network.
+    fn run_chaos_round(
+        mech: &CompensationBonusMechanism,
+        specs: &[NodeSpec],
+        config: &ProtocolConfig,
+        chaos: &ChaosConfig,
+    ) -> Result<RoundReport, ProtocolError> {
+        run_round(&RoundSpec {
+            transport: Transport::Chaos(chaos.clone()),
+            ..RoundSpec::new(mech, specs, *config)
+        })
+    }
+
+    fn need_two(result: &Result<RoundReport, ProtocolError>) -> bool {
+        matches!(
+            result,
+            Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
+        )
+    }
+
+    fn run_on(
+        runtime: &mut ChaosRuntime,
+        specs: &[NodeSpec],
+    ) -> Result<RoundReport, ProtocolError> {
+        let mech = CompensationBonusMechanism::paper();
+        let active = vec![true; specs.len()];
+        runtime
+            .run_round(&mech, specs, RoundId(0), &active, None)
+            .map(|(report, _)| report)
+    }
+
     /// Checks every seed-independent invariant on one round report.
-    fn assert_round_invariants(report: &ChaosRoundReport, specs: &[NodeSpec], chaos: &ChaosConfig) {
+    fn assert_round_invariants(report: &RoundReport, specs: &[NodeSpec], chaos: &ChaosConfig) {
         let n = specs.len();
         let mech = CompensationBonusMechanism::paper();
         let o = &report.outcome;
@@ -1041,7 +1024,7 @@ mod tests {
                     completed += 1;
                 }
                 // Legitimate when chaos silences all but one machine.
-                Err(MechanismError::NeedTwoAgents) => {}
+                result if need_two(&result) => {}
                 Err(e) => panic!("seed {seed}: unexpected error {e:?}"),
             }
         }
@@ -1075,7 +1058,7 @@ mod tests {
                 };
                 match run_chaos_round(&mech, &specs, &config(), &chaos) {
                     Ok(report) => assert_round_invariants(&report, &specs, &chaos),
-                    Err(MechanismError::NeedTwoAgents) => {}
+                    result if need_two(&result) => {}
                     Err(e) => panic!("unexpected error {e:?}"),
                 }
                 Ok(())
@@ -1139,25 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_chaos_is_bit_identical_to_reliable_runtime() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs();
-        let reliable = run_protocol_round(&mech, &specs, &config()).unwrap();
-        let chaotic = run_chaos_round(&mech, &specs, &config(), &ChaosConfig::reliable(7)).unwrap();
-        assert_eq!(reliable.rates, chaotic.outcome.rates);
-        assert_eq!(reliable.payments, chaotic.outcome.payments);
-        assert_eq!(reliable.utilities, chaotic.outcome.utilities);
-        assert_eq!(
-            reliable.estimated_exec_values,
-            chaotic.outcome.estimated_exec_values
-        );
-        assert_eq!(reliable.stats, chaotic.outcome.stats);
-        assert_eq!(chaotic.retries, 0);
-        assert_eq!(chaotic.anomalies.total(), 0);
-        assert_eq!(chaotic.faults, ChaosNetStats::default());
-    }
-
-    #[test]
     fn same_seed_reproduces_the_same_round() {
         let mech = CompensationBonusMechanism::paper();
         let specs = specs();
@@ -1202,20 +1166,21 @@ mod tests {
             corrupt_prob: 1.0,
             ..ChaosConfig::reliable(3)
         };
-        assert!(matches!(
-            run_chaos_round(&mech, &specs, &config(), &chaos),
-            Err(MechanismError::NeedTwoAgents)
-        ));
+        assert!(need_two(&run_chaos_round(&mech, &specs, &config(), &chaos)));
     }
 
     #[test]
-    #[should_panic(expected = "drop_prob must be in [0, 1]")]
     fn invalid_probability_is_rejected() {
         let chaos = ChaosConfig {
             drop_prob: 1.5,
             ..ChaosConfig::reliable(0)
         };
-        let _ = ChaosRuntime::new(2, config(), chaos);
+        assert!(matches!(
+            ChaosRuntime::new(2, config(), chaos),
+            Err(ProtocolError::InvalidConfig {
+                what: "drop_prob must be in [0, 1]"
+            })
+        ));
     }
 
     #[test]
@@ -1224,7 +1189,6 @@ mod tests {
 
         // A lost first bid forces a retransmission; heavy chaos on top makes
         // sure drops, duplicates and corruption all appear in the recording.
-        let mech = CompensationBonusMechanism::paper();
         let specs = specs();
         let chaos = ChaosConfig {
             plan: FaultPlan {
@@ -1234,11 +1198,9 @@ mod tests {
             ..ChaosConfig::heavy(7)
         };
         let ring = Arc::new(RingCollector::new(65_536));
-        let mut runtime = ChaosRuntime::new(specs.len(), config(), chaos);
+        let mut runtime = ChaosRuntime::new(specs.len(), config(), chaos).unwrap();
         runtime.set_collector(ring.clone());
-        let report = runtime
-            .run_round(&mech, &specs, RoundId(0), &vec![true; specs.len()])
-            .unwrap();
+        let report = run_on(&mut runtime, &specs).unwrap();
 
         let events = ring.snapshot();
         assert_eq!(ring.overwritten(), 0, "ring too small for the round");
@@ -1278,7 +1240,6 @@ mod tests {
         // Machine 0's first bid request is lost; the retransmission carries
         // the same phase.collect_bids context, so its bid span still stitches
         // into the one round trace.
-        let mech = CompensationBonusMechanism::paper();
         let specs = specs();
         let n = specs.len();
         let chaos = ChaosConfig {
@@ -1289,11 +1250,9 @@ mod tests {
             ..ChaosConfig::reliable(42)
         };
         let ring = Arc::new(RingCollector::new(65_536));
-        let mut runtime = ChaosRuntime::new(n, config(), chaos);
+        let mut runtime = ChaosRuntime::new(n, config(), chaos).unwrap();
         runtime.set_collector(ring.clone());
-        let report = runtime
-            .run_round(&mech, &specs, RoundId(0), &vec![true; n])
-            .unwrap();
+        let report = run_on(&mut runtime, &specs).unwrap();
         assert_eq!(report.retries, 1);
 
         let events = ring.snapshot();
@@ -1341,41 +1300,22 @@ mod tests {
         // Under heavy loss/duplication/corruption some contexts arrive stale
         // (their span already closed). Those must degrade to instants — the
         // recording must replay cleanly for every seed that settles.
-        let mech = CompensationBonusMechanism::paper();
         let specs = specs();
         for seed in 0..20u64 {
             let ring = Arc::new(RingCollector::new(65_536));
-            let mut runtime = ChaosRuntime::new(specs.len(), config(), ChaosConfig::heavy(seed));
+            let mut runtime =
+                ChaosRuntime::new(specs.len(), config(), ChaosConfig::heavy(seed)).unwrap();
             runtime.set_collector(ring.clone());
-            match runtime.run_round(&mech, &specs, RoundId(0), &vec![true; specs.len()]) {
+            match run_on(&mut runtime, &specs) {
                 Ok(_) => {
                     let events = ring.snapshot();
                     assert_eq!(ring.overwritten(), 0, "seed {seed}: ring too small");
                     replay_spans(&events)
                         .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e:?}"));
                 }
-                Err(MechanismError::NeedTwoAgents) => {}
+                result if need_two(&result) => {}
                 Err(e) => panic!("seed {seed}: unexpected error {e:?}"),
             }
         }
-    }
-
-    #[test]
-    fn telemetry_is_inert_by_default() {
-        // An uninstrumented runtime must behave bit-identically to one with
-        // an explicit noop collector attached.
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs();
-        let chaos = ChaosConfig::heavy(11);
-        let mut plain = ChaosRuntime::new(specs.len(), config(), chaos.clone());
-        let mut noop = ChaosRuntime::new(specs.len(), config(), chaos);
-        noop.set_collector(lb_telemetry::noop_collector());
-        let active = vec![true; specs.len()];
-        let a = plain.run_round(&mech, &specs, RoundId(0), &active).unwrap();
-        let b = noop.run_round(&mech, &specs, RoundId(0), &active).unwrap();
-        assert_eq!(a.outcome.payments, b.outcome.payments);
-        assert_eq!(a.outcome.rates, b.outcome.rates);
-        assert_eq!(a.outcome.stats, b.outcome.stats);
-        assert_eq!(a.retries, b.retries);
     }
 }

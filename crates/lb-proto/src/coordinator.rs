@@ -105,6 +105,13 @@ pub enum ProtocolError {
         /// The shard whose worker died.
         shard: usize,
     },
+    /// A caller-supplied configuration is out of range (e.g. a fault
+    /// probability outside `[0, 1]`, or a transport the requested topology
+    /// cannot run over).
+    InvalidConfig {
+        /// What was invalid.
+        what: &'static str,
+    },
     /// The durable journal failed (including injected crashes).
     Journal(JournalError),
     /// A mechanism or simulation error.
@@ -133,6 +140,7 @@ impl fmt::Display for ProtocolError {
             Self::ShardPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked; round aborted")
             }
+            Self::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             Self::Journal(e) => write!(f, "journal: {e}"),
             Self::Mechanism(e) => write!(f, "mechanism: {e}"),
         }
@@ -182,6 +190,20 @@ impl ProtocolError {
     }
 }
 
+/// Checks a round's machine count: at least one, and within the `u32`
+/// wire width that machine indices and node counts travel in.
+pub(crate) fn check_width(n: usize) -> Result<(), ProtocolError> {
+    if n == 0 {
+        return Err(ProtocolError::MissingState {
+            what: "at least one node",
+        });
+    }
+    if u32::try_from(n).is_err() {
+        return Err(ProtocolError::TooManyNodes { n });
+    }
+    Ok(())
+}
+
 /// The mechanism centre for one round over `n` nodes.
 pub struct Coordinator<'m> {
     mechanism: &'m dyn VerifiedMechanism,
@@ -195,7 +217,6 @@ pub struct Coordinator<'m> {
     allocation: Option<Allocation>,
     estimated_exec: Option<Vec<f64>>,
     payments: Option<Vec<f64>>,
-    strict: bool,
     anomalies: AnomalyStats,
     /// Durable journal, when attached. Shared with the driver (which keeps
     /// its own handle for crash injection and recovery), hence `Rc`.
@@ -219,8 +240,8 @@ pub struct Coordinator<'m> {
     collector: Arc<dyn Collector>,
     /// Logical clock for telemetry, in seconds. The coordinator has no clock
     /// of its own; drivers call [`Coordinator::set_now`] before each handle
-    /// or close call (sim time in the deterministic runtimes, a monotonic
-    /// offset in the threaded one).
+    /// or close call (sim time on the simulated transports, a monotonic
+    /// offset on the threaded one).
     now: Cell<f64>,
     round_span: Cell<SpanId>,
     phase_span: Cell<SpanId>,
@@ -282,14 +303,7 @@ impl<'m> Coordinator<'m> {
         round: RoundId,
         sim_config: SimulationConfig,
     ) -> Result<Self, ProtocolError> {
-        if n == 0 {
-            return Err(ProtocolError::MissingState {
-                what: "at least one node",
-            });
-        }
-        if u32::try_from(n).is_err() {
-            return Err(ProtocolError::TooManyNodes { n });
-        }
+        check_width(n)?;
         Ok(Self {
             mechanism,
             total_rate,
@@ -302,7 +316,6 @@ impl<'m> Coordinator<'m> {
             allocation: None,
             estimated_exec: None,
             payments: None,
-            strict: false,
             anomalies: AnomalyStats::default(),
             journal: None,
             journal_opened: false,
@@ -563,16 +576,9 @@ impl<'m> Coordinator<'m> {
         }
     }
 
-    /// Sets strict mode. A strict coordinator panics on protocol violations
-    /// (wrong round, duplicate bid, out-of-phase or misrouted messages) —
-    /// useful in tests and the fault-free runtimes where any such message is
-    /// a bug. The default is graceful: violations are absorbed and counted in
-    /// [`Coordinator::anomalies`], so a byzantine or chaotic network cannot
-    /// crash the mechanism centre.
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
+    /// The mechanism this round settles with.
+    pub(crate) fn mechanism(&self) -> &'m dyn VerifiedMechanism {
+        self.mechanism
     }
 
     /// Current phase.
@@ -663,21 +669,11 @@ impl<'m> Coordinator<'m> {
         );
     }
 
-    /// Records an anomaly and returns the empty reply set; panics instead
-    /// when strict.
-    fn reject(&mut self, anomaly: Anomaly, context: &str) -> Vec<(u32, Message)> {
+    /// Records an anomaly for a rejected message: a byzantine or chaotic
+    /// network cannot crash the mechanism centre.
+    fn reject(&mut self, anomaly: Anomaly) -> bool {
         self.note_anomaly(anomaly);
-        assert!(!self.strict, "{context}");
-        Vec::new()
-    }
-
-    /// Opening messages: one bid request per node.
-    #[must_use]
-    pub fn open(&self) -> Vec<Message> {
-        self.ensure_round_span();
-        (0..self.bids.len())
-            .map(|_| Message::RequestBid { round: self.round })
-            .collect()
+        false
     }
 
     fn respondents(&self) -> Vec<usize> {
@@ -704,92 +700,22 @@ impl<'m> Coordinator<'m> {
     /// Propagates mechanism/simulation errors (as
     /// [`ProtocolError::Mechanism`]) and journal failures.
     ///
-    /// # Panics
-    /// In strict mode only ([`Coordinator::with_strict`]), panics on protocol
-    /// violations: wrong round, out-of-range machine, coordinator-originated
-    /// messages, duplicate bids, out-of-phase messages. A graceful
-    /// coordinator absorbs these and counts them as anomalies.
+    /// Protocol violations — wrong round, out-of-range machine,
+    /// coordinator-originated messages, duplicate bids, out-of-phase
+    /// messages — are absorbed and counted in [`Coordinator::anomalies`];
+    /// they send nothing.
     pub fn handle(
         &mut self,
         message: &Message,
         actual_exec_values: &[f64],
     ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        self.ensure_round_span();
-        if message.round() != self.round {
-            return Ok(self.reject(Anomaly::StaleRound, "coordinator: wrong round"));
+        if !self.ingest(message)? {
+            return Ok(Vec::new());
         }
-        match *message {
-            Message::Bid { machine, value, .. } => {
-                let idx = machine as usize;
-                if idx >= self.bids.len() {
-                    return Ok(
-                        self.reject(Anomaly::Unsolicited, "coordinator: machine out of range")
-                    );
-                }
-                if self.excluded[idx] {
-                    // A bid that arrives after exclusion is stale: absorbed
-                    // in whatever phase it straggles in, even under strict
-                    // mode (losing a race against the timeout is the
-                    // network's fault, not a protocol violation).
-                    self.note_anomaly(Anomaly::StaleAfterExclusion);
-                    return Ok(Vec::new());
-                }
-                if self.phase != CoordinatorPhase::CollectingBids {
-                    return Ok(self.reject(Anomaly::WrongPhase, "bid outside collection phase"));
-                }
-                if self.bids[idx].is_some() {
-                    let context = format!("coordinator: duplicate bid from {machine}");
-                    return Ok(self.reject(Anomaly::DuplicateBid, &context));
-                }
-                self.journal_append(JournalRecord::BidAccepted { machine, value })?;
-                self.bids[idx] = Some(value);
-                if self.all_bids_in() {
-                    self.begin_execution(actual_exec_values)
-                } else {
-                    Ok(Vec::new())
-                }
-            }
-            Message::ExecutionDone { machine, .. } => {
-                if self.phase != CoordinatorPhase::Executing {
-                    return Ok(
-                        self.reject(Anomaly::WrongPhase, "completion outside execution phase")
-                    );
-                }
-                let idx = machine as usize;
-                if idx >= self.done.len() {
-                    return Ok(
-                        self.reject(Anomaly::Unsolicited, "coordinator: machine out of range")
-                    );
-                }
-                if self.excluded[idx] {
-                    // An excluded machine has nothing to complete; its ack
-                    // carries no standing in the round.
-                    self.note_anomaly(Anomaly::Unsolicited);
-                    return Ok(Vec::new());
-                }
-                if self.done[idx] {
-                    // A duplicated ack is idempotent: settlement depends on
-                    // the set of completed machines, not the ack count.
-                    self.note_anomaly(Anomaly::DuplicateAck);
-                    return Ok(Vec::new());
-                }
-                self.journal_append(JournalRecord::ExecutionObserved { machine })?;
-                self.done[idx] = true;
-                if self.all_done() {
-                    self.settle()
-                } else {
-                    Ok(Vec::new())
-                }
-            }
-            Message::RequestBid { .. }
-            | Message::Assign { .. }
-            | Message::Payment { .. }
-            | Message::ShardSum { .. }
-            | Message::ShardEstimates { .. }
-            | Message::ShardProfile { .. } => Ok(self.reject(
-                Anomaly::Misrouted,
-                "coordinator received coordinator-originated message",
-            )),
+        match message {
+            Message::Bid { .. } if self.all_bids_in() => self.begin_execution(actual_exec_values),
+            Message::ExecutionDone { .. } if self.all_done() => self.settle(),
+            _ => Ok(Vec::new()),
         }
     }
 
@@ -884,78 +810,66 @@ impl<'m> Coordinator<'m> {
     /// allocation or settle. The sharded runtime calls this once per
     /// upward-forwarded frame and decides the transitions itself.
     ///
+    /// Returns whether the message was accepted into the round state;
+    /// a rejected one is counted in [`Coordinator::anomalies`].
+    ///
     /// # Errors
     /// Propagates journal failures (including injected crashes).
-    ///
-    /// # Panics
-    /// In strict mode only, panics on protocol violations, exactly as
-    /// [`Coordinator::handle`].
-    pub fn ingest(&mut self, message: &Message) -> Result<(), ProtocolError> {
+    pub fn ingest(&mut self, message: &Message) -> Result<bool, ProtocolError> {
         self.ensure_round_span();
         if message.round() != self.round {
-            self.reject(Anomaly::StaleRound, "coordinator: wrong round");
-            return Ok(());
+            return Ok(self.reject(Anomaly::StaleRound));
         }
         match *message {
             Message::Bid { machine, value, .. } => {
                 let idx = machine as usize;
-                if idx >= self.bids.len() {
-                    self.reject(Anomaly::Unsolicited, "coordinator: machine out of range");
-                    return Ok(());
-                }
-                if self.excluded[idx] {
-                    self.note_anomaly(Anomaly::StaleAfterExclusion);
-                    return Ok(());
-                }
-                if self.phase != CoordinatorPhase::CollectingBids {
-                    self.reject(Anomaly::WrongPhase, "bid outside collection phase");
-                    return Ok(());
-                }
-                if self.bids[idx].is_some() {
-                    let context = format!("coordinator: duplicate bid from {machine}");
-                    self.reject(Anomaly::DuplicateBid, &context);
-                    return Ok(());
-                }
-                self.journal_append(JournalRecord::BidAccepted { machine, value })?;
-                self.bids[idx] = Some(value);
+                let anomaly = if idx >= self.bids.len() {
+                    Anomaly::Unsolicited
+                } else if self.excluded[idx] {
+                    // A bid that arrives after exclusion is stale: absorbed
+                    // in whatever phase it straggles in (losing a race
+                    // against the timeout is the network's fault).
+                    Anomaly::StaleAfterExclusion
+                } else if self.phase != CoordinatorPhase::CollectingBids {
+                    Anomaly::WrongPhase
+                } else if self.bids[idx].is_some() {
+                    Anomaly::DuplicateBid
+                } else {
+                    self.journal_append(JournalRecord::BidAccepted { machine, value })?;
+                    self.bids[idx] = Some(value);
+                    return Ok(true);
+                };
+                Ok(self.reject(anomaly))
             }
             Message::ExecutionDone { machine, .. } => {
-                if self.phase != CoordinatorPhase::Executing {
-                    self.reject(Anomaly::WrongPhase, "completion outside execution phase");
-                    return Ok(());
-                }
                 let idx = machine as usize;
-                if idx >= self.done.len() {
-                    self.reject(Anomaly::Unsolicited, "coordinator: machine out of range");
-                    return Ok(());
-                }
-                if self.excluded[idx] {
-                    self.note_anomaly(Anomaly::Unsolicited);
-                    return Ok(());
-                }
-                if self.done[idx] {
-                    self.note_anomaly(Anomaly::DuplicateAck);
-                    return Ok(());
-                }
-                self.journal_append(JournalRecord::ExecutionObserved { machine })?;
-                self.done[idx] = true;
+                let anomaly = if self.phase != CoordinatorPhase::Executing {
+                    Anomaly::WrongPhase
+                } else if idx >= self.done.len() || self.excluded[idx] {
+                    // An excluded machine has nothing to complete; its ack
+                    // carries no standing in the round.
+                    Anomaly::Unsolicited
+                } else if self.done[idx] {
+                    // A duplicated ack is idempotent: settlement depends on
+                    // the set of completed machines, not the ack count.
+                    Anomaly::DuplicateAck
+                } else {
+                    self.journal_append(JournalRecord::ExecutionObserved { machine })?;
+                    self.done[idx] = true;
+                    return Ok(true);
+                };
+                Ok(self.reject(anomaly))
             }
+            // Shard control frames are consumed by the shard runtime itself;
+            // reaching the round state machine means a routing bug, same as
+            // any coordinator-originated message.
             Message::RequestBid { .. }
             | Message::Assign { .. }
             | Message::Payment { .. }
             | Message::ShardSum { .. }
             | Message::ShardEstimates { .. }
-            | Message::ShardProfile { .. } => {
-                // Shard control frames are consumed by the shard runtime
-                // itself; reaching the round state machine means a routing
-                // bug, same as any coordinator-originated message.
-                self.reject(
-                    Anomaly::Misrouted,
-                    "coordinator received coordinator-originated message",
-                );
-            }
+            | Message::ShardProfile { .. } => Ok(self.reject(Anomaly::Misrouted)),
         }
-        Ok(())
     }
 
     /// Sharded bid-timeout: journals a timeout exclusion for every machine
@@ -1613,7 +1527,6 @@ mod tests {
         let trues = [1.0, 2.0];
         let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
-        assert_eq!(c.open().len(), 2);
 
         let none = c
             .handle(
@@ -1772,34 +1685,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate bid")]
-    fn strict_duplicate_bid_panics() {
+    fn duplicate_bid_is_counted_and_sends_nothing() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config()).with_strict(true);
+        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
         let bid = Message::Bid {
             round: RoundId(0),
             machine: 0,
             value: 1.0,
         };
-        c.handle(&bid, &trues).unwrap();
-        c.handle(&bid, &trues).unwrap();
+        assert!(c.handle(&bid, &trues).unwrap().is_empty());
+        assert!(c.handle(&bid, &trues).unwrap().is_empty());
+        assert_eq!(c.anomalies().duplicate_bids, 1);
+        assert_eq!(c.anomalies().total(), 1);
+        assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
     }
 
     #[test]
-    #[should_panic(expected = "wrong round")]
-    fn strict_wrong_round_panics() {
+    fn wrong_round_is_counted_and_sends_nothing() {
         let mech = CompensationBonusMechanism::paper();
-        let mut c = Coordinator::new(&mech, 1, 3.0, RoundId(0), config()).with_strict(true);
-        c.handle(
-            &Message::Bid {
-                round: RoundId(1),
-                machine: 0,
-                value: 1.0,
-            },
-            &[1.0],
-        )
-        .unwrap();
+        let mut c = Coordinator::new(&mech, 1, 3.0, RoundId(0), config());
+        let sent = c
+            .handle(
+                &Message::Bid {
+                    round: RoundId(1),
+                    machine: 0,
+                    value: 1.0,
+                },
+                &[1.0],
+            )
+            .unwrap();
+        assert!(sent.is_empty());
+        assert_eq!(c.anomalies().stale_rounds, 1);
+        assert_eq!(c.anomalies().total(), 1);
+        assert_eq!(c.missing_bids(), vec![0]);
     }
 
     #[test]
@@ -1919,7 +1838,7 @@ mod tests {
             Coordinator::new(&mech, 2, 3.0, RoundId(3), config()).with_collector(ring.clone());
 
         c.set_now(0.0);
-        let _ = c.open();
+        c.begin_round_telemetry();
         c.set_now(0.1);
         c.handle(
             &Message::Bid {
@@ -2050,7 +1969,7 @@ mod tests {
             .with_trace(trace);
 
         c.set_now(0.0);
-        let _ = c.open();
+        c.begin_round_telemetry();
         let collect_ctx = c.wire_context().expect("sampled round with collector");
         assert_eq!(collect_ctx.trace_id, trace.trace_id);
         assert!(collect_ctx.sampled);
@@ -2119,18 +2038,18 @@ mod tests {
         let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config())
             .with_collector(ring.clone())
             .with_trace(TraceContext::root(1, 0, false));
-        let _ = c.open();
+        c.begin_round_telemetry();
         assert_eq!(c.wire_context(), None);
 
         // Sampled but no collector: telemetry off means tracing off.
         let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config())
             .with_trace(TraceContext::root(1, 0, true));
-        let _ = c.open();
+        c.begin_round_telemetry();
         assert_eq!(c.wire_context(), None);
 
         // Untraced: plain instrumented rounds carry nothing extra.
         let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config()).with_collector(ring);
-        let _ = c.open();
+        c.begin_round_telemetry();
         assert_eq!(c.wire_context(), None);
     }
 

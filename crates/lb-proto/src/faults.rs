@@ -1,25 +1,21 @@
-//! Fault-tolerant protocol runtime: lost messages, silent machines,
-//! coordinator timeouts.
+//! Declarative faults: lost messages, silent machines, partitions.
 //!
 //! The paper's protocol implicitly assumes a reliable network; a deployable
-//! version cannot. This runtime drives the same round as
-//! [`crate::runtime::run_protocol_round`] over a lossy [`SimNetwork`] and
-//! applies two timeout rules when the network drains without progress:
+//! version cannot. A [`FaultPlan`] names the frames a round loses; it is the
+//! declarative part of [`crate::chaos::ChaosConfig`], and the round engine
+//! applies two timeout rules to it:
 //!
 //! * **Bid timeout** — machines whose bids never arrived are *excluded*:
 //!   the round proceeds over the respondents (the excluded machine receives
 //!   no jobs and no payment, which is exactly the `L_{-i}` counterfactual
-//!   its bonus is measured against, so incentives are unaffected).
+//!   its bonus is measured against, so incentives are unaffected). With
+//!   `bid_retries: 0` the first loss excludes.
 //! * **Completion timeout** — settlement does not wait for lost completion
 //!   acknowledgements: payments derive from the coordinator's *own*
 //!   measurements, the acks are liveness signals only.
 
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
-use crate::message::{Message, RoundId};
-use crate::network::{Endpoint, SimNetwork};
-use crate::node::{NodeAgent, NodeSpec};
-use crate::runtime::{ProtocolConfig, ProtocolOutcome};
-use lb_mechanism::{MechanismError, VerifiedMechanism};
+use crate::message::Message;
+use crate::network::Endpoint;
 
 /// Declarative fault plan for one round.
 #[derive(Debug, Clone, Default)]
@@ -33,15 +29,14 @@ pub struct FaultPlan {
     /// Machines that never receive any coordinator message (full partition).
     pub partitioned: Vec<u32>,
     /// `(machine, k)` pairs: only the machine's first `k` bid transmissions
-    /// are lost. Under [`run_protocol_round_with_faults`] (which never
-    /// retries) any `k >= 1` behaves like `lose_bids_from`; under the chaos
-    /// runtime a retransmission gets through once `k` attempts have failed,
-    /// demonstrating retry-then-include.
+    /// are lost. Without retries any `k >= 1` behaves like
+    /// `lose_bids_from`; with them a retransmission gets through once `k`
+    /// attempts have failed, demonstrating retry-then-include.
     pub lose_bid_attempts: Vec<(u32, u32)>,
 }
 
 impl FaultPlan {
-    /// A plan with no faults (the runtime then matches the reliable one).
+    /// A plan with no faults (a round then matches the reliable one).
     #[must_use]
     pub fn none() -> Self {
         Self::default()
@@ -90,145 +85,15 @@ impl FaultPlan {
     }
 }
 
-/// Runs one protocol round over a lossy network with timeout handling.
-///
-/// Returns the full-width outcome: excluded machines have rate 0, payment 0
-/// and utility 0.
-///
-/// # Errors
-/// Propagates mechanism errors — notably [`MechanismError::NeedTwoAgents`]
-/// when fewer than two machines' bids survive.
-///
-/// # Panics
-/// Panics if `specs` is empty or on internal protocol violations.
-pub fn run_protocol_round_with_faults<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    faults: &FaultPlan,
-) -> Result<ProtocolOutcome, MechanismError> {
-    assert!(
-        !specs.is_empty(),
-        "run_protocol_round_with_faults: need at least one node"
-    );
-    let n = specs.len();
-    let round = RoundId(0);
-    let codec_err = |e: crate::codec::CodecError| {
-        MechanismError::Core(lb_core::CoreError::Infeasible {
-            reason: e.to_string(),
-        })
-    };
-
-    let mut nodes: Vec<NodeAgent> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, &spec)| NodeAgent::new(u32::try_from(i).expect("fits u32"), spec))
-        .collect();
-    let actual_exec: Vec<f64> = specs.iter().map(|s| s.exec_value).collect();
-
-    // Strict: the drop filter only *loses* frames, so every frame that does
-    // arrive is still protocol-conformant.
-    let mut coordinator =
-        Coordinator::new(mechanism, n, config.total_rate, round, config.simulation)
-            .with_strict(true);
-    let mut network = SimNetwork::with_constant_latency(config.link_latency);
-    {
-        let plan = faults.clone();
-        let mut bid_attempts = vec![0u32; n];
-        network
-            .set_drop_filter(move |from, to, m| plan.drops_counted(from, to, m, &mut bid_attempts));
-    }
-
-    for (i, msg) in coordinator.open().into_iter().enumerate() {
-        network.send(
-            Endpoint::Coordinator,
-            Endpoint::Node(u32::try_from(i).expect("fits u32")),
-            &msg,
-        );
-    }
-
-    // Drive until done, applying timeouts whenever the network drains.
-    loop {
-        match network.deliver_next().map_err(codec_err)? {
-            Some(delivery) => match delivery.to {
-                Endpoint::Node(i) => {
-                    if let Some(reply) = nodes[i as usize].handle(&delivery.message) {
-                        network.send(Endpoint::Node(i), Endpoint::Coordinator, &reply);
-                    }
-                }
-                Endpoint::Coordinator => {
-                    let outgoing = coordinator
-                        .handle(&delivery.message, &actual_exec)
-                        .map_err(ProtocolError::into_mechanism)?;
-                    for (i, msg) in outgoing {
-                        network.send(Endpoint::Coordinator, Endpoint::Node(i), &msg);
-                    }
-                }
-            },
-            None => match coordinator.phase() {
-                CoordinatorPhase::Done => break,
-                CoordinatorPhase::CollectingBids => {
-                    // Bid timeout fired.
-                    let outgoing = coordinator
-                        .close_bidding(&actual_exec)
-                        .map_err(ProtocolError::into_mechanism)?;
-                    for (i, msg) in outgoing {
-                        network.send(Endpoint::Coordinator, Endpoint::Node(i), &msg);
-                    }
-                }
-                CoordinatorPhase::Executing => {
-                    // Completion timeout fired.
-                    let outgoing = coordinator
-                        .close_execution()
-                        .map_err(ProtocolError::into_mechanism)?;
-                    for (i, msg) in outgoing {
-                        network.send(Endpoint::Coordinator, Endpoint::Node(i), &msg);
-                    }
-                }
-                CoordinatorPhase::Settling => unreachable!("settling is instantaneous"),
-            },
-        }
-    }
-
-    let payments = coordinator.payments().expect("settled").to_vec();
-    let estimated = coordinator
-        .estimated_exec_values()
-        .expect("verified")
-        .to_vec();
-    let allocation = coordinator.allocation().expect("allocated");
-
-    let rates: Vec<f64> = (0..n).map(|i| allocation.rate(i)).collect();
-    let utilities: Vec<f64> = (0..n)
-        .map(|i| {
-            // Node-side accounting where settlement reached the node; the
-            // coordinator's ledger elsewhere (excluded/partitioned machines
-            // served no jobs, so their valuation is 0 and utility equals the
-            // ledger payment, i.e. 0).
-            nodes[i]
-                .utility(mechanism.valuation_model())
-                .unwrap_or(if rates[i] == 0.0 {
-                    payments[i]
-                } else {
-                    payments[i] + mechanism.valuation(rates[i], specs[i].exec_value)
-                })
-        })
-        .collect();
-
-    Ok(ProtocolOutcome {
-        rates,
-        payments,
-        utilities,
-        estimated_exec_values: estimated,
-        stats: network.stats(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_protocol_round;
+    use crate::chaos::ChaosConfig;
+    use crate::coordinator::ProtocolError;
+    use crate::node::NodeSpec;
+    use crate::runtime::{run_round, ProtocolConfig, ProtocolOutcome, RoundSpec, Transport};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
-    use lb_mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
+    use lb_mechanism::{run_mechanism, CompensationBonusMechanism, MechanismError, Profile};
     use lb_sim::driver::SimulationConfig;
     use lb_sim::server::ServiceModel;
 
@@ -254,26 +119,36 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn no_faults_matches_reliable_runtime() {
+    /// One round under `plan`, excluding on first loss.
+    fn run(specs: &[NodeSpec], plan: FaultPlan) -> Result<ProtocolOutcome, ProtocolError> {
         let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let reliable = run_protocol_round(&mech, &specs, &config()).unwrap();
-        let faulty =
-            run_protocol_round_with_faults(&mech, &specs, &config(), &FaultPlan::none()).unwrap();
-        assert_eq!(reliable.payments, faulty.payments);
-        assert_eq!(reliable.stats, faulty.stats);
+        let chaos = ChaosConfig {
+            plan,
+            bid_retries: 0,
+            ..ChaosConfig::reliable(config().simulation.seed)
+        };
+        let spec = RoundSpec {
+            transport: Transport::Chaos(chaos),
+            ..RoundSpec::new(&mech, specs, config())
+        };
+        run_round(&spec).map(|report| report.outcome)
+    }
+
+    fn reliable(specs: &[NodeSpec]) -> ProtocolOutcome {
+        let mech = CompensationBonusMechanism::paper();
+        run_round(&RoundSpec::new(&mech, specs, config()))
+            .unwrap()
+            .outcome
     }
 
     #[test]
     fn lost_bid_excludes_the_machine_and_round_completes() {
         let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
         let faults = FaultPlan {
             lose_bids_from: vec![0],
             ..FaultPlan::none()
         };
-        let outcome = run_protocol_round_with_faults(&mech, &specs, &config(), &faults).unwrap();
+        let outcome = run(&truthful_specs(), faults).unwrap();
 
         assert_eq!(outcome.rates[0], 0.0);
         assert_eq!(outcome.payments[0], 0.0);
@@ -300,14 +175,13 @@ mod tests {
 
     #[test]
     fn lost_ack_does_not_change_payments() {
-        let mech = CompensationBonusMechanism::paper();
         let specs = truthful_specs();
-        let clean = run_protocol_round(&mech, &specs, &config()).unwrap();
+        let clean = reliable(&specs);
         let faults = FaultPlan {
             lose_acks_from: vec![3, 7],
             ..FaultPlan::none()
         };
-        let outcome = run_protocol_round_with_faults(&mech, &specs, &config(), &faults).unwrap();
+        let outcome = run(&specs, faults).unwrap();
         for i in 0..16 {
             assert!(
                 (clean.payments[i] - outcome.payments[i]).abs() < 1e-9,
@@ -318,13 +192,11 @@ mod tests {
 
     #[test]
     fn partitioned_machine_is_fully_excluded() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
         let faults = FaultPlan {
             partitioned: vec![5],
             ..FaultPlan::none()
         };
-        let outcome = run_protocol_round_with_faults(&mech, &specs, &config(), &faults).unwrap();
+        let outcome = run(&truthful_specs(), faults).unwrap();
         assert_eq!(outcome.rates[5], 0.0);
         assert_eq!(outcome.payments[5], 0.0);
         // Load conservation still holds over the survivors.
@@ -334,29 +206,26 @@ mod tests {
 
     #[test]
     fn too_many_lost_bids_is_a_clean_error() {
-        let mech = CompensationBonusMechanism::paper();
         let specs: Vec<NodeSpec> = vec![NodeSpec::truthful(1.0), NodeSpec::truthful(2.0)];
         let faults = FaultPlan {
             lose_bids_from: vec![0],
             ..FaultPlan::none()
         };
         assert!(matches!(
-            run_protocol_round_with_faults(&mech, &specs, &config(), &faults),
-            Err(MechanismError::NeedTwoAgents)
+            run(&specs, faults),
+            Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
         ));
     }
 
     #[test]
     fn first_attempt_loss_excludes_without_retransmission() {
-        // The declarative runtime never retries, so losing just the first
-        // bid attempt is as fatal as losing them all.
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
+        // Without retries, losing just the first bid attempt is as fatal as
+        // losing them all.
         let faults = FaultPlan {
             lose_bid_attempts: vec![(0, 1)],
             ..FaultPlan::none()
         };
-        let outcome = run_protocol_round_with_faults(&mech, &specs, &config(), &faults).unwrap();
+        let outcome = run(&truthful_specs(), faults).unwrap();
         assert_eq!(outcome.rates[0], 0.0);
         assert_eq!(outcome.payments[0], 0.0);
     }
@@ -364,16 +233,15 @@ mod tests {
     #[test]
     fn lazy_machine_is_still_penalized_under_faults() {
         // A lossy network must not launder a lazy machine's behaviour.
-        let mech = CompensationBonusMechanism::paper();
         let mut specs = truthful_specs();
         specs[1] = NodeSpec::strategic(1.0, 1.0, 2.0);
         let faults = FaultPlan {
             lose_acks_from: vec![1],
             ..FaultPlan::none()
         };
-        let outcome = run_protocol_round_with_faults(&mech, &specs, &config(), &faults).unwrap();
+        let outcome = run(&specs, faults).unwrap();
 
-        let honest = run_protocol_round(&mech, &truthful_specs(), &config()).unwrap();
+        let honest = reliable(&truthful_specs());
         assert!(outcome.payments[1] < honest.payments[1] - 1e-6);
     }
 }

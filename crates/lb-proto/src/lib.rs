@@ -4,7 +4,38 @@
 //! collects bids, computes the PR allocation, allocates the jobs, waits for
 //! them to execute while estimating each computer's actual processing rate,
 //! then computes and sends the payments — `O(n)` messages in total. This
-//! crate realises that protocol as an actual message-passing system:
+//! crate realises that protocol as an actual message-passing system with
+//! one round engine.
+//!
+//! # Running rounds
+//!
+//! Six entry points cover every way to run the protocol:
+//!
+//! * [`run_round`] runs one round described by a [`RoundSpec`]: the
+//!   [`Transport`] its frames travel over (the reliable simulated network,
+//!   the simulated network under seeded [`ChaosConfig`] fault injection, or
+//!   OS-thread channels, or the two-level [`shard`] topology of `k` shard
+//!   coordinators, optionally profiled), and the [`Observers`] watching
+//!   it.
+//! * [`ChaosRuntime::run_round`] runs one round of a persistent simulated
+//!   network — late frames straggle into the next round — optionally
+//!   against a crash-injecting journal it recovers from.
+//! * [`drive_sharded_round`] drives a sharded round on a root coordinator,
+//!   fresh or recovered mid-round from its journal.
+//! * [`run_session`] and [`run_chaos_session`] run multi-round sessions
+//!   under a policy callback; the chaos session tracks machine health,
+//!   quarantines and re-admits flaky machines, and is durable when given a
+//!   journal.
+//! * [`run_online_session`] runs the streaming mechanism over a churn
+//!   stream.
+//!
+//! Every single-coordinator round runs through the one event loop in
+//! [`chaos`]; transports only decide how frames move and whether retry
+//! timers are armed. Allocations, payments, estimates, exclusions, message
+//! statistics and journal bytes are bit-identical across transports and
+//! with or without observers.
+//!
+//! # Modules
 //!
 //! * [`codec`] — the compact, non-self-describing binary wire encoding:
 //!   one [`codec::Wire`] trait, implemented by hand for the messages,
@@ -12,18 +43,21 @@
 //! * [`message`] — the protocol message vocabulary.
 //! * [`network`] — an in-memory simulated network with per-link delay and
 //!   complete message/byte accounting (validating the O(n) claim).
-//! * [`node`] — node-side behaviour: what a machine bids and how it executes.
-//! * [`coordinator`] — the mechanism centre as an explicit state machine.
-//! * [`runtime`] — a deterministic single-threaded driver over the simulated
-//!   network.
-//! * [`threaded`] — the same protocol over scoped OS threads and
-//!   `std::sync::mpsc` channels; produces bit-identical outcomes to the
-//!   deterministic runtime.
-//! * [`chaos`] — seeded probabilistic fault injection (drop / duplicate /
-//!   corrupt / jitter) plus the retransmission protocol that survives it:
-//!   missing bids are re-requested with exponential backoff before the
-//!   exclusion fallback, and multi-round sessions quarantine and re-admit
-//!   flaky machines ([`session::run_chaos_session`]).
+//! * [`node`] — node-side behaviour: what a machine bids, how it executes,
+//!   and how it serves a traced frame.
+//! * [`coordinator`] — the mechanism centre as an explicit state machine;
+//!   duplicated, stale or misrouted frames are absorbed and counted as
+//!   anomalies, never panics.
+//! * [`runtime`] — [`RoundSpec`], [`Transport`], [`Observers`] and
+//!   [`run_round`].
+//! * [`chaos`] — the round engine, seeded probabilistic fault injection
+//!   (drop / duplicate / corrupt / jitter) and the retransmission protocol
+//!   that survives it: missing bids are re-requested with exponential
+//!   backoff before the exclusion fallback.
+//! * [`faults`] — declarative fault plans, the named-frame part of a chaos
+//!   configuration.
+//! * [`threaded`] — the OS-thread channel transport.
+//! * [`session`] — multi-round sessions.
 //! * [`journal`] — a write-ahead round journal (length-prefixed, CRC-checked
 //!   records over the wire codec) with in-memory, file-backed, and
 //!   crash-injecting backends; torn tails are detected and truncated, never
@@ -31,8 +65,7 @@
 //! * [`recovery`] — deterministic replay of the journal into a fresh
 //!   coordinator mid-round, with exactly-once settle (payments restore from
 //!   the `PaymentsCommitted` record, never recompute) and an idempotent
-//!   resume fan-out; [`session::run_chaos_session_durable`] crash-tests
-//!   whole sessions against a seeded [`session::CrashPlan`].
+//!   resume fan-out.
 //! * [`online`] — the streaming mechanism session: joins / leaves /
 //!   re-bids maintain the harmonic sum `S = Σ 1/b_i` incrementally in
 //!   double-double (O(1) amortized per event, drift re-summed below
@@ -46,26 +79,25 @@
 //!   [`lb_core::merge_inv_sums`] — allocations and payments stay
 //!   bit-identical to the single-coordinator round for every shard count.
 //!
-//! Every driver is instrumented for `lb-telemetry`: attach a collector
-//! (e.g. [`lb_telemetry::RingCollector`]) via
-//! [`Coordinator::with_collector`], [`SimNetwork::set_collector`],
-//! [`ChaosRuntime::set_collector`] or the `*_observed` entry points, and the
-//! round's phase spans, frame fates, retransmissions and session health
-//! decisions are recorded on the simulated clock. The default collector is
-//! the noop, which keeps the uninstrumented paths bit-identical and free.
+//! # Observability
 //!
-//! Instrumented rounds also carry a **wire-propagated trace context**: a
+//! An [`Observers`] value carries every attachment: a telemetry collector
+//! (e.g. [`lb_telemetry::RingCollector`]), a head-based
+//! [`lb_telemetry::Sampler`], and, for sharded rounds, a
+//! [`lb_prof::RoundProfiler`]. A round's phase spans, frame fates,
+//! retransmissions and session health decisions are recorded on the
+//! simulated clock (wall-clock seconds on the threaded transport). The
+//! default is the noop collector, which keeps unobserved rounds free.
+//!
+//! Observed rounds also carry a **wire-propagated trace context**: a
 //! fixed-size [`lb_telemetry::TraceContext`] trailer appended to each
 //! frame's payload ([`codec::encode_with_context`] /
 //! [`codec::decode_with_context`]), so the receiving side continues the
 //! sender's trace and a whole bid → allocate → execute → settle round —
 //! retransmissions included — stitches into one trace across threads and
-//! runtimes. Trailer-free frames decode exactly as before, head-based
-//! sampling ([`lb_telemetry::Sampler`], [`session::run_chaos_session_sampled`],
-//! [`threaded::run_protocol_round_threaded_sampled`]) decides per round
-//! whether anything goes on the wire, and
-//! [`threaded::run_protocol_round_threaded_exposed`] publishes the live
-//! `/metrics` + `/trace` documents an [`lb_telemetry::ExposeServer`] serves.
+//! transports. Trailer-free frames decode exactly as before, and the
+//! sampler decides per round whether anything goes on the wire: an
+//! unsampled round runs with the noop collector.
 
 pub mod audit;
 pub mod chaos;
@@ -90,12 +122,11 @@ pub use audit::{
     SettlementRecord,
 };
 pub use chaos::{
-    chaos_message_bound, run_chaos_round, ChaosConfig, ChaosNetStats, ChaosRoundReport,
-    ChaosRuntime, RoundRecoveryStats,
+    chaos_message_bound, ChaosConfig, ChaosNetStats, ChaosRuntime, RoundRecoveryStats,
 };
 pub use codec::{decode, decode_with_context, encode, encode_with_context, CodecError, Wire};
 pub use coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
-pub use faults::{run_protocol_round_with_faults, FaultPlan};
+pub use faults::FaultPlan;
 pub use framing::{FrameReader, FrameWriter, DEFAULT_MAX_FRAME, MAX_FRAME_LEN};
 pub use journal::{
     read_journal, CrashingJournal, ExclusionReason, FileJournal, Journal, JournalError,
@@ -107,22 +138,14 @@ pub use node::NodeSpec;
 pub use online::{OnlineApplied, OnlineEvent, OnlineReport, OnlineSession, OnlineTick};
 pub use recovery::{recover_round, split_rounds, RecoveryReport, RoundBlock, RoundContext};
 pub use runtime::{
-    run_protocol_round, run_protocol_round_observed, run_protocol_round_traced, ProtocolConfig,
-    ProtocolOutcome,
+    run_round, Observers, ProtocolConfig, ProtocolOutcome, RoundReport, RoundSpec, Transport,
 };
 pub use session::{
-    run_chaos_session, run_chaos_session_durable, run_chaos_session_observed,
-    run_chaos_session_sampled, run_online_session, run_session, ChaosRoundResult,
-    ChaosSessionConfig, ChaosSessionReport, CrashPlan, DurableSessionReport, MachineHealth,
-    SessionReport,
+    run_chaos_session, run_online_session, run_session, ChaosRoundResult, ChaosSessionConfig,
+    ChaosSessionReport, CrashPlan, MachineHealth, SessionReport,
 };
 pub use shard::{
-    drive_sharded_round, drive_sharded_round_profiled, expected_sharded_message_count,
-    report_from_root, run_round_sharded, run_round_sharded_observed, run_round_sharded_profiled,
-    shard_ranges, ShardPhaseTimings, ShardRoundReport,
-};
-pub use threaded::{
-    run_protocol_round_threaded, run_protocol_round_threaded_exposed,
-    run_protocol_round_threaded_observed, run_protocol_round_threaded_sampled,
+    drive_sharded_round, expected_sharded_message_count, report_from_root, shard_ranges,
+    ShardPhaseTimings,
 };
 pub use trace::{replay_check, Anomaly, AnomalyStats, RoundTrace, TraceEntry, TraceViolation};

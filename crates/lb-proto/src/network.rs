@@ -2,10 +2,12 @@
 //!
 //! Every control message is encoded to its wire form before "transmission",
 //! so the statistics measure real bytes; delivery is ordered by a
-//! deterministic discrete-event queue with per-link latency.
+//! deterministic discrete-event queue with a constant link latency.
 
+use crate::chaos::ChaosNetStats;
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
 use crate::message::Message;
+use lb_mechanism::MechanismError;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
 use lb_telemetry::{noop_collector, Collector, Field, Subsystem, TraceContext};
@@ -131,15 +133,14 @@ struct Frame {
 }
 
 /// A per-frame hook consulted on every send.
-type FrameHook<T> = Box<dyn FnMut(Endpoint, Endpoint, &Message) -> T>;
+type FateHook = Box<dyn FnMut(Endpoint, Endpoint, &Message) -> FrameFate>;
 
 /// Deterministic star-topology network between one coordinator and `n` nodes.
 pub struct SimNetwork {
     queue: EventQueue<Frame>,
-    latency: Box<dyn Fn(Endpoint, Endpoint) -> f64>,
+    latency: f64,
     stats: MessageStats,
-    drop_filter: Option<FrameHook<bool>>,
-    fate_fn: Option<FrameHook<FrameFate>>,
+    fate_fn: Option<FateHook>,
     dropped: u64,
     duplicated: u64,
     corrupted: u64,
@@ -166,17 +167,10 @@ impl SimNetwork {
             latency.is_finite() && latency >= 0.0,
             "SimNetwork: invalid latency"
         );
-        Self::with_latency_fn(move |_, _| latency)
-    }
-
-    /// Creates a network with an arbitrary per-link latency function.
-    #[must_use]
-    pub fn with_latency_fn(latency: impl Fn(Endpoint, Endpoint) -> f64 + 'static) -> Self {
         Self {
             queue: EventQueue::new(),
-            latency: Box::new(latency),
+            latency,
             stats: MessageStats::default(),
-            drop_filter: None,
             fate_fn: None,
             dropped: 0,
             duplicated: 0,
@@ -193,20 +187,9 @@ impl SimNetwork {
         self.collector = collector;
     }
 
-    /// Installs a fault filter: frames for which it returns `true` are lost
-    /// in transit (sent and counted, never delivered).
-    ///
-    /// The filter may be stateful (e.g. drop only the first `k` attempts).
-    pub fn set_drop_filter(
-        &mut self,
-        filter: impl FnMut(Endpoint, Endpoint, &Message) -> bool + 'static,
-    ) {
-        self.drop_filter = Some(Box::new(filter));
-    }
-
-    /// Installs a chaos hook deciding the [`FrameFate`] of every frame that
-    /// survives the drop filter. The hook is typically a seeded RNG consumer,
-    /// so it is `FnMut`.
+    /// Installs a chaos hook deciding the [`FrameFate`] of every frame. The
+    /// hook is typically a seeded RNG consumer, so it is `FnMut`; it may be
+    /// stateful (e.g. drop only the first `k` attempts).
     pub fn set_fate_fn(
         &mut self,
         fate: impl FnMut(Endpoint, Endpoint, &Message) -> FrameFate + 'static,
@@ -214,7 +197,7 @@ impl SimNetwork {
         self.fate_fn = Some(Box::new(fate));
     }
 
-    /// Number of frames lost in transit (fault filter or chaos drop).
+    /// Number of frames lost in transit.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -285,13 +268,6 @@ impl SimNetwork {
         let size = payload.len();
         self.stats.messages += 1;
         self.stats.bytes += size as u64;
-        if let Some(filter) = &mut self.drop_filter {
-            if filter(from, to, message) {
-                self.dropped += 1;
-                self.note_send(from, to, message, size, "dropped");
-                return;
-            }
-        }
         let fate = match &mut self.fate_fn {
             Some(fate) => fate(from, to, message),
             None => FrameFate::deliver(),
@@ -321,7 +297,7 @@ impl SimNetwork {
                 (false, false) => "delivered",
             },
         );
-        let base = (self.latency)(from, to).max(0.0);
+        let base = self.latency;
         let delay = base + fate.extra_delay.max(0.0);
         self.queue.schedule_in(
             delay,
@@ -344,31 +320,6 @@ impl SimNetwork {
                     corrupt: fate.corrupt,
                 },
             );
-        }
-    }
-
-    /// Delivers the next frame in timestamp order, decoding it.
-    ///
-    /// # Errors
-    /// Propagates codec errors on corrupt frames. Prefer [`Self::poll`] when
-    /// a chaos hook is installed: it reports detected corruption as data
-    /// rather than an error.
-    pub fn deliver_next(&mut self) -> Result<Option<Delivery>, CodecError> {
-        match self.queue.pop() {
-            None => Ok(None),
-            Some((at, frame)) => {
-                if frame.corrupt {
-                    return Err(CodecError::CorruptFrame);
-                }
-                let (message, ctx): (Message, _) = decode_with_context(&frame.payload)?;
-                Ok(Some(Delivery {
-                    from: frame.from,
-                    to: frame.to,
-                    message,
-                    at,
-                    ctx,
-                }))
-            }
         }
     }
 
@@ -460,10 +411,98 @@ impl SimNetwork {
     }
 }
 
+/// What carries one round's frames between the coordinator and its
+/// machines: the simulated network (reliable, or fault-injecting through a
+/// fate hook) or the OS-thread channels of [`crate::threaded`]. The round
+/// engine ([`crate::chaos`]) is written once against this.
+pub(crate) trait Link {
+    /// The link's clock.
+    fn now(&self) -> SimTime;
+    /// When the next in-flight frame arrives, if one is in flight.
+    fn next_arrival_time(&self) -> Option<SimTime>;
+    /// Takes the next arrival, in arrival order.
+    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError>;
+    /// Moves the clock to a timer deadline no later than the next arrival.
+    fn advance_to(&mut self, at: SimTime);
+    /// Frames in flight.
+    fn pending(&self) -> usize;
+    /// Sends one frame, stamped with `ctx` when present.
+    fn send(
+        &mut self,
+        from: Endpoint,
+        to: Endpoint,
+        message: &Message,
+        ctx: Option<&TraceContext>,
+    ) -> Result<(), MechanismError>;
+    /// Traffic so far.
+    fn stats(&self) -> MessageStats;
+    /// Link-level fault counters so far.
+    fn faults(&self) -> ChaosNetStats;
+}
+
+impl Link for SimNetwork {
+    fn now(&self) -> SimTime {
+        self.now()
+    }
+
+    fn next_arrival_time(&self) -> Option<SimTime> {
+        self.next_arrival_time()
+    }
+
+    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError> {
+        self.poll().map_err(codec_error)
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        self.advance_to(at);
+    }
+
+    fn pending(&self) -> usize {
+        self.pending()
+    }
+
+    fn send(
+        &mut self,
+        from: Endpoint,
+        to: Endpoint,
+        message: &Message,
+        ctx: Option<&TraceContext>,
+    ) -> Result<(), MechanismError> {
+        self.send_traced(from, to, message, ctx);
+        Ok(())
+    }
+
+    fn stats(&self) -> MessageStats {
+        self.stats()
+    }
+
+    fn faults(&self) -> ChaosNetStats {
+        ChaosNetStats {
+            dropped: self.dropped,
+            duplicated: self.duplicated,
+            corrupted: self.corrupted,
+        }
+    }
+}
+
+/// A frame the receiver could not decode, as the round's error.
+pub(crate) fn codec_error(e: CodecError) -> MechanismError {
+    MechanismError::Core(lb_core::CoreError::Infeasible {
+        reason: e.to_string(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::RoundId;
+
+    fn next_frame(net: &mut SimNetwork) -> Delivery {
+        match net.poll().unwrap() {
+            Some(NetPoll::Frame(delivery)) => delivery,
+            other => panic!("expected an intact frame, got {other:?}"),
+        }
+    }
 
     #[test]
     fn messages_flow_and_are_counted() {
@@ -475,7 +514,7 @@ mod tests {
         assert_eq!(net.stats().messages, 2);
         assert!(net.stats().bytes > 0);
 
-        let d = net.deliver_next().unwrap().unwrap();
+        let d = next_frame(&mut net);
         assert_eq!(d.message, m);
         assert_eq!(d.to, Endpoint::Node(0));
         assert!((d.at.seconds() - 0.01).abs() < 1e-12);
@@ -483,24 +522,25 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_latency_reorders_delivery() {
-        // Node 1's link is faster; its message should arrive first even
-        // though it was sent second.
-        let mut net = SimNetwork::with_latency_fn(|_, to| match to {
-            Endpoint::Node(1) => 0.001,
-            _ => 0.1,
+    fn delayed_frame_is_overtaken() {
+        // Node 0's frame is delayed in transit; node 1's, sent second,
+        // arrives first.
+        let mut net = SimNetwork::with_constant_latency(0.001);
+        net.set_fate_fn(|_, to, _| FrameFate {
+            extra_delay: if to == Endpoint::Node(0) { 0.1 } else { 0.0 },
+            ..FrameFate::deliver()
         });
         let m = Message::RequestBid { round: RoundId(1) };
         net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
         net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
-        let first = net.deliver_next().unwrap().unwrap();
+        let first = next_frame(&mut net);
         assert_eq!(first.to, Endpoint::Node(1));
     }
 
     #[test]
     fn empty_network_delivers_nothing() {
         let mut net = SimNetwork::with_constant_latency(0.0);
-        assert!(net.deliver_next().unwrap().is_none());
+        assert!(net.poll().unwrap().is_none());
     }
 
     #[test]
@@ -544,8 +584,8 @@ mod tests {
             1,
             "duplicates are link noise, not protocol messages"
         );
-        let first = net.deliver_next().unwrap().unwrap();
-        let second = net.deliver_next().unwrap().unwrap();
+        let first = next_frame(&mut net);
+        let second = next_frame(&mut net);
         assert_eq!(first.message, m);
         assert_eq!(second.message, m);
         assert!(second.at > first.at);
@@ -576,19 +616,24 @@ mod tests {
         });
         let m = Message::RequestBid { round: RoundId(1) };
         net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
-        let d = net.deliver_next().unwrap().unwrap();
+        let d = next_frame(&mut net);
         assert!((d.at.seconds() - 0.11).abs() < 1e-12);
     }
 
     #[test]
-    fn stateful_drop_filter_can_count_attempts() {
+    fn stateful_fate_hook_can_count_attempts() {
         // Drop only the first attempt per destination; the retry goes through.
         let mut seen = [0u32; 2];
         let mut net = SimNetwork::with_constant_latency(0.01);
-        net.set_drop_filter(move |_, to, _| {
-            let Endpoint::Node(i) = to else { return false };
+        net.set_fate_fn(move |_, to, _| {
+            let Endpoint::Node(i) = to else {
+                return FrameFate::deliver();
+            };
             seen[i as usize] += 1;
-            seen[i as usize] == 1
+            FrameFate {
+                drop: seen[i as usize] == 1,
+                ..FrameFate::deliver()
+            }
         });
         let m = Message::RequestBid { round: RoundId(1) };
         net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
@@ -670,7 +715,7 @@ mod tests {
         assert_eq!(net.next_arrival_time(), Some(SimTime::new(0.5)));
         net.advance_to(SimTime::new(0.25));
         assert_eq!(net.now(), SimTime::new(0.25));
-        let d = net.deliver_next().unwrap().unwrap();
+        let d = next_frame(&mut net);
         assert_eq!(d.at, SimTime::new(0.5));
     }
 
@@ -682,10 +727,10 @@ mod tests {
         net.send_traced(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx));
         net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
 
-        let traced = net.deliver_next().unwrap().unwrap();
+        let traced = next_frame(&mut net);
         assert_eq!(traced.message, m);
         assert_eq!(traced.ctx, Some(ctx));
-        let plain = net.deliver_next().unwrap().unwrap();
+        let plain = next_frame(&mut net);
         assert_eq!(plain.ctx, None, "untraced frames carry no context");
     }
 
@@ -700,8 +745,8 @@ mod tests {
         let m = Message::RequestBid { round: RoundId(4) };
         let ctx = TraceContext::root(9, 4, true);
         net.send_traced(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx));
-        let first = net.deliver_next().unwrap().unwrap();
-        let second = net.deliver_next().unwrap().unwrap();
+        let first = next_frame(&mut net);
+        let second = next_frame(&mut net);
         assert_eq!(first.ctx, Some(ctx));
         assert_eq!(second.ctx, Some(ctx), "retransmitted copy keeps the trace");
     }

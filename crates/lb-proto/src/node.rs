@@ -4,7 +4,8 @@
 //! pair (bid, execution value); strategic reasoning about how to choose them
 //! lives in `lb-agents` — the protocol layer only needs the chosen values.
 
-use crate::message::{Message, RoundId};
+use crate::message::Message;
+use lb_telemetry::{Collector, Field, SpanId, Subsystem, TraceContext};
 
 /// Static behaviour specification of one node for one round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,6 +137,56 @@ impl NodeAgent {
         }
     }
 
+    /// Serves one coordinator frame as a traced node — the node side of
+    /// every transport, in-process or on its own thread.
+    ///
+    /// Continues the trace the frame carried: the work is recorded as a
+    /// `node.bid` / `node.execute` span parented on the span named in the
+    /// frame's context (a `node.payment` instant for a payment), closed
+    /// before the reply leaves, and the reply is stamped with the child
+    /// context. `parent_open` says whether that parent span is still open;
+    /// a context whose span already closed (a duplicate straggling past a
+    /// phase transition) degrades to an instant so the recording still
+    /// replays cleanly. `now` reads the caller's clock. Unsampled frames, or
+    /// a disabled collector, record nothing and reply without a context.
+    pub(crate) fn serve(
+        &mut self,
+        message: &Message,
+        ctx: Option<TraceContext>,
+        collector: &dyn Collector,
+        now: impl Fn() -> f64,
+        parent_open: impl FnOnce(SpanId) -> bool,
+    ) -> Option<(Message, Option<TraceContext>)> {
+        let ctx = ctx.filter(|c| c.sampled && collector.enabled());
+        let span = ctx.map_or(SpanId::NULL, |c| {
+            let at = now();
+            let fields = vec![Field::u64("machine", u64::from(self.machine))];
+            let name = match message {
+                Message::RequestBid { .. } => "node.bid",
+                Message::Assign { .. } => "node.execute",
+                Message::Payment { .. } => {
+                    collector.instant(at, "node.payment", Subsystem::Node, fields);
+                    return SpanId::NULL;
+                }
+                _ => return SpanId::NULL,
+            };
+            let parent = SpanId(c.span_id);
+            if parent.is_null() || !parent_open(parent) {
+                collector.instant(at, name, Subsystem::Node, fields);
+                return SpanId::NULL;
+            }
+            collector.span_start_in(at, name, Subsystem::Node, parent, fields)
+        });
+        let reply = self.handle(message);
+        if !span.is_null() {
+            // Close before replying: the parent phase span cannot end until
+            // the reply arrives, so child spans always nest inside it.
+            collector.span_end(now(), span);
+        }
+        let child = ctx.filter(|_| !span.is_null()).map(|c| c.with_span(span.0));
+        reply.map(|reply| (reply, child))
+    }
+
     /// The node's realised utility for a finished round: payment plus its
     /// valuation under the given model.
     #[must_use]
@@ -144,23 +195,12 @@ impl NodeAgent {
         let x = self.assigned_rate?;
         Some(p + model.valuation(x, self.spec.exec_value))
     }
-
-    /// Resets per-round state, keeping the behaviour.
-    pub fn reset(&mut self) {
-        self.assigned_rate = None;
-        self.payment = None;
-    }
-}
-
-/// Convenience: the round id both sides agree on for a fresh protocol run.
-#[must_use]
-pub fn first_round() -> RoundId {
-    RoundId(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::RoundId;
     use lb_mechanism::traits::ValuationModel;
 
     #[test]
@@ -215,22 +255,6 @@ mod tests {
     fn utility_is_none_before_settlement() {
         let node = NodeAgent::new(0, NodeSpec::truthful(1.0));
         assert!(node.utility(ValuationModel::PerJobLatency).is_none());
-    }
-
-    #[test]
-    fn reset_clears_round_state() {
-        let mut node = NodeAgent::new(0, NodeSpec::truthful(1.0));
-        node.handle(&Message::Assign {
-            round: RoundId(0),
-            rate: 1.0,
-        });
-        node.handle(&Message::Payment {
-            round: RoundId(0),
-            amount: 1.0,
-        });
-        node.reset();
-        assert!(node.assigned_rate.is_none());
-        assert!(node.payment.is_none());
     }
 
     #[test]

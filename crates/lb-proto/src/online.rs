@@ -216,14 +216,6 @@ impl<'m> OnlineSession<'m> {
         self
     }
 
-    /// Overrides the session's round counter (useful when resuming after a
-    /// crash so new ticks continue the journal's round sequence).
-    #[must_use]
-    pub fn starting_round(mut self, round: u64) -> Self {
-        self.next_round = round;
-        self
-    }
-
     /// Number of live machines.
     #[must_use]
     pub fn live(&self) -> usize {
@@ -435,7 +427,7 @@ impl<'m> OnlineSession<'m> {
 mod tests {
     use super::*;
     use crate::journal::{read_journal, Journal, MemJournal};
-    use crate::runtime::run_protocol_round;
+    use crate::runtime::{run_round, RoundSpec};
     use lb_core::inv_sum_dd;
     use lb_mechanism::CompensationBonusMechanism;
     use lb_sim::churn::{ChurnConfig, ChurnGen};
@@ -487,7 +479,9 @@ mod tests {
             .iter()
             .map(|&t| NodeSpec::truthful(t))
             .collect();
-        let batch = run_protocol_round(&mech, &specs, &config()).unwrap();
+        let batch = run_round(&RoundSpec::new(&mech, &specs, config()))
+            .map(|r| r.outcome)
+            .unwrap();
 
         let mut session = OnlineSession::new(&mech, config()).unwrap();
         for (slot, &spec) in specs.iter().enumerate() {

@@ -20,7 +20,7 @@
 //!
 //! [`split_rounds`] is the session-level view of the same bytes: the full
 //! journal partitioned into per-round blocks, from which
-//! [`crate::session::run_chaos_session_durable`] rebuilds quarantine state
+//! [`crate::session::run_chaos_session`] with a journal rebuilds quarantine state
 //! and cumulative payment totals across a multi-round crash.
 
 use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};

@@ -1,19 +1,27 @@
-//! Deterministic single-threaded protocol runtime.
+//! One protocol round, whatever carries it: [`run_round`].
 //!
-//! Drives one complete round of the paper's centralized protocol over the
-//! simulated network: bid collection, allocation, execution with
-//! verification, and settlement. Produces the full accounting plus the
-//! message statistics that validate the paper's `O(n)` message claim
-//! (exactly `4n` control messages per round).
+//! A [`RoundSpec`] names the round — mechanism, machines, configuration —
+//! and two orthogonal choices: the [`Transport`] its frames travel over and
+//! the [`Observers`] attached to it. Every single-coordinator round runs
+//! through the one event loop of [`crate::chaos`];
+//! [`Transport::Sharded`] runs the two-level topology of [`crate::shard`].
+//! Either way the round collects bids, allocates,
+//! executes with verification and settles, and the [`RoundReport`] carries
+//! the full accounting plus the message statistics that validate the
+//! paper's `O(n)` message claim (exactly `5n` control messages on a
+//! reliable single-coordinator round).
 
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
-use crate::message::{Message, RoundId};
-use crate::network::{Endpoint, MessageStats, SimNetwork};
+use crate::chaos::{ChaosConfig, ChaosNetStats, ChaosRuntime};
+use crate::coordinator::{check_width, Coordinator, ProtocolError};
+use crate::message::RoundId;
+use crate::network::MessageStats;
 use crate::node::{NodeAgent, NodeSpec};
-use lb_mechanism::traits::ValuationModel;
-use lb_mechanism::{MechanismError, VerifiedMechanism};
+use crate::trace::{AnomalyStats, RoundTrace};
+use lb_mechanism::VerifiedMechanism;
+use lb_prof::RoundProfiler;
 use lb_sim::driver::SimulationConfig;
-use lb_telemetry::{noop_collector, Collector, Field, SpanId, Subsystem, TraceContext};
+use lb_telemetry::{noop_collector, Collector, Sampler};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Configuration of a protocol round.
@@ -53,226 +61,228 @@ pub struct ProtocolOutcome {
     pub stats: MessageStats,
 }
 
-/// Runs one full protocol round deterministically.
-///
-/// # Errors
-/// Propagates mechanism/simulation/codec errors.
-///
-/// # Panics
-/// Panics if `specs` is empty or on internal protocol violations.
-pub fn run_protocol_round<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-) -> Result<ProtocolOutcome, MechanismError> {
-    run_protocol_round_traced(mechanism, specs, config).map(|(outcome, _)| outcome)
+/// Everything one round produced.
+#[derive(Debug, Clone)]
+pub struct RoundReport {
+    /// The protocol outcome (full width; excluded machines at rate 0,
+    /// payment 0).
+    pub outcome: ProtocolOutcome,
+    /// Which machines ended the round excluded (quarantined up front or
+    /// silent through every retry).
+    pub excluded: Vec<bool>,
+    /// Number of bid re-requests sent (one per missing machine per retry).
+    pub retries: u64,
+    /// Anomalies absorbed by the coordinator and the link combined.
+    pub anomalies: AnomalyStats,
+    /// The coordinator's-eye trace of the round: accepted inbound frames at
+    /// delivery time, outbound frames at send time, on every
+    /// single-coordinator transport (empty for sharded rounds, whose frames
+    /// travel between tiers). A reliable round traces one entry per
+    /// message.
+    pub trace: RoundTrace,
+    /// Link-level fault counters for the round.
+    pub faults: ChaosNetStats,
 }
 
-/// Like [`run_protocol_round`], additionally recording every delivered frame
-/// as a [`crate::trace::RoundTrace`] for offline audit/replay.
-///
-/// # Errors
-/// Propagates mechanism/simulation/codec errors.
-///
-/// # Panics
-/// Panics if `specs` is empty or on internal protocol violations.
-pub fn run_protocol_round_traced<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-) -> Result<(ProtocolOutcome, crate::trace::RoundTrace), MechanismError> {
-    run_protocol_round_observed(mechanism, specs, config, noop_collector())
-}
-
-/// Like [`run_protocol_round_traced`], additionally recording telemetry into
-/// `collector`: the coordinator's `round`/`phase.*` spans and the network's
-/// frame-level `net.*` events, all timestamped with simulated time. With the
-/// noop collector this is [`run_protocol_round_traced`] exactly.
-///
-/// An enabled collector also turns on wire-propagated tracing: every frame
-/// carries a [`TraceContext`] trailer and the node side records `node.bid` /
-/// `node.execute` spans parented on the coordinator's phase spans, so the
-/// whole round stitches into a single trace.
-///
-/// # Errors
-/// Propagates mechanism/simulation/codec errors.
-///
-/// # Panics
-/// Panics if `specs` is empty or on internal protocol violations.
-pub fn run_protocol_round_observed<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    collector: Arc<dyn Collector>,
-) -> Result<(ProtocolOutcome, crate::trace::RoundTrace), MechanismError> {
-    assert!(
-        !specs.is_empty(),
-        "run_protocol_round: need at least one node"
-    );
-    let n = specs.len();
-    let round = RoundId(0);
-
-    let mut nodes: Vec<NodeAgent> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, &spec)| NodeAgent::new(u32::try_from(i).expect("node index fits u32"), spec))
-        .collect();
-    let actual_exec: Vec<f64> = specs.iter().map(|s| s.exec_value).collect();
-
-    // Strict: on a reliable network, any protocol violation is a bug.
-    let mut coordinator =
-        Coordinator::new(mechanism, n, config.total_rate, round, config.simulation)
-            .with_strict(true)
-            .with_collector(Arc::clone(&collector));
-    if collector.enabled() {
-        coordinator =
-            coordinator.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
-    }
-    let mut network = SimNetwork::with_constant_latency(config.link_latency);
-    network.set_collector(Arc::clone(&collector));
-
-    let result = (|| {
-        // Kick off: bid requests to every node.
-        coordinator.set_now(network.now().seconds());
-        let open = coordinator.open();
-        let wire = coordinator.wire_context();
-        for (i, msg) in open.into_iter().enumerate() {
-            network.send_traced(
-                Endpoint::Coordinator,
-                Endpoint::Node(u32::try_from(i).expect("fits u32")),
-                &msg,
-                wire.as_ref(),
-            );
-        }
-
-        // Event loop: deliver frames until the network drains.
-        let mut trace = crate::trace::RoundTrace::default();
-        while let Some(delivery) = network.deliver_next().map_err(|e| {
-            MechanismError::Core(lb_core::CoreError::Infeasible {
-                reason: e.to_string(),
-            })
-        })? {
-            trace.entries.push(crate::trace::TraceEntry {
-                at: delivery.at.seconds(),
-                from: delivery.from,
-                to: delivery.to,
-                message: delivery.message.clone(),
-            });
-            match delivery.to {
-                Endpoint::Node(i) => {
-                    // Continue the trace the frame carried. On this reliable
-                    // in-order network the parent span is always still open:
-                    // the coordinator never leaves a phase before the frames
-                    // of that phase are delivered and answered.
-                    let ctx = delivery.ctx.filter(|c| c.sampled && collector.enabled());
-                    let span = ctx.map_or(SpanId::NULL, |c| {
-                        let at = delivery.at.seconds();
-                        let fields = vec![Field::u64("machine", u64::from(i))];
-                        let name = match delivery.message {
-                            Message::RequestBid { .. } => "node.bid",
-                            Message::Assign { .. } => "node.execute",
-                            Message::Payment { .. } => {
-                                collector.instant(at, "node.payment", Subsystem::Node, fields);
-                                return SpanId::NULL;
-                            }
-                            _ => return SpanId::NULL,
-                        };
-                        collector.span_start_in(
-                            at,
-                            name,
-                            Subsystem::Node,
-                            SpanId(c.span_id),
-                            fields,
-                        )
-                    });
-                    let reply = nodes[i as usize].handle(&delivery.message);
-                    if !span.is_null() {
-                        collector.span_end(delivery.at.seconds(), span);
-                    }
-                    if let Some(msg) = reply {
-                        let child = ctx.filter(|_| !span.is_null()).map(|c| c.with_span(span.0));
-                        network.send_traced(
-                            Endpoint::Node(i),
-                            Endpoint::Coordinator,
-                            &msg,
-                            child.as_ref(),
-                        );
-                    }
-                }
-                Endpoint::Coordinator => {
-                    coordinator.set_now(delivery.at.seconds());
-                    let outgoing = coordinator
-                        .handle(&delivery.message, &actual_exec)
-                        .map_err(ProtocolError::into_mechanism)?;
-                    let wire = coordinator.wire_context();
-                    for (i, msg) in outgoing {
-                        network.send_traced(
-                            Endpoint::Coordinator,
-                            Endpoint::Node(i),
-                            &msg,
-                            wire.as_ref(),
-                        );
-                    }
-                }
-            }
-        }
-        Ok(trace)
-    })();
-    let trace = match result {
-        Ok(trace) => trace,
-        Err(e) => {
-            // Close any open spans so a partial recording replays cleanly.
-            coordinator.end_telemetry();
-            return Err(e);
-        }
-    };
-
-    assert_eq!(
-        coordinator.phase(),
-        CoordinatorPhase::Done,
-        "protocol did not complete"
-    );
-    let model = mechanism.valuation_model();
-    let utilities: Vec<f64> = nodes
-        .iter()
-        .map(|node| node.utility(model).expect("round settled"))
-        .collect();
-    let outcome = ProtocolOutcome {
-        rates: nodes
-            .iter()
-            .map(|nd| nd.assigned_rate.expect("assigned"))
-            .collect(),
-        payments: nodes.iter().map(|nd| nd.payment.expect("paid")).collect(),
-        utilities,
-        estimated_exec_values: coordinator
+impl RoundReport {
+    /// Reads a settled round off its coordinator. Utilities are node-side
+    /// where a machine's agent saw both its assignment and its payment, and
+    /// the coordinator's ledger elsewhere (identical by construction;
+    /// excluded machines served no jobs, so their utility is their ledger
+    /// payment, 0).
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::MissingState`] if the round has not settled.
+    pub(crate) fn settled(
+        coordinator: &Coordinator<'_>,
+        specs: &[NodeSpec],
+        nodes: &[NodeAgent],
+        stats: MessageStats,
+    ) -> Result<Self, ProtocolError> {
+        let missing = |what| ProtocolError::MissingState { what };
+        let allocation = coordinator.allocation().ok_or(missing("allocation"))?;
+        let payments = coordinator.payments().ok_or(missing("payments"))?.to_vec();
+        let estimated = coordinator
             .estimated_exec_values()
-            .expect("verification complete")
-            .to_vec(),
-        stats: network.stats(),
+            .ok_or(missing("execution estimates"))?
+            .to_vec();
+        let mechanism = coordinator.mechanism();
+        let rates: Vec<f64> = (0..specs.len()).map(|i| allocation.rate(i)).collect();
+        let utilities = (0..specs.len())
+            .map(|i| {
+                let ledger = if rates[i] == 0.0 {
+                    payments[i]
+                } else {
+                    payments[i] + mechanism.valuation(rates[i], specs[i].exec_value)
+                };
+                nodes
+                    .get(i)
+                    .and_then(|node| node.utility(mechanism.valuation_model()))
+                    .unwrap_or(ledger)
+            })
+            .collect();
+        Ok(Self {
+            outcome: ProtocolOutcome {
+                rates,
+                payments,
+                utilities,
+                estimated_exec_values: estimated,
+                stats,
+            },
+            excluded: coordinator.excluded().to_vec(),
+            retries: 0,
+            anomalies: *coordinator.anomalies(),
+            trace: RoundTrace::default(),
+            faults: ChaosNetStats::default(),
+        })
+    }
+}
+
+/// What carries a round's frames between the coordinator and its machines.
+#[derive(Debug, Clone)]
+pub enum Transport<'a> {
+    /// The in-memory simulated network, lossless: no fault injector, no
+    /// retry timers. Round traces are rooted at the simulation seed.
+    Reliable,
+    /// The simulated network under seeded fault injection, with the
+    /// retransmission protocol. Round traces are rooted at the chaos seed.
+    Chaos(ChaosConfig),
+    /// Each machine on its own scoped OS thread, talking to the coordinator
+    /// over `std::sync::mpsc` channels carrying encoded frames; timestamps
+    /// are wall-clock seconds since the round started. Lossless, so it
+    /// arms no retry timers. Round traces are rooted at the simulation seed.
+    Threads,
+    /// The two-level topology of [`crate::shard`]: a root coordinator over
+    /// `shards` shard coordinators (clamped to `1..=n`, so `shards: 1` is
+    /// one shard under the root, not the single-coordinator round), each
+    /// fronting its machines over lossless in-process channels. Round
+    /// traces are rooted at the simulation seed; the report's trace is
+    /// empty.
+    Sharded {
+        /// Shard count `k`.
+        shards: usize,
+        /// Cross-shard profiler; its own sampling period applies.
+        profiler: Option<&'a RefCell<RoundProfiler>>,
+    },
+}
+
+/// Everything attached to a round that observes it without changing it:
+/// rates, payments, estimates, exclusions, message statistics and journal
+/// bytes are bit-identical with or without observers.
+#[derive(Clone)]
+pub struct Observers {
+    /// Receives the round's spans, frame events and counters. An enabled
+    /// collector also turns on wire-propagated tracing: frames carry a
+    /// [`lb_telemetry::TraceContext`] trailer and nodes record `node.bid` /
+    /// `node.execute` spans parented on the coordinator's phase spans.
+    pub collector: Arc<dyn Collector>,
+    /// Head-based sampling, decided per round from `(trace seed, round)`:
+    /// an unsampled round runs with the noop collector, recording nothing
+    /// and putting no trailer on the wire.
+    pub sampler: Sampler,
+}
+
+impl Default for Observers {
+    fn default() -> Self {
+        Self {
+            collector: noop_collector(),
+            sampler: Sampler::Always,
+        }
+    }
+}
+
+impl Observers {
+    /// The collector round `round` of a trace rooted at `seed` runs with:
+    /// the attached one if the sampler admits it, the noop one otherwise.
+    #[must_use]
+    pub fn round_collector(&self, seed: u64, round: u64) -> Arc<dyn Collector> {
+        if self.sampler.admits(seed, round) {
+            Arc::clone(&self.collector)
+        } else {
+            noop_collector()
+        }
+    }
+}
+
+/// One round to run: see [`run_round`].
+#[derive(Clone)]
+pub struct RoundSpec<'a> {
+    /// The mechanism settling the round.
+    pub mechanism: &'a dyn VerifiedMechanism,
+    /// Every machine's behaviour.
+    pub specs: &'a [NodeSpec],
+    /// Rate, link latency and verification simulation.
+    pub config: ProtocolConfig,
+    /// What carries the frames.
+    pub transport: Transport<'a>,
+    /// What watches the round.
+    pub observers: Observers,
+}
+
+impl<'a> RoundSpec<'a> {
+    /// A single-coordinator round over the reliable transport with no
+    /// observers.
+    #[must_use]
+    pub fn new(
+        mechanism: &'a dyn VerifiedMechanism,
+        specs: &'a [NodeSpec],
+        config: ProtocolConfig,
+    ) -> Self {
+        Self {
+            mechanism,
+            specs,
+            config,
+            transport: Transport::Reliable,
+            observers: Observers::default(),
+        }
+    }
+}
+
+/// Runs one round (round id 0) as `spec` describes.
+///
+/// Every transport settles identically on the same inputs: the reliable
+/// network, the threads and a fault-free chaos configuration agree bit for
+/// bit, and so does the sharded topology for every `k`.
+///
+/// # Errors
+/// Returns [`ProtocolError::MissingState`] for an empty `specs`,
+/// [`ProtocolError::TooManyNodes`] beyond the `u32` wire width, and
+/// [`ProtocolError::InvalidConfig`] for an invalid chaos configuration or
+/// link latency. Otherwise propagates mechanism, simulation and codec errors —
+/// notably [`lb_mechanism::MechanismError::NeedTwoAgents`] when fewer than
+/// two machines' bids survive.
+pub fn run_round(spec: &RoundSpec<'_>) -> Result<RoundReport, ProtocolError> {
+    let n = spec.specs.len();
+    check_width(n)?;
+    let seed = match &spec.transport {
+        Transport::Chaos(chaos) => chaos.seed,
+        Transport::Reliable | Transport::Threads | Transport::Sharded { .. } => {
+            spec.config.simulation.seed
+        }
     };
-    Ok((outcome, trace))
-}
-
-/// The exact number of control messages one round exchanges: `4n`
-/// (request, bid, assign, payment per node — completion acks ride on the
-/// assign's reply), plus `n` completion acknowledgements = `5n` total.
-#[must_use]
-pub fn expected_message_count(n: usize) -> u64 {
-    5 * n as u64
-}
-
-/// Valuation model helper re-exported for node-side utility computation.
-#[must_use]
-pub fn default_valuation() -> ValuationModel {
-    ValuationModel::default()
+    let collector = spec.observers.round_collector(seed, 0);
+    let mut runtime = match &spec.transport {
+        Transport::Reliable => ChaosRuntime::reliable(n, spec.config)?,
+        Transport::Chaos(chaos) => ChaosRuntime::new(n, spec.config, chaos.clone())?,
+        Transport::Threads => return crate::threaded::run_threaded(spec, collector),
+        Transport::Sharded { shards, profiler } => {
+            return crate::shard::run_sharded(spec, *shards, *profiler, collector)
+        }
+    };
+    runtime.set_collector(collector);
+    let active = vec![true; n];
+    let (report, _) = runtime.run_round(spec.mechanism, spec.specs, RoundId(0), &active, None)?;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosRuntime;
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
-    use lb_mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
+    use lb_mechanism::{CompensationBonusMechanism, MechanismError};
     use lb_sim::server::ServiceModel;
+    use lb_telemetry::{replay_spans, MetricsRegistry, RingCollector};
 
     fn config() -> ProtocolConfig {
         ProtocolConfig {
@@ -289,54 +299,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truthful_round_matches_direct_mechanism_run() {
+    fn paper_specs() -> Vec<NodeSpec> {
+        paper_true_values()
+            .iter()
+            .map(|&t| NodeSpec::truthful(t))
+            .collect()
+    }
+
+    fn reliable(specs: &[NodeSpec]) -> RoundReport {
         let mech = CompensationBonusMechanism::paper();
-        let trues = paper_true_values();
-        let specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
-        let outcome = run_protocol_round(&mech, &specs, &config()).unwrap();
-
-        let sys = lb_core::scenario::paper_system();
-        let profile = Profile::truthful(&sys, PAPER_ARRIVAL_RATE).unwrap();
-        let direct = run_mechanism(&mech, &profile).unwrap();
-
-        for i in 0..trues.len() {
-            assert!((outcome.rates[i] - direct.allocation.rate(i)).abs() < 1e-9);
-            assert!(
-                (outcome.payments[i] - direct.payments[i]).abs() < 1e-6,
-                "payment {i}"
-            );
-            assert!(
-                (outcome.utilities[i] - direct.utilities[i]).abs() < 1e-6,
-                "utility {i}"
-            );
-        }
+        run_round(&RoundSpec::new(&mech, specs, config())).unwrap()
     }
 
     #[test]
-    fn traced_round_passes_replay_check() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
-        let (outcome, trace) = run_protocol_round_traced(&mech, &specs, &config()).unwrap();
-        assert_eq!(trace.entries.len() as u64, outcome.stats.messages);
-        let violations = crate::trace::replay_check(&trace, specs.len());
+    fn reliable_round_trace_passes_replay_check() {
+        let specs = paper_specs();
+        let report = reliable(&specs);
+        assert_eq!(
+            report.trace.entries.len() as u64,
+            report.outcome.stats.messages
+        );
+        let violations = crate::trace::replay_check(&report.trace, specs.len());
         assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(report.retries, 0);
+        assert_eq!(report.anomalies.total(), 0);
+    }
+
+    #[test]
+    fn reliable_round_trace_is_the_coordinators_view() {
+        use crate::message::Message;
+        use crate::network::Endpoint;
+        let specs = paper_specs();
+        let n = specs.len();
+        let entries = reliable(&specs).trace.entries;
+        let latency = config().link_latency;
+        // Bid requests enter at their send time, bids at their delivery
+        // time one round trip later.
+        let requests: Vec<_> = entries
+            .iter()
+            .filter(|e| matches!(e.message, Message::RequestBid { .. }))
+            .collect();
+        let bids: Vec<_> = entries
+            .iter()
+            .filter(|e| matches!(e.message, Message::Bid { .. }))
+            .collect();
+        assert_eq!((requests.len(), bids.len()), (n, n));
+        assert!(requests
+            .iter()
+            .all(|e| e.at == 0.0 && e.from == Endpoint::Coordinator));
+        assert!(bids
+            .iter()
+            .all(|e| e.at == 2.0 * latency && e.to == Endpoint::Coordinator));
+        assert!(entries.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]
     fn observed_round_replays_cleanly_and_matches_the_wire_stats() {
-        use lb_telemetry::{replay_spans, MetricsRegistry, RingCollector};
         let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
+        let specs = paper_specs();
         let ring = Arc::new(RingCollector::new(16_384));
-        let (outcome, trace) =
-            run_protocol_round_observed(&mech, &specs, &config(), ring.clone()).unwrap();
+        let spec = RoundSpec {
+            observers: Observers {
+                collector: ring.clone(),
+                ..Observers::default()
+            },
+            ..RoundSpec::new(&mech, &specs, config())
+        };
+        let report = run_round(&spec).unwrap();
 
         let events = ring.snapshot();
         let spans = replay_spans(&events).expect("recording replays cleanly");
@@ -375,36 +404,25 @@ mod tests {
 
         let mut reg = MetricsRegistry::new();
         reg.ingest(&events);
-        assert_eq!(reg.counter("net.messages"), outcome.stats.messages);
-        assert_eq!(reg.counter("net.bytes"), outcome.stats.bytes);
-        assert_eq!(trace.entries.len() as u64, outcome.stats.messages);
+        assert_eq!(reg.counter("net.messages"), report.outcome.stats.messages);
+        assert_eq!(reg.counter("net.bytes"), report.outcome.stats.bytes);
+        assert_eq!(
+            report.trace.entries.len() as u64,
+            report.outcome.stats.messages
+        );
         // Reliable network: nothing dropped, nothing anomalous.
         assert_eq!(reg.counter("net.fate.dropped"), 0);
         assert_eq!(reg.counter("anomaly.total"), 0);
     }
 
     #[test]
-    fn message_count_is_linear_in_n() {
-        let mech = CompensationBonusMechanism::paper();
-        for n in [2usize, 4, 8, 16] {
-            let specs: Vec<NodeSpec> = (0..n).map(|i| NodeSpec::truthful(1.0 + i as f64)).collect();
-            let mut cfg = config();
-            cfg.total_rate = 5.0;
-            let outcome = run_protocol_round(&mech, &specs, &cfg).unwrap();
-            assert_eq!(outcome.stats.messages, expected_message_count(n), "n = {n}");
-        }
-    }
-
-    #[test]
     fn strategic_node_is_detected_and_penalized() {
-        let mech = CompensationBonusMechanism::paper();
-        let trues = paper_true_values();
-        let mut specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
-        let honest = run_protocol_round(&mech, &specs, &config()).unwrap();
+        let mut specs = paper_specs();
+        let honest = reliable(&specs).outcome;
 
         // C1 bids truthfully but executes twice as slow (paper's True2).
         specs[0] = NodeSpec::strategic(1.0, 1.0, 2.0);
-        let lazy = run_protocol_round(&mech, &specs, &config()).unwrap();
+        let lazy = reliable(&specs).outcome;
         assert!(
             (lazy.estimated_exec_values[0] - 2.0).abs() < 1e-9,
             "laziness not detected"
@@ -417,5 +435,144 @@ mod tests {
             lazy.utilities[0] < honest.utilities[0],
             "laziness profitable"
         );
+    }
+
+    #[test]
+    fn unsampled_rounds_run_with_the_noop_collector() {
+        let observers = Observers {
+            collector: Arc::new(RingCollector::new(16)),
+            sampler: Sampler::Never,
+        };
+        assert!(!observers.round_collector(1, 0).enabled());
+        let sampled = Observers {
+            sampler: Sampler::Always,
+            ..observers
+        };
+        assert!(sampled.round_collector(1, 0).enabled());
+    }
+
+    #[test]
+    fn empty_specs_are_a_typed_error() {
+        let mech = CompensationBonusMechanism::paper();
+        for transport in [
+            Transport::Reliable,
+            Transport::Threads,
+            Transport::Chaos(ChaosConfig::reliable(1)),
+        ] {
+            let spec = RoundSpec {
+                transport,
+                ..RoundSpec::new(&mech, &[], config())
+            };
+            assert!(matches!(
+                run_round(&spec),
+                Err(ProtocolError::MissingState { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn invalid_chaos_config_is_a_typed_error() {
+        let mech = CompensationBonusMechanism::paper();
+        let specs = paper_specs();
+        let chaos = ChaosConfig {
+            drop_prob: 1.5,
+            ..ChaosConfig::reliable(0)
+        };
+        let spec = RoundSpec {
+            transport: Transport::Chaos(chaos.clone()),
+            ..RoundSpec::new(&mech, &specs, config())
+        };
+        assert!(matches!(
+            run_round(&spec),
+            Err(ProtocolError::InvalidConfig {
+                what: "drop_prob must be in [0, 1]"
+            })
+        ));
+        assert!(matches!(
+            ChaosRuntime::new(specs.len(), config(), chaos),
+            Err(ProtocolError::InvalidConfig { .. })
+        ));
+        let mut bad_latency = config();
+        bad_latency.link_latency = -1.0;
+        assert!(matches!(
+            run_round(&RoundSpec::new(&mech, &specs, bad_latency)),
+            Err(ProtocolError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn timeouts_within_one_round_trip_are_a_typed_error() {
+        let mech = CompensationBonusMechanism::paper();
+        let specs = paper_specs();
+        let mut slow = config();
+        slow.link_latency = 0.025; // one round trip = the 0.05 s retry timeout
+        let short_exec = ChaosConfig {
+            exec_timeout: 2.0 * config().link_latency,
+            ..ChaosConfig::reliable(0)
+        };
+        for (protocol, chaos) in [(slow, ChaosConfig::reliable(0)), (config(), short_exec)] {
+            assert!(matches!(
+                ChaosRuntime::new(specs.len(), protocol, chaos.clone()),
+                Err(ProtocolError::InvalidConfig { .. })
+            ));
+            let spec = RoundSpec {
+                transport: Transport::Chaos(chaos),
+                ..RoundSpec::new(&mech, &specs, protocol)
+            };
+            assert!(matches!(
+                run_round(&spec),
+                Err(ProtocolError::InvalidConfig { .. })
+            ));
+        }
+        // The reliable transport arms no timers, so it has no such bound.
+        assert!(run_round(&RoundSpec::new(&mech, &specs, slow)).is_ok());
+    }
+
+    #[test]
+    fn oversized_round_is_a_typed_error() {
+        // Checked before any per-machine state is allocated.
+        let n = u32::MAX as usize + 1;
+        assert!(matches!(
+            ChaosRuntime::new(n, config(), ChaosConfig::reliable(0)),
+            Err(ProtocolError::TooManyNodes { n: got }) if got == n
+        ));
+    }
+
+    #[test]
+    fn length_mismatches_are_typed_errors_and_leave_the_runtime_unchanged() {
+        let mech = CompensationBonusMechanism::paper();
+        let specs = paper_specs();
+        let n = specs.len();
+        let fresh = || ChaosRuntime::new(n, config(), ChaosConfig::heavy(5)).unwrap();
+        let mismatch = |e: ProtocolError| {
+            matches!(
+                e,
+                ProtocolError::Mechanism(MechanismError::Core(
+                    lb_core::CoreError::LengthMismatch { .. }
+                ))
+            )
+        };
+
+        let mut runtime = fresh();
+        let active = vec![true; n];
+        let short_specs = runtime.run_round(&mech, &specs[1..], RoundId(0), &active, None);
+        assert!(mismatch(short_specs.unwrap_err()));
+        let short_active = runtime.run_round(&mech, &specs, RoundId(0), &active[1..], None);
+        assert!(mismatch(short_active.unwrap_err()));
+
+        // The failed calls left no trace: the next round is exactly the one
+        // a fresh runtime would run.
+        let (after, _) = runtime
+            .run_round(&mech, &specs, RoundId(0), &active, None)
+            .unwrap();
+        let mut clean_runtime = fresh();
+        let (clean, _) = clean_runtime
+            .run_round(&mech, &specs, RoundId(0), &active, None)
+            .unwrap();
+        assert_eq!(after.outcome.payments, clean.outcome.payments);
+        assert_eq!(after.outcome.stats, clean.outcome.stats);
+        assert_eq!(after.trace, clean.trace);
+        assert_eq!(after.faults, clean.faults);
+        assert_eq!(runtime.now(), clean_runtime.now());
     }
 }

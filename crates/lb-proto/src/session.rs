@@ -13,28 +13,29 @@
 //! *quarantined* (excluded up front, no retransmission budget wasted on it)
 //! for an exponentially growing number of rounds, then re-admitted — so a
 //! transiently faulty machine rejoins the mechanism instead of being lost
-//! forever, exactly the recovery story a deployed mechanism needs.
-//! [`run_chaos_session_observed`] is the same driver with a telemetry
-//! collector attached, recording the whole session down to frame level, and
-//! [`run_chaos_session_sampled`] adds deterministic head-based sampling: a
-//! [`Sampler`] decides per round — as a pure function of the chaos seed and
-//! round index — whether that round records (and wire-propagates) its trace.
+//! forever, exactly the recovery story a deployed mechanism needs. Its
+//! [`Observers`] record the whole session down to frame level, sampled per
+//! round, and given a crash-injecting journal the session is durable: it
+//! survives the coordinator being killed mid-record and restarts from a
+//! previous process generation's journal.
 
-use crate::chaos::{ChaosConfig, ChaosNetStats, ChaosRoundReport, ChaosRuntime};
+use crate::chaos::{ChaosConfig, ChaosNetStats, ChaosRuntime, RoundRecoveryStats};
 use crate::coordinator::ProtocolError;
-use crate::journal::{CrashingJournal, Journal, JournalError};
+use crate::journal::CrashingJournal;
 use crate::message::RoundId;
 use crate::node::NodeSpec;
 use crate::online::{OnlineEvent, OnlineReport, OnlineSession};
 use crate::recovery::split_rounds;
-use crate::runtime::{run_protocol_round, ProtocolConfig, ProtocolOutcome};
+use crate::runtime::{
+    run_round, Observers, ProtocolConfig, ProtocolOutcome, RoundReport, RoundSpec,
+};
 use crate::trace::AnomalyStats;
+use lb_core::CoreError;
 use lb_mechanism::{MechanismError, VerifiedMechanism};
 use lb_stats::{Rng, Xoshiro256StarStar};
-use lb_telemetry::{noop_collector, Collector, Field, Sampler, Subsystem};
+use lb_telemetry::{Field, Subsystem};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Summary of a finished session.
 #[derive(Debug, Clone)]
@@ -79,19 +80,18 @@ impl SessionReport {
     }
 }
 
-/// Runs `rounds` protocol rounds. Before each round, `policy` is called with
-/// the round index and the previous round's outcome (None for the first) and
-/// must return every node's behaviour for the round; after each round it can
-/// observe the outcome through the next call.
+/// Runs `rounds` protocol rounds over the reliable transport. Before each
+/// round, `policy` is called with the round index and the previous round's
+/// outcome (None for the first) and must return every node's behaviour for
+/// the round; after each round it can observe the outcome through the next
+/// call.
 ///
 /// Each round uses a distinct simulation seed (`base seed + round`) so the
 /// measurement noise is independent across rounds.
 ///
 /// # Errors
-/// Propagates mechanism/protocol errors from any round.
-///
-/// # Panics
-/// Panics if `rounds == 0` or the policy returns an empty spec list.
+/// Propagates mechanism/protocol errors from any round — including an
+/// empty spec list from the policy — and rejects `rounds == 0`.
 pub fn run_session<M, P>(
     mechanism: &M,
     config: &ProtocolConfig,
@@ -102,16 +102,19 @@ where
     M: VerifiedMechanism,
     P: FnMut(u32, Option<&ProtocolOutcome>) -> Vec<NodeSpec>,
 {
-    assert!(rounds > 0, "run_session: need at least one round");
+    if rounds == 0 {
+        return Err(no_rounds().into_mechanism());
+    }
     let mut outcomes: Vec<ProtocolOutcome> = Vec::with_capacity(rounds as usize);
     let mut total_messages = 0;
     let mut total_bytes = 0;
     for round in 0..rounds {
         let specs = policy(round, outcomes.last());
-        assert!(!specs.is_empty(), "run_session: policy returned no nodes");
         let mut round_config = *config;
         round_config.simulation.seed = config.simulation.seed.wrapping_add(u64::from(round));
-        let outcome = run_protocol_round(mechanism, &specs, &round_config)?;
+        let outcome = run_round(&RoundSpec::new(mechanism, &specs, round_config))
+            .map_err(ProtocolError::into_mechanism)?
+            .outcome;
         total_messages += outcome.stats.messages;
         total_bytes += outcome.stats.bytes;
         outcomes.push(outcome);
@@ -121,6 +124,12 @@ where
         total_messages,
         total_bytes,
     })
+}
+
+fn no_rounds() -> ProtocolError {
+    ProtocolError::InvalidConfig {
+        what: "a session needs at least one round",
+    }
 }
 
 /// Per-machine health state a chaos session tracks across rounds.
@@ -159,12 +168,9 @@ pub struct ChaosSessionConfig {
 impl ChaosSessionConfig {
     /// A session with the default health policy: quarantine after 2
     /// consecutive exclusions, first spell 1 round, spells capped at 8.
-    ///
-    /// # Panics
-    /// Panics if `rounds == 0`.
+    /// [`run_chaos_session`] rejects `rounds == 0`.
     #[must_use]
     pub fn new(rounds: u32, chaos: ChaosConfig) -> Self {
-        assert!(rounds > 0, "ChaosSessionConfig: need at least one round");
         Self {
             rounds,
             chaos,
@@ -174,23 +180,23 @@ impl ChaosSessionConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.rounds > 0,
-            "ChaosSessionConfig: need at least one round"
-        );
-        assert!(
-            self.quarantine_after >= 1,
-            "ChaosSessionConfig: quarantine_after must be >= 1"
-        );
-        assert!(
-            self.quarantine_rounds >= 1,
-            "ChaosSessionConfig: quarantine_rounds must be >= 1"
-        );
-        assert!(
-            self.max_quarantine_rounds >= self.quarantine_rounds,
-            "ChaosSessionConfig: max_quarantine_rounds must be >= quarantine_rounds"
-        );
+    fn validate(&self) -> Result<(), ProtocolError> {
+        let checks = [
+            (self.rounds > 0, "a session needs at least one round"),
+            (self.quarantine_after >= 1, "quarantine_after must be >= 1"),
+            (
+                self.quarantine_rounds >= 1,
+                "quarantine_rounds must be >= 1",
+            ),
+            (
+                self.max_quarantine_rounds >= self.quarantine_rounds,
+                "max_quarantine_rounds must be >= quarantine_rounds",
+            ),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, what)) => Err(ProtocolError::InvalidConfig { what }),
+            None => self.chaos.validate(),
+        }
     }
 }
 
@@ -198,7 +204,7 @@ impl ChaosSessionConfig {
 #[derive(Debug)]
 pub enum ChaosRoundResult {
     /// The round settled; full report attached.
-    Settled(Box<ChaosRoundReport>),
+    Settled(Box<RoundReport>),
     /// The round could not run (fewer than two machines' bids survived);
     /// the session lifted every quarantine and carried on.
     Aborted(MechanismError),
@@ -207,7 +213,7 @@ pub enum ChaosRoundResult {
 impl ChaosRoundResult {
     /// The settled report, if the round settled.
     #[must_use]
-    pub fn settled(&self) -> Option<&ChaosRoundReport> {
+    pub fn settled(&self) -> Option<&RoundReport> {
         match self {
             Self::Settled(report) => Some(report.as_ref()),
             Self::Aborted(_) => None,
@@ -218,7 +224,11 @@ impl ChaosRoundResult {
 /// Summary of a finished fault-tolerant session.
 #[derive(Debug)]
 pub struct ChaosSessionReport {
-    /// Result of every round, in order.
+    /// Result of every round run in this process, in order. Rounds
+    /// reconstructed from a pre-existing journal are *not* re-listed here
+    /// (their full reports died with the process that ran them); they are
+    /// accounted in `recovered_rounds`, in the health state, and in
+    /// `cumulative_payments`.
     pub rounds: Vec<ChaosRoundResult>,
     /// Final health state of every machine.
     pub health: Vec<MachineHealth>,
@@ -236,6 +246,18 @@ pub struct ChaosSessionReport {
     pub aborted_rounds: u32,
     /// Times a previously excluded machine completed a round again.
     pub readmissions: u32,
+    /// Rounds whose outcome was reconstructed from the initial journal
+    /// rather than run in this process (0 without a journal).
+    pub recovered_rounds: u32,
+    /// Injected crashes consumed, journal records replayed and torn-tail
+    /// bytes truncated across the session (all 0 without a journal).
+    pub recovery: RoundRecoveryStats,
+    /// Per-machine payments summed over every settled round — with a
+    /// journal, over every `PaymentsCommitted` record, recovered rounds
+    /// included. One record per settled round regardless of how many
+    /// crashes interrupted it, so this total is exactly-once by
+    /// construction.
+    pub cumulative_payments: Vec<f64>,
 }
 
 impl ChaosSessionReport {
@@ -255,7 +277,7 @@ impl ChaosSessionReport {
 
 /// Applies the post-settlement health policy for one round: blame active
 /// excluded machines (quarantining repeat offenders), clear the record of
-/// active machines that completed. Shared by the live drivers and by
+/// active machines that completed. Shared by the live driver and by
 /// journal-based session recovery, so a machine's quarantine schedule is
 /// bit-identical whether the round ran in this process or was replayed from
 /// a dead one's journal. Returns the number of machines readmitted.
@@ -309,6 +331,81 @@ fn apply_aborted_health(health: &mut [MachineHealth], round: u32) {
     }
 }
 
+/// Session state folded from a pre-existing journal: sealed blocks are
+/// finished rounds, a non-final unsealed block is an aborted round (the
+/// session moved on without sealing it), and an unsealed *final* block is
+/// the round the dead process was in — resumed, not folded.
+#[derive(Default)]
+struct Folded {
+    health: Vec<MachineHealth>,
+    cumulative_payments: Vec<f64>,
+    recovered_rounds: u32,
+    aborted_rounds: u32,
+    readmissions: u32,
+    truncated_bytes: u64,
+    start_round: u32,
+}
+
+fn fold_journal(
+    journal: &RefCell<CrashingJournal>,
+    session: &ChaosSessionConfig,
+) -> Result<Folded, ProtocolError> {
+    let replay = journal.borrow_mut().revive()?;
+    let mut folded = Folded {
+        truncated_bytes: replay.truncated_tail as u64,
+        ..Folded::default()
+    };
+    let blocks = split_rounds(&replay.records)?;
+    for (bi, block) in blocks.iter().enumerate() {
+        if folded.health.is_empty() {
+            folded.health = vec![MachineHealth::default(); block.n];
+            folded.cumulative_payments = vec![0.0; block.n];
+        }
+        if folded.health.len() != block.n {
+            return Err(ProtocolError::ReplayMismatch {
+                what: "machine count changed in the journal",
+            });
+        }
+        let round = u32::try_from(block.round.0).map_err(|_| ProtocolError::ReplayMismatch {
+            what: "round index exceeds u32",
+        })?;
+        if block.sealed {
+            let quarantined = block.quarantined();
+            let active: Vec<bool> = (0..block.n).map(|i| !quarantined.contains(&i)).collect();
+            let mut excluded = vec![false; block.n];
+            for i in block.excluded() {
+                excluded[i] = true;
+            }
+            folded.readmissions += apply_settled_health(
+                &mut folded.health,
+                session,
+                round,
+                &active,
+                &excluded,
+                |_, _| (),
+                |_| (),
+            );
+            if let Some(p) = block.payments() {
+                for (total, &x) in folded.cumulative_payments.iter_mut().zip(p) {
+                    *total += x;
+                }
+            }
+            folded.recovered_rounds += 1;
+            folded.start_round = round + 1;
+        } else if bi + 1 != blocks.len() {
+            apply_aborted_health(&mut folded.health, round);
+            folded.aborted_rounds += 1;
+            folded.recovered_rounds += 1;
+            folded.start_round = round + 1;
+        } else {
+            // The dead process's in-flight round: run it (the in-round
+            // recovery inside `ChaosRuntime::run_round` replays this block).
+            folded.start_round = round;
+        }
+    }
+    Ok(folded)
+}
+
 /// Runs a fault-tolerant multi-round session over one persistent chaotic
 /// network.
 ///
@@ -325,163 +422,142 @@ fn apply_aborted_health(health: &mut [MachineHealth], round: u32) {
 /// If quarantines would leave fewer than two machines active, they are
 /// lifted pre-emptively instead of aborting the round.
 ///
-/// # Errors
-/// Propagates unexpected mechanism errors ([`MechanismError::NeedTwoAgents`]
-/// is handled internally as an aborted round).
-///
-/// # Panics
-/// Panics if the configuration is invalid, the policy returns an empty spec
-/// list, or the machine count changes between rounds.
-pub fn run_chaos_session<M, P>(
-    mechanism: &M,
-    config: &ProtocolConfig,
-    session: &ChaosSessionConfig,
-    policy: P,
-) -> Result<ChaosSessionReport, MechanismError>
-where
-    M: VerifiedMechanism,
-    P: FnMut(u32, Option<&ChaosRoundReport>) -> Vec<NodeSpec>,
-{
-    run_chaos_session_observed(mechanism, config, session, policy, noop_collector())
-}
-
-/// [`run_chaos_session`] with a telemetry collector attached.
-///
-/// The collector is forwarded to the chaos runtime (and through it to the
-/// network and each round's coordinator), so a single recording carries the
-/// whole story of the session: frame-level `net.*` events, per-round
+/// `observers` record the session: frame-level `net.*` events, per-round
 /// `round`/`phase.*` spans, retransmissions, and the session's own health
 /// decisions — a `session.quarantine` instant (fields `machine`, `spell`)
 /// when a machine is put away, `session.readmit` (field `machine`) when a
 /// previously excluded machine completes a round again, and `session.abort`
 /// (field `round`) when a round cannot run. All events carry simulated time
 /// from the session's persistent clock, which never resets between rounds.
+/// The sampler decides per round from `(chaos seed, round index)`: an
+/// unsampled round runs with the noop collector and pays nothing, on the
+/// wire or off it. Outcomes never depend on observers.
+///
+/// With a `journal` the session is durable: the coordinator process is
+/// killed at every crash offset the journal was built with (tearing the
+/// in-flight record mid-write), recovered by replaying the journal
+/// ([`crate::recovery::recover_round`]), and resumed — and the session's
+/// allocations, payments and quarantine schedule come out identical to an
+/// uninterrupted run. The journal's initial content carries state across
+/// simulated process generations: start from an empty journal for a fresh
+/// session, or from a previous run's bytes to restart after its rounds. Any
+/// torn tail is truncated on open; sealed rounds are folded into the health
+/// state and payment totals (the policy is *not* re-consulted for them); an
+/// unsealed final round is resumed mid-flight. The session closes by
+/// publishing `durable.*` gauges of its crash history.
 ///
 /// # Errors
-/// Propagates unexpected mechanism errors, exactly as [`run_chaos_session`].
-///
-/// # Panics
-/// Panics under the same conditions as [`run_chaos_session`].
-pub fn run_chaos_session_observed<M, P>(
-    mechanism: &M,
-    config: &ProtocolConfig,
-    session: &ChaosSessionConfig,
-    policy: P,
-    collector: Arc<dyn Collector>,
-) -> Result<ChaosSessionReport, MechanismError>
-where
-    M: VerifiedMechanism,
-    P: FnMut(u32, Option<&ChaosRoundReport>) -> Vec<NodeSpec>,
-{
-    run_chaos_session_sampled(
-        mechanism,
-        config,
-        session,
-        policy,
-        collector,
-        &Sampler::Always,
-    )
-}
-
-/// [`run_chaos_session_observed`] with deterministic head-based sampling.
-///
-/// Before each round, `sampler` decides from `(chaos seed, round index)`
-/// whether the round is sampled. Sampled rounds run with `collector` —
-/// recording everything [`run_chaos_session_observed`] records, including
-/// the wire-propagated trace context — while unsampled rounds run with the
-/// noop collector and pay nothing, on the wire or off it. The decision is a
-/// pure function of the inputs, so a replay of the same seeds samples
-/// exactly the same rounds. Outcomes never depend on sampling.
-///
-/// # Errors
-/// Propagates unexpected mechanism errors, exactly as [`run_chaos_session`].
-///
-/// # Panics
-/// Panics under the same conditions as [`run_chaos_session`].
-pub fn run_chaos_session_sampled<M, P>(
+/// Propagates unexpected mechanism errors ([`MechanismError::NeedTwoAgents`]
+/// is handled internally as an aborted round). An invalid configuration,
+/// an empty spec list from the policy, a machine count that changes between
+/// rounds (or differs from the journal's), and journal corruption surface
+/// as infeasible-core errors, exactly as [`ProtocolError::into_mechanism`]
+/// maps them.
+pub fn run_chaos_session<M, P>(
     mechanism: &M,
     config: &ProtocolConfig,
     session: &ChaosSessionConfig,
     mut policy: P,
-    collector: Arc<dyn Collector>,
-    sampler: &Sampler,
+    observers: &Observers,
+    journal: Option<&Rc<RefCell<CrashingJournal>>>,
 ) -> Result<ChaosSessionReport, MechanismError>
 where
     M: VerifiedMechanism,
-    P: FnMut(u32, Option<&ChaosRoundReport>) -> Vec<NodeSpec>,
+    P: FnMut(u32, Option<&RoundReport>) -> Vec<NodeSpec>,
 {
-    session.validate();
+    session.validate().map_err(ProtocolError::into_mechanism)?;
+    let folded = match journal {
+        Some(journal) => fold_journal(journal, session).map_err(ProtocolError::into_mechanism)?,
+        None => Folded::default(),
+    };
+    let mut report = ChaosSessionReport {
+        rounds: Vec::with_capacity(session.rounds as usize),
+        health: folded.health,
+        total_messages: 0,
+        total_bytes: 0,
+        total_retries: 0,
+        anomalies: AnomalyStats::default(),
+        faults: ChaosNetStats::default(),
+        aborted_rounds: folded.aborted_rounds,
+        readmissions: folded.readmissions,
+        recovered_rounds: folded.recovered_rounds,
+        recovery: RoundRecoveryStats {
+            truncated_bytes: folded.truncated_bytes,
+            ..RoundRecoveryStats::default()
+        },
+        cumulative_payments: folded.cumulative_payments,
+    };
     let mut runtime: Option<ChaosRuntime> = None;
-    let mut health: Vec<MachineHealth> = Vec::new();
-    let mut rounds: Vec<ChaosRoundResult> = Vec::with_capacity(session.rounds as usize);
-    let mut last_settled: Option<ChaosRoundReport> = None;
-    let mut total_messages = 0;
-    let mut total_bytes = 0;
-    let mut total_retries = 0;
-    let mut anomalies = AnomalyStats::default();
-    let mut faults = ChaosNetStats::default();
-    let mut aborted_rounds = 0;
-    let mut readmissions = 0;
+    let mut last_settled: Option<RoundReport> = None;
 
-    for round in 0..session.rounds {
+    for round in folded.start_round..session.rounds {
         let specs = policy(round, last_settled.as_ref());
-        assert!(
-            !specs.is_empty(),
-            "run_chaos_session: policy returned no nodes"
-        );
         let n = specs.len();
-        let runtime = runtime.get_or_insert_with(|| {
-            health = vec![MachineHealth::default(); n];
-            ChaosRuntime::new(n, *config, session.chaos.clone())
-        });
-        assert_eq!(
-            health.len(),
-            n,
-            "run_chaos_session: machine count changed mid-session"
-        );
+        let runtime = if let Some(runtime) = runtime.as_mut() {
+            runtime
+        } else {
+            let fresh = ChaosRuntime::new(n, *config, session.chaos.clone())
+                .map_err(ProtocolError::into_mechanism)?;
+            if report.health.is_empty() {
+                report.health = vec![MachineHealth::default(); n];
+                report.cumulative_payments = vec![0.0; n];
+            }
+            runtime.insert(fresh)
+        };
+        if report.health.len() != n {
+            return Err(CoreError::LengthMismatch {
+                expected: report.health.len(),
+                actual: n,
+            }
+            .into());
+        }
 
         // Head-based sampling: an unsampled round runs with the noop
         // collector, so it records nothing and its frames carry no trace
         // trailer. The session's own instants follow the same decision.
-        let round_collector = if sampler.admits(session.chaos.seed, u64::from(round)) {
-            Arc::clone(&collector)
-        } else {
-            noop_collector()
-        };
-        runtime.set_collector(Arc::clone(&round_collector));
+        let collector = observers.round_collector(session.chaos.seed, u64::from(round));
+        runtime.set_collector(collector.clone());
 
-        let mut active: Vec<bool> = health
+        let mut active: Vec<bool> = report
+            .health
             .iter()
             .map(|h| round >= h.quarantined_until)
             .collect();
         if active.iter().filter(|&&a| a).count() < 2 {
             // Quarantine must never starve the mechanism below its minimum
             // participation: give everyone another chance instead.
-            for h in &mut health {
+            for h in &mut report.health {
                 h.quarantined_until = round;
             }
             active = vec![true; n];
         }
 
-        match runtime.run_round(mechanism, &specs, RoundId(u64::from(round)), &active) {
-            Ok(report) => {
-                total_messages += report.outcome.stats.messages;
-                total_bytes += report.outcome.stats.bytes;
-                total_retries += report.retries;
-                anomalies.merge(&report.anomalies);
-                faults.dropped += report.faults.dropped;
-                faults.duplicated += report.faults.duplicated;
-                faults.corrupted += report.faults.corrupted;
+        match runtime.run_round(
+            mechanism,
+            &specs,
+            RoundId(u64::from(round)),
+            &active,
+            journal,
+        ) {
+            Ok((settled, recovery)) => {
+                report.recovery.crashes += recovery.crashes;
+                report.recovery.records_replayed += recovery.records_replayed;
+                report.recovery.truncated_bytes += recovery.truncated_bytes;
+                report.total_messages += settled.outcome.stats.messages;
+                report.total_bytes += settled.outcome.stats.bytes;
+                report.total_retries += settled.retries;
+                report.anomalies.merge(&settled.anomalies);
+                report.faults.merge(&settled.faults);
                 let at = runtime.now().seconds();
-                readmissions += apply_settled_health(
-                    &mut health,
+                report.readmissions += apply_settled_health(
+                    &mut report.health,
                     session,
                     round,
                     &active,
-                    &report.excluded,
+                    &settled.excluded,
                     |i, spell| {
-                        if round_collector.enabled() {
-                            round_collector.instant(
+                        if collector.enabled() {
+                            collector.instant(
                                 at,
                                 "session.quarantine",
                                 Subsystem::Session,
@@ -493,8 +569,8 @@ where
                         }
                     },
                     |i| {
-                        if round_collector.enabled() {
-                            round_collector.instant(
+                        if collector.enabled() {
+                            collector.instant(
                                 at,
                                 "session.readmit",
                                 Subsystem::Session,
@@ -503,13 +579,22 @@ where
                         }
                     },
                 );
-                last_settled = Some(report.clone());
-                rounds.push(ChaosRoundResult::Settled(Box::new(report)));
+                for (total, &x) in report
+                    .cumulative_payments
+                    .iter_mut()
+                    .zip(&settled.outcome.payments)
+                {
+                    *total += x;
+                }
+                last_settled = Some(settled.clone());
+                report
+                    .rounds
+                    .push(ChaosRoundResult::Settled(Box::new(settled)));
             }
-            Err(MechanismError::NeedTwoAgents) => {
-                aborted_rounds += 1;
-                if round_collector.enabled() {
-                    round_collector.instant(
+            Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents)) => {
+                report.aborted_rounds += 1;
+                if collector.enabled() {
+                    collector.instant(
                         runtime.now().seconds(),
                         "session.abort",
                         Subsystem::Session,
@@ -518,24 +603,44 @@ where
                 }
                 // Chaos silenced (or quarantine sidelined) too many machines
                 // at once: wipe the slate so the next round can recruit all.
-                apply_aborted_health(&mut health, round);
-                rounds.push(ChaosRoundResult::Aborted(MechanismError::NeedTwoAgents));
+                apply_aborted_health(&mut report.health, round);
+                report
+                    .rounds
+                    .push(ChaosRoundResult::Aborted(MechanismError::NeedTwoAgents));
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into_mechanism()),
         }
     }
 
-    Ok(ChaosSessionReport {
-        rounds,
-        health,
-        total_messages,
-        total_bytes,
-        total_retries,
-        anomalies,
-        faults,
-        aborted_rounds,
-        readmissions,
-    })
+    if journal.is_some() && observers.collector.enabled() {
+        // Durability counters, exported as gauges so `/metrics` and lb_top
+        // show the session's crash history without access to the report.
+        // The runtime is lazily constructed per round; a session with no
+        // live round never builds one and reports its gauges at t = 0.
+        let at = runtime.as_ref().map_or(0.0, |rt| rt.now().seconds());
+        #[allow(clippy::cast_precision_loss)]
+        let durable = [
+            ("durable.crashes", report.recovery.crashes as f64),
+            (
+                "durable.recovered_rounds",
+                f64::from(report.recovered_rounds),
+            ),
+            (
+                "durable.records_replayed",
+                report.recovery.records_replayed as f64,
+            ),
+            (
+                "durable.truncated_tail_bytes",
+                report.recovery.truncated_bytes as f64,
+            ),
+        ];
+        for (name, value) in durable {
+            observers
+                .collector
+                .gauge(at, name, Subsystem::Session, value);
+        }
+    }
+    Ok(report)
 }
 
 /// When to kill the coordinator process in a durable session: absolute byte
@@ -562,307 +667,29 @@ impl CrashPlan {
 
     /// `crashes` pseudo-random crash offsets in `[0, max_byte)`, derived
     /// from `seed` — the same seed always kills the coordinator at the same
-    /// bytes, so any durable-session failure reproduces from its seed.
+    /// bytes, so any durable-session failure reproduces from its seed. A
+    /// `max_byte` of 0 yields no offsets.
     #[must_use]
     pub fn seeded(seed: u64, crashes: usize, max_byte: u64) -> Self {
-        assert!(max_byte > 0, "CrashPlan::seeded: max_byte must be > 0");
+        if max_byte == 0 {
+            return Self::none();
+        }
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let offsets = (0..crashes).map(|_| rng.next_below(max_byte)).collect();
         Self { offsets }
     }
-}
 
-/// Summary of a finished durable (crash-surviving) session.
-#[derive(Debug)]
-pub struct DurableSessionReport {
-    /// The live part of the session, exactly as [`run_chaos_session`] would
-    /// report it. Rounds reconstructed from a pre-existing journal are *not*
-    /// re-listed here (their full reports died with the process that ran
-    /// them); they are accounted in `recovered_rounds`, in the health state,
-    /// and in `cumulative_payments`.
-    pub session: ChaosSessionReport,
-    /// Rounds whose outcome was reconstructed from the initial journal
-    /// rather than run in this process.
-    pub recovered_rounds: u32,
-    /// Injected crashes consumed across the session.
-    pub crashes: u64,
-    /// Journal records replayed across all in-round recoveries.
-    pub records_replayed: u64,
-    /// Torn-tail bytes truncated across all recoveries.
-    pub truncated_tail_bytes: u64,
-    /// Per-machine payments summed over every `PaymentsCommitted` record —
-    /// recovered rounds included. One record per settled round regardless of
-    /// how many crashes interrupted it, so this total is exactly-once by
-    /// construction.
-    pub cumulative_payments: Vec<f64>,
-    /// The journal's final byte content: feed it back as `initial_journal`
-    /// to continue the session in a later process.
-    pub journal_bytes: Vec<u8>,
-}
-
-/// [`run_chaos_session`] over a crash-injected write-ahead journal: the
-/// coordinator process is killed at every offset in `plan` (tearing the
-/// in-flight journal record mid-write), recovered by replaying the journal
-/// ([`crate::recovery::recover_round`]), and resumed — and the session's
-/// allocations, payments and quarantine schedule must come out identical to
-/// an uninterrupted run, which is what the `recovery` fuzz oracle and the
-/// durability tests assert.
-///
-/// `initial_journal` carries state across simulated process generations:
-/// pass `Vec::new()` for a fresh session, or a previous run's
-/// [`DurableSessionReport::journal_bytes`] to restart after its rounds. Any
-/// torn tail in it is truncated on open; sealed rounds are folded into the
-/// health state and payment totals (the policy is *not* re-consulted for
-/// them); an unsealed final round is resumed mid-flight.
-///
-/// # Errors
-/// Propagates unexpected mechanism errors; [`MechanismError::NeedTwoAgents`]
-/// aborts the round, journal corruption surfaces as an infeasible-core
-/// error, exactly as [`crate::coordinator::ProtocolError::into_mechanism`]
-/// maps it.
-///
-/// # Panics
-/// Panics if the configuration is invalid, the policy returns an empty spec
-/// list, or the machine count changes between rounds (or differs from the
-/// initial journal's).
-pub fn run_chaos_session_durable<M, P>(
-    mechanism: &M,
-    config: &ProtocolConfig,
-    session: &ChaosSessionConfig,
-    mut policy: P,
-    plan: &CrashPlan,
-    initial_journal: Vec<u8>,
-    collector: Arc<dyn Collector>,
-) -> Result<DurableSessionReport, MechanismError>
-where
-    M: VerifiedMechanism,
-    P: FnMut(u32, Option<&ChaosRoundReport>) -> Vec<NodeSpec>,
-{
-    session.validate();
-    let journal = Rc::new(RefCell::new(CrashingJournal::with_crashes(
-        initial_journal,
-        plan.offsets.clone(),
-    )));
-
-    let mut crashes = 0u64;
-    let mut records_replayed = 0u64;
-    let mut truncated_tail_bytes = 0u64;
-    let mut recovered_rounds = 0u32;
-    let mut aborted_rounds = 0u32;
-    let mut readmissions = 0u32;
-    let mut health: Vec<MachineHealth> = Vec::new();
-    let mut cumulative_payments: Vec<f64> = Vec::new();
-    let mut start_round = 0u32;
-
-    // Fold the pre-existing journal into session state: sealed blocks are
-    // finished rounds, a non-final unsealed block is an aborted round (the
-    // session moved on without sealing it), and an unsealed *final* block is
-    // the round the dead process was in — resume it.
-    let replay = {
-        let mut j = journal.borrow_mut();
-        j.revive().map_err(journal_to_mechanism)?
-    };
-    truncated_tail_bytes += replay.truncated_tail as u64;
-    let blocks = split_rounds(&replay.records).map_err(ProtocolError::into_mechanism)?;
-    for (bi, block) in blocks.iter().enumerate() {
-        if health.is_empty() {
-            health = vec![MachineHealth::default(); block.n];
-            cumulative_payments = vec![0.0; block.n];
-        }
-        assert_eq!(
-            health.len(),
-            block.n,
-            "run_chaos_session_durable: machine count changed in the journal"
-        );
-        let round = u32::try_from(block.round.0)
-            .expect("run_chaos_session_durable: round index exceeds u32");
-        let is_last = bi + 1 == blocks.len();
-        if block.sealed {
-            let quarantined = block.quarantined();
-            let active: Vec<bool> = (0..block.n).map(|i| !quarantined.contains(&i)).collect();
-            let mut excluded = vec![false; block.n];
-            for i in block.excluded() {
-                excluded[i] = true;
-            }
-            readmissions += apply_settled_health(
-                &mut health,
-                session,
-                round,
-                &active,
-                &excluded,
-                |_, _| (),
-                |_| (),
-            );
-            if let Some(p) = block.payments() {
-                for (total, &x) in cumulative_payments.iter_mut().zip(p) {
-                    *total += x;
-                }
-            }
-            recovered_rounds += 1;
-            start_round = round + 1;
-        } else if !is_last {
-            apply_aborted_health(&mut health, round);
-            aborted_rounds += 1;
-            recovered_rounds += 1;
-            start_round = round + 1;
-        } else {
-            // The dead process's in-flight round: run it (the in-round
-            // recovery inside `run_round_durable` replays this block).
-            start_round = round;
-        }
+    /// A crash-injecting journal starting from `initial` bytes (a previous
+    /// generation's journal, or empty for a fresh session) that dies at
+    /// this plan's offsets — the journal a durable [`run_chaos_session`]
+    /// runs against.
+    #[must_use]
+    pub fn journal(&self, initial: Vec<u8>) -> Rc<RefCell<CrashingJournal>> {
+        Rc::new(RefCell::new(CrashingJournal::with_crashes(
+            initial,
+            self.offsets.clone(),
+        )))
     }
-
-    let mut runtime: Option<ChaosRuntime> = None;
-    let mut rounds: Vec<ChaosRoundResult> = Vec::new();
-    let mut last_settled: Option<ChaosRoundReport> = None;
-    let mut total_messages = 0;
-    let mut total_bytes = 0;
-    let mut total_retries = 0;
-    let mut anomalies = AnomalyStats::default();
-    let mut faults = ChaosNetStats::default();
-
-    for round in start_round..session.rounds {
-        let specs = policy(round, last_settled.as_ref());
-        assert!(
-            !specs.is_empty(),
-            "run_chaos_session_durable: policy returned no nodes"
-        );
-        let n = specs.len();
-        let runtime = runtime.get_or_insert_with(|| {
-            if health.is_empty() {
-                health = vec![MachineHealth::default(); n];
-                cumulative_payments = vec![0.0; n];
-            }
-            let mut rt = ChaosRuntime::new(n, *config, session.chaos.clone());
-            rt.set_collector(Arc::clone(&collector));
-            rt
-        });
-        assert_eq!(
-            health.len(),
-            n,
-            "run_chaos_session_durable: machine count changed mid-session"
-        );
-
-        let mut active: Vec<bool> = health
-            .iter()
-            .map(|h| round >= h.quarantined_until)
-            .collect();
-        if active.iter().filter(|&&a| a).count() < 2 {
-            for h in &mut health {
-                h.quarantined_until = round;
-            }
-            active = vec![true; n];
-        }
-
-        match runtime.run_round_durable(
-            mechanism,
-            &specs,
-            RoundId(u64::from(round)),
-            &active,
-            &journal,
-        ) {
-            Ok((report, stats)) => {
-                crashes += stats.crashes;
-                records_replayed += stats.records_replayed;
-                truncated_tail_bytes += stats.truncated_bytes;
-                total_messages += report.outcome.stats.messages;
-                total_bytes += report.outcome.stats.bytes;
-                total_retries += report.retries;
-                anomalies.merge(&report.anomalies);
-                faults.dropped += report.faults.dropped;
-                faults.duplicated += report.faults.duplicated;
-                faults.corrupted += report.faults.corrupted;
-                let at = runtime.now().seconds();
-                readmissions += apply_settled_health(
-                    &mut health,
-                    session,
-                    round,
-                    &active,
-                    &report.excluded,
-                    |i, spell| {
-                        if collector.enabled() {
-                            collector.instant(
-                                at,
-                                "session.quarantine",
-                                Subsystem::Session,
-                                vec![
-                                    Field::u64("machine", i as u64),
-                                    Field::u64("spell", u64::from(spell)),
-                                ],
-                            );
-                        }
-                    },
-                    |i| {
-                        if collector.enabled() {
-                            collector.instant(
-                                at,
-                                "session.readmit",
-                                Subsystem::Session,
-                                vec![Field::u64("machine", i as u64)],
-                            );
-                        }
-                    },
-                );
-                for (total, &x) in cumulative_payments.iter_mut().zip(&report.outcome.payments) {
-                    *total += x;
-                }
-                last_settled = Some(report.clone());
-                rounds.push(ChaosRoundResult::Settled(Box::new(report)));
-            }
-            Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents)) => {
-                aborted_rounds += 1;
-                if collector.enabled() {
-                    collector.instant(
-                        runtime.now().seconds(),
-                        "session.abort",
-                        Subsystem::Session,
-                        vec![Field::u64("round", u64::from(round))],
-                    );
-                }
-                apply_aborted_health(&mut health, round);
-                rounds.push(ChaosRoundResult::Aborted(MechanismError::NeedTwoAgents));
-            }
-            Err(e) => return Err(e.into_mechanism()),
-        }
-    }
-
-    if collector.enabled() {
-        // Durability counters, exported as gauges so `/metrics` and lb_top
-        // show the session's crash history without access to the report.
-        // The runtime is lazily constructed per round; a zero-round session
-        // never builds one and reports its gauges at t = 0.
-        let at = runtime.as_ref().map_or(0.0, |rt| rt.now().seconds());
-        #[allow(clippy::cast_precision_loss)]
-        let durable = [
-            ("durable.crashes", crashes as f64),
-            ("durable.recovered_rounds", recovered_rounds as f64),
-            ("durable.records_replayed", records_replayed as f64),
-            ("durable.truncated_tail_bytes", truncated_tail_bytes as f64),
-        ];
-        for (name, value) in durable {
-            collector.gauge(at, name, Subsystem::Session, value);
-        }
-    }
-    let journal_bytes = journal.borrow().bytes().map_err(journal_to_mechanism)?;
-    Ok(DurableSessionReport {
-        session: ChaosSessionReport {
-            rounds,
-            health,
-            total_messages,
-            total_bytes,
-            total_retries,
-            anomalies,
-            faults,
-            aborted_rounds,
-            readmissions,
-        },
-        recovered_rounds,
-        crashes,
-        records_replayed,
-        truncated_tail_bytes,
-        cumulative_payments,
-        journal_bytes,
-    })
 }
 
 /// Runs a whole online session over a deterministic churn stream: the
@@ -886,10 +713,6 @@ pub fn run_online_session<M: VerifiedMechanism>(
 ) -> Result<OnlineReport, ProtocolError> {
     let mut session = OnlineSession::new(mechanism, *config)?;
     session.run(lb_sim::churn::ChurnGen::new(churn, seed).map(OnlineEvent::from_churn))
-}
-
-fn journal_to_mechanism(e: JournalError) -> MechanismError {
-    ProtocolError::Journal(e).into_mechanism()
 }
 
 #[cfg(test)]
@@ -964,10 +787,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one round")]
-    fn zero_rounds_panics() {
+    fn zero_rounds_is_an_error() {
         let mech = CompensationBonusMechanism::paper();
-        let _ = run_session(&mech, &config(), 0, |_, _| vec![NodeSpec::truthful(1.0)]);
+        let err =
+            run_session(&mech, &config(), 0, |_, _| vec![NodeSpec::truthful(1.0)]).unwrap_err();
+        assert!(err.to_string().contains("at least one round"), "{err}");
+    }
+
+    #[test]
+    fn empty_policy_is_an_error() {
+        let mech = CompensationBonusMechanism::paper();
+        assert!(run_session(&mech, &config(), 2, |_, _| Vec::new()).is_err());
     }
 }
 
@@ -978,10 +808,12 @@ mod chaos_tests {
     use lb_mechanism::CompensationBonusMechanism;
     use lb_sim::driver::SimulationConfig;
     use lb_sim::server::ServiceModel;
+    use lb_telemetry::Sampler;
+    use std::sync::Arc;
 
     const RATE: f64 = 12.0;
 
-    fn config() -> ProtocolConfig {
+    pub(super) fn config() -> ProtocolConfig {
         ProtocolConfig {
             total_rate: RATE,
             link_latency: 0.001,
@@ -996,7 +828,7 @@ mod chaos_tests {
         }
     }
 
-    fn specs(n: usize) -> Vec<NodeSpec> {
+    pub(super) fn specs(n: usize) -> Vec<NodeSpec> {
         (0..n)
             .map(|i| NodeSpec::truthful(1.0 + i as f64 * 0.5))
             .collect()
@@ -1008,7 +840,15 @@ mod chaos_tests {
         let specs = specs(6);
         let plain = run_session(&mech, &config(), 4, |_, _| specs.clone()).unwrap();
         let session = ChaosSessionConfig::new(4, ChaosConfig::reliable(0));
-        let report = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
 
         assert_eq!(report.rounds.len(), 4);
         assert_eq!(report.aborted_rounds, 0);
@@ -1047,7 +887,15 @@ mod chaos_tests {
             quarantine_after: 1,
             ..ChaosSessionConfig::new(3, chaos)
         };
-        let report = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
 
         let r0 = report.rounds[0]
             .settled()
@@ -1095,7 +943,15 @@ mod chaos_tests {
             max_quarantine_rounds: 2,
             ..ChaosSessionConfig::new(7, chaos)
         };
-        let report = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
 
         // Active (and excluded) in rounds 0, 2, 5; quarantined 1, 3-4, 6.
         assert_eq!(report.aborted_rounds, 0);
@@ -1135,7 +991,15 @@ mod chaos_tests {
             ..ChaosConfig::reliable(3)
         };
         let session = ChaosSessionConfig::new(2, chaos);
-        let report = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(report.rounds.len(), 2);
         assert_eq!(report.aborted_rounds, 2);
         assert!(report.rounds.iter().all(|r| r.settled().is_none()));
@@ -1148,10 +1012,17 @@ mod chaos_tests {
         let specs = specs(3);
         let mut observed = Vec::new();
         let session = ChaosSessionConfig::new(3, ChaosConfig::reliable(4));
-        let _ = run_chaos_session(&mech, &config(), &session, |round, prev| {
-            observed.push((round, prev.is_some()));
-            specs.clone()
-        })
+        let _ = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |round, prev| {
+                observed.push((round, prev.is_some()));
+                specs.clone()
+            },
+            &Observers::default(),
+            None,
+        )
         .unwrap();
         assert_eq!(observed, vec![(0, false), (1, true), (2, true)]);
     }
@@ -1162,8 +1033,15 @@ mod chaos_tests {
         let specs = specs(6);
         for seed in 0..20u64 {
             let session = ChaosSessionConfig::new(6, ChaosConfig::heavy(seed));
-            let report =
-                run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+            let report = run_chaos_session(
+                &mech,
+                &config(),
+                &session,
+                |_, _| specs.clone(),
+                &Observers::default(),
+                None,
+            )
+            .unwrap();
             assert_eq!(report.rounds.len(), 6, "seed {seed}");
             let mut settled_messages = 0;
             for result in &report.rounds {
@@ -1188,13 +1066,17 @@ mod chaos_tests {
         let specs = specs(3);
         let session = ChaosSessionConfig::new(4, ChaosConfig::reliable(9));
         let ring = Arc::new(RingCollector::new(65_536));
-        let sampled = run_chaos_session_sampled(
+        let observers = Observers {
+            collector: ring.clone(),
+            sampler: Sampler::PerRound(2),
+        };
+        let sampled = run_chaos_session(
             &mech,
             &config(),
             &session,
             |_, _| specs.clone(),
-            ring.clone(),
-            &Sampler::PerRound(2),
+            &observers,
+            None,
         )
         .unwrap();
 
@@ -1210,7 +1092,15 @@ mod chaos_tests {
 
         // Sampling never changes what the mechanism computes — only the
         // trailer bytes on sampled rounds' frames.
-        let plain = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
+        let plain = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
         for (s, p) in sampled.rounds.iter().zip(plain.rounds.iter()) {
             assert_eq!(
                 s.settled().unwrap().outcome.payments,
@@ -1226,13 +1116,53 @@ mod chaos_tests {
     }
 
     #[test]
-    #[should_panic(expected = "machine count changed")]
     fn machine_count_change_is_rejected() {
         let mech = CompensationBonusMechanism::paper();
         let session = ChaosSessionConfig::new(2, ChaosConfig::reliable(0));
-        let _ = run_chaos_session(&mech, &config(), &session, |round, _| {
-            specs(if round == 0 { 3 } else { 4 })
-        });
+        let result = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |round, _| specs(if round == 0 { 3 } else { 4 }),
+            &Observers::default(),
+            None,
+        );
+        assert!(matches!(
+            result,
+            Err(MechanismError::Core(CoreError::LengthMismatch {
+                expected: 3,
+                actual: 4
+            }))
+        ));
+    }
+
+    #[test]
+    fn invalid_session_config_is_an_error() {
+        let mech = CompensationBonusMechanism::paper();
+        for session in [
+            ChaosSessionConfig::new(0, ChaosConfig::reliable(0)),
+            ChaosSessionConfig {
+                quarantine_after: 0,
+                ..ChaosSessionConfig::new(2, ChaosConfig::reliable(0))
+            },
+            ChaosSessionConfig::new(
+                2,
+                ChaosConfig {
+                    backoff: 0.5,
+                    ..ChaosConfig::reliable(0)
+                },
+            ),
+        ] {
+            let result = run_chaos_session(
+                &mech,
+                &config(),
+                &session,
+                |_, _| specs(3),
+                &Observers::default(),
+                None,
+            );
+            assert!(result.is_err(), "{session:?}");
+        }
     }
 
     #[test]
@@ -1245,16 +1175,30 @@ mod chaos_tests {
         let mech = CompensationBonusMechanism::paper();
         let specs = specs(4);
         let clean_session = ChaosSessionConfig::new(3, ChaosConfig::reliable(11));
-        let clean =
-            run_chaos_session(&mech, &config(), &clean_session, |_, _| specs.clone()).unwrap();
+        let clean = run_chaos_session(
+            &mech,
+            &config(),
+            &clean_session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
 
         let dup = ChaosConfig {
             duplicate_prob: 1.0,
             ..ChaosConfig::reliable(11)
         };
         let dup_session = ChaosSessionConfig::new(3, dup);
-        let report =
-            run_chaos_session(&mech, &config(), &dup_session, |_, _| specs.clone()).unwrap();
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            &dup_session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            None,
+        )
+        .unwrap();
 
         assert!(
             report.faults.duplicated > 0,
@@ -1281,46 +1225,47 @@ mod chaos_tests {
 
 #[cfg(test)]
 mod durable_tests {
+    use super::chaos_tests::{config, specs};
     use super::*;
     use crate::faults::FaultPlan;
+    use crate::journal::Journal;
     use crate::journal::JournalRecord;
     use crate::journal::JournalReplay;
     use lb_mechanism::CompensationBonusMechanism;
-    use lb_sim::driver::SimulationConfig;
-    use lb_sim::server::ServiceModel;
 
-    const RATE: f64 = 12.0;
+    /// A durable session and the bytes its journal ends with.
+    struct Durable {
+        report: ChaosSessionReport,
+        journal_bytes: Vec<u8>,
+    }
 
-    fn config() -> ProtocolConfig {
-        ProtocolConfig {
-            total_rate: RATE,
-            link_latency: 0.001,
-            simulation: SimulationConfig {
-                horizon: 50.0,
-                seed: 5,
-                model: ServiceModel::StationaryDeterministic,
-                workload: Default::default(),
-                warmup: 0.0,
-                estimator: lb_sim::estimator::EstimatorConfig::default(),
-            },
+    fn run_durable(
+        session: &ChaosSessionConfig,
+        nodes: usize,
+        plan: &CrashPlan,
+        initial_journal: Vec<u8>,
+    ) -> Durable {
+        let mech = CompensationBonusMechanism::paper();
+        let journal = plan.journal(initial_journal);
+        let report = run_chaos_session(
+            &mech,
+            &config(),
+            session,
+            |_, _| specs(nodes),
+            &Observers::default(),
+            Some(&journal),
+        )
+        .unwrap();
+        let journal_bytes = journal.borrow().bytes().unwrap();
+        Durable {
+            report,
+            journal_bytes,
         }
     }
 
-    fn specs(n: usize) -> Vec<NodeSpec> {
-        (0..n)
-            .map(|i| NodeSpec::truthful(1.0 + i as f64 * 0.5))
-            .collect()
-    }
-
-    fn assert_same_rounds(durable: &DurableSessionReport, plain: &ChaosSessionReport) {
-        assert_eq!(durable.session.rounds.len(), plain.rounds.len());
-        for (r, (d, p)) in durable
-            .session
-            .rounds
-            .iter()
-            .zip(plain.rounds.iter())
-            .enumerate()
-        {
+    fn assert_same_rounds(durable: &ChaosSessionReport, plain: &ChaosSessionReport) {
+        assert_eq!(durable.rounds.len(), plain.rounds.len());
+        for (r, (d, p)) in durable.rounds.iter().zip(plain.rounds.iter()).enumerate() {
             let d = d.settled().expect("durable round settles");
             let p = p.settled().expect("plain round settles");
             assert_eq!(d.outcome.payments, p.outcome.payments, "round {r}");
@@ -1334,25 +1279,24 @@ mod durable_tests {
         let mech = CompensationBonusMechanism::paper();
         let specs = specs(3);
         let session = ChaosSessionConfig::new(3, ChaosConfig::reliable(7));
-        let plain = run_chaos_session(&mech, &config(), &session, |_, _| specs.clone()).unwrap();
-        let durable = run_chaos_session_durable(
+        let plain = run_chaos_session(
             &mech,
             &config(),
             &session,
             |_, _| specs.clone(),
-            &CrashPlan::none(),
-            Vec::new(),
-            noop_collector(),
+            &Observers::default(),
+            None,
         )
         .unwrap();
+        let durable = run_durable(&session, 3, &CrashPlan::none(), Vec::new());
 
-        assert_eq!(durable.crashes, 0);
-        assert_eq!(durable.recovered_rounds, 0);
-        assert_eq!(durable.records_replayed, 0);
-        assert_same_rounds(&durable, &plain);
+        assert_eq!(durable.report.recovery.crashes, 0);
+        assert_eq!(durable.report.recovered_rounds, 0);
+        assert_eq!(durable.report.recovery.records_replayed, 0);
+        assert_same_rounds(&durable.report, &plain);
         for i in 0..3 {
             assert_eq!(
-                durable.cumulative_payments[i].to_bits(),
+                durable.report.cumulative_payments[i].to_bits(),
                 plain.cumulative_payment(i).to_bits(),
                 "machine {i}"
             );
@@ -1367,46 +1311,26 @@ mod durable_tests {
         // killed at every record boundary of that journal — each write dies
         // mid-`append`, gets truncated on revival and replayed — and demand
         // the same session, bit for bit.
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs(3);
         let session = ChaosSessionConfig::new(2, ChaosConfig::reliable(13));
-        let reference = run_chaos_session_durable(
-            &mech,
-            &config(),
-            &session,
-            |_, _| specs.clone(),
-            &CrashPlan::none(),
-            Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
+        let reference = run_durable(&session, 3, &CrashPlan::none(), Vec::new());
 
         let cuts: Vec<u64> = JournalReplay::boundaries(&reference.journal_bytes)
             .into_iter()
             .map(|b| b as u64)
             .collect();
         let expected_crashes = cuts.len() as u64;
-        let crashed = run_chaos_session_durable(
-            &mech,
-            &config(),
-            &session,
-            |_, _| specs.clone(),
-            &CrashPlan::at(cuts),
-            Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
+        let crashed = run_durable(&session, 3, &CrashPlan::at(cuts), Vec::new());
 
         assert!(
-            crashed.crashes >= expected_crashes - 1,
+            crashed.report.recovery.crashes >= expected_crashes - 1,
             "all boundary crashes fire"
         );
-        assert!(crashed.records_replayed > 0);
-        assert_same_rounds(&crashed, &reference.session);
+        assert!(crashed.report.recovery.records_replayed > 0);
+        assert_same_rounds(&crashed.report, &reference.report);
         for i in 0..3 {
             assert_eq!(
-                crashed.cumulative_payments[i].to_bits(),
-                reference.cumulative_payments[i].to_bits(),
+                crashed.report.cumulative_payments[i].to_bits(),
+                reference.report.cumulative_payments[i].to_bits(),
                 "machine {i}"
             );
         }
@@ -1430,35 +1354,15 @@ mod durable_tests {
 
     #[test]
     fn mid_record_crashes_truncate_the_torn_tail_and_still_converge() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs(3);
         let session = ChaosSessionConfig::new(2, ChaosConfig::reliable(13));
-        let reference = run_chaos_session_durable(
-            &mech,
-            &config(),
-            &session,
-            |_, _| specs.clone(),
-            &CrashPlan::none(),
-            Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
+        let reference = run_durable(&session, 3, &CrashPlan::none(), Vec::new());
 
         let max_byte = reference.journal_bytes.len() as u64;
         for seed in 0..5u64 {
             let plan = CrashPlan::seeded(seed, 4, max_byte);
-            let crashed = run_chaos_session_durable(
-                &mech,
-                &config(),
-                &session,
-                |_, _| specs.clone(),
-                &plan,
-                Vec::new(),
-                noop_collector(),
-            )
-            .unwrap();
-            assert!(crashed.crashes > 0, "seed {seed}");
-            assert_same_rounds(&crashed, &reference.session);
+            let crashed = run_durable(&session, 3, &plan, Vec::new());
+            assert!(crashed.report.recovery.crashes > 0, "seed {seed}");
+            assert_same_rounds(&crashed.report, &reference.report);
             assert_sealed_blocks_match(&crashed.journal_bytes, &reference.journal_bytes);
         }
     }
@@ -1468,8 +1372,6 @@ mod durable_tests {
         // Generation 1: machine 0 never gets a bid through round 0, is
         // excluded, and (quarantine_after = 1) earns a 1-round quarantine.
         // The process then "dies" — all that survives is the journal.
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs(3);
         let faulty = ChaosConfig {
             plan: FaultPlan {
                 lose_bids_from: vec![0],
@@ -1481,17 +1383,8 @@ mod durable_tests {
             quarantine_after: 1,
             ..ChaosSessionConfig::new(1, faulty)
         };
-        let gen1 = run_chaos_session_durable(
-            &mech,
-            &config(),
-            &gen1_session,
-            |_, _| specs.clone(),
-            &CrashPlan::none(),
-            Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
-        assert_eq!(gen1.session.health[0].total_exclusions, 1);
+        let gen1 = run_durable(&gen1_session, 3, &CrashPlan::none(), Vec::new());
+        assert_eq!(gen1.report.health[0].total_exclusions, 1);
 
         // Generation 2: a fresh process (machine 0 healthy again) restarts
         // from the journal and plays rounds 1 and 2. The journal alone must
@@ -1501,32 +1394,31 @@ mod durable_tests {
             quarantine_after: 1,
             ..ChaosSessionConfig::new(3, ChaosConfig::reliable(1))
         };
-        let gen2 = run_chaos_session_durable(
-            &mech,
-            &config(),
+        let gen2 = run_durable(
             &gen2_session,
-            |_, _| specs.clone(),
+            3,
             &CrashPlan::none(),
             gen1.journal_bytes.clone(),
-            noop_collector(),
-        )
-        .unwrap();
+        );
 
-        assert_eq!(gen2.recovered_rounds, 1, "round 0 folded from the journal");
-        assert_eq!(gen2.session.rounds.len(), 2, "rounds 1 and 2 ran live");
-        let r1 = gen2.session.rounds[0].settled().expect("round 1 settles");
+        assert_eq!(
+            gen2.report.recovered_rounds, 1,
+            "round 0 folded from the journal"
+        );
+        assert_eq!(gen2.report.rounds.len(), 2, "rounds 1 and 2 ran live");
+        let r1 = gen2.report.rounds[0].settled().expect("round 1 settles");
         assert!(r1.excluded[0], "round 1: quarantine restored from journal");
         assert_eq!(r1.retries, 0, "no budget wasted on a quarantined machine");
-        let r2 = gen2.session.rounds[1].settled().expect("round 2 settles");
+        let r2 = gen2.report.rounds[1].settled().expect("round 2 settles");
         assert!(!r2.excluded[0], "round 2: re-admitted on schedule");
         assert!(r2.outcome.rates[0] > 0.0);
-        assert_eq!(gen2.session.readmissions, 1);
+        assert_eq!(gen2.report.readmissions, 1);
 
         // Exactly-once across generations: machine 0's total is round 1's
         // nothing plus round 2's payment; the sealed round-0 block is folded
         // once, not re-run.
         assert_eq!(
-            gen2.cumulative_payments[0].to_bits(),
+            gen2.report.cumulative_payments[0].to_bits(),
             (r2.outcome.payments[0]).to_bits()
         );
     }
@@ -1537,19 +1429,8 @@ mod durable_tests {
         // `RoundOpened`: the restarted session must fold round 0 as settled
         // and resume round 1 from its replayed partial state, landing on the
         // same outcome as the uninterrupted run.
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs(3);
         let session = ChaosSessionConfig::new(2, ChaosConfig::reliable(21));
-        let reference = run_chaos_session_durable(
-            &mech,
-            &config(),
-            &session,
-            |_, _| specs.clone(),
-            &CrashPlan::none(),
-            Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
+        let reference = run_durable(&session, 3, &CrashPlan::none(), Vec::new());
 
         let replay = crate::journal::read_journal(&reference.journal_bytes).unwrap();
         let opened_round_1 = replay
@@ -1560,32 +1441,32 @@ mod durable_tests {
         let boundaries = JournalReplay::boundaries(&reference.journal_bytes);
         // Keep RoundOpened plus the first bid of round 1.
         let cut = boundaries[opened_round_1 + 2];
-        let resumed = run_chaos_session_durable(
-            &mech,
-            &config(),
+        let resumed = run_durable(
             &session,
-            |_, _| specs.clone(),
+            3,
             &CrashPlan::none(),
             reference.journal_bytes[..cut].to_vec(),
-            noop_collector(),
-        )
-        .unwrap();
+        );
 
-        assert_eq!(resumed.recovered_rounds, 1, "round 0 folded as sealed");
-        assert_eq!(resumed.session.rounds.len(), 1, "round 1 resumed live");
-        assert!(resumed.records_replayed >= 2, "partial round 1 replayed");
-        let r1 = resumed.session.rounds[0]
-            .settled()
-            .expect("round 1 settles");
-        let want = reference.session.rounds[1]
+        assert_eq!(
+            resumed.report.recovered_rounds, 1,
+            "round 0 folded as sealed"
+        );
+        assert_eq!(resumed.report.rounds.len(), 1, "round 1 resumed live");
+        assert!(
+            resumed.report.recovery.records_replayed >= 2,
+            "partial round 1 replayed"
+        );
+        let r1 = resumed.report.rounds[0].settled().expect("round 1 settles");
+        let want = reference.report.rounds[1]
             .settled()
             .expect("reference round 1 settled");
         assert_eq!(r1.outcome.payments, want.outcome.payments);
         assert_eq!(r1.outcome.rates, want.outcome.rates);
         for i in 0..3 {
             assert_eq!(
-                resumed.cumulative_payments[i].to_bits(),
-                reference.cumulative_payments[i].to_bits(),
+                resumed.report.cumulative_payments[i].to_bits(),
+                reference.report.cumulative_payments[i].to_bits(),
                 "machine {i}"
             );
         }

@@ -48,15 +48,14 @@ use crate::faults::FaultPlan;
 use crate::message::{Message, RoundId};
 use crate::network::MessageStats;
 use crate::node::{NodeAgent, NodeSpec};
-use crate::runtime::ProtocolConfig;
+use crate::runtime::{ProtocolConfig, RoundReport, RoundSpec};
 use lb_core::{inv_sum_dd, merge_inv_sums, CoreError, TwoF64};
-use lb_mechanism::{MechanismError, VerifiedMechanism};
+use lb_mechanism::MechanismError;
 use lb_prof::{LatencySketch, RoundProfiler, WireShardProfile, PHASES};
 use lb_sim::driver::{simulate_partition_observed, simulate_partition_timed, SimulationConfig};
-use lb_telemetry::{
-    noop_collector, Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext,
-};
+use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,28 +106,6 @@ pub struct ShardPhaseTimings {
     pub settle: f64,
 }
 
-/// Outcome of one sharded round, read from the root coordinator's ledger
-/// (full-width; excluded machines have rate 0 and payment 0).
-#[derive(Debug, Clone)]
-pub struct ShardRoundReport {
-    /// Per-machine assigned rates.
-    pub rates: Vec<f64>,
-    /// Per-machine payments from the durable ledger.
-    pub payments: Vec<f64>,
-    /// Verification estimates (0 for excluded machines).
-    pub estimated_exec_values: Vec<f64>,
-    /// Which machines were excluded from the round.
-    pub excluded: Vec<bool>,
-    /// Protocol anomalies the root absorbed.
-    pub anomalies: crate::trace::AnomalyStats,
-    /// Control-plane traffic, both tiers combined.
-    pub stats: MessageStats,
-    /// Number of shard coordinators the round ran over.
-    pub shards: usize,
-    /// Per-phase wall-clock timings.
-    pub timings: ShardPhaseTimings,
-}
-
 /// Control messages a fault-free sharded round exchanges: the
 /// single-coordinator `5n` (request, bid, assign, ack, payment per node)
 /// plus one `ShardSum` and one `ShardEstimates` per shard.
@@ -138,10 +115,7 @@ pub fn expected_sharded_message_count(n: usize, shards: usize) -> u64 {
 }
 
 fn codec_err(e: CodecError) -> ProtocolError {
-    MechanismError::Core(CoreError::Infeasible {
-        reason: e.to_string(),
-    })
-    .into()
+    crate::network::codec_error(e).into()
 }
 
 /// Counts one encoded frame into shard-local stats and, when telemetry is
@@ -191,8 +165,8 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
 }
 
 /// Whether a machine's bid is lost on the way up. `lose_bid_attempts` with
-/// any `k >= 1` is fatal here because the sharded driver, like
-/// [`crate::faults::run_protocol_round_with_faults`], never retries.
+/// any `k >= 1` is fatal here because the sharded driver, like a chaos
+/// round with `bid_retries: 0`, never retries.
 fn bid_lost(faults: &FaultPlan, machine: u32) -> bool {
     faults.lose_bids_from.contains(&machine)
         || faults.partitioned.contains(&machine)
@@ -531,53 +505,33 @@ fn join_stage(
 /// uninterrupted run would have, so crash-recovered and uninterrupted rounds
 /// produce byte-identical journals.
 ///
-/// `faults` drops frames exactly as
-/// [`crate::faults::run_protocol_round_with_faults`]: lost bids exclude the
-/// machine at the bid timeout, lost acks don't delay settlement, partitioned
-/// machines see nothing.
+/// `faults` drops frames exactly as a single-coordinator round under
+/// [`crate::chaos::ChaosConfig`] with `bid_retries: 0`: lost bids exclude
+/// the machine at the bid timeout, lost acks don't delay settlement,
+/// partitioned machines see nothing.
 ///
-/// # Errors
-/// Propagates mechanism errors (notably
-/// [`lb_mechanism::MechanismError::NeedTwoAgents`] when fewer than two bids
-/// survive), journal failures (including injected crashes) and codec
-/// errors. A panicking shard worker no longer takes the root down: it
-/// surfaces as [`ProtocolError::ShardPanicked`] after every other worker
-/// has been joined, with the journal truncated at a record boundary so the
-/// round replays exactly like any other crash-interrupted round.
-///
-/// # Panics
-/// Panics only with a strict root, on protocol violations.
-pub fn drive_sharded_round(
-    root: &mut Coordinator<'_>,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    shards: usize,
-    faults: &FaultPlan,
-) -> Result<(MessageStats, ShardPhaseTimings), ProtocolError> {
-    drive_sharded_round_profiled(root, specs, config, shards, faults, None)
-}
-
-/// [`drive_sharded_round`] with an optional [`RoundProfiler`] attached.
-///
-/// When the profiler samples this round, each shard's verify worker ships a
-/// [`Message::ShardProfile`] frame (its per-machine wall-time sketch plus
-/// its slowest machine) alongside the estimates, and the root ingests them
-/// into the profiler's cross-shard rollup together with each worker's
-/// per-phase wall time. Profiling frames are counted exclusively by the
-/// profiler's own accounting — never [`MessageStats`] or the `net.*`
+/// With a `profiler` that samples this round, each shard's verify worker
+/// ships a [`Message::ShardProfile`] frame (its per-machine wall-time
+/// sketch plus its slowest machine) alongside the estimates, and the root
+/// ingests them into the profiler's cross-shard rollup together with each
+/// worker's per-phase wall time. Profiling frames are counted exclusively
+/// by the profiler's own accounting — never [`MessageStats`] or the `net.*`
 /// counters — and the probe observes the verification kernel without
 /// participating, so rates, payments, estimates, exclusions, the journal
 /// and the message statistics are bit-identical with the profiler attached,
 /// detached, or sampling.
 ///
 /// # Errors
-/// As [`drive_sharded_round`], plus
-/// [`ProtocolError::ReplayMismatch`] if a profiled verify worker returns a
-/// missing or corrupt profile frame.
-///
-/// # Panics
-/// Panics only with a strict root, on protocol violations.
-pub fn drive_sharded_round_profiled(
+/// Propagates mechanism errors (notably
+/// [`lb_mechanism::MechanismError::NeedTwoAgents`] when fewer than two bids
+/// survive), journal failures (including injected crashes) and codec
+/// errors; [`ProtocolError::ReplayMismatch`] if a profiled verify worker
+/// returns a missing or corrupt profile frame. A panicking shard worker
+/// does not take the root down: it surfaces as
+/// [`ProtocolError::ShardPanicked`] after every other worker has been
+/// joined, with the journal truncated at a record boundary so the round
+/// replays exactly like any other crash-interrupted round.
+pub fn drive_sharded_round(
     root: &mut Coordinator<'_>,
     specs: &[NodeSpec],
     config: &ProtocolConfig,
@@ -1043,131 +997,55 @@ fn deliver_payments(
     Ok((stats, elapsed))
 }
 
-/// Runs one fault-free sharded round from scratch and reads the outcome off
-/// the root's ledger.
-///
-/// # Errors
-/// Propagates mechanism, journal and codec errors — see
-/// [`drive_sharded_round`].
-///
-/// # Panics
-/// Panics if a shard worker thread panics or on protocol violations (the
-/// root is strict: on a loss-free transport any violation is a bug).
-pub fn run_round_sharded<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
+/// Runs `spec`'s round over `shards` shard coordinators. The root carries
+/// `collector` — its `round`/`phase.*` spans plus per-shard
+/// `shard.collect` / `shard.verify` / `shard.execute` spans (each parenting
+/// its machines' `sim.machine` spans) and `shard.settle` instants,
+/// timestamped with wall-clock seconds since the round started — and
+/// `profiler` profiles it.
+pub(crate) fn run_sharded(
+    spec: &RoundSpec<'_>,
     shards: usize,
-) -> Result<ShardRoundReport, ProtocolError> {
-    run_round_sharded_observed(mechanism, specs, config, shards, noop_collector())
-}
-
-/// [`run_round_sharded`] with a telemetry collector attached: the root's
-/// `round`/`phase.*` spans plus per-shard `shard.collect` / `shard.verify` /
-/// `shard.execute` spans (each parenting its machines' `sim.machine` spans)
-/// and `shard.settle` instants, timestamped with wall-clock seconds since
-/// the round started.
-///
-/// # Errors
-/// Propagates mechanism, journal and codec errors — see
-/// [`drive_sharded_round`].
-///
-/// # Panics
-/// Panics if a shard worker thread panics or on protocol violations.
-pub fn run_round_sharded_observed<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    shards: usize,
+    profiler: Option<&RefCell<RoundProfiler>>,
     collector: Arc<dyn Collector>,
-) -> Result<ShardRoundReport, ProtocolError> {
-    let n = specs.len();
+) -> Result<RoundReport, ProtocolError> {
     let round = RoundId(0);
-    let mut root = Coordinator::try_new(mechanism, n, config.total_rate, round, config.simulation)?
-        .with_strict(true)
-        .with_collector(Arc::clone(&collector));
+    let config = &spec.config;
+    let mut root = Coordinator::try_new(
+        spec.mechanism,
+        spec.specs.len(),
+        config.total_rate,
+        round,
+        config.simulation,
+    )?
+    .with_collector(Arc::clone(&collector));
     if collector.enabled() {
         root = root.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
     }
-    let (stats, timings) =
-        drive_sharded_round(&mut root, specs, config, shards, &FaultPlan::none())?;
-    report_from_root(&root, stats, shards, timings)
-}
-
-/// [`run_round_sharded_observed`] with a [`RoundProfiler`] attached: when
-/// the profiler samples round 0 it collects the cross-shard rollup, the
-/// per-phase trend series, and the per-shard `shard.phase.seconds` gauges,
-/// all without perturbing the round's outcome (rates, payments, estimates,
-/// exclusions, journal and message statistics are bit-identical to the
-/// unprofiled run).
-///
-/// # Errors
-/// Propagates mechanism, journal and codec errors — see
-/// [`drive_sharded_round_profiled`].
-///
-/// # Panics
-/// Panics if a shard worker thread panics or on protocol violations.
-pub fn run_round_sharded_profiled<M: VerifiedMechanism>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    shards: usize,
-    collector: Arc<dyn Collector>,
-    profiler: &mut RoundProfiler,
-) -> Result<ShardRoundReport, ProtocolError> {
-    let n = specs.len();
-    let round = RoundId(0);
-    let mut root = Coordinator::try_new(mechanism, n, config.total_rate, round, config.simulation)?
-        .with_strict(true)
-        .with_collector(Arc::clone(&collector));
-    if collector.enabled() {
-        root = root.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
-    }
-    let (stats, timings) = drive_sharded_round_profiled(
+    let mut profiler = profiler.map(RefCell::borrow_mut);
+    let (stats, _) = drive_sharded_round(
         &mut root,
-        specs,
+        spec.specs,
         config,
         shards,
         &FaultPlan::none(),
-        Some(profiler),
+        profiler.as_deref_mut(),
     )?;
-    report_from_root(&root, stats, shards, timings)
+    report_from_root(&root, spec.specs, stats)
 }
 
-/// Reads the full-width outcome off a settled root coordinator.
+/// Reads the full-width outcome off a settled root coordinator: rates,
+/// payments and estimates from its ledger, utilities from the ledger and
+/// each machine's actual execution value in `specs`.
 ///
 /// # Errors
 /// Returns [`ProtocolError::MissingState`] if the round has not settled.
 pub fn report_from_root(
     root: &Coordinator<'_>,
+    specs: &[NodeSpec],
     stats: MessageStats,
-    shards: usize,
-    timings: ShardPhaseTimings,
-) -> Result<ShardRoundReport, ProtocolError> {
-    let n = root.bid_slots().len();
-    let alloc = root
-        .allocation()
-        .ok_or(ProtocolError::MissingState { what: "allocation" })?;
-    let payments = root
-        .payments()
-        .ok_or(ProtocolError::MissingState { what: "payments" })?
-        .to_vec();
-    let estimated = root
-        .estimated_exec_values()
-        .ok_or(ProtocolError::MissingState {
-            what: "execution estimates",
-        })?
-        .to_vec();
-    Ok(ShardRoundReport {
-        rates: (0..n).map(|i| alloc.rate(i)).collect(),
-        payments,
-        estimated_exec_values: estimated,
-        excluded: root.excluded().to_vec(),
-        anomalies: *root.anomalies(),
-        stats,
-        shards: shard_ranges(n, shards).len(),
-        timings,
-    })
+) -> Result<RoundReport, ProtocolError> {
+    RoundReport::settled(root, specs, &[], stats)
 }
 
 #[cfg(test)]
@@ -1175,10 +1053,10 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalReplay, MemJournal};
     use crate::recovery::{recover_round, RoundContext};
-    use crate::runtime::run_protocol_round;
+    use crate::runtime::{run_round, Observers, Transport};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
     use lb_mechanism::CompensationBonusMechanism;
-    use std::cell::RefCell;
+    use lb_telemetry::noop_collector;
     use std::rc::Rc;
 
     fn config() -> ProtocolConfig {
@@ -1191,6 +1069,21 @@ mod tests {
             },
             ..ProtocolConfig::default()
         }
+    }
+
+    fn sharded(
+        mech: &CompensationBonusMechanism,
+        specs: &[NodeSpec],
+        shards: usize,
+        profiler: Option<&RefCell<RoundProfiler>>,
+        observers: Observers,
+    ) -> RoundReport {
+        let spec = RoundSpec {
+            transport: Transport::Sharded { shards, profiler },
+            observers,
+            ..RoundSpec::new(mech, specs, config())
+        };
+        run_round(&spec).unwrap()
     }
 
     fn truthful_specs() -> Vec<NodeSpec> {
@@ -1219,79 +1112,32 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_sharded_round_matches_the_single_coordinator_runtime() {
-        let mech = CompensationBonusMechanism::paper();
-        let mut specs = truthful_specs();
-        specs[0] = NodeSpec::strategic(1.0, 1.0, 2.0); // a lazy machine
-        let single = run_protocol_round(&mech, &specs, &config()).unwrap();
-        let sharded = run_round_sharded(&mech, &specs, &config(), 4).unwrap();
-
-        assert_eq!(single.rates, sharded.rates, "allocations bit-identical");
-        assert_eq!(single.payments, sharded.payments, "payments bit-identical");
-        assert_eq!(
-            single.estimated_exec_values, sharded.estimated_exec_values,
-            "verification estimates bit-identical"
-        );
-        assert!(sharded.excluded.iter().all(|&x| !x));
-        assert_eq!(sharded.anomalies.total(), 0);
-        assert_eq!(
-            sharded.stats.messages,
-            expected_sharded_message_count(specs.len(), 4)
-        );
-    }
-
-    #[test]
     fn shard_count_is_a_no_op_for_the_round_outcome() {
         let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let reference = run_round_sharded(&mech, &specs, &config(), 1).unwrap();
-        for k in [2usize, 3, 5, 7, 16, 64] {
-            let report = run_round_sharded(&mech, &specs, &config(), k).unwrap();
-            assert_eq!(reference.rates, report.rates, "k = {k}");
-            assert_eq!(reference.payments, report.payments, "k = {k}");
+        let mut specs = truthful_specs();
+        // A lazy machine: its verification estimate differs from its bid.
+        specs[0] = NodeSpec::strategic(1.0, 1.0, 2.0);
+        let reference = run_round(&RoundSpec::new(&mech, &specs, config())).unwrap();
+        assert_ne!(reference.outcome.estimated_exec_values[0], 1.0);
+        for k in [1usize, 2, 3, 4, 5, 7, 16, 64] {
+            let report = sharded(&mech, &specs, k, None, Observers::default());
+            assert!(report.excluded.iter().all(|&x| !x), "k = {k}");
+            assert_eq!(report.anomalies.total(), 0, "k = {k}");
             assert_eq!(
-                reference.estimated_exec_values, report.estimated_exec_values,
+                report.outcome.stats.messages,
+                expected_sharded_message_count(specs.len(), k),
+                "k = {k}"
+            );
+            assert_eq!(reference.outcome.rates, report.outcome.rates, "k = {k}");
+            assert_eq!(
+                reference.outcome.payments, report.outcome.payments,
+                "k = {k}"
+            );
+            assert_eq!(
+                reference.outcome.estimated_exec_values, report.outcome.estimated_exec_values,
                 "k = {k}"
             );
         }
-    }
-
-    #[test]
-    fn faulted_sharded_round_matches_the_lossy_runtime() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let faults = FaultPlan {
-            lose_bids_from: vec![0],
-            lose_acks_from: vec![3],
-            partitioned: vec![5],
-            lose_bid_attempts: vec![(9, 2)],
-        };
-        let single =
-            crate::faults::run_protocol_round_with_faults(&mech, &specs, &config(), &faults)
-                .unwrap();
-
-        let mut root = Coordinator::try_new(
-            &mech,
-            specs.len(),
-            config().total_rate,
-            RoundId(0),
-            config().simulation,
-        )
-        .unwrap()
-        .with_strict(true);
-        let (stats, _timings) =
-            drive_sharded_round(&mut root, &specs, &config(), 3, &faults).unwrap();
-        let report = report_from_root(&root, stats, 3, ShardPhaseTimings::default()).unwrap();
-
-        assert_eq!(single.rates, report.rates);
-        assert_eq!(single.payments, report.payments);
-        assert_eq!(single.estimated_exec_values, report.estimated_exec_values);
-        for &m in &[0usize, 5, 9] {
-            assert!(report.excluded[m], "machine {m} excluded");
-            assert_eq!(report.payments[m], 0.0);
-        }
-        assert!(!report.excluded[3], "a lost ack is not an exclusion");
-        assert_eq!(report.anomalies.total(), 0, "drops cause no anomalies");
     }
 
     #[test]
@@ -1317,7 +1163,7 @@ mod tests {
         let mut root = Coordinator::try_new(&mech, ctx.n, ctx.total_rate, ctx.round, ctx.sim)
             .unwrap()
             .with_journal(journal.clone());
-        drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+        drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none(), None).unwrap();
         let reference_bytes = journal.borrow().bytes().unwrap();
         let reference_payments = root.payments().unwrap().to_vec();
         assert!(root.is_sealed());
@@ -1331,7 +1177,7 @@ mod tests {
                 Rc::new(RefCell::new(MemJournal::from_bytes(truncated)));
             let (mut root, _report) =
                 recover_round(&mech, recovered.clone(), &ctx, noop_collector(), 0.0).unwrap();
-            drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+            drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none(), None).unwrap();
             assert_eq!(
                 root.payments().unwrap(),
                 &reference_payments[..],
@@ -1352,7 +1198,16 @@ mod tests {
         let specs = truthful_specs();
         let ring = Arc::new(RingCollector::new(16_384));
         let k = 4;
-        let report = run_round_sharded_observed(&mech, &specs, &config(), k, ring.clone()).unwrap();
+        let report = sharded(
+            &mech,
+            &specs,
+            k,
+            None,
+            Observers {
+                collector: ring.clone(),
+                ..Observers::default()
+            },
+        );
 
         let events = ring.snapshot();
         let spans = replay_spans(&events).expect("recording replays cleanly");
@@ -1396,8 +1251,8 @@ mod tests {
         // The net counters agree with the report's frame accounting.
         let mut reg = lb_telemetry::MetricsRegistry::new();
         reg.ingest(&events);
-        assert_eq!(reg.counter("net.messages"), report.stats.messages);
-        assert_eq!(reg.counter("net.bytes"), report.stats.bytes);
+        assert_eq!(reg.counter("net.messages"), report.outcome.stats.messages);
+        assert_eq!(reg.counter("net.bytes"), report.outcome.stats.bytes);
     }
 
     #[test]
@@ -1405,31 +1260,30 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         let specs = truthful_specs();
         let k = 4;
-        let plain = run_round_sharded(&mech, &specs, &config(), k).unwrap();
+        let plain = sharded(&mech, &specs, k, None, Observers::default());
 
-        let mut profiler = RoundProfiler::new();
-        let profiled = run_round_sharded_profiled(
-            &mech,
-            &specs,
-            &config(),
-            k,
-            noop_collector(),
-            &mut profiler,
-        )
-        .unwrap();
+        let profiler = RefCell::new(RoundProfiler::new());
+        let profiled = sharded(&mech, &specs, k, Some(&profiler), Observers::default());
+        let profiler = profiler.into_inner();
 
-        assert_eq!(plain.rates, profiled.rates, "allocations bit-identical");
-        assert_eq!(plain.payments, profiled.payments, "payments bit-identical");
         assert_eq!(
-            plain.estimated_exec_values, profiled.estimated_exec_values,
+            plain.outcome.rates, profiled.outcome.rates,
+            "allocations bit-identical"
+        );
+        assert_eq!(
+            plain.outcome.payments, profiled.outcome.payments,
+            "payments bit-identical"
+        );
+        assert_eq!(
+            plain.outcome.estimated_exec_values, profiled.outcome.estimated_exec_values,
             "estimates bit-identical"
         );
         assert_eq!(plain.excluded, profiled.excluded);
         assert_eq!(
-            plain.stats.messages, profiled.stats.messages,
+            plain.outcome.stats.messages, profiled.outcome.stats.messages,
             "profile frames never enter the protocol's message count"
         );
-        assert_eq!(plain.stats.bytes, profiled.stats.bytes);
+        assert_eq!(plain.outcome.stats.bytes, profiled.outcome.stats.bytes);
 
         assert_eq!(profiler.rounds_profiled(), 1);
         let (frames, bytes) = profiler.frames();
@@ -1471,12 +1325,11 @@ mod tests {
             round,
             config().simulation,
         )
-        .unwrap()
-        .with_strict(true);
+        .unwrap();
         // Every-2nd-round sampling: round 1 is off-sample, so the profiled
         // driver must behave exactly like the plain one.
         let mut profiler = RoundProfiler::sampled(2);
-        let (stats, _timings) = drive_sharded_round_profiled(
+        let (stats, _timings) = drive_sharded_round(
             &mut root,
             &specs,
             &config(),
@@ -1492,10 +1345,11 @@ mod tests {
         assert_eq!(profiler.rounds_profiled(), 0);
         assert_eq!(profiler.frames(), (0, 0));
         assert!(profiler.rollup().is_empty());
-        let report = report_from_root(&root, stats, 3, ShardPhaseTimings::default()).unwrap();
-        let plain = run_round_sharded(&mech, &specs, &config(), 3).unwrap();
-        assert_eq!(plain.rates, report.rates);
-        assert_eq!(plain.payments, report.payments);
+        let report = report_from_root(&root, &specs, stats).unwrap();
+        assert_eq!(report.anomalies.total(), 0);
+        let plain = sharded(&mech, &specs, 3, None, Observers::default());
+        assert_eq!(plain.outcome.rates, report.outcome.rates);
+        assert_eq!(plain.outcome.payments, report.outcome.payments);
     }
 
     #[test]
@@ -1505,10 +1359,17 @@ mod tests {
         let specs = truthful_specs();
         let ring = Arc::new(RingCollector::new(16_384));
         let k = 4;
-        let mut profiler = RoundProfiler::new();
-        let report =
-            run_round_sharded_profiled(&mech, &specs, &config(), k, ring.clone(), &mut profiler)
-                .unwrap();
+        let profiler = RefCell::new(RoundProfiler::new());
+        let report = sharded(
+            &mech,
+            &specs,
+            k,
+            Some(&profiler),
+            Observers {
+                collector: ring.clone(),
+                ..Observers::default()
+            },
+        );
 
         let events = ring.snapshot();
         replay_spans(&events).expect("profiled recording still replays cleanly");
@@ -1516,8 +1377,8 @@ mod tests {
         // frames are invisible to the protocol's accounting.
         let mut reg = lb_telemetry::MetricsRegistry::new();
         reg.ingest(&events);
-        assert_eq!(reg.counter("net.messages"), report.stats.messages);
-        assert_eq!(reg.counter("net.bytes"), report.stats.bytes);
+        assert_eq!(reg.counter("net.messages"), report.outcome.stats.messages);
+        assert_eq!(reg.counter("net.bytes"), report.outcome.stats.bytes);
 
         let gauges: Vec<_> = events
             .iter()
@@ -1550,7 +1411,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            drive_sharded_round(&mut root, &specs, &config(), 2, &FaultPlan::none()),
+            drive_sharded_round(&mut root, &specs, &config(), 2, &FaultPlan::none(), None),
             Err(ProtocolError::Mechanism(MechanismError::Core(
                 CoreError::LengthMismatch { .. }
             )))
@@ -1628,14 +1489,14 @@ mod tests {
             config().simulation,
         )
         .unwrap()
-        .with_journal(Rc::clone(&journal))
-        .with_strict(true);
+        .with_journal(Rc::clone(&journal));
         let (stats, _timings) =
-            drive_sharded_round(&mut root, &specs, &config(), 3, &faults).unwrap();
-        let report = report_from_root(&root, stats, 3, ShardPhaseTimings::default()).unwrap();
+            drive_sharded_round(&mut root, &specs, &config(), 3, &faults, None).unwrap();
+        let report = report_from_root(&root, &specs, stats).unwrap();
+        assert_eq!(report.anomalies.total(), 0);
         assert!(report.excluded[5], "silent machine is excluded");
-        assert_eq!(report.rates[5], 0.0);
-        assert_eq!(report.payments[5], 0.0);
+        assert_eq!(report.outcome.rates[5], 0.0);
+        assert_eq!(report.outcome.payments[5], 0.0);
         assert!(root.is_sealed(), "round completes and seals");
         // The journal of the degraded round still replays cleanly.
         let replay = crate::journal::read_journal(&journal.borrow().bytes().unwrap()).unwrap();

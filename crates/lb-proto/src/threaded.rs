@@ -1,46 +1,39 @@
-//! Threaded protocol runtime: real concurrency, identical outcomes.
+//! The OS-thread transport: real concurrency, identical outcomes.
 //!
-//! The same round as [`crate::runtime::run_protocol_round`], but each node
-//! runs on its own scoped OS thread and talks to the coordinator over
-//! `std::sync::mpsc` channels carrying *encoded* frames. The coordinator serialises message
-//! handling (its state machine is sequential by design), so the outcome is
-//! bit-identical to the deterministic runtime — asserted by tests — while
-//! the transport is genuinely concurrent.
+//! Each machine runs on its own scoped OS thread and talks to the
+//! coordinator over `std::sync::mpsc` channels carrying *encoded* frames.
+//! The coordinator runs the one round engine ([`crate::chaos`]) on the
+//! calling thread — its state machine is sequential by design — so the
+//! outcome is bit-identical to the simulated transports while the transport
+//! is genuinely concurrent. Channels cannot lose frames, so the round arms
+//! no retry timers.
 //!
 //! # Distributed tracing
 //!
-//! When a sampled round runs with a collector attached
-//! ([`run_protocol_round_threaded_sampled`]), every coordinator frame
-//! carries a [`TraceContext`] trailer naming the currently open phase span.
-//! Node threads continue that trace: they open `node.bid` / `node.execute`
-//! spans parented on the span named in the trailer and stamp their replies
-//! with the child context, so one round stitches into a single trace across
-//! all threads. The parent is always still open when a node span starts —
-//! the coordinator records a phase span *before* sending the phase's frames
-//! and closes it only *after* receiving the replies the nodes record their
-//! spans ahead of. Unsampled or untraced rounds put nothing on the wire and
-//! are byte-identical to the pre-tracing protocol.
+//! When a sampled round runs with a collector attached, every coordinator
+//! frame carries a [`lb_telemetry::TraceContext`] trailer naming the
+//! currently open phase span, and node threads continue that trace through
+//! the same node handler the simulated network uses, so one round stitches
+//! into a single trace across all threads. The parent is always still open
+//! when a node span starts: the coordinator records a phase span *before*
+//! sending the phase's frames and closes it only *after* receiving the
+//! replies the nodes record their spans ahead of.
 
+use crate::chaos::{drive_round, ChaosNetStats};
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
+use crate::coordinator::{Coordinator, ProtocolError};
 use crate::message::{Message, RoundId};
-use crate::network::MessageStats;
+use crate::network::{codec_error, Delivery, Endpoint, Link, MessageStats, NetPoll};
 use crate::node::{NodeAgent, NodeSpec};
-use crate::runtime::{ProtocolConfig, ProtocolOutcome};
-use lb_mechanism::{MechanismError, VerifiedMechanism};
-use lb_telemetry::{
-    noop_collector, Collector, Exposition, Field, MetricsRegistry, RingCollector, Sampler, SpanId,
-    Subsystem, TraceContext,
-};
+use crate::runtime::{RoundReport, RoundSpec};
+use lb_mechanism::MechanismError;
+use lb_sim::events::EventQueue;
+use lb_sim::time::SimTime;
+use lb_telemetry::{Collector, Subsystem, TraceContext};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
-
-fn codec_err(e: CodecError) -> MechanismError {
-    MechanismError::Core(lb_core::CoreError::Infeasible {
-        reason: e.to_string(),
-    })
-}
 
 fn chan_err(context: &str) -> MechanismError {
     MechanismError::Core(lb_core::CoreError::Infeasible {
@@ -48,349 +41,226 @@ fn chan_err(context: &str) -> MechanismError {
     })
 }
 
-/// Runs one protocol round with every node on its own thread.
-///
-/// # Errors
-/// Propagates mechanism/simulation/codec errors. A codec failure on any
-/// thread (or a channel closed by an early error) surfaces as an `Err`; the
-/// worker threads shut down cleanly in every error path rather than
-/// panicking or deadlocking.
-///
-/// # Panics
-/// Panics if `specs` is empty, or if a worker thread panics.
-pub fn run_protocol_round_threaded<M: VerifiedMechanism + Sync>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-) -> Result<ProtocolOutcome, MechanismError> {
-    run_protocol_round_threaded_observed(mechanism, specs, config, noop_collector())
+/// A frame on the shared node → coordinator lane; a worker that cannot
+/// decode its inbound frame reports the codec error instead of panicking.
+type NodeFrame = (u32, Result<Vec<u8>, CodecError>);
+
+/// The channel transport: one lane down to each node thread, one shared
+/// lane back up. Every frame is counted on the coordinator's side as it is
+/// sent or received.
+struct ThreadLink<'scope> {
+    to_nodes: Vec<Sender<Vec<u8>>>,
+    from_nodes: Receiver<NodeFrame>,
+    workers: Vec<ScopedJoinHandle<'scope, NodeAgent>>,
+    /// Replies still owed: one per bid request and per assignment sent.
+    awaiting: usize,
+    stats: MessageStats,
+    collector: Arc<dyn Collector>,
+    epoch: Instant,
 }
 
-/// [`run_protocol_round_threaded`] with a telemetry collector attached.
-///
-/// Unlike the deterministic runtimes there is no simulated clock here, so
-/// events are timestamped with *wall-clock seconds since the round started*
-/// (a monotonic [`Instant`] offset). Node threads bump the `net.messages` /
-/// `net.bytes` counters concurrently — which is exactly why [`Collector`]
-/// implementations must be thread-safe — while the coordinator's phase spans
-/// come from its own sequential state machine, so the recording still
-/// replays cleanly.
-///
-/// # Errors
-/// Propagates the same errors as [`run_protocol_round_threaded`].
-///
-/// # Panics
-/// Panics if `specs` is empty, or if a worker thread panics.
-pub fn run_protocol_round_threaded_observed<M: VerifiedMechanism + Sync>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    collector: Arc<dyn Collector>,
-) -> Result<ProtocolOutcome, MechanismError> {
-    run_protocol_round_threaded_sampled(mechanism, specs, config, collector, &Sampler::Always)
-}
-
-/// [`run_protocol_round_threaded_observed`] with an explicit head-based
-/// sampling policy for the wire-propagated trace.
-///
-/// When the collector is enabled, the round's [`TraceContext`] is derived
-/// deterministically from `(config.simulation.seed, round)` and `sampler`
-/// decides — once, at the head of the round — whether it goes on the wire.
-/// Sampled rounds append the context trailer to every frame and the node
-/// threads record `node.bid` / `node.execute` spans (plus a `node.payment`
-/// instant) that stitch into the coordinator's phase spans. Unsampled
-/// rounds carry no trailer: the byte stream is identical to an untraced
-/// run, and allocations and payments are identical in every case.
-///
-/// # Errors
-/// Propagates the same errors as [`run_protocol_round_threaded`].
-///
-/// # Panics
-/// Panics if `specs` is empty, or if a worker thread panics.
-pub fn run_protocol_round_threaded_sampled<M: VerifiedMechanism + Sync>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    collector: Arc<dyn Collector>,
-    sampler: &Sampler,
-) -> Result<ProtocolOutcome, MechanismError> {
-    assert!(
-        !specs.is_empty(),
-        "run_protocol_round_threaded: need at least one node"
-    );
-    let n = specs.len();
-    let round = RoundId(0);
-    let actual_exec: Vec<f64> = specs.iter().map(|s| s.exec_value).collect();
-    let epoch = Instant::now();
-
-    // One deterministic trace per round; the sampling decision is made here
-    // at the head and propagated to every participant in the wire context.
-    let trace = collector.enabled().then(|| {
-        TraceContext::root(
-            config.simulation.seed,
-            round.0,
-            sampler.admits(config.simulation.seed, round.0),
-        )
-    });
-
-    let stats = Mutex::new(MessageStats::default());
-    let count = |stats: &Mutex<MessageStats>, payload: &[u8]| {
-        let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
-        s.messages += 1;
-        s.bytes += payload.len() as u64;
-        drop(s);
-        if collector.enabled() {
-            let at = epoch.elapsed().as_secs_f64();
-            collector.counter(at, "net.messages", Subsystem::Network, 1);
-            collector.counter(at, "net.bytes", Subsystem::Network, payload.len() as u64);
-        }
-    };
-
-    let finished_nodes: Mutex<Vec<Option<NodeAgent>>> = Mutex::new((0..n).map(|_| None).collect());
-
-    let result: Result<(Vec<f64>, MessageStats), MechanismError> = std::thread::scope(|scope| {
-        // Channels: coordinator -> node i, and a shared node ->
-        // coordinator lane carrying `Result` so a worker can report a
-        // corrupt frame instead of panicking. Created *inside* the scope
-        // so an early `?` return drops every sender, unblocking worker
-        // `recv`s and letting the scope join instead of deadlocking.
-        type NodeFrame = (u32, Result<Vec<u8>, CodecError>);
-        let (to_coord_tx, to_coord_rx): (Sender<NodeFrame>, Receiver<NodeFrame>) = channel();
-        let mut to_node_txs: Vec<Sender<Option<Vec<u8>>>> = Vec::with_capacity(n);
-        let mut node_rxs: Vec<Receiver<Option<Vec<u8>>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            to_node_txs.push(tx);
-            node_rxs.push(rx);
-        }
-
-        // Node threads: decode incoming frames, reply through the shared lane.
-        for (i, rx) in node_rxs.into_iter().enumerate() {
-            let to_coord = to_coord_tx.clone();
-            let spec = specs[i];
-            let stats = &stats;
-            let finished = &finished_nodes;
-            let collector = &collector;
-            scope.spawn(move || {
-                let machine = u32::try_from(i).expect("fits u32");
+impl<'scope> ThreadLink<'scope> {
+    /// Spawns one worker per machine, each serving its frames until its
+    /// lane closes and then handing its agent back.
+    fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        specs: &[NodeSpec],
+        collector: &Arc<dyn Collector>,
+        epoch: Instant,
+    ) -> Self {
+        let (to_coord, from_nodes) = channel::<NodeFrame>();
+        let mut to_nodes = Vec::with_capacity(specs.len());
+        let mut workers = Vec::with_capacity(specs.len());
+        for (machine, &spec) in (0u32..).zip(specs) {
+            let (tx, rx) = channel::<Vec<u8>>();
+            to_nodes.push(tx);
+            let to_coord = to_coord.clone();
+            let collector = Arc::clone(collector);
+            workers.push(scope.spawn(move || {
                 let mut agent = NodeAgent::new(machine, spec);
-                while let Ok(Some(frame)) = rx.recv() {
-                    let (message, ctx): (Message, Option<TraceContext>) =
-                        match decode_with_context(&frame) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                // Report the corrupt frame; the coordinator
-                                // turns it into a round error.
-                                let _ = to_coord.send((machine, Err(e)));
-                                break;
-                            }
-                        };
-                    // Continue the coordinator's trace. The span named in
-                    // the trailer is still open: the coordinator records a
-                    // phase span before sending its frames and closes it
-                    // only after receiving the replies this handler sends,
-                    // so the recording replays cleanly despite the
-                    // threads racing each other into the ring.
-                    let ctx = ctx.filter(|c| c.sampled && collector.enabled());
-                    let span = ctx.map_or(SpanId::NULL, |c| {
-                        let at = epoch.elapsed().as_secs_f64();
-                        let fields = vec![Field::u64("machine", u64::from(machine))];
-                        match message {
-                            Message::RequestBid { .. } => collector.span_start_in(
-                                at,
-                                "node.bid",
-                                Subsystem::Node,
-                                SpanId(c.span_id),
-                                fields,
-                            ),
-                            Message::Assign { .. } => collector.span_start_in(
-                                at,
-                                "node.execute",
-                                Subsystem::Node,
-                                SpanId(c.span_id),
-                                fields,
-                            ),
-                            Message::Payment { .. } => {
-                                collector.instant(at, "node.payment", Subsystem::Node, fields);
-                                SpanId::NULL
-                            }
-                            _ => SpanId::NULL,
-                        }
-                    });
-                    let reply = agent.handle(&message);
-                    if !span.is_null() {
-                        // Close before replying: the parent phase span
-                        // cannot end until the reply arrives, so child
-                        // spans always nest inside it.
-                        collector.span_end(epoch.elapsed().as_secs_f64(), span);
-                    }
-                    if let Some(reply) = reply {
-                        let child = ctx.filter(|_| !span.is_null()).map(|c| c.with_span(span.0));
-                        let payload = encode_with_context(&reply, child.as_ref());
-                        count(stats, &payload);
-                        if to_coord.send((machine, Ok(payload))).is_err() {
-                            // Coordinator dropped the lane (early error
-                            // return): shut down quietly.
-                            break;
-                        }
+                let now = || epoch.elapsed().as_secs_f64();
+                while let Ok(frame) = rx.recv() {
+                    let reply = match decode_with_context::<Message>(&frame) {
+                        Ok((message, ctx)) => agent
+                            .serve(&message, ctx, &*collector, now, |_| true)
+                            .map(|(reply, child)| Ok(encode_with_context(&reply, child.as_ref()))),
+                        Err(e) => Some(Err(e)),
+                    };
+                    let Some(reply) = reply else { continue };
+                    let corrupt = reply.is_err();
+                    // A closed lane means the coordinator returned early.
+                    if to_coord.send((machine, reply)).is_err() || corrupt {
+                        break;
                     }
                 }
-                finished.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(agent);
-            });
+                agent
+            }));
         }
-        drop(to_coord_tx);
-
-        // Coordinator: sequential state machine over the shared lane.
-        // Strict — the channel transport never corrupts or reorders
-        // per-sender, so a protocol violation here is a bug.
-        let mut coordinator =
-            Coordinator::new(mechanism, n, config.total_rate, round, config.simulation)
-                .with_strict(true)
-                .with_collector(Arc::clone(&collector));
-        if let Some(ctx) = trace {
-            coordinator = coordinator.with_trace(ctx);
+        Self {
+            to_nodes,
+            from_nodes,
+            workers,
+            awaiting: 0,
+            stats: MessageStats::default(),
+            collector: Arc::clone(collector),
+            epoch,
         }
-        let drive = (|| -> Result<(), MechanismError> {
-            coordinator.set_now(epoch.elapsed().as_secs_f64());
-            let open = coordinator.open();
-            let wire = coordinator.wire_context();
-            for (i, msg) in open.into_iter().enumerate() {
-                let payload = encode_with_context(&msg, wire.as_ref());
-                count(&stats, &payload);
-                to_node_txs[i]
-                    .send(Some(payload))
-                    .map_err(|_| chan_err("node hung up"))?;
-            }
-
-            while coordinator.phase() != CoordinatorPhase::Done {
-                let (_, frame) = to_coord_rx
-                    .recv()
-                    .map_err(|_| chan_err("all nodes hung up"))?;
-                let frame = frame.map_err(codec_err)?;
-                let (message, _child): (Message, Option<TraceContext>) =
-                    decode_with_context(&frame).map_err(codec_err)?;
-                coordinator.set_now(epoch.elapsed().as_secs_f64());
-                let outgoing = coordinator
-                    .handle(&message, &actual_exec)
-                    .map_err(ProtocolError::into_mechanism)?;
-                // Stamp after handling: a phase transition re-parents the
-                // wire context onto the freshly opened phase span.
-                let wire = coordinator.wire_context();
-                for (i, msg) in outgoing {
-                    let payload = encode_with_context(&msg, wire.as_ref());
-                    count(&stats, &payload);
-                    to_node_txs[i as usize]
-                        .send(Some(payload))
-                        .map_err(|_| chan_err("node hung up"))?;
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = drive {
-            // Close any open spans before the early return drops the
-            // senders, so a partial recording still replays cleanly.
-            coordinator.end_telemetry();
-            return Err(e);
-        }
-
-        // Close node channels so threads exit and park their agents.
-        for tx in &to_node_txs {
-            let _ = tx.send(None);
-        }
-        // Drain any straggler frames (none expected, but don't deadlock).
-        while to_coord_rx.try_recv().is_ok() {}
-
-        let payments = coordinator.payments().expect("settled").to_vec();
-        let estimated = coordinator
-            .estimated_exec_values()
-            .expect("verified")
-            .to_vec();
-        let _ = estimated;
-        Ok((
-            payments,
-            *stats.lock().unwrap_or_else(PoisonError::into_inner),
-        ))
-    });
-
-    let (payments, stats) = result?;
-    let nodes = finished_nodes
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let model = mechanism.valuation_model();
-    let mut rates = Vec::with_capacity(n);
-    let mut utilities = Vec::with_capacity(n);
-    let mut estimated = vec![0.0; n];
-    for (i, slot) in nodes.into_iter().enumerate() {
-        let agent = slot.expect("node thread finished");
-        rates.push(agent.assigned_rate.expect("assigned"));
-        utilities.push(agent.utility(model).expect("settled"));
-        let _ = i;
-    }
-    // Re-derive the estimates deterministically (same simulation seed) for
-    // the outcome record: the coordinator's copy was consumed inside the
-    // scope, and the simulation is a pure function of (bids, exec, config).
-    let bids: Vec<f64> = specs.iter().map(|s| s.bid).collect();
-    if let Ok(report) =
-        lb_sim::driver::simulate_round(&bids, &actual_exec, config.total_rate, &config.simulation)
-    {
-        estimated = report.estimated_exec_values;
     }
 
-    Ok(ProtocolOutcome {
-        rates,
-        payments,
-        utilities,
-        estimated_exec_values: estimated,
-        stats,
-    })
+    fn count(&mut self, payload: &[u8]) {
+        self.stats.messages += 1;
+        self.stats.bytes += payload.len() as u64;
+        if self.collector.enabled() {
+            let at = self.epoch.elapsed().as_secs_f64();
+            self.collector
+                .counter(at, "net.messages", Subsystem::Network, 1);
+            self.collector
+                .counter(at, "net.bytes", Subsystem::Network, payload.len() as u64);
+        }
+    }
+
+    /// Closes every lane and joins the workers, returning their agents.
+    fn finish(self) -> Result<Vec<NodeAgent>, ProtocolError> {
+        drop(self.to_nodes);
+        self.workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .map_err(|_| ProtocolError::from(chan_err("node thread panicked")))
+            })
+            .collect()
+    }
 }
 
-/// [`run_protocol_round_threaded_sampled`] that additionally publishes the
-/// round's live telemetry to an [`Exposition`] after settlement.
+impl Link for ThreadLink<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::new(self.epoch.elapsed().as_secs_f64())
+    }
+
+    fn next_arrival_time(&self) -> Option<SimTime> {
+        (self.awaiting > 0).then(|| self.now())
+    }
+
+    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError> {
+        if self.awaiting == 0 {
+            return Ok(None);
+        }
+        let (machine, frame) = self
+            .from_nodes
+            .recv()
+            .map_err(|_| chan_err("all nodes hung up"))?;
+        let frame = frame.map_err(codec_error)?;
+        self.awaiting -= 1;
+        self.count(&frame);
+        let (message, ctx): (Message, Option<TraceContext>) =
+            decode_with_context(&frame).map_err(codec_error)?;
+        Ok(Some(NetPoll::Frame(Delivery {
+            from: Endpoint::Node(machine),
+            to: Endpoint::Coordinator,
+            message,
+            at: self.now(),
+            ctx,
+        })))
+    }
+
+    fn advance_to(&mut self, _at: SimTime) {}
+
+    fn pending(&self) -> usize {
+        self.awaiting
+    }
+
+    fn send(
+        &mut self,
+        _from: Endpoint,
+        to: Endpoint,
+        message: &Message,
+        ctx: Option<&TraceContext>,
+    ) -> Result<(), MechanismError> {
+        let lane = to
+            .node_index()
+            .and_then(|i| self.to_nodes.get(i as usize))
+            .ok_or_else(|| chan_err("no lane to the receiver"))?
+            .clone();
+        let payload = encode_with_context(message, ctx);
+        self.count(&payload);
+        if matches!(message, Message::RequestBid { .. } | Message::Assign { .. }) {
+            self.awaiting += 1;
+        }
+        lane.send(payload).map_err(|_| chan_err("node hung up"))
+    }
+
+    fn stats(&self) -> MessageStats {
+        self.stats
+    }
+
+    fn faults(&self) -> ChaosNetStats {
+        ChaosNetStats::default()
+    }
+}
+
+/// Runs `spec`'s round with every machine on its own thread. The round's
+/// trace is rooted at the simulation seed.
 ///
-/// The ring recording is ingested into a [`MetricsRegistry`] and published
-/// as a Prometheus text-format snapshot alongside the raw trace (JSONL), so
-/// an [`lb_telemetry::ExposeServer`] bound to the same [`Exposition`] serves
-/// the round on `/metrics` and `/trace` the moment it settles. Exposition is
-/// opt-in: the plain entry points never touch a socket or publish anything.
-///
-/// # Errors
-/// Propagates the same errors as [`run_protocol_round_threaded`]. Rounds
-/// that fail publish nothing.
-///
-/// # Panics
-/// Panics if `specs` is empty, or if a worker thread panics.
-pub fn run_protocol_round_threaded_exposed<M: VerifiedMechanism + Sync>(
-    mechanism: &M,
-    specs: &[NodeSpec],
-    config: &ProtocolConfig,
-    collector: Arc<RingCollector>,
-    sampler: &Sampler,
-    exposition: &Exposition,
-) -> Result<ProtocolOutcome, MechanismError> {
-    let outcome = run_protocol_round_threaded_sampled(
-        mechanism,
-        specs,
-        config,
-        Arc::clone(&collector) as Arc<dyn Collector>,
-        sampler,
-    )?;
-    let events = collector.snapshot();
-    let mut registry = MetricsRegistry::new();
-    registry.ingest(&events);
-    exposition.publish_metrics(&registry.snapshot());
-    exposition.publish_trace(&events);
-    Ok(outcome)
+/// Errors surface as `Err` — a codec failure on any thread, or a channel
+/// closed by an early error — and the worker threads shut down cleanly in
+/// every error path rather than panicking or deadlocking.
+pub(crate) fn run_threaded(
+    spec: &RoundSpec<'_>,
+    collector: Arc<dyn Collector>,
+) -> Result<RoundReport, ProtocolError> {
+    let n = spec.specs.len();
+    let round = RoundId(0);
+    let config = &spec.config;
+    let mut coordinator = Coordinator::try_new(
+        spec.mechanism,
+        n,
+        config.total_rate,
+        round,
+        config.simulation,
+    )?
+    .with_collector(Arc::clone(&collector));
+    if collector.enabled() {
+        coordinator =
+            coordinator.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
+    }
+    let actual_exec: Vec<f64> = spec.specs.iter().map(|s| s.exec_value).collect();
+    let epoch = Instant::now();
+    std::thread::scope(|scope| {
+        let mut link = ThreadLink::spawn(scope, spec.specs, &collector, epoch);
+        coordinator.set_now(epoch.elapsed().as_secs_f64());
+        let drive = drive_round(
+            &mut link,
+            &mut EventQueue::new(),
+            None,
+            &*collector,
+            &mut coordinator,
+            &mut [],
+            &actual_exec,
+            &vec![true; n],
+            None,
+            false,
+        )
+        .inspect_err(|_| coordinator.end_telemetry())?;
+        let nodes = link.finish()?;
+        drive.report(&coordinator, spec.specs, &nodes)
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runtime::run_protocol_round;
+    use crate::node::NodeSpec;
+    use crate::runtime::{
+        run_round, Observers, ProtocolConfig, ProtocolOutcome, RoundSpec, Transport,
+    };
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
     use lb_mechanism::CompensationBonusMechanism;
     use lb_sim::driver::SimulationConfig;
     use lb_sim::server::ServiceModel;
+    use lb_telemetry::{
+        replay_spans, EventKind, FieldValue, MetricsRegistry, RingCollector, Sampler, TraceContext,
+    };
+    use std::sync::Arc;
 
     fn config() -> ProtocolConfig {
         ProtocolConfig {
@@ -407,34 +277,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threaded_outcome_equals_deterministic_outcome() {
+    fn paper_specs() -> Vec<NodeSpec> {
+        paper_true_values()
+            .iter()
+            .map(|&t| NodeSpec::truthful(t))
+            .collect()
+    }
+
+    /// One threaded round watched by `observers`.
+    fn threaded(specs: &[NodeSpec], cfg: ProtocolConfig, observers: Observers) -> ProtocolOutcome {
         let mech = CompensationBonusMechanism::paper();
-        let trues = paper_true_values();
-        let mut specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
-        specs[0] = NodeSpec::strategic(1.0, 3.0, 3.0); // paper's High1 for spice
+        let spec = RoundSpec {
+            transport: Transport::Threads,
+            observers,
+            ..RoundSpec::new(&mech, specs, cfg)
+        };
+        run_round(&spec).unwrap().outcome
+    }
 
-        let st = run_protocol_round(&mech, &specs, &config()).unwrap();
-        let mt = run_protocol_round_threaded(&mech, &specs, &config()).unwrap();
-
-        assert_eq!(st.rates.len(), mt.rates.len());
-        for i in 0..specs.len() {
-            assert!((st.rates[i] - mt.rates[i]).abs() < 1e-12, "rate {i}");
-            assert!(
-                (st.payments[i] - mt.payments[i]).abs() < 1e-9,
-                "payment {i}"
-            );
-            assert!(
-                (st.utilities[i] - mt.utilities[i]).abs() < 1e-9,
-                "utility {i}"
-            );
-            assert!(
-                (st.estimated_exec_values[i] - mt.estimated_exec_values[i]).abs() < 1e-12,
-                "estimate {i}"
-            );
+    fn ring_observers(ring: &Arc<RingCollector>, sampler: Sampler) -> Observers {
+        Observers {
+            collector: ring.clone(),
+            sampler,
         }
-        // Same control-plane traffic.
-        assert_eq!(st.stats, mt.stats);
     }
 
     #[test]
@@ -446,23 +311,24 @@ mod tests {
         let specs: Vec<NodeSpec> = vec![NodeSpec::truthful(1.0), NodeSpec::truthful(2.0)];
         let mut cfg = config();
         cfg.total_rate = -1.0;
-        assert!(run_protocol_round_threaded(&mech, &specs, &cfg).is_err());
+        let spec = RoundSpec {
+            transport: Transport::Threads,
+            ..RoundSpec::new(&mech, &specs, cfg)
+        };
+        assert!(run_round(&spec).is_err());
     }
 
     #[test]
     fn observed_threaded_round_records_replayable_spans() {
-        use lb_telemetry::{replay_spans, MetricsRegistry, RingCollector};
-        let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
         let ring = Arc::new(RingCollector::new(16_384));
-        let outcome =
-            run_protocol_round_threaded_observed(&mech, &specs, &config(), ring.clone()).unwrap();
+        let outcome = threaded(
+            &paper_specs(),
+            config(),
+            ring_observers(&ring, Sampler::Always),
+        );
 
-        // Node threads recorded counters concurrently; the coordinator's
-        // sequential spans still replay cleanly around them.
+        // The coordinator's sequential spans replay cleanly around the node
+        // threads' concurrent events.
         let events = ring.snapshot();
         let spans = replay_spans(&events).expect("recording replays cleanly");
         assert_eq!(spans.iter().filter(|s| s.name == "round").count(), 1);
@@ -476,23 +342,11 @@ mod tests {
 
     #[test]
     fn traced_threaded_round_stitches_one_trace_across_all_nodes() {
-        use lb_telemetry::{replay_spans, EventKind, FieldValue, RingCollector};
         use std::collections::BTreeSet;
-        let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
+        let specs = paper_specs();
         let n = specs.len();
         let ring = Arc::new(RingCollector::new(16_384));
-        run_protocol_round_threaded_sampled(
-            &mech,
-            &specs,
-            &config(),
-            ring.clone(),
-            &Sampler::Always,
-        )
-        .unwrap();
+        threaded(&specs, config(), ring_observers(&ring, Sampler::Always));
 
         let events = ring.snapshot();
         let spans = replay_spans(&events).expect("traced recording replays cleanly");
@@ -542,102 +396,5 @@ mod tests {
             events.iter().filter(|e| e.name == "node.payment").count(),
             n
         );
-    }
-
-    #[test]
-    fn tracing_does_not_change_allocations_or_payments() {
-        use lb_telemetry::RingCollector;
-        let mech = CompensationBonusMechanism::paper();
-        let mut specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
-        specs[0] = NodeSpec::strategic(1.0, 3.0, 3.0);
-
-        let off = run_protocol_round_threaded(&mech, &specs, &config()).unwrap();
-        let on = run_protocol_round_threaded_sampled(
-            &mech,
-            &specs,
-            &config(),
-            Arc::new(RingCollector::new(16_384)),
-            &Sampler::Always,
-        )
-        .unwrap();
-        let unsampled = run_protocol_round_threaded_sampled(
-            &mech,
-            &specs,
-            &config(),
-            Arc::new(RingCollector::new(16_384)),
-            &Sampler::Never,
-        )
-        .unwrap();
-
-        // Bit-identical outcomes with tracing off, on, and head-sampled out.
-        assert_eq!(off.rates, on.rates);
-        assert_eq!(off.payments, on.payments);
-        assert_eq!(off.utilities, on.utilities);
-        assert_eq!(off.rates, unsampled.rates);
-        assert_eq!(off.payments, unsampled.payments);
-        // Tracing adds a trailer to each frame, never extra frames; an
-        // unsampled round doesn't even pay the trailer.
-        assert_eq!(off.stats.messages, on.stats.messages);
-        assert_eq!(off.stats, unsampled.stats);
-        assert!(on.stats.bytes > off.stats.bytes);
-    }
-
-    #[test]
-    fn exposed_round_serves_prometheus_metrics_over_http() {
-        use lb_telemetry::{ExposeServer, RingCollector};
-        use std::io::{Read as _, Write as _};
-        let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
-
-        let exposition = Exposition::new();
-        let server = ExposeServer::bind("127.0.0.1:0", exposition.clone()).unwrap();
-        let addr = server.local_addr().unwrap();
-        let serving = std::thread::spawn(move || server.serve_one());
-
-        let ring = Arc::new(RingCollector::new(16_384));
-        let outcome = run_protocol_round_threaded_exposed(
-            &mech,
-            &specs,
-            &config(),
-            ring,
-            &Sampler::Always,
-            &exposition,
-        )
-        .unwrap();
-
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        serving.join().unwrap().unwrap();
-
-        assert!(response.starts_with("HTTP/1.0 200"), "{response}");
-        assert!(
-            response.contains("net_messages_total"),
-            "prometheus exposition carries the message counter: {response}"
-        );
-        assert!(
-            response.contains(&format!("net_messages_total {}", outcome.stats.messages)),
-            "{response}"
-        );
-    }
-
-    #[test]
-    fn threaded_round_is_repeatable() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs: Vec<NodeSpec> = paper_true_values()
-            .iter()
-            .map(|&t| NodeSpec::truthful(t))
-            .collect();
-        let a = run_protocol_round_threaded(&mech, &specs, &config()).unwrap();
-        let b = run_protocol_round_threaded(&mech, &specs, &config()).unwrap();
-        assert_eq!(a.payments, b.payments);
-        assert_eq!(a.stats, b.stats);
     }
 }

@@ -1,8 +1,10 @@
 //! Protocol round tracing: record every frame, replay it later.
 //!
 //! Production mechanisms need an audit trail beyond the settlement record:
-//! *who said what, when*. A [`RoundTrace`] captures every delivered frame of
-//! a round in order (serializable through the wire codec, so traces can be
+//! *who said what, when*. A [`RoundTrace`] captures a round's frames as the
+//! coordinator saw them, in order — every frame it sent, at its send time,
+//! and every frame it accepted, at its delivery time; a duplicate or stale
+//! frame it rejects is counted as an anomaly, not traced (serializable through the wire codec, so traces can be
 //! shipped or archived), and [`replay_check`] re-validates a trace against
 //! the protocol's invariants — the off-line analogue of the coordinator's
 //! on-line assertions.
@@ -10,10 +12,11 @@
 use crate::message::Message;
 use crate::network::Endpoint;
 
-/// One delivered frame in a round.
+/// One frame of a round, as the coordinator saw it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
-    /// Simulated delivery time (seconds).
+    /// Simulated time (seconds): the send time of a frame from the
+    /// coordinator, the delivery time of a frame to it.
     pub at: f64,
     /// Sender.
     pub from: Endpoint,
@@ -23,10 +26,11 @@ pub struct TraceEntry {
     pub message: Message,
 }
 
-/// An ordered record of every frame delivered in one round.
+/// An ordered record of every frame the coordinator sent or accepted in
+/// one round.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundTrace {
-    /// Frames in delivery order.
+    /// Frames in the order the coordinator sent or accepted them.
     pub entries: Vec<TraceEntry>,
 }
 

@@ -13,8 +13,8 @@
 
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::{
-    recover_round, run_chaos_session_durable, ChaosConfig, ChaosSessionConfig, Coordinator,
-    CrashPlan, FileJournal, Journal, Message, NodeSpec, ProtocolConfig, RoundContext, RoundId,
+    recover_round, run_chaos_session, ChaosConfig, ChaosSessionConfig, Coordinator, CrashPlan,
+    FileJournal, Journal, Message, NodeSpec, Observers, ProtocolConfig, RoundContext, RoundId,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -108,27 +108,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let specs: Vec<NodeSpec> = TRUES.iter().map(|&t| NodeSpec::truthful(t)).collect();
     let session = ChaosSessionConfig::new(3, ChaosConfig::reliable(2));
-    let clean = run_chaos_session_durable(
-        &mechanism,
-        &config,
-        &session,
-        |_, _| specs.clone(),
-        &CrashPlan::none(),
-        Vec::new(),
-        noop_collector(),
-    )?;
-    let stormy = run_chaos_session_durable(
-        &mechanism,
-        &config,
-        &session,
-        |_, _| specs.clone(),
-        &CrashPlan::seeded(7, 6, clean.journal_bytes.len() as u64),
-        Vec::new(),
-        noop_collector(),
-    )?;
+    let durable = |plan: &CrashPlan| {
+        let journal = plan.journal(Vec::new());
+        let report = run_chaos_session(
+            &mechanism,
+            &config,
+            &session,
+            |_, _| specs.clone(),
+            &Observers::default(),
+            Some(&journal),
+        )?;
+        let bytes = journal.borrow().bytes()?;
+        Ok::<_, Box<dyn std::error::Error>>((report, bytes))
+    };
+    let (clean, clean_journal) = durable(&CrashPlan::none())?;
+    let (stormy, _) = durable(&CrashPlan::seeded(7, 6, clean_journal.len() as u64))?;
     println!(
         "session: {} crashes injected, {} records replayed, {} torn bytes truncated",
-        stormy.crashes, stormy.records_replayed, stormy.truncated_tail_bytes
+        stormy.recovery.crashes, stormy.recovery.records_replayed, stormy.recovery.truncated_bytes
     );
     assert_eq!(
         stormy

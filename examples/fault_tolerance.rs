@@ -10,8 +10,9 @@
 use lbmv::core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::audit::{audit_settlement, SettlementRecord};
-use lbmv::proto::chaos::{run_chaos_round, ChaosConfig};
-use lbmv::proto::faults::{run_protocol_round_with_faults, FaultPlan};
+use lbmv::proto::chaos::ChaosConfig;
+use lbmv::proto::faults::FaultPlan;
+use lbmv::proto::{run_round, RoundSpec, Transport};
 use lbmv::proto::{NodeSpec, ProtocolConfig};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -35,13 +36,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     };
 
+    // One round over the simulated network under `chaos`.
+    let chaos_round = |chaos: ChaosConfig| {
+        run_round(&RoundSpec {
+            transport: Transport::Chaos(chaos),
+            ..RoundSpec::new(&mechanism, &specs, config)
+        })
+    };
+    // A declarative fault plan with no retransmission: a lost bid excludes.
+    let no_retries = |plan: FaultPlan| ChaosConfig {
+        plan,
+        bid_retries: 0,
+        ..ChaosConfig::reliable(config.simulation.seed)
+    };
+
     // 1. C1's bid is lost: the coordinator times out, excludes C1, and the
     //    round settles over the 15 survivors.
     let faults = FaultPlan {
         lose_bids_from: vec![0],
         ..FaultPlan::none()
     };
-    let outcome = run_protocol_round_with_faults(&mechanism, &specs, &config, &faults)?;
+    let outcome = chaos_round(no_retries(faults))?.outcome;
     println!("C1 bid lost:");
     println!(
         "  C1 rate {:.2}, payment {:+.2} (excluded)",
@@ -62,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lose_acks_from: vec![3, 7],
         ..FaultPlan::none()
     };
-    let outcome = run_protocol_round_with_faults(&mechanism, &specs, &config, &faults)?;
+    let outcome = chaos_round(no_retries(faults))?.outcome;
     println!(
         "\nC4+C8 acks lost: round still settles; C4 payment {:+.2}",
         outcome.payments[3]
@@ -98,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lose_bid_attempts: vec![(0, 1)],
         ..FaultPlan::none()
     };
-    let report = run_chaos_round(&mechanism, &specs, &config, &chaos)?;
+    let report = chaos_round(chaos)?;
     println!("\nC1's first bid lost, retransmission succeeds:");
     println!(
         "  C1 excluded = {}, rate {:.2}, payment {:+.2}",
@@ -119,7 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lose_bids_from: vec![0],
         ..FaultPlan::none()
     };
-    let report = run_chaos_round(&mechanism, &specs, &config, &chaos)?;
+    let report = chaos_round(chaos)?;
     println!("\nC1 silent through all retries:");
     println!(
         "  C1 excluded = {}, retries = {}, total rate over survivors = {:.3}",
@@ -131,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Probabilistic chaos: heavy seeded drop/duplicate/corrupt/jitter on
     //    every link. The protocol absorbs what it can and excludes the rest;
     //    the anomaly and fault counters show what the network did.
-    let report = run_chaos_round(&mechanism, &specs, &config, &ChaosConfig::heavy(17))?;
+    let report = chaos_round(ChaosConfig::heavy(17))?;
     let survivors = report.excluded.iter().filter(|&&e| !e).count();
     println!("\nheavy chaos (seed 17): {survivors}/16 machines settled");
     println!(

@@ -9,7 +9,7 @@
 
 use lbmv::core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::CompensationBonusMechanism;
-use lbmv::proto::{run_protocol_round, run_protocol_round_threaded, NodeSpec, ProtocolConfig};
+use lbmv::proto::{run_round, NodeSpec, ProtocolConfig, RoundSpec, Transport};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     };
 
-    let outcome = run_protocol_round(&mechanism, &specs, &config)?;
+    let outcome = run_round(&RoundSpec::new(&mechanism, &specs, config)).map(|r| r.outcome)?;
     println!("deterministic runtime:");
     println!(
         "  messages: {} ({} per node), bytes: {}",
@@ -56,7 +56,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.rates[1], outcome.payments[1], outcome.utilities[1]
     );
 
-    let threaded = run_protocol_round_threaded(&mechanism, &specs, &config)?;
+    let threaded = run_round(&RoundSpec {
+        transport: Transport::Threads,
+        ..RoundSpec::new(&mechanism, &specs, config)
+    })
+    .map(|r| r.outcome)?;
     println!("\nthreaded runtime (std mpsc channels, binary codec):");
     println!(
         "  messages: {}, bytes: {}",

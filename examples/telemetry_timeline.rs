@@ -9,8 +9,8 @@
 
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::chaos::ChaosConfig;
-use lbmv::proto::session::{run_chaos_session_observed, ChaosSessionConfig};
-use lbmv::proto::{NodeSpec, ProtocolConfig};
+use lbmv::proto::session::{run_chaos_session, ChaosSessionConfig};
+use lbmv::proto::{NodeSpec, Observers, ProtocolConfig};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::telemetry::{
@@ -40,12 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One ring records the whole session: round/phase spans, frame fates,
     // retransmissions, and the session's quarantine decisions.
     let ring = Arc::new(RingCollector::new(65_536));
-    let report = run_chaos_session_observed(
+    let report = run_chaos_session(
         &CompensationBonusMechanism::paper(),
         &config,
         &session,
         |_, _| trues.iter().map(|&t| NodeSpec::truthful(t)).collect(),
-        ring.clone(),
+        &Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+        None,
     )?;
 
     let events = ring.snapshot();

@@ -22,8 +22,8 @@ use lbmv::audit::{health_json, publish, verify_ledger, InvariantMonitor, Monitor
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::journal::crc32;
 use lbmv::proto::{
-    decode, run_chaos_session_durable, ChaosConfig, ChaosSessionConfig, CrashPlan, JournalRecord,
-    JournalReplay, NodeSpec, ProtocolConfig,
+    decode, run_chaos_session, ChaosConfig, ChaosSessionConfig, CrashPlan, Journal, JournalRecord,
+    JournalReplay, NodeSpec, Observers, ProtocolConfig,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -54,16 +54,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         noop_collector(),
         MonitorConfig::default(),
     ));
-    let report = run_chaos_session_durable(
+    let journal = CrashPlan::none().journal(Vec::new());
+    run_chaos_session(
         &mechanism,
         &config,
         &ChaosSessionConfig::new(3, ChaosConfig::reliable(2)),
         |_, _| specs.clone(),
-        &CrashPlan::none(),
-        Vec::new(),
-        monitor.clone() as Arc<dyn Collector>,
+        &Observers {
+            collector: monitor.clone() as Arc<dyn Collector>,
+            ..Observers::default()
+        },
+        Some(&journal),
     )?;
-    let verdict = verify_ledger(&report.journal_bytes);
+    let journal_bytes = journal.borrow().bytes()?;
+    let verdict = verify_ledger(&journal_bytes);
     let stats = monitor.stats();
     println!("— honest session —");
     println!(
@@ -89,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Act 2 — flip one byte inside a journalled record and recompute the
     // frame CRC, the edit a per-record checksum cannot see.
-    let mut tampered = report.journal_bytes.clone();
+    let mut tampered = journal_bytes.clone();
     let boundaries = JournalReplay::boundaries(&tampered);
     let victim = boundaries
         .windows(2)

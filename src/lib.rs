@@ -62,7 +62,7 @@ pub mod prelude {
         run_mechanism, CompensationBonusMechanism, FeeAdjusted, GeneralizedCompensationBonus,
         MechanismError, MechanismOutcome, Mm1Family, Profile, VerifiedMechanism,
     };
-    pub use lb_proto::{run_protocol_round, NodeSpec, ProtocolConfig};
+    pub use lb_proto::{run_round, NodeSpec, ProtocolConfig, RoundSpec, Transport};
     pub use lb_sim::driver::{verified_round, SimulationConfig};
     pub use lb_stats::{OnlineStats, Rng, Xoshiro256StarStar};
     pub use lb_telemetry::{Collector, MetricsRegistry, RingCollector};

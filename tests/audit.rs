@@ -16,7 +16,8 @@ use lbmv::audit::{health_json, invariants_json, publish, verify_ledger};
 use lbmv::audit::{InvariantMonitor, MonitorConfig};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::{
-    run_chaos_session_durable, ChaosConfig, ChaosSessionConfig, CrashPlan, NodeSpec, ProtocolConfig,
+    run_chaos_session, ChaosConfig, ChaosSessionConfig, CrashPlan, Journal, NodeSpec, Observers,
+    ProtocolConfig,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -52,17 +53,31 @@ fn specs() -> Vec<NodeSpec> {
     TRUES.iter().map(|&t| NodeSpec::truthful(t)).collect()
 }
 
-fn run_session(collector: Arc<dyn Collector>) -> lbmv::proto::DurableSessionReport {
-    run_chaos_session_durable(
+/// What a durable session leaves behind: its payment totals and journal.
+struct Durable {
+    cumulative_payments: Vec<f64>,
+    journal_bytes: Vec<u8>,
+}
+
+fn run_session(collector: Arc<dyn Collector>) -> Durable {
+    let journal = CrashPlan::none().journal(Vec::new());
+    let report = run_chaos_session(
         &CompensationBonusMechanism::paper(),
         &protocol_config(),
         &ChaosSessionConfig::new(ROUNDS as u32, ChaosConfig::reliable(2)),
         |_, _| specs(),
-        &CrashPlan::none(),
-        Vec::new(),
-        collector,
+        &Observers {
+            collector,
+            ..Observers::default()
+        },
+        Some(&journal),
     )
-    .unwrap()
+    .unwrap();
+    let journal_bytes = journal.borrow().bytes().unwrap();
+    Durable {
+        cumulative_payments: report.cumulative_payments,
+        journal_bytes,
+    }
 }
 
 #[test]

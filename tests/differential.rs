@@ -5,20 +5,30 @@
 //! * PR closed form ⇔ KKT solver,
 //! * capped allocation ⇔ unconstrained PR when caps are loose,
 //! * analytic frugality ⇔ empirical frugality,
-//! * chaos runtime at zero fault probability ⇔ reliable runtimes
-//!   (single-threaded and threaded), bit for bit,
+//! * chaos transport at zero fault probability ⇔ reliable transports
+//!   (simulated and threaded), bit for bit,
+//! * a declarative fault plan ⇔ chaos without retransmission ⇔ the sharded
+//!   topology, bit for bit, with a closed-form message count,
+//! * every transport ⇔ with and without observers, bit for bit,
 //! * every chaos trace ⇔ clean `replay_check`.
 
 use lb_stats::prop;
-use lb_stats::{prop_assert, prop_assert_eq};
+use lb_stats::{prop_assert, prop_assert_eq, Rng, Xoshiro256StarStar};
 use lbmv::core::{pr_allocate, pr_allocate_capped, solve_convex, ConvexSolverOptions, Linear};
 use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
+use lbmv::prof::RoundProfiler;
 use lbmv::proto::{
-    replay_check, run_chaos_round, run_protocol_round, run_protocol_round_threaded, ChaosConfig,
-    NodeSpec, ProtocolConfig,
+    drive_sharded_round, encode, replay_check, report_from_root, run_round, ChaosConfig,
+    ChaosNetStats, ChaosRuntime, Coordinator, CrashPlan, FaultPlan, Journal, MemJournal, Message,
+    MessageStats, NodeSpec, Observers, ProtocolConfig, ProtocolError, ProtocolOutcome, RoundId,
+    RoundReport, RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
+use lbmv::telemetry::{RingCollector, Sampler};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 fn proto_config() -> ProtocolConfig {
     ProtocolConfig {
@@ -55,7 +65,9 @@ fn prop_protocol_equals_mechanism() {
 
             let mut config = proto_config();
             config.total_rate = rate;
-            let proto = run_protocol_round(&mech, &specs, &config).unwrap();
+            let proto = run_round(&RoundSpec::new(&mech, &specs, config))
+                .map(|r| r.outcome)
+                .unwrap();
 
             let sys = lbmv::core::System::from_true_values(&trues).unwrap();
             let profile = Profile::with_deviation(&sys, rate, 0, bid_factor, exec_factor).unwrap();
@@ -152,10 +164,16 @@ fn prop_zero_fault_chaos_equals_reliable_runtimes() {
 
             let mut config = proto_config();
             config.total_rate = rate;
-            let reliable = run_protocol_round(&mech, &specs, &config).unwrap();
-            let threaded = run_protocol_round_threaded(&mech, &specs, &config).unwrap();
-            let chaos = run_chaos_round(&mech, &specs, &config, &ChaosConfig::reliable(chaos_seed))
-                .unwrap();
+            let round = |transport: Transport| {
+                run_round(&RoundSpec {
+                    transport,
+                    ..RoundSpec::new(&mech, &specs, config)
+                })
+                .unwrap()
+            };
+            let reliable = round(Transport::Reliable).outcome;
+            let threaded = round(Transport::Threads).outcome;
+            let chaos = round(Transport::Chaos(ChaosConfig::reliable(chaos_seed)));
 
             prop_assert_eq!(chaos.retries, 0);
             prop_assert_eq!(chaos.anomalies.total(), 0);
@@ -212,7 +230,11 @@ fn prop_chaos_traces_always_replay_cleanly() {
             chaos_cfg.corrupt_prob = corrupt_prob;
             chaos_cfg.jitter = 0.004;
 
-            match run_chaos_round(&mech, &specs, &config, &chaos_cfg) {
+            let spec = RoundSpec {
+                transport: Transport::Chaos(chaos_cfg),
+                ..RoundSpec::new(&mech, &specs, config)
+            };
+            match run_round(&spec) {
                 Ok(report) => {
                     let violations = replay_check(&report.trace, trues.len());
                     prop_assert!(
@@ -223,9 +245,296 @@ fn prop_chaos_traces_always_replay_cleanly() {
                 }
                 // Heavy chaos may legitimately silence too many machines.
                 Err(e) => prop_assert!(
-                    matches!(e, lbmv::mechanism::MechanismError::NeedTwoAgents),
+                    matches!(
+                        e,
+                        ProtocolError::Mechanism(lbmv::mechanism::MechanismError::NeedTwoAgents)
+                    ),
                     "unexpected error: {e}"
                 ),
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Draws a shard-oracle-shaped fault plan over `n` machines: lost bids,
+/// partitions and lost first bid attempts (always leaving two respondents)
+/// plus lost acks.
+fn fault_plan(seed: u64, n: usize) -> FaultPlan {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut plan = FaultPlan::none();
+    let mut bid_budget = n - 2;
+    for machine in 0..n as u32 {
+        if bid_budget > 0 && rng.next_bool(0.2) {
+            bid_budget -= 1;
+            match rng.next_below(3) {
+                0 => plan.lose_bids_from.push(machine),
+                1 => plan.partitioned.push(machine),
+                _ => plan
+                    .lose_bid_attempts
+                    .push((machine, 1 + rng.next_below(3) as u32)),
+            }
+        } else if rng.next_bool(0.2) {
+            plan.lose_acks_from.push(machine);
+        }
+    }
+    plan
+}
+
+/// The control traffic a declarative fault plan leaves on the wire: every
+/// machine is asked for a bid, every machine the request reaches answers,
+/// and every respondent is assigned, acknowledges and is paid. Lost frames
+/// are sent (and counted) all the same.
+fn fault_plan_traffic(
+    plan: &FaultPlan,
+    outcome: &ProtocolOutcome,
+    excluded: &[bool],
+) -> MessageStats {
+    let round = RoundId(0);
+    let mut frames = Vec::new();
+    for (i, &out) in excluded.iter().enumerate() {
+        let machine = i as u32;
+        frames.push(encode(&Message::RequestBid { round }));
+        if !plan.partitioned.contains(&machine) {
+            frames.push(encode(&Message::Bid {
+                round,
+                machine,
+                value: 0.0,
+            }));
+        }
+        if !out {
+            let rate = outcome.rates[i];
+            let amount = outcome.payments[i];
+            frames.push(encode(&Message::Assign { round, rate }));
+            frames.push(encode(&Message::ExecutionDone { round, machine }));
+            frames.push(encode(&Message::Payment { round, amount }));
+        }
+    }
+    MessageStats {
+        messages: frames.len() as u64,
+        bytes: frames.iter().map(|f| f.len() as u64).sum(),
+    }
+}
+
+/// A declarative fault plan is a chaos round with retransmission off: with
+/// `bid_retries: 0` a lost bid excludes at the first timeout, with no
+/// anomalies, and the round settles bit for bit like the sharded topology
+/// under the same plan (rates, payments, utilities, estimates, exclusions),
+/// with exactly the control traffic the plan leaves on the wire.
+#[test]
+fn prop_fault_plan_equals_chaos_without_retries() {
+    prop::check(
+        "prop_fault_plan_equals_chaos_without_retries",
+        64,
+        (
+            prop::vec(0.2f64..8.0, 4..13),
+            1.0f64..50.0,
+            prop::any_u64(),
+            prop::any_u64(),
+            1usize..6,
+        ),
+        |(trues, rate, sim_seed, plan_seed, shards)| {
+            let mech = CompensationBonusMechanism::paper();
+            let specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
+            let plan = fault_plan(plan_seed, specs.len());
+            let mut config = proto_config();
+            config.total_rate = rate;
+            config.simulation.seed = sim_seed;
+
+            let chaos = ChaosConfig {
+                plan: plan.clone(),
+                bid_retries: 0,
+                ..ChaosConfig::reliable(sim_seed)
+            };
+            let report = run_round(&RoundSpec {
+                transport: Transport::Chaos(chaos),
+                ..RoundSpec::new(&mech, &specs, config)
+            })
+            .unwrap();
+
+            let mut root =
+                Coordinator::try_new(&mech, specs.len(), rate, RoundId(0), config.simulation)
+                    .unwrap();
+            let (stats, _) =
+                drive_sharded_round(&mut root, &specs, &config, shards, &plan, None).unwrap();
+            let sharded = report_from_root(&root, &specs, stats).unwrap();
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (o, s) = (&report.outcome, &sharded.outcome);
+            prop_assert_eq!(bits(&o.rates), bits(&s.rates));
+            prop_assert_eq!(bits(&o.payments), bits(&s.payments));
+            prop_assert_eq!(bits(&o.utilities), bits(&s.utilities));
+            prop_assert_eq!(
+                bits(&o.estimated_exec_values),
+                bits(&s.estimated_exec_values)
+            );
+            prop_assert_eq!(&report.excluded, &sharded.excluded);
+            prop_assert_eq!(o.stats, fault_plan_traffic(&plan, o, &report.excluded));
+            prop_assert_eq!(report.retries, 0);
+            prop_assert_eq!(report.anomalies.total(), 0);
+            prop_assert_eq!(sharded.anomalies.total(), 0);
+            Ok(())
+        },
+    );
+}
+
+/// What a round must reproduce whatever watches it.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    rates: Vec<u64>,
+    payments: Vec<u64>,
+    utilities: Vec<u64>,
+    estimates: Vec<u64>,
+    excluded: Vec<bool>,
+    retries: u64,
+    anomalies: u64,
+    faults: ChaosNetStats,
+    messages: u64,
+}
+
+fn fingerprint(report: &RoundReport) -> Fingerprint {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let o = &report.outcome;
+    Fingerprint {
+        rates: bits(&o.rates),
+        payments: bits(&o.payments),
+        utilities: bits(&o.utilities),
+        estimates: bits(&o.estimated_exec_values),
+        excluded: report.excluded.clone(),
+        retries: report.retries,
+        anomalies: report.anomalies.total(),
+        faults: report.faults,
+        messages: o.stats.messages,
+    }
+}
+
+/// Observers observe: over every transport (reliable, threads, chaos,
+/// sharded) a round with no observers, a recording collector, or a
+/// collector sampled out by `Sampler::Never` — and a sharded round with or
+/// without a profiler — settles bit for bit the same: rates, payments,
+/// utilities, estimates, exclusions, retries, anomalies, faults and message
+/// counts. Byte counts are identical too, except that a recorded round's
+/// frames carry the trace-context trailer, which only adds bytes.
+/// Journals come out byte-identical in every case.
+#[test]
+fn prop_observers_are_inert_on_every_transport() {
+    prop::check(
+        "prop_observers_are_inert_on_every_transport",
+        6,
+        (prop::vec(0.2f64..8.0, 3..9), 1.0f64..40.0, 0u64..1000),
+        |(trues, rate, seed)| {
+            let mech = CompensationBonusMechanism::paper();
+            let specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
+            let n = specs.len();
+            let mut config = proto_config();
+            config.total_rate = rate;
+            let profiler = RefCell::new(RoundProfiler::new());
+            // (observers, whether a sharded round carries the profiler)
+            let arms = |ring: &Arc<RingCollector>| {
+                [
+                    (Observers::default(), false),
+                    (
+                        Observers {
+                            collector: ring.clone(),
+                            ..Observers::default()
+                        },
+                        false,
+                    ),
+                    (
+                        Observers {
+                            collector: ring.clone(),
+                            sampler: Sampler::Never,
+                        },
+                        false,
+                    ),
+                    (Observers::default(), true),
+                ]
+            };
+
+            for transport in [
+                Transport::Reliable,
+                Transport::Threads,
+                Transport::Chaos(ChaosConfig::heavy(seed)),
+                Transport::Sharded {
+                    shards: 3,
+                    profiler: None,
+                },
+            ] {
+                let ring = Arc::new(RingCollector::new(1 << 16));
+                let runs: Vec<_> = arms(&ring)
+                    .into_iter()
+                    .filter_map(|(observers, profiled)| {
+                        let transport = match &transport {
+                            Transport::Sharded { shards, .. } if profiled => Transport::Sharded {
+                                shards: *shards,
+                                profiler: Some(&profiler),
+                            },
+                            _ if profiled => return None,
+                            other => other.clone(),
+                        };
+                        let spec = RoundSpec {
+                            transport,
+                            observers,
+                            ..RoundSpec::new(&mech, &specs, config)
+                        };
+                        Some(run_round(&spec).map_err(|e| e.to_string()))
+                    })
+                    .collect();
+                let plain = &runs[0];
+                for (arm, run) in runs.iter().enumerate() {
+                    prop_assert!(
+                        run.as_ref().map(fingerprint) == plain.as_ref().map(fingerprint),
+                        "{:?}: observer arm {}",
+                        transport,
+                        arm
+                    );
+                    if let (Ok(run), Ok(plain)) = (run, plain) {
+                        let (got, want) = (run.outcome.stats.bytes, plain.outcome.stats.bytes);
+                        if arm == 1 {
+                            prop_assert!(got > want, "{:?}: trailers add bytes", transport);
+                        } else {
+                            prop_assert!(got == want, "{:?} arm {}", transport, arm);
+                        }
+                    }
+                }
+            }
+
+            // Journals: a durable chaos round and a durable sharded round
+            // write the same bytes whatever watches them.
+            let ring = Arc::new(RingCollector::new(1 << 16));
+            let mut journals = Vec::new();
+            for (observers, profiled) in arms(&ring) {
+                let journal = CrashPlan::none().journal(Vec::new());
+                let mut runtime = ChaosRuntime::new(n, config, ChaosConfig::heavy(seed)).unwrap();
+                runtime.set_collector(observers.round_collector(seed, 0));
+                let chaos = runtime
+                    .run_round(&mech, &specs, RoundId(0), &vec![true; n], Some(&journal))
+                    .map(|(report, _)| fingerprint(&report))
+                    .map_err(|e| e.to_string());
+
+                let sharded_journal = Rc::new(RefCell::new(MemJournal::new()));
+                let mut root = Coordinator::try_new(&mech, n, rate, RoundId(0), config.simulation)
+                    .unwrap()
+                    .with_journal(sharded_journal.clone())
+                    .with_collector(observers.round_collector(config.simulation.seed, 0));
+                let mut attached = profiled.then(|| profiler.borrow_mut());
+                drive_sharded_round(
+                    &mut root,
+                    &specs,
+                    &config,
+                    3,
+                    &FaultPlan::none(),
+                    attached.as_deref_mut(),
+                )
+                .unwrap();
+                journals.push((
+                    chaos,
+                    journal.borrow().bytes().unwrap(),
+                    sharded_journal.borrow().bytes().unwrap(),
+                ));
+            }
+            for (arm, journal) in journals.iter().enumerate() {
+                prop_assert!(*journal == journals[0], "journal arm {}", arm);
             }
             Ok(())
         },

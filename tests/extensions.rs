@@ -10,8 +10,11 @@ use lbmv::mechanism::{
     Mm1Family, Profile,
 };
 use lbmv::proto::audit::{audit_settlement, SettlementRecord};
-use lbmv::proto::faults::{run_protocol_round_with_faults, FaultPlan};
-use lbmv::proto::{run_session, NodeSpec, ProtocolConfig};
+use lbmv::proto::faults::FaultPlan;
+use lbmv::proto::{
+    run_round, run_session, ChaosConfig, NodeSpec, ProtocolConfig, ProtocolOutcome, RoundSpec,
+    Transport,
+};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::stats::Xoshiro256StarStar;
@@ -78,6 +81,25 @@ fn learners_converge_to_truth_through_the_real_protocol() {
     }
 }
 
+/// One round under a declarative fault plan: a lost bid excludes at the
+/// first timeout, with no retransmission.
+fn fault_round(
+    mechanism: &CompensationBonusMechanism,
+    specs: &[NodeSpec],
+    faults: FaultPlan,
+) -> ProtocolOutcome {
+    let chaos = ChaosConfig {
+        plan: faults,
+        bid_retries: 0,
+        ..ChaosConfig::reliable(config().simulation.seed)
+    };
+    let spec = RoundSpec {
+        transport: Transport::Chaos(chaos),
+        ..RoundSpec::new(mechanism, specs, config())
+    };
+    run_round(&spec).unwrap().outcome
+}
+
 #[test]
 fn fault_then_audit_pipeline() {
     // Round with faults, then the settlement audit passes end-to-end.
@@ -90,7 +112,7 @@ fn fault_then_audit_pipeline() {
         lose_acks_from: vec![2],
         ..FaultPlan::none()
     };
-    let outcome = run_protocol_round_with_faults(&mechanism, &specs, &config(), &faults).unwrap();
+    let outcome = fault_round(&mechanism, &specs, faults);
 
     let record = SettlementRecord {
         bids: specs.iter().map(|s| s.bid).collect(),
@@ -114,7 +136,7 @@ fn excluded_machine_bonus_identity() {
         lose_bids_from: vec![0],
         ..FaultPlan::none()
     };
-    let outcome = run_protocol_round_with_faults(&mechanism, &specs, &config(), &faults).unwrap();
+    let outcome = fault_round(&mechanism, &specs, faults);
 
     let survivors = lbmv::core::System::from_true_values(&trues[1..]).unwrap();
     let direct = run_mechanism(

@@ -4,15 +4,15 @@
 //! * the O(1) incremental pool agrees bit-for-bit with the factored
 //!   closed-form allocation after arbitrary churn;
 //! * an [`OnlineSession`]'s first settle tick pays exactly what a batch
-//!   [`run_protocol_round`] pays on the same population;
+//!   [`run_round`] pays on the same population;
 //! * a journalled churn session leaves a cleanly-split round journal and
 //!   internally consistent report totals.
 
 use lbmv::core::{inv_sum_dd, pr_allocate_with_sum, TwoF64};
 use lbmv::mechanism::{CompensationBonusMechanism, OnlinePool};
 use lbmv::proto::{
-    read_journal, run_online_session, run_protocol_round, split_rounds, Journal, MemJournal,
-    NodeSpec, OnlineApplied, OnlineEvent, OnlineSession, ProtocolConfig,
+    read_journal, run_online_session, run_round, split_rounds, Journal, MemJournal, NodeSpec,
+    OnlineApplied, OnlineEvent, OnlineSession, ProtocolConfig, RoundSpec,
 };
 use lbmv::sim::churn::{ChurnConfig, ChurnEvent, ChurnGen};
 use lbmv::sim::driver::SimulationConfig;
@@ -152,7 +152,9 @@ fn first_settle_tick_pays_exactly_like_a_batch_round() {
     // batch runtime; a join-only history makes S bit-identical to the
     // batch fold, so the whole payment vector must match to the bit.
     let specs: Vec<NodeSpec> = trues.iter().map(|&t| NodeSpec::truthful(t)).collect();
-    let batch = run_protocol_round(&mech, &specs, &config).unwrap();
+    let batch = run_round(&RoundSpec::new(&mech, &specs, config))
+        .map(|r| r.outcome)
+        .unwrap();
 
     assert_eq!(tick.round, 0);
     assert_eq!(tick.machines, vec![0, 1, 2, 3]);

@@ -10,7 +10,7 @@ use lbmv::core::allocation::{optimal_latency_excluding, optimal_latency_excludin
 use lbmv::core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::core::{marginal_contributions, optimal_latency_linear, LeaveOneOut};
 use lbmv::mechanism::CompensationBonusMechanism;
-use lbmv::proto::{run_protocol_round, NodeSpec, ProtocolConfig};
+use lbmv::proto::{run_round, NodeSpec, ProtocolConfig, RoundSpec};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::estimator::EstimatorConfig;
 use lbmv::sim::server::ServiceModel;
@@ -96,7 +96,9 @@ fn settle_phase_payments_are_unchanged_on_the_paper_scenario() {
             estimator: EstimatorConfig::default(),
         },
     };
-    let out = run_protocol_round(&mech, &specs, &config).unwrap();
+    let out = run_round(&RoundSpec::new(&mech, &specs, config))
+        .map(|r| r.outcome)
+        .unwrap();
 
     // Rebuild the settle phase through the legacy kernel from the same
     // inputs the coordinator saw.

@@ -3,7 +3,7 @@
 
 use lbmv::core::scenario::{paper_system, paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
-use lbmv::proto::{run_protocol_round, run_protocol_round_threaded, NodeSpec, ProtocolConfig};
+use lbmv::proto::{run_round, NodeSpec, ProtocolConfig, RoundSpec, Transport};
 use lbmv::sim::driver::{verified_round, SimulationConfig};
 use lbmv::sim::estimator::EstimatorConfig;
 use lbmv::sim::server::ServiceModel;
@@ -79,7 +79,9 @@ fn protocol_and_direct_mechanism_agree() {
         link_latency: 0.001,
         simulation: det_sim(400.0, 5),
     };
-    let proto = run_protocol_round(&mech, &specs, &config).unwrap();
+    let proto = run_round(&RoundSpec::new(&mech, &specs, config))
+        .map(|r| r.outcome)
+        .unwrap();
 
     let sys = paper_system();
     let profile = Profile::with_deviation(&sys, PAPER_ARRIVAL_RATE, 0, 0.5, 2.0).unwrap();
@@ -111,8 +113,15 @@ fn threaded_and_deterministic_protocols_agree_across_scenarios() {
             link_latency: 0.001,
             simulation: det_sim(400.0, 5),
         };
-        let st = run_protocol_round(&mech, &specs, &config).unwrap();
-        let mt = run_protocol_round_threaded(&mech, &specs, &config).unwrap();
+        let st = run_round(&RoundSpec::new(&mech, &specs, config))
+            .map(|r| r.outcome)
+            .unwrap();
+        let mt = run_round(&RoundSpec {
+            transport: Transport::Threads,
+            ..RoundSpec::new(&mech, &specs, config)
+        })
+        .map(|r| r.outcome)
+        .unwrap();
         assert_eq!(st.stats, mt.stats, "traffic for ({bid_f},{exec_f})");
         for i in 0..16 {
             assert!((st.payments[i] - mt.payments[i]).abs() < 1e-9);
@@ -131,7 +140,9 @@ fn message_complexity_is_exactly_linear() {
             link_latency: 0.001,
             simulation: det_sim(50.0, 9),
         };
-        let out = run_protocol_round(&mech, &specs, &config).unwrap();
+        let out = run_round(&RoundSpec::new(&mech, &specs, config))
+            .map(|r| r.outcome)
+            .unwrap();
         per_node.push(out.stats.messages as f64 / n as f64);
     }
     // O(n): per-node message count is a constant.

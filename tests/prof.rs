@@ -6,14 +6,14 @@
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::prof::{check, profile_events, Baseline, RoundProfiler, SentinelConfig, SKETCH_RTOL};
 use lbmv::proto::{
-    drive_sharded_round_profiled, report_from_root, run_protocol_round,
-    run_protocol_round_threaded, run_round_sharded, run_round_sharded_observed,
-    run_round_sharded_profiled, Coordinator, FaultPlan, NodeSpec, ProtocolConfig, RoundId,
+    drive_sharded_round, report_from_root, run_round, Coordinator, FaultPlan, NodeSpec, Observers,
+    ProtocolConfig, RoundId, RoundReport, RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::stats::OnlineStats;
 use lbmv::telemetry::{noop_collector, RingCollector};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 const BASELINE_LOG: &str = include_str!("../BENCH_round_scaling.json");
@@ -31,6 +31,23 @@ fn config() -> ProtocolConfig {
             estimator: Default::default(),
         },
     }
+}
+
+/// One sharded round (`shards` coordinators, optionally profiled) watched
+/// by `observers`.
+fn sharded_round(
+    specs: &[NodeSpec],
+    shards: usize,
+    profiler: Option<&RefCell<RoundProfiler>>,
+    observers: Observers,
+) -> RoundReport {
+    let mech = CompensationBonusMechanism::paper();
+    let spec = RoundSpec {
+        transport: Transport::Sharded { shards, profiler },
+        observers,
+        ..RoundSpec::new(&mech, specs, config())
+    };
+    run_round(&spec).unwrap()
 }
 
 fn specs(n: usize) -> Vec<NodeSpec> {
@@ -59,9 +76,8 @@ fn drive_rounds(
                 RoundId(round),
                 config.simulation,
             )
-            .unwrap()
-            .with_strict(true);
-            let (stats, timings) = drive_sharded_round_profiled(
+            .unwrap();
+            let (stats, _) = drive_sharded_round(
                 &mut root,
                 &specs,
                 &config,
@@ -70,8 +86,10 @@ fn drive_rounds(
                 Some(profiler),
             )
             .unwrap();
-            let report = report_from_root(&root, stats, shards, timings).unwrap();
-            (report.rates, report.payments)
+            let report = report_from_root(&root, &specs, stats).unwrap();
+            // A reliable transport delivers nothing anomalous.
+            assert_eq!(report.anomalies.total(), 0);
+            (report.outcome.rates, report.outcome.payments)
         })
         .collect()
 }
@@ -85,9 +103,18 @@ fn profiler_is_bit_inert_across_runtimes() {
 
     // The three detached runtimes agree bit-for-bit (the established
     // cross-runtime differential), giving the baseline outcome.
-    let deterministic = run_protocol_round(&mech, &specs, &config).unwrap();
-    let threaded = run_protocol_round_threaded(&mech, &specs, &config).unwrap();
-    let sharded = run_round_sharded(&mech, &specs, &config, shards).unwrap();
+    let deterministic = run_round(&RoundSpec::new(&mech, &specs, config))
+        .unwrap()
+        .outcome;
+    let threaded = run_round(&RoundSpec {
+        transport: Transport::Threads,
+        ..RoundSpec::new(&mech, &specs, config)
+    })
+    .unwrap()
+    .outcome;
+    let sharded = sharded_round(&specs, shards, None, Observers::default());
+    let sharded_excluded = sharded.excluded;
+    let sharded = sharded.outcome;
     assert_eq!(deterministic.rates, threaded.rates);
     assert_eq!(deterministic.payments, threaded.payments);
     assert_eq!(deterministic.rates, sharded.rates);
@@ -99,23 +126,26 @@ fn profiler_is_bit_inert_across_runtimes() {
 
     // Attaching a profiler must change nothing observable: outcome vectors,
     // exclusions and the audited message statistics are all bit-identical.
-    let mut profiler = RoundProfiler::new();
-    let profiled = run_round_sharded_profiled(
-        &mech,
+    let profiler = RefCell::new(RoundProfiler::new());
+    let profiled = sharded_round(
         &specs,
-        &config,
         shards,
-        noop_collector(),
-        &mut profiler,
-    )
-    .unwrap();
+        Some(&profiler),
+        Observers {
+            collector: noop_collector(),
+            ..Observers::default()
+        },
+    );
+    let profiler = profiler.into_inner();
+    let profiled_excluded = profiled.excluded;
+    let profiled = profiled.outcome;
     assert_eq!(profiled.rates, sharded.rates);
     assert_eq!(profiled.payments, sharded.payments);
     assert_eq!(
         profiled.estimated_exec_values,
         sharded.estimated_exec_values
     );
-    assert_eq!(profiled.excluded, sharded.excluded);
+    assert_eq!(profiled_excluded, sharded_excluded);
     assert_eq!(
         profiled.stats, sharded.stats,
         "profile frames are a side channel"
@@ -131,9 +161,8 @@ fn profiler_is_bit_inert_across_runtimes() {
     let drive = |attach: Option<&mut RoundProfiler>| {
         let mut root =
             Coordinator::try_new(&mech, n, config.total_rate, RoundId(1), config.simulation)
-                .unwrap()
-                .with_strict(true);
-        let (stats, timings) = drive_sharded_round_profiled(
+                .unwrap();
+        let (stats, _) = drive_sharded_round(
             &mut root,
             &specs,
             &config,
@@ -142,8 +171,10 @@ fn profiler_is_bit_inert_across_runtimes() {
             attach,
         )
         .unwrap();
-        let report = report_from_root(&root, stats, shards, timings).unwrap();
-        (report.rates, report.payments, report.stats)
+        let report = report_from_root(&root, &specs, stats).unwrap();
+        assert_eq!(report.anomalies.total(), 0);
+        let o = report.outcome;
+        (o.rates, o.payments, o.stats)
     };
     let mut sampled = RoundProfiler::sampled(2);
     assert!(!sampled.should_profile(1));
@@ -206,10 +237,17 @@ fn rollup_matches_whole_fleet_recompute() {
 
 #[test]
 fn critical_path_profile_covers_an_observed_sharded_round() {
-    let mech = CompensationBonusMechanism::paper();
     let (n, shards) = (256, 4);
     let ring = Arc::new(RingCollector::new(1 << 20));
-    run_round_sharded_observed(&mech, &specs(n), &config(), shards, ring.clone()).unwrap();
+    sharded_round(
+        &specs(n),
+        shards,
+        None,
+        Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+    );
     assert_eq!(ring.overwritten(), 0, "ring too small for the round");
 
     let profile = profile_events(&ring.snapshot()).unwrap();
@@ -237,10 +275,17 @@ fn critical_path_profile_covers_an_observed_sharded_round() {
 #[test]
 #[ignore = "n = 100_000 acceptance run; minutes on a laptop"]
 fn critical_path_coverage_at_scale() {
-    let mech = CompensationBonusMechanism::paper();
     let (n, shards) = (100_000, 8);
     let ring = Arc::new(RingCollector::new(1 << 22));
-    run_round_sharded_observed(&mech, &specs(n), &config(), shards, ring.clone()).unwrap();
+    sharded_round(
+        &specs(n),
+        shards,
+        None,
+        Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+    );
     assert_eq!(ring.overwritten(), 0, "ring too small for the round");
     let profile = profile_events(&ring.snapshot()).unwrap();
     assert!(

@@ -10,9 +10,9 @@
 use lbmv::audit::{InvariantMonitor, MonitorConfig};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::{
-    read_journal, recover_round, run_chaos_session_durable, ChaosConfig, ChaosSessionConfig,
-    Coordinator, CoordinatorPhase, CrashPlan, FileJournal, Journal, MemJournal, Message, NodeSpec,
-    ProtocolConfig, RoundContext, RoundId,
+    read_journal, recover_round, run_chaos_session, ChaosConfig, ChaosSessionConfig,
+    ChaosSessionReport, Coordinator, CoordinatorPhase, CrashPlan, FileJournal, Journal, MemJournal,
+    Message, NodeSpec, Observers, ProtocolConfig, RoundContext, RoundId,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -102,6 +102,35 @@ fn record_round(path: &PathBuf) -> (Vec<u8>, Vec<f64>, Vec<f64>) {
     let payments = c.payments().unwrap().to_vec();
     let bytes = journal.borrow().bytes().unwrap();
     (bytes, rates, payments)
+}
+
+/// A durable session and the bytes its journal ends with.
+struct Durable {
+    report: ChaosSessionReport,
+    journal_bytes: Vec<u8>,
+}
+
+fn durable(
+    mech: &CompensationBonusMechanism,
+    session: &ChaosSessionConfig,
+    plan: &CrashPlan,
+    initial_journal: Vec<u8>,
+) -> Durable {
+    let journal = plan.journal(initial_journal);
+    let report = run_chaos_session(
+        mech,
+        &protocol_config(),
+        session,
+        |_, _| specs(),
+        &Observers::default(),
+        Some(&journal),
+    )
+    .unwrap();
+    let journal_bytes = journal.borrow().bytes().unwrap();
+    Durable {
+        report,
+        journal_bytes,
+    }
 }
 
 #[test]
@@ -221,40 +250,27 @@ fn specs() -> Vec<NodeSpec> {
 fn durable_session_survives_seeded_crash_storms() {
     let mech = CompensationBonusMechanism::paper();
     let session = ChaosSessionConfig::new(3, ChaosConfig::reliable(2));
-    let reference = run_chaos_session_durable(
-        &mech,
-        &protocol_config(),
-        &session,
-        |_, _| specs(),
-        &CrashPlan::none(),
-        Vec::new(),
-        noop_collector(),
-    )
-    .unwrap();
+    let reference = durable(&mech, &session, &CrashPlan::none(), Vec::new());
 
     let max_byte = reference.journal_bytes.len() as u64;
     for seed in 0..8u64 {
-        let crashed = run_chaos_session_durable(
+        let crashed = durable(
             &mech,
-            &protocol_config(),
             &session,
-            |_, _| specs(),
             &CrashPlan::seeded(seed, 5, max_byte),
             Vec::new(),
-            noop_collector(),
-        )
-        .unwrap();
-        assert!(crashed.crashes > 0, "seed {seed}");
+        );
+        assert!(crashed.report.recovery.crashes > 0, "seed {seed}");
         assert_eq!(
-            crashed.session.rounds.len(),
-            reference.session.rounds.len(),
+            crashed.report.rounds.len(),
+            reference.report.rounds.len(),
             "seed {seed}"
         );
         for (r, (c, want)) in crashed
-            .session
+            .report
             .rounds
             .iter()
-            .zip(reference.session.rounds.iter())
+            .zip(reference.report.rounds.iter())
             .enumerate()
         {
             assert_eq!(
@@ -270,8 +286,8 @@ fn durable_session_survives_seeded_crash_storms() {
         }
         for i in 0..TRUES.len() {
             assert_eq!(
-                crashed.cumulative_payments[i].to_bits(),
-                reference.cumulative_payments[i].to_bits(),
+                crashed.report.cumulative_payments[i].to_bits(),
+                reference.report.cumulative_payments[i].to_bits(),
                 "seed {seed} machine {i}"
             );
         }
@@ -285,48 +301,21 @@ fn journal_hands_a_session_across_process_generations() {
     // remaining rounds — totals match a single uninterrupted session.
     let mech = CompensationBonusMechanism::paper();
     let full = ChaosSessionConfig::new(3, ChaosConfig::reliable(2));
-    let uninterrupted = run_chaos_session_durable(
-        &mech,
-        &protocol_config(),
-        &full,
-        |_, _| specs(),
-        &CrashPlan::none(),
-        Vec::new(),
-        noop_collector(),
-    )
-    .unwrap();
+    let uninterrupted = durable(&mech, &full, &CrashPlan::none(), Vec::new());
 
     let gen1_cfg = ChaosSessionConfig::new(1, ChaosConfig::reliable(2));
-    let gen1 = run_chaos_session_durable(
-        &mech,
-        &protocol_config(),
-        &gen1_cfg,
-        |_, _| specs(),
-        &CrashPlan::none(),
-        Vec::new(),
-        noop_collector(),
-    )
-    .unwrap();
+    let gen1 = durable(&mech, &gen1_cfg, &CrashPlan::none(), Vec::new());
     // The handoff journal replays cleanly: one sealed round.
     let replay = read_journal(&gen1.journal_bytes).unwrap();
     assert_eq!(replay.truncated_tail, 0);
 
-    let gen2 = run_chaos_session_durable(
-        &mech,
-        &protocol_config(),
-        &full,
-        |_, _| specs(),
-        &CrashPlan::none(),
-        gen1.journal_bytes.clone(),
-        noop_collector(),
-    )
-    .unwrap();
-    assert_eq!(gen2.recovered_rounds, 1);
-    assert_eq!(gen2.session.rounds.len(), 2);
+    let gen2 = durable(&mech, &full, &CrashPlan::none(), gen1.journal_bytes.clone());
+    assert_eq!(gen2.report.recovered_rounds, 1);
+    assert_eq!(gen2.report.rounds.len(), 2);
     for i in 0..TRUES.len() {
         assert_eq!(
-            gen2.cumulative_payments[i].to_bits(),
-            uninterrupted.cumulative_payments[i].to_bits(),
+            gen2.report.cumulative_payments[i].to_bits(),
+            uninterrupted.report.cumulative_payments[i].to_bits(),
             "machine {i}"
         );
     }

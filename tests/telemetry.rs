@@ -6,10 +6,8 @@ use lbmv::core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::audit::{audit_broadcast_cost, audit_broadcast_cost_observed, SettlementRecord};
 use lbmv::proto::chaos::ChaosConfig;
-use lbmv::proto::session::{
-    run_chaos_session, run_chaos_session_observed, ChaosSessionConfig, ChaosSessionReport,
-};
-use lbmv::proto::{NodeSpec, ProtocolConfig};
+use lbmv::proto::session::{run_chaos_session, ChaosSessionConfig, ChaosSessionReport};
+use lbmv::proto::{NodeSpec, Observers, ProtocolConfig};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::telemetry::{
@@ -45,12 +43,16 @@ fn truthful_specs() -> Vec<NodeSpec> {
 fn recorded_session(seed: u64) -> (ChaosSessionReport, Vec<TelemetryEvent>) {
     let session = ChaosSessionConfig::new(3, ChaosConfig::heavy(seed));
     let ring = Arc::new(RingCollector::new(65_536));
-    let report = run_chaos_session_observed(
+    let report = run_chaos_session(
         &CompensationBonusMechanism::paper(),
         &paper_config(3),
         &session,
         |_, _| truthful_specs(),
-        ring.clone(),
+        &Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+        None,
     )
     .unwrap();
     assert_eq!(ring.overwritten(), 0, "ring too small for the session");
@@ -130,11 +132,22 @@ fn recording_a_session_does_not_change_its_outcome() {
     let config = paper_config(3);
     let session = ChaosSessionConfig::new(3, ChaosConfig::heavy(7));
 
-    let plain = run_chaos_session(&mechanism, &config, &session, |_, _| truthful_specs()).unwrap();
-    let ring = Arc::new(RingCollector::new(65_536));
-    let observed =
-        run_chaos_session_observed(&mechanism, &config, &session, |_, _| truthful_specs(), ring)
-            .unwrap();
+    let run = |observers: &Observers| {
+        run_chaos_session(
+            &mechanism,
+            &config,
+            &session,
+            |_, _| truthful_specs(),
+            observers,
+            None,
+        )
+        .unwrap()
+    };
+    let plain = run(&Observers::default());
+    let observed = run(&Observers {
+        collector: Arc::new(RingCollector::new(65_536)),
+        ..Observers::default()
+    });
 
     assert_eq!(plain.total_messages, observed.total_messages);
     assert_eq!(plain.total_retries, observed.total_retries);
