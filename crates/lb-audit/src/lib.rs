@@ -8,14 +8,16 @@
 //! paper guarantees, and that the durable record of those rounds has not
 //! been rewritten after the fact.
 //!
-//! * [`monitor`] — [`InvariantMonitor`], a streaming
-//!   [`Collector`](lb_telemetry::Collector) wrapper that observes the
-//!   coordinator's settlement gauges and checks, per round: allocation
-//!   conservation and feasibility, exclusion zeroing, the Theorem 3.2
-//!   utility floor, sampled double-double payment drift and a sampled
-//!   online truthfulness margin (Theorem 3.1, via counterfactual bid
-//!   probes). Detached, it changes nothing — observation inertness is a
-//!   tested property, not a hope.
+//! * [`monitor`] — [`InvariantMonitor`], a
+//!   [`Collector`](lb_telemetry::Collector) wrapper that receives each
+//!   settled round as one typed
+//!   [`SettledRound`](lb_telemetry::SettledRound) view and checks:
+//!   allocation conservation and feasibility, exclusion zeroing, the
+//!   payment total, the Theorem 3.2 utility floor, sampled double-double
+//!   payment drift and a sampled online truthfulness margin (Theorem 3.1,
+//!   via counterfactual bid probes). Attaching it changes no allocation,
+//!   payment, journal byte or non-`audit.*` event — observation inertness
+//!   is a tested property, not a hope — and it never panics.
 //! * [`reference`](mod@reference) — the independent O(n) double-double payment reference
 //!   the drift check compares against.
 //! * [`ledger`] — [`verify_ledger`]: replays the hash chain the
@@ -36,6 +38,6 @@ pub mod report;
 
 pub use health::{health_json, invariants_json, publish};
 pub use ledger::{verify_ledger, LedgerDivergence, LedgerVerdict};
-pub use monitor::{InvariantMonitor, MonitorConfig, MonitorStats, ViolationPolicy};
-pub use reference::{reference_payments, reference_total_latency};
+pub use monitor::{InvariantMonitor, MonitorConfig, MonitorStats};
+pub use reference::reference_payments;
 pub use report::{CheckOutcome, MonitorReport};

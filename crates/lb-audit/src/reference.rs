@@ -22,24 +22,6 @@
 use lb_core::TwoF64;
 use lb_mechanism::traits::ValuationModel;
 
-/// Realised total latency `Σ t̃_j · x_j²` in double-double arithmetic.
-///
-/// # Panics
-/// Panics if the slices differ in length (a caller bug).
-#[must_use]
-pub fn reference_total_latency(rates: &[f64], exec_values: &[f64]) -> f64 {
-    assert_eq!(
-        rates.len(),
-        exec_values.len(),
-        "reference_total_latency: length mismatch"
-    );
-    let mut acc = TwoF64::ZERO;
-    for (&x, &t) in rates.iter().zip(exec_values) {
-        acc = acc + TwoF64::from_f64(t).mul_f64(x).mul_f64(x);
-    }
-    acc.value()
-}
-
 /// Independent double-double payments for one settled round, in machine
 /// order over the *respondent* sub-vector (the same sub-vector the
 /// coordinator hands its mechanism).
@@ -165,14 +147,5 @@ mod tests {
         assert!(reference_payments(&[1.0, 0.0], &[2.0, 3.0], &[1.0, 1.0], 5.0, m).is_none());
         assert!(reference_payments(&[1.0, 2.0], &[2.0, 3.0], &[1.0, 1.0], f64::NAN, m).is_none());
         assert!(reference_payments(&[1.0, 2.0], &[2.0], &[1.0, 1.0], 5.0, m).is_none());
-    }
-
-    #[test]
-    fn total_latency_matches_direct_sum() {
-        let rates = [1.0, 2.0, 3.5];
-        let execs = [0.5, 1.25, 2.0];
-        let direct: f64 = rates.iter().zip(&execs).map(|(&x, &t)| t * x * x).sum();
-        let dd = reference_total_latency(&rates, &execs);
-        assert!((direct - dd).abs() < 1e-12, "{direct} vs {dd}");
     }
 }

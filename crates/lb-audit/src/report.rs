@@ -1,8 +1,8 @@
 //! The per-round monitor report: what was checked, what held, what didn't.
 //!
 //! One [`MonitorReport`] is produced each time the
-//! [`InvariantMonitor`](crate::monitor::InvariantMonitor) sees a completed
-//! round (the `round.payment.total` gauge). Reports serialise to one JSON
+//! [`InvariantMonitor`](crate::monitor::InvariantMonitor) is handed a
+//! settled round. Reports serialise to one JSON
 //! object per line through the workspace's own
 //! [`Json`] model — the same JSONL discipline the
 //! telemetry exporters use — so a session's verification history is a

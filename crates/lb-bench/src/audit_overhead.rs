@@ -2,14 +2,14 @@
 //! top of an instrumented settle phase.
 //!
 //! Three arms share one workload (the [`crate::payment_scaling`] truthful
-//! profile) and one event stream shape (the coordinator's settlement
-//! gauges):
+//! profile) and hand each settled round to their collector as one
+//! [`SettledRound`], as the coordinator does:
 //!
-//! * **off** — allocation and payments computed and the settlement gauges
-//!   emitted into a plain [`RingCollector`]: the per-round coordinator
-//!   compute without a monitor;
-//! * **full** — the same stream routed through an [`InvariantMonitor`]
-//!   with every check on every round ([`Sampler::Always`]);
+//! * **off** — allocation and payments computed and the round handed to a
+//!   plain [`RingCollector`], which records the settlement gauges: the
+//!   per-round coordinator compute without a monitor;
+//! * **full** — the same round handed to an [`InvariantMonitor`] over such
+//!   a ring, with every check on every round ([`Sampler::Always`]);
 //! * **sampled** — drift reference and truthfulness probe admitted once
 //!   every [`SAMPLE_PERIOD`] rounds, the recommended production posture.
 //!
@@ -26,8 +26,7 @@
 
 use lb_audit::{InvariantMonitor, MonitorConfig};
 use lb_mechanism::CompensationBonusMechanism;
-use lb_telemetry::{Collector, EventKind, Json, RingCollector, Sampler, Subsystem, TelemetryEvent};
-use std::borrow::Cow;
+use lb_telemetry::{Collector, Json, RingCollector, Sampler, SettledRound};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,19 +70,9 @@ impl OverheadRow {
     }
 }
 
-fn gauge(collector: &dyn Collector, name: String, value: f64) {
-    collector.record(TelemetryEvent {
-        at: 0.0,
-        name: Cow::Owned(name),
-        cat: Subsystem::Coordinator,
-        kind: EventKind::Gauge { value },
-        fields: Vec::new(),
-    });
-}
-
 /// One settled round of coordinator compute — allocation, payment vector,
-/// and the settlement gauge stream emitted into `collector`. Returns the
-/// payment count as an optimisation sink.
+/// and the settled round handed to `collector`. Returns the payment count
+/// as an optimisation sink.
 fn settle_round(
     collector: &dyn Collector,
     mech: &CompensationBonusMechanism,
@@ -95,29 +84,28 @@ fn settle_round(
     let breakdown = mech
         .payment_breakdown(values, &alloc, values, total_rate)
         .expect("bench workload settles");
-    let mut total = 0.0;
-    for (i, payment) in breakdown.iter().enumerate() {
-        let paid = payment.total();
-        total += paid;
-        gauge(collector, format!("bid.m{i}"), values[i]);
-        gauge(collector, format!("alloc.rate.m{i}"), alloc.rate(i));
-        gauge(collector, format!("exec.est.m{i}"), values[i]);
-        gauge(collector, format!("excluded.m{i}"), 0.0);
-        gauge(collector, format!("payment.m{i}"), paid);
-    }
-    #[allow(clippy::cast_precision_loss)]
-    gauge(collector, "round.index".to_string(), round as f64);
-    gauge(collector, "round.total_rate".to_string(), total_rate);
-    gauge(collector, "round.payment.total".to_string(), total);
-    breakdown.len()
+    let payments: Vec<f64> = breakdown.iter().map(|p| p.total()).collect();
+    let excluded = vec![false; values.len()];
+    let view = SettledRound::new(
+        round,
+        total_rate,
+        values,
+        alloc.rates(),
+        values,
+        &excluded,
+        &payments,
+        payments.iter().sum(),
+    )
+    .expect("bench workload has equal, non-empty columns");
+    collector.settled(0.0, &view);
+    payments.len()
 }
 
 /// The sampled-arm monitor configuration.
 #[must_use]
 pub fn sampled_config() -> MonitorConfig {
     MonitorConfig {
-        drift_sampler: Sampler::PerRound(SAMPLE_PERIOD),
-        probe_sampler: Sampler::PerRound(SAMPLE_PERIOD),
+        sampler: Sampler::PerRound(SAMPLE_PERIOD),
         ..MonitorConfig::default()
     }
 }
@@ -255,7 +243,7 @@ mod tests {
     fn sampled_config_admits_one_round_in_the_period() {
         let config = sampled_config();
         let admitted = (0..SAMPLE_PERIOD)
-            .filter(|&r| config.drift_sampler.admits(config.seed, r))
+            .filter(|&r| config.sampler.admits(0, r))
             .count();
         assert_eq!(admitted, 1);
     }

@@ -8,20 +8,29 @@
 //! * **No false positives.** The clean round must produce zero monitor
 //!   violations and an intact ledger verdict — a monitor that cries wolf
 //!   on honest rounds is as useless as one that misses theft.
-//! * **No false negatives.** Three corruptions are then injected, and each
-//!   must be flagged:
-//!   1. a *skimmed payment* — one respondent's settlement gauge perturbed
-//!      (with `round.payment.total` adjusted so the aggregate still
-//!      balances) — caught by the double-double drift reference;
+//! * **No false negatives.** Corruptions are then injected into owned
+//!   copies of the clean round's columns, handed to a fresh monitor as a
+//!   [`SettledRound`], and each must be flagged by the check that owns it:
+//!   1. a *skimmed payment* — one respondent's payment lowered, with the
+//!      payment total lowered alike so the aggregate still balances —
+//!      caught by the double-double drift reference;
 //!   2. a *tampered journal* — a random byte flipped in a pre-seal record
 //!      with the frame CRC recomputed, the edit the per-record checksum
 //!      cannot see — caught by the ledger hash chain;
 //!   3. a *violated utility floor* — a consistent synthetic round with one
 //!      respondent underpaid past its Theorem 3.2 floor — caught by the
-//!      floor check.
+//!      floor check;
+//!   4. a *leaked rate* — one rate raised so `Σx ≠ R` — caught by
+//!      conservation;
+//!   5. an *infeasible rate* — one rate made negative, NaN or infinite —
+//!      caught by feasibility;
+//!   6. a *paid exclusion* — a respondent marked excluded while it keeps
+//!      its rate and payment — caught by exclusion;
+//!   7. a *misreported total* — the payment total moved off `Σ P_i` —
+//!      caught by total.
 
 use crate::generate::{latency_values, node_specs, rng_for, spread_half_width};
-use lb_audit::{verify_ledger, InvariantMonitor, MonitorConfig};
+use lb_audit::{verify_ledger, InvariantMonitor, MonitorConfig, MonitorReport};
 use lb_mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
 use lb_proto::journal::{crc32, JournalRecord};
 use lb_proto::{
@@ -31,7 +40,7 @@ use lb_proto::{
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
 use lb_stats::Rng;
-use lb_telemetry::{noop_collector, Collector, EventKind, Subsystem, TelemetryEvent};
+use lb_telemetry::{noop_collector, Collector, SettledRound};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -102,34 +111,50 @@ fn drive(
     c.seal().map_err(|e| format!("seal: {e}"))
 }
 
-/// The settlement gauge stream of one recorded round, in emission order.
-fn settlement_gauges(events: &[TelemetryEvent]) -> Vec<(String, f64)> {
-    events
-        .iter()
-        .filter(|e| e.cat == Subsystem::Coordinator)
-        .filter_map(|e| match e.kind {
-            EventKind::Gauge { value } => Some((e.name.to_string(), value)),
-            _ => None,
-        })
-        .collect()
+/// Owned columns of one settled round, for tampering.
+#[derive(Debug, Clone)]
+struct Columns {
+    total_rate: f64,
+    bids: Vec<f64>,
+    rates: Vec<f64>,
+    estimates: Vec<f64>,
+    excluded: Vec<bool>,
+    payments: Vec<f64>,
+    payment_total: f64,
 }
 
-/// Replays a (possibly tampered) gauge stream into a fresh monitor and
-/// returns its verdict on the single round it sees.
-fn replay_into_monitor(gauges: &[(String, f64)]) -> Result<lb_audit::MonitorReport, String> {
-    let monitor = InvariantMonitor::new(noop_collector(), MonitorConfig::default());
-    for (name, value) in gauges {
-        monitor.record(TelemetryEvent {
-            at: 0.0,
-            name: std::borrow::Cow::Owned(name.clone()),
-            cat: Subsystem::Coordinator,
-            kind: EventKind::Gauge { value: *value },
-            fields: Vec::new(),
-        });
+impl Columns {
+    /// Hands the columns to a fresh monitor as round 0 and returns its
+    /// verdict.
+    fn audit(&self) -> Result<MonitorReport, String> {
+        let round = SettledRound::new(
+            0,
+            self.total_rate,
+            &self.bids,
+            &self.rates,
+            &self.estimates,
+            &self.excluded,
+            &self.payments,
+            self.payment_total,
+        )
+        .map_err(|e| e.to_string())?;
+        let monitor = InvariantMonitor::new(noop_collector(), MonitorConfig::default());
+        monitor.settled(0.0, &round);
+        monitor
+            .latest_report()
+            .ok_or_else(|| "monitor completed no round".to_string())
     }
-    monitor
-        .latest_report()
-        .ok_or_else(|| "replayed stream completed no round".to_string())
+}
+
+/// Audits a tampered copy and requires the named check to flag it.
+fn expect_flagged(tampered: &Columns, check: &str, fault: &str) -> Result<(), String> {
+    let report = tampered.audit()?;
+    if report.check(check).is_none_or(|c| c.ok) {
+        return Err(format!(
+            "{fault} not caught by the {check} check: {report:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// Runs one audit-oracle iteration.
@@ -149,17 +174,27 @@ pub fn check(seed: u64) -> Result<(), String> {
 
     // Clean journalled round, observed live by the monitor.
     let journal = Rc::new(RefCell::new(MemJournal::new()));
-    let ring = Arc::new(lb_telemetry::RingCollector::new(8192));
     let monitor = Arc::new(InvariantMonitor::new(
-        ring.clone() as Arc<dyn Collector>,
+        Arc::new(lb_telemetry::RingCollector::new(8192)),
         MonitorConfig::default(),
     ));
-    {
+    let clean = {
         let mut c = Coordinator::new(&mech, n, total_rate, round, sim)
             .with_journal(Rc::clone(&journal) as Rc<RefCell<dyn Journal>>)
             .with_collector(monitor.clone() as Arc<dyn Collector>);
         drive(&mut c, &specs, &actual, round)?;
-    }
+        let payments = c.payments().ok_or("round settled with no payments")?;
+        Columns {
+            total_rate,
+            // Every machine bids in this fault-free round.
+            bids: specs.iter().map(|s| s.bid).collect(),
+            rates: c.allocation().ok_or("no allocation")?.rates().to_vec(),
+            estimates: c.estimated_exec_values().ok_or("no estimates")?.to_vec(),
+            excluded: c.excluded().to_vec(),
+            payments: payments.to_vec(),
+            payment_total: payments.iter().sum(),
+        }
+    };
 
     // 1. No false positives: the honest round is clean end to end.
     let report = monitor.latest_report().ok_or("monitor observed no round")?;
@@ -182,47 +217,28 @@ pub fn check(seed: u64) -> Result<(), String> {
         return Err(format!("clean journal fails verification: {verdict:?}"));
     }
 
-    // 2a. Skimmed payment: perturb one respondent's payment gauge, patch
-    // the emitted total so the aggregate check stays green — the drift
-    // reference must still catch it.
-    let gauges = settlement_gauges(&ring.snapshot());
-    let respondent = gauges
+    // The owned copy is the round the monitor saw live.
+    if clean.audit()? != report {
+        return Err("the clean copy audits differently from the live round".to_string());
+    }
+    let respondent = clean
+        .excluded
         .iter()
-        .find_map(|(name, value)| {
-            let i: usize = name.strip_prefix("excluded.m")?.parse().ok()?;
-            (*value == 0.0).then_some(i)
-        })
+        .position(|&excluded| !excluded)
         .ok_or("round settled with no respondents")?;
-    let payment_name = format!("payment.m{respondent}");
-    let paid = gauges
-        .iter()
-        .find(|(name, _)| *name == payment_name)
-        .map(|(_, v)| *v)
-        .ok_or("respondent has no payment gauge")?;
-    let skim = (0.01 + rng.next_range(0.0, 0.5)) * (1.0 + paid.abs());
-    let skimmed = replay_into_monitor(
-        &gauges
-            .iter()
-            .map(|(name, value)| {
-                let tampered = if *name == payment_name || name == "round.payment.total" {
-                    value - skim
-                } else {
-                    *value
-                };
-                (name.clone(), tampered)
-            })
-            .collect::<Vec<_>>(),
+
+    // 2a. Skimmed payment: lower one respondent's payment and the total
+    // alike, so the aggregate check stays green — the drift reference must
+    // still catch it.
+    let mut skimmed = clean.clone();
+    let skim = (0.01 + rng.next_range(0.0, 0.5)) * (1.0 + clean.payments[respondent].abs());
+    skimmed.payments[respondent] -= skim;
+    skimmed.payment_total -= skim;
+    expect_flagged(
+        &skimmed,
+        "drift",
+        &format!("skimmed payment (machine {respondent}, −{skim:e})"),
     )?;
-    if skimmed.ok() {
-        return Err(format!(
-            "skimmed payment (machine {respondent}, −{skim:e}) went undetected"
-        ));
-    }
-    if skimmed.check("drift").is_none_or(|c| c.ok) {
-        return Err(format!(
-            "skimmed payment not caught by the drift reference: {skimmed:?}"
-        ));
-    }
 
     // 2b. Tampered journal: flip a byte in a random pre-seal record and
     // recompute the frame CRC. The per-record checksum now passes; only
@@ -269,38 +285,73 @@ pub fn check(seed: u64) -> Result<(), String> {
     let out = run_mechanism(&mech, &profile).map_err(|e| format!("synthetic round: {e}"))?;
     #[allow(clippy::cast_possible_truncation)]
     let victim = rng.next_below(m as u64) as usize;
-    let mut floor_gauges = Vec::new();
     // Steal more than the whole payment scale: the floor tolerance is
     // relative to Σ|P_i|, so the theft must dominate it even on 10¹²
     // magnitude spreads.
     let theft = 10.0 * (1.0 + out.payments.iter().map(|p| p.abs()).sum::<f64>());
-    for (i, &value) in values.iter().enumerate() {
-        let paid = if i == victim {
-            out.payments[i] - theft
-        } else {
-            out.payments[i]
-        };
-        floor_gauges.push((format!("bid.m{i}"), value));
-        floor_gauges.push((format!("alloc.rate.m{i}"), out.allocation.rate(i)));
-        floor_gauges.push((format!("exec.est.m{i}"), value));
-        floor_gauges.push((format!("excluded.m{i}"), 0.0));
-        floor_gauges.push((format!("payment.m{i}"), paid));
-    }
-    floor_gauges.push(("round.index".to_string(), 0.0));
-    floor_gauges.push(("round.total_rate".to_string(), synth_rate));
-    floor_gauges.push((
-        "round.payment.total".to_string(),
-        out.payments.iter().sum::<f64>() - theft,
-    ));
-    let floored = replay_into_monitor(&floor_gauges)?;
-    if !floored.consistent {
+    let mut floored = Columns {
+        total_rate: synth_rate,
+        bids: values.clone(),
+        rates: out.allocation.rates().to_vec(),
+        estimates: values,
+        excluded: vec![false; m],
+        payments: out.payments.clone(),
+        payment_total: out.payments.iter().sum::<f64>() - theft,
+    };
+    floored.payments[victim] -= theft;
+    if !floored.audit()?.consistent {
         return Err("synthetic round should read as consistent".to_string());
     }
-    if floored.check("floor").is_none_or(|c| c.ok) {
-        return Err(format!(
-            "underpaid machine {victim} (−{theft:e}) not caught by the floor check: {floored:?}"
-        ));
-    }
+    expect_flagged(
+        &floored,
+        "floor",
+        &format!("underpaid machine {victim} (−{theft:e})"),
+    )?;
+
+    // 2d. Leaked rate: Σx drifts off R by far more than the tolerance.
+    let mut leaked = clean.clone();
+    let leak = (0.01 + rng.next_range(0.0, 0.5)) * total_rate;
+    leaked.rates[respondent] += leak;
+    expect_flagged(
+        &leaked,
+        "conservation",
+        &format!("rate leak (machine {respondent}, +{leak:e})"),
+    )?;
+
+    // 2e. Infeasible rate: negative, NaN or infinite.
+    let mut infeasible = clean.clone();
+    let bad_rate = match rng.next_below(3) {
+        0 => -(1.0 + clean.rates[respondent]),
+        1 => f64::NAN,
+        _ => f64::INFINITY,
+    };
+    infeasible.rates[respondent] = bad_rate;
+    expect_flagged(
+        &infeasible,
+        "feasibility",
+        &format!("rate {bad_rate} (machine {respondent})"),
+    )?;
+
+    // 2f. Paid exclusion: a respondent keeps its (positive) rate and its
+    // payment while marked excluded.
+    let mut paid_exclusion = clean.clone();
+    paid_exclusion.excluded[respondent] = true;
+    expect_flagged(
+        &paid_exclusion,
+        "exclusion",
+        &format!("excluded machine {respondent} still served and paid"),
+    )?;
+
+    // 2g. Misreported total: the aggregate moves off Σ P_i.
+    let mut misreported = clean;
+    let shift = (0.01 + rng.next_range(0.0, 0.5))
+        * (1.0 + misreported.payments.iter().map(|p| p.abs()).sum::<f64>());
+    misreported.payment_total += shift;
+    expect_flagged(
+        &misreported,
+        "total",
+        &format!("payment total shifted by {shift:e}"),
+    )?;
 
     Ok(())
 }

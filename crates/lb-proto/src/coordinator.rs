@@ -28,10 +28,8 @@ use lb_core::{Allocation, CoreError, TwoF64};
 use lb_mechanism::{MechanismError, VerifiedMechanism};
 use lb_sim::driver::{simulate_round, SimulationConfig};
 use lb_telemetry::{
-    noop_collector, Collector, EventKind, Field, Phase, SpanId, Subsystem, TelemetryEvent,
-    TraceContext,
+    noop_collector, Collector, Field, Phase, SettledRound, SpanId, Subsystem, TraceContext,
 };
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -1197,28 +1195,21 @@ impl<'m> Coordinator<'m> {
             })
             .collect::<Result<Vec<_>, ProtocolError>>()?;
         self.payments = Some(payments);
-        self.emit_settlement_gauges();
+        self.report_settled();
         self.phase = CoordinatorPhase::Done;
         self.switch_phase_span(None, Vec::new());
         self.end_telemetry();
         Ok(out)
     }
 
-    /// Emits the end-of-round settlement gauges: per-machine bid, allocated
-    /// rate, execution estimate, exclusion flag and payment, then the
-    /// round-scope `round.index` / `round.total_rate` gauges, with
-    /// `round.payment.total` strictly last — streaming monitors (lb-audit's
-    /// `InvariantMonitor`) treat it as the end-of-round trigger and check the
-    /// whole observation when it arrives. Per-machine names are dynamic, so
-    /// they bypass the `&'static str` conveniences. A no-op without an
-    /// enabled collector (observation inertness) or before settlement state
-    /// exists. Called from `settle`, and again from [`Coordinator::resume`]
-    /// when a recovered round is already settled, so monitors attached to
-    /// the new process generation still observe the round.
-    fn emit_settlement_gauges(&self) {
-        if !self.collector.enabled() {
-            return;
-        }
+    /// Hands the settled round to the collector as one [`SettledRound`]
+    /// view ([`Collector::settled`]; the default records the settlement
+    /// gauges when the collector is enabled). Called on every settle, so a
+    /// monitor sees the round even over a disabled collector, and again
+    /// from [`Coordinator::resume`] when a recovered round is already
+    /// settled, so monitors attached to the new process generation still
+    /// observe the round. A no-op before settlement state exists.
+    fn report_settled(&self) {
         let (Some(allocation), Some(estimates), Some(payments)) = (
             self.allocation.as_ref(),
             self.estimated_exec.as_ref(),
@@ -1226,45 +1217,21 @@ impl<'m> Coordinator<'m> {
         ) else {
             return;
         };
-        let at = self.now.get();
-        let gauge = |name: String, value: f64| {
-            self.collector.record(TelemetryEvent {
-                at,
-                name: Cow::Owned(name),
-                cat: Subsystem::Coordinator,
-                kind: EventKind::Gauge { value },
-                fields: Vec::new(),
-            });
-        };
-        for (i, &p) in payments.iter().enumerate() {
-            gauge(format!("bid.m{i}"), self.bids[i].unwrap_or(0.0));
-            gauge(format!("alloc.rate.m{i}"), allocation.rate(i));
-            gauge(format!("exec.est.m{i}"), estimates[i]);
-            gauge(
-                format!("excluded.m{i}"),
-                if self.excluded[i] { 1.0 } else { 0.0 },
-            );
-            gauge(format!("payment.m{i}"), p);
-        }
-        #[allow(clippy::cast_precision_loss)]
-        self.collector.gauge(
-            at,
-            "round.index",
-            Subsystem::Coordinator,
-            self.round.0 as f64,
-        );
-        self.collector.gauge(
-            at,
-            "round.total_rate",
-            Subsystem::Coordinator,
+        let bids: Vec<f64> = self.bids.iter().map(|b| b.unwrap_or(0.0)).collect();
+        // Every column has the round's n > 0 entries, so the view always
+        // builds.
+        if let Ok(round) = SettledRound::new(
+            self.round.0,
             self.total_rate,
-        );
-        self.collector.gauge(
-            at,
-            "round.payment.total",
-            Subsystem::Coordinator,
+            &bids,
+            allocation.rates(),
+            estimates,
+            &self.excluded,
+            payments,
             payments.iter().sum(),
-        );
+        ) {
+            self.collector.settled(self.now.get(), &round);
+        }
     }
 
     /// Seals the round: journals `RoundSealed` and commits, marking that
@@ -1461,11 +1428,11 @@ impl<'m> Coordinator<'m> {
                 if self.sealed {
                     return Ok(Vec::new());
                 }
-                // The dead generation emitted its settlement gauges into a
-                // collector that died with it; re-emit here so a monitor
+                // The dead generation reported the settled round to a
+                // collector that died with it; report it again so a monitor
                 // attached to this generation observes the recovered round.
                 self.ensure_round_span();
-                self.emit_settlement_gauges();
+                self.report_settled();
                 let payments = self.payments.as_ref().ok_or(ProtocolError::MissingState {
                     what: "payment ledger",
                 })?;

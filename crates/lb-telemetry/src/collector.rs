@@ -5,9 +5,11 @@
 //! across threads). Implementors provide three primitives — [`Collector::enabled`],
 //! [`Collector::record`] and [`Collector::next_span_id`] — and inherit the
 //! span/instant/counter/gauge/histogram convenience API, every method of
-//! which returns immediately when the collector is disabled.
+//! which returns immediately when the collector is disabled, plus the
+//! [`Collector::settled`] end-of-round hook.
 
 use crate::event::{EventKind, Field, SpanId, Subsystem, TelemetryEvent};
+use crate::settled::SettledRound;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
@@ -141,6 +143,16 @@ pub trait Collector: Send + Sync {
             kind: EventKind::Histogram { value },
             fields: Vec::new(),
         });
+    }
+
+    /// A coordinator settled a round. Called on every settle, enabled or
+    /// not; the default records the settlement gauges (see
+    /// [`crate::settled`]) when the collector is enabled. Observers that
+    /// check rounds override it and read the typed view.
+    fn settled(&self, at: f64, round: &SettledRound<'_>) {
+        if self.enabled() {
+            round.record_gauges(self, at);
+        }
     }
 }
 

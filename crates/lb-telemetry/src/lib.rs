@@ -37,6 +37,9 @@
 //!   and the [`MeteredCollector`] overhead accountant.
 //! * [`expose`] — a std-only HTTP 1.0 exposition server: Prometheus
 //!   text-format `/metrics` and recent-recording `/trace` JSONL.
+//! * [`settled`] — [`SettledRound`], the typed view of a settled round a
+//!   coordinator hands [`Collector::settled`], and the one definition of
+//!   the settlement-gauge export format.
 //!
 //! # Clock discipline
 //!
@@ -64,6 +67,7 @@ pub mod registry;
 pub mod replay;
 pub mod ring;
 pub mod sampler;
+pub mod settled;
 pub mod timeline;
 
 pub use collector::{noop_collector, Collector, NoopCollector};
@@ -76,4 +80,5 @@ pub use registry::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use replay::{replay_spans, CompletedSpan, ReplayError};
 pub use ring::RingCollector;
 pub use sampler::{MeteredCollector, Sampler};
+pub use settled::{ColumnLengthError, SettledRound};
 pub use timeline::render_timeline;

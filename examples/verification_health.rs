@@ -11,8 +11,9 @@
 //! 2. a byte of the journal is flipped *with its frame CRC recomputed* —
 //!    the per-record checksum passes, but the ledger chain localises the
 //!    divergence and `/health` flips to `tampered`;
-//! 3. a skimmed payment is replayed into a monitor — the double-double
-//!    reference catches the theft the aggregate total check cannot see.
+//! 3. a settled round with a skimmed payment is handed to a monitor — the
+//!    double-double reference catches the theft the aggregate total check
+//!    cannot see.
 //!
 //! ```text
 //! cargo run --example verification_health
@@ -27,7 +28,7 @@ use lbmv::proto::{
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
-use lbmv::telemetry::{noop_collector, Collector, Exposition, Subsystem, TelemetryEvent};
+use lbmv::telemetry::{noop_collector, Collector, Exposition, SettledRound};
 use std::sync::Arc;
 
 const RATE: f64 = 9.0;
@@ -119,45 +120,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("/health    -> {}", health_json(&stats, Some(&bad)).render());
 
-    // Act 3 — skim one payment gauge out of a recorded settlement stream
-    // (patching the emitted total so the aggregate still balances) and
-    // replay it into a fresh monitor: only the dd reference notices.
-    let skimmer = Arc::new(InvariantMonitor::new(
-        noop_collector(),
-        MonitorConfig::default(),
-    ));
+    // Act 3 — skim one payment out of a settled round (patching the total
+    // so the aggregate still balances) and hand it to a fresh monitor: only
+    // the dd reference notices.
+    let skimmer = InvariantMonitor::new(noop_collector(), MonitorConfig::default());
     let alloc = lbmv::core::pr_allocate(&TRUES, RATE)?;
     let out = lbmv::mechanism::run_mechanism(
         &mechanism,
         &lbmv::mechanism::Profile::truthful(&lbmv::core::System::from_true_values(&TRUES)?, RATE)?,
     )?;
     let skim = 0.05 * (1.0 + out.payments[1].abs());
-    let gauge = |name: String, value: f64| {
-        skimmer.record(TelemetryEvent {
-            at: 0.0,
-            name: std::borrow::Cow::Owned(name),
-            cat: Subsystem::Coordinator,
-            kind: lbmv::telemetry::EventKind::Gauge { value },
-            fields: Vec::new(),
-        });
-    };
-    for (i, &t) in TRUES.iter().enumerate() {
-        let paid = if i == 1 {
-            out.payments[i] - skim
-        } else {
-            out.payments[i]
-        };
-        gauge(format!("bid.m{i}"), t);
-        gauge(format!("alloc.rate.m{i}"), alloc.rate(i));
-        gauge(format!("exec.est.m{i}"), t);
-        gauge(format!("excluded.m{i}"), 0.0);
-        gauge(format!("payment.m{i}"), paid);
-    }
-    gauge("round.index".to_string(), 0.0);
-    gauge("round.total_rate".to_string(), RATE);
-    gauge(
-        "round.payment.total".to_string(),
-        out.payments.iter().sum::<f64>() - skim,
+    let mut paid = out.payments.clone();
+    paid[1] -= skim;
+    skimmer.settled(
+        0.0,
+        &SettledRound::new(
+            0,
+            RATE,
+            &TRUES,
+            alloc.rates(),
+            &TRUES,
+            &[false; 3],
+            &paid,
+            out.payments.iter().sum::<f64>() - skim,
+        )?,
     );
     let caught = skimmer.latest_report().expect("round observed");
     println!("\n— skimmed payment (machine 1, −{skim:.6}) —");

@@ -14,6 +14,7 @@
 
 use lb_stats::prop;
 use lb_stats::{prop_assert, prop_assert_eq, Rng, Xoshiro256StarStar};
+use lbmv::audit::{InvariantMonitor, MonitorConfig};
 use lbmv::core::{pr_allocate, pr_allocate_capped, solve_convex, ConvexSolverOptions, Linear};
 use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
 use lbmv::prof::RoundProfiler;
@@ -25,7 +26,7 @@ use lbmv::proto::{
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
-use lbmv::telemetry::{RingCollector, Sampler};
+use lbmv::telemetry::{noop_collector, Collector, RingCollector, Sampler};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -429,8 +430,9 @@ fn prop_observers_are_inert_on_every_transport() {
             let mut config = proto_config();
             config.total_rate = rate;
             let profiler = RefCell::new(RoundProfiler::new());
-            // (observers, whether a sharded round carries the profiler)
-            let arms = |ring: &Arc<RingCollector>| {
+            // (observers, whether a sharded round carries the profiler); the
+            // invariant monitor over a disabled collector comes last.
+            let arms = |ring: &Arc<RingCollector>, monitor: &Arc<InvariantMonitor>| {
                 [
                     (Observers::default(), false),
                     (
@@ -448,7 +450,20 @@ fn prop_observers_are_inert_on_every_transport() {
                         false,
                     ),
                     (Observers::default(), true),
+                    (
+                        Observers {
+                            collector: monitor.clone() as Arc<dyn Collector>,
+                            ..Observers::default()
+                        },
+                        false,
+                    ),
                 ]
+            };
+            let monitor = || {
+                Arc::new(InvariantMonitor::new(
+                    noop_collector(),
+                    MonitorConfig::default(),
+                ))
             };
 
             for transport in [
@@ -461,7 +476,8 @@ fn prop_observers_are_inert_on_every_transport() {
                 },
             ] {
                 let ring = Arc::new(RingCollector::new(1 << 16));
-                let runs: Vec<_> = arms(&ring)
+                let watcher = monitor();
+                let runs: Vec<_> = arms(&ring, &watcher)
                     .into_iter()
                     .filter_map(|(observers, profiled)| {
                         let transport = match &transport {
@@ -497,13 +513,16 @@ fn prop_observers_are_inert_on_every_transport() {
                         }
                     }
                 }
+                // The monitor watched its round while adding no trailer.
+                let settled = u64::from(runs.last().is_some_and(Result::is_ok));
+                prop_assert_eq!(watcher.stats().rounds, settled);
             }
 
             // Journals: a durable chaos round and a durable sharded round
             // write the same bytes whatever watches them.
             let ring = Arc::new(RingCollector::new(1 << 16));
             let mut journals = Vec::new();
-            for (observers, profiled) in arms(&ring) {
+            for (observers, profiled) in arms(&ring, &monitor()) {
                 let journal = CrashPlan::none().journal(Vec::new());
                 let mut runtime = ChaosRuntime::new(n, config, ChaosConfig::heavy(seed)).unwrap();
                 runtime.set_collector(observers.round_collector(seed, 0));
