@@ -99,7 +99,7 @@ fn time_batch(
         )
         .expect("bench coordinator");
         let attach = (every > 0).then_some(&mut profiler);
-        let (stats, _) = drive_sharded_round(
+        let (report, _) = drive_sharded_round(
             &mut root,
             specs,
             &config,
@@ -110,7 +110,7 @@ fn time_batch(
         .expect("bench round settles");
         #[allow(clippy::cast_precision_loss)]
         {
-            sink += stats.messages as f64;
+            sink += report.outcome.stats.messages as f64;
         }
     }
     let elapsed = start.elapsed().as_nanos();

@@ -179,7 +179,8 @@ pub fn check(seed: u64) -> Result<(), String> {
         MonitorConfig::default(),
     ));
     let clean = {
-        let mut c = Coordinator::new(&mech, n, total_rate, round, sim)
+        let mut c = Coordinator::try_new(&mech, n, total_rate, round, sim)
+            .map_err(|e| format!("coordinator: {e}"))?
             .with_journal(Rc::clone(&journal) as Rc<RefCell<dyn Journal>>)
             .with_collector(monitor.clone() as Arc<dyn Collector>);
         drive(&mut c, &specs, &actual, round)?;

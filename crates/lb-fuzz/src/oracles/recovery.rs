@@ -185,7 +185,8 @@ pub fn check(seed: u64) -> Result<(), String> {
 
     // Uninterrupted reference run, journalled.
     let journal = Rc::new(RefCell::new(MemJournal::new()));
-    let mut c = Coordinator::new(&mech, n, total_rate, round, sim)
+    let mut c = Coordinator::try_new(&mech, n, total_rate, round, sim)
+        .map_err(|e| format!("coordinator: {e}"))?
         .with_journal(Rc::clone(&journal) as Rc<RefCell<dyn Journal>>);
     for (i, &q) in sc.quarantined.iter().enumerate() {
         if q {

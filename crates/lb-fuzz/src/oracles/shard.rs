@@ -26,9 +26,8 @@
 use crate::generate::{node_specs, rng_for};
 use lb_mechanism::CompensationBonusMechanism;
 use lb_proto::{
-    drive_sharded_round, recover_round, report_from_root, run_round, ChaosConfig, Coordinator,
-    FaultPlan, Journal, JournalReplay, MemJournal, ProtocolConfig, RoundContext, RoundId,
-    RoundSpec, Transport,
+    drive_sharded_round, recover_round, run_round, ChaosConfig, Coordinator, FaultPlan, Journal,
+    JournalReplay, MemJournal, ProtocolConfig, RoundContext, RoundId, RoundSpec, Transport,
 };
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
@@ -118,9 +117,8 @@ pub fn check(seed: u64) -> Result<(), String> {
     let single = single.outcome;
     let mut root = Coordinator::try_new(&mech, n, config.total_rate, round, config.simulation)
         .map_err(|e| format!("root: {e}"))?;
-    let (stats, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults, None)
+    let (report, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults, None)
         .map_err(|e| format!("sharded round (k = {shards}): {e}"))?;
-    let report = report_from_root(&root, &specs, stats).map_err(|e| format!("report: {e}"))?;
     let excluded = &report.excluded;
     let anomalies = report.anomalies;
     let report = report.outcome;

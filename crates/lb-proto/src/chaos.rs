@@ -323,7 +323,7 @@ pub(crate) fn drive_round<L: Link>(
 
     // Open the round's telemetry spans first so the opening frames already
     // carry the current phase span in their trace context.
-    coordinator.begin_round_telemetry();
+    coordinator.ensure_round_span();
     let opening = match opening {
         Some(outgoing) => outgoing,
         None => (0u32..)

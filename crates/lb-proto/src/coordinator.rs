@@ -6,10 +6,21 @@
 //! CollectingBids → Executing → Settling → Done
 //! ```
 //!
-//! It owns the verification plane: after allocating, it runs the
-//! discrete-event execution simulation ([`lb_sim::driver::simulate_round`])
-//! at the nodes' *actual* execution values and keeps only the *estimates*
-//! for payment — the coordinator never reads a node's private state.
+//! One transition crosses each phase boundary of the paper's protocol (end
+//! of Sec. 3): [`Coordinator::end_bidding`], [`Coordinator::allocate`]
+//! against a harmonic sum `s = Σ 1/b_i`, [`Coordinator::commit_allocation`]
+//! of the rates and the verification estimates, and
+//! [`Coordinator::settle`] against `s`. The shard runtime
+//! ([`crate::shard`]) calls them with `s` merged from per-shard partials and
+//! estimates gathered from per-shard simulations. The message-driven
+//! triggers ([`Coordinator::handle`], [`Coordinator::close_bidding`],
+//! [`Coordinator::close_execution`], [`Coordinator::resume`]) run the same
+//! transitions as the `k = 1` case: one partial sum over the whole round,
+//! and the verification simulation
+//! ([`lb_sim::driver::simulate_partition_observed`]) at stream offset 0.
+//! Either way verification runs at the nodes' *actual* execution values and
+//! the coordinator keeps only the *estimates* for payment — it never reads a
+//! node's private state.
 //!
 //! **Fault handling.** A machine whose bid never arrives can be *excluded*
 //! by [`Coordinator::close_bidding`]: the round proceeds over the
@@ -24,14 +35,16 @@ use crate::journal::{
 };
 use crate::message::{Message, RoundId};
 use crate::trace::{Anomaly, AnomalyStats};
-use lb_core::{Allocation, CoreError, TwoF64};
+use lb_core::{inv_sum_dd, Allocation, CoreError, TwoF64};
 use lb_mechanism::{MechanismError, VerifiedMechanism};
-use lb_sim::driver::{simulate_round, SimulationConfig};
+use lb_sim::driver::{simulate_partition_observed, SimulationConfig};
 use lb_telemetry::{
-    noop_collector, Collector, Field, Phase, SettledRound, SpanId, Subsystem, TraceContext,
+    noop_collector, Collector, Field, NoopCollector, Phase, SettledRound, SpanId, Subsystem,
+    TraceContext,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -110,6 +123,13 @@ pub enum ProtocolError {
         /// What was invalid.
         what: &'static str,
     },
+    /// A call named a machine the round does not have.
+    MachineOutOfRange {
+        /// The offending machine index.
+        machine: usize,
+        /// The round's machine count.
+        n: usize,
+    },
     /// The durable journal failed (including injected crashes).
     Journal(JournalError),
     /// A mechanism or simulation error.
@@ -139,6 +159,9 @@ impl fmt::Display for ProtocolError {
                 write!(f, "shard {shard} worker panicked; round aborted")
             }
             Self::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
+            Self::MachineOutOfRange { machine, n } => {
+                write!(f, "machine {machine} is out of range for a round of {n}")
+            }
             Self::Journal(e) => write!(f, "journal: {e}"),
             Self::Mechanism(e) => write!(f, "mechanism: {e}"),
         }
@@ -265,31 +288,12 @@ impl std::fmt::Debug for Coordinator<'_> {
 }
 
 impl<'m> Coordinator<'m> {
-    /// Creates a coordinator for a round over `n` nodes.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `n` exceeds the `u32` wire-format limit; use
-    /// [`Coordinator::try_new`] to get a typed error instead.
-    #[must_use]
-    pub fn new(
-        mechanism: &'m dyn VerifiedMechanism,
-        n: usize,
-        total_rate: f64,
-        round: RoundId,
-        sim_config: SimulationConfig,
-    ) -> Self {
-        match Self::try_new(mechanism, n, total_rate, round, sim_config) {
-            Ok(c) => c,
-            Err(e) => panic!("Coordinator: {e}"),
-        }
-    }
-
-    /// [`Coordinator::new`] with the size preconditions surfaced as typed
-    /// errors. Machine indices and node counts travel as `u32` on the wire
-    /// and in the journal, so the count is validated *before* any per-node
-    /// state is allocated — an oversized `n` answers with
-    /// [`ProtocolError::TooManyNodes`] instead of attempting a huge
-    /// allocation and then aborting mid-round at the first journal append.
+    /// Creates a coordinator for a round over `n` nodes. Machine indices and
+    /// node counts travel as `u32` on the wire and in the journal, so the
+    /// count is validated *before* any per-node state is allocated — an
+    /// oversized `n` answers with [`ProtocolError::TooManyNodes`] instead of
+    /// attempting a huge allocation and then aborting mid-round at the
+    /// first journal append.
     ///
     /// # Errors
     /// Returns [`ProtocolError::MissingState`] when `n == 0` and
@@ -338,6 +342,17 @@ impl<'m> Coordinator<'m> {
         u32::try_from(i).map_err(|_| ProtocolError::TooManyNodes { n: i })
     }
 
+    /// `message(i)` addressed to each machine `i` in `machines`.
+    fn address(
+        machines: impl IntoIterator<Item = usize>,
+        message: impl Fn(usize) -> Message,
+    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+        machines
+            .into_iter()
+            .map(|i| Ok((Self::machine_u32(i)?, message(i))))
+            .collect()
+    }
+
     /// Attaches a wire-propagated trace context. Outbound frames then carry
     /// it (with the current phase span as parent) when the context is
     /// sampled and a collector is attached — see
@@ -369,15 +384,6 @@ impl<'m> Coordinator<'m> {
     /// parents on a live span or must degrade to an instant.
     pub(crate) fn phase_span(&self) -> SpanId {
         self.phase_span.get()
-    }
-
-    /// Opens the round/phase spans now instead of lazily on the first
-    /// handled message, so frames sent *before* any bid arrives (the initial
-    /// bid requests, early retransmissions) already carry the
-    /// `phase.collect_bids` span in their wire context. Idempotent; a no-op
-    /// without an enabled collector.
-    pub(crate) fn begin_round_telemetry(&self) {
-        self.ensure_round_span();
     }
 
     /// Attaches a telemetry collector. The coordinator then emits a `round`
@@ -492,8 +498,10 @@ impl<'m> Coordinator<'m> {
 
     /// Opens the `round` span (and the collect-bids phase span) on first
     /// use. Lazy so that un-instrumented coordinators never allocate ids.
-    /// `pub(crate)` so the shard runtime can open the spans before its
-    /// workers capture the phase span as their parent.
+    /// `pub(crate)` so drivers can open the spans before the first frame
+    /// leaves: the opening bid requests then carry `phase.collect_bids` in
+    /// their wire context, and shard workers parent their spans on it.
+    /// Idempotent; a no-op without an enabled collector.
     pub(crate) fn ensure_round_span(&self) {
         if self.spans_started.get() || !self.collector.enabled() {
             return;
@@ -611,28 +619,38 @@ impl<'m> Coordinator<'m> {
             .collect()
     }
 
+    /// Fails with [`ProtocolError::PhaseViolation`] unless the round is in
+    /// `expected`.
+    fn expect_phase(
+        &self,
+        op: &'static str,
+        expected: CoordinatorPhase,
+    ) -> Result<(), ProtocolError> {
+        if self.phase == expected {
+            Ok(())
+        } else {
+            Err(ProtocolError::PhaseViolation {
+                op,
+                expected,
+                actual: self.phase,
+            })
+        }
+    }
+
     /// Excludes `machine` up front, before any timeout — used by sessions to
     /// quarantine a machine for the round. Its bids will be absorbed as
-    /// stale.
+    /// stale. A failed call changes nothing.
     ///
     /// # Errors
     /// Returns [`ProtocolError::PhaseViolation`] outside the collection
-    /// phase, or a journal error from the attached journal.
-    ///
-    /// # Panics
-    /// Panics if `machine` is out of range (a driver bug, not round state).
+    /// phase, [`ProtocolError::MachineOutOfRange`] for a machine the round
+    /// does not have, or a journal error from the attached journal.
     pub fn exclude(&mut self, machine: usize) -> Result<(), ProtocolError> {
-        if self.phase != CoordinatorPhase::CollectingBids {
-            return Err(ProtocolError::PhaseViolation {
-                op: "exclude",
-                expected: CoordinatorPhase::CollectingBids,
-                actual: self.phase,
-            });
+        self.expect_phase("exclude", CoordinatorPhase::CollectingBids)?;
+        let n = self.excluded.len();
+        if machine >= n {
+            return Err(ProtocolError::MachineOutOfRange { machine, n });
         }
-        assert!(
-            machine < self.excluded.len(),
-            "coordinator: machine out of range"
-        );
         self.ensure_round_span();
         if self.excluded[machine] {
             // Already excluded (e.g. re-applied after recovery): idempotent.
@@ -674,22 +692,62 @@ impl<'m> Coordinator<'m> {
         false
     }
 
-    fn respondents(&self) -> Vec<usize> {
+    /// Machine `i`'s accepted bid, unless it was excluded.
+    pub(crate) fn respondent_bid(&self, i: usize) -> Option<f64> {
+        if self.excluded[i] {
+            None
+        } else {
+            self.bids[i]
+        }
+    }
+
+    /// The respondents in ascending order, with their bids.
+    fn respondent_bids(&self) -> (Vec<usize>, Vec<f64>) {
         (0..self.bids.len())
-            .filter(|&i| self.bids[i].is_some() && !self.excluded[i])
-            .collect()
+            .filter_map(|i| self.respondent_bid(i).map(|b| (i, b)))
+            .unzip()
+    }
+
+    fn respondents(&self) -> Vec<usize> {
+        self.respondent_bids().0
+    }
+
+    /// Spreads one value per respondent over the full width of the round
+    /// (0 for everyone else).
+    fn scatter(&self, respondents: &[usize], values: &[f64]) -> Vec<f64> {
+        let mut full = vec![0.0; self.bids.len()];
+        for (&i, &v) in respondents.iter().zip(values) {
+            full[i] = v;
+        }
+        full
+    }
+
+    /// `Σ 1/b_i` over the respondents in `range`, in double-double: one
+    /// shard's partial harmonic sum. The message-driven round is the `k = 1`
+    /// case and sums `0..n`.
+    pub(crate) fn partial_inv_sum(&self, range: Range<usize>) -> TwoF64 {
+        let bids: Vec<f64> = range.filter_map(|i| self.respondent_bid(i)).collect();
+        inv_sum_dd(&bids)
     }
 
     fn all_bids_in(&self) -> bool {
         (0..self.bids.len()).all(|i| self.bids[i].is_some() || self.excluded[i])
     }
 
+    /// Respondents whose completion acknowledgement has not arrived (or,
+    /// on a recovered round, is not journalled).
+    pub(crate) fn unacknowledged(&self) -> Vec<usize> {
+        let respondents = self.respondents().into_iter();
+        respondents.filter(|&i| !self.done[i]).collect()
+    }
+
     fn all_done(&self) -> bool {
-        self.respondents().iter().all(|&i| self.done[i])
+        self.unacknowledged().is_empty()
     }
 
     /// Handles one node message; returns messages to send, addressed by the
-    /// returned `(node, message)` pairs.
+    /// returned `(node, message)` pairs. The last bid in allocates and the
+    /// last acknowledgement in settles.
     ///
     /// `actual_exec_values` is the *world state* the execution simulation
     /// runs against; the coordinator only ever uses its measurements of it.
@@ -711,8 +769,8 @@ impl<'m> Coordinator<'m> {
             return Ok(Vec::new());
         }
         match message {
-            Message::Bid { .. } if self.all_bids_in() => self.begin_execution(actual_exec_values),
-            Message::ExecutionDone { .. } if self.all_done() => self.settle(),
+            Message::Bid { .. } if self.all_bids_in() => self.allocate_locally(actual_exec_values),
+            Message::ExecutionDone { .. } if self.all_done() => self.close_execution(),
             _ => Ok(Vec::new()),
         }
     }
@@ -729,44 +787,8 @@ impl<'m> Coordinator<'m> {
         &mut self,
         actual_exec_values: &[f64],
     ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        if self.phase != CoordinatorPhase::CollectingBids {
-            return Err(ProtocolError::PhaseViolation {
-                op: "close_bidding",
-                expected: CoordinatorPhase::CollectingBids,
-                actual: self.phase,
-            });
-        }
-        self.ensure_round_span();
-        self.exclude_missing()?;
-        if self.respondents().len() < 2 {
-            return Err(MechanismError::NeedTwoAgents.into());
-        }
-        self.begin_execution(actual_exec_values)
-    }
-
-    /// Journals and applies a timeout exclusion for every machine whose bid
-    /// has not arrived. Shared by [`Coordinator::close_bidding`] and the
-    /// sharded close.
-    fn exclude_missing(&mut self) -> Result<(), ProtocolError> {
-        for i in 0..self.bids.len() {
-            if self.bids[i].is_none() && !self.excluded[i] {
-                self.journal_append(JournalRecord::ExclusionDecided {
-                    machine: Self::machine_u32(i)?,
-                    reason: ExclusionReason::Timeout,
-                })?;
-                self.excluded[i] = true;
-                self.collector.instant(
-                    self.now.get(),
-                    "exclude",
-                    Subsystem::Coordinator,
-                    vec![
-                        Field::u64("machine", i as u64),
-                        Field::str("reason", "timeout"),
-                    ],
-                );
-            }
-        }
-        Ok(())
+        self.end_bidding()?;
+        self.allocate_locally(actual_exec_values)
     }
 
     /// Execution timeout: settles from the coordinator's own measurements
@@ -776,29 +798,35 @@ impl<'m> Coordinator<'m> {
     /// Propagates mechanism errors; returns
     /// [`ProtocolError::PhaseViolation`] outside the execution phase.
     pub fn close_execution(&mut self) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        if self.phase != CoordinatorPhase::Executing {
-            return Err(ProtocolError::PhaseViolation {
-                op: "close_execution",
-                expected: CoordinatorPhase::Executing,
-                actual: self.phase,
-            });
-        }
-        self.settle()
+        self.settle(self.partial_inv_sum(0..self.bids.len()))
+    }
+
+    /// The message-driven allocation, the `k = 1` case of the transitions:
+    /// allocate against the whole round's harmonic sum, verify every
+    /// respondent at stream offset 0 under the noop collector (the `verify`
+    /// instant summarises it), commit.
+    fn allocate_locally(
+        &mut self,
+        actual_exec_values: &[f64],
+    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+        let rates = self.allocate(self.partial_inv_sum(0..self.bids.len()))?;
+        let estimates = self.verify(&rates, actual_exec_values, &NoopCollector)?;
+        self.commit_allocation(rates, estimates)
     }
 
     // ------------------------------------------------------------------
-    // Sharded (hierarchical) round API.
+    // The round transitions, one per phase boundary.
     //
     // [`Coordinator::handle`] scans all n bid slots after every accepted
     // bid to decide whether to allocate — O(n) per message, O(n²) per
-    // round, which is what capped single-coordinator rounds near ~10⁴
-    // machines. The shard runtime (`crate::shard`) instead ingests whole
-    // batches of decoded frames through [`Coordinator::ingest`] and drives
-    // the phase transitions explicitly: close bidding once, allocate once
-    // against the merged per-shard harmonic sum, settle once. Journal
-    // grammar, anomaly accounting, exclusion semantics and telemetry are
-    // identical to the message-driven path — only the *trigger* moves from
-    // per-message scans to explicit bulk calls.
+    // round, which is what caps message-driven rounds near ~10⁴ machines.
+    // The shard runtime (`crate::shard`) and the online session instead
+    // ingest whole batches through [`Coordinator::ingest`] and call the
+    // transitions explicitly: end bidding once, allocate once against a
+    // harmonic sum they aggregated themselves, commit the estimates their
+    // verification produced, settle once. The message-driven triggers call
+    // the same transitions, so journal grammar, anomaly accounting,
+    // exclusion semantics and telemetry are one code path.
     // ------------------------------------------------------------------
 
     /// Absorbs one node message *without* triggering a phase transition:
@@ -870,161 +898,56 @@ impl<'m> Coordinator<'m> {
         }
     }
 
-    /// Sharded bid-timeout: journals a timeout exclusion for every machine
-    /// whose bid has not arrived, exactly as [`Coordinator::close_bidding`],
-    /// but stays in the collection phase and returns the respondent set
-    /// instead of allocating — the shard runtime allocates separately via
-    /// [`Coordinator::begin_allocation_sharded`] once the per-shard harmonic
-    /// partials are merged.
+    /// Closes bidding: journals a timeout exclusion for every machine whose
+    /// bid has not arrived. The round stays in the collection phase until
+    /// [`Coordinator::commit_allocation`].
     ///
     /// # Errors
     /// Returns [`MechanismError::NeedTwoAgents`] (as
     /// [`ProtocolError::Mechanism`]) with fewer than two respondents,
     /// [`ProtocolError::PhaseViolation`] outside bid collection, or journal
     /// errors.
-    pub fn close_bidding_sharded(&mut self) -> Result<Vec<usize>, ProtocolError> {
-        if self.phase != CoordinatorPhase::CollectingBids {
-            return Err(ProtocolError::PhaseViolation {
-                op: "close_bidding_sharded",
-                expected: CoordinatorPhase::CollectingBids,
-                actual: self.phase,
-            });
-        }
+    pub fn end_bidding(&mut self) -> Result<(), ProtocolError> {
+        self.expect_phase("end_bidding", CoordinatorPhase::CollectingBids)?;
         self.ensure_round_span();
-        self.exclude_missing()?;
-        let respondents = self.respondents();
-        if respondents.len() < 2 {
+        for i in 0..self.bids.len() {
+            if self.bids[i].is_none() && !self.excluded[i] {
+                self.journal_append(JournalRecord::ExclusionDecided {
+                    machine: Self::machine_u32(i)?,
+                    reason: ExclusionReason::Timeout,
+                })?;
+                self.excluded[i] = true;
+                self.collector.instant(
+                    self.now.get(),
+                    "exclude",
+                    Subsystem::Coordinator,
+                    vec![
+                        Field::u64("machine", i as u64),
+                        Field::str("reason", "timeout"),
+                    ],
+                );
+            }
+        }
+        if self.respondents().len() < 2 {
             return Err(MechanismError::NeedTwoAgents.into());
         }
-        Ok(respondents)
+        Ok(())
     }
 
-    /// Computes the allocation from the respondent bids against the merged
-    /// per-shard harmonic sum `s` and returns the *full-width* rate vector
-    /// (excluded machines at 0). Opens the allocate phase span. The round
-    /// stays in the collection phase until
-    /// [`Coordinator::commit_allocation_sharded`] journals the commit — the
-    /// shard runtime runs the distributed verification simulation between
-    /// the two calls.
+    /// Allocates over the respondents against `s`, the harmonic sum
+    /// `Σ 1/b_i` of their bids (through the mechanism's
+    /// [`VerifiedMechanism::allocate_with_sum`]), opens the allocate phase
+    /// span and returns the full-width rate vector (excluded machines at
+    /// 0). The round stays in the collection phase: verification runs
+    /// between this call and [`Coordinator::commit_allocation`].
     ///
     /// # Errors
     /// Returns [`MechanismError::NeedTwoAgents`] with fewer than two
     /// respondents, [`ProtocolError::PhaseViolation`] outside bid
     /// collection, or mechanism errors.
-    pub fn begin_allocation_sharded(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
-        if self.phase != CoordinatorPhase::CollectingBids {
-            return Err(ProtocolError::PhaseViolation {
-                op: "begin_allocation_sharded",
-                expected: CoordinatorPhase::CollectingBids,
-                actual: self.phase,
-            });
-        }
-        self.ensure_round_span();
-        let respondents = self.respondents();
-        if respondents.len() < 2 {
-            return Err(MechanismError::NeedTwoAgents.into());
-        }
-        self.switch_phase_span(
-            Some(Phase::Allocate),
-            vec![Field::u64("respondents", respondents.len() as u64)],
-        );
-        let sub_bids: Vec<f64> = respondents
-            .iter()
-            .map(|&i| {
-                self.bids[i].ok_or(ProtocolError::MissingState {
-                    what: "respondent bid",
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let sub_alloc = self
-            .mechanism
-            .allocate_with_sum(&sub_bids, self.total_rate, s)?;
-        let mut rates = vec![0.0; self.bids.len()];
-        for (k, &i) in respondents.iter().enumerate() {
-            rates[i] = sub_alloc.rate(k);
-        }
-        Ok(rates)
-    }
-
-    /// Commits a sharded allocation: emits the `verify` instant (the
-    /// distributed verification simulation the shards ran between
-    /// [`Coordinator::begin_allocation_sharded`] and this call), journals
-    /// `AllocationCommitted`, advances to the execution phase and returns
-    /// the `Assign` fan-out — bit-identical journal and telemetry grammar to
-    /// the single-coordinator path. `rates` and `estimates` are full-width.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::PhaseViolation`] outside bid collection,
-    /// arity errors for mis-sized vectors, and journal/mechanism errors.
-    pub fn commit_allocation_sharded(
-        &mut self,
-        rates: Vec<f64>,
-        estimates: Vec<f64>,
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        if self.phase != CoordinatorPhase::CollectingBids {
-            return Err(ProtocolError::PhaseViolation {
-                op: "commit_allocation_sharded",
-                expected: CoordinatorPhase::CollectingBids,
-                actual: self.phase,
-            });
-        }
-        let n = self.bids.len();
-        if rates.len() != n || estimates.len() != n {
-            return Err(CoreError::LengthMismatch {
-                expected: n,
-                actual: rates.len().min(estimates.len()),
-            }
-            .into());
-        }
-        self.collector.instant(
-            self.now.get(),
-            "verify",
-            Subsystem::Coordinator,
-            vec![
-                Field::u64("machines", self.respondents().len() as u64),
-                Field::f64("horizon", self.sim_config.horizon),
-            ],
-        );
-        self.commit_allocation(rates, estimates)
-    }
-
-    /// Sharded settle: computes payments against the merged per-shard
-    /// harmonic sum `s` (via the mechanism's
-    /// [`VerifiedMechanism::payments_with_sum`]) and returns the Payment
-    /// fan-out. Journal grammar, settlement gauges and phase transitions are
-    /// identical to the message-driven settle.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::PhaseViolation`] outside the execution
-    /// phase, or mechanism/journal errors.
-    pub fn settle_sharded(&mut self, s: TwoF64) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        if self.phase != CoordinatorPhase::Executing {
-            return Err(ProtocolError::PhaseViolation {
-                op: "settle_sharded",
-                expected: CoordinatorPhase::Executing,
-                actual: self.phase,
-            });
-        }
-        self.settle_impl(Some(s))
-    }
-
-    /// The bid slots (`None` until a machine's bid is accepted). The shard
-    /// runtime reads these to recompute per-shard harmonic partials
-    /// deterministically after a crash recovery.
-    pub(crate) fn bid_slots(&self) -> &[Option<f64>] {
-        &self.bids
-    }
-
-    /// Per-machine completion flags.
-    pub(crate) fn done_flags(&self) -> &[bool] {
-        &self.done
-    }
-
-    fn begin_execution(
-        &mut self,
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        let respondents = self.respondents();
+    pub fn allocate(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
+        self.expect_phase("allocate", CoordinatorPhase::CollectingBids)?;
+        let (respondents, bids) = self.respondent_bids();
         if respondents.len() < 2 {
             // Reachable when machines were excluded up front (quarantine)
             // and every remaining machine bid: the mechanism needs at least
@@ -1035,21 +958,74 @@ impl<'m> Coordinator<'m> {
             Some(Phase::Allocate),
             vec![Field::u64("respondents", respondents.len() as u64)],
         );
-        let sub_bids: Vec<f64> = respondents
-            .iter()
-            .map(|&i| {
-                self.bids[i].ok_or(ProtocolError::MissingState {
-                    what: "respondent bid",
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let sub_exec: Vec<f64> = respondents.iter().map(|&i| actual_exec_values[i]).collect();
-        let sub_alloc = self.mechanism.allocate(&sub_bids, self.total_rate)?;
+        let allocation = self
+            .mechanism
+            .allocate_with_sum(&bids, self.total_rate, s)?;
+        Ok(self.scatter(&respondents, allocation.rates()))
+    }
 
-        // Execution + verification over the participating machines. The
-        // verification simulation runs on its own internal clock, so it is
-        // summarised here as an instant rather than nested spans.
-        let report = simulate_round(&sub_bids, &sub_exec, self.total_rate, &self.sim_config)?;
+    /// The whole round's verification simulation — one shard owning every
+    /// machine: each respondent runs at its rate in `rates` against its
+    /// actual execution value, RNG streams keyed by respondent ordinal from
+    /// 0. Returns the full-width estimates (0 for excluded machines).
+    /// `collector` receives the `sim.machine` spans, parented on the open
+    /// phase span.
+    pub(crate) fn verify(
+        &self,
+        rates: &[f64],
+        actual_exec_values: &[f64],
+        collector: &dyn Collector,
+    ) -> Result<Vec<f64>, ProtocolError> {
+        let (respondents, bids) = self.respondent_bids();
+        let pick = |column: &[f64]| {
+            respondents
+                .iter()
+                .map(|&i| {
+                    column.get(i).copied().ok_or(CoreError::LengthMismatch {
+                        expected: self.bids.len(),
+                        actual: column.len(),
+                    })
+                })
+                .collect::<Result<Vec<f64>, _>>()
+        };
+        let report = simulate_partition_observed(
+            &bids,
+            &pick(actual_exec_values)?,
+            &pick(rates)?,
+            &self.sim_config,
+            0,
+            collector,
+            self.phase_span(),
+        )?;
+        Ok(self.scatter(&respondents, &report.estimated_exec_values))
+    }
+
+    /// Commits the allocation: emits the `verify` instant (the verification
+    /// simulation ran between [`Coordinator::allocate`] and this call),
+    /// journals `AllocationCommitted` and commits, installs the allocation
+    /// and the estimates, advances to the execution phase and returns the
+    /// `Assign` fan-out. `rates` and `estimates` are full-width (excluded
+    /// machines at 0).
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::PhaseViolation`] outside bid collection,
+    /// [`CoreError::LengthMismatch`] carrying the length of a column that
+    /// is not `n` wide, and journal/mechanism errors.
+    pub fn commit_allocation(
+        &mut self,
+        rates: Vec<f64>,
+        estimates: Vec<f64>,
+    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+        self.expect_phase("commit_allocation", CoordinatorPhase::CollectingBids)?;
+        let n = self.bids.len();
+        if let Some(column) = [&rates, &estimates].into_iter().find(|c| c.len() != n) {
+            return Err(CoreError::LengthMismatch {
+                expected: n,
+                actual: column.len(),
+            }
+            .into());
+        }
+        let respondents = self.respondents();
         self.collector.instant(
             self.now.get(),
             "verify",
@@ -1059,41 +1035,11 @@ impl<'m> Coordinator<'m> {
                 Field::f64("horizon", self.sim_config.horizon),
             ],
         );
-
-        // Scatter into full-width vectors (excluded machines: rate 0, no
-        // verification evidence).
-        let n = self.bids.len();
-        let mut rates = vec![0.0; n];
-        let mut estimates = vec![0.0; n];
-        for (k, &i) in respondents.iter().enumerate() {
-            rates[i] = sub_alloc.rate(k);
-            estimates[i] = report.estimated_exec_values[k];
-        }
-        self.commit_allocation(rates, estimates)
-    }
-
-    /// The shared allocation commit tail: journal `AllocationCommitted`,
-    /// commit, install the full-width allocation/estimates, advance to the
-    /// execution phase and build the `Assign` fan-out. `rates` and
-    /// `estimates` are full-width (excluded machines at 0).
-    fn commit_allocation(
-        &mut self,
-        rates: Vec<f64>,
-        estimates: Vec<f64>,
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        let assigns = self
-            .respondents()
-            .into_iter()
-            .map(|i| {
-                Ok((
-                    Self::machine_u32(i)?,
-                    Message::Assign {
-                        round: self.round,
-                        rate: rates[i],
-                    },
-                ))
-            })
-            .collect::<Result<Vec<_>, ProtocolError>>()?;
+        let round = self.round;
+        let assigns = Self::address(respondents, |i| Message::Assign {
+            round,
+            rate: rates[i],
+        })?;
         // Commit point: the allocation must be durable before any Assign
         // frame can reach a node.
         self.journal_append(JournalRecord::AllocationCommitted {
@@ -1108,26 +1054,25 @@ impl<'m> Coordinator<'m> {
         Ok(assigns)
     }
 
-    /// Settles the round: computes every respondent's payment and emits the
-    /// Payment frames.
+    /// Settles the round against `s`, the respondents' harmonic sum
+    /// (through the mechanism's [`VerifiedMechanism::payments_with_sum`]):
+    /// journals and commits the payment ledger and returns the Payment
+    /// fan-out.
     ///
     /// The whole phase is O(n): the mechanism's payment rule obtains all
     /// leave-one-out latencies `L_{-i}` from one `lb_core` batch kernel
-    /// call, so threaded, chaos and session rounds all settle in linear
-    /// time — the former per-agent rebuild made this the quadratic hot spot
+    /// call — the former per-agent rebuild made this the quadratic hot spot
     /// that capped rounds near ~10³ machines.
-    fn settle(&mut self) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        self.settle_impl(None)
-    }
-
-    /// Settle body, parameterised by an optional pre-aggregated harmonic sum
-    /// (`Some` on the sharded path, `None` on the classic path, which lets
-    /// the mechanism re-reduce the respondent bids itself).
-    fn settle_impl(&mut self, s: Option<TwoF64>) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::PhaseViolation`] outside the execution
+    /// phase, or mechanism/journal errors.
+    pub fn settle(&mut self, s: TwoF64) -> Result<Vec<(u32, Message)>, ProtocolError> {
+        self.expect_phase("settle", CoordinatorPhase::Executing)?;
         // A recovered generation whose journal already holds every ack
         // reaches settle straight from `resume`, with no span open yet.
         self.ensure_round_span();
-        let respondents = self.respondents();
+        let (respondents, bids) = self.respondent_bids();
         self.switch_phase_span(
             Some(Phase::Settle),
             vec![Field::u64(
@@ -1135,14 +1080,6 @@ impl<'m> Coordinator<'m> {
                 respondents.iter().filter(|&&i| self.done[i]).count() as u64,
             )],
         );
-        let sub_bids: Vec<f64> = respondents
-            .iter()
-            .map(|&i| {
-                self.bids[i].ok_or(ProtocolError::MissingState {
-                    what: "respondent bid",
-                })
-            })
-            .collect::<Result<_, _>>()?;
         let allocation = self
             .allocation
             .as_ref()
@@ -1153,28 +1090,19 @@ impl<'m> Coordinator<'m> {
             .ok_or(ProtocolError::MissingState {
                 what: "execution estimates",
             })?;
-        let full_rates: Vec<f64> = (0..self.bids.len()).map(|i| allocation.rate(i)).collect();
-        let sub_rates: Vec<f64> = respondents.iter().map(|&i| full_rates[i]).collect();
-        let sub_alloc = Allocation::new(sub_rates, self.total_rate)?;
+        let sub_alloc = Allocation::new(
+            respondents.iter().map(|&i| allocation.rate(i)).collect(),
+            self.total_rate,
+        )?;
         let sub_estimates: Vec<f64> = respondents.iter().map(|&i| estimates[i]).collect();
-
-        let sub_payments = match s {
-            Some(s) => self.mechanism.payments_with_sum(
-                &sub_bids,
-                &sub_alloc,
-                &sub_estimates,
-                self.total_rate,
-                s,
-            )?,
-            None => {
-                self.mechanism
-                    .payments(&sub_bids, &sub_alloc, &sub_estimates, self.total_rate)?
-            }
-        };
-        let mut payments = vec![0.0; self.bids.len()];
-        for (k, &i) in respondents.iter().enumerate() {
-            payments[i] = sub_payments[k];
-        }
+        let sub_payments = self.mechanism.payments_with_sum(
+            &bids,
+            &sub_alloc,
+            &sub_estimates,
+            self.total_rate,
+            s,
+        )?;
+        let payments = self.scatter(&respondents, &sub_payments);
         // Commit point: the payment ledger must be durable before the settle
         // fan-out leaves — on replay payments come from this record, never a
         // recomputation, which is what makes settlement exactly-once.
@@ -1182,18 +1110,11 @@ impl<'m> Coordinator<'m> {
             payments: payments.clone(),
         })?;
         self.journal_commit()?;
-        let out = respondents
-            .iter()
-            .map(|&i| {
-                Ok((
-                    Self::machine_u32(i)?,
-                    Message::Payment {
-                        round: self.round,
-                        amount: payments[i],
-                    },
-                ))
-            })
-            .collect::<Result<Vec<_>, ProtocolError>>()?;
+        let round = self.round;
+        let out = Self::address(respondents, |i| Message::Payment {
+            round,
+            amount: payments[i],
+        })?;
         self.payments = Some(payments);
         self.report_settled();
         self.phase = CoordinatorPhase::Done;
@@ -1247,13 +1168,7 @@ impl<'m> Coordinator<'m> {
         if self.sealed {
             return Ok(());
         }
-        if self.phase != CoordinatorPhase::Done {
-            return Err(ProtocolError::PhaseViolation {
-                op: "seal",
-                expected: CoordinatorPhase::Done,
-                actual: self.phase,
-            });
-        }
+        self.expect_phase("seal", CoordinatorPhase::Done)?;
         if self.journal.is_some() && !self.ledger_sealed {
             // Tamper-evidence seal first: its digest covers every framed
             // byte written so far (this round's records included), then the
@@ -1393,7 +1308,7 @@ impl<'m> Coordinator<'m> {
         match self.phase {
             CoordinatorPhase::CollectingBids => {
                 if self.all_bids_in() {
-                    self.begin_execution(actual_exec_values)
+                    self.allocate_locally(actual_exec_values)
                 } else {
                     Ok(self
                         .missing_bids()
@@ -1404,25 +1319,16 @@ impl<'m> Coordinator<'m> {
             }
             CoordinatorPhase::Executing => {
                 if self.all_done() {
-                    return self.settle();
+                    return self.close_execution();
                 }
                 let allocation = self
                     .allocation
                     .as_ref()
                     .ok_or(ProtocolError::MissingState { what: "allocation" })?;
-                self.respondents()
-                    .into_iter()
-                    .filter(|&i| !self.done[i])
-                    .map(|i| {
-                        Ok((
-                            Self::machine_u32(i)?,
-                            Message::Assign {
-                                round: self.round,
-                                rate: allocation.rate(i),
-                            },
-                        ))
-                    })
-                    .collect()
+                Self::address(self.unacknowledged(), |i| Message::Assign {
+                    round: self.round,
+                    rate: allocation.rate(i),
+                })
             }
             CoordinatorPhase::Settling | CoordinatorPhase::Done => {
                 if self.sealed {
@@ -1436,18 +1342,10 @@ impl<'m> Coordinator<'m> {
                 let payments = self.payments.as_ref().ok_or(ProtocolError::MissingState {
                     what: "payment ledger",
                 })?;
-                self.respondents()
-                    .into_iter()
-                    .map(|i| {
-                        Ok((
-                            Self::machine_u32(i)?,
-                            Message::Payment {
-                                round: self.round,
-                                amount: payments[i],
-                            },
-                        ))
-                    })
-                    .collect()
+                Self::address(self.respondents(), |i| Message::Payment {
+                    round: self.round,
+                    amount: payments[i],
+                })
             }
         }
     }
@@ -1492,7 +1390,7 @@ mod tests {
     fn full_round_state_machine() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config()).unwrap();
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
 
         let none = c
@@ -1552,7 +1450,7 @@ mod tests {
     fn close_bidding_excludes_silent_machines() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
-        let mut c = Coordinator::new(&mech, 3, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config()).unwrap();
         c.handle(
             &Message::Bid {
                 round: RoundId(0),
@@ -1598,7 +1496,7 @@ mod tests {
     fn close_bidding_needs_two_respondents() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
-        let mut c = Coordinator::new(&mech, 3, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config()).unwrap();
         c.handle(
             &Message::Bid {
                 round: RoundId(0),
@@ -1618,7 +1516,7 @@ mod tests {
     fn close_execution_settles_without_all_acks() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config()).unwrap();
         c.handle(
             &Message::Bid {
                 round: RoundId(0),
@@ -1655,7 +1553,7 @@ mod tests {
     fn duplicate_bid_is_counted_and_sends_nothing() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config()).unwrap();
         let bid = Message::Bid {
             round: RoundId(0),
             machine: 0,
@@ -1671,7 +1569,7 @@ mod tests {
     #[test]
     fn wrong_round_is_counted_and_sends_nothing() {
         let mech = CompensationBonusMechanism::paper();
-        let mut c = Coordinator::new(&mech, 1, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 1, 3.0, RoundId(0), config()).unwrap();
         let sent = c
             .handle(
                 &Message::Bid {
@@ -1692,7 +1590,7 @@ mod tests {
     fn graceful_coordinator_absorbs_violations_as_anomalies() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config()).unwrap();
         let bid0 = Message::Bid {
             round: RoundId(0),
             machine: 0,
@@ -1801,11 +1699,12 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
         let ring = Arc::new(RingCollector::new(256));
-        let mut c =
-            Coordinator::new(&mech, 2, 3.0, RoundId(3), config()).with_collector(ring.clone());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(3), config())
+            .unwrap()
+            .with_collector(ring.clone());
 
         c.set_now(0.0);
-        c.begin_round_telemetry();
+        c.ensure_round_span();
         c.set_now(0.1);
         c.handle(
             &Message::Bid {
@@ -1901,8 +1800,9 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
         let ring = Arc::new(RingCollector::new(64));
-        let mut c =
-            Coordinator::new(&mech, 3, 3.0, RoundId(0), config()).with_collector(ring.clone());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config())
+            .unwrap()
+            .with_collector(ring.clone());
         c.set_now(0.0);
         c.handle(
             &Message::Bid {
@@ -1931,12 +1831,13 @@ mod tests {
         let trues = [1.0, 2.0];
         let ring = Arc::new(RingCollector::new(256));
         let trace = TraceContext::root(99, 5, true);
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(5), config())
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(5), config())
+            .unwrap()
             .with_collector(ring.clone())
             .with_trace(trace);
 
         c.set_now(0.0);
-        c.begin_round_telemetry();
+        c.ensure_round_span();
         let collect_ctx = c.wire_context().expect("sampled round with collector");
         assert_eq!(collect_ctx.trace_id, trace.trace_id);
         assert!(collect_ctx.sampled);
@@ -2002,21 +1903,25 @@ mod tests {
         let ring = Arc::new(RingCollector::new(64));
 
         // Traced but unsampled: nothing goes on the wire.
-        let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config())
+        let c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config())
+            .unwrap()
             .with_collector(ring.clone())
             .with_trace(TraceContext::root(1, 0, false));
-        c.begin_round_telemetry();
+        c.ensure_round_span();
         assert_eq!(c.wire_context(), None);
 
         // Sampled but no collector: telemetry off means tracing off.
-        let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config())
+        let c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config())
+            .unwrap()
             .with_trace(TraceContext::root(1, 0, true));
-        c.begin_round_telemetry();
+        c.ensure_round_span();
         assert_eq!(c.wire_context(), None);
 
         // Untraced: plain instrumented rounds carry nothing extra.
-        let c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config()).with_collector(ring);
-        c.begin_round_telemetry();
+        let c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config())
+            .unwrap()
+            .with_collector(ring);
+        c.ensure_round_span();
         assert_eq!(c.wire_context(), None);
     }
 
@@ -2026,8 +1931,9 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
         let ring = Arc::new(RingCollector::new(256));
-        let mut c =
-            Coordinator::new(&mech, 2, 3.0, RoundId(0), config()).with_collector(ring.clone());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config())
+            .unwrap()
+            .with_collector(ring.clone());
         for (machine, value) in [(0u32, 1.0), (1, 2.0)] {
             c.handle(
                 &Message::Bid {
@@ -2072,7 +1978,7 @@ mod tests {
     fn missing_bids_tracks_outstanding_machines() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
-        let mut c = Coordinator::new(&mech, 3, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config()).unwrap();
         assert_eq!(c.missing_bids(), vec![0, 1, 2]);
         c.handle(
             &Message::Bid {
@@ -2092,7 +1998,7 @@ mod tests {
     fn upfront_exclusion_quarantines_a_machine() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
-        let mut c = Coordinator::new(&mech, 3, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config()).unwrap();
         c.exclude(1).unwrap();
         c.handle(
             &Message::Bid {
@@ -2133,7 +2039,7 @@ mod tests {
     fn quarantine_below_two_participants_errors() {
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0, 4.0];
-        let mut c = Coordinator::new(&mech, 3, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config()).unwrap();
         c.exclude(1).unwrap();
         c.exclude(2).unwrap();
         let out = c.handle(
@@ -2176,20 +2082,22 @@ mod tests {
 
     #[test]
     fn sharded_transitions_reproduce_the_message_driven_round_bitwise() {
-        use lb_core::inv_sum_dd;
+        use lb_core::merge_inv_sums;
+        use lb_sim::driver::simulate_partition;
         let mech = CompensationBonusMechanism::paper();
-        let trues = [1.0, 2.0, 4.0, 8.0];
+        // Machine 1 bids 2 but executes at 3: verification moves payments.
+        let trues = [1.0, 3.0, 4.0, 8.0];
         let bids = [1.0, 2.0, 4.0, 8.0];
 
-        // Reference: the classic per-message round.
-        let mut classic = Coordinator::new(&mech, 4, 3.0, RoundId(0), config());
+        // Reference: the message-driven round.
+        let mut classic = Coordinator::try_new(&mech, 4, 3.0, RoundId(0), config()).unwrap();
         let mut last = Vec::new();
-        for (machine, value) in bids.iter().copied().enumerate() {
+        for (machine, value) in (0u32..).zip(bids) {
             last = classic
                 .handle(
                     &Message::Bid {
                         round: RoundId(0),
-                        machine: u32::try_from(machine).unwrap(),
+                        machine,
                         value,
                     },
                     &trues,
@@ -2211,29 +2119,36 @@ mod tests {
         }
         let classic_payments = last;
 
-        // Sharded: ingest the same bids, then drive the transitions
-        // explicitly with the externally merged harmonic sum.
-        let mut sharded = Coordinator::new(&mech, 4, 3.0, RoundId(0), config());
-        for (machine, value) in bids.iter().copied().enumerate() {
+        // The transitions driven as two shards would: the harmonic sum
+        // merged from two partials, the estimates from two partition
+        // simulations at their respondent stream offsets.
+        let mut sharded = Coordinator::try_new(&mech, 4, 3.0, RoundId(0), config()).unwrap();
+        for (machine, value) in (0u32..).zip(bids) {
             sharded
                 .ingest(&Message::Bid {
                     round: RoundId(0),
-                    machine: u32::try_from(machine).unwrap(),
+                    machine,
                     value,
                 })
                 .unwrap();
         }
-        let respondents = sharded.close_bidding_sharded().unwrap();
-        assert_eq!(respondents, vec![0, 1, 2, 3]);
+        sharded.end_bidding().unwrap();
         assert_eq!(sharded.phase(), CoordinatorPhase::CollectingBids);
-        let s = inv_sum_dd(&bids);
-        let rates = sharded.begin_allocation_sharded(s).unwrap();
-        // The shards would simulate here; this test reuses the classic
-        // round's verification plane for a like-for-like comparison.
-        let report = lb_sim::driver::simulate_round(&bids, &trues, 3.0, &config()).unwrap();
-        let assigns = sharded
-            .commit_allocation_sharded(rates, report.estimated_exec_values)
+        let s = merge_inv_sums(&[inv_sum_dd(&bids[..2]), inv_sum_dd(&bids[2..])]);
+        let rates = sharded.allocate(s).unwrap();
+        let mut estimates = Vec::new();
+        for (range, offset) in [(0..2, 0), (2..4, 2)] {
+            let part = simulate_partition(
+                &bids[range.clone()],
+                &trues[range.clone()],
+                &rates[range],
+                &config(),
+                offset,
+            )
             .unwrap();
+            estimates.extend(part.estimated_exec_values);
+        }
+        let assigns = sharded.commit_allocation(rates, estimates).unwrap();
         assert_eq!(assigns, classic_assigns);
         for machine in 0..4u32 {
             sharded
@@ -2243,7 +2158,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let payments = sharded.settle_sharded(s).unwrap();
+        let payments = sharded.settle(s).unwrap();
         assert_eq!(payments, classic_payments);
 
         let (ca, sa) = (classic.allocation().unwrap(), sharded.allocation().unwrap());
@@ -2254,27 +2169,104 @@ mod tests {
             classic.estimated_exec_values().unwrap(),
             sharded.estimated_exec_values().unwrap()
         );
+        assert_ne!(classic.estimated_exec_values().unwrap()[1], bids[1]);
         assert_eq!(classic.payments().unwrap(), sharded.payments().unwrap());
     }
 
     #[test]
-    fn sharded_transitions_enforce_their_phase_preconditions() {
-        use lb_core::inv_sum_dd;
+    fn transitions_enforce_their_phase_preconditions() {
         let mech = CompensationBonusMechanism::paper();
-        let mut c = Coordinator::new(&mech, 2, 3.0, RoundId(0), config());
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config()).unwrap();
         let s = inv_sum_dd(&[1.0, 2.0]);
         assert!(matches!(
-            c.settle_sharded(s),
+            c.settle(s),
             Err(ProtocolError::PhaseViolation { .. })
         ));
         // No bids at all: closing must fail, and not change phase.
         assert!(matches!(
-            c.close_bidding_sharded(),
+            c.end_bidding(),
             Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
         ));
         assert!(matches!(
-            c.commit_allocation_sharded(vec![1.0], vec![1.0]),
+            c.allocate(s),
+            Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
+        ));
+        assert!(matches!(
+            c.commit_allocation(vec![1.0], vec![1.0]),
             Err(ProtocolError::Mechanism(_))
         ));
+        assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
+    }
+
+    // Pinned regression: a mis-sized commit column used to be reported by
+    // the shorter of the two lengths, so n = 4 with 5 estimates read
+    // "expected 4, actual 4".
+    #[test]
+    fn commit_allocation_reports_the_length_of_the_wrong_column() {
+        let mech = CompensationBonusMechanism::paper();
+        let bids = [1.0, 2.0, 4.0, 8.0];
+        let mut c = Coordinator::try_new(&mech, 4, 3.0, RoundId(0), config()).unwrap();
+        for (machine, value) in (0u32..).zip(bids) {
+            c.ingest(&Message::Bid {
+                round: RoundId(0),
+                machine,
+                value,
+            })
+            .unwrap();
+        }
+        c.end_bidding().unwrap();
+        let rates = c.allocate(inv_sum_dd(&bids)).unwrap();
+        let width = |r: Result<Vec<(u32, Message)>, ProtocolError>| match r {
+            Err(ProtocolError::Mechanism(MechanismError::Core(CoreError::LengthMismatch {
+                expected,
+                actual,
+            }))) => (expected, actual),
+            other => panic!("expected a width error, got {other:?}"),
+        };
+        assert_eq!(
+            width(c.commit_allocation(rates.clone(), vec![1.0; 5])),
+            (4, 5)
+        );
+        assert_eq!(
+            width(c.commit_allocation(vec![1.0; 3], vec![1.0; 4])),
+            (4, 3)
+        );
+        assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
+        assert_eq!(c.commit_allocation(rates, bids.to_vec()).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn excluding_an_unknown_machine_is_a_typed_error_that_changes_nothing() {
+        use crate::journal::MemJournal;
+        let mech = CompensationBonusMechanism::paper();
+        let journal = Rc::new(RefCell::new(MemJournal::new()));
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, RoundId(0), config())
+            .unwrap()
+            .with_journal(journal.clone());
+        c.handle(
+            &Message::Bid {
+                round: RoundId(0),
+                machine: 0,
+                value: 1.0,
+            },
+            &[1.0, 2.0, 4.0],
+        )
+        .unwrap();
+        c.exclude(1).unwrap();
+        let state = |c: &Coordinator<'_>| {
+            (
+                c.phase(),
+                c.excluded().to_vec(),
+                journal.borrow().bytes().unwrap(),
+            )
+        };
+        let before = state(&c);
+        for machine in [3, usize::MAX] {
+            assert!(matches!(
+                c.exclude(machine),
+                Err(ProtocolError::MachineOutOfRange { machine: m, n: 3 }) if m == machine
+            ));
+        }
+        assert_eq!(state(&c), before);
     }
 }

@@ -21,7 +21,8 @@
 //!   network — late frames straggle into the next round — optionally
 //!   against a crash-injecting journal it recovers from.
 //! * [`drive_sharded_round`] drives a sharded round on a root coordinator,
-//!   fresh or recovered mid-round from its journal.
+//!   fresh or recovered mid-round from its journal, and returns its
+//!   [`RoundReport`] with the root's phase timings.
 //! * [`run_session`] and [`run_chaos_session`] run multi-round sessions
 //!   under a policy callback; the chaos session tracks machine health,
 //!   quarantines and re-admits flaky machines, and is durable when given a
@@ -31,7 +32,11 @@
 //!
 //! Every single-coordinator round runs through the one event loop in
 //! [`chaos`]; transports only decide how frames move and whether retry
-//! timers are armed. Allocations, payments, estimates, exclusions, message
+//! timers are armed. Every round, sharded or not, crosses its phases
+//! through the same four [`Coordinator`] transitions — end bidding,
+//! allocate against a harmonic sum, commit the allocation with its
+//! verification estimates, settle — and a single-coordinator round is the
+//! `k = 1` case of the sharded one. Allocations, payments, estimates, exclusions, message
 //! statistics and journal bytes are bit-identical across transports and
 //! with or without observers.
 //!
@@ -70,8 +75,8 @@
 //!   re-bids maintain the harmonic sum `S = Σ 1/b_i` incrementally in
 //!   double-double (O(1) amortized per event, drift re-summed below
 //!   `1e-12` relative), and periodic `RoundTick`s settle full payment
-//!   rounds against the incremental `S` through the sharded coordinator
-//!   entry points.
+//!   rounds against the incremental `S` through the coordinator's round
+//!   transitions.
 //! * [`shard`] — a hierarchical two-level topology for million-machine
 //!   rounds: `k` shard coordinators run collect/execute locally on worker
 //!   threads, ship partial double-double harmonic sums upward as
@@ -145,7 +150,6 @@ pub use session::{
     ChaosSessionReport, CrashPlan, MachineHealth, SessionReport,
 };
 pub use shard::{
-    drive_sharded_round, expected_sharded_message_count, report_from_root, shard_ranges,
-    ShardPhaseTimings,
+    drive_sharded_round, expected_sharded_message_count, shard_ranges, ShardPhaseTimings,
 };
 pub use trace::{replay_check, Anomaly, AnomalyStats, RoundTrace, TraceEntry, TraceViolation};

@@ -12,16 +12,16 @@
 //! back in O(1) at any moment ([`OnlineSession::rate_of`]).
 //!
 //! Payments stay a batch affair: an [`OnlineEvent::RoundTick`] freezes the
-//! current membership and settles it through a full [`Coordinator`] round —
-//! bids ingested from the live pool, allocation and settlement computed
-//! against the *incrementally maintained* double-double sum via the sharded
-//! entry points ([`Coordinator::begin_allocation_sharded`] /
-//! [`Coordinator::settle_sharded`], the PR-5 batch leave-one-out kernel
-//! underneath), verification simulated exactly as a batch round. Journal
-//! grammar, telemetry spans and settlement gauges are identical to batch
-//! rounds, so crash recovery ([`crate::recovery`]), the audit monitors and
-//! the profilers all work unchanged: attach them through
-//! [`OnlineSession::with_journal`] / [`OnlineSession::with_collector`].
+//! current membership and settles it through the coordinator's round
+//! transitions — bids ingested from the live pool, allocation
+//! ([`Coordinator::allocate`]) and settlement ([`Coordinator::settle`], the
+//! batch leave-one-out kernel underneath) computed against the
+//! *incrementally maintained* double-double sum, verification simulated
+//! exactly as a batch round. Journal grammar, telemetry spans and
+//! settlement gauges are identical to batch rounds, so crash recovery
+//! ([`crate::recovery`]), the audit monitors and the profilers all work
+//! unchanged: attach them through [`OnlineSession::with_journal`] /
+//! [`OnlineSession::with_collector`].
 
 use crate::coordinator::{Coordinator, ProtocolError};
 use crate::journal::Journal;
@@ -32,7 +32,6 @@ use lb_core::CoreError;
 use lb_mechanism::online::{OnlineError, OnlinePool};
 use lb_mechanism::VerifiedMechanism;
 use lb_sim::churn::ChurnEvent;
-use lb_sim::driver::simulate_partition_observed;
 use lb_telemetry::{noop_collector, Collector, Field, Subsystem};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -339,13 +338,14 @@ impl<'m> OnlineSession<'m> {
                 value: bid,
             })?;
         }
-        root.close_bidding_sharded()?;
+        root.end_bidding()?;
 
         // Allocation against the *incremental* S — the event-loop's whole
         // point: no from-scratch harmonic re-sum on the tick path.
-        let rates = root.begin_allocation_sharded(s)?;
+        let rates = root.allocate(s)?;
 
-        // Verification simulation, exactly the batch kernel at offset 0.
+        // Verification simulation, exactly the batch round's at offset 0,
+        // its machine spans recorded under the allocate phase.
         let exec: Vec<f64> = slots
             .iter()
             .map(|&slot| {
@@ -356,26 +356,17 @@ impl<'m> OnlineSession<'m> {
                     })
             })
             .collect::<Result<_, _>>()?;
-        let report = simulate_partition_observed(
-            &bids,
-            &exec,
-            &rates,
-            &sim,
-            0,
-            &*self.collector,
-            root.phase_span(),
-        )
-        .map_err(ProtocolError::from)?;
+        let estimates = root.verify(&rates, &exec, &*self.collector)?;
 
         root.set_now(self.epoch.elapsed().as_secs_f64());
-        let assigns = root.commit_allocation_sharded(rates, report.estimated_exec_values)?;
+        let assigns = root.commit_allocation(rates, estimates)?;
         for (machine, _assign) in assigns {
             root.ingest(&Message::ExecutionDone { round, machine })?;
         }
 
-        // Settle through the PR-5 batch kernel against the incremental S.
+        // Settle through the batch kernel against the incremental S.
         root.set_now(self.epoch.elapsed().as_secs_f64());
-        let fan_out = root.settle_sharded(s)?;
+        let fan_out = root.settle(s)?;
         let mut payments = vec![0.0; m];
         for (machine, message) in fan_out {
             if let Message::Payment { amount, .. } = message {

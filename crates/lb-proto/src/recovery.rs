@@ -94,8 +94,9 @@ pub fn recover_round<'m>(
     let replay = read_journal(&bytes)?;
     let block = current_round_block(&replay, ctx.round);
 
-    let mut coordinator = Coordinator::new(mechanism, ctx.n, ctx.total_rate, ctx.round, ctx.sim)
-        .with_collector(Arc::clone(&collector));
+    let mut coordinator =
+        Coordinator::try_new(mechanism, ctx.n, ctx.total_rate, ctx.round, ctx.sim)?
+            .with_collector(Arc::clone(&collector));
 
     if block.is_empty() {
         // Nothing durable for this round yet: fresh start, journal attached
@@ -312,7 +313,8 @@ mod tests {
     /// journal bytes plus the settled outcome.
     fn recorded_round(mech: &CompensationBonusMechanism) -> (Vec<u8>, Vec<f64>, Vec<f64>) {
         let journal: Rc<RefCell<MemJournal>> = Rc::new(RefCell::new(MemJournal::new()));
-        let mut c = Coordinator::new(mech, 2, 3.0, RoundId(0), sim())
+        let mut c = Coordinator::try_new(mech, 2, 3.0, RoundId(0), sim())
+            .unwrap()
             .with_journal(Rc::clone(&journal) as Rc<RefCell<dyn Journal>>);
         let trues = [1.0, 2.0];
         for m in 0..2u32 {

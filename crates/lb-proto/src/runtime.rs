@@ -13,14 +13,16 @@
 
 use crate::chaos::{ChaosConfig, ChaosNetStats, ChaosRuntime};
 use crate::coordinator::{check_width, Coordinator, ProtocolError};
+use crate::faults::FaultPlan;
 use crate::message::RoundId;
 use crate::network::MessageStats;
 use crate::node::{NodeAgent, NodeSpec};
+use crate::shard::drive_sharded_round;
 use crate::trace::{AnomalyStats, RoundTrace};
 use lb_mechanism::VerifiedMechanism;
 use lb_prof::RoundProfiler;
 use lb_sim::driver::SimulationConfig;
-use lb_telemetry::{noop_collector, Collector, Sampler};
+use lb_telemetry::{noop_collector, Collector, Sampler, TraceContext};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -236,6 +238,20 @@ impl<'a> RoundSpec<'a> {
             observers: Observers::default(),
         }
     }
+
+    /// The coordinator of round 0, carrying `collector`, its trace rooted at
+    /// the simulation seed (inert unless the collector is enabled).
+    pub(crate) fn root(
+        &self,
+        collector: Arc<dyn Collector>,
+    ) -> Result<Coordinator<'a>, ProtocolError> {
+        let (rate, sim) = (self.config.total_rate, self.config.simulation);
+        Ok(
+            Coordinator::try_new(self.mechanism, self.specs.len(), rate, RoundId(0), sim)?
+                .with_trace(TraceContext::root(sim.seed, 0, true))
+                .with_collector(collector),
+        )
+    }
 }
 
 /// Runs one round (round id 0) as `spec` describes.
@@ -266,7 +282,17 @@ pub fn run_round(spec: &RoundSpec<'_>) -> Result<RoundReport, ProtocolError> {
         Transport::Chaos(chaos) => ChaosRuntime::new(n, spec.config, chaos.clone())?,
         Transport::Threads => return crate::threaded::run_threaded(spec, collector),
         Transport::Sharded { shards, profiler } => {
-            return crate::shard::run_sharded(spec, *shards, *profiler, collector)
+            let mut root = spec.root(collector)?;
+            let mut profiler = profiler.map(RefCell::borrow_mut);
+            return drive_sharded_round(
+                &mut root,
+                spec.specs,
+                &spec.config,
+                *shards,
+                &FaultPlan::none(),
+                profiler.as_deref_mut(),
+            )
+            .map(|(report, _)| report);
         }
     };
     runtime.set_collector(collector);

@@ -1,26 +1,30 @@
 //! Sharded hierarchical coordinator: million-machine rounds over a
 //! two-level tree.
 //!
-//! The single [`crate::coordinator::Coordinator`] tops out well below 10⁶
-//! machines: every phase funnels through one state machine that touches
-//! every frame. This module splits a round across `k` *shard coordinators*,
-//! each owning a contiguous slice of `n/k` machines:
+//! The message-driven [`crate::coordinator::Coordinator`] tops out well
+//! below 10⁶ machines: every frame funnels through one state machine that
+//! rescans the round after each message. This module splits a round across
+//! `k` *shard coordinators*, each owning a contiguous slice of `n/k`
+//! machines, and drives the root coordinator's four transitions once each:
 //!
-//! * **Collect** — each shard requests and gathers its own slice's bids in
-//!   parallel (one worker thread per shard), forwarding the accepted `Bid`
-//!   frames upward over the existing wire codec.
-//! * **Aggregate** — each shard reduces its respondent bids to a partial
+//! * **Collect** — each shard relays its own slice's bid requests and bids
+//!   in parallel (one worker thread per shard), forwarding the accepted
+//!   `Bid` frames upward over the existing wire codec; the root then ends
+//!   bidding.
+//! * **Aggregate** — each shard's respondent bids reduce to a partial
 //!   double-double harmonic sum `Σ 1/b_i`, shipped upward as a
 //!   [`Message::ShardSum`] carrying both limbs; the root merges the partials
-//!   with [`lb_core::merge_inv_sums`] (a balanced pairwise tree) and runs
-//!   the PR allocation against the merged sum.
-//! * **Execute / verify** — each shard runs the verification simulation for
-//!   its own respondents ([`lb_sim::driver::simulate_partition`], whose
+//!   with [`lb_core::merge_inv_sums`] (a balanced pairwise tree) and
+//!   allocates against the merged sum.
+//! * **Verify** — each shard runs the verification simulation for its own
+//!   respondents ([`lb_sim::driver::simulate_partition_observed`], whose
 //!   per-machine RNG streams are keyed by global respondent ordinal, so the
 //!   sharded observation is bit-identical to the unsharded one) and ships
-//!   the estimates upward as [`Message::ShardEstimates`].
-//! * **Settle** — the root computes payments against the merged sum and the
-//!   shards fan the `Payment` frames back down in parallel.
+//!   the estimates upward as [`Message::ShardEstimates`]; the root commits.
+//! * **Execute** — the shards relay the `Assign` frames down and the
+//!   acknowledgements up.
+//! * **Settle** — the root settles against the merged sum and the shards
+//!   relay the `Payment` frames back down in parallel.
 //!
 //! The root stays on the calling thread (it owns the non-`Send` journal
 //! handle); shard workers run under [`std::thread::scope`] and only touch
@@ -48,14 +52,12 @@ use crate::faults::FaultPlan;
 use crate::message::{Message, RoundId};
 use crate::network::MessageStats;
 use crate::node::{NodeAgent, NodeSpec};
-use crate::runtime::{ProtocolConfig, RoundReport, RoundSpec};
-use lb_core::{inv_sum_dd, merge_inv_sums, CoreError, TwoF64};
-use lb_mechanism::MechanismError;
+use crate::runtime::{ProtocolConfig, RoundReport};
+use lb_core::{merge_inv_sums, CoreError, TwoF64};
 use lb_prof::{LatencySketch, RoundProfiler, WireShardProfile, PHASES};
 use lb_sim::driver::{simulate_partition_observed, simulate_partition_timed, SimulationConfig};
 use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,40 +120,10 @@ fn codec_err(e: CodecError) -> ProtocolError {
     crate::network::codec_error(e).into()
 }
 
-/// Counts one encoded frame into shard-local stats and, when telemetry is
-/// on, the shared `net.*` counters (same accounting as the threaded
-/// runtime).
-fn count_frame(stats: &mut MessageStats, collector: &dyn Collector, epoch: Instant, frame: &[u8]) {
-    stats.messages += 1;
-    stats.bytes += frame.len() as u64;
-    if collector.enabled() {
-        let at = epoch.elapsed().as_secs_f64();
-        collector.counter(at, "net.messages", Subsystem::Network, 1);
-        collector.counter(at, "net.bytes", Subsystem::Network, frame.len() as u64);
-    }
-}
-
-fn shard_span(
-    collector: &dyn Collector,
-    epoch: Instant,
-    name: &'static str,
-    parent: SpanId,
-    shard: usize,
-    machines: usize,
-) -> SpanId {
-    if !collector.enabled() {
-        return SpanId::NULL;
-    }
-    collector.span_start_in(
-        epoch.elapsed().as_secs_f64(),
-        name,
-        Subsystem::Shard,
-        parent,
-        vec![
-            Field::u64("shard", shard as u64),
-            Field::u64("machines", machines as u64),
-        ],
-    )
+fn decode_frame(frame: &[u8]) -> Result<Message, ProtocolError> {
+    let (msg, _ctx): (Message, Option<TraceContext>) =
+        decode_with_context(frame).map_err(codec_err)?;
+    Ok(msg)
 }
 
 /// The context upward frames carry: the shard's own span when one is open,
@@ -164,61 +136,59 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
     }
 }
 
-/// Whether a machine's bid is lost on the way up. `lose_bid_attempts` with
-/// any `k >= 1` is fatal here because the sharded driver, like a chaos
+/// Whether `reply` from `machine` is lost on the way up. `lose_bid_attempts`
+/// with any `k >= 1` is fatal here because the sharded driver, like a chaos
 /// round with `bid_retries: 0`, never retries.
-fn bid_lost(faults: &FaultPlan, machine: u32) -> bool {
-    faults.lose_bids_from.contains(&machine)
-        || faults.partitioned.contains(&machine)
-        || faults
-            .lose_bid_attempts
-            .iter()
-            .any(|&(m, k)| m == machine && k >= 1)
+fn reply_lost(faults: &FaultPlan, machine: u32, reply: &Message) -> bool {
+    match reply {
+        Message::Bid { .. } => {
+            faults.lose_bids_from.contains(&machine)
+                || faults
+                    .lose_bid_attempts
+                    .iter()
+                    .any(|&(m, k)| m == machine && k >= 1)
+        }
+        Message::ExecutionDone { .. } => faults.lose_acks_from.contains(&machine),
+        _ => false,
+    }
 }
 
-fn ack_lost(faults: &FaultPlan, machine: u32) -> bool {
-    faults.lose_acks_from.contains(&machine) || faults.partitioned.contains(&machine)
-}
-
-/// Splits `agents` into per-shard mutable slices following `ranges`.
-fn shard_slices<'a>(
-    agents: &'a mut [NodeAgent],
-    ranges: &[Range<usize>],
-) -> Vec<&'a mut [NodeAgent]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut rest = agents;
-    for r in ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        out.push(head);
-        rest = tail;
+/// Splits the recipients (global machine indices) of a downward fan-out
+/// into per-shard lists.
+fn by_shard(ranges: &[Range<usize>], machines: impl IntoIterator<Item = usize>) -> Vec<Vec<usize>> {
+    let mut out = vec![Vec::new(); ranges.len()];
+    for i in machines {
+        out[shard_of(ranges, i)].push(i);
     }
     out
 }
 
-/// The root's view of who can still participate: the accepted bid for
-/// non-excluded machines, `None` elsewhere.
-fn respondent_bids(root: &Coordinator<'_>) -> Vec<Option<f64>> {
-    root.bid_slots()
-        .iter()
-        .zip(root.excluded())
-        .map(|(bid, &excluded)| if excluded { None } else { *bid })
-        .collect()
+/// One shard's share of a relay stage: its range, its own slice of the
+/// agents, and the machines the stage sends a frame to.
+struct ShardWork<'a> {
+    range: Range<usize>,
+    agents: &'a mut [NodeAgent],
+    down: &'a [usize],
 }
 
-/// Recomputes the merged harmonic sum from the root's current bid state —
-/// per-shard partials over the same ranges, merged the same way — so a
-/// recovered round settles against bit-identically the sum the crashed
-/// process allocated with.
-fn merged_sum(root: &Coordinator<'_>, ranges: &[Range<usize>]) -> TwoF64 {
-    let bids = respondent_bids(root);
-    let partials: Vec<TwoF64> = ranges
-        .iter()
-        .map(|r| {
-            let values: Vec<f64> = bids[r.clone()].iter().filter_map(|b| *b).collect();
-            inv_sum_dd(&values)
-        })
-        .collect();
-    merge_inv_sums(&partials)
+/// Splits `agents` and the per-shard recipient lists along `ranges`.
+fn shard_work<'a>(
+    ranges: &[Range<usize>],
+    agents: &'a mut [NodeAgent],
+    down: &'a [Vec<usize>],
+) -> Vec<ShardWork<'a>> {
+    let mut out = Vec::with_capacity(ranges.len());
+    let mut rest = agents;
+    for (range, down) in ranges.iter().zip(down) {
+        let (head, tail) = rest.split_at_mut(range.len());
+        out.push(ShardWork {
+            range: range.clone(),
+            agents: head,
+            down,
+        });
+        rest = tail;
+    }
+    out
 }
 
 /// What one shard worker hands back up: the encoded node-originated frames
@@ -236,253 +206,160 @@ struct ShardBatch {
     prof: Option<Vec<u8>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn collect_shard(
-    shard: usize,
-    range: Range<usize>,
-    agents: &mut [NodeAgent],
-    already: &[bool],
-    excluded: &[bool],
-    faults: &FaultPlan,
-    round: RoundId,
+/// What every worker of one stage shares: the fault plan, the root's wire
+/// context and open phase span at the start of the stage, and the clock
+/// and collector its telemetry goes to.
+struct Relay<'a> {
+    faults: &'a FaultPlan,
     wire: Option<TraceContext>,
     parent: SpanId,
-    collector: &dyn Collector,
+    collector: &'a dyn Collector,
     epoch: Instant,
-) -> Result<ShardBatch, ProtocolError> {
-    let started = Instant::now();
-    let mut batch = ShardBatch::default();
-    let span = shard_span(
-        collector,
-        epoch,
-        "shard.collect",
-        parent,
-        shard,
-        range.len(),
-    );
-    for (agent, i) in agents.iter_mut().zip(range) {
-        let machine = agent.machine;
-        // Machines that already bid (a recovered round's durable prefix),
-        // quarantined machines, and partitioned machines get no request.
-        if already[i] || excluded[i] || faults.partitioned.contains(&machine) {
-            continue;
-        }
-        let request = Message::RequestBid { round };
-        let frame = encode_with_context(&request, wire.as_ref());
-        count_frame(&mut batch.sent, collector, epoch, &frame);
-        let (request, _ctx): (Message, Option<TraceContext>) =
-            decode_with_context(&frame).map_err(codec_err)?;
-        let Some(bid) = agent.handle(&request) else {
-            continue;
-        };
-        if bid_lost(faults, machine) {
-            continue;
-        }
-        let ctx = upward_ctx(wire, span);
-        let frame = encode_with_context(&bid, ctx.as_ref());
-        count_frame(&mut batch.sent, collector, epoch, &frame);
-        batch.up.push(frame);
-    }
-    collector.span_end(epoch.elapsed().as_secs_f64(), span);
-    batch.elapsed = started.elapsed().as_secs_f64();
-    Ok(batch)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn verify_shard(
-    shard: usize,
-    sub_bids: &[f64],
-    sub_exec: &[f64],
-    sub_rates: &[f64],
-    stream_offset: u64,
-    sim: &SimulationConfig,
-    round: RoundId,
-    wire: Option<TraceContext>,
-    parent: SpanId,
-    collector: &dyn Collector,
-    epoch: Instant,
-    profile: bool,
-) -> Result<ShardBatch, ProtocolError> {
-    let started = Instant::now();
-    let mut batch = ShardBatch::default();
-    let span = shard_span(
-        collector,
-        epoch,
-        "shard.verify",
-        parent,
-        shard,
-        sub_bids.len(),
-    );
-    let shard_u32 = shard_wire_id(shard)?;
-    let report = if profile {
-        // Profiled verify: identical kernel, plus a per-machine wall-time
-        // probe feeding the shard's sketch. The probe observes the loop
-        // without participating, so estimates are bit-identical to the
-        // unprofiled path.
-        let mut machine_wall = LatencySketch::new();
-        let mut slowest: Option<(u64, f64)> = None;
-        let report = simulate_partition_timed(
-            sub_bids,
-            sub_exec,
-            sub_rates,
-            sim,
-            stream_offset,
+impl<'a> Relay<'a> {
+    fn at(
+        root: &Coordinator<'_>,
+        faults: &'a FaultPlan,
+        collector: &'a dyn Collector,
+        epoch: Instant,
+    ) -> Self {
+        Self {
+            faults,
+            wire: root.wire_context(),
+            parent: root.phase_span(),
             collector,
-            span,
-            &mut |machine, wall| {
-                machine_wall.record(wall);
-                if slowest.is_none_or(|(_, w)| wall > w) {
-                    // Keep the *local* respondent ordinal: the worker does
-                    // not know the global index space; the root maps it.
-                    slowest = Some((machine - stream_offset, wall));
-                }
-            },
-        )
-        .map_err(|e| ProtocolError::from(MechanismError::Core(e)))?;
-        let msg = Message::ShardProfile {
-            round,
-            shard: shard_u32,
-            profile: WireShardProfile {
-                shard: shard_u32,
-                machines: sub_bids.len() as u64,
-                machine_wall: machine_wall.to_wire(),
-                slowest,
-            },
-        };
-        let ctx = upward_ctx(wire, span);
-        // Deliberately NOT count_frame'd: profiling frames are accounted by
-        // the profiler alone, never MessageStats or the net.* counters.
-        batch.prof = Some(encode_with_context(&msg, ctx.as_ref()));
-        report
-    } else {
-        simulate_partition_observed(
-            sub_bids,
-            sub_exec,
-            sub_rates,
-            sim,
-            stream_offset,
-            collector,
-            span,
-        )
-        .map_err(|e| ProtocolError::from(MechanismError::Core(e)))?
-    };
-    let msg = Message::ShardEstimates {
-        round,
-        shard: shard_u32,
-        estimates: report.estimated_exec_values,
-    };
-    let ctx = upward_ctx(wire, span);
-    let frame = encode_with_context(&msg, ctx.as_ref());
-    count_frame(&mut batch.sent, collector, epoch, &frame);
-    batch.up.push(frame);
-    collector.span_end(epoch.elapsed().as_secs_f64(), span);
-    batch.elapsed = started.elapsed().as_secs_f64();
-    Ok(batch)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_shard(
-    shard: usize,
-    range: Range<usize>,
-    agents: &mut [NodeAgent],
-    assigns: &[(usize, Message)],
-    faults: &FaultPlan,
-    wire: Option<TraceContext>,
-    parent: SpanId,
-    collector: &dyn Collector,
-    epoch: Instant,
-) -> Result<ShardBatch, ProtocolError> {
-    let started = Instant::now();
-    let mut batch = ShardBatch::default();
-    let span = shard_span(
-        collector,
-        epoch,
-        "shard.execute",
-        parent,
-        shard,
-        assigns.len(),
-    );
-    for (i, msg) in assigns {
-        let local = i - range.start;
-        let machine = agents[local].machine;
-        if faults.partitioned.contains(&machine) {
-            continue;
+            epoch,
         }
-        let frame = encode_with_context(msg, wire.as_ref());
-        count_frame(&mut batch.sent, collector, epoch, &frame);
-        let (assign, _ctx): (Message, Option<TraceContext>) =
-            decode_with_context(&frame).map_err(codec_err)?;
-        let Some(ack) = agents[local].handle(&assign) else {
-            continue;
-        };
-        if ack_lost(faults, machine) {
-            continue;
-        }
-        let ctx = upward_ctx(wire, span);
-        let frame = encode_with_context(&ack, ctx.as_ref());
-        count_frame(&mut batch.sent, collector, epoch, &frame);
-        batch.up.push(frame);
     }
-    collector.span_end(epoch.elapsed().as_secs_f64(), span);
-    batch.elapsed = started.elapsed().as_secs_f64();
-    Ok(batch)
-}
 
-#[allow(clippy::too_many_arguments)]
-fn settle_shard(
-    shard: usize,
-    range: Range<usize>,
-    agents: &mut [NodeAgent],
-    payments: &[(usize, Message)],
-    faults: &FaultPlan,
-    wire: Option<TraceContext>,
-    collector: &dyn Collector,
-    epoch: Instant,
-) -> Result<ShardBatch, ProtocolError> {
-    let started = Instant::now();
-    let mut batch = ShardBatch::default();
-    for (i, msg) in payments {
-        let local = i - range.start;
-        let machine = agents[local].machine;
-        if faults.partitioned.contains(&machine) {
-            continue;
-        }
-        let frame = encode_with_context(msg, wire.as_ref());
-        count_frame(&mut batch.sent, collector, epoch, &frame);
-        let (payment, _ctx): (Message, Option<TraceContext>) =
-            decode_with_context(&frame).map_err(codec_err)?;
-        let _ = agents[local].handle(&payment);
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
     }
-    // The phase spans closed when the root settled, so the downward
-    // delivery is an instant, not a span.
-    collector.instant(
-        epoch.elapsed().as_secs_f64(),
-        "shard.settle",
-        Subsystem::Shard,
-        vec![
-            Field::u64("shard", shard as u64),
-            Field::u64("machines", payments.len() as u64),
-        ],
-    );
-    batch.elapsed = started.elapsed().as_secs_f64();
-    Ok(batch)
+
+    /// Counts one encoded frame into shard-local stats and, when telemetry
+    /// is on, the shared `net.*` counters (same accounting as the threaded
+    /// runtime).
+    fn count(&self, stats: &mut MessageStats, frame: &[u8]) {
+        stats.messages += 1;
+        stats.bytes += frame.len() as u64;
+        if self.collector.enabled() {
+            let at = self.now();
+            let c = self.collector;
+            c.counter(at, "net.messages", Subsystem::Network, 1);
+            c.counter(at, "net.bytes", Subsystem::Network, frame.len() as u64);
+        }
+    }
+
+    /// Opens shard `shard`'s `name` span under the root's phase span.
+    fn span(&self, name: &'static str, shard: usize, machines: usize) -> SpanId {
+        if !self.collector.enabled() {
+            return SpanId::NULL;
+        }
+        self.collector.span_start_in(
+            self.now(),
+            name,
+            Subsystem::Shard,
+            self.parent,
+            vec![
+                Field::u64("shard", shard as u64),
+                Field::u64("machines", machines as u64),
+            ],
+        )
+    }
+
+    /// Sends `message(i)` to each machine `i` of `work` — partitioned
+    /// machines see nothing — and forwards the replies that survive the
+    /// fault plan upward, in machine order, parented on `span`.
+    fn run(
+        &self,
+        work: ShardWork<'_>,
+        message: impl Fn(usize) -> Message,
+        span: SpanId,
+    ) -> Result<ShardBatch, ProtocolError> {
+        let mut batch = ShardBatch::default();
+        let up_ctx = upward_ctx(self.wire, span);
+        for &i in work.down {
+            let agent = &mut work.agents[i - work.range.start];
+            let machine = agent.machine;
+            if self.faults.partitioned.contains(&machine) {
+                continue;
+            }
+            let frame = encode_with_context(&message(i), self.wire.as_ref());
+            self.count(&mut batch.sent, &frame);
+            let Some(reply) = agent.handle(&decode_frame(&frame)?) else {
+                continue;
+            };
+            if reply_lost(self.faults, machine, &reply) {
+                continue;
+            }
+            let frame = encode_with_context(&reply, up_ctx.as_ref());
+            self.count(&mut batch.sent, &frame);
+            batch.up.push(frame);
+        }
+        Ok(batch)
+    }
+
+    /// [`Relay::run`] inside shard `shard`'s `name` span over `machines`.
+    fn run_in_span(
+        &self,
+        name: &'static str,
+        shard: usize,
+        machines: usize,
+        work: ShardWork<'_>,
+        message: impl Fn(usize) -> Message,
+    ) -> Result<ShardBatch, ProtocolError> {
+        let span = self.span(name, shard, machines);
+        let batch = self.run(work, message, span);
+        self.collector.span_end(self.now(), span);
+        batch
+    }
 }
 
-/// Joins one stage's workers in shard order, folding their traffic into
-/// `stats` and returning the whole batches (upward frames plus the
-/// profiler-only side channels), still shard-ordered.
-fn join_stage(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<ShardBatch, ProtocolError>>>,
+/// The profiled round's per-shard phase wall times: fed to the profiler as
+/// each stage joins, and kept for the `shard.phase.seconds` gauges once the
+/// round is sealed.
+struct PhaseClock<'p> {
+    profiler: &'p mut RoundProfiler,
+    seconds: Vec<[f64; 4]>,
+}
+
+/// Runs one stage on every shard at once — one scoped worker thread per
+/// work item — and joins the workers in shard order, folding their traffic
+/// into `stats` and their wall times into `clock`'s `phase`.
+///
+/// Every handle is joined even after a failure: an unjoined panicked scoped
+/// thread would re-raise its panic when the scope closes, turning a
+/// contained shard failure back into a root abort. The first error wins, a
+/// panicked worker surfaces as [`ProtocolError::ShardPanicked`], and
+/// traffic from the shards that did complete still counts.
+fn fan_out<T: Send>(
+    items: Vec<T>,
+    work: impl Fn(usize, T) -> Result<ShardBatch, ProtocolError> + Sync,
     stats: &mut MessageStats,
+    clock: Option<&mut PhaseClock<'_>>,
+    phase: usize,
 ) -> Result<Vec<ShardBatch>, ProtocolError> {
-    let mut batches = Vec::with_capacity(handles.len());
-    // Join *every* handle even after a failure: an unjoined panicked scoped
-    // thread would re-raise its panic when the scope closes, turning a
-    // contained shard failure back into a root abort. The first error wins;
-    // traffic from shards that did complete still counts.
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = items
+            .into_iter()
+            .enumerate()
+            .map(|(s, item)| {
+                scope.spawn(move || {
+                    let started = Instant::now();
+                    let mut batch = work(s, item)?;
+                    batch.elapsed = started.elapsed().as_secs_f64();
+                    Ok(batch)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut batches = Vec::with_capacity(joined.len());
     let mut first_err: Option<ProtocolError> = None;
-    for (shard, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
+    for (shard, joined) in joined.into_iter().enumerate() {
+        match joined {
             Ok(Ok(batch)) => {
                 stats.messages += batch.sent.messages;
                 stats.bytes += batch.sent.bytes;
@@ -492,10 +369,153 @@ fn join_stage(
             Err(_) => first_err = first_err.or(Some(ProtocolError::ShardPanicked { shard })),
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(batches),
+    if let Some(e) = first_err {
+        return Err(e);
     }
+    if let Some(clock) = clock {
+        for (s, batch) in batches.iter().enumerate() {
+            clock.profiler.record_phase(s as u32, phase, batch.elapsed);
+            clock.seconds[s][phase] = batch.elapsed;
+        }
+    }
+    Ok(batches)
+}
+
+/// One shard's verification work: its respondents' global indices, bids,
+/// actual execution values and rates, and the global respondent ordinal
+/// its RNG streams start at.
+struct VerifyInput {
+    idx: Vec<usize>,
+    bids: Vec<f64>,
+    exec: Vec<f64>,
+    rates: Vec<f64>,
+    offset: u64,
+}
+
+fn verify_shard(
+    shard: usize,
+    input: &VerifyInput,
+    sim: &SimulationConfig,
+    round: RoundId,
+    relay: &Relay<'_>,
+    profile: bool,
+) -> Result<ShardBatch, ProtocolError> {
+    let shard_u32 = shard_wire_id(shard)?;
+    let mut batch = ShardBatch::default();
+    let span = relay.span("shard.verify", shard, input.bids.len());
+    let ctx = upward_ctx(relay.wire, span);
+    let (bids, exec, rates) = (&input.bids, &input.exec, &input.rates);
+    let report = if profile {
+        // Profiled verify: identical kernel, plus a per-machine wall-time
+        // probe feeding the shard's sketch. The probe observes the loop
+        // without participating, so estimates are bit-identical to the
+        // unprofiled path.
+        let mut machine_wall = LatencySketch::new();
+        let mut slowest: Option<(u64, f64)> = None;
+        let report = simulate_partition_timed(
+            bids,
+            exec,
+            rates,
+            sim,
+            input.offset,
+            relay.collector,
+            span,
+            &mut |machine, wall| {
+                machine_wall.record(wall);
+                if slowest.is_none_or(|(_, w)| wall > w) {
+                    // Keep the *local* respondent ordinal: the worker does
+                    // not know the global index space; the root maps it.
+                    slowest = Some((machine - input.offset, wall));
+                }
+            },
+        )
+        .map_err(ProtocolError::from)?;
+        let msg = Message::ShardProfile {
+            round,
+            shard: shard_u32,
+            profile: WireShardProfile {
+                shard: shard_u32,
+                machines: bids.len() as u64,
+                machine_wall: machine_wall.to_wire(),
+                slowest,
+            },
+        };
+        // Deliberately not counted: profiling frames are accounted by the
+        // profiler alone, never MessageStats or the net.* counters.
+        batch.prof = Some(encode_with_context(&msg, ctx.as_ref()));
+        report
+    } else {
+        simulate_partition_observed(bids, exec, rates, sim, input.offset, relay.collector, span)
+            .map_err(ProtocolError::from)?
+    };
+    let msg = Message::ShardEstimates {
+        round,
+        shard: shard_u32,
+        estimates: report.estimated_exec_values,
+    };
+    let frame = encode_with_context(&msg, ctx.as_ref());
+    relay.count(&mut batch.sent, &frame);
+    batch.up.push(frame);
+    relay.collector.span_end(relay.now(), span);
+    Ok(batch)
+}
+
+/// Folds one shard's profiling side channel into the profiler: its
+/// [`Message::ShardProfile`] frame, with the slowest machine's shard-local
+/// ordinal mapped back to a global index through `idx`, the shard's
+/// respondent map.
+fn ingest_profile(
+    profiler: &mut RoundProfiler,
+    frame: Option<&[u8]>,
+    idx: &[usize],
+) -> Result<(), ProtocolError> {
+    let mismatch = |what| ProtocolError::ReplayMismatch { what };
+    let frame = frame.ok_or(mismatch("missing shard profile frame"))?;
+    profiler.note_frame(frame.len());
+    let Message::ShardProfile { profile, .. } = decode_frame(frame)? else {
+        return Err(mismatch(
+            "shard profile frame decoded to a different message",
+        ));
+    };
+    let slowest = profile
+        .slowest
+        .map(|(local, wall)| {
+            usize::try_from(local)
+                .ok()
+                .and_then(|l| idx.get(l))
+                .map(|&i| (i as u64, wall))
+                .ok_or(mismatch("shard profile names a machine outside its shard"))
+        })
+        .transpose()?;
+    profiler
+        .ingest_shard(&profile, slowest)
+        .map_err(|_| mismatch("corrupt shard profile frame"))
+}
+
+/// Decodes a stage's upward frames into the root, in shard order.
+fn ingest_up(
+    root: &mut Coordinator<'_>,
+    batches: Vec<ShardBatch>,
+    epoch: Instant,
+) -> Result<(), ProtocolError> {
+    for frame in batches.into_iter().flat_map(|b| b.up) {
+        let msg = decode_frame(&frame)?;
+        root.set_now(epoch.elapsed().as_secs_f64());
+        root.ingest(&msg)?;
+    }
+    Ok(())
+}
+
+/// The merged harmonic sum from the root's current bid state — per-shard
+/// partials over the same ranges, merged the same way — so a recovered
+/// round settles against bit-identically the sum the crashed process
+/// allocated with.
+fn merged_sum(root: &Coordinator<'_>, ranges: &[Range<usize>]) -> TwoF64 {
+    let partials: Vec<TwoF64> = ranges
+        .iter()
+        .map(|r| root.partial_inv_sum(r.clone()))
+        .collect();
+    merge_inv_sums(&partials)
 }
 
 /// Drives one sharded round to completion on `root`, which may be freshly
@@ -503,7 +523,9 @@ fn join_stage(
 /// — the driver picks up from whatever phase the replay reconstructed, and
 /// the records it appends continue the journal exactly where an
 /// uninterrupted run would have, so crash-recovered and uninterrupted rounds
-/// produce byte-identical journals.
+/// produce byte-identical journals. Returns the settled round's report
+/// (utilities from the coordinator's ledger; no trace, since frames travel
+/// between tiers) and the root's phase timings.
 ///
 /// `faults` drops frames exactly as a single-coordinator round under
 /// [`crate::chaos::ChaosConfig`] with `bid_retries: 0`: lost bids exclude
@@ -537,12 +559,12 @@ pub fn drive_sharded_round(
     config: &ProtocolConfig,
     shards: usize,
     faults: &FaultPlan,
-    mut profiler: Option<&mut RoundProfiler>,
-) -> Result<(MessageStats, ShardPhaseTimings), ProtocolError> {
+    profiler: Option<&mut RoundProfiler>,
+) -> Result<(RoundReport, ShardPhaseTimings), ProtocolError> {
     let n = specs.len();
-    if n != root.bid_slots().len() {
+    if n != root.excluded().len() {
         return Err(CoreError::LengthMismatch {
-            expected: root.bid_slots().len(),
+            expected: root.excluded().len(),
             actual: n,
         }
         .into());
@@ -553,24 +575,17 @@ pub fn drive_sharded_round(
     let ranges = shard_ranges(n, shards);
     let mut stats = MessageStats::default();
     let mut timings = ShardPhaseTimings::default();
-    let profiling = profiler.as_ref().is_some_and(|p| p.should_profile(round.0));
-    // This round's per-shard phase seconds, kept for the gauge emission
-    // after settlement (telemetry-only; outcomes never read it).
-    let mut shard_phase: Vec<[f64; 4]> = vec![[0.0; 4]; ranges.len()];
-
-    // Machine ids travel as u32; the width was validated when the root was
-    // constructed, but the driver re-checks instead of carrying a reachable
-    // panic on the hot path.
-    if u32::try_from(n).is_err() {
-        return Err(ProtocolError::TooManyNodes { n });
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    let mut agents: Vec<NodeAgent> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, &spec)| NodeAgent::new(i as u32, spec))
+    let mut clock = profiler
+        .filter(|p| p.should_profile(round.0))
+        .map(|profiler| PhaseClock {
+            profiler,
+            seconds: vec![[0.0; 4]; ranges.len()],
+        });
+    // The root's width fits the u32 wire format, so the zip never truncates.
+    let mut agents: Vec<NodeAgent> = (0u32..)
+        .zip(specs)
+        .map(|(i, &spec)| NodeAgent::new(i, spec))
         .collect();
-
     // The merged harmonic sum, carried from allocation to settlement.
     // Recomputed from journal state when the round resumes past allocation.
     let mut merged: Option<TwoF64> = None;
@@ -580,80 +595,46 @@ pub fn drive_sharded_round(
         let t = Instant::now();
         root.set_now(epoch.elapsed().as_secs_f64());
         root.ensure_round_span();
-        let wire = root.wire_context();
-        let parent = root.phase_span();
-        let already: Vec<bool> = root.bid_slots().iter().map(Option::is_some).collect();
-        let excluded = root.excluded().to_vec();
-
-        let batches = std::thread::scope(|scope| {
-            let handles = ranges
-                .iter()
-                .enumerate()
-                .zip(shard_slices(&mut agents, &ranges))
-                .map(|((s, range), slice)| {
-                    let (already, excluded, collector) = (&already, &excluded, &collector);
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        collect_shard(
-                            s,
-                            range,
-                            slice,
-                            already,
-                            excluded,
-                            faults,
-                            round,
-                            wire,
-                            parent,
-                            &**collector,
-                            epoch,
-                        )
-                    })
+        let relay = Relay::at(root, faults, &*collector, epoch);
+        // Machines that already bid (a recovered round's durable prefix)
+        // and quarantined machines get no request.
+        let requests = by_shard(&ranges, root.missing_bids().into_iter().map(|m| m as usize));
+        let batches = fan_out(
+            shard_work(&ranges, &mut agents, &requests),
+            |s, work| {
+                let machines = work.range.len();
+                relay.run_in_span("shard.collect", s, machines, work, |_| {
+                    Message::RequestBid { round }
                 })
-                .collect();
-            join_stage(handles, &mut stats)
-        })?;
-        if profiling {
-            if let Some(p) = profiler.as_deref_mut() {
-                for (s, batch) in batches.iter().enumerate() {
-                    p.record_phase(s as u32, 0, batch.elapsed);
-                    shard_phase[s][0] = batch.elapsed;
-                }
-            }
-        }
-        for frame in batches.into_iter().flat_map(|b| b.up) {
-            let (msg, _ctx): (Message, Option<TraceContext>) =
-                decode_with_context(&frame).map_err(codec_err)?;
-            root.set_now(epoch.elapsed().as_secs_f64());
-            root.ingest(&msg)?;
-        }
+            },
+            &mut stats,
+            clock.as_mut(),
+            0,
+        )?;
+        ingest_up(root, batches, epoch)?;
         root.set_now(epoch.elapsed().as_secs_f64());
-        root.close_bidding_sharded()?;
+        root.end_bidding()?;
         timings.collect = t.elapsed().as_secs_f64();
     }
 
     // ---- Aggregate + allocate + distributed verification. ----
     if root.phase() == CoordinatorPhase::CollectingBids {
         let t = Instant::now();
-        let bids = respondent_bids(root);
-        let wire = root.wire_context();
-
         // Partial harmonic sums travel as ShardSum frames: both double-double
         // limbs on the wire, so the merge at the root is exact.
+        let relay = Relay::at(root, faults, &*collector, epoch);
         let mut partials = Vec::with_capacity(ranges.len());
         for (s, range) in ranges.iter().enumerate() {
-            let values: Vec<f64> = bids[range.clone()].iter().filter_map(|b| *b).collect();
-            let partial = inv_sum_dd(&values);
+            let partial = root.partial_inv_sum(range.clone());
             let msg = Message::ShardSum {
                 round,
                 shard: shard_wire_id(s)?,
                 sum_hi: partial.hi,
                 sum_lo: partial.lo,
             };
-            let frame = encode_with_context(&msg, wire.as_ref());
-            count_frame(&mut stats, &*collector, epoch, &frame);
-            let (decoded, _ctx): (Message, Option<TraceContext>) =
-                decode_with_context(&frame).map_err(codec_err)?;
-            let Message::ShardSum { sum_hi, sum_lo, .. } = decoded else {
+            let frame = encode_with_context(&msg, relay.wire.as_ref());
+            relay.count(&mut stats, &frame);
+            let Message::ShardSum { sum_hi, sum_lo, .. } = decode_frame(&frame)? else {
                 return Err(ProtocolError::ReplayMismatch {
                     what: "shard sum frame decoded to a different message",
                 });
@@ -667,117 +648,71 @@ pub fn drive_sharded_round(
         merged = Some(s_dd);
 
         root.set_now(epoch.elapsed().as_secs_f64());
-        let rates = root.begin_allocation_sharded(s_dd)?;
-        let parent = root.phase_span();
+        let rates = root.allocate(s_dd)?;
+        let relay = Relay::at(root, faults, &*collector, epoch);
 
-        // Per-shard verification simulation: each shard simulates its own
-        // respondents at their global respondent stream offsets.
-        let mut shard_inputs = Vec::with_capacity(ranges.len());
+        // Each shard simulates its own respondents at their global
+        // respondent stream offsets. An empty bid slot inside a range is a
+        // silent machine (lost frame, timeout exclusion): it took the
+        // exclusion path at the bid timeout and is never simulated.
         let mut offset = 0u64;
-        for range in &ranges {
-            // An empty bid slot inside the range is a silent machine (lost
-            // frame, timeout exclusion): it is filtered into the same
-            // excluded-respondent path the root applied at the bid timeout,
-            // never assumed to have answered.
-            let present: Vec<(usize, f64)> = range
-                .clone()
-                .filter_map(|i| bids[i].map(|b| (i, b)))
-                .collect();
-            let idx: Vec<usize> = present.iter().map(|&(i, _)| i).collect();
-            let sub_bids: Vec<f64> = present.iter().map(|&(_, b)| b).collect();
-            let sub_exec: Vec<f64> = idx.iter().map(|&i| specs[i].exec_value).collect();
-            let sub_rates: Vec<f64> = idx.iter().map(|&i| rates[i]).collect();
-            let m = idx.len() as u64;
-            shard_inputs.push((idx, sub_bids, sub_exec, sub_rates, offset));
-            offset += m;
-        }
-        let sim = config.simulation;
-        let batches = std::thread::scope(|scope| {
-            let handles = shard_inputs
-                .iter()
-                .enumerate()
-                .map(|(s, (_, sub_bids, sub_exec, sub_rates, off))| {
-                    let (collector, sim) = (&collector, &sim);
-                    let off = *off;
-                    scope.spawn(move || {
-                        verify_shard(
-                            s,
-                            sub_bids,
-                            sub_exec,
-                            sub_rates,
-                            off,
-                            sim,
-                            round,
-                            wire,
-                            parent,
-                            &**collector,
-                            epoch,
-                            profiling,
-                        )
-                    })
-                })
-                .collect();
-            join_stage(handles, &mut stats)
-        })?;
-
-        // Ingest the profiling side channel: per-shard wall time and the
-        // ShardProfile frames, with the slowest machine's shard-local
-        // ordinal mapped back to its global index via the respondent map.
-        if profiling {
-            if let Some(p) = profiler.as_deref_mut() {
-                for (s, batch) in batches.iter().enumerate() {
-                    p.record_phase(s as u32, 1, batch.elapsed);
-                    shard_phase[s][1] = batch.elapsed;
-                    let frame = batch.prof.as_ref().ok_or(ProtocolError::ReplayMismatch {
-                        what: "missing shard profile frame",
-                    })?;
-                    p.note_frame(frame.len());
-                    let (msg, _ctx): (Message, Option<TraceContext>) =
-                        decode_with_context(frame).map_err(codec_err)?;
-                    let Message::ShardProfile { profile, .. } = msg else {
-                        return Err(ProtocolError::ReplayMismatch {
-                            what: "shard profile frame decoded to a different message",
-                        });
-                    };
-                    let slowest_global = profile
-                        .slowest
-                        .map(|(local, w)| (shard_inputs[s].0[local as usize] as u64, w));
-                    p.ingest_shard(&profile, slowest_global).map_err(|_| {
-                        ProtocolError::ReplayMismatch {
-                            what: "corrupt shard profile frame",
-                        }
-                    })?;
-                }
+        let inputs: Vec<VerifyInput> = ranges
+            .iter()
+            .map(|range| {
+                let idx: Vec<usize> = range
+                    .clone()
+                    .filter(|&i| root.respondent_bid(i).is_some())
+                    .collect();
+                let input = VerifyInput {
+                    bids: idx.iter().filter_map(|&i| root.respondent_bid(i)).collect(),
+                    exec: idx.iter().map(|&i| specs[i].exec_value).collect(),
+                    rates: idx.iter().map(|&i| rates[i]).collect(),
+                    offset,
+                    idx,
+                };
+                offset += input.idx.len() as u64;
+                input
+            })
+            .collect();
+        let (sim, profiling) = (config.simulation, clock.is_some());
+        let batches = fan_out(
+            inputs.iter().collect(),
+            |s, input| verify_shard(s, input, &sim, round, &relay, profiling),
+            &mut stats,
+            clock.as_mut(),
+            1,
+        )?;
+        if let Some(clock) = clock.as_mut() {
+            for (batch, input) in batches.iter().zip(&inputs) {
+                ingest_profile(clock.profiler, batch.prof.as_deref(), &input.idx)?;
             }
         }
 
         // Scatter the shard estimates into the full-width vector the commit
         // journals (excluded machines: no verification evidence, 0).
         let mut estimates = vec![0.0; n];
-        for (batch, (idx, ..)) in batches.iter().zip(&shard_inputs) {
+        for (batch, input) in batches.iter().zip(&inputs) {
             let frame = batch.up.first().ok_or(ProtocolError::ReplayMismatch {
                 what: "missing shard estimate frame",
             })?;
-            let (msg, _ctx): (Message, Option<TraceContext>) =
-                decode_with_context(frame).map_err(codec_err)?;
-            let Message::ShardEstimates { estimates: est, .. } = msg else {
+            let Message::ShardEstimates { estimates: est, .. } = decode_frame(frame)? else {
                 return Err(ProtocolError::ReplayMismatch {
                     what: "shard estimate frame decoded to a different message",
                 });
             };
-            if est.len() != idx.len() {
+            if est.len() != input.idx.len() {
                 return Err(CoreError::LengthMismatch {
-                    expected: idx.len(),
+                    expected: input.idx.len(),
                     actual: est.len(),
                 }
                 .into());
             }
-            for (&i, v) in idx.iter().zip(est) {
+            for (&i, v) in input.idx.iter().zip(est) {
                 estimates[i] = v;
             }
         }
         root.set_now(epoch.elapsed().as_secs_f64());
-        root.commit_allocation_sharded(rates, estimates)?;
+        root.commit_allocation(rates, estimates)?;
         timings.allocate = t.elapsed().as_secs_f64();
     }
 
@@ -787,125 +722,75 @@ pub fn drive_sharded_round(
         // Rebuild the pending fan-out from round state rather than trusting
         // the commit's return value: on a recovered round, machines whose
         // acks are already journalled must not be re-assigned.
-        let assigns: Vec<Vec<(usize, Message)>> = {
-            let bids = respondent_bids(root);
-            let done = root.done_flags();
-            let alloc = root
-                .allocation()
-                .ok_or(ProtocolError::MissingState { what: "allocation" })?;
-            ranges
-                .iter()
-                .map(|r| {
-                    r.clone()
-                        .filter(|&i| bids[i].is_some() && !done[i])
-                        .map(|i| {
-                            (
-                                i,
-                                Message::Assign {
-                                    round,
-                                    rate: alloc.rate(i),
-                                },
-                            )
-                        })
-                        .collect()
+        let assigns = by_shard(&ranges, root.unacknowledged());
+        let allocation = root
+            .allocation()
+            .ok_or(ProtocolError::MissingState { what: "allocation" })?;
+        let relay = Relay::at(root, faults, &*collector, epoch);
+        let batches = fan_out(
+            shard_work(&ranges, &mut agents, &assigns),
+            |s, work| {
+                let machines = work.down.len();
+                relay.run_in_span("shard.execute", s, machines, work, |i| Message::Assign {
+                    round,
+                    rate: allocation.rate(i),
                 })
-                .collect()
-        };
-        let wire = root.wire_context();
-        let parent = root.phase_span();
-        let batches = std::thread::scope(|scope| {
-            let handles = ranges
-                .iter()
-                .enumerate()
-                .zip(shard_slices(&mut agents, &ranges))
-                .zip(&assigns)
-                .map(|(((s, range), slice), shard_assigns)| {
-                    let collector = &collector;
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        execute_shard(
-                            s,
-                            range,
-                            slice,
-                            shard_assigns,
-                            faults,
-                            wire,
-                            parent,
-                            &**collector,
-                            epoch,
-                        )
-                    })
-                })
-                .collect();
-            join_stage(handles, &mut stats)
-        })?;
-        if profiling {
-            if let Some(p) = profiler.as_deref_mut() {
-                for (s, batch) in batches.iter().enumerate() {
-                    p.record_phase(s as u32, 2, batch.elapsed);
-                    shard_phase[s][2] = batch.elapsed;
-                }
-            }
-        }
-        for frame in batches.into_iter().flat_map(|b| b.up) {
-            let (msg, _ctx): (Message, Option<TraceContext>) =
-                decode_with_context(&frame).map_err(codec_err)?;
-            root.set_now(epoch.elapsed().as_secs_f64());
-            root.ingest(&msg)?;
-        }
+            },
+            &mut stats,
+            clock.as_mut(),
+            2,
+        )?;
+        ingest_up(root, batches, epoch)?;
         timings.execute = t.elapsed().as_secs_f64();
+    }
 
-        // ---- Settle against the merged sum; fan payments back down. ----
-        let t = Instant::now();
-        let s_dd = merged.unwrap_or_else(|| merged_sum(root, &ranges));
-        root.set_now(epoch.elapsed().as_secs_f64());
-        let payments = root.settle_sharded(s_dd)?;
-        let (sent, shard_settle) = deliver_payments(
-            root,
-            &mut agents,
-            &ranges,
-            payments,
-            faults,
-            &collector,
-            epoch,
-        )?;
-        stats.messages += sent.messages;
-        stats.bytes += sent.bytes;
-        if profiling {
-            if let Some(p) = profiler.as_deref_mut() {
-                for (s, &e) in shard_settle.iter().enumerate() {
-                    p.record_phase(s as u32, 3, e);
-                    shard_phase[s][3] = e;
-                }
-            }
-        }
-        timings.settle = t.elapsed().as_secs_f64();
-    } else if root.phase() == CoordinatorPhase::Done && !root.is_sealed() {
-        // Recovered past settlement but before the seal: re-send the Payment
-        // fan-out from the durable ledger (idempotent at the nodes), then
-        // seal.
+    // ---- Settle against the merged sum; relay payments back down. ----
+    if !root.is_sealed() {
         let t = Instant::now();
         root.set_now(epoch.elapsed().as_secs_f64());
-        let payments = root.resume(&[])?;
-        let (sent, shard_settle) = deliver_payments(
-            root,
-            &mut agents,
-            &ranges,
-            payments,
-            faults,
-            &collector,
-            epoch,
+        let payments = if root.phase() == CoordinatorPhase::Executing {
+            root.settle(merged.unwrap_or_else(|| merged_sum(root, &ranges)))?
+        } else {
+            // Recovered past settlement but before the seal: re-send the
+            // Payment fan-out from the durable ledger (idempotent at the
+            // nodes).
+            root.resume(&[])?
+        };
+        // The fan-out names the recipients; each shard rebuilds their
+        // frames from the durable ledger.
+        let recipients = by_shard(&ranges, payments.iter().map(|&(m, _)| m as usize));
+        let ledger = root.payments().ok_or(ProtocolError::MissingState {
+            what: "payment ledger",
+        })?;
+        let relay = Relay::at(root, faults, &*collector, epoch);
+        fan_out(
+            shard_work(&ranges, &mut agents, &recipients),
+            |s, work| {
+                let machines = work.down.len();
+                let payment = |i: usize| Message::Payment {
+                    round,
+                    amount: ledger[i],
+                };
+                let batch = relay.run(work, payment, SpanId::NULL)?;
+                // The phase spans closed when the root settled, so the
+                // downward delivery is an instant, not a span.
+                relay.collector.instant(
+                    relay.now(),
+                    "shard.settle",
+                    Subsystem::Shard,
+                    vec![
+                        Field::u64("shard", s as u64),
+                        Field::u64("machines", machines as u64),
+                    ],
+                );
+                Ok(batch)
+            },
+            &mut stats,
+            clock.as_mut(),
+            3,
         )?;
-        stats.messages += sent.messages;
-        stats.bytes += sent.bytes;
-        if profiling {
-            if let Some(p) = profiler.as_deref_mut() {
-                for (s, &e) in shard_settle.iter().enumerate() {
-                    p.record_phase(s as u32, 3, e);
-                    shard_phase[s][3] = e;
-                }
-            }
-        }
+        root.set_now(epoch.elapsed().as_secs_f64());
+        root.seal()?;
         timings.settle = t.elapsed().as_secs_f64();
     }
 
@@ -913,139 +798,32 @@ pub fn drive_sharded_round(
     // trend series, then surface this round's per-shard phase seconds as
     // `shard.phase.seconds` gauges (telemetry only — the round's outcome
     // was sealed above and never depends on the profiler).
-    if profiling && root.is_sealed() {
-        if let Some(p) = profiler {
-            p.finish_round(
-                round.0,
-                [
-                    timings.collect,
-                    timings.allocate,
-                    timings.execute,
-                    timings.settle,
-                ],
-            );
-            if collector.enabled() {
-                let at = epoch.elapsed().as_secs_f64();
-                for (s, phases) in shard_phase.iter().enumerate() {
-                    for (pidx, &seconds) in phases.iter().enumerate() {
-                        collector.record(TelemetryEvent {
-                            at,
-                            name: Cow::Borrowed("shard.phase.seconds"),
-                            cat: Subsystem::Shard,
-                            kind: EventKind::Gauge { value: seconds },
-                            fields: vec![
-                                Field::u64("shard", s as u64),
-                                Field::str("phase", PHASES[pidx]),
-                            ],
-                        });
-                    }
+    if let Some(clock) = clock {
+        clock.profiler.finish_round(
+            round.0,
+            [
+                timings.collect,
+                timings.allocate,
+                timings.execute,
+                timings.settle,
+            ],
+        );
+        if collector.enabled() {
+            let at = epoch.elapsed().as_secs_f64();
+            for (s, phases) in clock.seconds.iter().enumerate() {
+                for (phase, &seconds) in PHASES.iter().zip(phases) {
+                    collector.record(TelemetryEvent {
+                        at,
+                        name: Cow::Borrowed("shard.phase.seconds"),
+                        cat: Subsystem::Shard,
+                        kind: EventKind::Gauge { value: seconds },
+                        fields: vec![Field::u64("shard", s as u64), Field::str("phase", *phase)],
+                    });
                 }
             }
         }
     }
-
-    Ok((stats, timings))
-}
-
-/// Payment delivery tail shared by the fresh and recovered paths: partition
-/// the fan-out by shard, deliver in parallel, seal the round. Returns the
-/// delivery traffic plus each shard worker's wall time (profiler-only).
-fn deliver_payments(
-    root: &mut Coordinator<'_>,
-    agents: &mut [NodeAgent],
-    ranges: &[Range<usize>],
-    payments: Vec<(u32, Message)>,
-    faults: &FaultPlan,
-    collector: &Arc<dyn Collector>,
-    epoch: Instant,
-) -> Result<(MessageStats, Vec<f64>), ProtocolError> {
-    let wire = root.wire_context();
-    let mut per_shard: Vec<Vec<(usize, Message)>> = vec![Vec::new(); ranges.len()];
-    for (machine, msg) in payments {
-        let i = machine as usize;
-        per_shard[shard_of(ranges, i)].push((i, msg));
-    }
-    let mut stats = MessageStats::default();
-    let batches = std::thread::scope(|scope| {
-        let handles = ranges
-            .iter()
-            .enumerate()
-            .zip(shard_slices(agents, ranges))
-            .zip(&per_shard)
-            .map(|(((s, range), slice), shard_payments)| {
-                let collector = &*collector;
-                let range = range.clone();
-                scope.spawn(move || {
-                    settle_shard(
-                        s,
-                        range,
-                        slice,
-                        shard_payments,
-                        faults,
-                        wire,
-                        &**collector,
-                        epoch,
-                    )
-                })
-            })
-            .collect();
-        join_stage(handles, &mut stats)
-    })?;
-    let elapsed = batches.iter().map(|b| b.elapsed).collect();
-    root.set_now(epoch.elapsed().as_secs_f64());
-    root.seal()?;
-    Ok((stats, elapsed))
-}
-
-/// Runs `spec`'s round over `shards` shard coordinators. The root carries
-/// `collector` — its `round`/`phase.*` spans plus per-shard
-/// `shard.collect` / `shard.verify` / `shard.execute` spans (each parenting
-/// its machines' `sim.machine` spans) and `shard.settle` instants,
-/// timestamped with wall-clock seconds since the round started — and
-/// `profiler` profiles it.
-pub(crate) fn run_sharded(
-    spec: &RoundSpec<'_>,
-    shards: usize,
-    profiler: Option<&RefCell<RoundProfiler>>,
-    collector: Arc<dyn Collector>,
-) -> Result<RoundReport, ProtocolError> {
-    let round = RoundId(0);
-    let config = &spec.config;
-    let mut root = Coordinator::try_new(
-        spec.mechanism,
-        spec.specs.len(),
-        config.total_rate,
-        round,
-        config.simulation,
-    )?
-    .with_collector(Arc::clone(&collector));
-    if collector.enabled() {
-        root = root.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
-    }
-    let mut profiler = profiler.map(RefCell::borrow_mut);
-    let (stats, _) = drive_sharded_round(
-        &mut root,
-        spec.specs,
-        config,
-        shards,
-        &FaultPlan::none(),
-        profiler.as_deref_mut(),
-    )?;
-    report_from_root(&root, spec.specs, stats)
-}
-
-/// Reads the full-width outcome off a settled root coordinator: rates,
-/// payments and estimates from its ledger, utilities from the ledger and
-/// each machine's actual execution value in `specs`.
-///
-/// # Errors
-/// Returns [`ProtocolError::MissingState`] if the round has not settled.
-pub fn report_from_root(
-    root: &Coordinator<'_>,
-    specs: &[NodeSpec],
-    stats: MessageStats,
-) -> Result<RoundReport, ProtocolError> {
-    RoundReport::settled(root, specs, &[], stats)
+    Ok((RoundReport::settled(root, specs, &[], stats)?, timings))
 }
 
 #[cfg(test)]
@@ -1053,10 +831,11 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalReplay, MemJournal};
     use crate::recovery::{recover_round, RoundContext};
-    use crate::runtime::{run_round, Observers, Transport};
+    use crate::runtime::{run_round, Observers, RoundSpec, Transport};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
-    use lb_mechanism::CompensationBonusMechanism;
+    use lb_mechanism::{CompensationBonusMechanism, MechanismError};
     use lb_telemetry::noop_collector;
+    use std::cell::RefCell;
     use std::rc::Rc;
 
     fn config() -> ProtocolConfig {
@@ -1329,7 +1108,7 @@ mod tests {
         // Every-2nd-round sampling: round 1 is off-sample, so the profiled
         // driver must behave exactly like the plain one.
         let mut profiler = RoundProfiler::sampled(2);
-        let (stats, _timings) = drive_sharded_round(
+        let (report, _timings) = drive_sharded_round(
             &mut root,
             &specs,
             &config(),
@@ -1339,13 +1118,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            stats.messages,
+            report.outcome.stats.messages,
             expected_sharded_message_count(specs.len(), 3)
         );
         assert_eq!(profiler.rounds_profiled(), 0);
         assert_eq!(profiler.frames(), (0, 0));
         assert!(profiler.rollup().is_empty());
-        let report = report_from_root(&root, &specs, stats).unwrap();
         assert_eq!(report.anomalies.total(), 0);
         let plain = sharded(&mech, &specs, 3, None, Observers::default());
         assert_eq!(plain.outcome.rates, report.outcome.rates);
@@ -1418,7 +1196,7 @@ mod tests {
         ));
     }
 
-    // Pinned regression (ISSUE 10): shard ids that exceed the u32 wire
+    // Pinned regression: shard ids that exceed the u32 wire
     // width answer with a typed error, not the former
     // `expect("shard count fits u32")` panic.
     #[test]
@@ -1434,31 +1212,25 @@ mod tests {
         assert!(!err.is_crash(), "an oversized shard id is not a crash");
     }
 
-    // Pinned regression (ISSUE 10): a panicking shard worker surfaces as
+    // Pinned regression: a panicking shard worker surfaces as
     // `ProtocolError::ShardPanicked` after every other worker has been
     // joined — the former `handle.join().expect(...)` took the whole root
     // down, and an unjoined sibling would have re-raised at scope exit.
     #[test]
     fn panicking_shard_worker_degrades_to_a_typed_error() {
         let mut stats = MessageStats::default();
-        let err = std::thread::scope(|scope| {
-            let handles = vec![
-                scope.spawn(|| {
-                    let mut batch = ShardBatch::default();
-                    batch.sent.messages = 3;
-                    batch.sent.bytes = 96;
-                    Ok(batch)
-                }),
-                scope.spawn(|| -> Result<ShardBatch, ProtocolError> {
-                    panic!("worker dies mid-phase")
-                }),
-                scope.spawn(|| Ok(ShardBatch::default())),
-            ];
-            match join_stage(handles, &mut stats) {
-                Err(e) => e,
-                Ok(_) => panic!("a panicking worker must fail the stage"),
+        let work = |shard: usize, ()| {
+            assert_ne!(shard, 1, "worker dies mid-phase");
+            let mut batch = ShardBatch::default();
+            if shard == 0 {
+                batch.sent.messages = 3;
+                batch.sent.bytes = 96;
             }
-        });
+            Ok(batch)
+        };
+        let Err(err) = fan_out(vec![(); 3], work, &mut stats, None, 0) else {
+            panic!("a panicking worker must fail the stage");
+        };
         assert!(matches!(err, ProtocolError::ShardPanicked { shard: 1 }));
         assert!(err.to_string().contains("shard 1"));
         // Traffic from the shards that completed is still accounted.
@@ -1466,7 +1238,44 @@ mod tests {
         assert_eq!(stats.bytes, 96);
     }
 
-    // Pinned regression (ISSUE 10): a machine that stays silent inside a
+    // Pinned regression: a profile frame whose slowest machine lies outside
+    // its shard's respondent map is a replay mismatch, not an index panic.
+    #[test]
+    fn out_of_range_profile_ordinal_is_a_replay_mismatch() {
+        let frame = |slowest| {
+            let profile = WireShardProfile {
+                shard: 0,
+                machines: 3,
+                machine_wall: LatencySketch::new().to_wire(),
+                slowest,
+            };
+            encode_with_context(
+                &Message::ShardProfile {
+                    round: RoundId(0),
+                    shard: 0,
+                    profile,
+                },
+                None,
+            )
+        };
+        let idx = [4, 5, 6];
+        let mut profiler = RoundProfiler::new();
+        for local in [3, u64::MAX] {
+            assert!(matches!(
+                ingest_profile(&mut profiler, Some(&frame(Some((local, 0.1)))), &idx),
+                Err(ProtocolError::ReplayMismatch { .. })
+            ));
+        }
+        assert!(matches!(
+            ingest_profile(&mut profiler, None, &idx),
+            Err(ProtocolError::ReplayMismatch { .. })
+        ));
+        ingest_profile(&mut profiler, Some(&frame(Some((2, 0.1)))), &idx).unwrap();
+        let shard = profiler.rollup().shards().next().unwrap();
+        assert_eq!(shard.slowest_machine, Some((6, 0.1)));
+    }
+
+    // Pinned regression: a machine that stays silent inside a
     // shard (its bid frame lost before the allocate stage) is routed
     // through the exclusion path — the verify fan-out used to index the
     // bid slot with `expect("respondent")`.
@@ -1490,9 +1299,8 @@ mod tests {
         )
         .unwrap()
         .with_journal(Rc::clone(&journal));
-        let (stats, _timings) =
+        let (report, _timings) =
             drive_sharded_round(&mut root, &specs, &config(), 3, &faults, None).unwrap();
-        let report = report_from_root(&root, &specs, stats).unwrap();
         assert_eq!(report.anomalies.total(), 0);
         assert!(report.excluded[5], "silent machine is excluded");
         assert_eq!(report.outcome.rates[5], 0.0);

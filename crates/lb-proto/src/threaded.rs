@@ -21,8 +21,8 @@
 
 use crate::chaos::{drive_round, ChaosNetStats};
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::{Coordinator, ProtocolError};
-use crate::message::{Message, RoundId};
+use crate::coordinator::ProtocolError;
+use crate::message::Message;
 use crate::network::{codec_error, Delivery, Endpoint, Link, MessageStats, NetPoll};
 use crate::node::{NodeAgent, NodeSpec};
 use crate::runtime::{RoundReport, RoundSpec};
@@ -210,20 +210,7 @@ pub(crate) fn run_threaded(
     collector: Arc<dyn Collector>,
 ) -> Result<RoundReport, ProtocolError> {
     let n = spec.specs.len();
-    let round = RoundId(0);
-    let config = &spec.config;
-    let mut coordinator = Coordinator::try_new(
-        spec.mechanism,
-        n,
-        config.total_rate,
-        round,
-        config.simulation,
-    )?
-    .with_collector(Arc::clone(&collector));
-    if collector.enabled() {
-        coordinator =
-            coordinator.with_trace(TraceContext::root(config.simulation.seed, round.0, true));
-    }
+    let mut coordinator = spec.root(Arc::clone(&collector))?;
     let actual_exec: Vec<f64> = spec.specs.iter().map(|s| s.exec_value).collect();
     let epoch = Instant::now();
     std::thread::scope(|scope| {

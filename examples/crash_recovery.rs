@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Generation 1: a round interrupted mid-bidding ------------------
     {
         let journal: Rc<RefCell<dyn Journal>> = Rc::new(RefCell::new(FileJournal::create(&wal)?));
-        let mut c = Coordinator::new(&mechanism, TRUES.len(), RATE, round, sim())
+        let mut c = Coordinator::try_new(&mechanism, TRUES.len(), RATE, round, sim())?
             .with_journal(Rc::clone(&journal));
         // Two of three bids arrive, then the process dies: the accepted
         // bids are already in the write-ahead journal, the third is not.

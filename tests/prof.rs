@@ -6,8 +6,8 @@
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::prof::{check, profile_events, Baseline, RoundProfiler, SentinelConfig, SKETCH_RTOL};
 use lbmv::proto::{
-    drive_sharded_round, report_from_root, run_round, Coordinator, FaultPlan, NodeSpec, Observers,
-    ProtocolConfig, RoundId, RoundReport, RoundSpec, Transport,
+    drive_sharded_round, run_round, Coordinator, FaultPlan, NodeSpec, Observers, ProtocolConfig,
+    RoundId, RoundReport, RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -77,7 +77,7 @@ fn drive_rounds(
                 config.simulation,
             )
             .unwrap();
-            let (stats, _) = drive_sharded_round(
+            let (report, _) = drive_sharded_round(
                 &mut root,
                 &specs,
                 &config,
@@ -86,7 +86,6 @@ fn drive_rounds(
                 Some(profiler),
             )
             .unwrap();
-            let report = report_from_root(&root, &specs, stats).unwrap();
             // A reliable transport delivers nothing anomalous.
             assert_eq!(report.anomalies.total(), 0);
             (report.outcome.rates, report.outcome.payments)
@@ -162,7 +161,7 @@ fn profiler_is_bit_inert_across_runtimes() {
         let mut root =
             Coordinator::try_new(&mech, n, config.total_rate, RoundId(1), config.simulation)
                 .unwrap();
-        let (stats, _) = drive_sharded_round(
+        let (report, _) = drive_sharded_round(
             &mut root,
             &specs,
             &config,
@@ -171,7 +170,6 @@ fn profiler_is_bit_inert_across_runtimes() {
             attach,
         )
         .unwrap();
-        let report = report_from_root(&root, &specs, stats).unwrap();
         assert_eq!(report.anomalies.total(), 0);
         let o = report.outcome;
         (o.rates, o.payments, o.stats)

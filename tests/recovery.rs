@@ -93,7 +93,8 @@ fn record_round(path: &PathBuf) -> (Vec<u8>, Vec<f64>, Vec<f64>) {
     let mech = CompensationBonusMechanism::paper();
     let journal: Rc<RefCell<dyn Journal>> =
         Rc::new(RefCell::new(FileJournal::create(path).unwrap()));
-    let mut c = Coordinator::new(&mech, TRUES.len(), RATE, RoundId(0), sim())
+    let mut c = Coordinator::try_new(&mech, TRUES.len(), RATE, RoundId(0), sim())
+        .unwrap()
         .with_journal(Rc::clone(&journal));
     finish(&mut c);
     let rates: Vec<f64> = (0..TRUES.len())
@@ -181,7 +182,8 @@ fn recovered_rounds_re_emit_spans_and_bit_identical_monitor_reports() {
     };
     let (ring, monitor) = observe();
     let journal: Rc<RefCell<dyn Journal>> = Rc::new(RefCell::new(MemJournal::new()));
-    let mut c = Coordinator::new(&mech, TRUES.len(), RATE, RoundId(0), sim())
+    let mut c = Coordinator::try_new(&mech, TRUES.len(), RATE, RoundId(0), sim())
+        .unwrap()
         .with_journal(Rc::clone(&journal))
         .with_collector(monitor.clone() as Arc<dyn Collector>);
     finish(&mut c);
