@@ -109,7 +109,7 @@ fn run(target: &str) -> Result<(), Box<dyn std::error::Error>> {
             &figures::baselines_demo()?.render(),
         ),
         "percentiles" => print_section(
-            "Per-job latency percentiles per experiment (P2 streaming quantiles)",
+            "Per-job latency percentiles per experiment (latency sketch quantiles)",
             &figures::percentiles_demo()?.render(),
         ),
         "fees" => print_section(

@@ -765,12 +765,13 @@ pub fn fees_demo() -> Result<Table, MechanismError> {
 
 /// Beyond-paper: per-job latency *percentiles* per experiment — the paper
 /// reports only means, but SLOs are tail quantiles. Streams every simulated
-/// completion through P² estimators (O(1) memory).
+/// completion into one [`lb_stats::LatencySketch`] (O(1) memory) and reads its
+/// p50/p95/p99.
 ///
 /// # Errors
 /// Propagates simulation errors.
 pub fn percentiles_demo() -> Result<Table, MechanismError> {
-    use lb_stats::quantile::P2Quantile;
+    use lb_stats::LatencySketch;
     let mut t = Table::new(&["Experiment", "p50", "p95", "p99", "mean (= L/R)"]);
     for spec in paper_experiments() {
         let profile = crate::paper::experiment_profile(&spec)?;
@@ -791,9 +792,7 @@ pub fn percentiles_demo() -> Result<Table, MechanismError> {
         // Re-generate the responses percentile-wise: reuse the recorded
         // per-machine means for the mean column and stream quantiles over a
         // fresh simulation pass at the same seed (same trajectories).
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p95 = P2Quantile::new(0.95);
-        let mut p99 = P2Quantile::new(0.99);
+        let mut sketch = LatencySketch::new();
         let mut total_jobs = 0u64;
         let mut weighted_mean = 0.0;
         for obs in &report.observations {
@@ -818,17 +817,15 @@ pub fn percentiles_demo() -> Result<Table, MechanismError> {
                 &mut rng,
             );
             for r in responses {
-                p50.observe(r);
-                p95.observe(r);
-                p99.observe(r);
+                sketch.record(r);
             }
         }
         let mean = weighted_mean / total_jobs.max(1) as f64;
         t.row(&[
             spec.name.into(),
-            f2(p50.estimate()),
-            f2(p95.estimate()),
-            f2(p99.estimate()),
+            f2(sketch.quantile(0.5)),
+            f2(sketch.quantile(0.95)),
+            f2(sketch.quantile(0.99)),
             f2(mean),
         ]);
     }

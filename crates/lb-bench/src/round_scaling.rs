@@ -8,12 +8,12 @@
 //!
 //! * **rounds/sec** — settled rounds per wall-clock second, the number a
 //!   capacity plan actually needs;
-//! * **p99 phase latency** — the 99th-percentile wall-clock time of each
-//!   protocol phase (collect, allocate, execute, settle) across the driven
-//!   rounds, computed with the validated nearest-rank quantile
-//!   ([`lb_stats::nearest_rank`] via [`lb_stats::Reservoir`]) — the same
-//!   estimator the telemetry stack uses, so these p99s are directly
-//!   comparable to live dashboard quantiles.
+//! * **p99 phase latency** — the exact nearest-rank
+//!   ([`lb_stats::nearest_rank`]) 99th percentile of each protocol phase's
+//!   wall-clock time (collect, allocate, execute, settle) across the driven
+//!   rounds. Over [`ROUNDS_PER_POINT`] = 8 rounds that is the slowest
+//!   round, i.e. the max. Live dashboard quantiles are
+//!   [`lb_stats::LatencySketch`] reads, a different estimator.
 //!
 //! The biggest grid point is n = 10⁶. Telemetry stays off (the noop
 //! collector): the study measures the protocol, not the recorder — the
@@ -27,7 +27,7 @@ use lb_mechanism::CompensationBonusMechanism;
 use lb_proto::{drive_sharded_round, Coordinator, FaultPlan, NodeSpec, ProtocolConfig, RoundId};
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
-use lb_stats::{Reservoir, Xoshiro256StarStar};
+use lb_stats::nearest_rank;
 use lb_telemetry::Json;
 use std::time::Instant;
 
@@ -93,7 +93,7 @@ pub fn config() -> ProtocolConfig {
 }
 
 /// Drives `rounds` sharded rounds at each grid size and folds the phase
-/// timings into per-phase reservoirs.
+/// timings into per-phase samples.
 ///
 /// # Panics
 /// Panics if a round fails on the validated bench workload — that is a
@@ -106,13 +106,7 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
     ns.iter()
         .map(|&n| {
             let specs = specs(n);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-            let mut phases = [
-                Reservoir::new(rounds),
-                Reservoir::new(rounds),
-                Reservoir::new(rounds),
-                Reservoir::new(rounds),
-            ];
+            let mut phases: [Vec<f64>; 4] = Default::default();
             let start = Instant::now();
             for _ in 0..rounds {
                 let mut root = Coordinator::try_new(
@@ -133,25 +127,28 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
                 )
                 .expect("bench round settles");
                 assert!(root.is_sealed());
-                for (res, seconds) in phases
+                for (samples, seconds) in phases
                     .iter_mut()
                     .zip([t.collect, t.allocate, t.execute, t.settle])
                 {
-                    res.offer(seconds, &mut rng);
+                    samples.push(seconds);
                 }
             }
             let elapsed = start.elapsed().as_secs_f64();
-            let p99_ms = |res: &Reservoir| res.quantile(0.99) * 1e3;
+            let p99_ms = |samples: &mut Vec<f64>| {
+                samples.sort_by(f64::total_cmp);
+                samples[nearest_rank(0.99, samples.len()) - 1] * 1e3
+            };
             #[allow(clippy::cast_precision_loss)]
             RoundScalingRow {
                 n,
                 shards: SHARDS,
                 rounds,
                 rounds_per_sec: rounds as f64 / elapsed,
-                p99_collect_ms: p99_ms(&phases[0]),
-                p99_allocate_ms: p99_ms(&phases[1]),
-                p99_execute_ms: p99_ms(&phases[2]),
-                p99_settle_ms: p99_ms(&phases[3]),
+                p99_collect_ms: p99_ms(&mut phases[0]),
+                p99_allocate_ms: p99_ms(&mut phases[1]),
+                p99_execute_ms: p99_ms(&mut phases[2]),
+                p99_settle_ms: p99_ms(&mut phases[3]),
             }
         })
         .collect()

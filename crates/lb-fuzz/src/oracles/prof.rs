@@ -20,10 +20,9 @@
 
 use crate::generate::{mutate_bytes, rng_for};
 use lb_prof::{
-    from_jsonl, to_jsonl, LatencySketch, PathNode, RoundProfile, RoundProfiler, Straggler,
-    WireShardProfile, SKETCH_BINS, SKETCH_RTOL,
+    from_jsonl, to_jsonl, PathNode, RoundProfile, RoundProfiler, Straggler, WireShardProfile,
 };
-use lb_stats::{nearest_rank, Rng, Xoshiro256StarStar};
+use lb_stats::{nearest_rank, LatencySketch, Rng, Xoshiro256StarStar, SKETCH_BINS, SKETCH_RTOL};
 
 /// Quantiles every iteration reads back; edges included deliberately —
 /// they must degrade to the exact extrema.

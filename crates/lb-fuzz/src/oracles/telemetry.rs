@@ -16,13 +16,16 @@
 //!    typed error or a valid recording — never panic. A recording that does
 //!    parse may no longer replay (span structure is content, not framing),
 //!    but the replayer must fail with a typed
-//!    [`ReplayError`](lb_telemetry::ReplayError), not a panic.
+//!    [`ReplayError`](lb_telemetry::ReplayError), not a panic. The metrics
+//!    registry must ingest it and render Prometheus text and JSON without a
+//!    panic, exactly as `lb_top --file` does, including the null samples
+//!    and reversed spans the oracle plants before mutating.
 
 use crate::generate::{mutate_bytes, rng_for};
 use lb_stats::{Rng, Xoshiro256StarStar};
 use lb_telemetry::{
-    from_jsonl, replay_spans, to_chrome_trace, to_jsonl, EventKind, Field, SpanId, Subsystem,
-    TelemetryEvent,
+    from_jsonl, replay_spans, to_chrome_trace, to_jsonl, EventKind, Field, MetricsRegistry, SpanId,
+    Subsystem, TelemetryEvent,
 };
 use std::borrow::Cow;
 
@@ -186,8 +189,18 @@ pub fn check(seed: u64) -> Result<(), String> {
         ));
     }
 
-    // 2+3. Mutated document: typed outcome, and closure on acceptance.
-    let mut corrupted = text.into_bytes();
+    // 2+3. Mutated document: typed outcome, and closure on acceptance. The
+    // document first gains samples the registry must skip: null histogram
+    // values (NaN serialises as null) and span ends stamped before 0.
+    let mut hostile = events;
+    for event in &mut hostile {
+        match &mut event.kind {
+            EventKind::Histogram { value } if rng.next_bool(0.1) => *value = f64::NAN,
+            EventKind::SpanEnd { .. } if rng.next_bool(0.1) => event.at = -event.at,
+            _ => {}
+        }
+    }
+    let mut corrupted = to_jsonl(&hostile).into_bytes();
     mutate_bytes(&mut rng, &mut corrupted);
     let corrupted = String::from_utf8_lossy(&corrupted);
     if let Ok(survivors) = from_jsonl(&corrupted) {
@@ -207,6 +220,11 @@ pub fn check(seed: u64) -> Result<(), String> {
         // legitimately fail to replay, but only with a typed error.
         let _ = replay_spans(&survivors);
         let _ = to_chrome_trace(&survivors);
+        let mut registry = MetricsRegistry::new();
+        registry.ingest(&survivors);
+        let snapshot = registry.snapshot();
+        let _ = snapshot.to_prometheus();
+        let _ = snapshot.to_json().render();
     }
     Ok(())
 }

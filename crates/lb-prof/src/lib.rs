@@ -6,15 +6,13 @@
 //! counts (the inertness differentials in `tests/prof.rs` enforce this
 //! bit-for-bit across the deterministic, threaded, and sharded runtimes):
 //!
-//! * **Cross-shard rollup** ([`sketch`], [`rollup`]) — shard workers fold
+//! * **Cross-shard rollup** ([`rollup`]) — shard workers fold
 //!   per-machine verification wall-times into mergeable
-//!   [`LatencySketch`]es (exact-moment [`lb_stats::OnlineStats`] + a
-//!   fixed-geometry log-domain [`lb_stats::Histogram`]) that travel to
-//!   the coordinator as compact wire frames next to the `ShardSum`
-//!   partials. The root merges them — histogram merge is exact bin
-//!   addition, so fleet quantiles equal a whole-fleet recompute — and
-//!   accumulates per-shard phase timings, without a single raw span
-//!   leaving its shard.
+//!   [`lb_stats::LatencySketch`]es that travel to the coordinator as
+//!   compact wire frames next to the `ShardSum` partials. The root merges
+//!   them — sketch merge is exact bin addition, so fleet quantiles equal a
+//!   whole-fleet recompute — and accumulates per-shard phase timings,
+//!   without a single raw span leaving its shard.
 //! * **Critical-path analyzer** ([`critical`]) — replays a recorded round
 //!   trace and extracts the coordinator → phase → straggler-shard chain
 //!   that bounded wall-time, with per-node self/blocked time, coverage,
@@ -32,7 +30,6 @@ pub mod critical;
 pub mod publish;
 pub mod rollup;
 pub mod sentinel;
-pub mod sketch;
 
 pub use critical::{
     analyze, from_jsonl, profile_events, to_jsonl, PathNode, ProfileError, RoundProfile, Straggler,
@@ -41,7 +38,4 @@ pub use publish::{publish_profile, publish_regressions};
 pub use rollup::{Rollup, RoundProfiler, ShardRollup, WireShardProfile, PHASES};
 pub use sentinel::{
     check, render, verdicts_json, Baseline, BaselineError, BaselineRow, SentinelConfig, Verdict,
-};
-pub use sketch::{
-    LatencySketch, WireError, WireSketch, SKETCH_BINS, SKETCH_LOG_HI, SKETCH_LOG_LO, SKETCH_RTOL,
 };

@@ -21,8 +21,7 @@
 //! ([`Rollup::fleet_phase`] / [`Rollup::fleet_machine`]) — exact, because
 //! sketch merge is exact.
 
-use crate::sketch::{LatencySketch, WireError, WireSketch};
-use lb_stats::OnlineStats;
+use lb_stats::{LatencySketch, OnlineStats, WireError, WireSketch};
 use lb_telemetry::Json;
 use std::collections::BTreeMap;
 

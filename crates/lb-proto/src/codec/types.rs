@@ -5,7 +5,8 @@ use super::{CodecError, Decoder, Wire};
 use crate::audit::SettlementRecord;
 use crate::journal::{ExclusionReason, JournalRecord};
 use crate::message::{Message, RoundId};
-use lb_prof::{WireShardProfile, WireSketch};
+use lb_prof::WireShardProfile;
+use lb_stats::WireSketch;
 
 impl Wire for RoundId {
     fn put(&self, out: &mut Vec<u8>) {

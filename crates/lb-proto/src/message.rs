@@ -194,7 +194,8 @@ mod tests {
                 profile: lb_prof::WireShardProfile {
                     shard: 2,
                     machines: 3,
-                    machine_wall: lb_prof::LatencySketch::from_slice(&[1e-4, 2e-4, 3e-4]).to_wire(),
+                    machine_wall: lb_stats::LatencySketch::from_slice(&[1e-4, 2e-4, 3e-4])
+                        .to_wire(),
                     slowest: Some((2, 3e-4)),
                 },
             },

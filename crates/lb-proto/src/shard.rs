@@ -54,8 +54,9 @@ use crate::network::MessageStats;
 use crate::node::{NodeAgent, NodeSpec};
 use crate::runtime::{ProtocolConfig, RoundReport};
 use lb_core::{merge_inv_sums, CoreError, TwoF64};
-use lb_prof::{LatencySketch, RoundProfiler, WireShardProfile, PHASES};
+use lb_prof::{RoundProfiler, WireShardProfile, PHASES};
 use lb_sim::driver::{simulate_partition_observed, simulate_partition_timed, SimulationConfig};
+use lb_stats::LatencySketch;
 use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
 use std::borrow::Cow;
 use std::ops::Range;

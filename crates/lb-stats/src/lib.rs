@@ -15,8 +15,10 @@
 //!   pairwise merge for parallel reductions, plus EWMA smoothing.
 //! * [`ci`] — Student-t confidence intervals and batch-means analysis for
 //!   autocorrelated simulation output.
-//! * [`histogram`] — fixed-bin histograms and reservoir sampling for
-//!   quantile estimation over large job populations.
+//! * [`sketch`] — [`LatencySketch`], the workspace's one latency summary:
+//!   exact moments plus fixed-geometry log-domain bins, merged exactly and
+//!   read as quantiles by the profiler, the metrics registry and the bench
+//!   studies; [`quantile::nearest_rank`] keeps exact order statistics.
 //! * [`parallel`] — deterministic fan-out of independent replications over
 //!   `std::thread::scope`, the workspace's HPC building block.
 //! * [`prop`] — a seeded property runner (composable generators, fixed
@@ -25,22 +27,24 @@
 pub mod autocorr;
 pub mod ci;
 pub mod dist;
-pub mod histogram;
 pub mod ks;
 pub mod online;
 pub mod parallel;
 pub mod prop;
 pub mod quantile;
 pub mod rng;
+pub mod sketch;
 
 pub use autocorr::{
     autocorrelation, autocovariance, effective_sample_size, integrated_autocorrelation_time,
 };
 pub use ci::{batch_means, mean_confidence_interval, ConfidenceInterval};
 pub use dist::Distribution;
-pub use histogram::{Histogram, Reservoir};
 pub use ks::{ks_test, KsTest};
 pub use online::{Ewma, OnlineStats};
 pub use parallel::par_map;
-pub use quantile::{nearest_rank, P2Quantile};
+pub use quantile::nearest_rank;
 pub use rng::{derive_seed, Rng, SplitMix64, Streams, Xoshiro256StarStar};
+pub use sketch::{
+    LatencySketch, WireError, WireSketch, SKETCH_BINS, SKETCH_LOG_HI, SKETCH_LOG_LO, SKETCH_RTOL,
+};

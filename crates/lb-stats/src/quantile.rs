@@ -1,9 +1,6 @@
-//! Streaming quantile estimation (the P² algorithm).
-//!
-//! Latency SLOs are quantiles (p95/p99), but storing every response time of
-//! a long simulation is wasteful. The P² algorithm (Jain & Chlamtac, 1985)
-//! tracks a single quantile with five markers and O(1) work per observation,
-//! adjusting marker heights by piecewise-parabolic interpolation.
+//! Exact order statistics: the nearest-rank index behind every exact
+//! quantile in the workspace (streaming quantiles come from
+//! [`crate::sketch::LatencySketch`]).
 
 /// Nearest-rank index (1-based) of the `q`-quantile in a sorted sample of
 /// `len` elements: `ceil(q * len)`, saturated into `[1, len]`.
@@ -29,219 +26,9 @@ pub fn nearest_rank(q: f64, len: usize) -> usize {
     ((q * len as f64).ceil() as usize).clamp(1, len)
 }
 
-/// Streaming estimator of a single quantile.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based counts).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    increments: [f64; 5],
-    count: usize,
-    /// First five observations, collected before the markers initialise.
-    warmup: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile, `0 < q < 1`.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `(0, 1)`.
-    #[must_use]
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "P2Quantile: q must be in (0, 1)");
-        Self {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            warmup: Vec::with_capacity(5),
-        }
-    }
-
-    /// The tracked quantile level.
-    #[must_use]
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations seen.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    ///
-    /// # Panics
-    /// Panics on NaN.
-    pub fn observe(&mut self, x: f64) {
-        assert!(!x.is_nan(), "P2Quantile: NaN observation");
-        self.count += 1;
-        if self.count <= 5 {
-            self.warmup.push(x);
-            if self.count == 5 {
-                self.warmup
-                    .sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-                for (h, &w) in self.heights.iter_mut().zip(&self.warmup) {
-                    *h = w;
-                }
-            }
-            return;
-        }
-
-        // Find the cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    self.heights[i] = candidate;
-                } else {
-                    self.heights[i] = self.linear(i, s);
-                }
-                self.positions[i] += s;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let n = &self.positions;
-        let h = &self.heights;
-        h[i] + s / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + s) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - s) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + s * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Merges another estimator of the **same quantile** into this one.
-    ///
-    /// This is an *approximate* merge: P² keeps only five markers, so the
-    /// exact merged state is unrecoverable. While either side is still in
-    /// its warmup (≤ 5 observations) the merge is exact — the warmup values
-    /// are replayed through [`P2Quantile::observe`]. Past warmup, marker
-    /// heights are combined by count-weighted averaging (extrema by
-    /// min/max) and marker positions are reset to their ideal values for
-    /// the combined count. Empirically this keeps the merged estimate
-    /// within a few percent of a single-stream estimator over the same
-    /// data when both inputs see samples from the same distribution; it
-    /// degrades (like any height-averaging scheme) when the two inputs
-    /// cover disjoint value ranges. Counts are always exact.
-    ///
-    /// # Panics
-    /// Panics if the two estimators track different quantile levels.
-    pub fn merge_approx(&mut self, other: &Self) {
-        assert!(
-            (self.q - other.q).abs() < 1e-12,
-            "P2Quantile: cannot merge estimators of different quantiles ({} vs {})",
-            self.q,
-            other.q
-        );
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        if other.count <= 5 {
-            // Exact: replay the other side's raw warmup observations.
-            for &x in &other.warmup {
-                self.observe(x);
-            }
-            return;
-        }
-        if self.count <= 5 {
-            // Symmetric case: replay our warmup into a copy of the other.
-            let mut merged = other.clone();
-            for &x in &self.warmup {
-                merged.observe(x);
-            }
-            *self = merged;
-            return;
-        }
-
-        // Both sides are past warmup: combine marker heights by
-        // count-weighted average (the extrema exactly, by min/max) and
-        // reset positions to the ideal positions for the combined count.
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let total = n1 + n2;
-        for i in 1..4 {
-            self.heights[i] = (self.heights[i] * n1 + other.heights[i] * n2) / total;
-        }
-        self.heights[0] = self.heights[0].min(other.heights[0]);
-        self.heights[4] = self.heights[4].max(other.heights[4]);
-        self.count += other.count;
-        let n = self.count as f64;
-        for i in 0..5 {
-            self.positions[i] = 1.0 + (n - 1.0) * self.increments[i];
-            self.desired[i] = self.positions[i];
-        }
-    }
-
-    /// Current quantile estimate.
-    ///
-    /// # Panics
-    /// Panics if no observations have been fed.
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        assert!(self.count > 0, "P2Quantile: no observations");
-        if self.count <= 5 {
-            // Exact small-sample quantile (nearest rank on the sorted warmup).
-            let mut sorted = self.warmup.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            sorted[nearest_rank(self.q, sorted.len()) - 1]
-        } else {
-            self.heights[2]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{sample, Exponential, Uniform};
-    use crate::rng::Xoshiro256StarStar;
 
     fn exact_quantile(data: &mut [f64], q: f64) -> f64 {
         data.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -278,174 +65,5 @@ mod tests {
         assert_eq!(nearest_rank(1.0, 7), 7);
         let mut data = [3.0, 1.0, 2.0];
         assert_eq!(exact_quantile(&mut data, -0.0), 1.0);
-    }
-
-    #[test]
-    fn small_samples_are_exact() {
-        let mut p = P2Quantile::new(0.5);
-        for x in [5.0, 1.0, 3.0] {
-            p.observe(x);
-        }
-        assert_eq!(p.estimate(), 3.0);
-        assert_eq!(p.count(), 3);
-    }
-
-    #[test]
-    fn median_of_uniform_converges() {
-        let mut p = P2Quantile::new(0.5);
-        let d = Uniform::new(0.0, 10.0);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        for _ in 0..100_000 {
-            p.observe(sample(&d, &mut rng));
-        }
-        assert!((p.estimate() - 5.0).abs() < 0.1, "median {}", p.estimate());
-    }
-
-    #[test]
-    fn p99_of_exponential_converges() {
-        let mut p = P2Quantile::new(0.99);
-        let d = Exponential::new(1.0);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(2);
-        let mut all = Vec::new();
-        for _ in 0..200_000 {
-            let x = sample(&d, &mut rng);
-            p.observe(x);
-            all.push(x);
-        }
-        let exact = exact_quantile(&mut all, 0.99);
-        // Theoretical p99 of Exp(1) is ln(100) = 4.605.
-        assert!(
-            (p.estimate() - exact).abs() / exact < 0.05,
-            "{} vs {exact}",
-            p.estimate()
-        );
-        assert!((p.estimate() - 100.0f64.ln()).abs() < 0.4);
-    }
-
-    #[test]
-    fn tracks_sorted_and_reversed_streams() {
-        for reversed in [false, true] {
-            let mut p = P2Quantile::new(0.9);
-            let mut values: Vec<f64> = (0..10_000).map(f64::from).collect();
-            if reversed {
-                values.reverse();
-            }
-            for v in values {
-                p.observe(v);
-            }
-            assert!(
-                (p.estimate() - 9_000.0).abs() < 300.0,
-                "estimate {}",
-                p.estimate()
-            );
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = P2Quantile::new(0.5);
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] {
-            a.observe(x);
-        }
-        let before = a.estimate();
-        a.merge_approx(&P2Quantile::new(0.5));
-        assert_eq!(a.estimate(), before);
-        assert_eq!(a.count(), 7);
-
-        let mut empty = P2Quantile::new(0.5);
-        empty.merge_approx(&a);
-        assert_eq!(empty.count(), 7);
-        assert_eq!(empty.estimate(), before);
-    }
-
-    #[test]
-    fn merge_of_warmup_sides_is_exact() {
-        // Either side ≤ 5 observations → the merge replays raw values, so
-        // it must equal a single estimator fed the concatenated stream.
-        let left = [9.0, 2.0, 7.0];
-        let right = [5.0, 1.0];
-        let mut merged = P2Quantile::new(0.5);
-        for x in left {
-            merged.observe(x);
-        }
-        let mut other = P2Quantile::new(0.5);
-        for x in right {
-            other.observe(x);
-        }
-        merged.merge_approx(&other);
-
-        let mut single = P2Quantile::new(0.5);
-        for x in left.iter().chain(right.iter()) {
-            single.observe(*x);
-        }
-        assert_eq!(merged.count(), single.count());
-        assert_eq!(merged.estimate(), single.estimate());
-    }
-
-    #[test]
-    fn merge_tracks_combined_stream_within_documented_error() {
-        for q in [0.5, 0.95, 0.99] {
-            let d = Uniform::new(0.0, 10.0);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(77);
-            let all: Vec<f64> = (0..40_000).map(|_| sample(&d, &mut rng)).collect();
-
-            let mut single = P2Quantile::new(q);
-            let mut left = P2Quantile::new(q);
-            let mut right = P2Quantile::new(q);
-            for (i, &x) in all.iter().enumerate() {
-                single.observe(x);
-                if i % 2 == 0 {
-                    left.observe(x);
-                } else {
-                    right.observe(x);
-                }
-            }
-            left.merge_approx(&right);
-            assert_eq!(left.count(), single.count());
-            let exact = exact_quantile(&mut all.clone(), q);
-            let err = (left.estimate() - exact).abs() / exact;
-            assert!(
-                err < 0.05,
-                "q={q}: merged {} vs exact {exact} (err {err:.4})",
-                left.estimate()
-            );
-        }
-    }
-
-    #[test]
-    fn merged_estimator_keeps_converging() {
-        // A merged estimator must remain usable as a live estimator.
-        let d = Uniform::new(0.0, 1.0);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let mut a = P2Quantile::new(0.9);
-        let mut b = P2Quantile::new(0.9);
-        for _ in 0..1000 {
-            a.observe(sample(&d, &mut rng));
-            b.observe(sample(&d, &mut rng));
-        }
-        a.merge_approx(&b);
-        for _ in 0..20_000 {
-            a.observe(sample(&d, &mut rng));
-        }
-        assert!((a.estimate() - 0.9).abs() < 0.05, "p90 {}", a.estimate());
-    }
-
-    #[test]
-    #[should_panic(expected = "different quantiles")]
-    fn merge_of_mismatched_quantiles_panics() {
-        let mut a = P2Quantile::new(0.5);
-        a.merge_approx(&P2Quantile::new(0.9));
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be in (0, 1)")]
-    fn invalid_q_panics() {
-        let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no observations")]
-    fn empty_estimate_panics() {
-        let _ = P2Quantile::new(0.5).estimate();
     }
 }

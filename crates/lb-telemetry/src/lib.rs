@@ -17,7 +17,7 @@
 //! * [`ring`] — [`RingCollector`]: a fixed-capacity ring buffer behind a
 //!   `std::sync::Mutex` recording every event in order.
 //! * [`registry`] — [`MetricsRegistry`]: named counters, gauges and
-//!   histogram summaries built on `lb-stats` online/quantile types; can
+//!   histogram summaries, each histogram an `lb-stats` `LatencySketch`; can
 //!   ingest a recording to derive per-phase latency, per-endpoint message
 //!   counts and anomaly rates.
 //! * [`replay`] — validates the span structure of a recording (every end

@@ -1,9 +1,10 @@
 //! [`MetricsRegistry`]: named counters, gauges and histogram summaries.
 //!
-//! Histograms reuse `lb-stats` machinery — [`OnlineStats`] (Welford) for
-//! moments and three streaming [`P2Quantile`] estimators for p50/p95/p99 —
-//! so a registry stays O(1) memory per metric no matter how many samples
-//! flow through it.
+//! Every histogram is an `lb-stats` [`LatencySketch`]: exact Welford
+//! moments plus fixed-geometry log₁₀ bins, so a registry stays O(1) memory
+//! per metric no matter how many samples flow through it, registries merge
+//! exactly, and a quantile read here is the same read `/profile` serves for
+//! the same durations.
 //!
 //! A registry can be fed directly (`add` / `set_gauge` / `observe`) or can
 //! [`MetricsRegistry::ingest`] a recording, deriving per-phase latency
@@ -12,59 +13,13 @@
 
 use crate::event::{EventKind, FieldValue, SpanId, TelemetryEvent};
 use crate::json::Json;
-use lb_stats::online::OnlineStats;
-use lb_stats::quantile::P2Quantile;
+use lb_stats::LatencySketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One histogram metric: Welford moments plus streaming quantiles.
-#[derive(Debug, Clone)]
-struct HistogramMetric {
-    stats: OnlineStats,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl HistogramMetric {
-    fn new() -> Self {
-        Self {
-            stats: OnlineStats::new(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    fn observe(&mut self, value: f64) {
-        self.stats.push(value);
-        self.p50.observe(value);
-        self.p95.observe(value);
-        self.p99.observe(value);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.stats.merge(&other.stats);
-        self.p50.merge_approx(&other.p50);
-        self.p95.merge_approx(&other.p95);
-        self.p99.merge_approx(&other.p99);
-    }
-
-    fn summary(&self) -> HistogramSummary {
-        HistogramSummary {
-            count: self.stats.count(),
-            mean: self.stats.mean(),
-            std_dev: self.stats.std_dev(),
-            min: self.stats.min(),
-            max: self.stats.max(),
-            p50: self.p50.estimate(),
-            p95: self.p95.estimate(),
-            p99: self.p99.estimate(),
-        }
-    }
-}
-
-/// Point-in-time summary of one histogram metric.
+/// Point-in-time summary of one histogram metric, read off its
+/// [`LatencySketch`]: the moments and extrema are exact, the quantiles are
+/// sketch reads within [`lb_stats::SKETCH_RTOL`] relative.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of samples observed.
@@ -77,12 +32,25 @@ pub struct HistogramSummary {
     pub min: f64,
     /// Largest observed value.
     pub max: f64,
-    /// Streaming median estimate (P² algorithm).
+    /// Sketch median.
     pub p50: f64,
-    /// Streaming 95th-percentile estimate.
+    /// Sketch 95th percentile.
     pub p95: f64,
-    /// Streaming 99th-percentile estimate.
+    /// Sketch 99th percentile.
     pub p99: f64,
+}
+
+fn summary(sketch: &LatencySketch) -> HistogramSummary {
+    HistogramSummary {
+        count: sketch.count(),
+        mean: sketch.mean(),
+        std_dev: sketch.std_dev(),
+        min: sketch.min(),
+        max: sketch.max(),
+        p50: sketch.quantile(0.50),
+        p95: sketch.quantile(0.95),
+        p99: sketch.quantile(0.99),
+    }
 }
 
 /// A registry of named metrics with deterministic (sorted) iteration order.
@@ -90,7 +58,7 @@ pub struct HistogramSummary {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramMetric>,
+    histograms: BTreeMap<String, LatencySketch>,
 }
 
 impl MetricsRegistry {
@@ -111,12 +79,19 @@ impl MetricsRegistry {
         self.gauges.insert(name.into(), value);
     }
 
-    /// Records one sample of the named distribution.
+    /// Records one duration sample (seconds) of the named distribution.
+    ///
+    /// Only finite, non-negative samples are recorded. Anything else — a
+    /// `"value":null` recording line parses as NaN, a span end stamped
+    /// before its start gives a negative duration — is skipped before the
+    /// metric is created, so a histogram that exists is never empty.
     pub fn observe(&mut self, name: impl Into<String>, value: f64) {
-        self.histograms
-            .entry(name.into())
-            .or_insert_with(HistogramMetric::new)
-            .observe(value);
+        if value.is_finite() && value >= 0.0 {
+            self.histograms
+                .entry(name.into())
+                .or_default()
+                .record(value);
+        }
     }
 
     /// Current value of a counter (zero if never touched).
@@ -134,7 +109,7 @@ impl MetricsRegistry {
     /// Summary of a histogram, if any samples were observed.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<HistogramSummary> {
-        self.histograms.get(name).map(HistogramMetric::summary)
+        self.histograms.get(name).map(summary)
     }
 
     /// Counters whose names start with `prefix`, in name order.
@@ -220,10 +195,9 @@ impl MetricsRegistry {
     /// collector (per thread, per node, per round) fed its own registry.
     ///
     /// Counters add (saturating), gauges take the other side's value when it
-    /// set one (last-writer-wins, matching `set_gauge` semantics), histogram
-    /// moments merge exactly (Welford/Chan) and quantiles merge via
-    /// [`P2Quantile::merge_approx`] — counts and sums stay exact, quantile
-    /// estimates carry the approximation error documented there.
+    /// set one (last-writer-wins, matching `set_gauge` semantics) and
+    /// histograms merge their sketches exactly, so every summary, quantiles
+    /// included, equals that of one registry fed both streams.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, delta) in &other.counters {
             self.add(name.clone(), *delta);
@@ -231,13 +205,11 @@ impl MetricsRegistry {
         for (name, value) in &other.gauges {
             self.set_gauge(name.clone(), *value);
         }
-        for (name, hist) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(hist),
-                None => {
-                    self.histograms.insert(name.clone(), hist.clone());
-                }
-            }
+        for (name, sketch) in &other.histograms {
+            self.histograms
+                .entry(name.clone())
+                .or_default()
+                .merge(sketch);
         }
     }
 
@@ -250,7 +222,7 @@ impl MetricsRegistry {
             histograms: self
                 .histograms
                 .iter()
-                .map(|(k, v)| (k.clone(), v.summary()))
+                .map(|(k, v)| (k.clone(), summary(v)))
                 .collect(),
         }
     }
@@ -569,9 +541,9 @@ mod tests {
     fn merge_of_two_collectors_matches_one_combined_stream() {
         // Two RingCollectors record disjoint halves of the same activity;
         // each feeds its own registry, the registries are merged, and the
-        // result must agree with a single registry fed the combined stream:
-        // counts and sums exactly, quantile ranks within the documented
-        // merge error.
+        // result must equal a single registry fed the combined stream. The
+        // sketch merge is exact bin addition, so the quantiles agree bit for
+        // bit; the moments agree to the Chan update's rounding.
         let left = RingCollector::new(4096);
         let right = RingCollector::new(4096);
         for i in 0..1000u32 {
@@ -606,16 +578,58 @@ mod tests {
         assert!((m.std_dev - c.std_dev).abs() < 1e-9);
         assert_eq!(m.min, c.min);
         assert_eq!(m.max, c.max);
-        // Quantiles agree within the documented merge error (both are
-        // estimates; compare ranks, not bits).
         for (merged_q, combined_q) in [(m.p50, c.p50), (m.p95, c.p95), (m.p99, c.p99)] {
-            assert!(
-                (merged_q - combined_q).abs() < 0.1,
-                "quantile drifted: merged {merged_q} vs combined {combined_q}"
-            );
+            assert_eq!(merged_q.to_bits(), combined_q.to_bits());
         }
         // Gauges: last writer wins, and `merge` takes the other side's value.
         assert_eq!(a.gauge("healthy"), Some(999.0));
+    }
+
+    #[test]
+    fn registry_quantiles_are_the_sketch_reads() {
+        // `/metrics` and `/profile` serve the same number for the same
+        // durations: a registry histogram is a `LatencySketch`.
+        let durations: Vec<f64> = (1..=500).map(|i| f64::from(i).powf(1.7) * 1e-6).collect();
+        let mut reg = MetricsRegistry::new();
+        for &d in &durations {
+            reg.observe("span.round.seconds", d);
+        }
+        let h = reg.histogram("span.round.seconds").unwrap();
+        let sketch = LatencySketch::from_slice(&durations);
+        for (read, q) in [(h.p50, 0.5), (h.p95, 0.95), (h.p99, 0.99)] {
+            assert_eq!(read.to_bits(), sketch.quantile(q).to_bits(), "q = {q}");
+        }
+        assert_eq!((h.count, h.min, h.max), (500, sketch.min(), sketch.max()));
+    }
+
+    /// Feeds `events` through every surface `lb_top --file` and `/metrics`
+    /// use, returning the snapshot.
+    fn render_all(events: &[TelemetryEvent]) -> MetricsSnapshot {
+        let mut reg = MetricsRegistry::new();
+        reg.ingest(events);
+        let snap = reg.snapshot();
+        let _ = snap.to_text();
+        let _ = snap.to_prometheus();
+        assert!(Json::parse(&snap.to_json().render()).is_ok());
+        snap
+    }
+
+    #[test]
+    fn null_histogram_sample_is_skipped_not_a_panic() {
+        let line =
+            r#"{"at":0.5,"name":"chaos.backoff","cat":"chaos","kind":"histogram","value":null}"#;
+        let events = crate::from_jsonl(line).unwrap();
+        let snap = render_all(&events);
+        assert!(snap.histograms.is_empty(), "NaN sample created a metric");
+    }
+
+    #[test]
+    fn reversed_span_is_skipped_not_a_panic() {
+        let ring = RingCollector::new(8);
+        let id = ring.span_start(1.0, "round", Subsystem::Coordinator, vec![]);
+        ring.span_end(0.5, id);
+        let snap = render_all(&ring.snapshot());
+        assert!(snap.histograms.is_empty(), "negative duration recorded");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! runtime's settled outcome bit-identical.
 
 use lbmv::mechanism::CompensationBonusMechanism;
-use lbmv::prof::{check, profile_events, Baseline, RoundProfiler, SentinelConfig, SKETCH_RTOL};
+use lbmv::prof::{check, profile_events, Baseline, RoundProfiler, SentinelConfig};
 use lbmv::proto::{
     drive_sharded_round, run_round, Coordinator, FaultPlan, NodeSpec, Observers, ProtocolConfig,
     RoundId, RoundReport, RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
-use lbmv::stats::OnlineStats;
+use lbmv::stats::{LatencySketch, OnlineStats, SKETCH_RTOL};
 use lbmv::telemetry::{noop_collector, RingCollector};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -210,7 +210,7 @@ fn rollup_matches_whole_fleet_recompute() {
         assert_eq!(fleet.count(), rounds * shards as u64);
         // The fleet view is the exact merge of the per-shard sketches:
         // recomputing it by hand answers every quantile read bitwise.
-        let mut manual = lbmv::prof::LatencySketch::new();
+        let mut manual = LatencySketch::new();
         for s in &shard_rollups {
             manual.merge(&s.phases[phase]);
         }
