@@ -7,8 +7,7 @@
 //! has reported. [`analyze`] walks that structure over the
 //! [`CompletedSpan`] forest of [`lb_telemetry::replay_spans`]:
 //!
-//! 1. find the round root (the `round` span, or `sim.round` for pure
-//!    simulator recordings);
+//! 1. find the round root (the `round` span);
 //! 2. its direct phase children, in start order, are the top-level path —
 //!    their summed durations over the round duration is the profile's
 //!    **coverage** (≥95 % on a healthy sharded round; the gap is
@@ -22,10 +21,11 @@
 //!    table.
 //!
 //! Simulator (`sim.*`) spans are deliberately excluded from the wall-time
-//! path: the discrete-event simulator stamps them on the *simulation*
-//! clock (`0 → horizon`), so their durations are not wall-time. The
-//! machine link of the chain comes from the rollup's `Instant`-timed
-//! machine sketches instead ([`RoundProfile::attach_machine_leaf`]).
+//! path: the simulator records none today, but recordings made by earlier
+//! builds carry `sim.machine` spans stamped on the *simulation* clock
+//! (`0 → horizon`), whose durations are not wall-time. The machine link of
+//! the chain comes from the rollup's `Instant`-timed machine sketches
+//! instead ([`RoundProfile::attach_machine_leaf`]).
 //!
 //! The resulting [`RoundProfile`] serializes to JSONL ([`to_jsonl`] /
 //! [`from_jsonl`]) and renders as text for terminal dashboards.
@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 pub enum ProfileError {
     /// The recording does not replay cleanly.
     Replay(ReplayError),
-    /// No `round` (or `sim.round`) span in the trace.
+    /// No `round` span in the trace.
     NoRoundSpan,
     /// The round span has zero (or negative) duration, so attribution is
     /// undefined.
@@ -159,7 +159,6 @@ pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
     let root = spans
         .iter()
         .find(|s| s.name == "round")
-        .or_else(|| spans.iter().find(|s| s.name == "sim.round"))
         .ok_or(ProfileError::NoRoundSpan)?;
     let round_wall = root.duration();
     if round_wall <= 0.0 {
@@ -557,13 +556,21 @@ mod tests {
     }
 
     #[test]
-    fn sim_round_is_an_accepted_root() {
+    fn recorded_sim_spans_stay_off_the_wall_time_path() {
+        // Earlier builds recorded `sim.machine` spans on the simulation
+        // clock under the allocate phase; they must not enter the path.
         let ring = RingCollector::new(16);
-        let s = ring.span_start(0.0, "sim.round", Subsystem::Sim, vec![]);
-        ring.span_end(2.0, s);
+        let round = ring.span_start(0.0, "round", Subsystem::Coordinator, vec![]);
+        let allocate =
+            ring.span_start_in(0.0, "phase.allocate", Subsystem::Coordinator, round, vec![]);
+        let machine = ring.span_start_in(0.0, "sim.machine", Subsystem::Sim, allocate, vec![]);
+        ring.span_end(300.0, machine);
+        ring.span_end(0.5, allocate);
+        ring.span_end(0.5, round);
         let profile = profile_events(&ring.snapshot()).unwrap();
-        assert_eq!(profile.round_wall, 2.0);
-        assert_eq!(profile.path.len(), 1);
+        let names: Vec<&str> = profile.path.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["round", "phase.allocate"]);
+        assert!((profile.path[1].self_time - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -358,7 +358,7 @@ pub(crate) fn drive_round<L: Link>(
                 let outgoing = match coordinator.phase() {
                     CoordinatorPhase::CollectingBids => coordinator.close_bidding(actual_exec)?,
                     CoordinatorPhase::Executing => coordinator.close_execution()?,
-                    CoordinatorPhase::Settling | CoordinatorPhase::Done => break,
+                    CoordinatorPhase::Done => break,
                 };
                 send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace)?;
                 arm_exec_timer(timers, retry, coordinator, now, &mut exec_timer_armed);

@@ -1,9 +1,9 @@
 //! The mechanism centre as an explicit state machine.
 //!
-//! The coordinator drives one round through four phases:
+//! The coordinator drives one round through three phases:
 //!
 //! ```text
-//! CollectingBids → Executing → Settling → Done
+//! CollectingBids → Executing → Done
 //! ```
 //!
 //! One transition crosses each phase boundary of the paper's protocol (end
@@ -16,8 +16,10 @@
 //! triggers ([`Coordinator::handle`], [`Coordinator::close_bidding`],
 //! [`Coordinator::close_execution`], [`Coordinator::resume`]) run the same
 //! transitions as the `k = 1` case: one partial sum over the whole round,
-//! and the verification simulation
-//! ([`lb_sim::driver::simulate_partition_observed`]) at stream offset 0.
+//! and the verification simulation ([`lb_sim::driver::simulate_partition`])
+//! over one range at stream offset 0. Every driver reaches that kernel
+//! through the same gather → simulate → scatter path and summarises it as
+//! the `verify` instant, never as simulator spans.
 //! Either way verification runs at the nodes' *actual* execution values and
 //! the coordinator keeps only the *estimates* for payment — it never reads a
 //! node's private state.
@@ -37,16 +39,41 @@ use crate::message::{Message, RoundId};
 use crate::trace::{Anomaly, AnomalyStats};
 use lb_core::{inv_sum_dd, Allocation, CoreError, TwoF64};
 use lb_mechanism::{MechanismError, VerifiedMechanism};
-use lb_sim::driver::{simulate_partition_observed, SimulationConfig};
+use lb_sim::driver::{simulate_partition, SimulationConfig};
 use lb_telemetry::{
-    noop_collector, Collector, Field, NoopCollector, Phase, SettledRound, SpanId, Subsystem,
-    TraceContext,
+    noop_collector, Collector, Field, Phase, SettledRound, SpanId, Subsystem, TraceContext,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// One verification range's inputs, gathered by
+/// [`Coordinator::verify_inputs`]: its respondents' global indices, their
+/// bids, actual execution values and rates, and the global respondent
+/// ordinal its RNG streams start at.
+pub(crate) struct VerifyInput {
+    pub(crate) idx: Vec<usize>,
+    pub(crate) bids: Vec<f64>,
+    pub(crate) exec: Vec<f64>,
+    pub(crate) rates: Vec<f64>,
+    pub(crate) offset: u64,
+}
+
+impl VerifyInput {
+    /// The verification kernel over this range: its estimates, in range
+    /// order. `on_machine` is the profiler's per-machine wall-time probe.
+    pub(crate) fn simulate(
+        &self,
+        sim: &SimulationConfig,
+        on_machine: Option<&mut dyn FnMut(u64, f64)>,
+    ) -> Result<Vec<f64>, CoreError> {
+        let (bids, exec, rates) = (&self.bids, &self.exec, &self.rates);
+        simulate_partition(bids, exec, rates, sim, self.offset, on_machine)
+            .map(|report| report.estimated_exec_values)
+    }
+}
 
 /// Phase of the coordinator's round state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +82,6 @@ pub enum CoordinatorPhase {
     CollectingBids,
     /// Jobs executing; waiting for all completion acknowledgements.
     Executing,
-    /// Payments computed and sent; waiting for the round to close.
-    Settling,
     /// Round complete.
     Done,
 }
@@ -693,7 +718,7 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Machine `i`'s accepted bid, unless it was excluded.
-    pub(crate) fn respondent_bid(&self, i: usize) -> Option<f64> {
+    fn respondent_bid(&self, i: usize) -> Option<f64> {
         if self.excluded[i] {
             None
         } else {
@@ -701,25 +726,67 @@ impl<'m> Coordinator<'m> {
         }
     }
 
-    /// The respondents in ascending order, with their bids.
-    fn respondent_bids(&self) -> (Vec<usize>, Vec<f64>) {
-        (0..self.bids.len())
+    /// The respondents in `range`, in ascending order, with their bids.
+    fn respondent_bids(&self, range: Range<usize>) -> (Vec<usize>, Vec<f64>) {
+        range
             .filter_map(|i| self.respondent_bid(i).map(|b| (i, b)))
             .unzip()
     }
 
     fn respondents(&self) -> Vec<usize> {
-        self.respondent_bids().0
+        self.respondent_bids(0..self.bids.len()).0
     }
 
-    /// Spreads one value per respondent over the full width of the round
-    /// (0 for everyone else).
-    fn scatter(&self, respondents: &[usize], values: &[f64]) -> Vec<f64> {
+    /// Spreads values over the full width of the round (0 for everyone
+    /// else): each part pairs machine indices with one value apiece.
+    pub(crate) fn scatter<M: AsRef<[usize]>, V: AsRef<[f64]>>(
+        &self,
+        parts: impl IntoIterator<Item = (M, V)>,
+    ) -> Vec<f64> {
         let mut full = vec![0.0; self.bids.len()];
-        for (&i, &v) in respondents.iter().zip(values) {
-            full[i] = v;
+        for (machines, values) in parts {
+            for (&i, &v) in machines.as_ref().iter().zip(values.as_ref()) {
+                full[i] = v;
+            }
         }
         full
+    }
+
+    /// The verification gather: for each of `ranges` (ascending and
+    /// contiguous), its respondents with their bids, actual execution values
+    /// and rates (`rates` and `actual_exec_values` are full-width), plus the
+    /// global respondent ordinal at which their RNG streams start.
+    pub(crate) fn verify_inputs(
+        &self,
+        ranges: impl IntoIterator<Item = Range<usize>>,
+        rates: &[f64],
+        actual_exec_values: &[f64],
+    ) -> Result<Vec<VerifyInput>, ProtocolError> {
+        let mut inputs = Vec::new();
+        let mut offset = 0;
+        for range in ranges {
+            let (idx, bids) = self.respondent_bids(range);
+            let pick = |column: &[f64]| {
+                idx.iter()
+                    .map(|&i| {
+                        column.get(i).copied().ok_or(CoreError::LengthMismatch {
+                            expected: self.bids.len(),
+                            actual: column.len(),
+                        })
+                    })
+                    .collect::<Result<Vec<f64>, _>>()
+            };
+            let input = VerifyInput {
+                exec: pick(actual_exec_values)?,
+                rates: pick(rates)?,
+                bids,
+                offset,
+                idx,
+            };
+            offset += input.idx.len() as u64;
+            inputs.push(input);
+        }
+        Ok(inputs)
     }
 
     /// `Σ 1/b_i` over the respondents in `range`, in double-double: one
@@ -803,14 +870,13 @@ impl<'m> Coordinator<'m> {
 
     /// The message-driven allocation, the `k = 1` case of the transitions:
     /// allocate against the whole round's harmonic sum, verify every
-    /// respondent at stream offset 0 under the noop collector (the `verify`
-    /// instant summarises it), commit.
+    /// respondent at stream offset 0, commit.
     fn allocate_locally(
         &mut self,
         actual_exec_values: &[f64],
     ) -> Result<Vec<(u32, Message)>, ProtocolError> {
         let rates = self.allocate(self.partial_inv_sum(0..self.bids.len()))?;
-        let estimates = self.verify(&rates, actual_exec_values, &NoopCollector)?;
+        let estimates = self.verify(&rates, actual_exec_values)?;
         self.commit_allocation(rates, estimates)
     }
 
@@ -947,7 +1013,7 @@ impl<'m> Coordinator<'m> {
     /// collection, or mechanism errors.
     pub fn allocate(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
         self.expect_phase("allocate", CoordinatorPhase::CollectingBids)?;
-        let (respondents, bids) = self.respondent_bids();
+        let (respondents, bids) = self.respondent_bids(0..self.bids.len());
         if respondents.len() < 2 {
             // Reachable when machines were excluded up front (quarantine)
             // and every remaining machine bid: the mechanism needs at least
@@ -961,43 +1027,26 @@ impl<'m> Coordinator<'m> {
         let allocation = self
             .mechanism
             .allocate_with_sum(&bids, self.total_rate, s)?;
-        Ok(self.scatter(&respondents, allocation.rates()))
+        Ok(self.scatter([(&respondents, allocation.rates())]))
     }
 
-    /// The whole round's verification simulation — one shard owning every
-    /// machine: each respondent runs at its rate in `rates` against its
-    /// actual execution value, RNG streams keyed by respondent ordinal from
-    /// 0. Returns the full-width estimates (0 for excluded machines).
-    /// `collector` receives the `sim.machine` spans, parented on the open
-    /// phase span.
+    /// The whole round's verification, the `k = 1` case of the sharded
+    /// verify stage: gather every respondent over `0..n`, simulate them at
+    /// stream offset 0 and scatter the estimates full-width (0 for excluded
+    /// machines). It records no telemetry of its own:
+    /// [`Coordinator::commit_allocation`] summarises it as the `verify` instant.
     pub(crate) fn verify(
         &self,
         rates: &[f64],
         actual_exec_values: &[f64],
-        collector: &dyn Collector,
     ) -> Result<Vec<f64>, ProtocolError> {
-        let (respondents, bids) = self.respondent_bids();
-        let pick = |column: &[f64]| {
-            respondents
-                .iter()
-                .map(|&i| {
-                    column.get(i).copied().ok_or(CoreError::LengthMismatch {
-                        expected: self.bids.len(),
-                        actual: column.len(),
-                    })
-                })
-                .collect::<Result<Vec<f64>, _>>()
-        };
-        let report = simulate_partition_observed(
-            &bids,
-            &pick(actual_exec_values)?,
-            &pick(rates)?,
-            &self.sim_config,
-            0,
-            collector,
-            self.phase_span(),
-        )?;
-        Ok(self.scatter(&respondents, &report.estimated_exec_values))
+        let all = std::iter::once(0..self.bids.len());
+        let inputs = self.verify_inputs(all, rates, actual_exec_values)?;
+        let estimates = inputs
+            .iter()
+            .map(|input| input.simulate(&self.sim_config, None))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.scatter(inputs.iter().map(|input| &input.idx).zip(&estimates)))
     }
 
     /// Commits the allocation: emits the `verify` instant (the verification
@@ -1072,7 +1121,7 @@ impl<'m> Coordinator<'m> {
         // A recovered generation whose journal already holds every ack
         // reaches settle straight from `resume`, with no span open yet.
         self.ensure_round_span();
-        let (respondents, bids) = self.respondent_bids();
+        let (respondents, bids) = self.respondent_bids(0..self.bids.len());
         self.switch_phase_span(
             Some(Phase::Settle),
             vec![Field::u64(
@@ -1102,7 +1151,7 @@ impl<'m> Coordinator<'m> {
             self.total_rate,
             s,
         )?;
-        let payments = self.scatter(&respondents, &sub_payments);
+        let payments = self.scatter([(&respondents, &sub_payments)]);
         // Commit point: the payment ledger must be durable before the settle
         // fan-out leaves — on replay payments come from this record, never a
         // recomputation, which is what makes settlement exactly-once.
@@ -1330,7 +1379,7 @@ impl<'m> Coordinator<'m> {
                     rate: allocation.rate(i),
                 })
             }
-            CoordinatorPhase::Settling | CoordinatorPhase::Done => {
+            CoordinatorPhase::Done => {
                 if self.sealed {
                     return Ok(Vec::new());
                 }
@@ -2144,6 +2193,7 @@ mod tests {
                 &rates[range],
                 &config(),
                 offset,
+                None,
             )
             .unwrap();
             estimates.extend(part.estimated_exec_values);

@@ -345,7 +345,7 @@ impl<'m> OnlineSession<'m> {
         let rates = root.allocate(s)?;
 
         // Verification simulation, exactly the batch round's at offset 0,
-        // its machine spans recorded under the allocate phase.
+        // summarised by the commit's `verify` instant.
         let exec: Vec<f64> = slots
             .iter()
             .map(|&slot| {
@@ -356,7 +356,7 @@ impl<'m> OnlineSession<'m> {
                     })
             })
             .collect::<Result<_, _>>()?;
-        let estimates = root.verify(&rates, &exec, &*self.collector)?;
+        let estimates = root.verify(&rates, &exec)?;
 
         root.set_now(self.epoch.elapsed().as_secs_f64());
         let assigns = root.commit_allocation(rates, estimates)?;

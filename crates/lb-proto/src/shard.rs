@@ -16,11 +16,12 @@
 //!   [`Message::ShardSum`] carrying both limbs; the root merges the partials
 //!   with [`lb_core::merge_inv_sums`] (a balanced pairwise tree) and
 //!   allocates against the merged sum.
-//! * **Verify** — each shard runs the verification simulation for its own
-//!   respondents ([`lb_sim::driver::simulate_partition_observed`], whose
-//!   per-machine RNG streams are keyed by global respondent ordinal, so the
-//!   sharded observation is bit-identical to the unsharded one) and ships
-//!   the estimates upward as [`Message::ShardEstimates`]; the root commits.
+//! * **Verify** — the root gathers each shard's respondents, each shard runs
+//!   the verification simulation for them
+//!   ([`lb_sim::driver::simulate_partition`], whose per-machine RNG streams
+//!   are keyed by global respondent ordinal, so the sharded observation is
+//!   bit-identical to the unsharded one) and ships the estimates upward as
+//!   [`Message::ShardEstimates`]; the root scatters them and commits.
 //! * **Execute** — the shards relay the `Assign` frames down and the
 //!   acknowledgements up.
 //! * **Settle** — the root settles against the merged sum and the shards
@@ -47,15 +48,15 @@
 //! `lb-fuzz` `shard` oracle re-checks this differentially every CI run.
 
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
+use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError, VerifyInput};
 use crate::faults::FaultPlan;
 use crate::message::{Message, RoundId};
-use crate::network::MessageStats;
+use crate::network::{Endpoint, MessageStats};
 use crate::node::{NodeAgent, NodeSpec};
 use crate::runtime::{ProtocolConfig, RoundReport};
 use lb_core::{merge_inv_sums, CoreError, TwoF64};
 use lb_prof::{RoundProfiler, WireShardProfile, PHASES};
-use lb_sim::driver::{simulate_partition_observed, simulate_partition_timed, SimulationConfig};
+use lb_sim::driver::SimulationConfig;
 use lb_stats::LatencySketch;
 use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
 use std::borrow::Cow;
@@ -134,23 +135,6 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
         wire
     } else {
         wire.map(|c| c.with_span(span.0))
-    }
-}
-
-/// Whether `reply` from `machine` is lost on the way up. `lose_bid_attempts`
-/// with any `k >= 1` is fatal here because the sharded driver, like a chaos
-/// round with `bid_retries: 0`, never retries.
-fn reply_lost(faults: &FaultPlan, machine: u32, reply: &Message) -> bool {
-    match reply {
-        Message::Bid { .. } => {
-            faults.lose_bids_from.contains(&machine)
-                || faults
-                    .lose_bid_attempts
-                    .iter()
-                    .any(|&(m, k)| m == machine && k >= 1)
-        }
-        Message::ExecutionDone { .. } => faults.lose_acks_from.contains(&machine),
-        _ => false,
     }
 }
 
@@ -269,9 +253,11 @@ impl<'a> Relay<'a> {
         )
     }
 
-    /// Sends `message(i)` to each machine `i` of `work` — partitioned
-    /// machines see nothing — and forwards the replies that survive the
-    /// fault plan upward, in machine order, parented on `span`.
+    /// Sends `message(i)` to each machine `i` of `work` and forwards the
+    /// replies upward, in machine order, parented on `span`. Like the chaos
+    /// link, every frame is counted as sent before the fault plan decides
+    /// whether it arrives. Each machine bids once per sharded round, so
+    /// every bid is a first attempt (no per-attempt count: `&mut []`).
     fn run(
         &self,
         work: ShardWork<'_>,
@@ -280,23 +266,25 @@ impl<'a> Relay<'a> {
     ) -> Result<ShardBatch, ProtocolError> {
         let mut batch = ShardBatch::default();
         let up_ctx = upward_ctx(self.wire, span);
+        let lost =
+            |from, to, message: &Message| self.faults.drops_counted(from, to, message, &mut []);
         for &i in work.down {
             let agent = &mut work.agents[i - work.range.start];
-            let machine = agent.machine;
-            if self.faults.partitioned.contains(&machine) {
+            let node = Endpoint::Node(agent.machine);
+            let request = message(i);
+            let frame = encode_with_context(&request, self.wire.as_ref());
+            self.count(&mut batch.sent, &frame);
+            if lost(Endpoint::Coordinator, node, &request) {
                 continue;
             }
-            let frame = encode_with_context(&message(i), self.wire.as_ref());
-            self.count(&mut batch.sent, &frame);
             let Some(reply) = agent.handle(&decode_frame(&frame)?) else {
                 continue;
             };
-            if reply_lost(self.faults, machine, &reply) {
-                continue;
-            }
             let frame = encode_with_context(&reply, up_ctx.as_ref());
             self.count(&mut batch.sent, &frame);
-            batch.up.push(frame);
+            if !lost(node, Endpoint::Coordinator, &reply) {
+                batch.up.push(frame);
+            }
         }
         Ok(batch)
     }
@@ -382,17 +370,6 @@ fn fan_out<T: Send>(
     Ok(batches)
 }
 
-/// One shard's verification work: its respondents' global indices, bids,
-/// actual execution values and rates, and the global respondent ordinal
-/// its RNG streams start at.
-struct VerifyInput {
-    idx: Vec<usize>,
-    bids: Vec<f64>,
-    exec: Vec<f64>,
-    rates: Vec<f64>,
-    offset: u64,
-}
-
 fn verify_shard(
     shard: usize,
     input: &VerifyInput,
@@ -405,38 +382,31 @@ fn verify_shard(
     let mut batch = ShardBatch::default();
     let span = relay.span("shard.verify", shard, input.bids.len());
     let ctx = upward_ctx(relay.wire, span);
-    let (bids, exec, rates) = (&input.bids, &input.exec, &input.rates);
-    let report = if profile {
-        // Profiled verify: identical kernel, plus a per-machine wall-time
-        // probe feeding the shard's sketch. The probe observes the loop
-        // without participating, so estimates are bit-identical to the
-        // unprofiled path.
-        let mut machine_wall = LatencySketch::new();
-        let mut slowest: Option<(u64, f64)> = None;
-        let report = simulate_partition_timed(
-            bids,
-            exec,
-            rates,
-            sim,
-            input.offset,
-            relay.collector,
-            span,
-            &mut |machine, wall| {
-                machine_wall.record(wall);
-                if slowest.is_none_or(|(_, w)| wall > w) {
-                    // Keep the *local* respondent ordinal: the worker does
-                    // not know the global index space; the root maps it.
-                    slowest = Some((machine - input.offset, wall));
-                }
-            },
-        )
-        .map_err(ProtocolError::from)?;
+    // Profiled rounds probe each machine's wall time into the shard's
+    // sketch. The probe observes the kernel without participating, so the
+    // estimates are bit-identical to the unprofiled path.
+    let mut wall = profile.then(|| (LatencySketch::new(), None::<(u64, f64)>));
+    let mut probe = |machine: u64, seconds: f64| {
+        if let Some((sketch, slowest)) = wall.as_mut() {
+            sketch.record(seconds);
+            if slowest.is_none_or(|(_, w)| seconds > w) {
+                // Keep the *local* respondent ordinal: the worker does not
+                // know the global index space; the root maps it.
+                *slowest = Some((machine - input.offset, seconds));
+            }
+        }
+    };
+    let estimates = input.simulate(
+        sim,
+        profile.then_some(&mut probe as &mut dyn FnMut(u64, f64)),
+    )?;
+    if let Some((machine_wall, slowest)) = wall {
         let msg = Message::ShardProfile {
             round,
             shard: shard_u32,
             profile: WireShardProfile {
                 shard: shard_u32,
-                machines: bids.len() as u64,
+                machines: input.bids.len() as u64,
                 machine_wall: machine_wall.to_wire(),
                 slowest,
             },
@@ -444,15 +414,11 @@ fn verify_shard(
         // Deliberately not counted: profiling frames are accounted by the
         // profiler alone, never MessageStats or the net.* counters.
         batch.prof = Some(encode_with_context(&msg, ctx.as_ref()));
-        report
-    } else {
-        simulate_partition_observed(bids, exec, rates, sim, input.offset, relay.collector, span)
-            .map_err(ProtocolError::from)?
-    };
+    }
     let msg = Message::ShardEstimates {
         round,
         shard: shard_u32,
-        estimates: report.estimated_exec_values,
+        estimates,
     };
     let frame = encode_with_context(&msg, ctx.as_ref());
     relay.count(&mut batch.sent, &frame);
@@ -531,7 +497,8 @@ fn merged_sum(root: &Coordinator<'_>, ranges: &[Range<usize>]) -> TwoF64 {
 /// `faults` drops frames exactly as a single-coordinator round under
 /// [`crate::chaos::ChaosConfig`] with `bid_retries: 0`: lost bids exclude
 /// the machine at the bid timeout, lost acks don't delay settlement,
-/// partitioned machines see nothing.
+/// partitioned machines see nothing. Lost frames are counted as sent, as
+/// the chaos link counts them.
 ///
 /// With a `profiler` that samples this round, each shard's verify worker
 /// ships a [`Message::ShardProfile`] frame (its per-machine wall-time
@@ -656,25 +623,8 @@ pub fn drive_sharded_round(
         // respondent stream offsets. An empty bid slot inside a range is a
         // silent machine (lost frame, timeout exclusion): it took the
         // exclusion path at the bid timeout and is never simulated.
-        let mut offset = 0u64;
-        let inputs: Vec<VerifyInput> = ranges
-            .iter()
-            .map(|range| {
-                let idx: Vec<usize> = range
-                    .clone()
-                    .filter(|&i| root.respondent_bid(i).is_some())
-                    .collect();
-                let input = VerifyInput {
-                    bids: idx.iter().filter_map(|&i| root.respondent_bid(i)).collect(),
-                    exec: idx.iter().map(|&i| specs[i].exec_value).collect(),
-                    rates: idx.iter().map(|&i| rates[i]).collect(),
-                    offset,
-                    idx,
-                };
-                offset += input.idx.len() as u64;
-                input
-            })
-            .collect();
+        let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
+        let inputs = root.verify_inputs(ranges.iter().cloned(), &rates, &actual)?;
         let (sim, profiling) = (config.simulation, clock.is_some());
         let batches = fan_out(
             inputs.iter().collect(),
@@ -683,35 +633,32 @@ pub fn drive_sharded_round(
             clock.as_mut(),
             1,
         )?;
-        if let Some(clock) = clock.as_mut() {
-            for (batch, input) in batches.iter().zip(&inputs) {
+        // Fold each shard's profile frame into the profiler and scatter its
+        // estimates into the full-width vector the commit journals
+        // (excluded machines: no verification evidence, 0).
+        let mut shard_estimates = Vec::with_capacity(inputs.len());
+        for (batch, input) in batches.iter().zip(&inputs) {
+            if let Some(clock) = clock.as_mut() {
                 ingest_profile(clock.profiler, batch.prof.as_deref(), &input.idx)?;
             }
-        }
-
-        // Scatter the shard estimates into the full-width vector the commit
-        // journals (excluded machines: no verification evidence, 0).
-        let mut estimates = vec![0.0; n];
-        for (batch, input) in batches.iter().zip(&inputs) {
             let frame = batch.up.first().ok_or(ProtocolError::ReplayMismatch {
                 what: "missing shard estimate frame",
             })?;
-            let Message::ShardEstimates { estimates: est, .. } = decode_frame(frame)? else {
+            let Message::ShardEstimates { estimates, .. } = decode_frame(frame)? else {
                 return Err(ProtocolError::ReplayMismatch {
                     what: "shard estimate frame decoded to a different message",
                 });
             };
-            if est.len() != input.idx.len() {
+            if estimates.len() != input.idx.len() {
                 return Err(CoreError::LengthMismatch {
                     expected: input.idx.len(),
-                    actual: est.len(),
+                    actual: estimates.len(),
                 }
                 .into());
             }
-            for (&i, v) in input.idx.iter().zip(est) {
-                estimates[i] = v;
-            }
+            shard_estimates.push(estimates);
         }
+        let estimates = root.scatter(inputs.iter().map(|input| &input.idx).zip(&shard_estimates));
         root.set_now(epoch.elapsed().as_secs_f64());
         root.commit_allocation(rates, estimates)?;
         timings.allocate = t.elapsed().as_secs_f64();
@@ -1013,17 +960,9 @@ mod tests {
                 "{name} parents on its phase span"
             );
         }
-        // The per-machine verification spans nest inside their shard's span.
-        let verify_ids: Vec<_> = spans
-            .iter()
-            .filter(|s| s.name == "shard.verify")
-            .map(|s| s.id)
-            .collect();
-        let machines: Vec<_> = spans.iter().filter(|s| s.name == "sim.machine").collect();
-        assert_eq!(machines.len(), specs.len());
-        assert!(machines
-            .iter()
-            .all(|s| s.parent.is_some_and(|p| verify_ids.contains(&p))));
+        // Verification runs on the simulation clock, so it records no
+        // per-machine spans under the wall-clock shard spans.
+        assert!(!spans.iter().any(|s| s.name == "sim.machine"));
         assert_eq!(
             events.iter().filter(|e| e.name == "shard.settle").count(),
             k

@@ -8,7 +8,6 @@ use crate::server::ServiceModel;
 use lb_core::{pr_allocate, Allocation, CoreError};
 use lb_mechanism::{run_mechanism, MechanismError, MechanismOutcome, Profile, VerifiedMechanism};
 use lb_stats::rng::Xoshiro256StarStar;
-use lb_telemetry::{Collector, Field, NoopCollector, SpanId, Subsystem};
 
 /// Configuration of one simulated round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,60 +67,16 @@ pub fn simulate_round(
     total_rate: f64,
     config: &SimulationConfig,
 ) -> Result<RoundReport, CoreError> {
-    simulate_round_observed(bids, actual_exec_values, total_rate, config, &NoopCollector)
-}
-
-/// [`simulate_round`] with a telemetry collector attached.
-///
-/// The simulation runs on its own clock from `0` to `config.horizon`, so the
-/// recording carries a `sim.round` span over the whole horizon with one
-/// nested `sim.machine` span per machine (fields `machine` and `rate` at
-/// start; `jobs` and `estimate` attached at the end, once known). Protocol
-/// drivers deliberately do *not* nest these under their round spans — the
-/// verification simulation's clock is not the protocol clock — and summarise
-/// it as a `verify` instant instead; this entry point is for observing the
-/// simulator standalone.
-///
-/// # Errors
-/// Propagates validation errors, exactly as [`simulate_round`].
-pub fn simulate_round_observed(
-    bids: &[f64],
-    actual_exec_values: &[f64],
-    total_rate: f64,
-    config: &SimulationConfig,
-    collector: &dyn Collector,
-) -> Result<RoundReport, CoreError> {
-    if actual_exec_values.len() != bids.len() {
-        return Err(CoreError::LengthMismatch {
-            expected: bids.len(),
-            actual: actual_exec_values.len(),
-        });
-    }
-    if !(config.horizon.is_finite() && config.horizon > 0.0) {
-        return Err(CoreError::InvalidRate(config.horizon));
-    }
+    validate(bids, actual_exec_values, bids.len(), config)?;
     let allocation = pr_allocate(bids, total_rate)?;
-
-    let round_span = collector.span_start(
-        0.0,
-        "sim.round",
-        Subsystem::Sim,
-        vec![
-            Field::u64("machines", bids.len() as u64),
-            Field::f64("horizon", config.horizon),
-        ],
-    );
     let part = simulate_machines(
         bids,
         actual_exec_values,
         allocation.rates(),
         config,
         0,
-        collector,
-        round_span,
         None,
     );
-    collector.span_end(config.horizon, round_span);
     Ok(RoundReport {
         allocation,
         observations: part.observations,
@@ -156,6 +111,12 @@ pub struct PartitionReport {
 /// observation, bit for bit. The caller supplies the rates — this function
 /// never re-runs the allocation.
 ///
+/// `on_machine(global_index, wall_seconds)`, when given, fires after each
+/// machine's kernel with the *host* time it took (`std::time::Instant`) —
+/// how profilers attribute verification wall time to machines. It observes
+/// the loop without participating in it, so results are bit-identical with
+/// and without it; with `None` the kernel reads no clock.
+///
 /// # Errors
 /// Returns [`CoreError::LengthMismatch`] on arity mismatches and
 /// [`CoreError::InvalidRate`] for a non-positive horizon.
@@ -165,121 +126,51 @@ pub fn simulate_partition(
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
+    on_machine: Option<&mut dyn FnMut(u64, f64)>,
 ) -> Result<PartitionReport, CoreError> {
-    simulate_partition_observed(
-        bids,
-        actual_exec_values,
-        rates,
-        config,
-        stream_offset,
-        &NoopCollector,
-        SpanId::NULL,
-    )
-}
-
-/// [`simulate_partition`] with a telemetry collector attached: one
-/// `sim.machine` span per machine, parented on `parent_span` when it is not
-/// null (the shard runtime passes its `shard.execute` span).
-///
-/// # Errors
-/// Propagates validation errors, exactly as [`simulate_partition`].
-pub fn simulate_partition_observed(
-    bids: &[f64],
-    actual_exec_values: &[f64],
-    rates: &[f64],
-    config: &SimulationConfig,
-    stream_offset: u64,
-    collector: &dyn Collector,
-    parent_span: SpanId,
-) -> Result<PartitionReport, CoreError> {
-    if actual_exec_values.len() != bids.len() {
-        return Err(CoreError::LengthMismatch {
-            expected: bids.len(),
-            actual: actual_exec_values.len(),
-        });
-    }
-    if rates.len() != bids.len() {
-        return Err(CoreError::LengthMismatch {
-            expected: bids.len(),
-            actual: rates.len(),
-        });
-    }
-    if !(config.horizon.is_finite() && config.horizon > 0.0) {
-        return Err(CoreError::InvalidRate(config.horizon));
-    }
+    validate(bids, actual_exec_values, rates.len(), config)?;
     Ok(simulate_machines(
         bids,
         actual_exec_values,
         rates,
         config,
         stream_offset,
-        collector,
-        parent_span,
-        None,
+        on_machine,
     ))
 }
 
-/// [`simulate_partition_observed`] with a per-machine wall-clock probe:
-/// `on_machine(global_index, wall_seconds)` fires after each machine's
-/// kernel with the *host* time it took (`std::time::Instant`), which the
-/// simulation clock cannot express — `sim.machine` spans run on simulated
-/// time `0 → horizon` regardless of how long the host spent computing
-/// them. The probe is how profilers attribute verification wall-time to
-/// machines; it observes the loop without participating in it, so results
-/// are bit-identical with and without it.
-///
-/// # Errors
-/// Propagates validation errors, exactly as [`simulate_partition`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_partition_timed(
+/// Checks that the actual execution values and `rates_len` rates match the
+/// bids one for one, and that the horizon is positive and finite.
+fn validate(
     bids: &[f64],
     actual_exec_values: &[f64],
-    rates: &[f64],
+    rates_len: usize,
     config: &SimulationConfig,
-    stream_offset: u64,
-    collector: &dyn Collector,
-    parent_span: SpanId,
-    on_machine: &mut dyn FnMut(u64, f64),
-) -> Result<PartitionReport, CoreError> {
-    if actual_exec_values.len() != bids.len() {
+) -> Result<(), CoreError> {
+    if let Some(actual) = [actual_exec_values.len(), rates_len]
+        .into_iter()
+        .find(|&len| len != bids.len())
+    {
         return Err(CoreError::LengthMismatch {
             expected: bids.len(),
-            actual: actual_exec_values.len(),
-        });
-    }
-    if rates.len() != bids.len() {
-        return Err(CoreError::LengthMismatch {
-            expected: bids.len(),
-            actual: rates.len(),
+            actual,
         });
     }
     if !(config.horizon.is_finite() && config.horizon > 0.0) {
         return Err(CoreError::InvalidRate(config.horizon));
     }
-    Ok(simulate_machines(
-        bids,
-        actual_exec_values,
-        rates,
-        config,
-        stream_offset,
-        collector,
-        parent_span,
-        Some(on_machine),
-    ))
+    Ok(())
 }
 
-/// The shared per-machine execution kernel: generate arrivals, drive the
-/// service model, estimate execution values. Lengths and horizon are
-/// validated by the callers.
-#[allow(clippy::too_many_arguments)]
+/// The per-machine execution kernel: generate arrivals, drive the service
+/// model, estimate execution values. Lengths and horizon are validated by
+/// the callers.
 fn simulate_machines(
     bids: &[f64],
     actual_exec_values: &[f64],
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
-    collector: &dyn Collector,
-    parent_span: SpanId,
     mut on_machine: Option<&mut dyn FnMut(u64, f64)>,
 ) -> PartitionReport {
     let traces = crate::workload::per_machine_traces_offset(
@@ -304,13 +195,6 @@ fn simulate_machines(
         let stream = stream_offset + i as u64;
         let machine = usize::try_from(stream).unwrap_or(usize::MAX);
         let rate = rates[i];
-        let machine_span = collector.span_start_in(
-            0.0,
-            "sim.machine",
-            Subsystem::Sim,
-            parent_span,
-            vec![Field::u64("machine", stream), Field::f64("rate", rate)],
-        );
         let mut rng = streams.next().expect("streams is infinite");
         let arrivals: Vec<f64> = trace.iter().map(|j| j.arrival).collect();
         let responses = config
@@ -336,16 +220,7 @@ fn simulate_machines(
         };
         total_latency += obs.latency_contribution();
         // Idle machines produce no verification evidence: fall back to the bid.
-        let settled = estimate.unwrap_or(bids[i]);
-        collector.span_end_with(
-            config.horizon,
-            machine_span,
-            vec![
-                Field::u64("jobs", arrivals.len() as u64),
-                Field::f64("estimate", settled),
-            ],
-        );
-        estimated.push(settled);
+        estimated.push(estimate.unwrap_or(bids[i]));
         observations.push(obs);
         if let (Some(probe), Some(t0)) = (on_machine.as_deref_mut(), started) {
             probe(stream, t0.elapsed().as_secs_f64());
@@ -504,45 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_round_records_one_span_per_machine() {
-        use lb_telemetry::{replay_spans, FieldValue, RingCollector};
-        let trues = paper_true_values();
-        let ring = RingCollector::new(256);
-        let report = simulate_round_observed(
-            &trues,
-            &trues,
-            PAPER_ARRIVAL_RATE,
-            &deterministic_config(),
-            &ring,
-        )
-        .unwrap();
-
-        let spans = replay_spans(&ring.snapshot()).unwrap();
-        let round: Vec<_> = spans.iter().filter(|s| s.name == "sim.round").collect();
-        assert_eq!(round.len(), 1);
-        assert!((round[0].duration() - 500.0).abs() < 1e-12);
-        let machines: Vec<_> = spans.iter().filter(|s| s.name == "sim.machine").collect();
-        assert_eq!(machines.len(), trues.len());
-        for span in machines {
-            assert_eq!(span.depth, 1);
-            assert_eq!(span.parent, Some(round[0].id));
-            let Some(&FieldValue::U64(m)) = span.field("machine") else {
-                panic!("sim.machine span lacks a machine field")
-            };
-            let Some(&FieldValue::F64(est)) = span.field("estimate") else {
-                panic!("sim.machine span lacks an estimate field")
-            };
-            assert!((est - report.estimated_exec_values[m as usize]).abs() < 1e-12);
-        }
-
-        // The collector is observational only: the noop path settles on the
-        // exact same estimates.
-        let plain =
-            simulate_round(&trues, &trues, PAPER_ARRIVAL_RATE, &deterministic_config()).unwrap();
-        assert_eq!(plain.estimated_exec_values, report.estimated_exec_values);
-    }
-
-    #[test]
     fn partitioned_simulation_is_bit_identical_to_the_full_round() {
         // The sharded coordinator splits the execution phase across shard
         // workers via simulate_partition. Stitching the partition reports
@@ -567,7 +403,7 @@ mod tests {
             for (s, part) in trues.chunks(chunk).enumerate() {
                 let off = s * chunk;
                 let rates = &full.allocation.rates()[off..off + part.len()];
-                let p = simulate_partition(part, part, rates, &config, off as u64).unwrap();
+                let p = simulate_partition(part, part, rates, &config, off as u64, None).unwrap();
                 estimates.extend(p.estimated_exec_values);
                 observations.extend(p.observations);
                 latency_parts.push(p.estimated_total_latency);
@@ -604,11 +440,11 @@ mod tests {
     #[test]
     fn partition_arity_mismatches_are_rejected() {
         let cfg = deterministic_config();
-        assert!(simulate_partition(&[1.0, 2.0], &[1.0], &[0.5, 0.5], &cfg, 0).is_err());
-        assert!(simulate_partition(&[1.0, 2.0], &[1.0, 2.0], &[0.5], &cfg, 0).is_err());
+        assert!(simulate_partition(&[1.0, 2.0], &[1.0], &[0.5, 0.5], &cfg, 0, None).is_err());
+        assert!(simulate_partition(&[1.0, 2.0], &[1.0, 2.0], &[0.5], &cfg, 0, None).is_err());
         let mut bad = cfg;
         bad.horizon = -1.0;
-        assert!(simulate_partition(&[1.0], &[1.0], &[0.5], &bad, 0).is_err());
+        assert!(simulate_partition(&[1.0], &[1.0], &[0.5], &bad, 0, None).is_err());
     }
 
     #[test]
@@ -627,27 +463,17 @@ mod tests {
         let off = 3u64;
         let part = &trues[off as usize..];
         let sub_rates = &rates[off as usize..];
-        let plain = simulate_partition(part, part, sub_rates, &config, off).unwrap();
+        let plain = simulate_partition(part, part, sub_rates, &config, off, None).unwrap();
         let mut probed = Vec::new();
-        let timed = simulate_partition_timed(
-            part,
-            part,
-            sub_rates,
-            &config,
-            off,
-            &NoopCollector,
-            SpanId::NULL,
-            &mut |machine, wall| probed.push((machine, wall)),
-        )
-        .unwrap();
+        let mut probe = |machine, wall| probed.push((machine, wall));
+        let timed =
+            simulate_partition(part, part, sub_rates, &config, off, Some(&mut probe)).unwrap();
         // The probe observes; it must not perturb.
-        for (a, b) in timed
-            .estimated_exec_values
-            .iter()
-            .zip(&plain.estimated_exec_values)
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&timed.estimated_exec_values),
+            bits(&plain.estimated_exec_values)
+        );
         // One probe per machine, global indices, non-negative wall times.
         assert_eq!(probed.len(), part.len());
         for (i, &(machine, wall)) in probed.iter().enumerate() {

@@ -39,9 +39,8 @@ pub mod workload;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnGen};
 pub use driver::{
-    simulate_partition, simulate_partition_observed, simulate_partition_timed, simulate_round,
-    simulate_round_observed, verified_round, PartitionReport, RoundReport, SimulationConfig,
-    VerifiedRound,
+    simulate_partition, simulate_round, verified_round, PartitionReport, RoundReport,
+    SimulationConfig, VerifiedRound,
 };
 pub use estimator::{EstimatorConfig, ExecValueEstimator};
 pub use events::EventQueue;

@@ -19,10 +19,10 @@ use lbmv::core::{pr_allocate, pr_allocate_capped, solve_convex, ConvexSolverOpti
 use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
 use lbmv::prof::RoundProfiler;
 use lbmv::proto::{
-    drive_sharded_round, encode, replay_check, run_round, ChaosConfig, ChaosNetStats, ChaosRuntime,
-    Coordinator, CrashPlan, FaultPlan, Journal, MemJournal, Message, MessageStats, NodeSpec,
-    Observers, ProtocolConfig, ProtocolError, ProtocolOutcome, RoundId, RoundReport, RoundSpec,
-    Transport,
+    drive_sharded_round, encode, replay_check, run_round, shard_ranges, ChaosConfig, ChaosNetStats,
+    ChaosRuntime, Coordinator, CrashPlan, FaultPlan, Journal, MemJournal, Message, MessageStats,
+    NodeSpec, Observers, ProtocolConfig, ProtocolError, ProtocolOutcome, RoundId, RoundReport,
+    RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -321,8 +321,9 @@ fn fault_plan_traffic(
 /// `bid_retries: 0` a lost bid excludes at the first timeout, with no
 /// anomalies, and the round settles bit for bit like the sharded topology
 /// under the same plan (rates, payments, utilities, estimates, exclusions),
-/// with exactly the control traffic the plan leaves on the wire — also when
-/// a machine lies, so verification moves its payment.
+/// with exactly the control traffic the plan leaves on the wire — the
+/// sharded round adding one `ShardSum` and one `ShardEstimates` per shard —
+/// also when a machine lies, so verification moves its payment.
 #[test]
 fn prop_fault_plan_equals_chaos_without_retries() {
     prop::check(
@@ -375,6 +376,10 @@ fn prop_fault_plan_equals_chaos_without_retries() {
             );
             prop_assert_eq!(&report.excluded, &sharded.excluded);
             prop_assert_eq!(o.stats, fault_plan_traffic(&plan, o, &report.excluded));
+            prop_assert_eq!(
+                s.stats.messages,
+                o.stats.messages + 2 * shard_ranges(specs.len(), shards).len() as u64
+            );
             prop_assert_eq!(report.retries, 0);
             prop_assert_eq!(report.anomalies.total(), 0);
             prop_assert_eq!(sharded.anomalies.total(), 0);

@@ -1,18 +1,23 @@
 //! End-to-end observability: a chaotic session recorded by a ring collector
 //! must export losslessly, replay cleanly, and agree with the protocol's own
 //! message accounting — while the default noop collector changes nothing.
+//! Every driver keeps one clock per recording: spans nest in time, and the
+//! verification simulation's clock never enters it.
 
 use lbmv::core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::audit::{audit_broadcast_cost, audit_broadcast_cost_observed, SettlementRecord};
 use lbmv::proto::chaos::ChaosConfig;
 use lbmv::proto::session::{run_chaos_session, ChaosSessionConfig, ChaosSessionReport};
-use lbmv::proto::{NodeSpec, Observers, ProtocolConfig};
+use lbmv::proto::{
+    run_round, NodeSpec, Observers, OnlineApplied, OnlineEvent, OnlineSession, ProtocolConfig,
+    RoundSpec, Transport,
+};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::telemetry::{
     from_jsonl, replay_spans, to_chrome_trace, to_jsonl, Json, MetricsRegistry, RingCollector,
-    TelemetryEvent, TRAILER_LEN,
+    Subsystem, TelemetryEvent, TRAILER_LEN,
 };
 use std::sync::Arc;
 
@@ -170,4 +175,86 @@ fn recording_a_session_does_not_change_its_outcome() {
             _ => panic!("settlement pattern diverged under observation"),
         }
     }
+}
+
+/// One round's recording keeps the protocol clock: it holds no simulator
+/// event, verification shows as one `verify` instant, and every span lies
+/// within its parent's `[start, end]`.
+fn assert_clock_discipline(label: &str, events: &[TelemetryEvent]) {
+    assert!(
+        events.iter().all(|e| e.cat != Subsystem::Sim),
+        "{label}: simulator event recorded"
+    );
+    let verify = events.iter().filter(|e| e.name == "verify").count();
+    assert_eq!(verify, 1, "{label}: one verify instant");
+    let spans = replay_spans(events).unwrap();
+    for span in &spans {
+        let Some(id) = span.parent else { continue };
+        let parent = spans
+            .iter()
+            .find(|p| p.id == id)
+            .unwrap_or_else(|| panic!("{label}: {} has an unrecorded parent", span.name));
+        assert!(
+            parent.start <= span.start && span.end <= parent.end,
+            "{label}: {} [{}, {}] escapes {} [{}, {}]",
+            span.name,
+            span.start,
+            span.end,
+            parent.name,
+            parent.start,
+            parent.end
+        );
+    }
+}
+
+#[test]
+fn every_driver_keeps_verification_off_the_span_clock() {
+    let mechanism = CompensationBonusMechanism::paper();
+    let specs = truthful_specs();
+    let record = |transport| {
+        let ring = Arc::new(RingCollector::new(65_536));
+        run_round(&RoundSpec {
+            transport,
+            observers: Observers {
+                collector: ring.clone(),
+                ..Observers::default()
+            },
+            ..RoundSpec::new(&mechanism, &specs, paper_config(3))
+        })
+        .unwrap();
+        assert_eq!(ring.overwritten(), 0);
+        ring.snapshot()
+    };
+    for (label, transport) in [
+        ("reliable", Transport::Reliable),
+        ("threads", Transport::Threads),
+        ("chaos", Transport::Chaos(ChaosConfig::heavy(7))),
+        (
+            "sharded k = 1",
+            Transport::Sharded {
+                shards: 1,
+                profiler: None,
+            },
+        ),
+        (
+            "sharded k = 4",
+            Transport::Sharded {
+                shards: 4,
+                profiler: None,
+            },
+        ),
+    ] {
+        assert_clock_discipline(label, &record(transport));
+    }
+
+    let ring = Arc::new(RingCollector::new(65_536));
+    let mut session = OnlineSession::new(&mechanism, paper_config(3))
+        .unwrap()
+        .with_collector(ring.clone());
+    for (machine, &spec) in specs.iter().enumerate() {
+        session.apply(OnlineEvent::Join { machine, spec }).unwrap();
+    }
+    let tick = session.apply(OnlineEvent::RoundTick).unwrap();
+    assert!(matches!(tick, OnlineApplied::Settled(_)));
+    assert_clock_discipline("online tick", &ring.snapshot());
 }
