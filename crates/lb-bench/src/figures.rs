@@ -805,10 +805,11 @@ pub fn percentiles_demo() -> Result<Table, MechanismError> {
             config.horizon,
             config.seed,
         );
-        let base =
-            lb_stats::rng::Xoshiro256StarStar::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-        for (i, trace) in traces.iter().enumerate() {
-            let mut rng = base.stream(i as u64);
+        let streams = lb_stats::rng::Xoshiro256StarStar::seed_from_u64(
+            config.seed ^ lb_sim::driver::RESPONSE_STREAM_SALT,
+        )
+        .streams(0);
+        for ((i, trace), mut rng) in traces.iter().enumerate().zip(streams) {
             let arrivals: Vec<f64> = trace.iter().map(|j| j.arrival).collect();
             let responses = config.model.responses(
                 &arrivals,

@@ -26,8 +26,8 @@ pub struct Oracle {
     pub run: fn(u64) -> Result<(), String>,
 }
 
-/// The ten differential oracles, in dependency order (pure kernels
-/// first).
+/// The eleven differential oracles, pure kernels first; later oracles are
+/// appended, so every name keeps its position.
 #[must_use]
 pub fn registry() -> &'static [Oracle] {
     const ORACLES: &[Oracle] = &[
@@ -83,6 +83,12 @@ pub fn registry() -> &'static [Oracle] {
             description:
                 "incremental harmonic sum / online session vs. from-scratch recompute after every churn event",
             run: oracles::online::check,
+        },
+        Oracle {
+            name: "sim",
+            description:
+                "partitioned verification kernel vs. one partition, bit for bit; invalid inputs are typed errors",
+            run: oracles::sim::check,
         },
     ];
     ORACLES
@@ -253,7 +259,8 @@ mod tests {
                 "shard",
                 "audit",
                 "prof",
-                "online"
+                "online",
+                "sim"
             ]
         );
     }

@@ -9,7 +9,7 @@
 //! oracle compares a production kernel against an independent reference
 //! that cannot share its bugs.
 //!
-//! The ten oracles (see [`harness::registry`]):
+//! The eleven oracles (see [`harness::registry`]):
 //!
 //! * `alloc` — the PR closed form ([Theorem 2.1]) vs. the KKT bisection
 //!   solver vs. a double-double reference, on spreads up to 10¹².
@@ -46,6 +46,13 @@
 //!   after a compensated re-sum), the first settle tick must pay out
 //!   bit-identically to a batch protocol round on the same population, and
 //!   the session's ledger, journal blocks and replay must all be exact.
+//! * `sim` — the verification kernel: a fleet simulated in random
+//!   contiguous partitions at their global stream offsets must reproduce
+//!   the one-partition observations and estimates bit for bit, across all
+//!   four service models, Poisson and bursty arrivals, warm-up, sample
+//!   caps and estimator noise; one corrupted input (actual value, rate,
+//!   mean response, length, horizon, bursty parameters, noise) must be a
+//!   typed error.
 //!
 //! Run from the workspace root:
 //!

@@ -15,6 +15,7 @@ pub mod prof;
 pub mod recovery;
 pub mod session;
 pub mod shard;
+pub mod sim;
 pub mod telemetry;
 
 /// Relative-error budget the numerical oracles enforce against the

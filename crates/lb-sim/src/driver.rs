@@ -5,6 +5,7 @@
 use crate::estimator::{EstimatorConfig, ExecValueEstimator};
 use crate::metrics::MachineObservation;
 use crate::server::ServiceModel;
+use crate::workload::{WorkloadModel, IDLE_RATE};
 use lb_core::{pr_allocate, Allocation, CoreError};
 use lb_mechanism::{run_mechanism, MechanismError, MechanismOutcome, Profile, VerifiedMechanism};
 use lb_stats::rng::Xoshiro256StarStar;
@@ -54,21 +55,30 @@ pub struct RoundReport {
     pub estimated_total_latency: f64,
 }
 
+/// Salt XORed into [`SimulationConfig::seed`] to key the response streams.
+///
+/// Machine `i`'s arrivals come from stream `i` of
+/// `Xoshiro256StarStar::seed_from_u64(seed)` and its service draws (then
+/// any estimator noise) from stream `i` of
+/// `Xoshiro256StarStar::seed_from_u64(seed ^ RESPONSE_STREAM_SALT)`; code
+/// that replays a round's responses derives the same streams.
+pub const RESPONSE_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Simulates one execution round: PR-allocate the bids, drive per-machine
 /// Poisson arrivals through the service model at the machines' *actual*
 /// execution values, observe completions, and estimate the execution values.
 ///
 /// # Errors
-/// Propagates validation errors from allocation (invalid bids/rate) or
-/// mismatched vector lengths.
+/// Propagates allocation errors (invalid bids or total rate), then
+/// rejects the inputs [`simulate_partition`] rejects, with the PR rates.
 pub fn simulate_round(
     bids: &[f64],
     actual_exec_values: &[f64],
     total_rate: f64,
     config: &SimulationConfig,
 ) -> Result<RoundReport, CoreError> {
-    validate(bids, actual_exec_values, bids.len(), config)?;
     let allocation = pr_allocate(bids, total_rate)?;
+    validate(bids, actual_exec_values, allocation.rates(), config)?;
     let part = simulate_machines(
         bids,
         actual_exec_values,
@@ -118,8 +128,12 @@ pub struct PartitionReport {
 /// and without it; with `None` the kernel reads no clock.
 ///
 /// # Errors
-/// Returns [`CoreError::LengthMismatch`] on arity mismatches and
-/// [`CoreError::InvalidRate`] for a non-positive horizon.
+/// Returns [`CoreError::LengthMismatch`] on arity mismatches,
+/// [`CoreError::InvalidRate`] for a non-positive horizon or a rate that is
+/// negative or not finite, and [`CoreError::InvalidParameter`] for an
+/// actual execution value that is not finite and positive, a mean
+/// response `t̃·x` that overflows or underflows on a machine with jobs,
+/// bursty parameters out of range or infinite estimator noise.
 pub fn simulate_partition(
     bids: &[f64],
     actual_exec_values: &[f64],
@@ -128,7 +142,7 @@ pub fn simulate_partition(
     stream_offset: u64,
     on_machine: Option<&mut dyn FnMut(u64, f64)>,
 ) -> Result<PartitionReport, CoreError> {
-    validate(bids, actual_exec_values, rates.len(), config)?;
+    validate(bids, actual_exec_values, rates, config)?;
     Ok(simulate_machines(
         bids,
         actual_exec_values,
@@ -139,15 +153,15 @@ pub fn simulate_partition(
     ))
 }
 
-/// Checks that the actual execution values and `rates_len` rates match the
-/// bids one for one, and that the horizon is positive and finite.
+/// Rejects the caller input the kernel's samplers would panic on (see
+/// [`simulate_partition`]'s errors).
 fn validate(
     bids: &[f64],
     actual_exec_values: &[f64],
-    rates_len: usize,
+    rates: &[f64],
     config: &SimulationConfig,
 ) -> Result<(), CoreError> {
-    if let Some(actual) = [actual_exec_values.len(), rates_len]
+    if let Some(actual) = [actual_exec_values.len(), rates.len()]
         .into_iter()
         .find(|&len| len != bids.len())
     {
@@ -159,12 +173,52 @@ fn validate(
     if !(config.horizon.is_finite() && config.horizon > 0.0) {
         return Err(CoreError::InvalidRate(config.horizon));
     }
+    let invalid = |name, value| Err(CoreError::InvalidParameter { name, value });
+    if let Some(&value) = actual_exec_values
+        .iter()
+        .find(|v| !(v.is_finite() && **v > 0.0))
+    {
+        return invalid("actual exec value", value);
+    }
+    if let Some(&rate) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
+        return Err(CoreError::InvalidRate(rate));
+    }
+    if let Some(mean) = actual_exec_values
+        .iter()
+        .zip(rates)
+        .filter(|&(_, &rate)| rate > IDLE_RATE)
+        .map(|(&actual, &rate)| actual * rate)
+        .find(|mean| !mean.is_normal())
+    {
+        return invalid("mean response", mean);
+    }
+    if let WorkloadModel::Bursty {
+        burstiness,
+        dwell_means,
+    } = config.workload
+    {
+        if !(burstiness.is_finite() && burstiness > 1.0) {
+            return invalid("burstiness", burstiness);
+        }
+        if let Some(&d) = dwell_means.iter().find(|d| !(d.is_finite() && **d > 0.0)) {
+            return invalid("dwell mean", d);
+        }
+    }
+    if config.estimator.noise_cv.is_infinite() {
+        return invalid("noise cv", config.estimator.noise_cv);
+    }
     Ok(())
 }
 
 /// The per-machine execution kernel: generate arrivals, drive the service
-/// model, estimate execution values. Lengths and horizon are validated by
-/// the callers.
+/// model, estimate execution values. [`validate`] has accepted the inputs.
+///
+/// Each machine takes its trace stream and its response stream in lock
+/// step, fills the one arrivals buffer, then draws *all* its responses
+/// into the one responses buffer before any estimator noise (noise shares
+/// the response stream, so this order is part of the output). The two
+/// buffers are reused across machines: an idle machine still advances both
+/// streams but touches no heap.
 fn simulate_machines(
     bids: &[f64],
     actual_exec_values: &[f64],
@@ -173,33 +227,31 @@ fn simulate_machines(
     stream_offset: u64,
     mut on_machine: Option<&mut dyn FnMut(u64, f64)>,
 ) -> PartitionReport {
-    let traces = crate::workload::per_machine_traces_offset(
-        rates,
-        config.horizon,
-        config.seed,
-        config.workload,
-        stream_offset,
-    );
-
-    let base = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-    // One jump per machine (bit-identical to `base.stream(stream)`): indexed
-    // derivation costs O(machine index) jumps and turns the verification
-    // phase quadratic at datacenter scale.
-    let mut streams = base.streams(stream_offset);
+    // One jump per machine and stream (bit-identical to `stream(global
+    // index)`): indexed derivation turns the phase quadratic at scale.
+    let trace_streams = Xoshiro256StarStar::seed_from_u64(config.seed).streams(stream_offset);
+    let response_streams = Xoshiro256StarStar::seed_from_u64(config.seed ^ RESPONSE_STREAM_SALT)
+        .streams(stream_offset);
+    let mut arrivals = Vec::new();
+    let mut responses = Vec::new();
     let mut observations = Vec::with_capacity(bids.len());
     let mut estimated = Vec::with_capacity(bids.len());
     let mut total_latency = 0.0;
 
-    for (i, trace) in traces.iter().enumerate() {
+    let machines = rates.iter().zip(trace_streams.zip(response_streams));
+    for (i, (&rate, (trace_rng, mut rng))) in machines.enumerate() {
         let started = on_machine.as_ref().map(|_| std::time::Instant::now());
         let stream = stream_offset + i as u64;
-        let machine = usize::try_from(stream).unwrap_or(usize::MAX);
-        let rate = rates[i];
-        let mut rng = streams.next().expect("streams is infinite");
-        let arrivals: Vec<f64> = trace.iter().map(|j| j.arrival).collect();
-        let responses = config
-            .model
-            .responses(&arrivals, actual_exec_values[i], rate, &mut rng);
+        config
+            .workload
+            .arrivals_into(rate, config.horizon, trace_rng, &mut arrivals);
+        config.model.responses_into(
+            &arrivals,
+            actual_exec_values[i],
+            rate,
+            &mut rng,
+            &mut responses,
+        );
 
         let mut estimator = ExecValueEstimator::new(config.estimator);
         let mut stats = lb_stats::online::OnlineStats::new();
@@ -212,7 +264,7 @@ fn simulate_machines(
         }
         let estimate = estimator.estimate(rate);
         let obs = MachineObservation {
-            machine,
+            machine: usize::try_from(stream).unwrap_or(usize::MAX),
             assigned_rate: rate,
             jobs_arrived: arrivals.len() as u64,
             response: stats,
@@ -437,14 +489,227 @@ mod tests {
         }
     }
 
+    /// Folds a partition's outputs into one word: every estimate, and per
+    /// machine its index, rate, arrival count, raw response statistics and
+    /// estimate, plus the latency total.
+    fn digest(h: u64, p: &PartitionReport) -> u64 {
+        fn mix(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        let mut words = p
+            .estimated_exec_values
+            .iter()
+            .map(|e| e.to_bits())
+            .collect::<Vec<_>>();
+        for o in &p.observations {
+            let (count, mean, m2, min, max, sum) = o.response.parts();
+            words.extend([
+                o.machine as u64,
+                o.assigned_rate.to_bits(),
+                o.jobs_arrived,
+                count,
+            ]);
+            words.extend([mean, m2, min, max, sum].map(f64::to_bits));
+            words.push(o.estimated_exec.map_or(u64::MAX, f64::to_bits));
+        }
+        words.push(p.estimated_total_latency.to_bits());
+        words.into_iter().fold(h, |h, w| mix(h ^ w))
+    }
+
+    #[test]
+    fn golden_simulator_digests() {
+        // Pins the kernel's outputs to fixed values, not to another path:
+        // every model, both workloads, estimator noise, warm-up and sample
+        // caps, through the round and through explicit-rate partitions with
+        // idle machines at stream offset 0 and at a non-zero offset.
+        use crate::workload::WorkloadModel;
+        use lb_stats::rng::{Rng, SplitMix64};
+        const N: usize = 1024;
+        const OFFSET: usize = 517;
+        let mut g = SplitMix64::new(0x601d);
+        let mut log_uniform = |lo: f64, hi: f64| 10f64.powf(lo + (hi - lo) * g.next_f64());
+        let bids: Vec<f64> = (0..N).map(|_| log_uniform(0.0, 2.0)).collect();
+        let actual: Vec<f64> = bids
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| if i % 9 == 0 { 2.0 * b } else { b })
+            .collect();
+        let rates: Vec<f64> = (0..N)
+            .map(|i| match (i % 5, i % 13) {
+                (0, _) => 0.0,
+                (_, 0) => 1e-13,
+                _ => log_uniform(-1.0, 0.5),
+            })
+            .collect();
+        let models = [
+            ServiceModel::StationaryExponential,
+            ServiceModel::StationaryDeterministic,
+            ServiceModel::Mm1Queue,
+            ServiceModel::PsQueue,
+        ];
+        let workloads = [
+            WorkloadModel::Poisson,
+            WorkloadModel::Bursty {
+                burstiness: 5.0,
+                dwell_means: [3.0, 1.0],
+            },
+        ];
+        let plain = (0.0, EstimatorConfig::default());
+        let knobs = (
+            1.0,
+            EstimatorConfig {
+                max_samples: Some(3),
+                noise_cv: 0.25,
+            },
+        );
+        let mut got = Vec::new();
+        for (m, &model) in models.iter().enumerate() {
+            for (w, &workload) in workloads.iter().enumerate() {
+                for (k, &(warmup, estimator)) in [plain, knobs].iter().enumerate() {
+                    let config = SimulationConfig {
+                        horizon: 6.0,
+                        seed: 0xd1ce + (m * 4 + w * 2 + k) as u64,
+                        model,
+                        workload,
+                        warmup,
+                        estimator,
+                    };
+                    let round = simulate_round(&bids, &actual, N as f64, &config).unwrap();
+                    let round = PartitionReport {
+                        observations: round.observations,
+                        estimated_exec_values: round.estimated_exec_values,
+                        estimated_total_latency: round.estimated_total_latency,
+                    };
+                    let whole =
+                        simulate_partition(&bids, &actual, &rates, &config, 0, None).unwrap();
+                    let tail = simulate_partition(
+                        &bids[OFFSET..],
+                        &actual[OFFSET..],
+                        &rates[OFFSET..],
+                        &config,
+                        OFFSET as u64,
+                        None,
+                    )
+                    .unwrap();
+                    let parts = [round, whole, tail];
+                    for p in &parts {
+                        assert!(p.observations.iter().any(|o| o.response.count() > 1));
+                    }
+                    got.push(parts.iter().fold(0, digest));
+                }
+            }
+        }
+        // Computed before the stream table and the reused buffers landed.
+        let expected: [u64; 16] = [
+            0x2848_526c_6801_3d6c,
+            0xf9c2_0e9a_1bd4_76da,
+            0xa50d_406a_ac38_990d,
+            0x6b1d_cf6d_fa1f_56bc,
+            0xfd86_32b3_0f86_ced5,
+            0xe9fc_6682_c526_e52c,
+            0xfbe6_d33f_4cc4_870c,
+            0xf474_1c12_42f4_0c80,
+            0x084c_aa57_87f4_0d32,
+            0x950d_2647_c25a_8f9b,
+            0x8f35_df27_8387_d0ed,
+            0x7808_867b_e42f_cfc4,
+            0xfcf4_98bc_0896_78a3,
+            0xdd10_bf87_dbeb_2e9d,
+            0x5f95_d724_39bf_326d,
+            0x414f_720f_ecc9_d5a8,
+        ];
+        for (case, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(*g, *e, "case {case}: digest {g:#018x}, expected {e:#018x}");
+        }
+    }
+
     #[test]
     fn partition_arity_mismatches_are_rejected() {
         let cfg = deterministic_config();
         assert!(simulate_partition(&[1.0, 2.0], &[1.0], &[0.5, 0.5], &cfg, 0, None).is_err());
         assert!(simulate_partition(&[1.0, 2.0], &[1.0, 2.0], &[0.5], &cfg, 0, None).is_err());
+        assert!(matches!(
+            simulate_partition(&[1.0], &[1.0], &[], &cfg, 0, None),
+            Err(CoreError::LengthMismatch {
+                expected: 1,
+                actual: 0
+            })
+        ));
         let mut bad = cfg;
         bad.horizon = -1.0;
         assert!(simulate_partition(&[1.0], &[1.0], &[0.5], &bad, 0, None).is_err());
+    }
+
+    /// One machine through `simulate_partition` with the given actual
+    /// value and rate: the shape of each input that used to panic.
+    fn one_machine(actual: f64, rate: f64) -> Result<PartitionReport, CoreError> {
+        simulate_partition(&[1.0], &[actual], &[rate], &deterministic_config(), 0, None)
+    }
+
+    #[test]
+    fn zero_actual_value_on_an_idle_machine_is_a_typed_error() {
+        assert!(matches!(
+            one_machine(0.0, 0.0),
+            Err(CoreError::InvalidParameter {
+                name: "actual exec value",
+                value: 0.0
+            })
+        ));
+    }
+
+    #[test]
+    fn nan_actual_value_is_a_typed_error() {
+        assert!(matches!(
+            one_machine(f64::NAN, 0.5),
+            Err(CoreError::InvalidParameter { name: "actual exec value", value }) if value.is_nan()
+        ));
+    }
+
+    #[test]
+    fn nan_rate_is_a_typed_error() {
+        assert!(matches!(
+            one_machine(1.0, f64::NAN),
+            Err(CoreError::InvalidRate(r)) if r.is_nan()
+        ));
+    }
+
+    #[test]
+    fn negative_rate_is_a_typed_error() {
+        assert!(matches!(
+            one_machine(1.0, -1.0),
+            Err(CoreError::InvalidRate(r)) if r == -1.0
+        ));
+    }
+
+    #[test]
+    fn mean_response_overflow_and_underflow_are_typed_errors() {
+        for (actual, rate) in [(1e300, 1e10), (1e-300, 1e-11)] {
+            assert!(matches!(
+                one_machine(actual, rate),
+                Err(CoreError::InvalidParameter {
+                    name: "mean response",
+                    ..
+                })
+            ));
+        }
+        // An idle machine draws no response, so its product is not checked.
+        assert!(one_machine(1e-300, 1e-13).is_ok());
+    }
+
+    #[test]
+    fn round_rejects_a_non_positive_actual_value() {
+        let trues = paper_true_values();
+        let mut actual = trues.clone();
+        actual[4] = -2.0;
+        assert!(matches!(
+            simulate_round(&trues, &actual, PAPER_ARRIVAL_RATE, &deterministic_config()),
+            Err(CoreError::InvalidParameter {
+                name: "actual exec value",
+                value: -2.0
+            })
+        ));
     }
 
     #[test]

@@ -56,6 +56,26 @@ impl ServiceModel {
         assigned_rate: f64,
         rng: &mut Xoshiro256StarStar,
     ) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.responses_into(arrivals, exec_value, assigned_rate, rng, &mut out);
+        out
+    }
+
+    /// [`Self::responses`] into a caller-owned buffer: replaces the contents
+    /// of `out` with one response per arrival. The stationary models touch
+    /// no heap once `out` has grown to the largest machine's job count; the
+    /// two queue models still build their own job records.
+    ///
+    /// # Panics
+    /// Panics on invalid parameters (negative rate, non-positive exec value).
+    pub(crate) fn responses_into(
+        self,
+        arrivals: &[f64],
+        exec_value: f64,
+        assigned_rate: f64,
+        rng: &mut Xoshiro256StarStar,
+        out: &mut Vec<f64>,
+    ) {
         assert!(
             exec_value.is_finite() && exec_value > 0.0,
             "ServiceModel: invalid exec value"
@@ -64,21 +84,22 @@ impl ServiceModel {
             assigned_rate.is_finite() && assigned_rate >= 0.0,
             "ServiceModel: invalid rate"
         );
+        out.clear();
         if arrivals.is_empty() || assigned_rate <= 0.0 {
-            return Vec::new();
+            return;
         }
         let mean_response = exec_value * assigned_rate;
         match self {
             Self::StationaryExponential => {
                 let d = Exponential::with_mean(mean_response);
-                arrivals.iter().map(|_| sample(&d, rng)).collect()
+                out.extend(arrivals.iter().map(|_| sample(&d, rng)));
             }
-            Self::StationaryDeterministic => arrivals.iter().map(|_| mean_response).collect(),
+            Self::StationaryDeterministic => out.resize(arrivals.len(), mean_response),
             Self::Mm1Queue => {
                 // Calibrate mu so the stationary mean response equals t̃·x.
                 let mu = assigned_rate + 1.0 / mean_response;
                 let recs: Vec<JobRecord> = simulate_fcfs(arrivals, &Exponential::new(mu), rng);
-                recs.iter().map(JobRecord::response).collect()
+                out.extend(recs.iter().map(JobRecord::response));
             }
             Self::PsQueue => {
                 // M/M/1-PS shares the FCFS mean response 1/(mu - x): same
@@ -86,10 +107,11 @@ impl ServiceModel {
                 let mu = assigned_rate + 1.0 / mean_response;
                 let svc = Exponential::new(mu);
                 let reqs: Vec<f64> = arrivals.iter().map(|_| sample(&svc, rng)).collect();
-                crate::queue::simulate_ps(arrivals, &reqs)
-                    .iter()
-                    .map(JobRecord::response)
-                    .collect()
+                out.extend(
+                    crate::queue::simulate_ps(arrivals, &reqs)
+                        .iter()
+                        .map(JobRecord::response),
+                );
             }
         }
     }

@@ -47,16 +47,20 @@ impl PoissonProcess {
     /// Generates all arrival times up to `horizon`.
     pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
         let mut out = Vec::with_capacity((self.rate() * horizon).ceil().max(1.0) as usize);
-        loop {
-            let t = self.next_arrival();
-            if t > horizon {
-                // Leave `now` past the horizon; subsequent calls continue the
-                // same process.
-                break;
-            }
-            out.push(t);
-        }
+        push_until(|| self.next_arrival(), horizon, &mut out);
         out
+    }
+}
+
+/// Appends `next()` arrivals to `out` until one lands past `horizon`. The
+/// process is left past the horizon, so a later call continues it.
+fn push_until(mut next: impl FnMut() -> f64, horizon: f64, out: &mut Vec<f64>) {
+    loop {
+        let t = next();
+        if t > horizon {
+            break;
+        }
+        out.push(t);
     }
 }
 
@@ -136,13 +140,7 @@ impl MmppProcess {
     /// Generates all arrival times up to `horizon`.
     pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
         let mut out = Vec::new();
-        loop {
-            let t = self.next_arrival();
-            if t > horizon {
-                break;
-            }
-            out.push(t);
-        }
+        push_until(|| self.next_arrival(), horizon, &mut out);
         out
     }
 }
@@ -174,10 +172,33 @@ pub enum WorkloadModel {
     },
 }
 
+/// A machine whose rate is at most this is idle: it receives no jobs.
+pub(crate) const IDLE_RATE: f64 = 1e-12;
+
 impl WorkloadModel {
-    fn arrivals(self, rate: f64, horizon: f64, rng: Xoshiro256StarStar) -> Vec<f64> {
+    /// Replaces the contents of `out` with one machine's arrival times up to
+    /// `horizon` at long-run rate `rate`, drawn from its trace stream `rng`.
+    /// An idle machine (rate ≤ 10⁻¹²) gets none and leaves `out` empty.
+    ///
+    /// # Panics
+    /// Panics if `rate` is non-finite, or if a `Bursty` model's burstiness
+    /// is not above 1 or a dwell mean is not finite and positive.
+    pub(crate) fn arrivals_into(
+        self,
+        rate: f64,
+        horizon: f64,
+        rng: Xoshiro256StarStar,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        if rate <= IDLE_RATE {
+            return;
+        }
         match self {
-            Self::Poisson => PoissonProcess::new(rate, rng).arrivals_until(horizon),
+            Self::Poisson => {
+                let mut p = PoissonProcess::new(rate, rng);
+                push_until(|| p.next_arrival(), horizon, out);
+            }
             Self::Bursty {
                 burstiness,
                 dwell_means,
@@ -190,8 +211,8 @@ impl WorkloadModel {
                 // r_calm·d0 + b·r_calm·d1 = rate·(d0+d1).
                 let [d0, d1] = dwell_means;
                 let r_calm = rate * (d0 + d1) / (d0 + burstiness * d1);
-                MmppProcess::new([r_calm, burstiness * r_calm], dwell_means, rng)
-                    .arrivals_until(horizon)
+                let mut p = MmppProcess::new([r_calm, burstiness * r_calm], dwell_means, rng);
+                push_until(|| p.next_arrival(), horizon, out);
             }
         }
     }
@@ -222,7 +243,9 @@ pub fn per_machine_traces_with(
 /// seed, so partitioning a round across shard coordinators and concatenating
 /// the traces reproduces the single-coordinator traces arrival-for-arrival
 /// (job *ids* are numbered per call, but nothing downstream consumes them —
-/// observations and estimates depend only on arrival times).
+/// observations and estimates depend only on arrival times). The
+/// verification kernel ([`crate::driver::simulate_partition`]) draws the
+/// same arrivals from the same streams without materialising the traces.
 ///
 /// # Panics
 /// Panics if `horizon` is not positive or any rate is negative/non-finite.
@@ -238,32 +261,25 @@ pub fn per_machine_traces_offset(
         horizon.is_finite() && horizon > 0.0,
         "per_machine_traces: invalid horizon"
     );
-    let base = Xoshiro256StarStar::seed_from_u64(seed);
-    // Incremental stream derivation: one jump per machine instead of
-    // O(machine index) jumps, which is what keeps trace generation O(n)
-    // at n = 10⁶ machines. Bit-identical to `base.stream(offset + i)`.
-    let mut streams = base.streams(offset);
+    // Streams are positional: idle machines still consume theirs.
+    let streams = Xoshiro256StarStar::seed_from_u64(seed).streams(offset);
+    let first = usize::try_from(offset).unwrap_or(usize::MAX);
+    let mut arrivals = Vec::new();
     let mut next_id = 0u64;
     rates
         .iter()
+        .zip(streams)
         .enumerate()
-        .map(|(i, &rate)| {
+        .map(|(i, (&rate, stream_rng))| {
             assert!(
                 rate.is_finite() && rate >= 0.0,
                 "per_machine_traces: invalid rate {rate}"
             );
-            // Streams are positional: idle machines still consume theirs.
-            let stream_rng = streams.next().expect("streams is infinite");
-            if rate <= 1e-12 {
-                return Vec::new();
-            }
-            let machine = usize::try_from(offset)
-                .unwrap_or(usize::MAX)
-                .saturating_add(i);
-            model
-                .arrivals(rate, horizon, stream_rng)
-                .into_iter()
-                .map(|arrival| {
+            model.arrivals_into(rate, horizon, stream_rng, &mut arrivals);
+            let machine = first.saturating_add(i);
+            arrivals
+                .iter()
+                .map(|&arrival| {
                     let id = next_id;
                     next_id += 1;
                     Job {
