@@ -2,7 +2,8 @@
 //!
 //! The deployed settle path computes payments through
 //! `lb_mechanism::CompensationBonusMechanism`, whose bonus terms come from
-//! the `lb_core::LeaveOneOut` batch kernel. This module re-derives the same
+//! `lb_core::allocation::latency_excluding_dd`, one harmonic-sum residual
+//! per machine. This module re-derives the same
 //! payments *independently*, carrying every intermediate in [`TwoF64`]
 //! double-double arithmetic:
 //!

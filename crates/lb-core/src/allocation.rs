@@ -123,6 +123,20 @@ pub fn validate_rate(r: f64) -> Result<(), CoreError> {
     }
 }
 
+/// Validates a harmonic sum `s = Σ 1/t_j` that a leave-one-out pass divides by.
+///
+/// # Errors
+/// Returns [`CoreError::NumericalOverflow`] unless `s` is finite and positive.
+pub fn validate_inv_sum(s: TwoF64) -> Result<(), CoreError> {
+    if s.hi.is_finite() && s.hi > 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::NumericalOverflow {
+            what: "sum of inverse latency coefficients",
+        })
+    }
+}
+
 /// The paper's **PR algorithm** (Sec. 2): allocate the total rate `r` in
 /// proportion to the processing rates `1/values[i]`.
 ///
@@ -245,21 +259,31 @@ pub fn optimal_latency_linear(values: &[f64], r: f64) -> Result<f64, CoreError> 
 /// most one machine can dominate at a time, so the kernel stays O(n).
 const LOO_RESIDUAL_GUARD: f64 = 1e-18;
 
-/// `S − 1/values[i]` at double-double precision, with the dominant-machine
-/// fallback re-summing the surviving reciprocals directly.
-fn loo_residual(s: TwoF64, values: &[f64], i: usize) -> TwoF64 {
+/// `L_{-i} = r² / (S − 1/values[i])` at double-double precision: the one
+/// per-machine term of [`LeaveOneOut`], [`optimal_latency_excluding`] and
+/// the mechanism's payment loop. When machine `i` dominates `S` the residual
+/// is re-summed from the other reciprocals instead of subtracted. `values`
+/// must be validated and `s` must pass [`validate_inv_sum`]; the caller
+/// checks that the result is finite.
+///
+/// # Panics
+/// Panics if `i` is out of bounds.
+#[inline]
+#[must_use]
+pub fn latency_excluding_dd(values: &[f64], i: usize, r: f64, s: TwoF64) -> TwoF64 {
     let diff = s - TwoF64::recip(values[i]);
-    if diff.hi > LOO_RESIDUAL_GUARD * s.hi {
+    let s_minus = if diff.hi > LOO_RESIDUAL_GUARD * s.hi {
         diff
     } else {
-        // Machine `i` contributes essentially all of `S`: rebuild the
-        // residual exactly from the other reciprocals (cancellation-free).
+        // Cancellation-free rebuild from the surviving reciprocals.
         values
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != i)
             .fold(TwoF64::ZERO, |acc, (_, &t)| acc + TwoF64::recip(t))
-    }
+    };
+    // `(r/S₋ᵢ)·r` delays overflow like `r·(r/S)`.
+    (TwoF64::from_f64(r) / s_minus).mul_f64(r)
 }
 
 /// All leave-one-out optima of Theorem 2.1 in **one O(n) pass**.
@@ -339,11 +363,7 @@ impl LeaveOneOut {
             return Err(CoreError::EmptySystem);
         }
         validate_rate(r)?;
-        if !s.hi.is_finite() || s.hi <= 0.0 {
-            return Err(CoreError::NumericalOverflow {
-                what: "sum of inverse latency coefficients",
-            });
-        }
+        validate_inv_sum(s)?;
         // `(r/S)·r` delays overflow exactly like the legacy
         // `optimal_latency_linear` ordering `r · (r / inv_sum)`.
         let optimal = (TwoF64::from_f64(r) / s).mul_f64(r).value();
@@ -355,8 +375,7 @@ impl LeaveOneOut {
         let mut excluding = Vec::with_capacity(values.len());
         let mut marginals = Vec::with_capacity(values.len());
         for (i, &t) in values.iter().enumerate() {
-            let s_minus = loo_residual(s, values, i);
-            let l_minus_dd = (TwoF64::from_f64(r) / s_minus).mul_f64(r);
+            let l_minus_dd = latency_excluding_dd(values, i, r, s);
             let l_minus = l_minus_dd.value();
             // Cancellation-free closed form: share_i = (1/t_i)/S ∈ (0, 1],
             // then marginal = L_{-i} · share_i — no subtraction of
@@ -413,31 +432,16 @@ impl LeaveOneOut {
     pub fn marginals(&self) -> &[f64] {
         &self.marginals
     }
-
-    /// Number of machines covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.excluding.len()
-    }
-
-    /// Whether the batch covers zero machines (never true for a constructed
-    /// value — `compute` requires two machines — but keeps clippy's
-    /// `len_without_is_empty` contract honest).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.excluding.is_empty()
-    }
 }
 
 /// Optimal total latency when machine `exclude` is removed from the system —
 /// the `L_{-i}` term of the paper's bonus (Def. 3.3).
 ///
-/// A thin delegating shim over the [`LeaveOneOut`] batch kernel's single-
-/// index path: `L_{-i} = R²/(S − 1/t_i)` with the subtraction done in
-/// double-double, and **no per-call allocation** (the old implementation
-/// cloned the surviving values into a fresh `Vec` on every call). Callers
-/// that need `L_{-i}` for *all* machines should use [`LeaveOneOut::compute`]
-/// — one batch call is O(n), n shim calls are O(n²).
+/// A checked shim over [`latency_excluding_dd`], the batch kernel's
+/// per-machine term: `L_{-i} = R²/(S − 1/t_i)` with the subtraction done in
+/// double-double and no allocation. Callers that need `L_{-i}` for *all*
+/// machines should use [`LeaveOneOut::compute`] — one batch call is O(n),
+/// n shim calls are O(n²).
 ///
 /// # Errors
 /// Returns [`CoreError::EmptySystem`] when fewer than two machines exist
@@ -456,13 +460,8 @@ pub fn optimal_latency_excluding(values: &[f64], exclude: usize, r: f64) -> Resu
     validate_values("latency coefficient", values)?;
     validate_rate(r)?;
     let s = inv_sum_dd(values);
-    if !s.hi.is_finite() || s.hi <= 0.0 {
-        return Err(CoreError::NumericalOverflow {
-            what: "sum of inverse latency coefficients",
-        });
-    }
-    let s_minus = loo_residual(s, values, exclude);
-    let latency = (TwoF64::from_f64(r) / s_minus).mul_f64(r).value();
+    validate_inv_sum(s)?;
+    let latency = latency_excluding_dd(values, exclude, r, s).value();
     if latency.is_finite() {
         Ok(latency)
     } else {
@@ -637,8 +636,7 @@ mod tests {
         let values = [1.0, 2.0, 4.0];
         let r = 10.0;
         let loo = LeaveOneOut::compute(&values, r).unwrap();
-        assert_eq!(loo.len(), 3);
-        assert!(!loo.is_empty());
+        assert_eq!(loo.all_excluding().len(), 3);
         // S = 1.75 ⇒ L* = 100/1.75; S_{-0} = 0.75 ⇒ L_{-0} = 100/0.75.
         assert!((loo.optimal_latency() - 100.0 / 1.75).abs() < 1e-9);
         assert!((loo.excluding(0) - 100.0 / 0.75).abs() < 1e-9);

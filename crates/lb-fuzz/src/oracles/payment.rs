@@ -17,16 +17,23 @@
 //! plus compensated f64 re-sum) and the brute-force double-double reference —
 //! plus the production cancellation-free marginal closed form against the
 //! dd subtractive marginal.
+//!
+//! The settle entry points must also agree **bit for bit**: `payments`,
+//! `payments_with_sum` against the merged sums of 1–4 random cut points,
+//! `run_mechanism(..).payments` and `payment_breakdown(..).total()`, and
+//! each batch `L_{-i}` with the single-index `optimal_latency_excluding`.
 
 use crate::extended::{
     marginal_contribution_dd, optimal_latency_excluding_dd, total_latency_dd, TwoF64,
 };
 use crate::generate::{arrival_rate, latency_values, rng_for, spread_half_width};
 use crate::oracles::REL_TOL;
-use lb_core::allocation::optimal_latency_excluding_legacy;
-use lb_core::LeaveOneOut;
+use lb_core::allocation::{optimal_latency_excluding, optimal_latency_excluding_legacy};
+use lb_core::{inv_sum_dd, merge_inv_sums, LeaveOneOut};
 use lb_mechanism::traits::ValuationModel;
-use lb_mechanism::CompensationBonusMechanism;
+use lb_mechanism::{
+    run_mechanism, CompensationBonusMechanism, PaymentBreakdown, Profile, VerifiedMechanism,
+};
 use lb_stats::Rng;
 
 /// Runs one payment-oracle iteration.
@@ -100,12 +107,55 @@ pub fn check(seed: u64) -> Result<(), String> {
         }
     }
 
+    // Every settle entry point pays the same bits.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let totals: Vec<f64> = breakdown.iter().map(PaymentBreakdown::total).collect();
+    let plain = mech
+        .payments(&bids, &alloc, &exec_values, r)
+        .map_err(|e| format!("payments failed on valid profile: {e}"))?;
+    let profile = Profile::new(true_values, bids.clone(), exec_values.clone(), r)
+        .map_err(|e| format!("profile rejected: {e}"))?;
+    let round = run_mechanism(&mech, &profile)
+        .map_err(|e| format!("run_mechanism failed on valid profile: {e}"))?;
+    #[allow(clippy::cast_possible_truncation)]
+    let mut cuts: Vec<usize> = (0..=rng.next_below(4))
+        .map(|_| rng.next_below(n as u64 + 1) as usize)
+        .collect();
+    cuts.sort_unstable();
+    let mut partials = Vec::with_capacity(cuts.len() + 1);
+    let mut start = 0;
+    for &cut in cuts.iter().chain([&n]) {
+        partials.push(inv_sum_dd(&bids[start..cut]));
+        start = cut;
+    }
+    let merged = mech
+        .payments_with_sum(&bids, &alloc, &exec_values, r, merge_inv_sums(&partials))
+        .map_err(|e| format!("payments_with_sum failed on valid profile: {e}"))?;
+    for (name, got) in [
+        ("payments", &plain),
+        ("run_mechanism", &round.payments),
+        ("payments_with_sum", &merged),
+    ] {
+        if bits(got) != bits(&totals) {
+            return Err(format!(
+                "{name} {got:?} vs payment_breakdown totals {totals:?} (cuts {cuts:?})"
+            ));
+        }
+    }
+
     // Three-way leave-one-out cross-check: batch vs legacy vs dd, plus the
     // cancellation-free marginal closed form vs the dd subtractive marginal.
     let loo = LeaveOneOut::compute(&bids, r)
         .map_err(|e| format!("LeaveOneOut failed on valid profile: {e}"))?;
     for i in 0..bids.len() {
         let batch = loo.excluding(i);
+        let single = optimal_latency_excluding(&bids, i, r)
+            .map_err(|e| format!("L_-[{i}] failed on valid profile: {e}"))?;
+        if batch.to_bits() != single.to_bits() {
+            return Err(format!(
+                "L_-[{i}] batch {batch:e} vs single-index {single:e}"
+            ));
+        }
         let legacy = optimal_latency_excluding_legacy(&bids, i, r)
             .map_err(|e| format!("legacy L_-[{i}] failed on valid profile: {e}"))?;
         let dd = optimal_latency_excluding_dd(&bids, i, r);

@@ -24,13 +24,11 @@
 //! negative utility. The property checkers in [`crate::properties`] encode
 //! this precondition explicitly.
 
-use crate::error::MechanismError;
+use crate::error::{check_arity, finite, MechanismError};
 use crate::traits::{ValuationModel, VerifiedMechanism};
-use lb_core::allocation::{validate_rate, LeaveOneOut};
+use lb_core::allocation::{latency_excluding_dd, validate_inv_sum, validate_rate};
 use lb_core::machine::validate_values;
-use lb_core::{
-    inv_sum_dd, pr_allocate, pr_allocate_with_sum, total_latency_linear, Allocation, TwoF64,
-};
+use lb_core::{inv_sum_dd, pr_allocate_with_sum, total_latency_linear, Allocation, TwoF64};
 
 /// The load balancing mechanism with verification of Grosu & Chronopoulos.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,11 +76,8 @@ impl CompensationBonusMechanism {
     /// Bids, execution values and the rate are validated at entry — a
     /// degenerate input (subnormal bid, non-finite rate) answers with a
     /// typed error here instead of NaN-poisoning `1/b_i` and every `L_{-i}`
-    /// bonus term downstream.
-    ///
-    /// All `n` bonus terms share one [`LeaveOneOut`] batch call, so a full
-    /// settle phase is O(n) — the pre-batch path rebuilt the bid vector for
-    /// every agent, O(n²) time and allocations.
+    /// bonus term downstream. All `n` bonus terms share one harmonic sum
+    /// `S = Σ 1/b_j`, so a full settle phase is O(n).
     ///
     /// # Errors
     /// Returns [`MechanismError::NeedTwoAgents`] for singleton systems
@@ -94,22 +89,16 @@ impl CompensationBonusMechanism {
         exec_values: &[f64],
         total_rate: f64,
     ) -> Result<Vec<PaymentBreakdown>, MechanismError> {
-        if bids.len() < 2 {
-            return Err(MechanismError::NeedTwoAgents);
-        }
-        validate_values("bid", bids)?;
         self.payment_breakdown_with_sum(bids, allocation, exec_values, total_rate, inv_sum_dd(bids))
     }
 
     /// [`CompensationBonusMechanism::payment_breakdown`] against a
-    /// pre-aggregated double-double harmonic sum `s = Σ 1/b_j` (merged from
-    /// per-shard partials by the hierarchical coordinator). The bonus terms
-    /// consume `s` through [`LeaveOneOut::compute_with_sum`], so sharded and
-    /// single-coordinator settles run bit-identical arithmetic.
+    /// pre-aggregated double-double harmonic sum `s = Σ 1/b_j`. It shares
+    /// the per-machine term of [`VerifiedMechanism::payments_with_sum`], so
+    /// the components add up to the payment bit for bit.
     ///
     /// # Errors
-    /// Returns [`MechanismError::NeedTwoAgents`] for singleton systems
-    /// (the `L_{-i}` term is undefined), or arity/validation errors.
+    /// Same contract as [`CompensationBonusMechanism::payment_breakdown`].
     pub fn payment_breakdown_with_sum(
         &self,
         bids: &[f64],
@@ -118,37 +107,46 @@ impl CompensationBonusMechanism {
         total_rate: f64,
         s: TwoF64,
     ) -> Result<Vec<PaymentBreakdown>, MechanismError> {
+        let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
+        (0..bids.len()).map(term).collect()
+    }
+
+    /// Validates one settle's inputs and computes the realised latency `L`
+    /// once; returns machine `i`'s compensation and bonus `L_{-i} − L` as a
+    /// function of `i`, with no per-machine vector.
+    fn terms<'a>(
+        &self,
+        bids: &'a [f64],
+        allocation: &'a Allocation,
+        exec_values: &'a [f64],
+        total_rate: f64,
+        s: TwoF64,
+    ) -> Result<impl Fn(usize) -> Result<PaymentBreakdown, MechanismError> + 'a, MechanismError>
+    {
         if bids.len() < 2 {
             return Err(MechanismError::NeedTwoAgents);
         }
         validate_values("bid", bids)?;
         validate_values("execution value", exec_values)?;
         validate_rate(total_rate)?;
-        if allocation.len() != bids.len() || exec_values.len() != bids.len() {
-            return Err(lb_core::CoreError::LengthMismatch {
-                expected: bids.len(),
-                actual: allocation.len().min(exec_values.len()),
-            }
-            .into());
-        }
+        check_arity(bids.len(), allocation.len(), exec_values.len())?;
         let actual_latency = total_latency_linear(allocation, exec_values)?;
-        let loo = LeaveOneOut::compute_with_sum(bids, total_rate, s)?;
-        (0..bids.len())
-            .map(|i| {
-                let x = allocation.rate(i);
-                let compensation = self.valuation.compensation(x, exec_values[i]);
-                if !compensation.is_finite() {
-                    return Err(lb_core::CoreError::NumericalOverflow {
-                        what: "compensation term C_i",
-                    }
-                    .into());
-                }
-                Ok(PaymentBreakdown {
-                    compensation,
-                    bonus: loo.excluding(i) - actual_latency,
-                })
+        validate_inv_sum(s)?;
+        let valuation = self.valuation;
+        Ok(move |i| {
+            let excluding = finite(
+                latency_excluding_dd(bids, i, total_rate, s).value(),
+                "leave-one-out latency r²/(S − 1/t_i)",
+            )?;
+            let compensation = finite(
+                valuation.compensation(allocation.rate(i), exec_values[i]),
+                "compensation term C_i",
+            )?;
+            Ok(PaymentBreakdown {
+                compensation,
+                bonus: excluding - actual_latency,
             })
-            .collect()
+        })
     }
 }
 
@@ -162,7 +160,7 @@ impl VerifiedMechanism for CompensationBonusMechanism {
     }
 
     fn allocate(&self, bids: &[f64], total_rate: f64) -> Result<Allocation, MechanismError> {
-        Ok(pr_allocate(bids, total_rate)?)
+        self.allocate_with_sum(bids, total_rate, inv_sum_dd(bids))
     }
 
     fn payments(
@@ -172,11 +170,7 @@ impl VerifiedMechanism for CompensationBonusMechanism {
         exec_values: &[f64],
         total_rate: f64,
     ) -> Result<Vec<f64>, MechanismError> {
-        Ok(self
-            .payment_breakdown(bids, allocation, exec_values, total_rate)?
-            .iter()
-            .map(PaymentBreakdown::total)
-            .collect())
+        self.payments_with_sum(bids, allocation, exec_values, total_rate, inv_sum_dd(bids))
     }
 
     fn allocate_with_sum(
@@ -197,11 +191,13 @@ impl VerifiedMechanism for CompensationBonusMechanism {
         total_rate: f64,
         s: TwoF64,
     ) -> Result<Vec<f64>, MechanismError> {
-        Ok(self
-            .payment_breakdown_with_sum(bids, allocation, exec_values, total_rate, s)?
-            .iter()
-            .map(PaymentBreakdown::total)
-            .collect())
+        let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
+        // Sized up front: collecting the `Result`s would grow it by doubling.
+        let mut payments = Vec::with_capacity(bids.len());
+        for i in 0..bids.len() {
+            payments.push(term(i)?.total());
+        }
+        Ok(payments)
     }
 }
 
@@ -390,6 +386,28 @@ mod tests {
         assert!(m
             .payments(&[1.0, 2.0, 3.0], &alloc, &[1.0, 2.0, 3.0], 5.0)
             .is_err());
+    }
+
+    #[test]
+    fn length_mismatch_names_the_column_that_differs() {
+        let m = mech();
+        let alloc = m.allocate(&[1.0, 2.0], 5.0).unwrap();
+        let mismatch = |expected, actual| -> Result<(), _> {
+            Err(MechanismError::Core(lb_core::CoreError::LengthMismatch {
+                expected,
+                actual,
+            }))
+        };
+        assert_eq!(
+            m.payment_breakdown(&[1.0, 2.0], &alloc, &[1.0, 2.0, 3.0], 5.0)
+                .map(drop),
+            mismatch(2, 3)
+        );
+        assert_eq!(
+            m.payments(&[1.0, 2.0, 3.0], &alloc, &[1.0, 2.0, 3.0], 5.0)
+                .map(drop),
+            mismatch(3, 2)
+        );
     }
 
     #[test]

@@ -61,6 +61,29 @@ impl From<CoreError> for MechanismError {
     }
 }
 
+/// Checks that a settle's allocation and execution values have one entry
+/// per bid, reporting the length of the column that differs.
+pub(crate) fn check_arity(bids: usize, rates: usize, exec: usize) -> Result<(), MechanismError> {
+    match [rates, exec].into_iter().find(|&len| len != bids) {
+        Some(actual) => Err(CoreError::LengthMismatch {
+            expected: bids,
+            actual,
+        }
+        .into()),
+        None => Ok(()),
+    }
+}
+
+/// `x` itself, or [`CoreError::NumericalOverflow`] naming `what` if `x` is
+/// not finite.
+pub(crate) fn finite(x: f64, what: &'static str) -> Result<f64, MechanismError> {
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(CoreError::NumericalOverflow { what }.into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@
 //! model of the authors' companion paper (Grosu & Chronopoulos, Cluster
 //! 2002, [ref.&nbsp;8]).
 
-use crate::error::MechanismError;
+use crate::error::{check_arity, MechanismError};
 use crate::traits::{ValuationModel, VerifiedMechanism};
 use lb_core::latency::{LatencyFunction, Linear, Mm1};
 use lb_core::{solve_convex, Allocation, ConvexSolverOptions};
@@ -192,13 +192,7 @@ impl<F: LatencyFamily> VerifiedMechanism for GeneralizedCompensationBonus<F> {
         if bids.len() < 2 {
             return Err(MechanismError::NeedTwoAgents);
         }
-        if allocation.len() != bids.len() || exec_values.len() != bids.len() {
-            return Err(lb_core::CoreError::LengthMismatch {
-                expected: bids.len(),
-                actual: allocation.len().min(exec_values.len()),
-            }
-            .into());
-        }
+        check_arity(bids.len(), allocation.len(), exec_values.len())?;
         let actual = self.actual_latency(allocation, exec_values)?;
         let exec_fns = self.fns(exec_values)?;
         (0..bids.len())
@@ -253,6 +247,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn length_mismatch_names_the_column_that_differs() {
+        let m = GeneralizedCompensationBonus::new(LinearFamily);
+        let alloc = m.allocate(&[1.0, 2.0], 5.0).unwrap();
+        assert_eq!(
+            m.payments(&[1.0, 2.0], &alloc, &[1.0, 2.0, 3.0], 5.0),
+            Err(lb_core::CoreError::LengthMismatch {
+                expected: 2,
+                actual: 3
+            }
+            .into())
+        );
+        assert_eq!(
+            m.payments(&[1.0, 2.0, 3.0], &alloc, &[1.0, 2.0, 3.0], 5.0),
+            Err(lb_core::CoreError::LengthMismatch {
+                expected: 3,
+                actual: 2
+            }
+            .into())
+        );
     }
 
     fn mm1_system() -> System {

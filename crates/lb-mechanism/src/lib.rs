@@ -71,5 +71,5 @@ pub use properties::{
     dominant_strategy_check, truthfulness_scan, voluntary_participation_scan, DeviationGrid,
     DeviationReport,
 };
-pub use traits::{run_mechanism, MechanismOutcome, VerifiedMechanism};
+pub use traits::{run_mechanism, run_verified, MechanismOutcome, VerifiedMechanism};
 pub use unverified::UnverifiedCompensationBonus;

@@ -11,12 +11,12 @@
 //! evidence the deployed payment rule has drifted from the mechanism it is
 //! supposed to implement.
 //!
-//! Each probe is O(n): one allocation, one batch payment evaluation
-//! (`lb_core::LeaveOneOut` inside the compensation-bonus payment rule) and
-//! one valuation.
+//! Each probe is O(n): one harmonic sum, one allocation, one batch payment
+//! evaluation and one valuation.
 
 use crate::error::MechanismError;
 use crate::traits::VerifiedMechanism;
+use lb_core::inv_sum_dd;
 
 /// The outcome of one counterfactual bid probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,11 +53,10 @@ impl CounterfactualProbe {
 /// execution value, which is what verification measures.
 ///
 /// # Errors
-/// Propagates mechanism errors: out-of-domain counterfactual bids, arity
-/// mismatches, or singleton systems.
-///
-/// # Panics
-/// Panics if `agent` is out of range (a caller bug, not round state).
+/// Returns [`lb_core::CoreError::LengthMismatch`] (`expected` the number
+/// of bids, `actual` the agent) if `agent` is out of range, and propagates
+/// mechanism errors: out-of-domain counterfactual bids, arity mismatches,
+/// or singleton systems.
 pub fn utility_with_bid(
     mechanism: &dyn VerifiedMechanism,
     bids: &[f64],
@@ -66,11 +65,17 @@ pub fn utility_with_bid(
     exec_values: &[f64],
     total_rate: f64,
 ) -> Result<f64, MechanismError> {
-    assert!(agent < bids.len(), "utility_with_bid: agent out of range");
     let mut probe_bids = bids.to_vec();
-    probe_bids[agent] = bid;
-    let allocation = mechanism.allocate(&probe_bids, total_rate)?;
-    let payments = mechanism.payments(&probe_bids, &allocation, exec_values, total_rate)?;
+    *probe_bids
+        .get_mut(agent)
+        .ok_or(lb_core::CoreError::LengthMismatch {
+            expected: bids.len(),
+            actual: agent,
+        })? = bid;
+    let s = inv_sum_dd(&probe_bids);
+    let allocation = mechanism.allocate_with_sum(&probe_bids, total_rate, s)?;
+    let payments =
+        mechanism.payments_with_sum(&probe_bids, &allocation, exec_values, total_rate, s)?;
     Ok(payments[agent] + mechanism.valuation(allocation.rate(agent), exec_values[agent]))
 }
 
@@ -78,11 +83,10 @@ pub fn utility_with_bid(
 /// bid is `bids[agent] * (1 + delta)` (use a negative `delta` to under-bid).
 ///
 /// # Errors
-/// Propagates mechanism errors from either evaluation; in particular a
-/// perturbation that pushes the bid out of the validated domain.
-///
-/// # Panics
-/// Panics if `agent` is out of range.
+/// Returns [`lb_core::CoreError::LengthMismatch`] if `agent` is out of
+/// range, as [`utility_with_bid`] does, and propagates mechanism errors
+/// from either evaluation; in particular a perturbation that pushes the
+/// bid out of the validated domain.
 pub fn truthfulness_probe(
     mechanism: &dyn VerifiedMechanism,
     bids: &[f64],
@@ -91,8 +95,10 @@ pub fn truthfulness_probe(
     exec_values: &[f64],
     total_rate: f64,
 ) -> Result<CounterfactualProbe, MechanismError> {
-    assert!(agent < bids.len(), "truthfulness_probe: agent out of range");
-    let observed_bid = bids[agent];
+    let observed_bid = *bids.get(agent).ok_or(lb_core::CoreError::LengthMismatch {
+        expected: bids.len(),
+        actual: agent,
+    })?;
     let probe_bid = observed_bid * (1.0 + delta);
     let observed_utility = utility_with_bid(
         mechanism,
@@ -192,6 +198,25 @@ mod tests {
             "under-bidding should not dominate: margin {}",
             probe.margin()
         );
+    }
+
+    #[test]
+    fn out_of_range_agent_is_a_typed_error() {
+        let mech = CompensationBonusMechanism::paper();
+        let bids = [1.0, 2.0];
+        let mismatch = |r: Result<_, MechanismError>| {
+            matches!(
+                r,
+                Err(MechanismError::Core(lb_core::CoreError::LengthMismatch {
+                    expected: 2,
+                    actual: 2
+                }))
+            )
+        };
+        assert!(mismatch(utility_with_bid(&mech, &bids, 2, 1.0, &bids, 5.0)));
+        assert!(mismatch(
+            truthfulness_probe(&mech, &bids, 2, 0.1, &bids, 5.0).map(|p| p.margin())
+        ));
     }
 
     #[test]

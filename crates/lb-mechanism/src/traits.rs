@@ -2,7 +2,7 @@
 
 use crate::error::MechanismError;
 use crate::profile::Profile;
-use lb_core::{Allocation, TwoF64};
+use lb_core::{inv_sum_dd, Allocation, TwoF64};
 
 /// How an agent's valuation (its "benefit or loss", Def. 3.1) is modelled.
 ///
@@ -113,17 +113,13 @@ pub trait VerifiedMechanism {
     ) -> Result<Vec<f64>, MechanismError>;
 
     /// [`VerifiedMechanism::allocate`] against a pre-aggregated harmonic sum
-    /// `s = Σ 1/b_j` in double-double precision.
+    /// `s = Σ 1/b_j` in double-double precision: the coordinator merges it
+    /// from per-shard partials, [`run_mechanism`] computes it once a round.
     ///
-    /// The sharded coordinator merges per-shard `TwoF64` partials into one
-    /// `s` and hands it down here so that allocation never re-reduces the
-    /// full bid vector. The default ignores `s` and recomputes from `bids` —
-    /// still shard-count invariant (the same full vector is re-reduced the
-    /// same way regardless of `k`), just without the O(n)-scan saving.
-    /// Mechanisms whose allocation is a function of the harmonic sum
-    /// ([`crate::cb::CompensationBonusMechanism`]) override this to consume
-    /// `s` directly, which keeps the sharded and single-coordinator paths on
-    /// bit-identical arithmetic.
+    /// The default ignores `s` and recomputes from `bids`, which is still
+    /// shard-count invariant. Mechanisms built on the harmonic sum
+    /// ([`crate::cb::CompensationBonusMechanism`]) consume `s` directly, so
+    /// sharded and single-coordinator rounds run bit-identical arithmetic.
     ///
     /// # Errors
     /// Returns a [`MechanismError`] for invalid bids or rate.
@@ -137,13 +133,9 @@ pub trait VerifiedMechanism {
         self.allocate(bids, total_rate)
     }
 
-    /// [`VerifiedMechanism::payments`] against a pre-aggregated harmonic sum
-    /// `s = Σ 1/b_j` in double-double precision.
-    ///
-    /// Same contract as [`VerifiedMechanism::allocate_with_sum`]: the default
-    /// ignores `s` and defers to [`VerifiedMechanism::payments`]; mechanisms
-    /// built on the leave-one-out kernel override it so the settle phase
-    /// reuses the merged shard sum instead of re-reducing all `n` bids.
+    /// [`VerifiedMechanism::payments`] against the same `s`, with the same
+    /// contract as [`VerifiedMechanism::allocate_with_sum`]: the default
+    /// ignores `s`, and leave-one-out mechanisms settle against it.
     ///
     /// # Errors
     /// Returns a [`MechanismError`] for arity mismatches or degenerate
@@ -198,7 +190,8 @@ impl MechanismOutcome {
 
 /// Runs one full round of `mechanism` on `profile`: allocate from the bids,
 /// realise the latency under the execution values, compute payments,
-/// valuations and utilities.
+/// valuations and utilities. This is [`run_verified`] with exact
+/// verification: the mechanism observes the profile's execution values.
 ///
 /// # Errors
 /// Propagates any [`MechanismError`] from allocation or payment computation.
@@ -206,14 +199,26 @@ pub fn run_mechanism<M: VerifiedMechanism + ?Sized>(
     mechanism: &M,
     profile: &Profile,
 ) -> Result<MechanismOutcome, MechanismError> {
-    let allocation = mechanism.allocate(profile.bids(), profile.total_rate())?;
-    let payments = mechanism.payments(
-        profile.bids(),
-        &allocation,
-        profile.exec_values(),
-        profile.total_rate(),
-    )?;
+    run_verified(mechanism, profile, profile.exec_values())
+}
 
+/// Runs one round of `mechanism` on `profile` that pays, and realises the
+/// latency, against the `observed` execution values — what verification
+/// measured — while each agent's valuation follows its actual execution
+/// value. `S = Σ 1/b_j` is computed once for allocation and payments.
+///
+/// # Errors
+/// Propagates any [`MechanismError`] from allocation or payment
+/// computation, including a length mismatch of `observed`.
+pub fn run_verified<M: VerifiedMechanism + ?Sized>(
+    mechanism: &M,
+    profile: &Profile,
+    observed: &[f64],
+) -> Result<MechanismOutcome, MechanismError> {
+    let (bids, r) = (profile.bids(), profile.total_rate());
+    let s = inv_sum_dd(bids);
+    let allocation = mechanism.allocate_with_sum(bids, r, s)?;
+    let payments = mechanism.payments_with_sum(bids, &allocation, observed, r, s)?;
     let valuations: Vec<f64> = allocation
         .rates()
         .iter()
@@ -225,8 +230,7 @@ pub fn run_mechanism<M: VerifiedMechanism + ?Sized>(
         .zip(&valuations)
         .map(|(p, v)| p + v)
         .collect();
-    let total_latency = mechanism.realised_latency(&allocation, profile.exec_values())?;
-
+    let total_latency = mechanism.realised_latency(&allocation, observed)?;
     Ok(MechanismOutcome {
         allocation,
         payments,

@@ -7,7 +7,9 @@ use crate::metrics::MachineObservation;
 use crate::server::ServiceModel;
 use crate::workload::{WorkloadModel, IDLE_RATE};
 use lb_core::{pr_allocate, Allocation, CoreError};
-use lb_mechanism::{run_mechanism, MechanismError, MechanismOutcome, Profile, VerifiedMechanism};
+use lb_mechanism::{
+    run_mechanism, run_verified, MechanismError, MechanismOutcome, Profile, VerifiedMechanism,
+};
 use lb_stats::rng::Xoshiro256StarStar;
 
 /// Configuration of one simulated round.
@@ -350,34 +352,9 @@ pub fn verified_round<M: VerifiedMechanism + ?Sized>(
         .map(|&e| e.max(1e-12))
         .collect();
 
-    let allocation = mechanism.allocate(profile.bids(), profile.total_rate())?;
-    let payments = mechanism.payments(
-        profile.bids(),
-        &allocation,
-        &estimated,
-        profile.total_rate(),
-    )?;
-    // Agents' real utilities are driven by their *actual* costs.
-    let valuations: Vec<f64> = allocation
-        .rates()
-        .iter()
-        .zip(profile.exec_values())
-        .map(|(&x, &e)| mechanism.valuation(x, e))
-        .collect();
-    let utilities: Vec<f64> = payments
-        .iter()
-        .zip(&valuations)
-        .map(|(p, v)| p + v)
-        .collect();
-    let total_latency = mechanism.realised_latency(&allocation, &estimated)?;
-    let outcome = MechanismOutcome {
-        allocation,
-        payments,
-        valuations,
-        utilities,
-        total_latency,
-    };
-
+    // Payments follow the estimates; agents' real utilities are driven by
+    // their *actual* costs.
+    let outcome = run_verified(mechanism, profile, &estimated)?;
     let oracle_outcome = run_mechanism(mechanism, profile)?;
     Ok(VerifiedRound {
         report,

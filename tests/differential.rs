@@ -10,13 +10,22 @@
 //! * a declarative fault plan ⇔ chaos without retransmission ⇔ the sharded
 //!   topology, bit for bit, with a closed-form message count,
 //! * every transport ⇔ with and without observers, bit for bit,
-//! * every chaos trace ⇔ clean `replay_check`.
+//! * every chaos trace ⇔ clean `replay_check`,
+//! * every settle entry point ⇔ digests pinned before the one-pass settle
+//!   kernel landed.
 
 use lb_stats::prop;
+use lb_stats::rng::SplitMix64;
 use lb_stats::{prop_assert, prop_assert_eq, Rng, Xoshiro256StarStar};
 use lbmv::audit::{InvariantMonitor, MonitorConfig};
-use lbmv::core::{pr_allocate, pr_allocate_capped, solve_convex, ConvexSolverOptions, Linear};
-use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
+use lbmv::core::{
+    inv_sum_dd, merge_inv_sums, pr_allocate, pr_allocate_capped, solve_convex, ConvexSolverOptions,
+    LeaveOneOut, Linear, System, TwoF64,
+};
+use lbmv::mechanism::{
+    run_mechanism, CompensationBonusMechanism, MechanismOutcome, OnlinePool, Profile,
+    VerifiedMechanism,
+};
 use lbmv::prof::RoundProfiler;
 use lbmv::proto::{
     drive_sharded_round, encode, replay_check, run_round, shard_ranges, ChaosConfig, ChaosNetStats,
@@ -24,7 +33,7 @@ use lbmv::proto::{
     NodeSpec, Observers, ProtocolConfig, ProtocolError, ProtocolOutcome, RoundId, RoundReport,
     RoundSpec, Transport,
 };
-use lbmv::sim::driver::SimulationConfig;
+use lbmv::sim::driver::{verified_round, SimulationConfig};
 use lbmv::sim::server::ServiceModel;
 use lbmv::telemetry::{noop_collector, Collector, RingCollector, Sampler};
 use std::cell::RefCell;
@@ -567,4 +576,123 @@ fn prop_observers_are_inert_on_every_transport() {
             Ok(())
         },
     );
+}
+
+/// Folds the bits of `values` into `h` through SplitMix64's finaliser.
+fn fold_bits(h: u64, values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(h, |h, v| {
+        let mut z = h ^ v.to_bits();
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    })
+}
+
+/// Rates, payments, valuations, utilities and the realised latency.
+fn outcome_digest(o: &MechanismOutcome) -> u64 {
+    let h = fold_bits(0, o.allocation.rates().iter().copied());
+    let h = fold_bits(h, o.payments.iter().copied());
+    let h = fold_bits(h, o.valuations.iter().copied());
+    let h = fold_bits(h, o.utilities.iter().copied());
+    fold_bits(h, [o.total_latency])
+}
+
+/// Pins every settle entry point to fixed values rather than to another
+/// path that would drift with it: `run_mechanism` under both valuation
+/// models, `payments_with_sum` against 1, 3 and 8 merged partial sums,
+/// both breakdown components, the leave-one-out batch, a simulated
+/// verified round and an online tick.
+#[test]
+fn golden_settle_digests() {
+    let mut g = SplitMix64::new(0x5e771e);
+    let trues: Vec<f64> = (0..4096)
+        .map(|_| 10f64.powf(-3.0 + 6.0 * g.next_f64()))
+        .collect();
+    let r = 4096.0;
+    let profile =
+        Profile::with_deviation(&System::from_true_values(&trues).unwrap(), r, 0, 3.0, 3.0)
+            .unwrap();
+    let (bids, exec) = (profile.bids(), profile.exec_values());
+    let mut got = Vec::new();
+    for m in [
+        CompensationBonusMechanism::paper(),
+        CompensationBonusMechanism::contributed(),
+    ] {
+        got.push(outcome_digest(&run_mechanism(&m, &profile).unwrap()));
+        let alloc = m.allocate(bids, r).unwrap();
+        for k in [1, 3, 8] {
+            let partials: Vec<TwoF64> = bids
+                .chunks(bids.len().div_ceil(k))
+                .map(inv_sum_dd)
+                .collect();
+            let s = merge_inv_sums(&partials);
+            got.push(fold_bits(
+                0,
+                m.payments_with_sum(bids, &alloc, exec, r, s).unwrap(),
+            ));
+        }
+        let breakdown = m.payment_breakdown(bids, &alloc, exec, r).unwrap();
+        got.push(fold_bits(
+            0,
+            breakdown.iter().flat_map(|b| [b.compensation, b.bonus]),
+        ));
+    }
+    let loo = LeaveOneOut::compute(bids, r).unwrap();
+    let h = fold_bits(0, [loo.optimal_latency()]);
+    let h = fold_bits(h, loo.all_excluding().iter().copied());
+    got.push(fold_bits(h, loo.marginals().iter().copied()));
+
+    let small = Profile::with_deviation(
+        &System::from_true_values(&trues[..256]).unwrap(),
+        256.0,
+        0,
+        3.0,
+        3.0,
+    )
+    .unwrap();
+    let config = SimulationConfig {
+        horizon: 20.0,
+        seed: 0x5e77,
+        model: ServiceModel::StationaryExponential,
+        ..SimulationConfig::default()
+    };
+    let round = verified_round(&CompensationBonusMechanism::paper(), &small, &config).unwrap();
+    got.push(outcome_digest(&round.outcome) ^ outcome_digest(&round.oracle_outcome).rotate_left(1));
+
+    let mut pool = OnlinePool::new(r).unwrap();
+    for (slot, &t) in trues[..1024].iter().enumerate() {
+        pool.join(slot, t).unwrap();
+    }
+    for slot in (0..1024).step_by(7) {
+        pool.leave(slot).unwrap();
+    }
+    for slot in (1..1024).step_by(5).filter(|s| s % 7 != 0) {
+        pool.rate_change(slot, 2.0 * trues[slot]).unwrap();
+    }
+    let live = pool.live_bids();
+    let alloc = pool.allocation().unwrap();
+    let pay = CompensationBonusMechanism::paper()
+        .payments_with_sum(&live, &alloc, &live, r, pool.harmonic_sum())
+        .unwrap();
+    got.push(fold_bits(fold_bits(0, alloc.rates().iter().copied()), pay));
+
+    // Computed before the one-pass settle kernel landed.
+    let expected: [u64; 13] = [
+        0x8cd0_c1c1_88ab_fc54,
+        0xfb14_c8c3_d388_d057,
+        0xfb14_c8c3_d388_d057,
+        0xfb14_c8c3_d388_d057,
+        0x1ee4_2e86_6557_6712,
+        0x8dfb_902b_300a_fb3d,
+        0x631b_947d_0eb1_bdaa,
+        0x631b_947d_0eb1_bdaa,
+        0x631b_947d_0eb1_bdaa,
+        0x3d05_cff5_98ff_da0e,
+        0x18fd_76fc_fe44_1f21,
+        0x767c_afa9_4041_58e5,
+        0x8b58_e58d_2c40_7d62,
+    ];
+    for (case, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(*g, *e, "case {case}: digest {g:#018x}, expected {e:#018x}");
+    }
 }
