@@ -347,18 +347,15 @@ impl LeaveOneOut {
     }
 
     /// The batch kernel against a precomputed harmonic sum `s = Σ 1/values[j]`
-    /// — the settle-phase twin of [`pr_allocate_with_sum`].
-    ///
-    /// The root coordinator of a sharded round passes the tree-merged
-    /// [`TwoF64`] partial sums here so the allocation and the payments are
-    /// computed against the *same* `S`. Passing `inv_sum_dd(values)`
-    /// reproduces [`LeaveOneOut::compute`] bit for bit. `values` must
-    /// already be validated; the dominant-machine fallback inside still
-    /// re-sums `values` directly when the residual `s − 1/t_i` cancels.
+    /// — the twin of [`pr_allocate_with_sum`]. A tree-merged [`TwoF64`] of
+    /// shard partial sums works as `s`, and `inv_sum_dd(values)` reproduces
+    /// [`LeaveOneOut::compute`] bit for bit. `values` must already be
+    /// validated; the dominant-machine fallback inside still re-sums
+    /// `values` directly when the residual `s − 1/t_i` cancels.
     ///
     /// # Errors
     /// Same contract as [`LeaveOneOut::compute`].
-    pub fn compute_with_sum(values: &[f64], r: f64, s: TwoF64) -> Result<Self, CoreError> {
+    fn compute_with_sum(values: &[f64], r: f64, s: TwoF64) -> Result<Self, CoreError> {
         if values.len() < 2 {
             return Err(CoreError::EmptySystem);
         }

@@ -1,36 +1,12 @@
-//! Sensitivity analysis of the optimal latency.
+//! Marginal value of participation.
 //!
-//! Closed-form derivatives of `L*(t, R) = R² / Σ(1/t_j)` answer operational
-//! questions the mechanism's payments are built around:
-//!
-//! * **Marginal value of speed** — `∂L*/∂t_i = R²·(1/t_i²)/S²` with
-//!   `S = Σ 1/t_j`: how much the system-wide latency falls per unit of
-//!   machine-`i` speedup. Capacity upgrades should go to the machine with
-//!   the largest value, which is *the currently fastest* one (economies of
-//!   concentration under linear latencies).
-//! * **Marginal value of participation** — `L_{-i} − L*`, which is exactly
-//!   the truthful bonus the mechanism pays (Def. 3.3): the payment rule
-//!   prices participation at its sensitivity value.
+//! `L_{-i} − L*` is the reduction in optimal total latency machine `i`'s
+//! participation buys, which is exactly the truthful bonus the mechanism
+//! pays (Def. 3.3): the payment rule prices participation at its marginal
+//! value.
 
-use crate::allocation::{validate_rate, LeaveOneOut};
+use crate::allocation::LeaveOneOut;
 use crate::error::CoreError;
-use crate::machine::validate_values;
-use crate::numeric::compensated_sum;
-
-/// `∂L*/∂t_i` for every machine: the system-latency reduction per unit
-/// *decrease* of `t_i` is the negation of the returned entry.
-///
-/// Derivation: `L* = R²/S`, `∂S/∂t_i = −1/t_i²`, so
-/// `∂L*/∂t_i = R²·(1/t_i²)/S²`.
-///
-/// # Errors
-/// Propagates validation errors.
-pub fn latency_sensitivity(values: &[f64], r: f64) -> Result<Vec<f64>, CoreError> {
-    validate_values("latency coefficient", values)?;
-    validate_rate(r)?;
-    let s = compensated_sum(values.iter().map(|t| 1.0 / t));
-    Ok(values.iter().map(|t| r * r / (t * t * s * s)).collect())
-}
 
 /// Marginal contribution of every machine: `L_{-i} − L*` — the reduction in
 /// optimal total latency its participation buys (and its truthful bonus).
@@ -47,59 +23,12 @@ pub fn marginal_contributions(values: &[f64], r: f64) -> Result<Vec<f64>, CoreEr
     Ok(LeaveOneOut::compute(values, r)?.marginals().to_vec())
 }
 
-/// Which machine to speed up: index of the largest `∂L*/∂t_i`.
-///
-/// # Errors
-/// Propagates validation errors.
-pub fn best_upgrade_target(values: &[f64], r: f64) -> Result<usize, CoreError> {
-    let sens = latency_sensitivity(values, r)?;
-    // First maximal index (stable under ties between equal machines).
-    let mut best = 0;
-    for (i, s) in sens.iter().enumerate().skip(1) {
-        if *s > sens[best] {
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::optimal_latency_linear;
     use crate::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
     use lb_stats::prop;
     use lb_stats::prop_assert;
-
-    #[test]
-    fn sensitivity_matches_finite_differences() {
-        let values = paper_true_values();
-        let r = PAPER_ARRIVAL_RATE;
-        let sens = latency_sensitivity(&values, r).unwrap();
-        let h = 1e-7;
-        for i in 0..values.len() {
-            let mut up = values.clone();
-            up[i] += h;
-            let mut down = values.clone();
-            down[i] -= h;
-            let num = (optimal_latency_linear(&up, r).unwrap()
-                - optimal_latency_linear(&down, r).unwrap())
-                / (2.0 * h);
-            assert!(
-                (num - sens[i]).abs() < 1e-4 * sens[i].max(1.0),
-                "machine {i}: {num} vs {}",
-                sens[i]
-            );
-        }
-    }
-
-    #[test]
-    fn fastest_machine_is_the_best_upgrade_target() {
-        let values = paper_true_values();
-        let target = best_upgrade_target(&values, PAPER_ARRIVAL_RATE).unwrap();
-        // C1 (t = 1) is fastest; 1/t² dominates despite the shared S².
-        assert_eq!(target, 0);
-    }
 
     #[test]
     fn marginal_contributions_equal_truthful_bonuses() {
@@ -110,36 +39,6 @@ mod tests {
         assert!((mc[0] - (400.0 / 4.1 - 400.0 / 5.1)).abs() < 1e-9);
         // Faster machines contribute more.
         assert!(mc[0] > mc[2] && mc[2] > mc[5] && mc[5] > mc[10]);
-    }
-
-    /// Sensitivities are positive and ordered by speed (fastest machine
-    /// has the largest ∂L*/∂t).
-    #[test]
-    fn prop_sensitivity_ordering() {
-        prop::check(
-            "prop_sensitivity_ordering",
-            256,
-            (prop::vec(0.1f64..10.0, 2..12), 0.5f64..50.0),
-            |(values, r)| {
-                let sens = latency_sensitivity(&values, r).unwrap();
-                for (i, s) in sens.iter().enumerate() {
-                    prop_assert!(*s > 0.0, "sensitivity {} not positive", i);
-                }
-                for i in 0..values.len() {
-                    for j in 0..values.len() {
-                        if values[i] < values[j] {
-                            prop_assert!(
-                                sens[i] >= sens[j] - 1e-12,
-                                "faster machine {} should dominate {}",
-                                i,
-                                j
-                            );
-                        }
-                    }
-                }
-                Ok(())
-            },
-        );
     }
 
     /// Marginal contributions are non-negative and sum to less than the

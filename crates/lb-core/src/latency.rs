@@ -4,10 +4,10 @@
 //! `l(x) = t · x` (Sec. 2, Eq. 1): `l(x)` is the time to complete one job
 //! when the machine receives jobs at rate `x`. The paper notes that this
 //! form "could represent the expected waiting time in an M/G/1 queue, under
-//! light load conditions" — [`Mg1LightLoad`] encodes exactly that reading.
-//! The [`LatencyFunction`] trait generalises the model so the convex solver
-//! and the mechanism baselines also cover M/M/1 (the authors' companion
-//! paper) and polynomial latencies.
+//! light load conditions". The [`LatencyFunction`] trait generalises the
+//! model so the convex solver and the mechanism baselines also cover M/M/1
+//! (the authors' companion paper); [`Affine`] and [`Polynomial`] are the
+//! further convex families the solver's tests cross-check against.
 
 /// A load-dependent per-job latency function `l(x)` for one machine.
 ///
@@ -75,44 +75,6 @@ impl LatencyFunction for Linear {
     }
     fn inverse_marginal(&self, lambda: f64) -> f64 {
         (lambda / (2.0 * self.t)).max(0.0)
-    }
-}
-
-/// M/G/1 expected waiting time under light load: identical algebra to
-/// [`Linear`] with `t` read as (half) the second moment of service time —
-/// the interpretation the paper cites from Altman et al. Provided as a
-/// distinct type so models document which reading they use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mg1LightLoad {
-    /// Coefficient multiplying the arrival rate (`E[S²]/2` in Pollaczek–
-    /// Khinchine under light load).
-    pub coefficient: f64,
-}
-
-impl Mg1LightLoad {
-    /// Creates a light-load M/G/1 waiting-time model.
-    ///
-    /// # Panics
-    /// Panics unless `coefficient` is finite and strictly positive.
-    #[must_use]
-    pub fn new(coefficient: f64) -> Self {
-        assert!(
-            coefficient.is_finite() && coefficient > 0.0,
-            "Mg1LightLoad: coefficient must be finite and > 0"
-        );
-        Self { coefficient }
-    }
-}
-
-impl LatencyFunction for Mg1LightLoad {
-    fn per_job(&self, x: f64) -> f64 {
-        self.coefficient * x
-    }
-    fn marginal_total(&self, x: f64) -> f64 {
-        2.0 * self.coefficient * x
-    }
-    fn inverse_marginal(&self, lambda: f64) -> f64 {
-        (lambda / (2.0 * self.coefficient)).max(0.0)
     }
 }
 
@@ -207,54 +169,6 @@ impl LatencyFunction for Mm1 {
     }
 }
 
-/// Power-law latency `l(x) = t·x^γ` with exponent `γ ≥ 1`.
-///
-/// Interpolates between the paper's linear model (`γ = 1`) and sharply
-/// congestion-sensitive machines; total `t·x^{γ+1}`, marginal
-/// `(γ+1)·t·x^γ`, with a closed-form inverse marginal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerLaw {
-    /// Latency coefficient `t > 0`.
-    pub t: f64,
-    /// Congestion exponent `γ ≥ 1`.
-    pub gamma: f64,
-}
-
-impl PowerLaw {
-    /// Creates a power-law latency function.
-    ///
-    /// # Panics
-    /// Panics unless `t > 0` and `gamma >= 1` (both finite).
-    #[must_use]
-    pub fn new(t: f64, gamma: f64) -> Self {
-        assert!(
-            t.is_finite() && t > 0.0,
-            "PowerLaw: t must be finite and > 0"
-        );
-        assert!(
-            gamma.is_finite() && gamma >= 1.0,
-            "PowerLaw: gamma must be >= 1"
-        );
-        Self { t, gamma }
-    }
-}
-
-impl LatencyFunction for PowerLaw {
-    fn per_job(&self, x: f64) -> f64 {
-        self.t * x.powf(self.gamma)
-    }
-    fn marginal_total(&self, x: f64) -> f64 {
-        (self.gamma + 1.0) * self.t * x.powf(self.gamma)
-    }
-    fn inverse_marginal(&self, lambda: f64) -> f64 {
-        if lambda <= 0.0 {
-            0.0
-        } else {
-            (lambda / ((self.gamma + 1.0) * self.t)).powf(1.0 / self.gamma)
-        }
-    }
-}
-
 /// Polynomial latency `l(x) = Σ c_k x^k` with non-negative coefficients,
 /// which guarantees convexity of the total `x·l(x)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,12 +198,6 @@ impl Polynomial {
             "Polynomial: all-zero latency is invalid"
         );
         Self { coeffs }
-    }
-
-    /// The coefficient slice.
-    #[must_use]
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
     }
 }
 
@@ -384,16 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn mg1_light_load_matches_linear_algebra() {
-        let f = Mg1LightLoad::new(2.0);
-        let g = Linear::new(2.0);
-        for x in [0.0, 0.3, 1.7, 9.0] {
-            assert_eq!(f.per_job(x), g.per_job(x));
-            assert_eq!(f.marginal_total(x), g.marginal_total(x));
-        }
-    }
-
-    #[test]
     fn affine_basics() {
         let f = Affine::new(1.0, 0.5);
         assert_eq!(f.per_job(2.0), 2.0);
@@ -430,45 +328,6 @@ mod tests {
         // marginal at 0 is 1/mu = 0.25.
         assert_eq!(f.inverse_marginal(0.2), 0.0);
         assert!(f.inverse_marginal(0.26) > 0.0);
-    }
-
-    #[test]
-    fn power_law_reduces_to_linear_at_gamma_one() {
-        let p = PowerLaw::new(2.0, 1.0);
-        let l = Linear::new(2.0);
-        for x in [0.0, 0.5, 3.0] {
-            assert!((p.per_job(x) - l.per_job(x)).abs() < 1e-12);
-            assert!((p.marginal_total(x) - l.marginal_total(x)).abs() < 1e-12);
-        }
-        check_inverse_marginal(&p, &[0.1, 1.0, 10.0]);
-    }
-
-    #[test]
-    fn power_law_marginal_and_inverse() {
-        let p = PowerLaw::new(0.5, 2.0);
-        check_marginal_numerically(&p, &[0.1, 1.0, 2.5], 1e-4);
-        check_inverse_marginal(&p, &[0.5, 3.0, 40.0]);
-        assert_eq!(p.inverse_marginal(0.0), 0.0);
-    }
-
-    #[test]
-    fn power_law_solver_integrates_with_kkt() {
-        use crate::convex::{solve_convex, ConvexSolverOptions};
-        let a = PowerLaw::new(1.0, 2.0);
-        let b = PowerLaw::new(1.0, 1.0);
-        let fns: Vec<&dyn LatencyFunction> = vec![&a, &b];
-        let alloc = solve_convex(&fns, 2.0, ConvexSolverOptions::default()).unwrap();
-        assert!((alloc.total_rate() - 2.0).abs() < 1e-9);
-        // Equal marginals at the optimum.
-        let m0 = a.marginal_total(alloc.rate(0));
-        let m1 = b.marginal_total(alloc.rate(1));
-        assert!((m0 - m1).abs() < 1e-5 * m0.max(1.0), "{m0} vs {m1}");
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be >= 1")]
-    fn power_law_rejects_sublinear_gamma() {
-        let _ = PowerLaw::new(1.0, 0.5);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! * [`machine`] — machine identities, validated private parameters and the
 //!   [`machine::System`] collection type.
 //! * [`latency`] — the [`latency::LatencyFunction`] trait with the paper's
-//!   linear model plus M/M/1, M/G/1-light-load and polynomial extensions.
+//!   linear model plus the M/M/1 extension (and the affine and polynomial
+//!   families the convex solver's tests cross-check against).
 //! * [`allocation`] — feasible allocations, the paper's **PR algorithm**
 //!   (Theorem 2.1: allocate in proportion to processing rates) and exact
 //!   closed-form optima for the linear model.
 //! * [`convex`] — a general KKT/bisection solver that minimises total latency
 //!   for *any* convex latency family, used both to cross-check the PR closed
 //!   form and to support the M/M/1 extension experiments.
-//! * [`scenario`] — canned system configurations, including the paper's
-//!   16-computer Table 1 testbed.
+//! * [`scenario`] — the paper's 16-computer Table 1 testbed.
 
 pub mod allocation;
 pub mod analysis;
@@ -39,15 +39,14 @@ pub use allocation::{
     optimal_latency_excluding, optimal_latency_excluding_legacy, optimal_latency_linear,
     pr_allocate, pr_allocate_with_sum, total_latency_linear, Allocation, LeaveOneOut,
 };
-pub use analysis::{latency_sensitivity, marginal_contributions};
+pub use analysis::marginal_contributions;
 pub use baselines::{equal_split, weighted_round_robin};
 pub use capped::pr_allocate_capped;
 pub use convex::{solve_convex, ConvexSolverOptions};
 pub use error::CoreError;
-pub use latency::{Affine, LatencyFunction, Linear, Mm1, Polynomial, PowerLaw};
+pub use latency::{Affine, LatencyFunction, Linear, Mm1, Polynomial};
 pub use machine::{Machine, MachineId, System, MAX_LATENCY_PARAM, MIN_LATENCY_PARAM};
 pub use numeric::{
-    compensated_sum, feasibility_tolerance, inv_sum_dd, merge_inv_sums, CompensatedSum,
-    IncrementalInvSum, TwoF64,
+    compensated_sum, feasibility_tolerance, inv_sum_dd, merge_inv_sums, IncrementalInvSum, TwoF64,
 };
 pub use scenario::paper_system;

@@ -39,12 +39,6 @@ impl Machine {
         validate_positive("true value", true_value)?;
         Ok(Self { id, true_value })
     }
-
-    /// The machine's processing rate, `1 / t_i`.
-    #[must_use]
-    pub fn processing_rate(&self) -> f64 {
-        1.0 / self.true_value
-    }
 }
 
 /// Smallest admissible latency parameter.
@@ -70,7 +64,7 @@ pub const MAX_LATENCY_PARAM: f64 = 1e300;
 ///
 /// # Errors
 /// Returns [`CoreError::InvalidParameter`] otherwise.
-pub fn validate_positive(name: &'static str, value: f64) -> Result<(), CoreError> {
+fn validate_positive(name: &'static str, value: f64) -> Result<(), CoreError> {
     if value.is_finite() && (MIN_LATENCY_PARAM..=MAX_LATENCY_PARAM).contains(&value) {
         Ok(())
     } else {
@@ -147,33 +141,10 @@ impl System {
         self.machines.iter().map(|m| m.true_value).collect()
     }
 
-    /// Sum of processing rates, `Σ 1/t_i` — the denominator of the PR
-    /// allocation and of the optimal latency `R²/Σ(1/t_i)`. Accumulated with
-    /// a compensated sum so wide `t` spreads do not lose the slow machines.
-    #[must_use]
-    pub fn total_processing_rate(&self) -> f64 {
-        crate::numeric::compensated_sum(self.machines.iter().map(Machine::processing_rate))
-    }
-
     /// Machine lookup by id.
     #[must_use]
     pub fn get(&self, id: MachineId) -> Option<&Machine> {
         self.machines.get(id.0 as usize)
-    }
-
-    /// Checks that `values` has one entry per machine.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::LengthMismatch`] otherwise.
-    pub fn check_len(&self, values: &[f64]) -> Result<(), CoreError> {
-        if values.len() == self.len() {
-            Ok(())
-        } else {
-            Err(CoreError::LengthMismatch {
-                expected: self.len(),
-                actual: values.len(),
-            })
-        }
     }
 }
 
@@ -205,15 +176,9 @@ mod tests {
         assert!(Machine::new(MachineId(0), MAX_LATENCY_PARAM).is_ok());
         let fast = Machine::new(MachineId(0), MIN_LATENCY_PARAM).unwrap();
         let slow = Machine::new(MachineId(1), MAX_LATENCY_PARAM).unwrap();
-        assert!(fast.processing_rate().is_finite());
-        assert!(slow.processing_rate() > 0.0);
-        assert!(slow.processing_rate().is_normal());
-    }
-
-    #[test]
-    fn processing_rate_is_reciprocal() {
-        let m = Machine::new(MachineId(3), 4.0).unwrap();
-        assert!((m.processing_rate() - 0.25).abs() < 1e-15);
+        assert!((1.0 / fast.true_value).is_finite());
+        assert!(1.0 / slow.true_value > 0.0);
+        assert!((1.0 / slow.true_value).is_normal());
     }
 
     #[test]
@@ -228,7 +193,6 @@ mod tests {
         assert_eq!(sys.len(), 3);
         assert!(!sys.is_empty());
         assert_eq!(sys.true_values(), vec![1.0, 2.0, 4.0]);
-        assert!((sys.total_processing_rate() - 1.75).abs() < 1e-15);
         assert_eq!(sys.get(MachineId(1)).unwrap().true_value, 2.0);
         assert!(sys.get(MachineId(9)).is_none());
     }
@@ -240,19 +204,6 @@ mod tests {
             Err(CoreError::EmptySystem)
         ));
         assert!(System::from_true_values(&[1.0, -2.0]).is_err());
-    }
-
-    #[test]
-    fn check_len_enforces_arity() {
-        let sys = System::from_true_values(&[1.0, 2.0]).unwrap();
-        assert!(sys.check_len(&[1.0, 1.0]).is_ok());
-        assert!(matches!(
-            sys.check_len(&[1.0]),
-            Err(CoreError::LengthMismatch {
-                expected: 2,
-                actual: 1
-            })
-        ));
     }
 
     #[test]

@@ -24,20 +24,19 @@
 /// magnitude than the running sum, which happens routinely with
 /// log-uniformly distributed latency parameters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompensatedSum {
+struct CompensatedSum {
     sum: f64,
     compensation: f64,
 }
 
 impl CompensatedSum {
     /// A fresh accumulator at zero.
-    #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Adds one term, capturing the round-off into the compensation term.
-    pub fn add(&mut self, term: f64) {
+    fn add(&mut self, term: f64) {
         let t = self.sum + term;
         if self.sum.abs() >= term.abs() {
             self.compensation += (self.sum - t) + term;
@@ -48,8 +47,7 @@ impl CompensatedSum {
     }
 
     /// The compensated total.
-    #[must_use]
-    pub fn value(&self) -> f64 {
+    fn value(&self) -> f64 {
         self.sum + self.compensation
     }
 }
@@ -160,8 +158,7 @@ impl TwoF64 {
     }
 
     /// Double-double ÷ `f64`.
-    #[must_use]
-    pub fn div_f64(self, b: f64) -> Self {
+    fn div_f64(self, b: f64) -> Self {
         self / Self::from_f64(b)
     }
 
@@ -317,19 +314,6 @@ impl IncrementalInvSum {
         }
     }
 
-    /// Founds the state from a slice of live latency parameters — exactly
-    /// the sequential [`inv_sum_dd`] fold.
-    #[must_use]
-    pub fn from_values(values: &[f64]) -> Self {
-        let sum = inv_sum_dd(values);
-        Self {
-            sum,
-            peak: sum.hi.abs(),
-            ops: 0,
-            resums: 0,
-        }
-    }
-
     fn track(&mut self) {
         self.ops += 1;
         if self.sum.hi.abs() > self.peak {
@@ -397,8 +381,8 @@ impl IncrementalInvSum {
     }
 
     /// Re-founds the state with a compensated from-scratch fold over the
-    /// live values: afterwards the state is *bit-identical* to
-    /// [`IncrementalInvSum::from_values`] and the drift bound is zero.
+    /// live values: afterwards the sum is *bit-identical* to the sequential
+    /// [`inv_sum_dd`] fold of `values` and the drift bound is zero.
     pub fn resum(&mut self, values: &[f64]) {
         self.sum = inv_sum_dd(values);
         self.peak = self.sum.hi.abs();
@@ -410,6 +394,18 @@ impl IncrementalInvSum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A state founded from a slice of live latency parameters — exactly
+    /// the sequential [`inv_sum_dd`] fold.
+    fn from_values(values: &[f64]) -> IncrementalInvSum {
+        let sum = inv_sum_dd(values);
+        IncrementalInvSum {
+            sum,
+            peak: sum.hi.abs(),
+            ops: 0,
+            resums: 0,
+        }
+    }
 
     #[test]
     fn empty_sum_is_zero() {
@@ -563,7 +559,7 @@ mod tests {
             10f64.powf(e)
         };
         let mut live: Vec<f64> = (0..n).map(value_of).collect();
-        let mut inc = IncrementalInvSum::from_values(&live);
+        let mut inc = from_values(&live);
 
         let mut worst_rel = 0.0f64;
         for round in 0..10 {
@@ -625,6 +621,6 @@ mod tests {
         inc.remove(1e-12);
         assert!(inc.needs_resum(1e-14), "cancellation must trigger re-sum");
         // Fresh state never asks for a re-sum.
-        assert!(!IncrementalInvSum::from_values(&[1.0, 2.0]).needs_resum(1e-14));
+        assert!(!from_values(&[1.0, 2.0]).needs_resum(1e-14));
     }
 }

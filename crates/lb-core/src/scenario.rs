@@ -8,7 +8,6 @@
 //! value the paper reports for experiment True1 — and the Low1/Low2
 //! degradations (+11%, +66%) also match exactly.
 
-use crate::error::CoreError;
 use crate::machine::System;
 
 /// The paper's job arrival rate, `R = 20` jobs/s (Sec. 4).
@@ -34,64 +33,6 @@ pub fn paper_system() -> System {
     System::from_true_values(&paper_true_values()).expect("paper system constants are valid")
 }
 
-/// A homogeneous system of `n` machines with identical true value `t`.
-///
-/// # Errors
-/// Propagates validation errors (`n == 0` or invalid `t`).
-pub fn uniform_system(n: usize, t: f64) -> Result<System, CoreError> {
-    System::from_true_values(&vec![t; n])
-}
-
-/// A geometric heterogeneity ladder: machine `i` has true value
-/// `t_min * ratio^i`. Mirrors the paper's fast-to-slow spread.
-///
-/// # Errors
-/// Propagates validation errors (`n == 0`, invalid `t_min`/`ratio`).
-pub fn geometric_system(n: usize, t_min: f64, ratio: f64) -> Result<System, CoreError> {
-    if !(ratio.is_finite() && ratio > 0.0) {
-        return Err(CoreError::InvalidParameter {
-            name: "ratio",
-            value: ratio,
-        });
-    }
-    let values: Vec<f64> = (0..n)
-        .map(|i| t_min * ratio.powi(i32::try_from(i).unwrap_or(i32::MAX)))
-        .collect();
-    System::from_true_values(&values)
-}
-
-/// A randomized heterogeneous system: true values drawn log-uniformly from
-/// `[t_min, t_max]` using the supplied uniform samples (caller provides
-/// randomness so this crate stays RNG-free).
-///
-/// # Errors
-/// Propagates validation errors.
-pub fn random_system_from_uniforms(
-    uniforms: &[f64],
-    t_min: f64,
-    t_max: f64,
-) -> Result<System, CoreError> {
-    if !(t_min.is_finite() && t_min > 0.0) {
-        return Err(CoreError::InvalidParameter {
-            name: "t_min",
-            value: t_min,
-        });
-    }
-    if !(t_max.is_finite() && t_max >= t_min) {
-        return Err(CoreError::InvalidParameter {
-            name: "t_max",
-            value: t_max,
-        });
-    }
-    let ln_lo = t_min.ln();
-    let ln_hi = t_max.ln();
-    let values: Vec<f64> = uniforms
-        .iter()
-        .map(|&u| (ln_lo + u * (ln_hi - ln_lo)).exp())
-        .collect();
-    System::from_true_values(&values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,38 +54,7 @@ mod tests {
 
     #[test]
     fn paper_system_inverse_sum_is_5_1() {
-        let sys = paper_system();
-        assert!((sys.total_processing_rate() - 5.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_system_is_uniform() {
-        let sys = uniform_system(4, 2.5).unwrap();
-        assert!(sys.true_values().iter().all(|&t| t == 2.5));
-        assert!(uniform_system(0, 1.0).is_err());
-    }
-
-    #[test]
-    fn geometric_system_ladder() {
-        let sys = geometric_system(3, 1.0, 2.0).unwrap();
-        assert_eq!(sys.true_values(), vec![1.0, 2.0, 4.0]);
-        assert!(geometric_system(3, 1.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn random_system_is_within_bounds() {
-        let uniforms = [0.0, 0.25, 0.5, 1.0];
-        let sys = random_system_from_uniforms(&uniforms, 0.5, 8.0).unwrap();
-        for &t in &sys.true_values() {
-            assert!((0.5..=8.0).contains(&t), "t = {t}");
-        }
-        assert_eq!(sys.true_values()[0], 0.5);
-        assert!((sys.true_values()[3] - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn random_system_rejects_bad_bounds() {
-        assert!(random_system_from_uniforms(&[0.5], -1.0, 2.0).is_err());
-        assert!(random_system_from_uniforms(&[0.5], 2.0, 1.0).is_err());
+        let rates = paper_system().true_values().into_iter().map(|t| 1.0 / t);
+        assert!((crate::numeric::compensated_sum(rates) - 5.1).abs() < 1e-12);
     }
 }

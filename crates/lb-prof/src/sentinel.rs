@@ -26,7 +26,7 @@
 //! between the machine that produced the baseline and the live one.
 
 use crate::rollup::PHASES;
-use lb_stats::{mean_confidence_interval, OnlineStats};
+use lb_stats::{mean_confidence_interval, ConfidenceLevel, OnlineStats};
 use lb_telemetry::Json;
 use std::fmt;
 use std::fmt::Write as _;
@@ -136,8 +136,8 @@ impl Baseline {
 /// Sentinel thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentinelConfig {
-    /// Student-t confidence level for the mean interval (0.90/0.95/0.99).
-    pub confidence: f64,
+    /// Student-t confidence level for the mean interval.
+    pub confidence: ConfidenceLevel,
     /// Fractional headroom over the baseline p99 before flagging
     /// (absorbs cross-machine drift).
     pub slack: f64,
@@ -148,7 +148,7 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     fn default() -> Self {
         Self {
-            confidence: 0.99,
+            confidence: ConfidenceLevel::P99,
             slack: 0.25,
             min_rounds: 3,
         }
@@ -234,7 +234,7 @@ pub fn verdicts_json(
         ("bench", Json::Str(baseline.bench.clone())),
         ("label", Json::Str(baseline.label.clone())),
         ("n", Json::Num(n as f64)),
-        ("confidence", Json::Num(cfg.confidence)),
+        ("confidence", Json::Num(cfg.confidence.value())),
         ("slack", Json::Num(cfg.slack)),
         (
             "regressed",
@@ -427,6 +427,7 @@ mod tests {
         let doc = verdicts_json(&verdicts, 1024, &baseline, &cfg);
         let back = Json::parse(&doc.render()).unwrap();
         assert_eq!(back.get("regressed").and_then(Json::as_bool), Some(true));
+        assert_eq!(back.get("confidence").and_then(Json::as_f64), Some(0.99));
         assert_eq!(
             back.get("verdicts")
                 .and_then(Json::as_array)
@@ -436,5 +437,91 @@ mod tests {
         let text = render(&verdicts);
         assert!(text.contains("REGRESSED"));
         assert!(text.contains("settle"));
+    }
+
+    /// The typed level reproduces, bit for bit, the interval the sentinel
+    /// computed when the level was the `f64` 0.90, 0.95 or 0.99: below
+    /// (7 rounds, table rows) and above (40 rounds, interpolation) df = 30.
+    #[test]
+    fn confidence_levels_reproduce_the_f64_intervals() {
+        const EXPECTED: [(u64, ConfidenceLevel, [[u64; 2]; 4]); 6] = [
+            (
+                7,
+                ConfidenceLevel::P90,
+                [
+                    [0x400d_6dae_e9df_52fa, 0x4010_d421_3a9b_4f32],
+                    [0x4023_5b6b_ba77_d4be, 0x4024_6a10_9d4d_a799],
+                    [0x4016_b6d7_74ef_a97e, 0x4018_d421_3a9b_4f32],
+                    [0x401e_b6d7_74ef_a97e, 0x4020_6a10_9d4d_a79a],
+                ],
+            ),
+            (
+                7,
+                ConfidenceLevel::P95,
+                [
+                    [0x400c_e146_ed68_7d81, 0x4011_1a55_38d6_b9f0],
+                    [0x4023_3851_bb5a_1f60, 0x4024_8d2a_9c6b_5cf7],
+                    [0x4016_70a3_76b4_3ec0, 0x4019_1a55_38d6_b9f0],
+                    [0x401e_70a3_76b4_3ec1, 0x4020_8d2a_9c6b_5cf8],
+                ],
+            ),
+            (
+                7,
+                ConfidenceLevel::P99,
+                [
+                    [0x400b_8242_f63f_67d1, 0x4011_c9d7_346b_44c7],
+                    [0x4022_e090_bd8f_d9f3, 0x4024_e4eb_9a35_a264],
+                    [0x4015_c121_7b1f_b3e9, 0x4019_c9d7_346b_44c7],
+                    [0x401d_c121_7b1f_b3e9, 0x4020_e4eb_9a35_a265],
+                ],
+            ),
+            (
+                40,
+                ConfidenceLevel::P90,
+                [
+                    [0x400f_3601_bbea_df69, 0x4010_5084_40c2_e238],
+                    [0x4023_cd80_6efa_b7d9, 0x4024_2842_2061_711c],
+                    [0x4017_9b00_ddf5_6fb5, 0x4018_5084_40c2_e238],
+                    [0x401f_9b00_ddf5_6fb2, 0x4020_2842_2061_711c],
+                ],
+            ),
+            (
+                40,
+                ConfidenceLevel::P95,
+                [
+                    [0x400f_1196_8ef7_962e, 0x4010_62b9_d73c_86d5],
+                    [0x4023_c465_a3bd_e58a, 0x4024_315c_eb9e_436a],
+                    [0x4017_88cb_477b_cb17, 0x4018_62b9_d73c_86d6],
+                    [0x401f_88cb_477b_cb15, 0x4020_315c_eb9e_436a],
+                ],
+            ),
+            (
+                40,
+                ConfidenceLevel::P99,
+                [
+                    [0x400e_c79b_7747_ef13, 0x4010_87b7_6314_5a63],
+                    [0x4023_b1e6_ddd1_fbc3, 0x4024_43db_b18a_2d31],
+                    [0x4017_63cd_bba3_f78a, 0x4018_87b7_6314_5a63],
+                    [0x401f_63cd_bba3_f787, 0x4020_43db_b18a_2d31],
+                ],
+            ),
+        ];
+        let baseline = Baseline::parse(&bench_log_text(), "seed").unwrap();
+        for (rounds, confidence, expected) in EXPECTED {
+            let cfg = SentinelConfig {
+                confidence,
+                ..SentinelConfig::default()
+            };
+            let got: Vec<[u64; 2]> = check(
+                &series([4.0, 10.0, 6.0, 8.0], rounds, 0.4),
+                1024,
+                &baseline,
+                &cfg,
+            )
+            .iter()
+            .map(|v| [v.ci_lo_ms.to_bits(), v.ci_hi_ms.to_bits()])
+            .collect();
+            assert_eq!(got, expected, "{rounds} rounds at {confidence:?}");
+        }
     }
 }

@@ -13,13 +13,12 @@
 //!
 //! is a consistent estimator (for the i.i.d. exponential model it is exactly
 //! the maximum-likelihood estimator of the mean divided by a known
-//! constant). A confidence interval follows from the response-time sample.
+//! constant).
 //!
 //! [`EstimatorConfig`] adds two knobs used by the robustness ablation:
 //! a cap on how many completions are observed (sampling) and multiplicative
 //! observation noise.
 
-use lb_stats::ci::{mean_confidence_interval, ConfidenceInterval};
 use lb_stats::dist::{sample, LogNormal};
 use lb_stats::online::OnlineStats;
 use lb_stats::rng::Xoshiro256StarStar;
@@ -98,21 +97,6 @@ impl ExecValueEstimator {
             Some(self.stats.mean() / assigned_rate)
         }
     }
-
-    /// Confidence interval for the execution value (requires ≥ 2 samples).
-    #[must_use]
-    pub fn estimate_ci(&self, assigned_rate: f64, confidence: f64) -> Option<ConfidenceInterval> {
-        if self.stats.count() < 2 || assigned_rate <= 0.0 {
-            return None;
-        }
-        let ci = mean_confidence_interval(&self.stats, confidence);
-        Some(ConfidenceInterval {
-            mean: ci.mean / assigned_rate,
-            half_width: ci.half_width / assigned_rate,
-            confidence: ci.confidence,
-            count: ci.count,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -120,6 +104,24 @@ mod tests {
     use super::*;
     use crate::server::ServiceModel;
     use crate::workload::PoissonProcess;
+    use lb_stats::ci::{mean_confidence_interval, ConfidenceInterval, ConfidenceLevel};
+
+    /// Confidence interval for the execution value (requires ≥ 2 samples).
+    fn estimate_ci(
+        est: &ExecValueEstimator,
+        assigned_rate: f64,
+        confidence: ConfidenceLevel,
+    ) -> Option<ConfidenceInterval> {
+        if est.stats.count() < 2 || assigned_rate <= 0.0 {
+            return None;
+        }
+        let ci = mean_confidence_interval(&est.stats, confidence);
+        Some(ConfidenceInterval {
+            mean: ci.mean / assigned_rate,
+            half_width: ci.half_width / assigned_rate,
+            ..ci
+        })
+    }
 
     #[test]
     fn noiseless_deterministic_recovery_is_exact() {
@@ -148,7 +150,7 @@ mod tests {
         }
         let t = est.estimate(rate).unwrap();
         assert!((t - exec).abs() / exec < 0.03, "estimate {t}");
-        let ci = est.estimate_ci(rate, 0.99).unwrap();
+        let ci = estimate_ci(&est, rate, ConfidenceLevel::P99).unwrap();
         assert!(
             ci.contains(exec),
             "CI [{}, {}] misses {exec}",
@@ -161,7 +163,7 @@ mod tests {
     fn idle_machine_yields_none() {
         let est = ExecValueEstimator::new(EstimatorConfig::default());
         assert_eq!(est.estimate(1.0), None);
-        assert_eq!(est.estimate_ci(1.0, 0.95), None);
+        assert_eq!(estimate_ci(&est, 1.0, ConfidenceLevel::P95), None);
         let mut est2 = ExecValueEstimator::new(EstimatorConfig::default());
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
         est2.observe(1.0, &mut rng);
@@ -200,8 +202,8 @@ mod tests {
         let n = noisy.estimate(1.0).unwrap();
         assert!((c - 5.0).abs() < 1e-12);
         assert!((n - 5.0).abs() < 0.05, "noisy estimate {n} biased");
-        let ci_c = clean.estimate_ci(1.0, 0.95).unwrap();
-        let ci_n = noisy.estimate_ci(1.0, 0.95).unwrap();
+        let ci_c = estimate_ci(&clean, 1.0, ConfidenceLevel::P95).unwrap();
+        let ci_n = estimate_ci(&noisy, 1.0, ConfidenceLevel::P95).unwrap();
         assert!(ci_n.half_width > ci_c.half_width);
     }
 }

@@ -23,7 +23,8 @@
 //!   estimate, and the end-to-end pipeline that feeds the estimates into a
 //!   [`lb_mechanism::VerifiedMechanism`] for payments.
 //! * [`metrics`] — per-machine observation records and sanity checks.
-//! * [`replication`] — deterministic parallel replication runner.
+//! * [`churn`] — the seed-deterministic churn stream the online mechanism
+//!   is driven by.
 
 pub mod churn;
 pub mod driver;
@@ -31,9 +32,7 @@ pub mod estimator;
 pub mod events;
 pub mod metrics;
 pub mod queue;
-pub mod replication;
 pub mod server;
-pub mod system;
 pub mod time;
 pub mod workload;
 
@@ -45,6 +44,5 @@ pub use driver::{
 pub use estimator::{EstimatorConfig, ExecValueEstimator};
 pub use events::EventQueue;
 pub use server::ServiceModel;
-pub use system::{simulate_system_dispatch, DispatchReport};
 pub use time::SimTime;
 pub use workload::PoissonProcess;

@@ -28,13 +28,6 @@ impl MachineObservation {
             self.assigned_rate * self.response.mean()
         }
     }
-
-    /// Empirical throughput over the horizon (jobs per unit time).
-    #[must_use]
-    pub fn throughput(&self, horizon: f64) -> f64 {
-        assert!(horizon > 0.0, "throughput: horizon must be positive");
-        self.jobs_arrived as f64 / horizon
-    }
 }
 
 #[cfg(test)]
@@ -61,17 +54,5 @@ mod tests {
     fn idle_machine_contributes_nothing() {
         let o = obs(0.0, &[]);
         assert_eq!(o.latency_contribution(), 0.0);
-    }
-
-    #[test]
-    fn throughput_is_count_over_horizon() {
-        let o = obs(1.0, &[1.0, 1.0, 1.0, 1.0]);
-        assert!((o.throughput(2.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "horizon must be positive")]
-    fn throughput_rejects_zero_horizon() {
-        let _ = obs(1.0, &[1.0]).throughput(0.0);
     }
 }

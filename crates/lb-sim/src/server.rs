@@ -20,7 +20,7 @@
 //!   queue, stressing the estimator the way a real system would.
 
 use crate::queue::{simulate_fcfs, JobRecord};
-use lb_stats::dist::{sample, Deterministic, Exponential};
+use lb_stats::dist::{sample, Exponential};
 use lb_stats::rng::Xoshiro256StarStar;
 
 /// Stochastic realisation of the paper's latency abstraction.
@@ -115,21 +115,6 @@ impl ServiceModel {
             }
         }
     }
-
-    /// The exact stationary mean response this model targets.
-    #[must_use]
-    pub fn target_mean_response(self, exec_value: f64, assigned_rate: f64) -> f64 {
-        exec_value * assigned_rate
-    }
-}
-
-/// Deterministic response generator used in zero-noise validation paths;
-/// exposed for tests that need raw access without a `ServiceModel` value.
-#[must_use]
-pub fn deterministic_responses(n: usize, exec_value: f64, assigned_rate: f64) -> Vec<f64> {
-    let d = Deterministic::new(exec_value * assigned_rate);
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0);
-    (0..n).map(|_| sample(&d, &mut rng)).collect()
 }
 
 #[cfg(test)]
@@ -214,20 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn target_mean_is_linear_latency() {
-        assert_eq!(ServiceModel::default().target_mean_response(2.0, 3.0), 6.0);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid exec value")]
     fn invalid_exec_value_panics() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(8);
         let _ = ServiceModel::StationaryExponential.responses(&[1.0], 0.0, 1.0, &mut rng);
-    }
-
-    #[test]
-    fn deterministic_responses_helper() {
-        let r = deterministic_responses(5, 2.0, 1.5);
-        assert_eq!(r, vec![3.0; 5]);
     }
 }

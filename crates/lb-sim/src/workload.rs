@@ -72,7 +72,7 @@ fn push_until(mut next: impl FnMut() -> f64, horizon: f64, out: &mut Vec<f64>) {
 /// of bursty traffic, used here to stress the verification estimator beyond
 /// the paper's stationary-Poisson assumption.
 #[derive(Debug, Clone)]
-pub struct MmppProcess {
+struct MmppProcess {
     rates: [f64; 2],
     dwell_means: [f64; 2],
     state: usize,
@@ -86,8 +86,7 @@ impl MmppProcess {
     ///
     /// # Panics
     /// Panics unless all rates and dwell means are finite and positive.
-    #[must_use]
-    pub fn new(rates: [f64; 2], dwell_means: [f64; 2], mut rng: Xoshiro256StarStar) -> Self {
+    fn new(rates: [f64; 2], dwell_means: [f64; 2], mut rng: Xoshiro256StarStar) -> Self {
         assert!(
             rates.iter().all(|r| r.is_finite() && *r > 0.0),
             "MmppProcess: rates must be finite and > 0"
@@ -107,16 +106,9 @@ impl MmppProcess {
         }
     }
 
-    /// Long-run average arrival rate (dwell-weighted).
-    #[must_use]
-    pub fn mean_rate(&self) -> f64 {
-        let w = self.dwell_means[0] + self.dwell_means[1];
-        (self.rates[0] * self.dwell_means[0] + self.rates[1] * self.dwell_means[1]) / w
-    }
-
     /// Draws the next arrival time (strictly increasing), switching states
     /// as dwell periods expire.
-    pub fn next_arrival(&mut self) -> f64 {
+    fn next_arrival(&mut self) -> f64 {
         loop {
             let gap = sample(&Exponential::new(self.rates[self.state]), &mut self.rng);
             let candidate = self.now + gap;
@@ -135,13 +127,6 @@ impl MmppProcess {
             );
             self.state_until = self.now + dwell;
         }
-    }
-
-    /// Generates all arrival times up to `horizon`.
-    pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        push_until(|| self.next_arrival(), horizon, &mut out);
-        out
     }
 }
 
@@ -218,26 +203,10 @@ impl WorkloadModel {
     }
 }
 
-/// Generates per-machine arrival traces for one round.
-///
-/// Machine `i` receives a stream at long-run rate `rates[i]` under `model`;
-/// machines with zero (or epsilon) rate receive no jobs. Jobs are numbered
-/// globally in per-machine generation order.
-///
-/// # Panics
-/// Panics if `horizon` is not positive or any rate is negative/non-finite.
-#[must_use]
-pub fn per_machine_traces_with(
-    rates: &[f64],
-    horizon: f64,
-    seed: u64,
-    model: WorkloadModel,
-) -> Vec<Vec<Job>> {
-    per_machine_traces_offset(rates, horizon, seed, model, 0)
-}
-
-/// [`per_machine_traces_with`] for a *contiguous slice* of a larger system:
-/// `rates[i]` describes global machine `offset + i`.
+/// Generates per-machine arrival traces for a *contiguous slice* of a larger
+/// system: `rates[i]` describes global machine `offset + i`, which receives a
+/// stream at long-run rate `rates[i]` under `model`. Machines with zero (or
+/// epsilon) rate receive no jobs.
 ///
 /// Machine `offset + i` draws from RNG stream `offset + i` of the same base
 /// seed, so partitioning a round across shard coordinators and concatenating
@@ -299,13 +268,26 @@ pub fn per_machine_traces_offset(
 /// Panics if `horizon` is not positive or any rate is negative/non-finite.
 #[must_use]
 pub fn per_machine_traces(rates: &[f64], horizon: f64, seed: u64) -> Vec<Vec<Job>> {
-    per_machine_traces_with(rates, horizon, seed, WorkloadModel::Poisson)
+    per_machine_traces_offset(rates, horizon, seed, WorkloadModel::Poisson, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lb_stats::online::OnlineStats;
+
+    /// Long-run average arrival rate of an MMPP-2 (dwell-weighted).
+    fn mean_rate(p: &MmppProcess) -> f64 {
+        let w = p.dwell_means[0] + p.dwell_means[1];
+        (p.rates[0] * p.dwell_means[0] + p.rates[1] * p.dwell_means[1]) / w
+    }
+
+    /// All of an MMPP-2's arrival times up to `horizon`.
+    fn mmpp_arrivals_until(p: &mut MmppProcess, horizon: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        push_until(|| p.next_arrival(), horizon, &mut out);
+        out
+    }
 
     #[test]
     fn arrivals_are_strictly_increasing() {
@@ -371,14 +353,14 @@ mod tests {
             [40.0, 10.0],
             Xoshiro256StarStar::seed_from_u64(21),
         );
-        let arrivals = p.arrivals_until(5_000.0);
+        let arrivals = mmpp_arrivals_until(&mut p, 5_000.0);
         let mut gaps = Vec::with_capacity(arrivals.len());
         let mut prev = 0.0;
         for &t in &arrivals {
             gaps.push(t - prev);
             prev = t;
         }
-        let test = lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(p.mean_rate()));
+        let test = lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(mean_rate(&p)));
         assert!(test.rejects_at(0.001), "KS p-value {}", test.p_value);
     }
 
@@ -415,9 +397,9 @@ mod tests {
             Xoshiro256StarStar::seed_from_u64(11),
         );
         let horizon = 50_000.0;
-        let arrivals = p.arrivals_until(horizon);
+        let arrivals = mmpp_arrivals_until(&mut p, horizon);
         let empirical = arrivals.len() as f64 / horizon;
-        let analytic = p.mean_rate(); // (1*50 + 20*5)/55 = 150/55
+        let analytic = mean_rate(&p); // (1*50 + 20*5)/55 = 150/55
         assert!((analytic - 150.0 / 55.0).abs() < 1e-12);
         assert!(
             (empirical - analytic).abs() / analytic < 0.05,
@@ -446,9 +428,9 @@ mod tests {
             [40.0, 10.0],
             Xoshiro256StarStar::seed_from_u64(12),
         );
-        let (m_mean, m_var) = count_variance(&mmpp.arrivals_until(horizon));
+        let (m_mean, m_var) = count_variance(&mmpp_arrivals_until(&mut mmpp, horizon));
         let mut poisson =
-            PoissonProcess::new(mmpp.mean_rate(), Xoshiro256StarStar::seed_from_u64(13));
+            PoissonProcess::new(mean_rate(&mmpp), Xoshiro256StarStar::seed_from_u64(13));
         let (p_mean, p_var) = count_variance(&poisson.arrivals_until(horizon));
         let mmpp_iod = m_var / m_mean;
         let poisson_iod = p_var / p_mean;

@@ -2,8 +2,8 @@
 //!
 //! Response times out of a queue are serially correlated; treating them as
 //! i.i.d. understates the variance of their mean. These helpers quantify
-//! that correlation — the justification for [`crate::ci::batch_means`] —
-//! and estimate the effective sample size of an autocorrelated series.
+//! that correlation and estimate the effective sample size of an
+//! autocorrelated series.
 
 /// Sample autocovariance of `series` at `lag` (biased, normalised by `n`,
 /// the standard spectral-friendly convention).
@@ -11,7 +11,7 @@
 /// # Panics
 /// Panics if the series is shorter than `lag + 2`.
 #[must_use]
-pub fn autocovariance(series: &[f64], lag: usize) -> f64 {
+fn autocovariance(series: &[f64], lag: usize) -> f64 {
     assert!(
         series.len() >= lag + 2,
         "autocovariance: series too short for lag {lag}"
@@ -50,7 +50,7 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
 /// # Panics
 /// Panics if the series has fewer than 3 observations.
 #[must_use]
-pub fn integrated_autocorrelation_time(series: &[f64]) -> f64 {
+fn integrated_autocorrelation_time(series: &[f64]) -> f64 {
     assert!(
         series.len() >= 3,
         "integrated_autocorrelation_time: series too short"

@@ -1,10 +1,34 @@
-//! Confidence intervals for simulation output analysis.
+//! Student-t confidence intervals for simulation output analysis.
 //!
-//! Two tools: Student-t intervals over independent replications (the standard
-//! way to report discrete-event simulation results) and the batch-means method
-//! for a single long, autocorrelated run.
+//! The standard way to report discrete-event simulation results: a
+//! t-interval over independent observations of the mean. The level is a
+//! [`ConfidenceLevel`], so only the levels the critical-value table covers
+//! can be asked for.
 
 use crate::online::OnlineStats;
+
+/// A two-sided confidence level covered by the Student-t table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ConfidenceLevel {
+    /// 90 %.
+    P90,
+    /// 95 %.
+    P95,
+    /// 99 %.
+    P99,
+}
+
+impl ConfidenceLevel {
+    /// The level as a probability: `0.90`, `0.95` or `0.99`.
+    #[must_use]
+    pub fn value(self) -> f64 {
+        match self {
+            Self::P90 => 0.90,
+            Self::P95 => 0.95,
+            Self::P99 => 0.99,
+        }
+    }
+}
 
 /// A two-sided confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,8 +37,8 @@ pub struct ConfidenceInterval {
     pub mean: f64,
     /// Half-width of the interval.
     pub half_width: f64,
-    /// Confidence level used, e.g. `0.95`.
-    pub confidence: f64,
+    /// Confidence level used.
+    pub confidence: ConfidenceLevel,
     /// Number of observations behind the estimate.
     pub count: u64,
 }
@@ -37,32 +61,15 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lo() && value <= self.hi()
     }
-
-    /// Relative half-width (`half_width / |mean|`); `inf` for zero mean.
-    #[must_use]
-    pub fn relative_precision(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
-/// Two-sided Student-t critical value for the given degrees of freedom and
-/// confidence level (supported levels: 0.90, 0.95, 0.99).
+/// Two-sided Student-t critical value for `df >= 1` degrees of freedom.
 ///
 /// Exact table entries for small `df`, smooth interpolation to the normal
 /// quantile for large `df`. Accuracy is better than 1% everywhere, which is
 /// far below simulation noise.
-///
-/// # Panics
-/// Panics if `df == 0` or the level is unsupported.
-#[must_use]
-pub fn t_critical(df: u64, confidence: f64) -> f64 {
-    assert!(df > 0, "t_critical: df must be >= 1");
-    // Table rows: df 1..=30, then selected larger dfs.
-    const LEVELS: [f64; 3] = [0.90, 0.95, 0.99];
+fn t_critical(df: u64, confidence: ConfidenceLevel) -> f64 {
+    // Table rows: df 1..=30; columns: 0.90, 0.95, 0.99.
     const TABLE: [[f64; 3]; 30] = [
         [6.314, 12.706, 63.657],
         [2.920, 4.303, 9.925],
@@ -98,10 +105,11 @@ pub fn t_critical(df: u64, confidence: f64) -> f64 {
     // Normal quantiles for the three levels (df -> infinity limit).
     const Z: [f64; 3] = [1.645, 1.960, 2.576];
 
-    let col = LEVELS
-        .iter()
-        .position(|&l| (l - confidence).abs() < 1e-9)
-        .unwrap_or_else(|| panic!("t_critical: unsupported confidence level {confidence}"));
+    let col = match confidence {
+        ConfidenceLevel::P90 => 0,
+        ConfidenceLevel::P95 => 1,
+        ConfidenceLevel::P99 => 2,
+    };
 
     if df <= 30 {
         TABLE[(df - 1) as usize][col]
@@ -117,10 +125,12 @@ pub fn t_critical(df: u64, confidence: f64) -> f64 {
 /// Student-t confidence interval for the mean of the observations in `stats`.
 ///
 /// # Panics
-/// Panics if `stats` holds fewer than two observations (no variance estimate)
-/// or the confidence level is unsupported.
+/// Panics if `stats` holds fewer than two observations (no variance estimate).
 #[must_use]
-pub fn mean_confidence_interval(stats: &OnlineStats, confidence: f64) -> ConfidenceInterval {
+pub fn mean_confidence_interval(
+    stats: &OnlineStats,
+    confidence: ConfidenceLevel,
+) -> ConfidenceInterval {
     assert!(
         stats.count() >= 2,
         "mean_confidence_interval: need at least 2 observations"
@@ -134,31 +144,6 @@ pub fn mean_confidence_interval(stats: &OnlineStats, confidence: f64) -> Confide
     }
 }
 
-/// Batch-means confidence interval for a single autocorrelated series.
-///
-/// The series is split into `batches` equal contiguous batches; batch means
-/// are approximately independent for long batches, so a t-interval over them
-/// is asymptotically valid. Trailing observations that do not fill the last
-/// batch are dropped.
-///
-/// # Panics
-/// Panics if `batches < 2` or the series is shorter than `2 * batches`.
-#[must_use]
-pub fn batch_means(series: &[f64], batches: usize, confidence: f64) -> ConfidenceInterval {
-    assert!(batches >= 2, "batch_means: need at least 2 batches");
-    assert!(
-        series.len() >= 2 * batches,
-        "batch_means: series too short for {batches} batches"
-    );
-    let batch_len = series.len() / batches;
-    let mut means = OnlineStats::new();
-    for b in 0..batches {
-        let chunk = &series[b * batch_len..(b + 1) * batch_len];
-        means.push(chunk.iter().sum::<f64>() / chunk.len() as f64);
-    }
-    mean_confidence_interval(&means, confidence)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,22 +152,16 @@ mod tests {
 
     #[test]
     fn t_critical_matches_table() {
-        assert!((t_critical(1, 0.95) - 12.706).abs() < 1e-9);
-        assert!((t_critical(10, 0.95) - 2.228).abs() < 1e-9);
-        assert!((t_critical(30, 0.99) - 2.750).abs() < 1e-9);
+        assert!((t_critical(1, ConfidenceLevel::P95) - 12.706).abs() < 1e-9);
+        assert!((t_critical(10, ConfidenceLevel::P95) - 2.228).abs() < 1e-9);
+        assert!((t_critical(30, ConfidenceLevel::P99) - 2.750).abs() < 1e-9);
     }
 
     #[test]
     fn t_critical_large_df_approaches_normal() {
-        assert!((t_critical(1_000_000, 0.95) - 1.960).abs() < 0.01);
-        assert!(t_critical(31, 0.95) < t_critical(30, 0.95));
-        assert!(t_critical(100, 0.95) > 1.960);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported confidence")]
-    fn t_critical_rejects_unknown_level() {
-        let _ = t_critical(10, 0.42);
+        assert!((t_critical(1_000_000, ConfidenceLevel::P95) - 1.960).abs() < 0.01);
+        assert!(t_critical(31, ConfidenceLevel::P95) < t_critical(30, ConfidenceLevel::P95));
+        assert!(t_critical(100, ConfidenceLevel::P95) > 1.960);
     }
 
     #[test]
@@ -190,14 +169,13 @@ mod tests {
         let ci = ConfidenceInterval {
             mean: 10.0,
             half_width: 2.0,
-            confidence: 0.95,
+            confidence: ConfidenceLevel::P95,
             count: 5,
         };
         assert_eq!(ci.lo(), 8.0);
         assert_eq!(ci.hi(), 12.0);
         assert!(ci.contains(9.0));
         assert!(!ci.contains(12.5));
-        assert!((ci.relative_precision() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -211,30 +189,14 @@ mod tests {
             let m: f64 = (0..50).map(|_| sample(&d, &mut rng)).sum::<f64>() / 50.0;
             reps.push(m);
         }
-        let ci = mean_confidence_interval(&reps, 0.99);
+        let ci = mean_confidence_interval(&reps, ConfidenceLevel::P99);
         assert!(ci.contains(2.0), "CI [{}, {}] misses 2.0", ci.lo(), ci.hi());
-    }
-
-    #[test]
-    fn batch_means_on_iid_series_covers_mean() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let d = Exponential::with_mean(1.0);
-        let series: Vec<f64> = (0..10_000).map(|_| sample(&d, &mut rng)).collect();
-        let ci = batch_means(&series, 20, 0.99);
-        assert!(ci.contains(1.0), "CI [{}, {}] misses 1.0", ci.lo(), ci.hi());
-        assert_eq!(ci.count, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "series too short")]
-    fn batch_means_rejects_short_series() {
-        let _ = batch_means(&[1.0, 2.0, 3.0], 2, 0.95);
     }
 
     #[test]
     #[should_panic(expected = "at least 2 observations")]
     fn mean_ci_requires_two_points() {
         let s = OnlineStats::from_slice(&[1.0]);
-        let _ = mean_confidence_interval(&s, 0.95);
+        let _ = mean_confidence_interval(&s, ConfidenceLevel::P95);
     }
 }

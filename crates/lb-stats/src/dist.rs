@@ -221,92 +221,6 @@ impl Distribution for Pareto {
     }
 }
 
-/// Two-phase hyperexponential distribution (H2): with probability `p` draw
-/// from `Exp(rate1)`, else from `Exp(rate2)`.
-///
-/// The standard minimal model for *high-variability* service times
-/// (CV² > 1 whenever the two rates differ) — the regime where FCFS pays the
-/// Pollaczek–Khinchine penalty and processor sharing does not.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hyperexponential {
-    p: f64,
-    rate1: f64,
-    rate2: f64,
-}
-
-impl Hyperexponential {
-    /// Creates an H2 distribution.
-    ///
-    /// # Panics
-    /// Panics unless `p ∈ [0, 1]` and both rates are finite and positive.
-    #[must_use]
-    pub fn new(p: f64, rate1: f64, rate2: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "Hyperexponential: p must be in [0, 1]"
-        );
-        assert!(
-            rate1.is_finite() && rate1 > 0.0,
-            "Hyperexponential: rate1 must be > 0"
-        );
-        assert!(
-            rate2.is_finite() && rate2 > 0.0,
-            "Hyperexponential: rate2 must be > 0"
-        );
-        Self { p, rate1, rate2 }
-    }
-
-    /// Balanced-means H2 with a target mean and squared coefficient of
-    /// variation `cv2 > 1` (the classic two-moment fit with balanced phase
-    /// loads, Whitt 1982).
-    ///
-    /// # Panics
-    /// Panics unless `mean > 0` and `cv2 > 1`.
-    #[must_use]
-    pub fn with_mean_cv2(mean: f64, cv2: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "Hyperexponential: mean must be > 0"
-        );
-        assert!(
-            cv2 > 1.0,
-            "Hyperexponential: cv2 must exceed 1 (else use Exponential)"
-        );
-        let p = 0.5 * (1.0 + ((cv2 - 1.0) / (cv2 + 1.0)).sqrt());
-        let rate1 = 2.0 * p / mean;
-        let rate2 = 2.0 * (1.0 - p) / mean;
-        Self::new(p, rate1, rate2)
-    }
-
-    /// Squared coefficient of variation.
-    #[must_use]
-    pub fn cv2(&self) -> f64 {
-        let m = self.mean().expect("finite");
-        let v = self.variance().expect("finite");
-        v / (m * m)
-    }
-}
-
-impl Distribution for Hyperexponential {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        let rate = if bits_to_unit(rng()) < self.p {
-            self.rate1
-        } else {
-            self.rate2
-        };
-        -unit_open(rng).ln() / rate
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.p / self.rate1 + (1.0 - self.p) / self.rate2)
-    }
-    fn variance(&self) -> Option<f64> {
-        let e2 = 2.0 * self.p / (self.rate1 * self.rate1)
-            + 2.0 * (1.0 - self.p) / (self.rate2 * self.rate2);
-        let m = self.mean()?;
-        Some(e2 - m * m)
-    }
-}
-
 /// Standard normal deviate via the Marsaglia polar method (no cached spare,
 /// so the sampler stays `&self`).
 fn standard_normal(next: &mut dyn FnMut() -> u64) -> f64 {
@@ -317,40 +231,6 @@ fn standard_normal(next: &mut dyn FnMut() -> u64) -> f64 {
         if s > 0.0 && s < 1.0 {
             return u * ((-2.0 * s.ln()) / s).sqrt();
         }
-    }
-}
-
-/// Normal distribution `N(mean, std_dev²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    /// Panics unless `std_dev >= 0` and both parameters are finite.
-    #[must_use]
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
-            "Normal: invalid parameters"
-        );
-        Self { mean, std_dev }
-    }
-}
-
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.mean + self.std_dev * standard_normal(rng)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.std_dev * self.std_dev)
     }
 }
 
@@ -400,333 +280,6 @@ impl Distribution for LogNormal {
     fn variance(&self) -> Option<f64> {
         let s2 = self.sigma * self.sigma;
         Some((s2.exp() - 1.0) * (2.0 * self.mu + s2).exp())
-    }
-}
-
-/// Gamma distribution with shape `k > 0` and rate `theta_inv` (i.e. scale `1/rate`).
-///
-/// Sampled with the Marsaglia–Tsang squeeze method (2000); shapes `< 1` use
-/// the standard boost `Gamma(k+1) * U^{1/k}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
-    shape: f64,
-    rate: f64,
-}
-
-impl Gamma {
-    /// Creates a gamma distribution with shape `k` and rate `λ` (mean `k/λ`).
-    ///
-    /// # Panics
-    /// Panics unless both parameters are finite and strictly positive.
-    #[must_use]
-    pub fn new(shape: f64, rate: f64) -> Self {
-        assert!(shape.is_finite() && shape > 0.0, "Gamma: shape must be > 0");
-        assert!(rate.is_finite() && rate > 0.0, "Gamma: rate must be > 0");
-        Self { shape, rate }
-    }
-
-    /// Erlang distribution: gamma with integer shape `k`, mean `k/rate`.
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `rate <= 0`.
-    #[must_use]
-    pub fn erlang(k: u32, rate: f64) -> Self {
-        assert!(k > 0, "Gamma::erlang: k must be >= 1");
-        Self::new(f64::from(k), rate)
-    }
-
-    fn sample_standard(shape: f64, next: &mut dyn FnMut() -> u64) -> f64 {
-        if shape < 1.0 {
-            // Boost: X ~ Gamma(k+1), return X * U^(1/k).
-            let x = Self::sample_standard(shape + 1.0, next);
-            return x * unit_open(next).powf(1.0 / shape);
-        }
-        let d = shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let z = standard_normal(next);
-            let v = 1.0 + c * z;
-            if v <= 0.0 {
-                continue;
-            }
-            let v3 = v * v * v;
-            let u = unit_open(next);
-            // Squeeze then full acceptance test.
-            if u < 1.0 - 0.0331 * z.powi(4) || u.ln() < 0.5 * z * z + d * (1.0 - v3 + v3.ln()) {
-                return d * v3;
-            }
-        }
-    }
-}
-
-impl Distribution for Gamma {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        Self::sample_standard(self.shape, rng) / self.rate
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.shape / self.rate)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.shape / (self.rate * self.rate))
-    }
-}
-
-/// Weibull distribution with scale `lambda` and shape `k` (inversion sampling).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    /// Panics unless both parameters are finite and strictly positive.
-    #[must_use]
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "Weibull: scale must be > 0"
-        );
-        assert!(
-            shape.is_finite() && shape > 0.0,
-            "Weibull: shape must be > 0"
-        );
-        Self { scale, shape }
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.scale * (-unit_open(rng).ln()).powf(1.0 / self.shape)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.scale * gamma_fn(1.0 + 1.0 / self.shape))
-    }
-    fn variance(&self) -> Option<f64> {
-        let g1 = gamma_fn(1.0 + 1.0 / self.shape);
-        let g2 = gamma_fn(1.0 + 2.0 / self.shape);
-        Some(self.scale * self.scale * (g2 - g1 * g1))
-    }
-}
-
-/// Lanczos approximation of the gamma function (g = 7, n = 9 coefficients).
-fn gamma_fn(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma_fn(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-/// Poisson-distributed *count* with the given mean.
-///
-/// Knuth's product method for small means; for large means a normal
-/// approximation with continuity correction (adequate for workload counts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    mean: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson distribution with the given mean (> 0).
-    ///
-    /// # Panics
-    /// Panics unless `mean` is finite and strictly positive.
-    #[must_use]
-    pub fn new(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "Poisson: mean must be > 0");
-        Self { mean }
-    }
-}
-
-impl Distribution for Poisson {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        if self.mean < 30.0 {
-            let limit = (-self.mean).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= unit_open(rng);
-                if p <= limit {
-                    return k as f64;
-                }
-                k += 1;
-            }
-        } else {
-            let z = standard_normal(rng);
-            (self.mean + self.mean.sqrt() * z + 0.5).floor().max(0.0)
-        }
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-}
-
-/// Discrete distribution over `0..weights.len()` sampled in O(1) with the
-/// Walker/Vose alias method.
-///
-/// Used for machine-selection in synthetic heterogeneous workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-    weights: Vec<f64>,
-}
-
-impl Categorical {
-    /// Builds the alias tables from non-negative `weights` (at least one > 0).
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty, contains a negative or non-finite value,
-    /// or sums to zero.
-    #[must_use]
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(
-            !weights.is_empty(),
-            "Categorical: weights must be non-empty"
-        );
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(
-                    w.is_finite() && w >= 0.0,
-                    "Categorical: weights must be finite and >= 0"
-                );
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "Categorical: total weight must be > 0");
-        let n = weights.len();
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = (0..n).filter(|&i| scaled[i] < 1.0).collect();
-        let mut large: Vec<usize> = (0..n).filter(|&i| scaled[i] >= 1.0).collect();
-        while !small.is_empty() && !large.is_empty() {
-            let s = small.pop().expect("small checked non-empty");
-            let l = *large.last().expect("large checked non-empty");
-            prob[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            prob[i] = 1.0;
-        }
-        Self {
-            prob,
-            alias,
-            weights: weights.to_vec(),
-        }
-    }
-
-    /// Draws an index in `0..len` according to the weights.
-    pub fn sample_index(&self, next: &mut dyn FnMut() -> u64) -> usize {
-        let n = self.prob.len() as u64;
-        // Unbiased bucket choice via 128-bit multiply-shift.
-        let bucket = (((next() as u128) * (n as u128)) >> 64) as usize;
-        if bits_to_unit(next()) < self.prob[bucket] {
-            bucket
-        } else {
-            self.alias[bucket]
-        }
-    }
-}
-
-impl Distribution for Categorical {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.sample_index(rng) as f64
-    }
-    fn mean(&self) -> Option<f64> {
-        let total: f64 = self.weights.iter().sum();
-        Some(
-            self.weights
-                .iter()
-                .enumerate()
-                .map(|(i, w)| i as f64 * w)
-                .sum::<f64>()
-                / total,
-        )
-    }
-    fn variance(&self) -> Option<f64> {
-        let total: f64 = self.weights.iter().sum();
-        let m = self.mean()?;
-        let e2 = self
-            .weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i as f64) * (i as f64) * w)
-            .sum::<f64>()
-            / total;
-        Some(e2 - m * m)
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s >= 0`.
-///
-/// Implemented through [`Categorical`]; models skewed job-class popularity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cat: Categorical,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s` is negative/non-finite.
-    #[must_use]
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf: n must be >= 1");
-        assert!(s.is_finite() && s >= 0.0, "Zipf: exponent must be >= 0");
-        let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
-        Self {
-            cat: Categorical::new(&weights),
-        }
-    }
-
-    /// Draws a rank in `1..=n`.
-    pub fn sample_rank(&self, next: &mut dyn FnMut() -> u64) -> usize {
-        self.cat.sample_index(next) + 1
-    }
-}
-
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-    fn mean(&self) -> Option<f64> {
-        self.cat.mean().map(|m| m + 1.0)
-    }
-    fn variance(&self) -> Option<f64> {
-        self.cat.variance()
     }
 }
 
@@ -820,133 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn hyperexponential_moments_and_cv2() {
-        let d = Hyperexponential::with_mean_cv2(2.0, 4.0);
-        assert!((d.mean().unwrap() - 2.0).abs() < 1e-12);
-        assert!((d.cv2() - 4.0).abs() < 1e-9, "cv2 {}", d.cv2());
-        assert_moments(&d, 400_000, 40, 0.05, 0.8);
-    }
-
-    #[test]
-    fn hyperexponential_reduces_to_exponential_at_equal_rates() {
-        let h = Hyperexponential::new(0.3, 2.0, 2.0);
-        let e = Exponential::new(2.0);
-        assert!((h.mean().unwrap() - e.mean().unwrap()).abs() < 1e-12);
-        assert!((h.variance().unwrap() - e.variance().unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cv2 must exceed 1")]
-    fn hyperexponential_rejects_low_cv() {
-        let _ = Hyperexponential::with_mean_cv2(1.0, 0.5);
-    }
-
-    #[test]
-    fn normal_moments() {
-        assert_moments(&Normal::new(-1.0, 2.0), 200_000, 6, 0.03, 0.1);
-    }
-
-    #[test]
     fn lognormal_moments() {
         let d = LogNormal::with_mean_cv(3.0, 0.5);
         assert!((d.mean().unwrap() - 3.0).abs() < 1e-9);
         assert_moments(&d, 400_000, 7, 0.03, 0.12);
-    }
-
-    #[test]
-    fn gamma_moments_shape_above_one() {
-        assert_moments(&Gamma::new(3.0, 2.0), 200_000, 8, 0.02, 0.05);
-    }
-
-    #[test]
-    fn gamma_moments_shape_below_one() {
-        assert_moments(&Gamma::new(0.5, 1.0), 400_000, 9, 0.02, 0.08);
-    }
-
-    #[test]
-    fn erlang_equals_sum_of_exponentials_in_mean() {
-        let d = Gamma::erlang(4, 2.0);
-        assert!((d.mean().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weibull_moments() {
-        assert_moments(&Weibull::new(2.0, 1.5), 300_000, 10, 0.03, 0.1);
-    }
-
-    #[test]
-    fn gamma_fn_known_values() {
-        assert!((gamma_fn(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma_fn(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn poisson_moments_small_mean() {
-        assert_moments(&Poisson::new(4.0), 200_000, 11, 0.03, 0.15);
-    }
-
-    #[test]
-    fn poisson_moments_large_mean() {
-        assert_moments(&Poisson::new(100.0), 200_000, 12, 0.2, 3.0);
-    }
-
-    #[test]
-    fn categorical_matches_weights() {
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let cat = Categorical::new(&weights);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(13);
-        let mut counts = [0u32; 4];
-        let n = 100_000;
-        let mut next = move || rng.next_u64();
-        for _ in 0..n {
-            counts[cat.sample_index(&mut next)] += 1;
-        }
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            let expect = w / total;
-            let got = f64::from(counts[i]) / f64::from(n);
-            assert!((got - expect).abs() < 0.01, "bucket {i}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn categorical_single_bucket() {
-        let cat = Categorical::new(&[7.0]);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(14);
-        let mut next = move || rng.next_u64();
-        assert_eq!(cat.sample_index(&mut next), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "total weight must be > 0")]
-    fn categorical_rejects_all_zero() {
-        let _ = Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let z = Zipf::new(10, 1.2);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(15);
-        let mut counts = [0u32; 10];
-        let mut next = move || rng.next_u64();
-        for _ in 0..50_000 {
-            counts[z.sample_rank(&mut next) - 1] += 1;
-        }
-        assert!(counts[0] > counts[1] && counts[1] > counts[3]);
-    }
-
-    #[test]
-    fn zipf_uniform_when_exponent_zero() {
-        let z = Zipf::new(4, 0.0);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(16);
-        let mut counts = [0u32; 4];
-        let mut next = move || rng.next_u64();
-        for _ in 0..80_000 {
-            counts[z.sample_rank(&mut next) - 1] += 1;
-        }
-        for c in counts {
-            assert!((18_000..22_000).contains(&c), "count {c}");
-        }
     }
 }

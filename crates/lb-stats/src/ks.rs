@@ -83,16 +83,16 @@ pub fn exponential_cdf(rate: f64) -> impl Fn(f64) -> f64 {
     }
 }
 
-/// CDF of the uniform distribution on `[lo, hi]`.
-pub fn uniform_cdf(lo: f64, hi: f64) -> impl Fn(f64) -> f64 {
-    move |x: f64| ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{sample, Exponential, LogNormal, Uniform};
     use crate::rng::Xoshiro256StarStar;
+
+    /// CDF of the uniform distribution on `[lo, hi]`.
+    fn uniform_cdf(lo: f64, hi: f64) -> impl Fn(f64) -> f64 {
+        move |x: f64| ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
+    }
 
     fn draw<D: crate::dist::Distribution>(d: &D, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

@@ -7,22 +7,23 @@
 //! * [`rng`] — counter-seeded, splittable pseudo-random number generators
 //!   (SplitMix64 for seeding, xoshiro256\*\* as the workhorse generator).
 //!   Every simulation in the workspace is reproducible from a single `u64`
-//!   seed, and parallel replications draw from provably disjoint streams.
-//! * [`dist`] — probability distributions implemented from first principles
-//!   (exponential, uniform, Pareto, gamma, normal, Poisson, Zipf, …) behind a
-//!   single [`dist::Distribution`] trait.
+//!   seed, and each machine draws from its own provably disjoint stream.
+//! * [`dist`] — the samplers the simulator draws from (exponential
+//!   interarrival and service times, log-normal observation noise) behind a
+//!   single [`dist::Distribution`] trait, plus the fixtures its tests use.
 //! * [`online`] — numerically stable single-pass (Welford) statistics with
-//!   pairwise merge for parallel reductions, plus EWMA smoothing.
-//! * [`ci`] — Student-t confidence intervals and batch-means analysis for
-//!   autocorrelated simulation output.
+//!   pairwise merge for parallel reductions.
+//! * [`ci`] — Student-t confidence intervals at a [`ConfidenceLevel`].
 //! * [`sketch`] — [`LatencySketch`], the workspace's one latency summary:
 //!   exact moments plus fixed-geometry log-domain bins, merged exactly and
 //!   read as quantiles by the profiler, the metrics registry and the bench
 //!   studies; [`quantile::nearest_rank`] keeps exact order statistics.
-//! * [`parallel`] — deterministic fan-out of independent replications over
-//!   `std::thread::scope`, the workspace's HPC building block.
+//! * [`ks`] and [`autocorr`] — the Kolmogorov–Smirnov test and the
+//!   autocorrelation estimates the simulator's tests check their
+//!   distributional claims with.
 //! * [`prop`] — a seeded property runner (composable generators, fixed
 //!   per-property streams) for the workspace's property tests.
+//! * [`parallel`] — [`par_map`], an order-preserving scoped-thread map.
 
 pub mod autocorr;
 pub mod ci;
@@ -35,16 +36,12 @@ pub mod quantile;
 pub mod rng;
 pub mod sketch;
 
-pub use autocorr::{
-    autocorrelation, autocovariance, effective_sample_size, integrated_autocorrelation_time,
-};
-pub use ci::{batch_means, mean_confidence_interval, ConfidenceInterval};
+pub use autocorr::{autocorrelation, effective_sample_size};
+pub use ci::{mean_confidence_interval, ConfidenceInterval, ConfidenceLevel};
 pub use dist::Distribution;
 pub use ks::{ks_test, KsTest};
-pub use online::{Ewma, OnlineStats};
+pub use online::OnlineStats;
 pub use parallel::par_map;
 pub use quantile::nearest_rank;
 pub use rng::{derive_seed, Rng, SplitMix64, Streams, Xoshiro256StarStar};
-pub use sketch::{
-    LatencySketch, WireError, WireSketch, SKETCH_BINS, SKETCH_LOG_HI, SKETCH_LOG_LO, SKETCH_RTOL,
-};
+pub use sketch::{LatencySketch, WireError, WireSketch, SKETCH_BINS, SKETCH_RTOL};

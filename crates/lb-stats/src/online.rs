@@ -1,9 +1,9 @@
 //! Single-pass, numerically stable summary statistics.
 //!
 //! [`OnlineStats`] implements Welford's algorithm with the Chan et al.
-//! pairwise-merge extension, so partial summaries computed on worker threads
-//! can be reduced without precision loss — the pattern used by the parallel
-//! replication runner in [`crate::parallel`].
+//! pairwise-merge extension, so partial summaries computed on different
+//! shards or threads can be reduced without precision loss — the pattern
+//! [`crate::sketch::LatencySketch`] uses for its exact moments.
 
 /// Streaming count / mean / variance / extrema accumulator (Welford).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -111,16 +111,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 when empty).
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
@@ -193,48 +183,6 @@ impl OnlineStats {
     }
 }
 
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-///
-/// Used by adaptive agents to smooth per-round utility feedback.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "Ewma: alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-
-    /// Feeds one observation and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value, if any observation has been pushed.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Clears the accumulated state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +202,6 @@ mod tests {
         let s = OnlineStats::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
@@ -331,34 +278,5 @@ mod tests {
         assert!(OnlineStats::from_parts(2, 1.0, 0.0, 2.0, 0.0, 2.0).is_none());
         assert!(OnlineStats::from_parts(0, 1.0, 0.0, 1.0, 1.0, 1.0).is_none());
         assert!(OnlineStats::from_parts(1, f64::INFINITY, 0.0, 1.0, 1.0, 1.0).is_none());
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.3);
-        for _ in 0..200 {
-            e.push(5.0);
-        }
-        assert!((e.value().unwrap() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_value_initializes() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.push(42.0), 42.0);
-    }
-
-    #[test]
-    fn ewma_reset_clears() {
-        let mut e = Ewma::new(0.5);
-        e.push(1.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
     }
 }

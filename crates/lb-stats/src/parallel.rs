@@ -73,12 +73,6 @@ where
         .collect()
 }
 
-/// Default worker count: available parallelism, clamped to at least 1.
-#[must_use]
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,10 +118,5 @@ mod tests {
     fn more_threads_than_tasks_is_fine() {
         let out = par_map(3, 64, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 }

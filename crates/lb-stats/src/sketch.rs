@@ -34,10 +34,10 @@ use crate::online::OnlineStats;
 use std::fmt;
 
 /// Lower edge of the sketch domain, in log₁₀ seconds (`10^-7.5 ≈ 32 ns`).
-pub const SKETCH_LOG_LO: f64 = -7.5;
+const SKETCH_LOG_LO: f64 = -7.5;
 /// Exclusive upper edge of the sketch domain, in log₁₀ seconds
 /// (`10^4.5 ≈ 8.8 hours`).
-pub const SKETCH_LOG_HI: f64 = 4.5;
+const SKETCH_LOG_HI: f64 = 4.5;
 /// Bin count: 12 decades × 40 bins per decade.
 pub const SKETCH_BINS: usize = 480;
 /// Documented relative quantile tolerance of a sketch read: two log-domain
@@ -311,9 +311,9 @@ pub struct WireSketch {
     pub max: f64,
     /// Exact sum.
     pub sum: f64,
-    /// Domain lower edge, log₁₀ seconds ([`SKETCH_LOG_LO`]).
+    /// Domain lower edge, log₁₀ seconds (−7.5 in every valid frame).
     pub log_lo: f64,
-    /// Domain upper edge, log₁₀ seconds ([`SKETCH_LOG_HI`]).
+    /// Domain upper edge, log₁₀ seconds (4.5 in every valid frame).
     pub log_hi: f64,
     /// Raw per-bin counts ([`SKETCH_BINS`] of them).
     pub bins: Vec<u64>,
