@@ -24,7 +24,10 @@
 //! ```
 
 use lb_mechanism::CompensationBonusMechanism;
-use lb_proto::{drive_sharded_round, Coordinator, FaultPlan, NodeSpec, ProtocolConfig, RoundId};
+use lb_proto::{
+    drive_sharded_round, expected_sharded_message_count, Coordinator, FaultPlan, NodeSpec,
+    ProtocolConfig, RoundId,
+};
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
 use lb_stats::nearest_rank;
@@ -96,8 +99,9 @@ pub fn config() -> ProtocolConfig {
 /// timings into per-phase samples.
 ///
 /// # Panics
-/// Panics if a round fails on the validated bench workload — that is a
-/// protocol regression, not a measurement condition.
+/// Panics if a round fails on the validated bench workload, or sends other
+/// than [`expected_sharded_message_count`] frames — that is a protocol
+/// regression, not a measurement condition.
 #[must_use]
 pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
     assert!(rounds > 0, "round_scaling: need at least one round");
@@ -117,7 +121,7 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
                     config.simulation,
                 )
                 .expect("bench coordinator");
-                let (_, t) = drive_sharded_round(
+                let (report, t) = drive_sharded_round(
                     &mut root,
                     &specs,
                     &config,
@@ -127,6 +131,13 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
                 )
                 .expect("bench round settles");
                 assert!(root.is_sealed());
+                // The paper's O(n) claim, checked at every bench size: a
+                // fan-out that drops or duplicates frames fails here.
+                assert_eq!(
+                    report.outcome.stats.messages,
+                    expected_sharded_message_count(n, SHARDS),
+                    "round_scaling: message count at n = {n}"
+                );
                 for (samples, seconds) in phases
                     .iter_mut()
                     .zip([t.collect, t.allocate, t.execute, t.settle])

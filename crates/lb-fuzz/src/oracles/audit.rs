@@ -29,13 +29,13 @@
 //!   7. a *misreported total* — the payment total moved off `Σ P_i` —
 //!      caught by total.
 
+use super::finish_round;
 use crate::generate::{latency_values, node_specs, rng_for, spread_half_width};
 use lb_audit::{verify_ledger, InvariantMonitor, MonitorConfig, MonitorReport};
 use lb_mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
 use lb_proto::journal::{crc32, JournalRecord};
 use lb_proto::{
-    decode, Coordinator, CoordinatorPhase, Journal, JournalReplay, MemJournal, Message, NodeSpec,
-    RoundId,
+    decode, Coordinator, Journal, JournalReplay, MemJournal, Message, NodeSpec, RoundId,
 };
 use lb_sim::driver::SimulationConfig;
 use lb_sim::server::ServiceModel;
@@ -63,52 +63,20 @@ fn drive(
     actual: &[f64],
     round: RoundId,
 ) -> Result<(), String> {
-    let n = specs.len();
-    let mut pending: Vec<(u32, Message)> = (0..n)
-        .map(|i| {
-            #[allow(clippy::cast_possible_truncation)]
-            let machine = i as u32;
-            (machine, Message::RequestBid { round })
-        })
-        .collect();
-    loop {
-        let mut next = Vec::new();
-        for (machine, message) in pending {
-            let i = machine as usize;
-            let reply = match message {
-                Message::RequestBid { .. } => Some(Message::Bid {
-                    round,
-                    machine,
-                    value: specs[i].bid,
-                }),
-                Message::Assign { .. } => Some(Message::ExecutionDone { round, machine }),
-                _ => None,
-            };
-            if let Some(reply) = reply {
-                next.extend(
-                    c.handle(&reply, actual)
-                        .map_err(|e| format!("handle: {e}"))?,
-                );
-            }
-        }
-        if next.is_empty() {
-            match c.phase() {
-                CoordinatorPhase::CollectingBids => {
-                    next = c
-                        .close_bidding(actual)
-                        .map_err(|e| format!("close_bidding: {e}"))?;
-                }
-                CoordinatorPhase::Executing => {
-                    next = c
-                        .close_execution()
-                        .map_err(|e| format!("close_execution: {e}"))?;
-                }
-                _ => break,
-            }
-        }
-        pending = next;
-    }
-    c.seal().map_err(|e| format!("seal: {e}"))
+    finish_round(
+        c,
+        c.missing_bids(),
+        actual,
+        |machine, message| match message {
+            Message::RequestBid { .. } => Some(Message::Bid {
+                round,
+                machine,
+                value: specs[machine as usize].bid,
+            }),
+            Message::Assign { .. } => Some(Message::ExecutionDone { round, machine }),
+            _ => None,
+        },
+    )
 }
 
 /// Owned columns of one settled round, for tampering.

@@ -21,6 +21,7 @@
 //! execution timeout), so every crash point lands in every phase the
 //! coordinator can durably occupy.
 
+use super::finish_round;
 use crate::generate::{node_specs, rng_for};
 use lb_mechanism::CompensationBonusMechanism;
 use lb_proto::{
@@ -113,57 +114,31 @@ fn scenario(rng: &mut impl Rng, n: usize) -> Scenario {
     }
 }
 
-/// Plays the driver's role: answers the coordinator's outgoing messages
-/// (silent machines never bid, lost-ack machines never acknowledge), fires
-/// the phase timeouts when the round stalls, and seals on completion.
+/// Plays the driver's role from `pending` on: answers the coordinator's
+/// frames (silent machines never bid, lost-ack machines never acknowledge),
+/// fires the phase timeouts when the round stalls, and seals on completion.
 fn finish(
     c: &mut Coordinator<'_>,
-    mut pending: Vec<(u32, Message)>,
+    pending: Vec<u32>,
     specs: &[NodeSpec],
     actual: &[f64],
     sc: &Scenario,
     round: RoundId,
 ) -> Result<(), String> {
-    loop {
-        let mut next = Vec::new();
-        for (machine, message) in pending {
-            let i = machine as usize;
-            let reply = match message {
-                Message::RequestBid { .. } if !sc.silent[i] => Some(Message::Bid {
-                    round,
-                    machine,
-                    value: specs[i].bid,
-                }),
-                Message::Assign { .. } if !sc.lost_ack[i] => {
-                    Some(Message::ExecutionDone { round, machine })
-                }
-                _ => None,
-            };
-            if let Some(reply) = reply {
-                next.extend(
-                    c.handle(&reply, actual)
-                        .map_err(|e| format!("handle: {e}"))?,
-                );
+    finish_round(c, pending, actual, |machine, message| {
+        let i = machine as usize;
+        match message {
+            Message::RequestBid { .. } if !sc.silent[i] => Some(Message::Bid {
+                round,
+                machine,
+                value: specs[i].bid,
+            }),
+            Message::Assign { .. } if !sc.lost_ack[i] => {
+                Some(Message::ExecutionDone { round, machine })
             }
+            _ => None,
         }
-        if next.is_empty() {
-            match c.phase() {
-                CoordinatorPhase::CollectingBids => {
-                    next = c
-                        .close_bidding(actual)
-                        .map_err(|e| format!("close_bidding: {e}"))?;
-                }
-                CoordinatorPhase::Executing => {
-                    next = c
-                        .close_execution()
-                        .map_err(|e| format!("close_execution: {e}"))?;
-                }
-                _ => break,
-            }
-        }
-        pending = next;
-    }
-    c.seal().map_err(|e| format!("seal: {e}"))
+    })
 }
 
 /// Runs one recovery-oracle iteration.
@@ -193,14 +168,7 @@ pub fn check(seed: u64) -> Result<(), String> {
             c.exclude(i).map_err(|e| format!("exclude: {e}"))?;
         }
     }
-    let opening: Vec<(u32, Message)> = (0..n)
-        .filter(|&i| !sc.quarantined[i])
-        .map(|i| {
-            #[allow(clippy::cast_possible_truncation)]
-            let machine = i as u32;
-            (machine, Message::RequestBid { round })
-        })
-        .collect();
+    let opening = c.missing_bids();
     finish(&mut c, opening, &specs, &actual, &sc, round)?;
     let reference = outcome_of(&c, n)?;
     let bytes = journal

@@ -290,11 +290,11 @@ impl Drive {
 /// threaded link serves its own on worker threads and passes none);
 /// `actual_exec` is the world the verification simulation runs against.
 /// `retry` is the retransmission policy of a lossy link; `None` arms no
-/// timers. `opening` overrides the initial fan-out: `None` opens a fresh
-/// round (bid requests to the active machines), `Some(msgs)` re-sends the
-/// fan-out a recovered coordinator derived from its replayed state
-/// ([`Coordinator::resume`]). With `seal` the round is sealed in the journal
-/// once settled and drained.
+/// timers. `opening` names the first recipients of the current phase's
+/// frame: the missing bids of a fresh round, or what a recovered
+/// coordinator derived from its replayed state ([`Coordinator::resume`]).
+/// With `seal` the round is sealed in the journal once settled and
+/// drained.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_round<L: Link>(
     link: &mut L,
@@ -304,8 +304,7 @@ pub(crate) fn drive_round<L: Link>(
     coordinator: &mut Coordinator<'_>,
     nodes: &mut [NodeAgent],
     actual_exec: &[f64],
-    active: &[bool],
-    opening: Option<Vec<(u32, Message)>>,
+    opening: Vec<u32>,
     seal: bool,
 ) -> Result<Drive, ProtocolError> {
     let round = coordinator.round();
@@ -324,14 +323,6 @@ pub(crate) fn drive_round<L: Link>(
     // Open the round's telemetry spans first so the opening frames already
     // carry the current phase span in their trace context.
     coordinator.ensure_round_span();
-    let opening = match opening {
-        Some(outgoing) => outgoing,
-        None => (0u32..)
-            .zip(active)
-            .filter(|&(_, &is_active)| is_active)
-            .map(|(i, _)| (i, Message::RequestBid { round }))
-            .collect(),
-    };
     send_from_coordinator(link, coordinator, opening, now, &mut out.trace)?;
     if let Some(chaos) = retry {
         if coordinator.phase() == CoordinatorPhase::CollectingBids {
@@ -540,8 +531,7 @@ fn fire_timer<L: Link>(
                         ],
                     );
                 }
-                let request = vec![(i, Message::RequestBid { round })];
-                send_from_coordinator(link, coordinator, request, now, &mut out.trace)?;
+                send_from_coordinator(link, coordinator, [i], now, &mut out.trace)?;
             }
             let delay = chaos.retry_timeout
                 * chaos
@@ -588,19 +578,22 @@ fn note_link_anomaly(
     }
 }
 
-/// Sends coordinator-outbound messages, recording them in the trace at the
-/// coordinator's send instant. Frames carry the coordinator's trace
-/// context *after* the transition that produced `outgoing`, so they carry
-/// the span of the phase they belong to.
+/// Sends the current phase's frame ([`Coordinator::outbound`]) to each of
+/// `recipients`, recording it in the trace at the coordinator's send
+/// instant. Frames are built and carry the coordinator's trace context
+/// *after* the transition that named the recipients, so they carry the
+/// span of the phase they belong to.
 fn send_from_coordinator<L: Link>(
     link: &mut L,
     coordinator: &Coordinator<'_>,
-    outgoing: Vec<(u32, Message)>,
+    recipients: impl IntoIterator<Item = u32>,
     now: SimTime,
     trace: &mut RoundTrace,
 ) -> Result<(), ProtocolError> {
     let wire = coordinator.wire_context();
-    for (i, message) in outgoing {
+    let frames = coordinator.outbound()?;
+    for i in recipients {
+        let message = frames.frame(i);
         link.send(
             Endpoint::Coordinator,
             Endpoint::Node(i),
@@ -830,7 +823,7 @@ impl ChaosRuntime {
                 .map(|(i, &spec)| NodeAgent::new(i, spec))
                 .collect();
             let attempt = (|coordinator: &mut Coordinator<'_>| {
-                let opening = if replayed > 0 {
+                let resumed = if replayed > 0 {
                     Some(coordinator.resume(&actual_exec)?)
                 } else {
                     None
@@ -844,6 +837,8 @@ impl ChaosRuntime {
                         }
                     }
                 }
+                // A fresh round requests a bid from every active machine.
+                let opening = resumed.unwrap_or_else(|| coordinator.missing_bids());
                 drive_round(
                     &mut self.network,
                     &mut self.timers,
@@ -852,7 +847,6 @@ impl ChaosRuntime {
                     coordinator,
                     &mut nodes,
                     &actual_exec,
-                    active,
                     opening,
                     journal.is_some(),
                 )

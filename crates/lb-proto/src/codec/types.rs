@@ -120,7 +120,7 @@ impl Wire for Message {
             7 => Self::ShardProfile {
                 round: input.get()?,
                 shard: input.get()?,
-                profile: input.get()?,
+                profile: Box::new(input.get()?),
             },
             tag => return Err(CodecError::InvalidVariant(tag)),
         })
@@ -363,7 +363,7 @@ mod golden {
             slowest: Some((3, 0.5)),
         };
         assert_golden(
-            &Message::ShardProfile { round: RoundId(9), shard: 4, profile },
+            &Message::ShardProfile { round: RoundId(9), shard: 4, profile: Box::new(profile) },
             &frame(&[
                 &[7, 0, 0, 0], round, &[4, 0, 0, 0],
                 // WireShardProfile

@@ -86,6 +86,34 @@ pub enum CoordinatorPhase {
     Done,
 }
 
+/// The downward frame of the coordinator's current phase
+/// ([`Coordinator::outbound`]): transitions name only recipients, and a
+/// driver builds each one's frame as it sends it. `Copy + Send + Sync`, so
+/// shard workers build their frames from one shared value.
+#[derive(Debug, Clone, Copy)]
+pub struct Outbound<'a> {
+    round: RoundId,
+    phase: CoordinatorPhase,
+    /// The rates while executing, the payment ledger once settled.
+    column: &'a [f64],
+}
+
+impl Outbound<'_> {
+    /// The frame `machine` is sent: `RequestBid` while collecting bids, its
+    /// `Assign` while executing, its `Payment` once settled. A machine the
+    /// column does not cover is sent 0, as an excluded machine is.
+    #[must_use]
+    pub fn frame(self, machine: u32) -> Message {
+        let round = self.round;
+        let x = self.column.get(machine as usize).copied().unwrap_or(0.0);
+        match self.phase {
+            CoordinatorPhase::CollectingBids => Message::RequestBid { round },
+            CoordinatorPhase::Executing => Message::Assign { round, rate: x },
+            CoordinatorPhase::Done => Message::Payment { round, amount: x },
+        }
+    }
+}
+
 /// Typed errors from coordinator operations.
 ///
 /// Out-of-order or replayed *calls* (as opposed to messages, which graceful
@@ -367,17 +395,6 @@ impl<'m> Coordinator<'m> {
         u32::try_from(i).map_err(|_| ProtocolError::TooManyNodes { n: i })
     }
 
-    /// `message(i)` addressed to each machine `i` in `machines`.
-    fn address(
-        machines: impl IntoIterator<Item = usize>,
-        message: impl Fn(usize) -> Message,
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
-        machines
-            .into_iter()
-            .map(|i| Ok((Self::machine_u32(i)?, message(i))))
-            .collect()
-    }
-
     /// Attaches a wire-propagated trace context. Outbound frames then carry
     /// it (with the current phase span as parent) when the context is
     /// sampled and a collector is attached — see
@@ -423,9 +440,9 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Attaches a write-ahead journal. Every durable state transition is
-    /// appended before the corresponding frames are handed back to the
-    /// driver, and the allocation/payment/seal commit points `fsync` — see
-    /// the `journal` module docs for the record grammar.
+    /// appended before the transition returns its recipients, and the
+    /// allocation/payment/seal commit points `fsync` — see the `journal`
+    /// module docs for the record grammar.
     #[must_use]
     pub fn with_journal(mut self, journal: Rc<RefCell<dyn Journal>>) -> Self {
         self.journal = Some(journal);
@@ -630,18 +647,49 @@ impl<'m> Coordinator<'m> {
         &self.anomalies
     }
 
+    /// The one place that decides what a phase sends: the downward frame
+    /// of the current phase, for the recipients a transition returned.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::MissingState`] if the phase's column (the
+    /// allocation while executing, the payment ledger once settled) is
+    /// missing.
+    pub fn outbound(&self) -> Result<Outbound<'_>, ProtocolError> {
+        let missing = |what| ProtocolError::MissingState { what };
+        let column: &[f64] = match self.phase {
+            CoordinatorPhase::CollectingBids => &[],
+            CoordinatorPhase::Executing => self
+                .allocation
+                .as_ref()
+                .ok_or(missing("allocation"))?
+                .rates(),
+            CoordinatorPhase::Done => self.payments.as_deref().ok_or(missing("payment ledger"))?,
+        };
+        let (round, phase) = (self.round, self.phase);
+        Ok(Outbound {
+            round,
+            phase,
+            column,
+        })
+    }
+
+    /// The machines `keep` selects, ascending, at the u32 wire width.
+    fn machines_where(&self, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        // Pairing with a u32 counter keeps this hot path panic-free: try_new
+        // guarantees every index fits, so the zip never truncates.
+        (0u32..)
+            .zip(0..self.bids.len())
+            .filter(|&(_, i)| keep(i))
+            .map(|(m, _)| m)
+            .collect()
+    }
+
     /// Machines still expected to bid: not excluded and no bid recorded.
     /// Only meaningful during the collection phase; the retransmission
     /// runtime re-requests exactly this set.
     #[must_use]
     pub fn missing_bids(&self) -> Vec<u32> {
-        // Pairing with a u32 counter keeps this hot path panic-free: try_new
-        // guarantees every index fits, so the zip never truncates.
-        (0u32..)
-            .zip(&self.bids)
-            .filter(|&(i, bid)| bid.is_none() && !self.excluded[i as usize])
-            .map(|(i, _)| i)
-            .collect()
+        self.machines_where(|i| self.bids[i].is_none() && !self.excluded[i])
     }
 
     /// Fails with [`ProtocolError::PhaseViolation`] unless the round is in
@@ -733,8 +781,8 @@ impl<'m> Coordinator<'m> {
             .unzip()
     }
 
-    fn respondents(&self) -> Vec<usize> {
-        self.respondent_bids(0..self.bids.len()).0
+    fn respondents(&self) -> Vec<u32> {
+        self.machines_where(|i| self.respondent_bid(i).is_some())
     }
 
     /// Spreads values over the full width of the round (0 for everyone
@@ -803,18 +851,18 @@ impl<'m> Coordinator<'m> {
 
     /// Respondents whose completion acknowledgement has not arrived (or,
     /// on a recovered round, is not journalled).
-    pub(crate) fn unacknowledged(&self) -> Vec<usize> {
-        let respondents = self.respondents().into_iter();
-        respondents.filter(|&i| !self.done[i]).collect()
+    pub(crate) fn unacknowledged(&self) -> Vec<u32> {
+        self.machines_where(|i| self.respondent_bid(i).is_some() && !self.done[i])
     }
 
     fn all_done(&self) -> bool {
-        self.unacknowledged().is_empty()
+        (0..self.bids.len()).all(|i| self.respondent_bid(i).is_none() || self.done[i])
     }
 
-    /// Handles one node message; returns messages to send, addressed by the
-    /// returned `(node, message)` pairs. The last bid in allocates and the
-    /// last acknowledgement in settles.
+    /// Handles one node message; returns the machines to send to, each the
+    /// frame [`Coordinator::outbound`] builds for the phase the message
+    /// left the round in. The last bid in allocates and the last
+    /// acknowledgement in settles.
     ///
     /// `actual_exec_values` is the *world state* the execution simulation
     /// runs against; the coordinator only ever uses its measurements of it.
@@ -831,7 +879,7 @@ impl<'m> Coordinator<'m> {
         &mut self,
         message: &Message,
         actual_exec_values: &[f64],
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    ) -> Result<Vec<u32>, ProtocolError> {
         if !self.ingest(message)? {
             return Ok(Vec::new());
         }
@@ -843,38 +891,34 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Bid timeout: excludes every machine whose bid has not arrived and
-    /// proceeds with the respondents. Returns the `Assign` messages.
+    /// proceeds with the respondents. Returns the respondents, each to be
+    /// sent its `Assign`.
     ///
     /// # Errors
     /// Returns [`MechanismError::NeedTwoAgents`] (wrapped in
     /// [`ProtocolError::Mechanism`]) when fewer than two bids arrived (the
     /// mechanism cannot run), [`ProtocolError::PhaseViolation`] outside the
     /// bid-collection phase, or downstream errors.
-    pub fn close_bidding(
-        &mut self,
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    pub fn close_bidding(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
         self.end_bidding()?;
         self.allocate_locally(actual_exec_values)
     }
 
     /// Execution timeout: settles from the coordinator's own measurements
-    /// even though some completion acknowledgements are missing.
+    /// even though some completion acknowledgements are missing. Returns
+    /// the respondents, each to be sent its `Payment`.
     ///
     /// # Errors
     /// Propagates mechanism errors; returns
     /// [`ProtocolError::PhaseViolation`] outside the execution phase.
-    pub fn close_execution(&mut self) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    pub fn close_execution(&mut self) -> Result<Vec<u32>, ProtocolError> {
         self.settle(self.partial_inv_sum(0..self.bids.len()))
     }
 
     /// The message-driven allocation, the `k = 1` case of the transitions:
     /// allocate against the whole round's harmonic sum, verify every
     /// respondent at stream offset 0, commit.
-    fn allocate_locally(
-        &mut self,
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    fn allocate_locally(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
         let rates = self.allocate(self.partial_inv_sum(0..self.bids.len()))?;
         let estimates = self.verify(&rates, actual_exec_values)?;
         self.commit_allocation(rates, estimates)
@@ -1049,22 +1093,24 @@ impl<'m> Coordinator<'m> {
         Ok(self.scatter(inputs.iter().map(|input| &input.idx).zip(&estimates)))
     }
 
-    /// Commits the allocation: emits the `verify` instant (the verification
-    /// simulation ran between [`Coordinator::allocate`] and this call),
-    /// journals `AllocationCommitted` and commits, installs the allocation
-    /// and the estimates, advances to the execution phase and returns the
-    /// `Assign` fan-out. `rates` and `estimates` are full-width (excluded
-    /// machines at 0).
+    /// Commits the allocation: validates it, emits the `verify` instant
+    /// (the verification simulation ran between [`Coordinator::allocate`]
+    /// and this call), journals `AllocationCommitted` and commits, installs
+    /// the allocation and the estimates, advances to the execution phase
+    /// and returns the respondents, each to be sent its `Assign`. `rates`
+    /// and `estimates` are full-width (excluded machines at 0). A call
+    /// rejected for its input changes nothing.
     ///
     /// # Errors
     /// Returns [`ProtocolError::PhaseViolation`] outside bid collection,
     /// [`CoreError::LengthMismatch`] carrying the length of a column that
-    /// is not `n` wide, and journal/mechanism errors.
+    /// is not `n` wide, [`CoreError::Infeasible`] for rates that are not an
+    /// allocation of the round's total, and journal errors.
     pub fn commit_allocation(
         &mut self,
         rates: Vec<f64>,
         estimates: Vec<f64>,
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    ) -> Result<Vec<u32>, ProtocolError> {
         self.expect_phase("commit_allocation", CoordinatorPhase::CollectingBids)?;
         let n = self.bids.len();
         if let Some(column) = [&rates, &estimates].into_iter().find(|c| c.len() != n) {
@@ -1074,6 +1120,7 @@ impl<'m> Coordinator<'m> {
             }
             .into());
         }
+        let allocation = Allocation::new(rates, self.total_rate)?;
         let respondents = self.respondents();
         self.collector.instant(
             self.now.get(),
@@ -1084,29 +1131,24 @@ impl<'m> Coordinator<'m> {
                 Field::f64("horizon", self.sim_config.horizon),
             ],
         );
-        let round = self.round;
-        let assigns = Self::address(respondents, |i| Message::Assign {
-            round,
-            rate: rates[i],
-        })?;
         // Commit point: the allocation must be durable before any Assign
         // frame can reach a node.
         self.journal_append(JournalRecord::AllocationCommitted {
-            rates: rates.clone(),
+            rates: allocation.rates().to_vec(),
             estimated_exec: estimates.clone(),
         })?;
         self.journal_commit()?;
-        self.allocation = Some(Allocation::new(rates, self.total_rate)?);
+        self.allocation = Some(allocation);
         self.estimated_exec = Some(estimates);
         self.phase = CoordinatorPhase::Executing;
         self.switch_phase_span(Some(Phase::Execute), Vec::new());
-        Ok(assigns)
+        Ok(respondents)
     }
 
     /// Settles the round against `s`, the respondents' harmonic sum
     /// (through the mechanism's [`VerifiedMechanism::payments_with_sum`]):
-    /// journals and commits the payment ledger and returns the Payment
-    /// fan-out.
+    /// journals and commits the payment ledger and returns the
+    /// respondents, each to be sent its `Payment`.
     ///
     /// The whole phase is O(n): the mechanism's payment rule obtains all
     /// leave-one-out latencies `L_{-i}` from one `lb_core` batch kernel
@@ -1116,7 +1158,7 @@ impl<'m> Coordinator<'m> {
     /// # Errors
     /// Returns [`ProtocolError::PhaseViolation`] outside the execution
     /// phase, or mechanism/journal errors.
-    pub fn settle(&mut self, s: TwoF64) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    pub fn settle(&mut self, s: TwoF64) -> Result<Vec<u32>, ProtocolError> {
         self.expect_phase("settle", CoordinatorPhase::Executing)?;
         // A recovered generation whose journal already holds every ack
         // reaches settle straight from `resume`, with no span open yet.
@@ -1159,17 +1201,12 @@ impl<'m> Coordinator<'m> {
             payments: payments.clone(),
         })?;
         self.journal_commit()?;
-        let round = self.round;
-        let out = Self::address(respondents, |i| Message::Payment {
-            round,
-            amount: payments[i],
-        })?;
         self.payments = Some(payments);
         self.report_settled();
         self.phase = CoordinatorPhase::Done;
         self.switch_phase_span(None, Vec::new());
         self.end_telemetry();
-        Ok(out)
+        Ok(self.respondents())
     }
 
     /// Hands the settled round to the collector as one [`SettledRound`]
@@ -1332,8 +1369,9 @@ impl<'m> Coordinator<'m> {
         Ok(())
     }
 
-    /// Messages a recovered coordinator must (re-)send to move the round
-    /// forward, derived from the replayed phase:
+    /// The machines a recovered coordinator must (re-)send the current
+    /// phase's frame ([`Coordinator::outbound`]) to move the round forward,
+    /// derived from the replayed phase:
     ///
     /// * collecting, some bids missing — re-request exactly the missing bids
     ///   (nodes that already bid will be absorbed as duplicates);
@@ -1350,34 +1388,20 @@ impl<'m> Coordinator<'m> {
     /// # Errors
     /// Propagates mechanism/journal errors from the allocation or settle
     /// steps.
-    pub fn resume(
-        &mut self,
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<(u32, Message)>, ProtocolError> {
+    pub fn resume(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
         match self.phase {
             CoordinatorPhase::CollectingBids => {
                 if self.all_bids_in() {
                     self.allocate_locally(actual_exec_values)
                 } else {
-                    Ok(self
-                        .missing_bids()
-                        .into_iter()
-                        .map(|m| (m, Message::RequestBid { round: self.round }))
-                        .collect())
+                    Ok(self.missing_bids())
                 }
             }
             CoordinatorPhase::Executing => {
                 if self.all_done() {
                     return self.close_execution();
                 }
-                let allocation = self
-                    .allocation
-                    .as_ref()
-                    .ok_or(ProtocolError::MissingState { what: "allocation" })?;
-                Self::address(self.unacknowledged(), |i| Message::Assign {
-                    round: self.round,
-                    rate: allocation.rate(i),
-                })
+                Ok(self.unacknowledged())
             }
             CoordinatorPhase::Done => {
                 if self.sealed {
@@ -1388,13 +1412,7 @@ impl<'m> Coordinator<'m> {
                 // attached to this generation observes the recovered round.
                 self.ensure_round_span();
                 self.report_settled();
-                let payments = self.payments.as_ref().ok_or(ProtocolError::MissingState {
-                    what: "payment ledger",
-                })?;
-                Self::address(self.respondents(), |i| Message::Payment {
-                    round: self.round,
-                    amount: payments[i],
-                })
+                Ok(self.respondents())
             }
         }
     }
@@ -1435,6 +1453,12 @@ mod tests {
         }
     }
 
+    /// The frames a driver sends `recipients` in `c`'s current phase.
+    fn frames(c: &Coordinator<'_>, recipients: &[u32]) -> Vec<(u32, Message)> {
+        let outbound = c.outbound().unwrap();
+        recipients.iter().map(|&m| (m, outbound.frame(m))).collect()
+    }
+
     #[test]
     fn full_round_state_machine() {
         let mech = CompensationBonusMechanism::paper();
@@ -1465,7 +1489,17 @@ mod tests {
             .unwrap();
         assert_eq!(assigns.len(), 2);
         assert_eq!(c.phase(), CoordinatorPhase::Executing);
-        assert!(c.allocation().is_some());
+        let rates = c.allocation().unwrap().rates().to_vec();
+        assert_eq!(
+            frames(&c, &assigns),
+            [0, 1].map(|m| (
+                m,
+                Message::Assign {
+                    round: RoundId(0),
+                    rate: rates[m as usize]
+                }
+            ))
+        );
 
         let none = c
             .handle(
@@ -1488,7 +1522,17 @@ mod tests {
             .unwrap();
         assert_eq!(payments.len(), 2);
         assert_eq!(c.phase(), CoordinatorPhase::Done);
-        assert!(c.payments().is_some());
+        let ledger = c.payments().unwrap().to_vec();
+        assert_eq!(
+            frames(&c, &payments),
+            [0, 1].map(|m| (
+                m,
+                Message::Payment {
+                    round: RoundId(0),
+                    amount: ledger[m as usize]
+                }
+            ))
+        );
         // Verification recovered the true execution values exactly
         // (deterministic service model).
         let est = c.estimated_exec_values().unwrap();
@@ -2154,7 +2198,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(classic.phase(), CoordinatorPhase::Executing);
-        let classic_assigns = last.clone();
+        let classic_assigns = frames(&classic, &last);
         for machine in 0..4u32 {
             last = classic
                 .handle(
@@ -2166,7 +2210,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let classic_payments = last;
+        let classic_payments = frames(&classic, &last);
 
         // The transitions driven as two shards would: the harmonic sum
         // merged from two partials, the estimates from two partition
@@ -2199,7 +2243,7 @@ mod tests {
             estimates.extend(part.estimated_exec_values);
         }
         let assigns = sharded.commit_allocation(rates, estimates).unwrap();
-        assert_eq!(assigns, classic_assigns);
+        assert_eq!(frames(&sharded, &assigns), classic_assigns);
         for machine in 0..4u32 {
             sharded
                 .ingest(&Message::ExecutionDone {
@@ -2209,7 +2253,7 @@ mod tests {
                 .unwrap();
         }
         let payments = sharded.settle(s).unwrap();
-        assert_eq!(payments, classic_payments);
+        assert_eq!(frames(&sharded, &payments), classic_payments);
 
         let (ca, sa) = (classic.allocation().unwrap(), sharded.allocation().unwrap());
         for i in 0..4 {
@@ -2266,7 +2310,7 @@ mod tests {
         }
         c.end_bidding().unwrap();
         let rates = c.allocate(inv_sum_dd(&bids)).unwrap();
-        let width = |r: Result<Vec<(u32, Message)>, ProtocolError>| match r {
+        let width = |r: Result<Vec<u32>, ProtocolError>| match r {
             Err(ProtocolError::Mechanism(MechanismError::Core(CoreError::LengthMismatch {
                 expected,
                 actual,
@@ -2283,6 +2327,85 @@ mod tests {
         );
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
         assert_eq!(c.commit_allocation(rates, bids.to_vec()).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn outbound_frames_follow_the_phase() {
+        fn shareable<T: Copy + Send + Sync>(_: T) {}
+        let mech = CompensationBonusMechanism::paper();
+        let round = RoundId(5);
+        let mut c = Coordinator::try_new(&mech, 3, 3.0, round, config()).unwrap();
+        shareable(c.outbound().unwrap());
+        assert_eq!(
+            frames(&c, &c.missing_bids()),
+            [0, 1, 2].map(|m| (m, Message::RequestBid { round }))
+        );
+        for (machine, value) in [(0, 1.0), (2, 4.0)] {
+            c.ingest(&Message::Bid {
+                round,
+                machine,
+                value,
+            })
+            .unwrap();
+        }
+        let assigned = c.close_bidding(&[1.0, 2.0, 4.0]).unwrap();
+        assert_eq!(assigned, [0, 2]);
+        let rate = |m: usize| c.allocation().unwrap().rate(m);
+        let (rate0, rate2) = (rate(0), rate(2));
+        let outbound = c.outbound().unwrap();
+        assert_eq!(outbound.frame(2), Message::Assign { round, rate: rate2 });
+        // The excluded machine, and one outside the round, are sent 0.
+        for machine in [1, 3, u32::MAX] {
+            assert_eq!(
+                outbound.frame(machine),
+                Message::Assign { round, rate: 0.0 }
+            );
+        }
+        assert_eq!(outbound.frame(0), Message::Assign { round, rate: rate0 });
+        let paid = c.close_execution().unwrap();
+        assert_eq!(paid, [0, 2]);
+        let amount = c.payments().unwrap()[2];
+        assert_ne!(amount, 0.0);
+        assert_eq!(
+            c.outbound().unwrap().frame(2),
+            Message::Payment { round, amount }
+        );
+    }
+
+    #[test]
+    fn an_infeasible_commit_changes_nothing() {
+        use crate::journal::MemJournal;
+        let mech = CompensationBonusMechanism::paper();
+        let journal = Rc::new(RefCell::new(MemJournal::new()));
+        let mut c = Coordinator::try_new(&mech, 2, 3.0, RoundId(0), config())
+            .unwrap()
+            .with_journal(journal.clone());
+        for (machine, value) in [(0, 1.0), (1, 2.0)] {
+            c.ingest(&Message::Bid {
+                round: RoundId(0),
+                machine,
+                value,
+            })
+            .unwrap();
+        }
+        c.end_bidding().unwrap();
+        let rates = c.allocate(inv_sum_dd(&[1.0, 2.0])).unwrap();
+        let state = |c: &Coordinator<'_>| {
+            let journal = journal.borrow();
+            (c.phase(), journal.bytes().unwrap(), journal.committed_len())
+        };
+        let before = state(&c);
+        assert!(matches!(
+            c.commit_allocation(vec![-1.0, 4.0], vec![1.0, 2.0]),
+            Err(ProtocolError::Mechanism(MechanismError::Core(
+                CoreError::Infeasible { .. }
+            )))
+        ));
+        assert_eq!(state(&c), before);
+        assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
+        assert!(c.allocation().is_none());
+        assert_eq!(c.commit_allocation(rates, vec![1.0, 2.0]).unwrap(), [0, 1]);
+        assert_eq!(c.phase(), CoordinatorPhase::Executing);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub use chaos::{
     chaos_message_bound, ChaosConfig, ChaosNetStats, ChaosRuntime, RoundRecoveryStats,
 };
 pub use codec::{decode, decode_with_context, encode, encode_with_context, CodecError, Wire};
-pub use coordinator::{Coordinator, CoordinatorPhase, ProtocolError};
+pub use coordinator::{Coordinator, CoordinatorPhase, Outbound, ProtocolError};
 pub use faults::FaultPlan;
 pub use framing::{FrameReader, FrameWriter, DEFAULT_MAX_FRAME, MAX_FRAME_LEN};
 pub use journal::{

@@ -84,8 +84,9 @@ pub enum Message {
         round: RoundId,
         /// Shard index (not a machine index).
         shard: u32,
-        /// The sketch frame payload.
-        profile: lb_prof::WireShardProfile,
+        /// The sketch frame payload, boxed so this rare variant does not
+        /// widen every per-machine frame.
+        profile: Box<lb_prof::WireShardProfile>,
     },
 }
 
@@ -191,13 +192,13 @@ mod tests {
             Message::ShardProfile {
                 round: RoundId(1),
                 shard: 2,
-                profile: lb_prof::WireShardProfile {
+                profile: Box::new(lb_prof::WireShardProfile {
                     shard: 2,
                     machines: 3,
                     machine_wall: lb_stats::LatencySketch::from_slice(&[1e-4, 2e-4, 3e-4])
                         .to_wire(),
                     slowest: Some((2, 3e-4)),
-                },
+                }),
             },
         ];
         for m in &msgs {
@@ -226,6 +227,13 @@ mod tests {
             value: 1.0,
         };
         assert_eq!(b.machine(), Some(4));
+    }
+
+    #[test]
+    fn message_stays_forty_bytes_wide() {
+        // Every per-machine frame is held as a `Message`; the rare
+        // `ShardProfile` payload is boxed so it does not set that width.
+        assert!(std::mem::size_of::<Message>() <= 40);
     }
 
     #[test]

@@ -359,21 +359,21 @@ impl<'m> OnlineSession<'m> {
         let estimates = root.verify(&rates, &exec)?;
 
         root.set_now(self.epoch.elapsed().as_secs_f64());
-        let assigns = root.commit_allocation(rates, estimates)?;
-        for (machine, _assign) in assigns {
+        for machine in root.commit_allocation(rates, estimates)? {
             root.ingest(&Message::ExecutionDone { round, machine })?;
         }
 
         // Settle through the batch kernel against the incremental S.
         root.set_now(self.epoch.elapsed().as_secs_f64());
-        let fan_out = root.settle(s)?;
-        let mut payments = vec![0.0; m];
-        for (machine, message) in fan_out {
-            if let Message::Payment { amount, .. } = message {
-                let k = machine as usize;
-                payments[k] = amount;
-                self.ledger[slots[k]] += amount;
-            }
+        let paid = root.settle(s)?;
+        let payments = root
+            .payments()
+            .ok_or(ProtocolError::MissingState {
+                what: "payment ledger",
+            })?
+            .to_vec();
+        for k in paid.into_iter().map(|machine| machine as usize) {
+            self.ledger[slots[k]] += payments[k];
         }
         root.seal()?;
 

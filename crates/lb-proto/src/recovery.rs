@@ -4,8 +4,8 @@
 //! the only surviving state. [`recover_round`] rebuilds a [`Coordinator`]
 //! from it: records of the current round are replayed in order into a fresh
 //! state machine, the journal is re-attached so new appends continue where
-//! the dead process stopped, and [`Coordinator::resume`] then derives the
-//! fan-out the recovered round needs to move forward.
+//! the dead process stopped, and [`Coordinator::resume`] then names the
+//! machines the recovered round must send to in order to move forward.
 //!
 //! Two properties make the replay safe:
 //!

@@ -48,7 +48,7 @@
 //! `lb-fuzz` `shard` oracle re-checks this differentially every CI run.
 
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::{Coordinator, CoordinatorPhase, ProtocolError, VerifyInput};
+use crate::coordinator::{Coordinator, CoordinatorPhase, Outbound, ProtocolError, VerifyInput};
 use crate::faults::FaultPlan;
 use crate::message::{Message, RoundId};
 use crate::network::{Endpoint, MessageStats};
@@ -140,9 +140,10 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
 
 /// Splits the recipients (global machine indices) of a downward fan-out
 /// into per-shard lists.
-fn by_shard(ranges: &[Range<usize>], machines: impl IntoIterator<Item = usize>) -> Vec<Vec<usize>> {
+fn by_shard(ranges: &[Range<usize>], machines: Vec<u32>) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); ranges.len()];
     for i in machines {
+        let i = i as usize;
         out[shard_of(ranges, i)].push(i);
     }
     out
@@ -253,15 +254,15 @@ impl<'a> Relay<'a> {
         )
     }
 
-    /// Sends `message(i)` to each machine `i` of `work` and forwards the
-    /// replies upward, in machine order, parented on `span`. Like the chaos
+    /// Sends each machine of `work` its frame from `frames` and forwards
+    /// the replies upward, in machine order, parented on `span`. Like the chaos
     /// link, every frame is counted as sent before the fault plan decides
     /// whether it arrives. Each machine bids once per sharded round, so
     /// every bid is a first attempt (no per-attempt count: `&mut []`).
     fn run(
         &self,
         work: ShardWork<'_>,
-        message: impl Fn(usize) -> Message,
+        frames: Outbound<'_>,
         span: SpanId,
     ) -> Result<ShardBatch, ProtocolError> {
         let mut batch = ShardBatch::default();
@@ -271,7 +272,7 @@ impl<'a> Relay<'a> {
         for &i in work.down {
             let agent = &mut work.agents[i - work.range.start];
             let node = Endpoint::Node(agent.machine);
-            let request = message(i);
+            let request = frames.frame(agent.machine);
             let frame = encode_with_context(&request, self.wire.as_ref());
             self.count(&mut batch.sent, &frame);
             if lost(Endpoint::Coordinator, node, &request) {
@@ -296,10 +297,10 @@ impl<'a> Relay<'a> {
         shard: usize,
         machines: usize,
         work: ShardWork<'_>,
-        message: impl Fn(usize) -> Message,
+        frames: Outbound<'_>,
     ) -> Result<ShardBatch, ProtocolError> {
         let span = self.span(name, shard, machines);
-        let batch = self.run(work, message, span);
+        let batch = self.run(work, frames, span);
         self.collector.span_end(self.now(), span);
         batch
     }
@@ -404,12 +405,12 @@ fn verify_shard(
         let msg = Message::ShardProfile {
             round,
             shard: shard_u32,
-            profile: WireShardProfile {
+            profile: Box::new(WireShardProfile {
                 shard: shard_u32,
                 machines: input.bids.len() as u64,
                 machine_wall: machine_wall.to_wire(),
                 slowest,
-            },
+            }),
         };
         // Deliberately not counted: profiling frames are accounted by the
         // profiler alone, never MessageStats or the net.* counters.
@@ -566,14 +567,13 @@ pub fn drive_sharded_round(
         let relay = Relay::at(root, faults, &*collector, epoch);
         // Machines that already bid (a recovered round's durable prefix)
         // and quarantined machines get no request.
-        let requests = by_shard(&ranges, root.missing_bids().into_iter().map(|m| m as usize));
+        let requests = by_shard(&ranges, root.missing_bids());
+        let frames = root.outbound()?;
         let batches = fan_out(
             shard_work(&ranges, &mut agents, &requests),
             |s, work| {
                 let machines = work.range.len();
-                relay.run_in_span("shard.collect", s, machines, work, |_| {
-                    Message::RequestBid { round }
-                })
+                relay.run_in_span("shard.collect", s, machines, work, frames)
             },
             &mut stats,
             clock.as_mut(),
@@ -667,22 +667,17 @@ pub fn drive_sharded_round(
     // ---- Execute: Assign fan-out, shard-local acks, upward ingest. ----
     if root.phase() == CoordinatorPhase::Executing {
         let t = Instant::now();
-        // Rebuild the pending fan-out from round state rather than trusting
-        // the commit's return value: on a recovered round, machines whose
-        // acks are already journalled must not be re-assigned.
+        // Take the recipients from round state rather than the commit's
+        // return value: on a recovered round, machines whose acks are
+        // already journalled must not be re-assigned.
         let assigns = by_shard(&ranges, root.unacknowledged());
-        let allocation = root
-            .allocation()
-            .ok_or(ProtocolError::MissingState { what: "allocation" })?;
+        let frames = root.outbound()?;
         let relay = Relay::at(root, faults, &*collector, epoch);
         let batches = fan_out(
             shard_work(&ranges, &mut agents, &assigns),
             |s, work| {
                 let machines = work.down.len();
-                relay.run_in_span("shard.execute", s, machines, work, |i| Message::Assign {
-                    round,
-                    rate: allocation.rate(i),
-                })
+                relay.run_in_span("shard.execute", s, machines, work, frames)
             },
             &mut stats,
             clock.as_mut(),
@@ -696,30 +691,21 @@ pub fn drive_sharded_round(
     if !root.is_sealed() {
         let t = Instant::now();
         root.set_now(epoch.elapsed().as_secs_f64());
-        let payments = if root.phase() == CoordinatorPhase::Executing {
+        let recipients = if root.phase() == CoordinatorPhase::Executing {
             root.settle(merged.unwrap_or_else(|| merged_sum(root, &ranges)))?
         } else {
             // Recovered past settlement but before the seal: re-send the
-            // Payment fan-out from the durable ledger (idempotent at the
-            // nodes).
+            // Payments from the durable ledger (idempotent at the nodes).
             root.resume(&[])?
         };
-        // The fan-out names the recipients; each shard rebuilds their
-        // frames from the durable ledger.
-        let recipients = by_shard(&ranges, payments.iter().map(|&(m, _)| m as usize));
-        let ledger = root.payments().ok_or(ProtocolError::MissingState {
-            what: "payment ledger",
-        })?;
+        let recipients = by_shard(&ranges, recipients);
+        let frames = root.outbound()?;
         let relay = Relay::at(root, faults, &*collector, epoch);
         fan_out(
             shard_work(&ranges, &mut agents, &recipients),
             |s, work| {
                 let machines = work.down.len();
-                let payment = |i: usize| Message::Payment {
-                    round,
-                    amount: ledger[i],
-                };
-                let batch = relay.run(work, payment, SpanId::NULL)?;
+                let batch = relay.run(work, frames, SpanId::NULL)?;
                 // The phase spans closed when the root settled, so the
                 // downward delivery is an instant, not a span.
                 relay.collector.instant(
@@ -1193,7 +1179,7 @@ mod tests {
                 &Message::ShardProfile {
                     round: RoundId(0),
                     shard: 0,
-                    profile,
+                    profile: Box::new(profile),
                 },
                 None,
             )

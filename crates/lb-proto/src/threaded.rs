@@ -209,8 +209,8 @@ pub(crate) fn run_threaded(
     spec: &RoundSpec<'_>,
     collector: Arc<dyn Collector>,
 ) -> Result<RoundReport, ProtocolError> {
-    let n = spec.specs.len();
     let mut coordinator = spec.root(Arc::clone(&collector))?;
+    let opening = coordinator.missing_bids();
     let actual_exec: Vec<f64> = spec.specs.iter().map(|s| s.exec_value).collect();
     let epoch = Instant::now();
     std::thread::scope(|scope| {
@@ -224,8 +224,7 @@ pub(crate) fn run_threaded(
             &mut coordinator,
             &mut [],
             &actual_exec,
-            &vec![true; n],
-            None,
+            opening,
             false,
         )
         .inspect_err(|_| coordinator.end_telemetry())?;
