@@ -1,12 +1,14 @@
-//! The round engine: the one event loop every single-coordinator round
-//! runs through, plus seeded probabilistic fault injection with
-//! retransmission.
+//! The round engine: the one event loop every round runs through, plus
+//! seeded probabilistic fault injection with retransmission.
 //!
 //! The loop is written once against a small transport trait: the
-//! in-memory [`SimNetwork`] — reliable, or fault-injecting through a
-//! [`ChaosConfig`] — or the OS-thread channels of [`crate::threaded`]. A lossy link arms
-//! retry timers; a lossless one arms none and only falls back to the
-//! drain-timeout rules if it ever runs dry without progress.
+//! in-memory `SimNetwork` — reliable, or fault-injecting through a
+//! [`ChaosConfig`] — the OS-thread channels of [`crate::threaded`] or the
+//! shard tier of [`crate::shard`]. A lossy link arms retry timers; a
+//! lossless one arms none and only falls back to the drain-timeout rules if
+//! it ever runs dry without progress. The link is also the round's
+//! topology: the loop's triggers reach the harmonic sum and verification
+//! through it, so every topology crosses its phases in this one loop.
 //!
 //! Under chaos every frame independently risks being dropped, duplicated,
 //! corrupted, or delay-jittered, driven by a seeded
@@ -287,7 +289,8 @@ impl Drive {
 /// order until the coordinator is done and the link has drained.
 ///
 /// Node-bound frames are served by `nodes` (the simulated network; the
-/// threaded link serves its own on worker threads and passes none);
+/// threaded and shard links serve their own on worker threads and pass
+/// none);
 /// `actual_exec` is the world the verification simulation runs against.
 /// `retry` is the retransmission policy of a lossy link; `None` arms no
 /// timers. `opening` names the first recipients of the current phase's
@@ -345,12 +348,11 @@ pub(crate) fn drive_round<L: Link>(
                 // Nothing in flight and no timer armed, yet the round is not
                 // done: the link drained without progress. Close the stuck
                 // phase so the round always terminates.
+                if coordinator.phase() == CoordinatorPhase::Done {
+                    break;
+                }
                 coordinator.set_now(now.seconds());
-                let outgoing = match coordinator.phase() {
-                    CoordinatorPhase::CollectingBids => coordinator.close_bidding(actual_exec)?,
-                    CoordinatorPhase::Executing => coordinator.close_execution()?,
-                    CoordinatorPhase::Done => break,
-                };
+                let outgoing = coordinator.close_phase_in(actual_exec, link)?;
                 send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace)?;
                 arm_exec_timer(timers, retry, coordinator, now, &mut exec_timer_armed);
                 continue;
@@ -370,12 +372,8 @@ pub(crate) fn drive_round<L: Link>(
                         Endpoint::Node(i) => {
                             let agent = nodes.get_mut(i as usize);
                             let anomaly = match agent {
-                                // Addressed nowhere, or a node-originated
-                                // message bounced back to a node.
+                                // Addressed nowhere.
                                 None => Some(Anomaly::Misrouted),
-                                Some(_) if delivery.message.machine().is_some() => {
-                                    Some(Anomaly::Misrouted)
-                                }
                                 // Straggler from a previous round.
                                 Some(_) if delivery.message.round() != round => {
                                     Some(Anomaly::StaleRound)
@@ -390,15 +388,14 @@ pub(crate) fn drive_round<L: Link>(
                                         || at,
                                         |parent| parent == phase_span,
                                     );
-                                    if let Some((reply, child)) = reply {
-                                        link.send(
-                                            Endpoint::Node(i),
-                                            Endpoint::Coordinator,
-                                            &reply,
-                                            child.as_ref(),
-                                        )?;
+                                    if let Some((reply, child)) = &reply {
+                                        let (from, to) = (Endpoint::Node(i), Endpoint::Coordinator);
+                                        link.send(from, to, reply, child.as_ref())?;
                                     }
-                                    None
+                                    // Only a payment needs no reply; any
+                                    // other frame was not for a node.
+                                    let paid = matches!(delivery.message, Message::Payment { .. });
+                                    (reply.is_none() && !paid).then_some(Anomaly::Misrouted)
                                 }
                             };
                             if let Some(anomaly) = anomaly {
@@ -408,8 +405,9 @@ pub(crate) fn drive_round<L: Link>(
                         Endpoint::Coordinator => {
                             coordinator.set_now(now.seconds());
                             let before = coordinator.anomalies().total();
-                            let outgoing = coordinator.handle(&delivery.message, actual_exec)?;
-                            if coordinator.anomalies().total() == before {
+                            let outgoing =
+                                coordinator.handle_in(&delivery.message, actual_exec, link)?;
+                            if L::TRACED && coordinator.anomalies().total() == before {
                                 // Accepted: it enters the audit trail.
                                 out.trace.entries.push(TraceEntry {
                                     at: delivery.at.seconds(),
@@ -513,7 +511,7 @@ fn fire_timer<L: Link>(
             let missing = coordinator.missing_bids();
             if missing.is_empty() || attempt >= chaos.bid_retries {
                 // Retries exhausted: fall back to exclusion.
-                let outgoing = coordinator.close_bidding(actual_exec)?;
+                let outgoing = coordinator.close_phase_in(actual_exec, link)?;
                 return send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace);
             }
             // Retransmissions carry the same `phase.collect_bids` context as
@@ -550,7 +548,7 @@ fn fire_timer<L: Link>(
         ChaosTimer::ExecTimeout { round: r }
             if r == round && coordinator.phase() == CoordinatorPhase::Executing =>
         {
-            let outgoing = coordinator.close_execution()?;
+            let outgoing = coordinator.close_phase_in(actual_exec, link)?;
             send_from_coordinator(link, coordinator, outgoing, now, &mut out.trace)
         }
         // Stale timer from an earlier round, or a phase already left.
@@ -580,9 +578,9 @@ fn note_link_anomaly(
 
 /// Sends the current phase's frame ([`Coordinator::outbound`]) to each of
 /// `recipients`, recording it in the trace at the coordinator's send
-/// instant. Frames are built and carry the coordinator's trace context
-/// *after* the transition that named the recipients, so they carry the
-/// span of the phase they belong to.
+/// instant on a traced link. Frames are built and carry the coordinator's
+/// trace context *after* the transition that named the recipients, so they
+/// carry the span of the phase they belong to.
 fn send_from_coordinator<L: Link>(
     link: &mut L,
     coordinator: &Coordinator<'_>,
@@ -590,6 +588,11 @@ fn send_from_coordinator<L: Link>(
     now: SimTime,
     trace: &mut RoundTrace,
 ) -> Result<(), ProtocolError> {
+    let mut recipients = recipients.into_iter().peekable();
+    if recipients.peek().is_none() {
+        return Ok(());
+    }
+    link.enter_phase(coordinator.phase_span());
     let wire = coordinator.wire_context();
     let frames = coordinator.outbound()?;
     for i in recipients {
@@ -600,12 +603,14 @@ fn send_from_coordinator<L: Link>(
             &message,
             wire.as_ref(),
         )?;
-        trace.entries.push(TraceEntry {
-            at: now.seconds(),
-            from: Endpoint::Coordinator,
-            to: Endpoint::Node(i),
-            message,
-        });
+        if L::TRACED {
+            trace.entries.push(TraceEntry {
+                at: now.seconds(),
+                from: Endpoint::Coordinator,
+                to: Endpoint::Node(i),
+                message,
+            });
+        }
     }
     Ok(())
 }
@@ -1161,6 +1166,48 @@ mod tests {
             ..ChaosConfig::reliable(3)
         };
         assert!(need_two(&run_chaos_round(&mech, &specs, &config(), &chaos)));
+    }
+
+    // Pinned regression: a frame that is not addressed to a node used to
+    // panic the node; the event loop now counts it as misrouted.
+    #[test]
+    fn frames_not_addressed_to_a_node_count_as_misrouted() {
+        let mech = CompensationBonusMechanism::paper();
+        let specs = specs();
+        let mut network = SimNetwork::with_constant_latency(0.001);
+        let stray = Message::ShardSum {
+            round: RoundId(0),
+            shard: 0,
+            sum_hi: 1.0,
+            sum_lo: 0.0,
+        };
+        let (from, to) = (Endpoint::Coordinator, Endpoint::Node(0));
+        network.send(from, to, &stray, None).unwrap();
+        let sim = config().simulation;
+        let mut c = Coordinator::try_new(&mech, specs.len(), RATE, RoundId(0), sim).unwrap();
+        let mut nodes: Vec<NodeAgent> = (0u32..)
+            .zip(&specs)
+            .map(|(i, &spec)| NodeAgent::new(i, spec))
+            .collect();
+        let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
+        let opening = c.missing_bids();
+        let timers = &mut EventQueue::new();
+        let collector = noop_collector();
+        let drive = drive_round(
+            &mut network,
+            timers,
+            None,
+            &*collector,
+            &mut c,
+            &mut nodes,
+            &actual,
+            opening,
+            false,
+        )
+        .unwrap();
+        assert_eq!(drive.anomalies.misrouted, 1);
+        assert_eq!(drive.anomalies.total(), 1);
+        assert_eq!(c.phase(), CoordinatorPhase::Done);
     }
 
     #[test]

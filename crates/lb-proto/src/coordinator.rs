@@ -10,18 +10,17 @@
 //! of Sec. 3): [`Coordinator::end_bidding`], [`Coordinator::allocate`]
 //! against a harmonic sum `s = Σ 1/b_i`, [`Coordinator::commit_allocation`]
 //! of the rates and the verification estimates, and
-//! [`Coordinator::settle`] against `s`. The shard runtime
-//! ([`crate::shard`]) calls them with `s` merged from per-shard partials and
-//! estimates gathered from per-shard simulations. The message-driven
-//! triggers ([`Coordinator::handle`], [`Coordinator::close_bidding`],
-//! [`Coordinator::close_execution`], [`Coordinator::resume`]) run the same
-//! transitions as the `k = 1` case: one partial sum over the whole round,
-//! and the verification simulation ([`lb_sim::driver::simulate_partition`])
-//! over one range at stream offset 0. Every driver reaches that kernel
-//! through the same gather → simulate → scatter path and summarises it as
-//! the `verify` instant, never as simulator spans.
-//! Either way verification runs at the nodes' *actual* execution values and
-//! the coordinator keeps only the *estimates* for payment — it never reads a
+//! [`Coordinator::settle`] against `s`. The message-driven triggers
+//! ([`Coordinator::handle`], [`Coordinator::close_bidding`],
+//! [`Coordinator::close_execution`], [`Coordinator::resume`]) run them and
+//! take `s` and the estimates from the round's topology: by default the
+//! single coordinator, one partial sum over the whole round and the
+//! verification kernel ([`lb_sim::driver::simulate_partition`]) over one
+//! range at stream offset 0; per-shard partials and simulations on the
+//! shard tier ([`crate::shard`]). Every topology gathers, simulates and
+//! scatters the same way and summarises verification as the `verify`
+//! instant. It runs at the nodes' *actual* execution values, and the
+//! coordinator keeps only the *estimates* for payment — it never reads a
 //! node's private state.
 //!
 //! **Fault handling.** A machine whose bid never arrives can be *excluded*
@@ -75,6 +74,44 @@ impl VerifyInput {
     }
 }
 
+/// Where a round's two aggregate steps run: the harmonic sum
+/// `s = Σ 1/b_i` that allocation and settlement use, and verification. The
+/// defaults are the single coordinator, the `k = 1` case: one partial sum
+/// over `0..n` and one simulated range at stream offset 0, with no frames.
+pub(crate) trait Topology {
+    /// `s` over the respondents, at allocation or (`allocating` false) at
+    /// settlement, which a recovered round reaches without the allocation.
+    fn inv_sum(
+        &mut self,
+        coordinator: &Coordinator<'_>,
+        _allocating: bool,
+    ) -> Result<TwoF64, ProtocolError> {
+        Ok(coordinator.partial_inv_sum(0..coordinator.bids.len()))
+    }
+
+    /// The verification estimates for `rates`, full width (0 for excluded
+    /// machines), simulated against `actual_exec_values`. No telemetry of
+    /// its own: [`Coordinator::commit_allocation`] records the `verify`
+    /// instant.
+    fn verify(
+        &mut self,
+        c: &Coordinator<'_>,
+        rates: &[f64],
+        actual_exec_values: &[f64],
+    ) -> Result<Vec<f64>, ProtocolError> {
+        let inputs =
+            c.verify_inputs(std::iter::once(0..c.bids.len()), rates, actual_exec_values)?;
+        let simulate = |input: &VerifyInput| input.simulate(&c.sim_config, None);
+        let estimates = inputs.iter().map(simulate).collect::<Result<Vec<_>, _>>()?;
+        Ok(c.scatter(inputs.iter().map(|input| &input.idx).zip(&estimates)))
+    }
+}
+
+/// The single-coordinator topology: the seam's defaults.
+pub(crate) struct Local;
+
+impl Topology for Local {}
+
 /// Phase of the coordinator's round state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordinatorPhase {
@@ -89,7 +126,7 @@ pub enum CoordinatorPhase {
 /// The downward frame of the coordinator's current phase
 /// ([`Coordinator::outbound`]): transitions name only recipients, and a
 /// driver builds each one's frame as it sends it. `Copy + Send + Sync`, so
-/// shard workers build their frames from one shared value.
+/// frames can be built from one shared value on any thread.
 #[derive(Debug, Clone, Copy)]
 pub struct Outbound<'a> {
     round: RoundId,
@@ -169,6 +206,11 @@ pub enum ProtocolError {
         /// The shard whose worker died.
         shard: usize,
     },
+    /// The OS refused to start a machine's or a shard's worker thread.
+    ThreadRefused {
+        /// The machine or shard whose thread could not start.
+        worker: usize,
+    },
     /// A caller-supplied configuration is out of range (e.g. a fault
     /// probability outside `[0, 1]`, or a transport the requested topology
     /// cannot run over).
@@ -210,6 +252,9 @@ impl fmt::Display for ProtocolError {
             }
             Self::ShardPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked; round aborted")
+            }
+            Self::ThreadRefused { worker } => {
+                write!(f, "the OS refused to start worker thread {worker}")
             }
             Self::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             Self::MachineOutOfRange { machine, n } => {
@@ -288,6 +333,10 @@ pub struct Coordinator<'m> {
     bids: Vec<Option<f64>>,
     excluded: Vec<bool>,
     done: Vec<bool>,
+    /// Machines that still owe a bid (not excluded, no bid recorded).
+    outstanding_bids: usize,
+    /// Respondents that still owe a completion acknowledgement.
+    outstanding_acks: usize,
     allocation: Option<Allocation>,
     estimated_exec: Option<Vec<f64>>,
     payments: Option<Vec<f64>>,
@@ -368,6 +417,8 @@ impl<'m> Coordinator<'m> {
             bids: vec![None; n],
             excluded: vec![false; n],
             done: vec![false; n],
+            outstanding_bids: n,
+            outstanding_acks: 0,
             allocation: None,
             estimated_exec: None,
             payments: None,
@@ -733,7 +784,7 @@ impl<'m> Coordinator<'m> {
             machine: Self::machine_u32(machine)?,
             reason: ExclusionReason::Quarantine,
         })?;
-        self.excluded[machine] = true;
+        self.write_slot(machine, |c| c.excluded[machine] = true);
         self.collector.instant(
             self.now.get(),
             "exclude",
@@ -845,18 +896,22 @@ impl<'m> Coordinator<'m> {
         inv_sum_dd(&bids)
     }
 
-    fn all_bids_in(&self) -> bool {
-        (0..self.bids.len()).all(|i| self.bids[i].is_some() || self.excluded[i])
+    /// Whether machine `i` still owes a bid, and an acknowledgement (0/1).
+    fn outstanding_at(&self, i: usize) -> (usize, usize) {
+        let bid = self.bids[i].is_none() && !self.excluded[i];
+        let ack = self.respondent_bid(i).is_some() && !self.done[i];
+        (usize::from(bid), usize::from(ack))
     }
 
-    /// Respondents whose completion acknowledgement has not arrived (or,
-    /// on a recovered round, is not journalled).
-    pub(crate) fn unacknowledged(&self) -> Vec<u32> {
-        self.machines_where(|i| self.respondent_bid(i).is_some() && !self.done[i])
-    }
-
-    fn all_done(&self) -> bool {
-        (0..self.bids.len()).all(|i| self.respondent_bid(i).is_none() || self.done[i])
+    /// Writes machine `i`'s bid, exclusion or acknowledgement slot through
+    /// `write`, keeping the outstanding counters equal to a full scan, so
+    /// the triggers decide in O(1) per frame.
+    fn write_slot(&mut self, i: usize, write: impl FnOnce(&mut Self)) {
+        let (bid, ack) = self.outstanding_at(i);
+        write(self);
+        let (bid_after, ack_after) = self.outstanding_at(i);
+        self.outstanding_bids = self.outstanding_bids + bid_after - bid;
+        self.outstanding_acks = self.outstanding_acks + ack_after - ack;
     }
 
     /// Handles one node message; returns the machines to send to, each the
@@ -880,12 +935,24 @@ impl<'m> Coordinator<'m> {
         message: &Message,
         actual_exec_values: &[f64],
     ) -> Result<Vec<u32>, ProtocolError> {
+        self.handle_in(message, actual_exec_values, &mut Local)
+    }
+
+    /// [`Coordinator::handle`] over `topology`.
+    pub(crate) fn handle_in(
+        &mut self,
+        message: &Message,
+        actual_exec_values: &[f64],
+        topology: &mut dyn Topology,
+    ) -> Result<Vec<u32>, ProtocolError> {
         if !self.ingest(message)? {
             return Ok(Vec::new());
         }
         match message {
-            Message::Bid { .. } if self.all_bids_in() => self.allocate_locally(actual_exec_values),
-            Message::ExecutionDone { .. } if self.all_done() => self.close_execution(),
+            Message::Bid { .. } if self.outstanding_bids == 0 => {
+                self.allocate_in(actual_exec_values, topology)
+            }
+            Message::ExecutionDone { .. } if self.outstanding_acks == 0 => self.settle_in(topology),
             _ => Ok(Vec::new()),
         }
     }
@@ -901,7 +968,7 @@ impl<'m> Coordinator<'m> {
     /// bid-collection phase, or downstream errors.
     pub fn close_bidding(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
         self.end_bidding()?;
-        self.allocate_locally(actual_exec_values)
+        self.allocate_in(actual_exec_values, &mut Local)
     }
 
     /// Execution timeout: settles from the coordinator's own measurements
@@ -912,39 +979,50 @@ impl<'m> Coordinator<'m> {
     /// Propagates mechanism errors; returns
     /// [`ProtocolError::PhaseViolation`] outside the execution phase.
     pub fn close_execution(&mut self) -> Result<Vec<u32>, ProtocolError> {
-        self.settle(self.partial_inv_sum(0..self.bids.len()))
+        self.settle_in(&mut Local)
     }
 
-    /// The message-driven allocation, the `k = 1` case of the transitions:
-    /// allocate against the whole round's harmonic sum, verify every
-    /// respondent at stream offset 0, commit.
-    fn allocate_locally(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
-        let rates = self.allocate(self.partial_inv_sum(0..self.bids.len()))?;
-        let estimates = self.verify(&rates, actual_exec_values)?;
+    /// The timeout of the phase the round is in, over `topology`:
+    /// [`Coordinator::close_bidding`] or [`Coordinator::close_execution`].
+    pub(crate) fn close_phase_in(
+        &mut self,
+        actual_exec_values: &[f64],
+        topology: &mut dyn Topology,
+    ) -> Result<Vec<u32>, ProtocolError> {
+        match self.phase {
+            CoordinatorPhase::CollectingBids => {
+                self.end_bidding()?;
+                self.allocate_in(actual_exec_values, topology)
+            }
+            CoordinatorPhase::Executing => self.settle_in(topology),
+            CoordinatorPhase::Done => Ok(Vec::new()),
+        }
+    }
+
+    /// Allocates against the topology's harmonic sum, verifies through it
+    /// and commits.
+    fn allocate_in(
+        &mut self,
+        actual_exec_values: &[f64],
+        topology: &mut dyn Topology,
+    ) -> Result<Vec<u32>, ProtocolError> {
+        let rates = self.allocate(topology.inv_sum(self, true)?)?;
+        let estimates = topology.verify(self, &rates, actual_exec_values)?;
         self.commit_allocation(rates, estimates)
     }
 
-    // ------------------------------------------------------------------
-    // The round transitions, one per phase boundary.
-    //
-    // [`Coordinator::handle`] scans all n bid slots after every accepted
-    // bid to decide whether to allocate — O(n) per message, O(n²) per
-    // round, which is what caps message-driven rounds near ~10⁴ machines.
-    // The shard runtime (`crate::shard`) and the online session instead
-    // ingest whole batches through [`Coordinator::ingest`] and call the
-    // transitions explicitly: end bidding once, allocate once against a
-    // harmonic sum they aggregated themselves, commit the estimates their
-    // verification produced, settle once. The message-driven triggers call
-    // the same transitions, so journal grammar, anomaly accounting,
-    // exclusion semantics and telemetry are one code path.
-    // ------------------------------------------------------------------
+    /// Settles against the topology's harmonic sum.
+    fn settle_in(&mut self, topology: &mut dyn Topology) -> Result<Vec<u32>, ProtocolError> {
+        let s = topology.inv_sum(self, false)?;
+        self.settle(s)
+    }
 
     /// Absorbs one node message *without* triggering a phase transition:
     /// exactly [`Coordinator::handle`]'s acceptance and anomaly semantics
     /// (stale round, unsolicited, stale-after-exclusion, wrong phase,
-    /// duplicate), minus the all-bids-in / all-done scans and the resulting
-    /// allocation or settle. The sharded runtime calls this once per
-    /// upward-forwarded frame and decides the transitions itself.
+    /// duplicate), minus the allocation or settle the last bid or
+    /// acknowledgement triggers. The online session calls this once per
+    /// live machine and decides the transitions itself.
     ///
     /// Returns whether the message was accepted into the round state;
     /// a rejected one is counted in [`Coordinator::anomalies`].
@@ -972,7 +1050,7 @@ impl<'m> Coordinator<'m> {
                     Anomaly::DuplicateBid
                 } else {
                     self.journal_append(JournalRecord::BidAccepted { machine, value })?;
-                    self.bids[idx] = Some(value);
+                    self.write_slot(idx, |c| c.bids[idx] = Some(value));
                     return Ok(true);
                 };
                 Ok(self.reject(anomaly))
@@ -991,7 +1069,7 @@ impl<'m> Coordinator<'m> {
                     Anomaly::DuplicateAck
                 } else {
                     self.journal_append(JournalRecord::ExecutionObserved { machine })?;
-                    self.done[idx] = true;
+                    self.write_slot(idx, |c| c.done[idx] = true);
                     return Ok(true);
                 };
                 Ok(self.reject(anomaly))
@@ -1026,7 +1104,7 @@ impl<'m> Coordinator<'m> {
                     machine: Self::machine_u32(i)?,
                     reason: ExclusionReason::Timeout,
                 })?;
-                self.excluded[i] = true;
+                self.write_slot(i, |c| c.excluded[i] = true);
                 self.collector.instant(
                     self.now.get(),
                     "exclude",
@@ -1074,25 +1152,6 @@ impl<'m> Coordinator<'m> {
         Ok(self.scatter([(&respondents, allocation.rates())]))
     }
 
-    /// The whole round's verification, the `k = 1` case of the sharded
-    /// verify stage: gather every respondent over `0..n`, simulate them at
-    /// stream offset 0 and scatter the estimates full-width (0 for excluded
-    /// machines). It records no telemetry of its own:
-    /// [`Coordinator::commit_allocation`] summarises it as the `verify` instant.
-    pub(crate) fn verify(
-        &self,
-        rates: &[f64],
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<f64>, ProtocolError> {
-        let all = std::iter::once(0..self.bids.len());
-        let inputs = self.verify_inputs(all, rates, actual_exec_values)?;
-        let estimates = inputs
-            .iter()
-            .map(|input| input.simulate(&self.sim_config, None))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.scatter(inputs.iter().map(|input| &input.idx).zip(&estimates)))
-    }
-
     /// Commits the allocation: validates it, emits the `verify` instant
     /// (the verification simulation ran between [`Coordinator::allocate`]
     /// and this call), journals `AllocationCommitted` and commits, installs
@@ -1132,12 +1191,15 @@ impl<'m> Coordinator<'m> {
             ],
         );
         // Commit point: the allocation must be durable before any Assign
-        // frame can reach a node.
-        self.journal_append(JournalRecord::AllocationCommitted {
-            rates: allocation.rates().to_vec(),
-            estimated_exec: estimates.clone(),
-        })?;
-        self.journal_commit()?;
+        // frame can reach a node. The record copies two columns, so it is
+        // built only when a journal is attached.
+        if self.journal.is_some() {
+            self.journal_append(JournalRecord::AllocationCommitted {
+                rates: allocation.rates().to_vec(),
+                estimated_exec: estimates.clone(),
+            })?;
+            self.journal_commit()?;
+        }
         self.allocation = Some(allocation);
         self.estimated_exec = Some(estimates);
         self.phase = CoordinatorPhase::Executing;
@@ -1197,10 +1259,12 @@ impl<'m> Coordinator<'m> {
         // Commit point: the payment ledger must be durable before the settle
         // fan-out leaves — on replay payments come from this record, never a
         // recomputation, which is what makes settlement exactly-once.
-        self.journal_append(JournalRecord::PaymentsCommitted {
-            payments: payments.clone(),
-        })?;
-        self.journal_commit()?;
+        if self.journal.is_some() {
+            self.journal_append(JournalRecord::PaymentsCommitted {
+                payments: payments.clone(),
+            })?;
+            self.journal_commit()?;
+        }
         self.payments = Some(payments);
         self.report_settled();
         self.phase = CoordinatorPhase::Done;
@@ -1315,11 +1379,11 @@ impl<'m> Coordinator<'m> {
             }
             JournalRecord::BidAccepted { machine, value } => {
                 let idx = check_machine(*machine, n)?;
-                self.bids[idx] = Some(*value);
+                self.write_slot(idx, |c| c.bids[idx] = Some(*value));
             }
             JournalRecord::ExclusionDecided { machine, .. } => {
                 let idx = check_machine(*machine, n)?;
-                self.excluded[idx] = true;
+                self.write_slot(idx, |c| c.excluded[idx] = true);
             }
             JournalRecord::AllocationCommitted {
                 rates,
@@ -1336,7 +1400,7 @@ impl<'m> Coordinator<'m> {
             }
             JournalRecord::ExecutionObserved { machine } => {
                 let idx = check_machine(*machine, n)?;
-                self.done[idx] = true;
+                self.write_slot(idx, |c| c.done[idx] = true);
             }
             JournalRecord::PaymentsCommitted { payments } => {
                 if payments.len() != n {
@@ -1389,19 +1453,23 @@ impl<'m> Coordinator<'m> {
     /// Propagates mechanism/journal errors from the allocation or settle
     /// steps.
     pub fn resume(&mut self, actual_exec_values: &[f64]) -> Result<Vec<u32>, ProtocolError> {
+        self.resume_in(actual_exec_values, &mut Local)
+    }
+
+    /// [`Coordinator::resume`] over `topology`.
+    pub(crate) fn resume_in(
+        &mut self,
+        actual_exec_values: &[f64],
+        topology: &mut dyn Topology,
+    ) -> Result<Vec<u32>, ProtocolError> {
         match self.phase {
-            CoordinatorPhase::CollectingBids => {
-                if self.all_bids_in() {
-                    self.allocate_locally(actual_exec_values)
-                } else {
-                    Ok(self.missing_bids())
-                }
+            CoordinatorPhase::CollectingBids if self.outstanding_bids == 0 => {
+                self.allocate_in(actual_exec_values, topology)
             }
+            CoordinatorPhase::CollectingBids => Ok(self.missing_bids()),
+            CoordinatorPhase::Executing if self.outstanding_acks == 0 => self.settle_in(topology),
             CoordinatorPhase::Executing => {
-                if self.all_done() {
-                    return self.close_execution();
-                }
-                Ok(self.unacknowledged())
+                Ok(self.machines_where(|i| self.respondent_bid(i).is_some() && !self.done[i]))
             }
             CoordinatorPhase::Done => {
                 if self.sealed {
@@ -2370,6 +2438,78 @@ mod tests {
             c.outbound().unwrap().frame(2),
             Message::Payment { round, amount }
         );
+    }
+
+    /// Asserts the outstanding counters equal a full scan of the slots.
+    fn assert_counters_match_a_scan(c: &Coordinator<'_>, at: &str) {
+        let n = c.bids.len();
+        let bids = (0..n)
+            .filter(|&i| c.bids[i].is_none() && !c.excluded[i])
+            .count();
+        let acks = (0..n)
+            .filter(|&i| c.bids[i].is_some() && !c.excluded[i] && !c.done[i])
+            .count();
+        let counters = (c.outstanding_bids, c.outstanding_acks);
+        assert_eq!(counters, (bids, acks), "after {at}");
+    }
+
+    #[test]
+    fn outstanding_counters_match_a_full_scan_live_and_replayed() {
+        use crate::journal::{read_journal, JournalReplay, MemJournal};
+        let mech = CompensationBonusMechanism::paper();
+        let trues = [1.0, 1.5, 2.0, 3.0, 4.5, 6.0];
+        let round = RoundId(0);
+        let journal = Rc::new(RefCell::new(MemJournal::new()));
+        let mut c = Coordinator::try_new(&mech, trues.len(), 3.0, round, config())
+            .unwrap()
+            .with_journal(journal.clone());
+
+        // A faulty round: machine 0 quarantined, machine 5 silent, a
+        // duplicate bid, a stale one, a bid after exclusion, a duplicate
+        // ack, an ack from a non-respondent and one lost ack.
+        c.exclude(0).unwrap();
+        assert_counters_match_a_scan(&c, "exclude");
+        let bid = |machine: u32, round| Message::Bid {
+            round,
+            machine,
+            value: trues[machine as usize],
+        };
+        for message in [
+            bid(1, round),
+            bid(2, round),
+            bid(2, round),
+            bid(3, RoundId(9)),
+            bid(3, round),
+            bid(0, round),
+            bid(4, round),
+        ] {
+            c.ingest(&message).unwrap();
+            assert_counters_match_a_scan(&c, message.kind());
+        }
+        c.end_bidding().unwrap();
+        assert_counters_match_a_scan(&c, "end_bidding");
+        let rates = c.allocate(c.partial_inv_sum(0..trues.len())).unwrap();
+        let estimates = Local.verify(&c, &rates, &trues).unwrap();
+        c.commit_allocation(rates, estimates).unwrap();
+        assert_counters_match_a_scan(&c, "commit_allocation");
+        for machine in [1, 1, 5, 2, 3] {
+            c.ingest(&Message::ExecutionDone { round, machine })
+                .unwrap();
+            assert_counters_match_a_scan(&c, "ack");
+        }
+        assert_eq!(c.outstanding_acks, 1, "machine 4's ack is lost");
+        c.close_execution().unwrap();
+        c.seal().unwrap();
+
+        let bytes = journal.borrow().bytes().unwrap();
+        for cut in JournalReplay::boundaries(&bytes) {
+            let replay = read_journal(&bytes[..cut]).unwrap();
+            let mut r = Coordinator::try_new(&mech, trues.len(), 3.0, round, config()).unwrap();
+            for record in &replay.records {
+                r.apply_record(record).unwrap();
+                assert_counters_match_a_scan(&r, &format!("{record:?} in a {cut}-byte prefix"));
+            }
+        }
     }
 
     #[test]

@@ -30,15 +30,15 @@
 //! * [`run_online_session`] runs the streaming mechanism over a churn
 //!   stream.
 //!
-//! Every single-coordinator round runs through the one event loop in
-//! [`chaos`]; transports only decide how frames move and whether retry
-//! timers are armed. Every round, sharded or not, crosses its phases
-//! through the same four [`Coordinator`] transitions — end bidding,
-//! allocate against a harmonic sum, commit the allocation with its
-//! verification estimates, settle — and a single-coordinator round is the
-//! `k = 1` case of the sharded one. Allocations, payments, estimates, exclusions, message
-//! statistics and journal bytes are bit-identical across transports and
-//! with or without observers.
+//! Every round, sharded or not, runs through the one event loop in
+//! [`chaos`] and crosses its phases through the same four [`Coordinator`]
+//! transitions — end bidding, allocate against a harmonic sum, commit the
+//! allocation with its verification estimates, settle. A link only decides
+//! how frames move, whether retry timers are armed, and where the harmonic
+//! sum and the verification run; a single-coordinator round is the `k = 1`
+//! case of the sharded one. Allocations, payments, estimates, exclusions,
+//! message statistics and journal bytes are bit-identical across transports
+//! and with or without observers.
 //!
 //! # Modules
 //!
@@ -77,12 +77,11 @@
 //!   `1e-12` relative), and periodic `RoundTick`s settle full payment
 //!   rounds against the incremental `S` through the coordinator's round
 //!   transitions.
-//! * [`shard`] — a hierarchical two-level topology for million-machine
-//!   rounds: `k` shard coordinators run collect/execute locally on worker
-//!   threads, ship partial double-double harmonic sums upward as
-//!   [`Message::ShardSum`] frames, and the root merges them with
-//!   [`lb_core::merge_inv_sums`] — allocations and payments stay
-//!   bit-identical to the single-coordinator round for every shard count.
+//! * [`shard`] — the two-level topology for million-machine rounds as a
+//!   link of the round engine: `k` shards relay their machines' frames on
+//!   worker threads and ship partial harmonic sums and verification
+//!   estimates upward; allocations and payments stay bit-identical to the
+//!   single-coordinator round for every shard count.
 //!
 //! # Observability
 //!
@@ -138,7 +137,7 @@ pub use journal::{
     JournalRecord, JournalReplay, LedgerChain, MemJournal,
 };
 pub use message::{Message, RoundId};
-pub use network::{FrameFate, MessageStats, NetPoll, SimNetwork};
+pub use network::MessageStats;
 pub use node::NodeSpec;
 pub use online::{OnlineApplied, OnlineEvent, OnlineReport, OnlineSession, OnlineTick};
 pub use recovery::{recover_round, split_rounds, RecoveryReport, RoundBlock, RoundContext};

@@ -6,11 +6,12 @@
 
 use crate::chaos::ChaosNetStats;
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
+use crate::coordinator::{ProtocolError, Topology};
 use crate::message::Message;
 use lb_mechanism::MechanismError;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
-use lb_telemetry::{noop_collector, Collector, Field, Subsystem, TraceContext};
+use lb_telemetry::{noop_collector, Collector, Field, SpanId, Subsystem, TraceContext};
 use std::sync::Arc;
 
 /// Network endpoint address: the coordinator or a node.
@@ -51,6 +52,20 @@ pub struct MessageStats {
     pub bytes: u64,
 }
 
+impl MessageStats {
+    /// Counts one sent frame of `len` bytes and, when telemetry is on, the
+    /// `net.messages` / `net.bytes` counters at the time `at` reads.
+    pub(crate) fn count(&mut self, len: usize, collector: &dyn Collector, at: impl Fn() -> f64) {
+        self.messages += 1;
+        self.bytes += len as u64;
+        if collector.enabled() {
+            let at = at();
+            collector.counter(at, "net.messages", Subsystem::Network, 1);
+            collector.counter(at, "net.bytes", Subsystem::Network, len as u64);
+        }
+    }
+}
+
 /// A delivered frame.
 #[derive(Debug, Clone)]
 pub struct Delivery {
@@ -70,10 +85,9 @@ pub struct Delivery {
 
 /// The fate a chaos injector assigns to a single frame in transit.
 ///
-/// The default fate ([`FrameFate::deliver`]) delivers the frame untouched;
-/// an injector can combine loss, duplication, corruption, and jitter on a
-/// single frame.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The default fate delivers the frame untouched; an injector can combine
+/// loss, duplication, corruption, and jitter on a single frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FrameFate {
     /// Lose the frame in transit (sent and counted, never delivered).
     pub drop: bool,
@@ -86,26 +100,6 @@ pub struct FrameFate {
     pub extra_delay: f64,
     /// Extra delay for the duplicate copy, if any (clamped at zero).
     pub duplicate_extra_delay: f64,
-}
-
-impl FrameFate {
-    /// A clean delivery: no loss, no duplicate, no corruption, no jitter.
-    #[must_use]
-    pub fn deliver() -> Self {
-        Self {
-            drop: false,
-            duplicate: false,
-            corrupt: false,
-            extra_delay: 0.0,
-            duplicate_extra_delay: 0.0,
-        }
-    }
-}
-
-impl Default for FrameFate {
-    fn default() -> Self {
-        Self::deliver()
-    }
 }
 
 /// Result of polling the network for the next arrival.
@@ -136,7 +130,7 @@ struct Frame {
 type FateHook = Box<dyn FnMut(Endpoint, Endpoint, &Message) -> FrameFate>;
 
 /// Deterministic star-topology network between one coordinator and `n` nodes.
-pub struct SimNetwork {
+pub(crate) struct SimNetwork {
     queue: EventQueue<Frame>,
     latency: f64,
     stats: MessageStats,
@@ -147,22 +141,13 @@ pub struct SimNetwork {
     collector: Arc<dyn Collector>,
 }
 
-impl std::fmt::Debug for SimNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimNetwork")
-            .field("pending", &self.queue.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
 impl SimNetwork {
     /// Creates a network with a constant per-link latency.
     ///
     /// # Panics
     /// Panics if `latency` is negative or non-finite.
     #[must_use]
-    pub fn with_constant_latency(latency: f64) -> Self {
+    pub(crate) fn with_constant_latency(latency: f64) -> Self {
         assert!(
             latency.is_finite() && latency >= 0.0,
             "SimNetwork: invalid latency"
@@ -183,41 +168,23 @@ impl SimNetwork {
     /// instant per frame (with its fate), `net.deliver` / `net.corrupt`
     /// instants on receipt, and `net.messages` / `net.bytes` counters, all
     /// timestamped on the network's simulated clock.
-    pub fn set_collector(&mut self, collector: Arc<dyn Collector>) {
+    pub(crate) fn set_collector(&mut self, collector: Arc<dyn Collector>) {
         self.collector = collector;
     }
 
     /// Installs a chaos hook deciding the [`FrameFate`] of every frame. The
     /// hook is typically a seeded RNG consumer, so it is `FnMut`; it may be
     /// stateful (e.g. drop only the first `k` attempts).
-    pub fn set_fate_fn(
+    pub(crate) fn set_fate_fn(
         &mut self,
         fate: impl FnMut(Endpoint, Endpoint, &Message) -> FrameFate + 'static,
     ) {
         self.fate_fn = Some(Box::new(fate));
     }
 
-    /// Number of frames lost in transit.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of duplicate copies injected by the chaos hook.
-    #[must_use]
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Number of frames delivered with detected corruption.
-    #[must_use]
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted
-    }
-
     /// Emits the `net.send` instant and the message/byte counters for one
-    /// frame, tagging the frame's fate (`delivered` / `dropped` /
-    /// `corrupted` / `duplicated`).
+    /// frame, tagging its fate (`delivered` / `dropped` / `corrupted` /
+    /// `duplicated`).
     fn note_send(
         &self,
         from: Endpoint,
@@ -248,34 +215,139 @@ impl SimNetwork {
         self.collector
             .counter(at, "net.bytes", Subsystem::Network, bytes as u64);
     }
+}
 
-    /// Sends `message` from `from` to `to`, encoding it to wire form.
-    pub fn send(&mut self, from: Endpoint, to: Endpoint, message: &Message) {
-        self.send_traced(from, to, message, None)
-    }
-
-    /// Sends `message` with an optional trace context embedded in the frame
-    /// payload as a trailer. With `ctx == None` this is [`SimNetwork::send`]
-    /// exactly: the wire bytes, statistics and fault stream are unchanged.
-    pub fn send_traced(
+/// What carries one round's frames between the coordinator and its
+/// machines: the simulated network (reliable, or fault-injecting through a
+/// fate hook), the OS-thread channels of [`crate::threaded`] or the shard
+/// tier of [`crate::shard`]. The round engine ([`crate::chaos`]) is written
+/// once against this; the link is also the round's [`Topology`].
+pub(crate) trait Link: Topology {
+    /// Whether the engine records the coordinator's-eye `RoundTrace` here.
+    const TRACED: bool = true;
+    /// Notes the coordinator's open phase span ahead of a fan-out.
+    fn enter_phase(&mut self, _phase_span: SpanId) {}
+    /// The link's clock.
+    fn now(&self) -> SimTime;
+    /// When the next in-flight frame arrives, if one is in flight.
+    fn next_arrival_time(&self) -> Option<SimTime>;
+    /// Takes the next arrival, in arrival order.
+    fn poll(&mut self) -> Result<Option<NetPoll>, ProtocolError>;
+    /// Moves the clock to a timer deadline no later than the next arrival.
+    fn advance_to(&mut self, _at: SimTime) {}
+    /// Frames in flight.
+    fn pending(&self) -> usize;
+    /// Sends one frame, stamped with `ctx` when present.
+    fn send(
         &mut self,
         from: Endpoint,
         to: Endpoint,
         message: &Message,
         ctx: Option<&TraceContext>,
-    ) {
+    ) -> Result<(), ProtocolError>;
+    /// Traffic so far.
+    fn stats(&self) -> MessageStats;
+    /// Link-level fault counters so far: none on a lossless link.
+    fn faults(&self) -> ChaosNetStats {
+        ChaosNetStats::default()
+    }
+}
+
+impl Topology for SimNetwork {}
+
+impl Link for SimNetwork {
+    fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    fn next_arrival_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    /// Delivers the next frame in timestamp order, reporting detected
+    /// corruption as [`NetPoll::Corrupt`] instead of an error.
+    ///
+    /// The link model is CRC-style: corruption injected by the chaos hook is
+    /// *always* detected at the receiver and never silently accepted, and any
+    /// mangled payload that coincidentally still decodes is rejected by the
+    /// integrity flag rather than trusted.
+    ///
+    /// # Errors
+    /// Propagates codec errors on frames that were *not* flagged corrupt
+    /// (which indicate a bug in the message types, not injected chaos).
+    fn poll(&mut self) -> Result<Option<NetPoll>, ProtocolError> {
+        match self.queue.pop() {
+            None => Ok(None),
+            Some((at, frame)) => {
+                if frame.corrupt {
+                    self.collector.instant(
+                        at.seconds(),
+                        "net.corrupt",
+                        Subsystem::Network,
+                        vec![
+                            Field::str("from", frame.from.label()),
+                            Field::str("to", frame.to.label()),
+                        ],
+                    );
+                    return Ok(Some(NetPoll::Corrupt {
+                        from: frame.from,
+                        to: frame.to,
+                        at,
+                    }));
+                }
+                let (message, ctx): (Message, _) =
+                    decode_with_context(&frame.payload).map_err(codec_error)?;
+                self.collector.instant(
+                    at.seconds(),
+                    "net.deliver",
+                    Subsystem::Network,
+                    vec![
+                        Field::str("kind", message.kind_name()),
+                        Field::str("from", frame.from.label()),
+                        Field::str("to", frame.to.label()),
+                    ],
+                );
+                Ok(Some(NetPoll::Frame(Delivery {
+                    from: frame.from,
+                    to: frame.to,
+                    message,
+                    at,
+                    ctx,
+                })))
+            }
+        }
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        self.queue.advance_to(at);
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Sends `message` with `ctx` embedded in the frame payload as a
+    /// trailer when present; without one the wire bytes, statistics and
+    /// fault stream are those of an untraced frame.
+    fn send(
+        &mut self,
+        from: Endpoint,
+        to: Endpoint,
+        message: &Message,
+        ctx: Option<&TraceContext>,
+    ) -> Result<(), ProtocolError> {
         let payload = encode_with_context(message, ctx);
         let size = payload.len();
         self.stats.messages += 1;
         self.stats.bytes += size as u64;
         let fate = match &mut self.fate_fn {
             Some(fate) => fate(from, to, message),
-            None => FrameFate::deliver(),
+            None => FrameFate::default(),
         };
         if fate.drop {
             self.dropped += 1;
             self.note_send(from, to, message, size, "dropped");
-            return;
+            return Ok(());
         }
         let payload = if fate.corrupt {
             self.corrupted += 1;
@@ -321,159 +393,11 @@ impl SimNetwork {
                 },
             );
         }
-    }
-
-    /// Delivers the next frame in timestamp order, reporting detected
-    /// corruption as [`NetPoll::Corrupt`] instead of an error.
-    ///
-    /// The link model is CRC-style: corruption injected by the chaos hook is
-    /// *always* detected at the receiver and never silently accepted, and any
-    /// mangled payload that coincidentally still decodes is rejected by the
-    /// integrity flag rather than trusted.
-    ///
-    /// # Errors
-    /// Propagates codec errors on frames that were *not* flagged corrupt
-    /// (which indicate a bug in the message types, not injected chaos).
-    pub fn poll(&mut self) -> Result<Option<NetPoll>, CodecError> {
-        match self.queue.pop() {
-            None => Ok(None),
-            Some((at, frame)) => {
-                if frame.corrupt {
-                    self.collector.instant(
-                        at.seconds(),
-                        "net.corrupt",
-                        Subsystem::Network,
-                        vec![
-                            Field::str("from", frame.from.label()),
-                            Field::str("to", frame.to.label()),
-                        ],
-                    );
-                    return Ok(Some(NetPoll::Corrupt {
-                        from: frame.from,
-                        to: frame.to,
-                        at,
-                    }));
-                }
-                let (message, ctx): (Message, _) = decode_with_context(&frame.payload)?;
-                self.collector.instant(
-                    at.seconds(),
-                    "net.deliver",
-                    Subsystem::Network,
-                    vec![
-                        Field::str("kind", message.kind_name()),
-                        Field::str("from", frame.from.label()),
-                        Field::str("to", frame.to.label()),
-                    ],
-                );
-                Ok(Some(NetPoll::Frame(Delivery {
-                    from: frame.from,
-                    to: frame.to,
-                    message,
-                    at,
-                    ctx,
-                })))
-            }
-        }
-    }
-
-    /// The arrival time of the next in-flight frame, if any.
-    #[must_use]
-    pub fn next_arrival_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Advances the network clock to `time` without delivering a frame, so a
-    /// driver can interleave its own timers (e.g. retransmission backoff)
-    /// with frame arrivals on one consistent clock.
-    ///
-    /// # Panics
-    /// Panics if `time` is in the past or beyond the next pending arrival.
-    pub fn advance_to(&mut self, time: SimTime) {
-        self.queue.advance_to(time);
-    }
-
-    /// Number of in-flight frames.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Traffic statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> MessageStats {
-        self.stats
-    }
-
-    /// Current simulated network time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-}
-
-/// What carries one round's frames between the coordinator and its
-/// machines: the simulated network (reliable, or fault-injecting through a
-/// fate hook) or the OS-thread channels of [`crate::threaded`]. The round
-/// engine ([`crate::chaos`]) is written once against this.
-pub(crate) trait Link {
-    /// The link's clock.
-    fn now(&self) -> SimTime;
-    /// When the next in-flight frame arrives, if one is in flight.
-    fn next_arrival_time(&self) -> Option<SimTime>;
-    /// Takes the next arrival, in arrival order.
-    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError>;
-    /// Moves the clock to a timer deadline no later than the next arrival.
-    fn advance_to(&mut self, at: SimTime);
-    /// Frames in flight.
-    fn pending(&self) -> usize;
-    /// Sends one frame, stamped with `ctx` when present.
-    fn send(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        message: &Message,
-        ctx: Option<&TraceContext>,
-    ) -> Result<(), MechanismError>;
-    /// Traffic so far.
-    fn stats(&self) -> MessageStats;
-    /// Link-level fault counters so far.
-    fn faults(&self) -> ChaosNetStats;
-}
-
-impl Link for SimNetwork {
-    fn now(&self) -> SimTime {
-        self.now()
-    }
-
-    fn next_arrival_time(&self) -> Option<SimTime> {
-        self.next_arrival_time()
-    }
-
-    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError> {
-        self.poll().map_err(codec_error)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        self.advance_to(at);
-    }
-
-    fn pending(&self) -> usize {
-        self.pending()
-    }
-
-    fn send(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        message: &Message,
-        ctx: Option<&TraceContext>,
-    ) -> Result<(), MechanismError> {
-        self.send_traced(from, to, message, ctx);
         Ok(())
     }
 
     fn stats(&self) -> MessageStats {
-        self.stats()
+        self.stats
     }
 
     fn faults(&self) -> ChaosNetStats {
@@ -508,8 +432,10 @@ mod tests {
     fn messages_flow_and_are_counted() {
         let mut net = SimNetwork::with_constant_latency(0.01);
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
-        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
+        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m, None)
+            .unwrap();
         assert_eq!(net.pending(), 2);
         assert_eq!(net.stats().messages, 2);
         assert!(net.stats().bytes > 0);
@@ -528,11 +454,13 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.001);
         net.set_fate_fn(|_, to, _| FrameFate {
             extra_delay: if to == Endpoint::Node(0) { 0.1 } else { 0.0 },
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
-        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
+        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m, None)
+            .unwrap();
         let first = next_frame(&mut net);
         assert_eq!(first.to, Endpoint::Node(1));
     }
@@ -554,12 +482,13 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.01);
         net.set_fate_fn(|_, _, _| FrameFate {
             drop: true,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         assert_eq!(net.pending(), 0);
-        assert_eq!(net.dropped(), 1);
+        assert_eq!(net.faults().dropped, 1);
         assert_eq!(
             net.stats().messages,
             1,
@@ -573,12 +502,13 @@ mod tests {
         net.set_fate_fn(|_, _, _| FrameFate {
             duplicate: true,
             duplicate_extra_delay: 0.05,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         assert_eq!(net.pending(), 2);
-        assert_eq!(net.duplicated(), 1);
+        assert_eq!(net.faults().duplicated, 1);
         assert_eq!(
             net.stats().messages,
             1,
@@ -596,11 +526,12 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.01);
         net.set_fate_fn(|_, _, _| FrameFate {
             corrupt: true,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(3), &m);
-        assert_eq!(net.corrupted(), 1);
+        net.send(Endpoint::Coordinator, Endpoint::Node(3), &m, None)
+            .unwrap();
+        assert_eq!(net.faults().corrupted, 1);
         match net.poll().unwrap().unwrap() {
             NetPoll::Corrupt { to, .. } => assert_eq!(to, Endpoint::Node(3)),
             NetPoll::Frame(d) => panic!("corrupt frame delivered intact: {d:?}"),
@@ -612,10 +543,11 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.01);
         net.set_fate_fn(|_, _, _| FrameFate {
             extra_delay: 0.1,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         let d = next_frame(&mut net);
         assert!((d.at.seconds() - 0.11).abs() < 1e-12);
     }
@@ -627,20 +559,22 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.01);
         net.set_fate_fn(move |_, to, _| {
             let Endpoint::Node(i) = to else {
-                return FrameFate::deliver();
+                return FrameFate::default();
             };
             seen[i as usize] += 1;
             FrameFate {
                 drop: seen[i as usize] == 1,
-                ..FrameFate::deliver()
+                ..FrameFate::default()
             }
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         assert_eq!(net.pending(), 0);
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         assert_eq!(net.pending(), 1);
-        assert_eq!(net.dropped(), 1);
+        assert_eq!(net.faults().dropped, 1);
     }
 
     #[test]
@@ -657,23 +591,26 @@ mod tests {
                 first = false;
                 FrameFate {
                     drop: true,
-                    ..FrameFate::deliver()
+                    ..FrameFate::default()
                 }
             } else {
-                FrameFate::deliver()
+                FrameFate::default()
             }
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
-        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
+        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m, None)
+            .unwrap();
         while let Some(_poll) = net.poll().unwrap() {}
 
         let mut reg = MetricsRegistry::new();
         reg.ingest(&ring.snapshot());
         assert_eq!(reg.counter("net.messages"), net.stats().messages);
         assert_eq!(reg.counter("net.bytes"), net.stats().bytes);
-        assert_eq!(reg.counter("net.fate.dropped"), net.dropped());
+        assert_eq!(reg.counter("net.fate.dropped"), net.faults().dropped);
         assert_eq!(reg.counter("net.fate.delivered"), 2);
         assert_eq!(reg.counter("net.machine.0"), 2);
         assert_eq!(reg.counter("net.machine.1"), 1);
@@ -693,10 +630,11 @@ mod tests {
         net.set_collector(ring.clone());
         net.set_fate_fn(|_, _, _| FrameFate {
             corrupt: true,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(3), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(3), &m, None)
+            .unwrap();
         let _ = net.poll().unwrap().unwrap();
         let events = ring.snapshot();
         assert!(events.iter().any(|e| e.name == "net.corrupt"));
@@ -711,7 +649,8 @@ mod tests {
     fn advance_to_interleaves_timers_with_arrivals() {
         let mut net = SimNetwork::with_constant_latency(0.5);
         let m = Message::RequestBid { round: RoundId(1) };
-        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, None)
+            .unwrap();
         assert_eq!(net.next_arrival_time(), Some(SimTime::new(0.5)));
         net.advance_to(SimTime::new(0.25));
         assert_eq!(net.now(), SimTime::new(0.25));
@@ -724,8 +663,10 @@ mod tests {
         let mut net = SimNetwork::with_constant_latency(0.01);
         let m = Message::RequestBid { round: RoundId(4) };
         let ctx = TraceContext::root(9, 4, true).with_span(17);
-        net.send_traced(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx));
-        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m);
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx))
+            .unwrap();
+        net.send(Endpoint::Coordinator, Endpoint::Node(1), &m, None)
+            .unwrap();
 
         let traced = next_frame(&mut net);
         assert_eq!(traced.message, m);
@@ -740,11 +681,12 @@ mod tests {
         net.set_fate_fn(|_, _, _| FrameFate {
             duplicate: true,
             duplicate_extra_delay: 0.05,
-            ..FrameFate::deliver()
+            ..FrameFate::default()
         });
         let m = Message::RequestBid { round: RoundId(4) };
         let ctx = TraceContext::root(9, 4, true);
-        net.send_traced(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx));
+        net.send(Endpoint::Coordinator, Endpoint::Node(0), &m, Some(&ctx))
+            .unwrap();
         let first = next_frame(&mut net);
         let second = next_frame(&mut net);
         assert_eq!(first.ctx, Some(ctx));

@@ -93,10 +93,9 @@ impl NodeAgent {
     }
 
     /// Handles an incoming coordinator message, possibly producing a reply.
-    ///
-    /// # Panics
-    /// Panics if the coordinator sends a node-originated message (protocol
-    /// violation — indicates a routing bug, not recoverable state).
+    /// A node-originated or shard-control message is not addressed to a
+    /// node: it is ignored and gets no reply (the event loop counts it as
+    /// [`crate::trace::Anomaly::Misrouted`]).
     pub fn handle(&mut self, message: &Message) -> Option<Message> {
         match *message {
             Message::RequestBid { round } => Some(Message::Bid {
@@ -128,12 +127,7 @@ impl NodeAgent {
             | Message::ExecutionDone { .. }
             | Message::ShardSum { .. }
             | Message::ShardEstimates { .. }
-            | Message::ShardProfile { .. } => {
-                panic!(
-                    "node {} received node-originated or shard-control message",
-                    self.machine
-                )
-            }
+            | Message::ShardProfile { .. } => None,
         }
     }
 
@@ -257,14 +251,45 @@ mod tests {
         assert!(node.utility(ValuationModel::PerJobLatency).is_none());
     }
 
+    // Pinned regression: `handle` is public, and a frame that is not
+    // addressed to a node used to panic; it is now ignored with no reply.
     #[test]
-    #[should_panic(expected = "node-originated")]
-    fn routing_violation_panics() {
+    fn misrouted_messages_get_no_reply_and_no_panic() {
+        let round = RoundId(0);
+        let profile = lb_prof::WireShardProfile {
+            shard: 0,
+            machines: 1,
+            machine_wall: lb_stats::LatencySketch::new().to_wire(),
+            slowest: None,
+        };
+        let misrouted = [
+            Message::Bid {
+                round,
+                machine: 1,
+                value: 1.0,
+            },
+            Message::ExecutionDone { round, machine: 1 },
+            Message::ShardSum {
+                round,
+                shard: 0,
+                sum_hi: 1.0,
+                sum_lo: 0.0,
+            },
+            Message::ShardEstimates {
+                round,
+                shard: 0,
+                estimates: vec![1.0],
+            },
+            Message::ShardProfile {
+                round,
+                shard: 0,
+                profile: Box::new(profile),
+            },
+        ];
         let mut node = NodeAgent::new(0, NodeSpec::truthful(1.0));
-        node.handle(&Message::Bid {
-            round: RoundId(0),
-            machine: 1,
-            value: 1.0,
-        });
+        for message in &misrouted {
+            assert_eq!(node.handle(message), None, "{}", message.kind());
+        }
+        assert_eq!((node.assigned_rate, node.payment), (None, None));
     }
 }

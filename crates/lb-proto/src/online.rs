@@ -23,7 +23,7 @@
 //! unchanged: attach them through [`OnlineSession::with_journal`] /
 //! [`OnlineSession::with_collector`].
 
-use crate::coordinator::{Coordinator, ProtocolError};
+use crate::coordinator::{Coordinator, Local, ProtocolError, Topology};
 use crate::journal::Journal;
 use crate::message::{Message, RoundId};
 use crate::node::NodeSpec;
@@ -356,7 +356,7 @@ impl<'m> OnlineSession<'m> {
                     })
             })
             .collect::<Result<_, _>>()?;
-        let estimates = root.verify(&rates, &exec)?;
+        let estimates = Local.verify(&root, &rates, &exec)?;
 
         root.set_now(self.epoch.elapsed().as_secs_f64());
         for machine in root.commit_allocation(rates, estimates)? {

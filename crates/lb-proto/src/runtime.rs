@@ -2,11 +2,10 @@
 //!
 //! A [`RoundSpec`] names the round — mechanism, machines, configuration —
 //! and two orthogonal choices: the [`Transport`] its frames travel over and
-//! the [`Observers`] attached to it. Every single-coordinator round runs
-//! through the one event loop of [`crate::chaos`];
-//! [`Transport::Sharded`] runs the two-level topology of [`crate::shard`].
-//! Either way the round collects bids, allocates,
-//! executes with verification and settles, and the [`RoundReport`] carries
+//! the [`Observers`] attached to it. Every round runs through the one event
+//! loop of [`crate::chaos`], [`Transport::Sharded`]'s two-level topology of
+//! [`crate::shard`] included: it collects bids, allocates, executes with
+//! verification and settles, and the [`RoundReport`] carries
 //! the full accounting plus the message statistics that validate the
 //! paper's `O(n)` message claim (exactly `5n` control messages on a
 //! reliable single-coordinator round).

@@ -1,42 +1,30 @@
 //! Sharded hierarchical coordinator: million-machine rounds over a
 //! two-level tree.
 //!
-//! The message-driven [`crate::coordinator::Coordinator`] tops out well
-//! below 10⁶ machines: every frame funnels through one state machine that
-//! rescans the round after each message. This module splits a round across
-//! `k` *shard coordinators*, each owning a contiguous slice of `n/k`
-//! machines, and drives the root coordinator's four transitions once each:
+//! A round splits across `k` *shard coordinators*, each owning a contiguous
+//! slice of `n/k` machines. The shard tier is a `Link`, so the one round
+//! engine ([`crate::chaos`]) sequences a sharded round with the same
+//! triggers as a single-coordinator one; the link decides only where frames
+//! and the round's two aggregate steps run:
 //!
-//! * **Collect** — each shard relays its own slice's bid requests and bids
-//!   in parallel (one worker thread per shard), forwarding the accepted
-//!   `Bid` frames upward over the existing wire codec; the root then ends
-//!   bidding.
-//! * **Aggregate** — each shard's respondent bids reduce to a partial
-//!   double-double harmonic sum `Σ 1/b_i`, shipped upward as a
-//!   [`Message::ShardSum`] carrying both limbs; the root merges the partials
-//!   with [`lb_core::merge_inv_sums`] (a balanced pairwise tree) and
-//!   allocates against the merged sum.
-//! * **Verify** — the root gathers each shard's respondents, each shard runs
-//!   the verification simulation for them
-//!   ([`lb_sim::driver::simulate_partition`], whose per-machine RNG streams
-//!   are keyed by global respondent ordinal, so the sharded observation is
-//!   bit-identical to the unsharded one) and ships the estimates upward as
+//! * **Relay** — a coordinator fan-out is queued per shard, and the next
+//!   poll relays it as one parallel stage, one scoped worker thread per
+//!   shard. Each worker returns its machines' replies as one length-prefixed
+//!   buffer; the root ingests them in shard order, then machine order, so
+//!   the journal is byte-identical whatever the scheduling.
+//! * **Aggregate** — at allocation each shard's partial double-double sum
+//!   `Σ 1/b_i` travels upward as a [`Message::ShardSum`] carrying both
+//!   limbs, and the root merges the partials with
+//!   [`lb_core::merge_inv_sums`]. Settlement reuses the merged sum.
+//! * **Verify** — each shard simulates its respondents
+//!   ([`lb_sim::driver::simulate_partition`], with RNG streams keyed by
+//!   global respondent ordinal, so the observation is bit-identical to the
+//!   unsharded one) and ships the estimates upward as
 //!   [`Message::ShardEstimates`]; the root scatters them and commits.
-//! * **Execute** — the shards relay the `Assign` frames down and the
-//!   acknowledgements up.
-//! * **Settle** — the root settles against the merged sum and the shards
-//!   relay the `Payment` frames back down in parallel.
 //!
-//! The root stays on the calling thread (it owns the non-`Send` journal
-//! handle); shard workers run under [`std::thread::scope`] and only touch
-//! their own agents plus the shared, thread-safe
-//! [`lb_telemetry::Collector`]. Frames are decoded and ingested at the root
-//! in shard order, so the journal grammar — `RoundOpened`, ascending
-//! `BidAccepted`/`ExclusionDecided`, `AllocationCommitted`,
-//! `ExecutionObserved`, `PaymentsCommitted`, the seals — is byte-identical
-//! to an uninterrupted run regardless of worker scheduling, and
-//! [`crate::recovery::recover_round`] + [`drive_sharded_round`] resume a
-//! crashed sharded round from any record boundary.
+//! The root stays on the calling thread, which owns the non-`Send` journal
+//! handle, so [`crate::recovery::recover_round`] + [`drive_sharded_round`]
+//! resume a crashed sharded round from any record boundary.
 //!
 //! # Numerical contract
 //!
@@ -47,21 +35,26 @@
 //! round for every shard count (`k = 1` *is* the sequential fold). The
 //! `lb-fuzz` `shard` oracle re-checks this differentially every CI run.
 
+use crate::chaos::drive_round;
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::{Coordinator, CoordinatorPhase, Outbound, ProtocolError, VerifyInput};
+use crate::coordinator::{Coordinator, ProtocolError, Topology, VerifyInput};
 use crate::faults::FaultPlan;
+use crate::framing::{FrameReader, FrameWriter};
 use crate::message::{Message, RoundId};
-use crate::network::{Endpoint, MessageStats};
+use crate::network::{Delivery, Endpoint, Link, MessageStats, NetPoll};
 use crate::node::{NodeAgent, NodeSpec};
 use crate::runtime::{ProtocolConfig, RoundReport};
 use lb_core::{merge_inv_sums, CoreError, TwoF64};
 use lb_prof::{RoundProfiler, WireShardProfile, PHASES};
 use lb_sim::driver::SimulationConfig;
+use lb_sim::events::EventQueue;
+use lb_sim::time::SimTime;
 use lb_stats::LatencySketch;
 use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
+use std::thread::Builder;
 use std::time::Instant;
 
 /// Contiguous shard ranges: `k` slices covering `0..n`, the first `n % k`
@@ -97,7 +90,8 @@ fn shard_wire_id(shard: usize) -> Result<u32, ProtocolError> {
 
 /// Wall-clock seconds spent in each phase of a sharded round, measured at
 /// the root (collect includes the upward bid forwarding; allocate includes
-/// the partial-sum merge and the distributed verification simulation).
+/// the partial-sum merge and the distributed verification simulation). A
+/// phase a recovered round resumed past reads 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardPhaseTimings {
     /// Bid request fan-out, shard-local collection, upward ingest, timeout.
@@ -117,6 +111,14 @@ pub struct ShardPhaseTimings {
 pub fn expected_sharded_message_count(n: usize, shards: usize) -> u64 {
     5 * n as u64 + 2 * shard_ranges(n, shards).len() as u64
 }
+
+/// The span or instant name of each stage, indexed like [`PHASES`].
+const STAGES: [&str; 4] = [
+    "shard.collect",
+    "shard.verify",
+    "shard.execute",
+    "shard.settle",
+];
 
 fn codec_err(e: CodecError) -> ProtocolError {
     crate::network::codec_error(e).into()
@@ -138,171 +140,101 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
     }
 }
 
-/// Splits the recipients (global machine indices) of a downward fan-out
-/// into per-shard lists.
-fn by_shard(ranges: &[Range<usize>], machines: Vec<u32>) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); ranges.len()];
-    for i in machines {
-        let i = i as usize;
-        out[shard_of(ranges, i)].push(i);
-    }
-    out
+/// One shard's machines (the first is global machine `start`) and the
+/// frames queued for them since the last stage.
+struct Shard {
+    start: usize,
+    agents: Vec<NodeAgent>,
+    down: Vec<(u32, Message)>,
 }
 
-/// One shard's share of a relay stage: its range, its own slice of the
-/// agents, and the machines the stage sends a frame to.
-struct ShardWork<'a> {
-    range: Range<usize>,
-    agents: &'a mut [NodeAgent],
-    down: &'a [usize],
-}
-
-/// Splits `agents` and the per-shard recipient lists along `ranges`.
-fn shard_work<'a>(
-    ranges: &[Range<usize>],
-    agents: &'a mut [NodeAgent],
-    down: &'a [Vec<usize>],
-) -> Vec<ShardWork<'a>> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut rest = agents;
-    for (range, down) in ranges.iter().zip(down) {
-        let (head, tail) = rest.split_at_mut(range.len());
-        out.push(ShardWork {
-            range: range.clone(),
-            agents: head,
-            down,
-        });
-        rest = tail;
-    }
-    out
-}
-
-/// What one shard worker hands back up: the encoded node-originated frames
-/// in ascending machine order, plus the frames it counted (both directions).
-///
-/// `elapsed` and `prof` are profiler-only side channels: the worker's own
-/// wall time, and — on profiled verify stages — the encoded
-/// [`Message::ShardProfile`] frame, carried *outside* `up` so it never
-/// enters the protocol's frame accounting or the root's ingest loop.
+/// What one shard worker hands back up, plus the frames it counted (both
+/// directions): on a relay stage, the replies that arrived, length-prefixed
+/// ([`FrameWriter`]) in machine order; on the verify stage,
+/// the encoded [`Message::ShardEstimates`] frame, which can outgrow a
+/// stream frame. `elapsed` and `prof` are profiler-only side channels: the
+/// worker's wall time and, on profiled verify stages, the encoded
+/// [`Message::ShardProfile`] frame, kept out of the protocol's accounting.
 #[derive(Default)]
 struct ShardBatch {
-    up: Vec<Vec<u8>>,
+    up: Vec<u8>,
     sent: MessageStats,
     elapsed: f64,
     prof: Option<Vec<u8>>,
 }
 
 /// What every worker of one stage shares: the fault plan, the root's wire
-/// context and open phase span at the start of the stage, and the clock
-/// and collector its telemetry goes to.
+/// context and open phase span for the stage, and the clock and collector
+/// its telemetry goes to.
 struct Relay<'a> {
     faults: &'a FaultPlan,
     wire: Option<TraceContext>,
     parent: SpanId,
-    collector: &'a dyn Collector,
+    collector: Arc<dyn Collector>,
     epoch: Instant,
 }
 
-impl<'a> Relay<'a> {
-    fn at(
-        root: &Coordinator<'_>,
-        faults: &'a FaultPlan,
-        collector: &'a dyn Collector,
-        epoch: Instant,
-    ) -> Self {
-        Self {
-            faults,
-            wire: root.wire_context(),
-            parent: root.phase_span(),
-            collector,
-            epoch,
-        }
-    }
-
+impl Relay<'_> {
     fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Counts one encoded frame into shard-local stats and, when telemetry
-    /// is on, the shared `net.*` counters (same accounting as the threaded
-    /// runtime).
-    fn count(&self, stats: &mut MessageStats, frame: &[u8]) {
-        stats.messages += 1;
-        stats.bytes += frame.len() as u64;
-        if self.collector.enabled() {
-            let at = self.now();
-            let c = self.collector;
-            c.counter(at, "net.messages", Subsystem::Network, 1);
-            c.counter(at, "net.bytes", Subsystem::Network, frame.len() as u64);
-        }
-    }
-
-    /// Opens shard `shard`'s `name` span under the root's phase span.
+    /// Opens shard `shard`'s `name` span under the root's phase span. With
+    /// no phase span open (the round has settled) it records an instant.
     fn span(&self, name: &'static str, shard: usize, machines: usize) -> SpanId {
         if !self.collector.enabled() {
             return SpanId::NULL;
         }
-        self.collector.span_start_in(
-            self.now(),
-            name,
-            Subsystem::Shard,
-            self.parent,
-            vec![
-                Field::u64("shard", shard as u64),
-                Field::u64("machines", machines as u64),
-            ],
-        )
+        let (c, at) = (&self.collector, self.now());
+        let fields = vec![
+            Field::u64("shard", shard as u64),
+            Field::u64("machines", machines as u64),
+        ];
+        if self.parent.is_null() {
+            c.instant(at, name, Subsystem::Shard, fields);
+            return SpanId::NULL;
+        }
+        c.span_start_in(at, name, Subsystem::Shard, self.parent, fields)
     }
 
-    /// Sends each machine of `work` its frame from `frames` and forwards
-    /// the replies upward, in machine order, parented on `span`. Like the chaos
+    /// Sends each queued frame of `shard` to its machine and forwards the
+    /// replies upward, in machine order, parented on `span`. Like the chaos
     /// link, every frame is counted as sent before the fault plan decides
     /// whether it arrives. Each machine bids once per sharded round, so
     /// every bid is a first attempt (no per-attempt count: `&mut []`).
-    fn run(
-        &self,
-        work: ShardWork<'_>,
-        frames: Outbound<'_>,
-        span: SpanId,
-    ) -> Result<ShardBatch, ProtocolError> {
-        let mut batch = ShardBatch::default();
+    fn run(&self, shard: &mut Shard, span: SpanId) -> Result<ShardBatch, ProtocolError> {
+        let (mut sent, mut up) = (MessageStats::default(), FrameWriter::new());
+        let mut count = |len| sent.count(len, &*self.collector, || self.now());
         let up_ctx = upward_ctx(self.wire, span);
         let lost =
             |from, to, message: &Message| self.faults.drops_counted(from, to, message, &mut []);
-        for &i in work.down {
-            let agent = &mut work.agents[i - work.range.start];
-            let node = Endpoint::Node(agent.machine);
-            let request = frames.frame(agent.machine);
+        for (machine, request) in shard.down.drain(..) {
+            let agent = &mut shard.agents[machine as usize - shard.start];
+            let node = Endpoint::Node(machine);
             let frame = encode_with_context(&request, self.wire.as_ref());
-            self.count(&mut batch.sent, &frame);
+            count(frame.len());
             if lost(Endpoint::Coordinator, node, &request) {
                 continue;
             }
             let Some(reply) = agent.handle(&decode_frame(&frame)?) else {
                 continue;
             };
-            let frame = encode_with_context(&reply, up_ctx.as_ref());
-            self.count(&mut batch.sent, &frame);
-            if !lost(node, Endpoint::Coordinator, &reply) {
-                batch.up.push(frame);
+            if lost(node, Endpoint::Coordinator, &reply) {
+                count(encode_with_context(&reply, up_ctx.as_ref()).len());
+                continue;
             }
+            let framed = up.len();
+            up.write_with_context(&reply, up_ctx.as_ref())
+                .map_err(codec_err)?;
+            // The stream's u32 length prefix is not part of the frame.
+            count(up.len() - framed - 4);
         }
-        Ok(batch)
-    }
-
-    /// [`Relay::run`] inside shard `shard`'s `name` span over `machines`.
-    fn run_in_span(
-        &self,
-        name: &'static str,
-        shard: usize,
-        machines: usize,
-        work: ShardWork<'_>,
-        frames: Outbound<'_>,
-    ) -> Result<ShardBatch, ProtocolError> {
-        let span = self.span(name, shard, machines);
-        let batch = self.run(work, frames, span);
-        self.collector.span_end(self.now(), span);
-        batch
+        let up = up.take();
+        Ok(ShardBatch {
+            up,
+            sent,
+            ..ShardBatch::default()
+        })
     }
 }
 
@@ -321,10 +253,11 @@ struct PhaseClock<'p> {
 /// Every handle is joined even after a failure: an unjoined panicked scoped
 /// thread would re-raise its panic when the scope closes, turning a
 /// contained shard failure back into a root abort. The first error wins, a
-/// panicked worker surfaces as [`ProtocolError::ShardPanicked`], and
-/// traffic from the shards that did complete still counts.
+/// panicked worker surfaces as [`ProtocolError::ShardPanicked`], a worker
+/// the OS refused to start as [`ProtocolError::ThreadRefused`], and traffic
+/// from the shards that did complete still counts.
 fn fan_out<T: Send>(
-    items: Vec<T>,
+    items: impl IntoIterator<Item = T>,
     work: impl Fn(usize, T) -> Result<ShardBatch, ProtocolError> + Sync,
     stats: &mut MessageStats,
     clock: Option<&mut PhaseClock<'_>>,
@@ -336,7 +269,7 @@ fn fan_out<T: Send>(
             .into_iter()
             .enumerate()
             .map(|(s, item)| {
-                scope.spawn(move || {
+                Builder::new().spawn_scoped(scope, move || {
                     let started = Instant::now();
                     let mut batch = work(s, item)?;
                     batch.elapsed = started.elapsed().as_secs_f64();
@@ -344,20 +277,23 @@ fn fan_out<T: Send>(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        handles.into_iter().map(|h| h.map(|h| h.join())).collect()
     });
     let mut batches = Vec::with_capacity(joined.len());
     let mut first_err: Option<ProtocolError> = None;
     for (shard, joined) in joined.into_iter().enumerate() {
-        match joined {
-            Ok(Ok(batch)) => {
+        let err = match joined {
+            Ok(Ok(Ok(batch))) => {
                 stats.messages += batch.sent.messages;
                 stats.bytes += batch.sent.bytes;
                 batches.push(batch);
+                continue;
             }
-            Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            Err(_) => first_err = first_err.or(Some(ProtocolError::ShardPanicked { shard })),
-        }
+            Ok(Ok(Err(e))) => e,
+            Ok(Err(_)) => ProtocolError::ShardPanicked { shard },
+            Err(_) => ProtocolError::ThreadRefused { worker: shard },
+        };
+        first_err = first_err.or(Some(err));
     }
     if let Some(e) = first_err {
         return Err(e);
@@ -381,7 +317,7 @@ fn verify_shard(
 ) -> Result<ShardBatch, ProtocolError> {
     let shard_u32 = shard_wire_id(shard)?;
     let mut batch = ShardBatch::default();
-    let span = relay.span("shard.verify", shard, input.bids.len());
+    let span = relay.span(STAGES[1], shard, input.bids.len());
     let ctx = upward_ctx(relay.wire, span);
     // Profiled rounds probe each machine's wall time into the shard's
     // sketch. The probe observes the kernel without participating, so the
@@ -421,9 +357,10 @@ fn verify_shard(
         shard: shard_u32,
         estimates,
     };
-    let frame = encode_with_context(&msg, ctx.as_ref());
-    relay.count(&mut batch.sent, &frame);
-    batch.up.push(frame);
+    batch.up = encode_with_context(&msg, ctx.as_ref());
+    batch
+        .sent
+        .count(batch.up.len(), &*relay.collector, || relay.now());
     relay.collector.span_end(relay.now(), span);
     Ok(batch)
 }
@@ -460,57 +397,343 @@ fn ingest_profile(
         .map_err(|_| mismatch("corrupt shard profile frame"))
 }
 
-/// Decodes a stage's upward frames into the root, in shard order.
-fn ingest_up(
-    root: &mut Coordinator<'_>,
-    batches: Vec<ShardBatch>,
-    epoch: Instant,
-) -> Result<(), ProtocolError> {
-    for frame in batches.into_iter().flat_map(|b| b.up) {
-        let msg = decode_frame(&frame)?;
-        root.set_now(epoch.elapsed().as_secs_f64());
-        root.ingest(&msg)?;
+/// The shard tier as the round engine's link and topology. The machines
+/// live here and are served on the stages' worker threads. A stage's
+/// replies all arrive at the stage's one clock read. The link records no
+/// coordinator's-eye trace: at `n = 10⁶` its `5n` entries would come to
+/// about 320 MB.
+struct ShardLink<'a> {
+    relay: Relay<'a>,
+    ranges: Vec<Range<usize>>,
+    shards: Vec<Shard>,
+    sim: SimulationConfig,
+    /// Frames queued since the last stage; the last stage's reply buffers
+    /// (one per shard) not yet polled, and their arrival time.
+    queued: usize,
+    up: std::vec::IntoIter<Vec<u8>>,
+    reader: FrameReader,
+    at: SimTime,
+    stats: MessageStats,
+    /// The harmonic sum merged at allocation, which settlement reuses.
+    merged: Option<TwoF64>,
+    clock: Option<PhaseClock<'a>>,
+    /// When the root first entered each phase (indexed like [`PHASES`]).
+    starts: [Option<Instant>; 4],
+}
+
+impl<'a> ShardLink<'a> {
+    fn new(
+        specs: &[NodeSpec],
+        shards: usize,
+        sim: SimulationConfig,
+        faults: &'a FaultPlan,
+        collector: Arc<dyn Collector>,
+        profiler: Option<&'a mut RoundProfiler>,
+    ) -> Self {
+        let ranges = shard_ranges(specs.len(), shards);
+        // The root's width fits the u32 wire format, so the zip never
+        // truncates.
+        let mut agents = (0u32..).zip(specs).map(|(i, &s)| NodeAgent::new(i, s));
+        let shards = ranges
+            .iter()
+            .map(|r| Shard {
+                start: r.start,
+                agents: agents.by_ref().take(r.len()).collect(),
+                down: Vec::with_capacity(r.len()),
+            })
+            .collect();
+        Self {
+            relay: Relay {
+                faults,
+                wire: None,
+                parent: SpanId::NULL,
+                collector,
+                epoch: Instant::now(),
+            },
+            clock: profiler.map(|profiler| PhaseClock {
+                profiler,
+                seconds: vec![[0.0; 4]; ranges.len()],
+            }),
+            ranges,
+            shards,
+            sim,
+            queued: 0,
+            up: Vec::new().into_iter(),
+            reader: FrameReader::new(),
+            at: SimTime::ZERO,
+            stats: MessageStats::default(),
+            merged: None,
+            starts: [None; 4],
+        }
     }
-    Ok(())
+
+    /// Relays the queued fan-out as one stage on every shard at once; the
+    /// replies become the next arrivals.
+    fn relay(&mut self) -> Result<(), ProtocolError> {
+        let phase = match self.shards.iter().find_map(|s| s.down.first()) {
+            Some((_, Message::RequestBid { .. })) => 0,
+            Some((_, Message::Assign { .. })) => 2,
+            _ => 3,
+        };
+        let relay = &self.relay;
+        let batches = fan_out(
+            &mut self.shards,
+            |s, shard| {
+                let span = relay.span(STAGES[phase], s, shard.down.len());
+                let batch = relay.run(shard, span);
+                relay.collector.span_end(relay.now(), span);
+                batch
+            },
+            &mut self.stats,
+            self.clock.as_mut(),
+            phase,
+        )?;
+        self.at = self.now();
+        self.queued = 0;
+        self.up = batches
+            .into_iter()
+            .map(|b| b.up)
+            .collect::<Vec<_>>()
+            .into_iter();
+        Ok(())
+    }
+
+    /// Closes the round's clocks: the root's wall seconds per phase, fed
+    /// to the profiler's trend series, and each shard's phase seconds as
+    /// `shard.phase.seconds` gauges (telemetry only — the round's outcome
+    /// was sealed before and never depends on the profiler).
+    fn finish(self, round: RoundId) -> ShardPhaseTimings {
+        let (mut seconds, mut stop) = ([0.0; 4], Instant::now());
+        for (phase, start) in self.starts.iter().enumerate().rev() {
+            if let Some(start) = *start {
+                seconds[phase] = stop.duration_since(start).as_secs_f64();
+                stop = start;
+            }
+        }
+        if let Some(clock) = self.clock {
+            clock.profiler.finish_round(round.0, seconds);
+            let (collector, at) = (&self.relay.collector, self.relay.now());
+            let shards = clock.seconds.iter().filter(|_| collector.enabled());
+            for (s, phases) in shards.enumerate() {
+                for (phase, &value) in PHASES.iter().zip(phases) {
+                    collector.record(TelemetryEvent {
+                        at,
+                        name: Cow::Borrowed("shard.phase.seconds"),
+                        cat: Subsystem::Shard,
+                        kind: EventKind::Gauge { value },
+                        fields: vec![Field::u64("shard", s as u64), Field::str("phase", *phase)],
+                    });
+                }
+            }
+        }
+        let [collect, allocate, execute, settle] = seconds;
+        ShardPhaseTimings {
+            collect,
+            allocate,
+            execute,
+            settle,
+        }
+    }
 }
 
-/// The merged harmonic sum from the root's current bid state — per-shard
-/// partials over the same ranges, merged the same way — so a recovered
-/// round settles against bit-identically the sum the crashed process
-/// allocated with.
-fn merged_sum(root: &Coordinator<'_>, ranges: &[Range<usize>]) -> TwoF64 {
-    let partials: Vec<TwoF64> = ranges
-        .iter()
-        .map(|r| root.partial_inv_sum(r.clone()))
-        .collect();
-    merge_inv_sums(&partials)
+impl Topology for ShardLink<'_> {
+    fn inv_sum(
+        &mut self,
+        coordinator: &Coordinator<'_>,
+        allocating: bool,
+    ) -> Result<TwoF64, ProtocolError> {
+        self.starts[if allocating { 1 } else { 3 }].get_or_insert_with(Instant::now);
+        // The root's telemetry clock follows the wall clock across the
+        // aggregate steps, so its phase spans enclose the shards' spans.
+        coordinator.set_now(self.now().seconds());
+        if let (false, Some(s)) = (allocating, self.merged) {
+            return Ok(s);
+        }
+        self.relay.wire = coordinator.wire_context();
+        let mut partials = Vec::with_capacity(self.ranges.len());
+        for (s, range) in self.ranges.iter().enumerate() {
+            let partial = coordinator.partial_inv_sum(range.clone());
+            if !allocating {
+                partials.push(partial);
+                continue;
+            }
+            // At allocation the partials travel as ShardSum frames: both
+            // double-double limbs on the wire, so the merge is exact.
+            let msg = Message::ShardSum {
+                round: coordinator.round(),
+                shard: shard_wire_id(s)?,
+                sum_hi: partial.hi,
+                sum_lo: partial.lo,
+            };
+            let frame = encode_with_context(&msg, self.relay.wire.as_ref());
+            self.stats
+                .count(frame.len(), &*self.relay.collector, || self.relay.now());
+            let Message::ShardSum { sum_hi, sum_lo, .. } = decode_frame(&frame)? else {
+                return Err(ProtocolError::ReplayMismatch {
+                    what: "shard sum frame decoded to a different message",
+                });
+            };
+            partials.push(TwoF64 {
+                hi: sum_hi,
+                lo: sum_lo,
+            });
+        }
+        let s = merge_inv_sums(&partials);
+        self.merged = Some(s);
+        Ok(s)
+    }
+
+    /// Each shard simulates its own respondents at their global respondent
+    /// stream offsets. An empty bid slot inside a range is a silent machine
+    /// (lost frame, timeout exclusion): it took the exclusion path at the
+    /// bid timeout and is never simulated.
+    fn verify(
+        &mut self,
+        coordinator: &Coordinator<'_>,
+        rates: &[f64],
+        actual_exec_values: &[f64],
+    ) -> Result<Vec<f64>, ProtocolError> {
+        let ranges = self.ranges.iter().cloned();
+        let inputs = coordinator.verify_inputs(ranges, rates, actual_exec_values)?;
+        self.relay.wire = coordinator.wire_context();
+        self.relay.parent = coordinator.phase_span();
+        let (relay, sim, round) = (&self.relay, self.sim, coordinator.round());
+        let profiling = self.clock.is_some();
+        let batches = fan_out(
+            &inputs,
+            |s, input| verify_shard(s, input, &sim, round, relay, profiling),
+            &mut self.stats,
+            self.clock.as_mut(),
+            1,
+        )?;
+        coordinator.set_now(self.now().seconds());
+        // Fold each shard's profile frame into the profiler and scatter its
+        // estimates into the full-width vector the commit journals
+        // (excluded machines: no verification evidence, 0).
+        let mut shard_estimates = Vec::with_capacity(inputs.len());
+        for (batch, input) in batches.iter().zip(&inputs) {
+            if let Some(clock) = self.clock.as_mut() {
+                ingest_profile(clock.profiler, batch.prof.as_deref(), &input.idx)?;
+            }
+            let Message::ShardEstimates { estimates, .. } = decode_frame(&batch.up)? else {
+                return Err(ProtocolError::ReplayMismatch {
+                    what: "shard estimate frame decoded to a different message",
+                });
+            };
+            if estimates.len() != input.idx.len() {
+                return Err(CoreError::LengthMismatch {
+                    expected: input.idx.len(),
+                    actual: estimates.len(),
+                }
+                .into());
+            }
+            shard_estimates.push(estimates);
+        }
+        let idx = inputs.iter().map(|input| &input.idx);
+        Ok(coordinator.scatter(idx.zip(&shard_estimates)))
+    }
 }
 
-/// Drives one sharded round to completion on `root`, which may be freshly
-/// constructed *or* recovered mid-round by [`crate::recovery::recover_round`]
-/// — the driver picks up from whatever phase the replay reconstructed, and
-/// the records it appends continue the journal exactly where an
-/// uninterrupted run would have, so crash-recovered and uninterrupted rounds
-/// produce byte-identical journals. Returns the settled round's report
-/// (utilities from the coordinator's ledger; no trace, since frames travel
-/// between tiers) and the root's phase timings.
+impl Link for ShardLink<'_> {
+    const TRACED: bool = false;
+
+    fn enter_phase(&mut self, phase_span: SpanId) {
+        self.relay.parent = phase_span;
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::new(self.relay.now())
+    }
+
+    fn next_arrival_time(&self) -> Option<SimTime> {
+        (self.pending() > 0).then_some(self.at)
+    }
+
+    fn poll(&mut self) -> Result<Option<NetPoll>, ProtocolError> {
+        if self.up.len() + self.reader.pending() == 0 && self.queued > 0 {
+            self.relay()?;
+        }
+        loop {
+            let next = self.reader.next_frame_with_context::<Message>();
+            if let Some((message, ctx)) = next.map_err(codec_err)? {
+                let from = message
+                    .machine()
+                    .map_or(Endpoint::Coordinator, Endpoint::Node);
+                return Ok(Some(NetPoll::Frame(Delivery {
+                    from,
+                    to: Endpoint::Coordinator,
+                    message,
+                    at: self.at,
+                    ctx,
+                })));
+            }
+            let Some(buffer) = self.up.next() else {
+                // Workers write whole frames: a partial tail is corrupt.
+                return match self.reader.pending() {
+                    0 => Ok(None),
+                    _ => Err(ProtocolError::ReplayMismatch {
+                        what: "a shard reply stream ended inside a frame",
+                    }),
+                };
+            };
+            self.reader.feed(&buffer);
+        }
+    }
+
+    /// Zero exactly when nothing is queued or left to poll.
+    fn pending(&self) -> usize {
+        self.queued + self.up.len() + self.reader.pending()
+    }
+
+    fn send(
+        &mut self,
+        _from: Endpoint,
+        to: Endpoint,
+        message: &Message,
+        ctx: Option<&TraceContext>,
+    ) -> Result<(), ProtocolError> {
+        let n = self.ranges.last().map_or(0, |r| r.end);
+        let machine = to.node_index().map_or(n, |i| i as usize);
+        let shard = self
+            .shards
+            .get_mut(shard_of(&self.ranges, machine))
+            .ok_or(ProtocolError::MachineOutOfRange { machine, n })?;
+        shard.down.push((machine as u32, message.clone()));
+        self.queued += 1;
+        self.relay.wire = ctx.copied();
+        let phase = match message {
+            Message::RequestBid { .. } => 0,
+            Message::Assign { .. } => 2,
+            _ => 3,
+        };
+        self.starts[phase].get_or_insert_with(Instant::now);
+        Ok(())
+    }
+
+    fn stats(&self) -> MessageStats {
+        self.stats
+    }
+}
+
+/// Drives one sharded round to completion on `root`, fresh *or* recovered
+/// mid-round by [`crate::recovery::recover_round`]: the round engine picks
+/// up from whatever phase the replay reconstructed
+/// ([`Coordinator::resume`]) and continues the journal exactly where an
+/// uninterrupted run would have, so both produce byte-identical journals.
+/// The round is sealed once settled. Returns the report (utilities from the
+/// coordinator's ledger; no trace) and the root's phase timings.
 ///
 /// `faults` drops frames exactly as a single-coordinator round under
 /// [`crate::chaos::ChaosConfig`] with `bid_retries: 0`: lost bids exclude
 /// the machine at the bid timeout, lost acks don't delay settlement,
-/// partitioned machines see nothing. Lost frames are counted as sent, as
-/// the chaos link counts them.
+/// partitioned machines see nothing. Lost frames are counted as sent.
 ///
 /// With a `profiler` that samples this round, each shard's verify worker
 /// ships a [`Message::ShardProfile`] frame (its per-machine wall-time
-/// sketch plus its slowest machine) alongside the estimates, and the root
-/// ingests them into the profiler's cross-shard rollup together with each
-/// worker's per-phase wall time. Profiling frames are counted exclusively
-/// by the profiler's own accounting — never [`MessageStats`] or the `net.*`
-/// counters — and the probe observes the verification kernel without
-/// participating, so rates, payments, estimates, exclusions, the journal
-/// and the message statistics are bit-identical with the profiler attached,
-/// detached, or sampling.
+/// sketch and slowest machine) into the profiler's cross-shard rollup,
+/// with each worker's per-phase wall time. Only the profiler counts those
+/// frames, and its probe only observes the kernel, so the outcome, the
+/// journal and [`MessageStats`] are bit-identical with or without it.
 ///
 /// # Errors
 /// Propagates mechanism errors (notably
@@ -538,226 +761,29 @@ pub fn drive_sharded_round(
         }
         .into());
     }
-    let round = root.round();
-    let collector = Arc::clone(root.collector());
-    let epoch = Instant::now();
-    let ranges = shard_ranges(n, shards);
-    let mut stats = MessageStats::default();
-    let mut timings = ShardPhaseTimings::default();
-    let mut clock = profiler
-        .filter(|p| p.should_profile(round.0))
-        .map(|profiler| PhaseClock {
-            profiler,
-            seconds: vec![[0.0; 4]; ranges.len()],
-        });
-    // The root's width fits the u32 wire format, so the zip never truncates.
-    let mut agents: Vec<NodeAgent> = (0u32..)
-        .zip(specs)
-        .map(|(i, &spec)| NodeAgent::new(i, spec))
-        .collect();
-    // The merged harmonic sum, carried from allocation to settlement.
-    // Recomputed from journal state when the round resumes past allocation.
-    let mut merged: Option<TwoF64> = None;
-
-    // ---- Collect: shard-local bid gathering, upward ingest, timeout. ----
-    if root.phase() == CoordinatorPhase::CollectingBids {
-        let t = Instant::now();
-        root.set_now(epoch.elapsed().as_secs_f64());
-        root.ensure_round_span();
-        let relay = Relay::at(root, faults, &*collector, epoch);
-        // Machines that already bid (a recovered round's durable prefix)
-        // and quarantined machines get no request.
-        let requests = by_shard(&ranges, root.missing_bids());
-        let frames = root.outbound()?;
-        let batches = fan_out(
-            shard_work(&ranges, &mut agents, &requests),
-            |s, work| {
-                let machines = work.range.len();
-                relay.run_in_span("shard.collect", s, machines, work, frames)
-            },
-            &mut stats,
-            clock.as_mut(),
-            0,
-        )?;
-        ingest_up(root, batches, epoch)?;
-        root.set_now(epoch.elapsed().as_secs_f64());
-        root.end_bidding()?;
-        timings.collect = t.elapsed().as_secs_f64();
-    }
-
-    // ---- Aggregate + allocate + distributed verification. ----
-    if root.phase() == CoordinatorPhase::CollectingBids {
-        let t = Instant::now();
-        // Partial harmonic sums travel as ShardSum frames: both double-double
-        // limbs on the wire, so the merge at the root is exact.
-        let relay = Relay::at(root, faults, &*collector, epoch);
-        let mut partials = Vec::with_capacity(ranges.len());
-        for (s, range) in ranges.iter().enumerate() {
-            let partial = root.partial_inv_sum(range.clone());
-            let msg = Message::ShardSum {
-                round,
-                shard: shard_wire_id(s)?,
-                sum_hi: partial.hi,
-                sum_lo: partial.lo,
-            };
-            let frame = encode_with_context(&msg, relay.wire.as_ref());
-            relay.count(&mut stats, &frame);
-            let Message::ShardSum { sum_hi, sum_lo, .. } = decode_frame(&frame)? else {
-                return Err(ProtocolError::ReplayMismatch {
-                    what: "shard sum frame decoded to a different message",
-                });
-            };
-            partials.push(TwoF64 {
-                hi: sum_hi,
-                lo: sum_lo,
-            });
-        }
-        let s_dd = merge_inv_sums(&partials);
-        merged = Some(s_dd);
-
-        root.set_now(epoch.elapsed().as_secs_f64());
-        let rates = root.allocate(s_dd)?;
-        let relay = Relay::at(root, faults, &*collector, epoch);
-
-        // Each shard simulates its own respondents at their global
-        // respondent stream offsets. An empty bid slot inside a range is a
-        // silent machine (lost frame, timeout exclusion): it took the
-        // exclusion path at the bid timeout and is never simulated.
-        let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
-        let inputs = root.verify_inputs(ranges.iter().cloned(), &rates, &actual)?;
-        let (sim, profiling) = (config.simulation, clock.is_some());
-        let batches = fan_out(
-            inputs.iter().collect(),
-            |s, input| verify_shard(s, input, &sim, round, &relay, profiling),
-            &mut stats,
-            clock.as_mut(),
-            1,
-        )?;
-        // Fold each shard's profile frame into the profiler and scatter its
-        // estimates into the full-width vector the commit journals
-        // (excluded machines: no verification evidence, 0).
-        let mut shard_estimates = Vec::with_capacity(inputs.len());
-        for (batch, input) in batches.iter().zip(&inputs) {
-            if let Some(clock) = clock.as_mut() {
-                ingest_profile(clock.profiler, batch.prof.as_deref(), &input.idx)?;
-            }
-            let frame = batch.up.first().ok_or(ProtocolError::ReplayMismatch {
-                what: "missing shard estimate frame",
-            })?;
-            let Message::ShardEstimates { estimates, .. } = decode_frame(frame)? else {
-                return Err(ProtocolError::ReplayMismatch {
-                    what: "shard estimate frame decoded to a different message",
-                });
-            };
-            if estimates.len() != input.idx.len() {
-                return Err(CoreError::LengthMismatch {
-                    expected: input.idx.len(),
-                    actual: estimates.len(),
-                }
-                .into());
-            }
-            shard_estimates.push(estimates);
-        }
-        let estimates = root.scatter(inputs.iter().map(|input| &input.idx).zip(&shard_estimates));
-        root.set_now(epoch.elapsed().as_secs_f64());
-        root.commit_allocation(rates, estimates)?;
-        timings.allocate = t.elapsed().as_secs_f64();
-    }
-
-    // ---- Execute: Assign fan-out, shard-local acks, upward ingest. ----
-    if root.phase() == CoordinatorPhase::Executing {
-        let t = Instant::now();
-        // Take the recipients from round state rather than the commit's
-        // return value: on a recovered round, machines whose acks are
-        // already journalled must not be re-assigned.
-        let assigns = by_shard(&ranges, root.unacknowledged());
-        let frames = root.outbound()?;
-        let relay = Relay::at(root, faults, &*collector, epoch);
-        let batches = fan_out(
-            shard_work(&ranges, &mut agents, &assigns),
-            |s, work| {
-                let machines = work.down.len();
-                relay.run_in_span("shard.execute", s, machines, work, frames)
-            },
-            &mut stats,
-            clock.as_mut(),
-            2,
-        )?;
-        ingest_up(root, batches, epoch)?;
-        timings.execute = t.elapsed().as_secs_f64();
-    }
-
-    // ---- Settle against the merged sum; relay payments back down. ----
-    if !root.is_sealed() {
-        let t = Instant::now();
-        root.set_now(epoch.elapsed().as_secs_f64());
-        let recipients = if root.phase() == CoordinatorPhase::Executing {
-            root.settle(merged.unwrap_or_else(|| merged_sum(root, &ranges)))?
-        } else {
-            // Recovered past settlement but before the seal: re-send the
-            // Payments from the durable ledger (idempotent at the nodes).
-            root.resume(&[])?
-        };
-        let recipients = by_shard(&ranges, recipients);
-        let frames = root.outbound()?;
-        let relay = Relay::at(root, faults, &*collector, epoch);
-        fan_out(
-            shard_work(&ranges, &mut agents, &recipients),
-            |s, work| {
-                let machines = work.down.len();
-                let batch = relay.run(work, frames, SpanId::NULL)?;
-                // The phase spans closed when the root settled, so the
-                // downward delivery is an instant, not a span.
-                relay.collector.instant(
-                    relay.now(),
-                    "shard.settle",
-                    Subsystem::Shard,
-                    vec![
-                        Field::u64("shard", s as u64),
-                        Field::u64("machines", machines as u64),
-                    ],
-                );
-                Ok(batch)
-            },
-            &mut stats,
-            clock.as_mut(),
-            3,
-        )?;
-        root.set_now(epoch.elapsed().as_secs_f64());
-        root.seal()?;
-        timings.settle = t.elapsed().as_secs_f64();
-    }
-
-    // Close the profiled round: fold the root's phase wall times into the
-    // trend series, then surface this round's per-shard phase seconds as
-    // `shard.phase.seconds` gauges (telemetry only — the round's outcome
-    // was sealed above and never depends on the profiler).
-    if let Some(clock) = clock {
-        clock.profiler.finish_round(
-            round.0,
-            [
-                timings.collect,
-                timings.allocate,
-                timings.execute,
-                timings.settle,
-            ],
-        );
-        if collector.enabled() {
-            let at = epoch.elapsed().as_secs_f64();
-            for (s, phases) in clock.seconds.iter().enumerate() {
-                for (phase, &seconds) in PHASES.iter().zip(phases) {
-                    collector.record(TelemetryEvent {
-                        at,
-                        name: Cow::Borrowed("shard.phase.seconds"),
-                        cat: Subsystem::Shard,
-                        kind: EventKind::Gauge { value: seconds },
-                        fields: vec![Field::u64("shard", s as u64), Field::str("phase", *phase)],
-                    });
-                }
-            }
-        }
-    }
-    Ok((RoundReport::settled(root, specs, &[], stats)?, timings))
+    let (round, collector) = (root.round(), Arc::clone(root.collector()));
+    let profiler = profiler.filter(|p| p.should_profile(round.0));
+    let sim = config.simulation;
+    let mut link = ShardLink::new(specs, shards, sim, faults, Arc::clone(&collector), profiler);
+    let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
+    root.set_now(link.now().seconds());
+    // A fresh root opens by requesting every bid, a recovered one with
+    // whatever its replayed phase still owes.
+    let opening = root.resume_in(&actual, &mut link)?;
+    let timers = &mut EventQueue::new();
+    let drive = drive_round(
+        &mut link,
+        timers,
+        None,
+        &*collector,
+        root,
+        &mut [],
+        &actual,
+        opening,
+        true,
+    )?;
+    let timings = link.finish(round);
+    Ok((drive.report(root, specs, &[])?, timings))
 }
 
 #[cfg(test)]
@@ -1199,6 +1225,28 @@ mod tests {
         ingest_profile(&mut profiler, Some(&frame(Some((2, 0.1)))), &idx).unwrap();
         let shard = profiler.rollup().shards().next().unwrap();
         assert_eq!(shard.slowest_machine, Some((6, 0.1)));
+    }
+
+    // A reply stream that ends inside a frame fails the round instead of
+    // leaving the engine polling forever.
+    #[test]
+    fn truncated_reply_stream_is_an_error() {
+        let specs = truthful_specs();
+        let faults = FaultPlan::none();
+        let sim = config().simulation;
+        let mut link = ShardLink::new(&specs, 2, sim, &faults, noop_collector(), None);
+        let mut stream = FrameWriter::new();
+        stream
+            .write(&Message::RequestBid { round: RoundId(0) })
+            .unwrap();
+        let mut bytes = stream.take();
+        bytes.pop();
+        link.up = vec![bytes].into_iter();
+        assert!(link.pending() > 0);
+        assert!(matches!(
+            link.poll(),
+            Err(ProtocolError::ReplayMismatch { .. })
+        ));
     }
 
     // Pinned regression: a machine that stays silent inside a

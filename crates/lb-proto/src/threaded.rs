@@ -19,9 +19,9 @@
 //! sending the phase's frames and closes it only *after* receiving the
 //! replies the nodes record their spans ahead of.
 
-use crate::chaos::{drive_round, ChaosNetStats};
+use crate::chaos::drive_round;
 use crate::codec::{decode_with_context, encode_with_context, CodecError};
-use crate::coordinator::ProtocolError;
+use crate::coordinator::{ProtocolError, Topology};
 use crate::message::Message;
 use crate::network::{codec_error, Delivery, Endpoint, Link, MessageStats, NetPoll};
 use crate::node::{NodeAgent, NodeSpec};
@@ -29,10 +29,10 @@ use crate::runtime::{RoundReport, RoundSpec};
 use lb_mechanism::MechanismError;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
-use lb_telemetry::{Collector, Subsystem, TraceContext};
+use lb_telemetry::{Collector, TraceContext};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::{Builder, Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 fn chan_err(context: &str) -> MechanismError {
@@ -62,12 +62,16 @@ struct ThreadLink<'scope> {
 impl<'scope> ThreadLink<'scope> {
     /// Spawns one worker per machine, each serving its frames until its
     /// lane closes and then handing its agent back.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::ThreadRefused`] when the OS refuses a
+    /// thread; the lanes already opened close as it returns.
     fn spawn(
         scope: &'scope Scope<'scope, '_>,
         specs: &[NodeSpec],
         collector: &Arc<dyn Collector>,
         epoch: Instant,
-    ) -> Self {
+    ) -> Result<Self, ProtocolError> {
         let (to_coord, from_nodes) = channel::<NodeFrame>();
         let mut to_nodes = Vec::with_capacity(specs.len());
         let mut workers = Vec::with_capacity(specs.len());
@@ -76,7 +80,7 @@ impl<'scope> ThreadLink<'scope> {
             to_nodes.push(tx);
             let to_coord = to_coord.clone();
             let collector = Arc::clone(collector);
-            workers.push(scope.spawn(move || {
+            let worker = Builder::new().spawn_scoped(scope, move || {
                 let mut agent = NodeAgent::new(machine, spec);
                 let now = || epoch.elapsed().as_secs_f64();
                 while let Ok(frame) = rx.recv() {
@@ -94,9 +98,15 @@ impl<'scope> ThreadLink<'scope> {
                     }
                 }
                 agent
-            }));
+            });
+            // Returning early drops the lanes already opened, so their
+            // workers exit and the enclosing scope joins them.
+            let refused = |_| ProtocolError::ThreadRefused {
+                worker: machine as usize,
+            };
+            workers.push(worker.map_err(refused)?);
         }
-        Self {
+        Ok(Self {
             to_nodes,
             from_nodes,
             workers,
@@ -104,19 +114,13 @@ impl<'scope> ThreadLink<'scope> {
             stats: MessageStats::default(),
             collector: Arc::clone(collector),
             epoch,
-        }
+        })
     }
 
     fn count(&mut self, payload: &[u8]) {
-        self.stats.messages += 1;
-        self.stats.bytes += payload.len() as u64;
-        if self.collector.enabled() {
-            let at = self.epoch.elapsed().as_secs_f64();
-            self.collector
-                .counter(at, "net.messages", Subsystem::Network, 1);
-            self.collector
-                .counter(at, "net.bytes", Subsystem::Network, payload.len() as u64);
-        }
+        let epoch = self.epoch;
+        let at = || epoch.elapsed().as_secs_f64();
+        self.stats.count(payload.len(), &*self.collector, at);
     }
 
     /// Closes every lane and joins the workers, returning their agents.
@@ -133,6 +137,8 @@ impl<'scope> ThreadLink<'scope> {
     }
 }
 
+impl Topology for ThreadLink<'_> {}
+
 impl Link for ThreadLink<'_> {
     fn now(&self) -> SimTime {
         SimTime::new(self.epoch.elapsed().as_secs_f64())
@@ -142,7 +148,7 @@ impl Link for ThreadLink<'_> {
         (self.awaiting > 0).then(|| self.now())
     }
 
-    fn poll(&mut self) -> Result<Option<NetPoll>, MechanismError> {
+    fn poll(&mut self) -> Result<Option<NetPoll>, ProtocolError> {
         if self.awaiting == 0 {
             return Ok(None);
         }
@@ -164,8 +170,6 @@ impl Link for ThreadLink<'_> {
         })))
     }
 
-    fn advance_to(&mut self, _at: SimTime) {}
-
     fn pending(&self) -> usize {
         self.awaiting
     }
@@ -176,7 +180,7 @@ impl Link for ThreadLink<'_> {
         to: Endpoint,
         message: &Message,
         ctx: Option<&TraceContext>,
-    ) -> Result<(), MechanismError> {
+    ) -> Result<(), ProtocolError> {
         let lane = to
             .node_index()
             .and_then(|i| self.to_nodes.get(i as usize))
@@ -187,15 +191,12 @@ impl Link for ThreadLink<'_> {
         if matches!(message, Message::RequestBid { .. } | Message::Assign { .. }) {
             self.awaiting += 1;
         }
-        lane.send(payload).map_err(|_| chan_err("node hung up"))
+        lane.send(payload)
+            .map_err(|_| chan_err("node hung up").into())
     }
 
     fn stats(&self) -> MessageStats {
         self.stats
-    }
-
-    fn faults(&self) -> ChaosNetStats {
-        ChaosNetStats::default()
     }
 }
 
@@ -214,7 +215,7 @@ pub(crate) fn run_threaded(
     let actual_exec: Vec<f64> = spec.specs.iter().map(|s| s.exec_value).collect();
     let epoch = Instant::now();
     std::thread::scope(|scope| {
-        let mut link = ThreadLink::spawn(scope, spec.specs, &collector, epoch);
+        let mut link = ThreadLink::spawn(scope, spec.specs, &collector, epoch)?;
         coordinator.set_now(epoch.elapsed().as_secs_f64());
         let drive = drive_round(
             &mut link,

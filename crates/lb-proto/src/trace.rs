@@ -175,25 +175,6 @@ impl AnomalyStats {
         self.corrupt_frames = self.corrupt_frames.saturating_add(other.corrupt_frames);
         self.misrouted = self.misrouted.saturating_add(other.misrouted);
     }
-
-    /// Iterates the non-zero counters as `(kind, count)` pairs, in
-    /// declaration order.
-    #[must_use]
-    pub fn nonzero(&self) -> Vec<(Anomaly, u64)> {
-        [
-            (Anomaly::DuplicateBid, self.duplicate_bids),
-            (Anomaly::DuplicateAck, self.duplicate_acks),
-            (Anomaly::StaleRound, self.stale_rounds),
-            (Anomaly::WrongPhase, self.wrong_phase),
-            (Anomaly::Unsolicited, self.unsolicited),
-            (Anomaly::StaleAfterExclusion, self.stale_after_exclusion),
-            (Anomaly::CorruptFrame, self.corrupt_frames),
-            (Anomaly::Misrouted, self.misrouted),
-        ]
-        .into_iter()
-        .filter(|(_, c)| *c > 0)
-        .collect()
-    }
 }
 
 /// Replays a trace and checks the protocol's causal invariants.
@@ -514,15 +495,17 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_lists_only_touched_counters() {
+    fn record_counts_only_the_touched_kinds() {
         let mut a = AnomalyStats::default();
-        assert!(a.nonzero().is_empty());
         a.record(Anomaly::StaleRound);
         a.record(Anomaly::StaleRound);
         a.record(Anomaly::Misrouted);
-        assert_eq!(
-            a.nonzero(),
-            vec![(Anomaly::StaleRound, 2), (Anomaly::Misrouted, 1)]
-        );
+        let expected = AnomalyStats {
+            stale_rounds: 2,
+            misrouted: 1,
+            ..AnomalyStats::default()
+        };
+        assert_eq!(a, expected);
+        assert_eq!(a.total(), 3);
     }
 }
