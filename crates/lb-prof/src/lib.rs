@@ -4,7 +4,7 @@
 //! Three layers, std-only, strictly observational — attaching the
 //! profiler never changes allocations, payments, exclusions, or message
 //! counts (the inertness differentials in `tests/prof.rs` enforce this
-//! bit-for-bit across the deterministic, threaded, and sharded runtimes):
+//! bit-for-bit across the deterministic and sharded runtimes):
 //!
 //! * **Cross-shard rollup** ([`rollup`]) — shard workers fold
 //!   per-machine verification wall-times into mergeable

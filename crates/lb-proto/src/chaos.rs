@@ -1,10 +1,10 @@
 //! The round engine: the one event loop every round runs through, plus
 //! seeded probabilistic fault injection with retransmission.
 //!
-//! The loop is written once against a small transport trait: the
-//! in-memory `SimNetwork` — reliable, or fault-injecting through a
-//! [`ChaosConfig`] — the OS-thread channels of [`crate::threaded`] or the
-//! shard tier of [`crate::shard`]. A lossy link arms retry timers; a
+//! The loop is written once against a small transport trait with two
+//! links: the in-memory `SimNetwork` — reliable, or fault-injecting through
+//! a [`ChaosConfig`] — and the shard tier of [`crate::shard`], whose
+//! machines run on worker threads. A lossy link arms retry timers; a
 //! lossless one arms none and only falls back to the drain-timeout rules if
 //! it ever runs dry without progress. The link is also the round's
 //! topology: the loop's triggers reach the harmonic sum and verification
@@ -289,8 +289,7 @@ impl Drive {
 /// order until the coordinator is done and the link has drained.
 ///
 /// Node-bound frames are served by `nodes` (the simulated network; the
-/// threaded and shard links serve their own on worker threads and pass
-/// none);
+/// shard link serves its own on worker threads and passes none);
 /// `actual_exec` is the world the verification simulation runs against.
 /// `retry` is the retransmission policy of a lossy link; `None` arms no
 /// timers. `opening` names the first recipients of the current phase's
@@ -379,14 +378,12 @@ pub(crate) fn drive_round<L: Link>(
                                     Some(Anomaly::StaleRound)
                                 }
                                 Some(agent) => {
-                                    let at = now.seconds();
-                                    let phase_span = coordinator.phase_span();
                                     let reply = agent.serve(
                                         &delivery.message,
                                         delivery.ctx,
                                         collector,
-                                        || at,
-                                        |parent| parent == phase_span,
+                                        now.seconds(),
+                                        coordinator.phase_span(),
                                     );
                                     if let Some((reply, child)) = &reply {
                                         let (from, to) = (Endpoint::Node(i), Endpoint::Coordinator);

@@ -113,11 +113,18 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, CodecError> {
 /// so uninstrumented traffic never changes on the wire.
 #[must_use]
 pub fn encode_with_context<T: Wire>(value: &T, ctx: Option<&TraceContext>) -> Vec<u8> {
-    let mut out = encode(value);
+    let mut out = Vec::with_capacity(64);
+    put_with_context(&mut out, value, ctx);
+    out
+}
+
+/// Appends [`encode_with_context`]'s bytes to `out`, so a caller can reuse
+/// one buffer for many frames.
+pub(crate) fn put_with_context<T: Wire>(out: &mut Vec<u8>, value: &T, ctx: Option<&TraceContext>) {
+    value.put(out);
     if let Some(ctx) = ctx {
         out.extend_from_slice(&ctx.to_trailer());
     }
-    out
 }
 
 /// Decodes a value that may carry a trace-context trailer.

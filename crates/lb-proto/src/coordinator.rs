@@ -6,14 +6,14 @@
 //! CollectingBids → Executing → Done
 //! ```
 //!
-//! One transition crosses each phase boundary of the paper's protocol (end
-//! of Sec. 3): [`Coordinator::end_bidding`], [`Coordinator::allocate`]
-//! against a harmonic sum `s = Σ 1/b_i`, [`Coordinator::commit_allocation`]
-//! of the rates and the verification estimates, and
-//! [`Coordinator::settle`] against `s`. The message-driven triggers
-//! ([`Coordinator::handle`], [`Coordinator::close_bidding`],
-//! [`Coordinator::close_execution`], [`Coordinator::resume`]) run them and
-//! take `s` and the estimates from the round's topology: by default the
+//! One private transition crosses each phase boundary of the paper's
+//! protocol (end of Sec. 3): `end_bidding`, `allocate` against a harmonic
+//! sum `s = Σ 1/b_i`, `commit_allocation` of the rates and the
+//! verification estimates, and `settle` against `s`. Only the
+//! message-driven triggers ([`Coordinator::handle`],
+//! [`Coordinator::close_bidding`], [`Coordinator::close_execution`],
+//! [`Coordinator::resume`]) run them, every driver's round included, and
+//! they take `s` and the estimates from the round's topology: by default the
 //! single coordinator, one partial sum over the whole round and the
 //! verification kernel ([`lb_sim::driver::simulate_partition`]) over one
 //! range at stream offset 0; per-shard partials and simulations on the
@@ -206,9 +206,9 @@ pub enum ProtocolError {
         /// The shard whose worker died.
         shard: usize,
     },
-    /// The OS refused to start a machine's or a shard's worker thread.
+    /// The OS refused to start a shard's worker thread.
     ThreadRefused {
-        /// The machine or shard whose thread could not start.
+        /// The shard whose thread could not start.
         worker: usize,
     },
     /// A caller-supplied configuration is out of range (e.g. a fault
@@ -363,8 +363,8 @@ pub struct Coordinator<'m> {
     collector: Arc<dyn Collector>,
     /// Logical clock for telemetry, in seconds. The coordinator has no clock
     /// of its own; drivers call [`Coordinator::set_now`] before each handle
-    /// or close call (sim time on the simulated transports, a monotonic
-    /// offset on the threaded one).
+    /// or close call (sim time on the simulated network, wall-clock seconds
+    /// since the round started on the shard tier).
     now: Cell<f64>,
     round_span: Cell<SpanId>,
     phase_span: Cell<SpanId>,
@@ -442,7 +442,7 @@ impl<'m> Coordinator<'m> {
     /// practice — [`Coordinator::try_new`] rejects rounds wider than
     /// `u32::MAX` — but kept as a typed error so no hot path carries a
     /// reachable panic.
-    pub(crate) fn machine_u32(i: usize) -> Result<u32, ProtocolError> {
+    fn machine_u32(i: usize) -> Result<u32, ProtocolError> {
         u32::try_from(i).map_err(|_| ProtocolError::TooManyNodes { n: i })
     }
 
@@ -1018,18 +1018,14 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Absorbs one node message *without* triggering a phase transition:
-    /// exactly [`Coordinator::handle`]'s acceptance and anomaly semantics
-    /// (stale round, unsolicited, stale-after-exclusion, wrong phase,
-    /// duplicate), minus the allocation or settle the last bid or
-    /// acknowledgement triggers. The online session calls this once per
-    /// live machine and decides the transitions itself.
+    /// [`Coordinator::handle`]'s acceptance and anomaly semantics (stale
+    /// round, unsolicited, stale-after-exclusion, wrong phase, duplicate),
+    /// ahead of the allocation or settle the last bid or acknowledgement
+    /// triggers.
     ///
     /// Returns whether the message was accepted into the round state;
     /// a rejected one is counted in [`Coordinator::anomalies`].
-    ///
-    /// # Errors
-    /// Propagates journal failures (including injected crashes).
-    pub fn ingest(&mut self, message: &Message) -> Result<bool, ProtocolError> {
+    fn ingest(&mut self, message: &Message) -> Result<bool, ProtocolError> {
         self.ensure_round_span();
         if message.round() != self.round {
             return Ok(self.reject(Anomaly::StaleRound));
@@ -1087,15 +1083,10 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Closes bidding: journals a timeout exclusion for every machine whose
-    /// bid has not arrived. The round stays in the collection phase until
+    /// bid has not arrived, and fails with fewer than two respondents. The
+    /// round stays in the collection phase until
     /// [`Coordinator::commit_allocation`].
-    ///
-    /// # Errors
-    /// Returns [`MechanismError::NeedTwoAgents`] (as
-    /// [`ProtocolError::Mechanism`]) with fewer than two respondents,
-    /// [`ProtocolError::PhaseViolation`] outside bid collection, or journal
-    /// errors.
-    pub fn end_bidding(&mut self) -> Result<(), ProtocolError> {
+    fn end_bidding(&mut self) -> Result<(), ProtocolError> {
         self.expect_phase("end_bidding", CoordinatorPhase::CollectingBids)?;
         self.ensure_round_span();
         for i in 0..self.bids.len() {
@@ -1128,12 +1119,7 @@ impl<'m> Coordinator<'m> {
     /// span and returns the full-width rate vector (excluded machines at
     /// 0). The round stays in the collection phase: verification runs
     /// between this call and [`Coordinator::commit_allocation`].
-    ///
-    /// # Errors
-    /// Returns [`MechanismError::NeedTwoAgents`] with fewer than two
-    /// respondents, [`ProtocolError::PhaseViolation`] outside bid
-    /// collection, or mechanism errors.
-    pub fn allocate(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
+    fn allocate(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
         self.expect_phase("allocate", CoordinatorPhase::CollectingBids)?;
         let (respondents, bids) = self.respondent_bids(0..self.bids.len());
         if respondents.len() < 2 {
@@ -1158,14 +1144,9 @@ impl<'m> Coordinator<'m> {
     /// the allocation and the estimates, advances to the execution phase
     /// and returns the respondents, each to be sent its `Assign`. `rates`
     /// and `estimates` are full-width (excluded machines at 0). A call
-    /// rejected for its input changes nothing.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::PhaseViolation`] outside bid collection,
-    /// [`CoreError::LengthMismatch`] carrying the length of a column that
-    /// is not `n` wide, [`CoreError::Infeasible`] for rates that are not an
-    /// allocation of the round's total, and journal errors.
-    pub fn commit_allocation(
+    /// rejected for its input (a column that is not `n` wide, rates that
+    /// are not an allocation of the total) changes nothing.
+    fn commit_allocation(
         &mut self,
         rates: Vec<f64>,
         estimates: Vec<f64>,
@@ -1210,17 +1191,9 @@ impl<'m> Coordinator<'m> {
     /// Settles the round against `s`, the respondents' harmonic sum
     /// (through the mechanism's [`VerifiedMechanism::payments_with_sum`]):
     /// journals and commits the payment ledger and returns the
-    /// respondents, each to be sent its `Payment`.
-    ///
-    /// The whole phase is O(n): the mechanism's payment rule obtains all
-    /// leave-one-out latencies `L_{-i}` from one `lb_core` batch kernel
-    /// call — the former per-agent rebuild made this the quadratic hot spot
-    /// that capped rounds near ~10³ machines.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::PhaseViolation`] outside the execution
-    /// phase, or mechanism/journal errors.
-    pub fn settle(&mut self, s: TwoF64) -> Result<Vec<u32>, ProtocolError> {
+    /// respondents, each to be sent its `Payment`. O(n): the payment rule
+    /// takes every `L_{-i}` from one batch kernel pass.
+    fn settle(&mut self, s: TwoF64) -> Result<Vec<u32>, ProtocolError> {
         self.expect_phase("settle", CoordinatorPhase::Executing)?;
         // A recovered generation whose journal already holds every ack
         // reaches settle straight from `resume`, with no span open yet.

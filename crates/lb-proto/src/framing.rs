@@ -6,7 +6,7 @@
 //! reassembles frames from any sequence of partial reads, enforcing a
 //! maximum frame size against corrupt or malicious peers.
 
-use crate::codec::{decode, decode_with_context, encode_with_context, CodecError, Wire};
+use crate::codec::{decode, decode_with_context, put_with_context, CodecError, Wire};
 use lb_telemetry::TraceContext;
 
 /// Hard upper bound on any frame, reader or writer side (1 MiB — far above
@@ -53,18 +53,18 @@ impl FrameWriter {
         value: &T,
         ctx: Option<&TraceContext>,
     ) -> Result<(), CodecError> {
-        let payload = encode_with_context(value, ctx);
-        let len = match u32::try_from(payload.len()) {
-            Ok(len) if payload.len() <= MAX_FRAME_LEN => len,
-            _ => {
-                return Err(CodecError::FrameTooLarge {
-                    len: payload.len() as u64,
-                    max: MAX_FRAME_LEN as u64,
-                })
-            }
-        };
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&payload);
+        // The payload is encoded in place behind a placeholder prefix.
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        put_with_context(&mut self.buf, value, ctx);
+        let len = self.buf.len() - start - 4;
+        if len > MAX_FRAME_LEN {
+            self.buf.truncate(start);
+            let (len, max) = (len as u64, MAX_FRAME_LEN as u64);
+            return Err(CodecError::FrameTooLarge { len, max });
+        }
+        // MAX_FRAME_LEN fits the u32 prefix.
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(())
     }
 
@@ -312,6 +312,28 @@ mod tests {
             r.next_frame::<Message>(),
             Err(CodecError::FrameTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_write_is_rejected_and_leaves_the_stream_intact() {
+        let mut w = FrameWriter::new();
+        w.write(&Message::RequestBid { round: RoundId(1) }).unwrap();
+        let before = w.len();
+        let huge = Message::ShardEstimates {
+            round: RoundId(1),
+            shard: 0,
+            estimates: vec![0.5; MAX_FRAME_LEN / 8 + 1],
+        };
+        assert!(matches!(
+            w.write(&huge),
+            Err(CodecError::FrameTooLarge { len, max })
+                if len > max && max == MAX_FRAME_LEN as u64
+        ));
+        assert_eq!(w.len(), before, "the rejected frame left no bytes");
+        let mut r = FrameReader::new();
+        r.feed(&w.take());
+        assert!(r.next_frame::<Message>().unwrap().is_some());
+        assert!(r.next_frame::<Message>().unwrap().is_none());
     }
 
     #[test]

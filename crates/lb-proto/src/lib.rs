@@ -14,9 +14,8 @@
 //! * [`run_round`] runs one round described by a [`RoundSpec`]: the
 //!   [`Transport`] its frames travel over (the reliable simulated network,
 //!   the simulated network under seeded [`ChaosConfig`] fault injection, or
-//!   OS-thread channels, or the two-level [`shard`] topology of `k` shard
-//!   coordinators, optionally profiled), and the [`Observers`] watching
-//!   it.
+//!   the two-level [`shard`] topology of `k` shard coordinators on worker
+//!   threads, optionally profiled), and the [`Observers`] watching it.
 //! * [`ChaosRuntime::run_round`] runs one round of a persistent simulated
 //!   network — late frames straggle into the next round — optionally
 //!   against a crash-injecting journal it recovers from.
@@ -61,7 +60,6 @@
 //!   backoff before the exclusion fallback.
 //! * [`faults`] — declarative fault plans, the named-frame part of a chaos
 //!   configuration.
-//! * [`threaded`] — the OS-thread channel transport.
 //! * [`session`] — multi-round sessions.
 //! * [`journal`] — a write-ahead round journal (length-prefixed, CRC-checked
 //!   records over the wire codec) with in-memory, file-backed, and
@@ -90,7 +88,7 @@
 //! [`lb_telemetry::Sampler`], and, for sharded rounds, a
 //! [`lb_prof::RoundProfiler`]. A round's phase spans, frame fates,
 //! retransmissions and session health decisions are recorded on the
-//! simulated clock (wall-clock seconds on the threaded transport). The
+//! simulated clock (wall-clock seconds on the shard tier). The
 //! default is the noop collector, which keeps unobserved rounds free.
 //!
 //! Observed rounds also carry a **wire-propagated trace context**: a
@@ -98,7 +96,7 @@
 //! frame's payload ([`codec::encode_with_context`] /
 //! [`codec::decode_with_context`]), so the receiving side continues the
 //! sender's trace and a whole bid → allocate → execute → settle round —
-//! retransmissions included — stitches into one trace across threads and
+//! retransmissions included — stitches into one trace across shards and
 //! transports. Trailer-free frames decode exactly as before, and the
 //! sampler decides per round whether anything goes on the wire: an
 //! unsampled round runs with the noop collector.
@@ -118,7 +116,6 @@ pub mod recovery;
 pub mod runtime;
 pub mod session;
 pub mod shard;
-pub mod threaded;
 pub mod trace;
 
 pub use audit::{

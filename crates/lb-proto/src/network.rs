@@ -219,9 +219,9 @@ impl SimNetwork {
 
 /// What carries one round's frames between the coordinator and its
 /// machines: the simulated network (reliable, or fault-injecting through a
-/// fate hook), the OS-thread channels of [`crate::threaded`] or the shard
-/// tier of [`crate::shard`]. The round engine ([`crate::chaos`]) is written
-/// once against this; the link is also the round's [`Topology`].
+/// fate hook) or the shard tier of [`crate::shard`]. The round engine
+/// ([`crate::chaos`]) is written once against this; the link is also the
+/// round's [`Topology`].
 pub(crate) trait Link: Topology {
     /// Whether the engine records the coordinator's-eye `RoundTrace` here.
     const TRACED: bool = true;

@@ -132,28 +132,27 @@ impl NodeAgent {
     }
 
     /// Serves one coordinator frame as a traced node — the node side of
-    /// every transport, in-process or on its own thread.
+    /// the simulated network.
     ///
     /// Continues the trace the frame carried: the work is recorded as a
     /// `node.bid` / `node.execute` span parented on the span named in the
     /// frame's context (a `node.payment` instant for a payment), closed
     /// before the reply leaves, and the reply is stamped with the child
-    /// context. `parent_open` says whether that parent span is still open;
-    /// a context whose span already closed (a duplicate straggling past a
-    /// phase transition) degrades to an instant so the recording still
-    /// replays cleanly. `now` reads the caller's clock. Unsampled frames, or
-    /// a disabled collector, record nothing and reply without a context.
+    /// context. A context naming any span but the coordinator's open
+    /// `phase_span` (a duplicate straggling past a phase transition)
+    /// degrades to an instant so the recording still replays cleanly.
+    /// Everything is stamped `at`. Unsampled frames, or a disabled
+    /// collector, record nothing and reply without a context.
     pub(crate) fn serve(
         &mut self,
         message: &Message,
         ctx: Option<TraceContext>,
         collector: &dyn Collector,
-        now: impl Fn() -> f64,
-        parent_open: impl FnOnce(SpanId) -> bool,
+        at: f64,
+        phase_span: SpanId,
     ) -> Option<(Message, Option<TraceContext>)> {
         let ctx = ctx.filter(|c| c.sampled && collector.enabled());
         let span = ctx.map_or(SpanId::NULL, |c| {
-            let at = now();
             let fields = vec![Field::u64("machine", u64::from(self.machine))];
             let name = match message {
                 Message::RequestBid { .. } => "node.bid",
@@ -165,7 +164,7 @@ impl NodeAgent {
                 _ => return SpanId::NULL,
             };
             let parent = SpanId(c.span_id);
-            if parent.is_null() || !parent_open(parent) {
+            if parent.is_null() || parent != phase_span {
                 collector.instant(at, name, Subsystem::Node, fields);
                 return SpanId::NULL;
             }
@@ -175,7 +174,7 @@ impl NodeAgent {
         if !span.is_null() {
             // Close before replying: the parent phase span cannot end until
             // the reply arrives, so child spans always nest inside it.
-            collector.span_end(now(), span);
+            collector.span_end(at, span);
         }
         let child = ctx.filter(|_| !span.is_null()).map(|c| c.with_span(span.0));
         reply.map(|reply| (reply, child))

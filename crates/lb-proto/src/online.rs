@@ -12,12 +12,11 @@
 //! back in O(1) at any moment ([`OnlineSession::rate_of`]).
 //!
 //! Payments stay a batch affair: an [`OnlineEvent::RoundTick`] freezes the
-//! current membership and settles it through the coordinator's round
-//! transitions — bids ingested from the live pool, allocation
-//! ([`Coordinator::allocate`]) and settlement ([`Coordinator::settle`], the
-//! batch leave-one-out kernel underneath) computed against the
-//! *incrementally maintained* double-double sum, verification simulated
-//! exactly as a batch round. Journal grammar, telemetry spans and
+//! current membership and hands its bids and acknowledgements to the
+//! coordinator, whose last bid allocates and whose last acknowledgement
+//! settles (the batch payment kernel underneath), both against the
+//! *incrementally maintained* double-double sum, with verification
+//! simulated exactly as a batch round. Journal grammar, telemetry spans and
 //! settlement gauges are identical to batch rounds, so crash recovery
 //! ([`crate::recovery`]), the audit monitors and the profilers all work
 //! unchanged: attach them through [`OnlineSession::with_journal`] /
@@ -28,7 +27,7 @@ use crate::journal::Journal;
 use crate::message::{Message, RoundId};
 use crate::node::NodeSpec;
 use crate::runtime::ProtocolConfig;
-use lb_core::CoreError;
+use lb_core::{CoreError, TwoF64};
 use lb_mechanism::online::{OnlineError, OnlinePool};
 use lb_mechanism::VerifiedMechanism;
 use lb_sim::churn::ChurnEvent;
@@ -151,6 +150,33 @@ fn online_err(e: OnlineError) -> ProtocolError {
             }
             .into(),
         ),
+    }
+}
+
+/// A tick's topology, `Tick(s, epoch)`: the pool's incremental sum `s`
+/// and the single coordinator's verification, each step moving the
+/// telemetry clock as a link's does (the allocate span covers the kernel).
+struct Tick(TwoF64, Instant);
+
+impl Topology for Tick {
+    fn inv_sum(
+        &mut self,
+        coordinator: &Coordinator<'_>,
+        _allocating: bool,
+    ) -> Result<TwoF64, ProtocolError> {
+        coordinator.set_now(self.1.elapsed().as_secs_f64());
+        Ok(self.0)
+    }
+
+    fn verify(
+        &mut self,
+        coordinator: &Coordinator<'_>,
+        rates: &[f64],
+        actual_exec_values: &[f64],
+    ) -> Result<Vec<f64>, ProtocolError> {
+        let estimates = Local.verify(coordinator, rates, actual_exec_values)?;
+        coordinator.set_now(self.1.elapsed().as_secs_f64());
+        Ok(estimates)
     }
 }
 
@@ -316,7 +342,13 @@ impl<'m> OnlineSession<'m> {
         let bids = self.pool.live_bids();
         let m = slots.len();
         let round = RoundId(self.next_round);
-        let s = self.pool.harmonic_sum();
+        let exec: Option<Vec<f64>> = slots
+            .iter()
+            .map(|&i| self.specs[i].map(|s| s.exec_value))
+            .collect();
+        let exec = exec.ok_or(ProtocolError::MissingState {
+            what: "live machine spec",
+        })?;
 
         // Per-tick simulation seed, like the batch sessions' per-round one.
         let mut sim = self.config.simulation;
@@ -328,44 +360,25 @@ impl<'m> OnlineSession<'m> {
             root = root.with_journal(Rc::clone(journal));
         }
 
-        // Bid ingestion from the live pool: the machines already "sent"
-        // their bids as membership events.
+        // The machines already "sent" their bids as membership events, and
+        // each acknowledges its assignment at once. `try_new` bounds `m` by
+        // the u32 wire width, so the machine ids never wrap.
+        let mut tick = Tick(self.pool.harmonic_sum(), self.epoch);
         root.set_now(self.epoch.elapsed().as_secs_f64());
-        for (k, &bid) in bids.iter().enumerate() {
-            root.ingest(&Message::Bid {
+        let mut assigned = Vec::new();
+        for (machine, &value) in (0..).zip(&bids) {
+            let bid = Message::Bid {
                 round,
-                machine: Coordinator::machine_u32(k)?,
-                value: bid,
-            })?;
+                machine,
+                value,
+            };
+            assigned.extend(root.handle_in(&bid, &exec, &mut tick)?);
         }
-        root.end_bidding()?;
-
-        // Allocation against the *incremental* S — the event-loop's whole
-        // point: no from-scratch harmonic re-sum on the tick path.
-        let rates = root.allocate(s)?;
-
-        // Verification simulation, exactly the batch round's at offset 0,
-        // summarised by the commit's `verify` instant.
-        let exec: Vec<f64> = slots
-            .iter()
-            .map(|&slot| {
-                self.specs[slot]
-                    .map(|sp| sp.exec_value)
-                    .ok_or(ProtocolError::MissingState {
-                        what: "live machine spec",
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        let estimates = Local.verify(&root, &rates, &exec)?;
-
-        root.set_now(self.epoch.elapsed().as_secs_f64());
-        for machine in root.commit_allocation(rates, estimates)? {
-            root.ingest(&Message::ExecutionDone { round, machine })?;
+        let mut paid = Vec::new();
+        for machine in assigned {
+            let done = Message::ExecutionDone { round, machine };
+            paid.extend(root.handle_in(&done, &exec, &mut tick)?);
         }
-
-        // Settle through the batch kernel against the incremental S.
-        root.set_now(self.epoch.elapsed().as_secs_f64());
-        let paid = root.settle(s)?;
         let payments = root
             .payments()
             .ok_or(ProtocolError::MissingState {

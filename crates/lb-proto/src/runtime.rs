@@ -148,17 +148,13 @@ pub enum Transport<'a> {
     /// The simulated network under seeded fault injection, with the
     /// retransmission protocol. Round traces are rooted at the chaos seed.
     Chaos(ChaosConfig),
-    /// Each machine on its own scoped OS thread, talking to the coordinator
-    /// over `std::sync::mpsc` channels carrying encoded frames; timestamps
-    /// are wall-clock seconds since the round started. Lossless, so it
-    /// arms no retry timers. Round traces are rooted at the simulation seed.
-    Threads,
     /// The two-level topology of [`crate::shard`]: a root coordinator over
     /// `shards` shard coordinators (clamped to `1..=n`, so `shards: 1` is
     /// one shard under the root, not the single-coordinator round), each
-    /// fronting its machines over lossless in-process channels. Round
-    /// traces are rooted at the simulation seed; the report's trace is
-    /// empty.
+    /// serving its machines on its own worker thread. Lossless, so it arms
+    /// no retry timers; timestamps are wall-clock seconds since the round
+    /// started. Round traces are rooted at the simulation seed; the
+    /// report's trace is empty.
     Sharded {
         /// Shard count `k`.
         shards: usize,
@@ -237,27 +233,13 @@ impl<'a> RoundSpec<'a> {
             observers: Observers::default(),
         }
     }
-
-    /// The coordinator of round 0, carrying `collector`, its trace rooted at
-    /// the simulation seed (inert unless the collector is enabled).
-    pub(crate) fn root(
-        &self,
-        collector: Arc<dyn Collector>,
-    ) -> Result<Coordinator<'a>, ProtocolError> {
-        let (rate, sim) = (self.config.total_rate, self.config.simulation);
-        Ok(
-            Coordinator::try_new(self.mechanism, self.specs.len(), rate, RoundId(0), sim)?
-                .with_trace(TraceContext::root(sim.seed, 0, true))
-                .with_collector(collector),
-        )
-    }
 }
 
 /// Runs one round (round id 0) as `spec` describes.
 ///
 /// Every transport settles identically on the same inputs: the reliable
-/// network, the threads and a fault-free chaos configuration agree bit for
-/// bit, and so does the sharded topology for every `k`.
+/// network and a fault-free chaos configuration agree bit for bit, and so
+/// does the sharded topology on its worker threads for every `k`.
 ///
 /// # Errors
 /// Returns [`ProtocolError::MissingState`] for an empty `specs`,
@@ -271,17 +253,19 @@ pub fn run_round(spec: &RoundSpec<'_>) -> Result<RoundReport, ProtocolError> {
     check_width(n)?;
     let seed = match &spec.transport {
         Transport::Chaos(chaos) => chaos.seed,
-        Transport::Reliable | Transport::Threads | Transport::Sharded { .. } => {
-            spec.config.simulation.seed
-        }
+        Transport::Reliable | Transport::Sharded { .. } => spec.config.simulation.seed,
     };
     let collector = spec.observers.round_collector(seed, 0);
     let mut runtime = match &spec.transport {
         Transport::Reliable => ChaosRuntime::reliable(n, spec.config)?,
         Transport::Chaos(chaos) => ChaosRuntime::new(n, spec.config, chaos.clone())?,
-        Transport::Threads => return crate::threaded::run_threaded(spec, collector),
         Transport::Sharded { shards, profiler } => {
-            let mut root = spec.root(collector)?;
+            // The root's trace is rooted at the simulation seed (inert
+            // unless the collector is enabled).
+            let (rate, sim) = (spec.config.total_rate, spec.config.simulation);
+            let mut root = Coordinator::try_new(spec.mechanism, n, rate, RoundId(0), sim)?
+                .with_trace(TraceContext::root(seed, 0, true))
+                .with_collector(collector);
             let mut profiler = profiler.map(RefCell::borrow_mut);
             return drive_sharded_round(
                 &mut root,
@@ -481,8 +465,11 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         for transport in [
             Transport::Reliable,
-            Transport::Threads,
             Transport::Chaos(ChaosConfig::reliable(1)),
+            Transport::Sharded {
+                shards: 3,
+                profiler: None,
+            },
         ] {
             let spec = RoundSpec {
                 transport,

@@ -36,7 +36,7 @@
 //! `lb-fuzz` `shard` oracle re-checks this differentially every CI run.
 
 use crate::chaos::drive_round;
-use crate::codec::{decode_with_context, encode_with_context, CodecError};
+use crate::codec::{decode_with_context, encode_with_context, put_with_context, CodecError};
 use crate::coordinator::{Coordinator, ProtocolError, Topology, VerifyInput};
 use crate::faults::FaultPlan;
 use crate::framing::{FrameReader, FrameWriter};
@@ -140,12 +140,33 @@ fn upward_ctx(wire: Option<TraceContext>, span: SpanId) -> Option<TraceContext> 
     }
 }
 
-/// One shard's machines (the first is global machine `start`) and the
-/// frames queued for them since the last stage.
+/// One shard's machines (the first is global machine `start`) and, per frame
+/// queued since the last stage, its machine and the value `x` it carries.
 struct Shard {
     start: usize,
     agents: Vec<NodeAgent>,
-    down: Vec<(u32, Message)>,
+    down: Vec<(u32, f64)>,
+}
+
+/// A downward frame's stage, as an index into [`PHASES`], and the rate or
+/// payment `x` it carries (0 for a bid request).
+fn stage_of(message: &Message) -> Option<(usize, f64)> {
+    match *message {
+        Message::RequestBid { .. } => Some((0, 0.0)),
+        Message::Assign { rate, .. } => Some((2, rate)),
+        Message::Payment { amount, .. } => Some((3, amount)),
+        _ => None,
+    }
+}
+
+/// Stage `phase`'s frame of `round` carrying `x`: the inverse of
+/// [`stage_of`].
+fn stage_frame(phase: usize, round: RoundId, x: f64) -> Message {
+    match phase {
+        0 => Message::RequestBid { round },
+        2 => Message::Assign { round, rate: x },
+        _ => Message::Payment { round, amount: x },
+    }
 }
 
 /// What one shard worker hands back up, plus the frames it counted (both
@@ -163,10 +184,11 @@ struct ShardBatch {
     prof: Option<Vec<u8>>,
 }
 
-/// What every worker of one stage shares: the fault plan, the root's wire
-/// context and open phase span for the stage, and the clock and collector
-/// its telemetry goes to.
+/// What every worker of one stage shares: the round and the fault plan, the
+/// root's wire context and open phase span for the stage, and the clock and
+/// collector its telemetry goes to.
 struct Relay<'a> {
+    round: RoundId,
     faults: &'a FaultPlan,
     wire: Option<TraceContext>,
     parent: SpanId,
@@ -197,21 +219,30 @@ impl Relay<'_> {
         c.span_start_in(at, name, Subsystem::Shard, self.parent, fields)
     }
 
-    /// Sends each queued frame of `shard` to its machine and forwards the
-    /// replies upward, in machine order, parented on `span`. Like the chaos
-    /// link, every frame is counted as sent before the fault plan decides
-    /// whether it arrives. Each machine bids once per sharded round, so
-    /// every bid is a first attempt (no per-attempt count: `&mut []`).
-    fn run(&self, shard: &mut Shard, span: SpanId) -> Result<ShardBatch, ProtocolError> {
+    /// Sends each queued `phase` frame of `shard` to its machine (encoded
+    /// into one reused buffer, decoded for the node) and forwards the
+    /// replies upward, in machine order, parented on `span`. Every frame is
+    /// counted as sent before the fault plan decides whether it arrives.
+    /// Each machine bids once per sharded round, so every bid is a first
+    /// attempt (no per-attempt count: `&mut []`).
+    fn run(
+        &self,
+        shard: &mut Shard,
+        phase: usize,
+        span: SpanId,
+    ) -> Result<ShardBatch, ProtocolError> {
         let (mut sent, mut up) = (MessageStats::default(), FrameWriter::new());
         let mut count = |len| sent.count(len, &*self.collector, || self.now());
         let up_ctx = upward_ctx(self.wire, span);
         let lost =
             |from, to, message: &Message| self.faults.drops_counted(from, to, message, &mut []);
-        for (machine, request) in shard.down.drain(..) {
+        let mut frame = Vec::new();
+        for (machine, x) in shard.down.drain(..) {
             let agent = &mut shard.agents[machine as usize - shard.start];
             let node = Endpoint::Node(machine);
-            let frame = encode_with_context(&request, self.wire.as_ref());
+            let request = stage_frame(phase, self.round, x);
+            frame.clear();
+            put_with_context(&mut frame, &request, self.wire.as_ref());
             count(frame.len());
             if lost(Endpoint::Coordinator, node, &request) {
                 continue;
@@ -220,7 +251,9 @@ impl Relay<'_> {
                 continue;
             };
             if lost(node, Endpoint::Coordinator, &reply) {
-                count(encode_with_context(&reply, up_ctx.as_ref()).len());
+                frame.clear();
+                put_with_context(&mut frame, &reply, up_ctx.as_ref());
+                count(frame.len());
                 continue;
             }
             let framed = up.len();
@@ -407,8 +440,9 @@ struct ShardLink<'a> {
     ranges: Vec<Range<usize>>,
     shards: Vec<Shard>,
     sim: SimulationConfig,
-    /// Frames queued since the last stage; the last stage's reply buffers
-    /// (one per shard) not yet polled, and their arrival time.
+    /// The phase and count of the frames queued since the last relay; its
+    /// reply buffers (one per shard) not yet polled, and their arrival time.
+    phase: usize,
     queued: usize,
     up: std::vec::IntoIter<Vec<u8>>,
     reader: FrameReader,
@@ -423,11 +457,12 @@ struct ShardLink<'a> {
 
 impl<'a> ShardLink<'a> {
     fn new(
+        round: RoundId,
         specs: &[NodeSpec],
         shards: usize,
         sim: SimulationConfig,
         faults: &'a FaultPlan,
-        collector: Arc<dyn Collector>,
+        collector: &Arc<dyn Collector>,
         profiler: Option<&'a mut RoundProfiler>,
     ) -> Self {
         let ranges = shard_ranges(specs.len(), shards);
@@ -444,10 +479,11 @@ impl<'a> ShardLink<'a> {
             .collect();
         Self {
             relay: Relay {
+                round,
                 faults,
                 wire: None,
                 parent: SpanId::NULL,
-                collector,
+                collector: Arc::clone(collector),
                 epoch: Instant::now(),
             },
             clock: profiler.map(|profiler| PhaseClock {
@@ -457,6 +493,7 @@ impl<'a> ShardLink<'a> {
             ranges,
             shards,
             sim,
+            phase: 0,
             queued: 0,
             up: Vec::new().into_iter(),
             reader: FrameReader::new(),
@@ -470,17 +507,12 @@ impl<'a> ShardLink<'a> {
     /// Relays the queued fan-out as one stage on every shard at once; the
     /// replies become the next arrivals.
     fn relay(&mut self) -> Result<(), ProtocolError> {
-        let phase = match self.shards.iter().find_map(|s| s.down.first()) {
-            Some((_, Message::RequestBid { .. })) => 0,
-            Some((_, Message::Assign { .. })) => 2,
-            _ => 3,
-        };
-        let relay = &self.relay;
+        let (relay, phase) = (&self.relay, self.phase);
         let batches = fan_out(
             &mut self.shards,
             |s, shard| {
                 let span = relay.span(STAGES[phase], s, shard.down.len());
-                let batch = relay.run(shard, span);
+                let batch = relay.run(shard, phase, span);
                 relay.collector.span_end(relay.now(), span);
                 batch
             },
@@ -698,14 +730,16 @@ impl Link for ShardLink<'_> {
             .shards
             .get_mut(shard_of(&self.ranges, machine))
             .ok_or(ProtocolError::MachineOutOfRange { machine, n })?;
-        shard.down.push((machine as u32, message.clone()));
+        let this_round = message.round() == self.relay.round;
+        let (phase, x) = stage_of(message)
+            .filter(|&(phase, _)| this_round && (self.queued == 0 || phase == self.phase))
+            .ok_or(ProtocolError::ReplayMismatch {
+                what: "a relay stage carries one kind of coordinator frame of its round",
+            })?;
+        shard.down.push((machine as u32, x));
+        self.phase = phase;
         self.queued += 1;
         self.relay.wire = ctx.copied();
-        let phase = match message {
-            Message::RequestBid { .. } => 0,
-            Message::Assign { .. } => 2,
-            _ => 3,
-        };
         self.starts[phase].get_or_insert_with(Instant::now);
         Ok(())
     }
@@ -764,7 +798,7 @@ pub fn drive_sharded_round(
     let (round, collector) = (root.round(), Arc::clone(root.collector()));
     let profiler = profiler.filter(|p| p.should_profile(round.0));
     let sim = config.simulation;
-    let mut link = ShardLink::new(specs, shards, sim, faults, Arc::clone(&collector), profiler);
+    let mut link = ShardLink::new(round, specs, shards, sim, faults, &collector, profiler);
     let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
     root.set_now(link.now().seconds());
     // A fresh root opens by requesting every bid, a recovered one with
@@ -789,7 +823,7 @@ pub fn drive_sharded_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{Journal, JournalReplay, MemJournal};
+    use crate::journal::{Journal, JournalRecord, JournalReplay, MemJournal};
     use crate::recovery::{recover_round, RoundContext};
     use crate::runtime::{run_round, Observers, RoundSpec, Transport};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
@@ -1227,6 +1261,46 @@ mod tests {
         assert_eq!(shard.slowest_machine, Some((6, 0.1)));
     }
 
+    #[test]
+    fn mechanism_error_shuts_down_workers_cleanly() {
+        // An invalid total rate makes allocation fail once the last bid is
+        // in, after the collect stage's workers have joined. The error must
+        // surface as `Err`: not a panic, and not a hang waiting on workers.
+        let mech = CompensationBonusMechanism::paper();
+        let specs = truthful_specs();
+        let cfg = ProtocolConfig {
+            total_rate: -1.0,
+            ..config()
+        };
+        let journal: Rc<RefCell<dyn Journal>> = Rc::new(RefCell::new(MemJournal::new()));
+        let mut root = Coordinator::try_new(
+            &mech,
+            specs.len(),
+            cfg.total_rate,
+            RoundId(0),
+            cfg.simulation,
+        )
+        .unwrap()
+        .with_journal(Rc::clone(&journal));
+        let result = drive_sharded_round(&mut root, &specs, &cfg, 3, &FaultPlan::none(), None);
+        assert!(matches!(result, Err(ProtocolError::Mechanism(_))));
+        let replay = crate::journal::read_journal(&journal.borrow().bytes().unwrap()).unwrap();
+        let bids = replay
+            .records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::BidAccepted { .. }));
+        assert_eq!(bids.count(), specs.len(), "every bid was in");
+
+        let spec = RoundSpec {
+            transport: Transport::Sharded {
+                shards: 3,
+                profiler: None,
+            },
+            ..RoundSpec::new(&mech, &specs, cfg)
+        };
+        assert!(run_round(&spec).is_err());
+    }
+
     // A reply stream that ends inside a frame fails the round instead of
     // leaving the engine polling forever.
     #[test]
@@ -1234,7 +1308,7 @@ mod tests {
         let specs = truthful_specs();
         let faults = FaultPlan::none();
         let sim = config().simulation;
-        let mut link = ShardLink::new(&specs, 2, sim, &faults, noop_collector(), None);
+        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector(), None);
         let mut stream = FrameWriter::new();
         stream
             .write(&Message::RequestBid { round: RoundId(0) })

@@ -1,5 +1,6 @@
 //! One round of the centralized protocol over the simulated network and —
-//! identically — over real threads with a binary wire format.
+//! identically — over the sharded topology, whose shards relay their
+//! machines' binary-encoded frames on worker threads.
 //!
 //! Validates the paper's O(n)-messages claim with actual message counting.
 //!
@@ -56,20 +57,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.rates[1], outcome.payments[1], outcome.utilities[1]
     );
 
-    let threaded = run_round(&RoundSpec {
-        transport: Transport::Threads,
+    let sharded = run_round(&RoundSpec {
+        transport: Transport::Sharded {
+            shards: 4,
+            profiler: None,
+        },
         ..RoundSpec::new(&mechanism, &specs, config)
     })
     .map(|r| r.outcome)?;
-    println!("\nthreaded runtime (std mpsc channels, binary codec):");
+    println!("\nsharded runtime (4 shards on worker threads, binary codec):");
     println!(
-        "  messages: {}, bytes: {}",
-        threaded.stats.messages, threaded.stats.bytes
+        "  messages: {} (5n plus one partial sum and one estimate frame per shard), bytes: {}",
+        sharded.stats.messages, sharded.stats.bytes
     );
     let max_dp = outcome
         .payments
         .iter()
-        .zip(&threaded.payments)
+        .zip(&sharded.payments)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     println!(

@@ -6,7 +6,7 @@
 //! * capped allocation ⇔ unconstrained PR when caps are loose,
 //! * analytic frugality ⇔ empirical frugality,
 //! * chaos transport at zero fault probability ⇔ reliable transports
-//!   (simulated and threaded), bit for bit,
+//!   (simulated and sharded on worker threads), bit for bit,
 //! * a declarative fault plan ⇔ chaos without retransmission ⇔ the sharded
 //!   topology, bit for bit, with a closed-form message count,
 //! * every transport ⇔ with and without observers, bit for bit,
@@ -155,7 +155,8 @@ fn prop_uniform_frugality_formulas() {
 }
 
 /// With every fault probability at zero the chaos runtime is bit-identical
-/// to both reliable runtimes: same frames, same clock, same floats.
+/// to both reliable runtimes: the simulated network (same frames, same
+/// clock, same floats) and the concurrent sharded topology.
 #[test]
 fn prop_zero_fault_chaos_equals_reliable_runtimes() {
     prop::check(
@@ -182,7 +183,11 @@ fn prop_zero_fault_chaos_equals_reliable_runtimes() {
                 .unwrap()
             };
             let reliable = round(Transport::Reliable).outcome;
-            let threaded = round(Transport::Threads).outcome;
+            let sharded = round(Transport::Sharded {
+                shards: 3,
+                profiler: None,
+            })
+            .outcome;
             let chaos = round(Transport::Chaos(ChaosConfig::reliable(chaos_seed)));
 
             prop_assert_eq!(chaos.retries, 0);
@@ -197,12 +202,12 @@ fn prop_zero_fault_chaos_equals_reliable_runtimes() {
                     chaos.outcome.estimated_exec_values[i],
                     reliable.estimated_exec_values[i]
                 );
-                prop_assert_eq!(chaos.outcome.rates[i], threaded.rates[i]);
-                prop_assert_eq!(chaos.outcome.payments[i], threaded.payments[i]);
-                prop_assert_eq!(chaos.outcome.utilities[i], threaded.utilities[i]);
+                prop_assert_eq!(chaos.outcome.rates[i], sharded.rates[i]);
+                prop_assert_eq!(chaos.outcome.payments[i], sharded.payments[i]);
+                prop_assert_eq!(chaos.outcome.utilities[i], sharded.utilities[i]);
                 prop_assert_eq!(
                     chaos.outcome.estimated_exec_values[i],
-                    threaded.estimated_exec_values[i]
+                    sharded.estimated_exec_values[i]
                 );
             }
             prop_assert_eq!(chaos.outcome.stats.messages, reliable.stats.messages);
@@ -486,7 +491,6 @@ fn prop_observers_are_inert_on_every_transport() {
 
             for transport in [
                 Transport::Reliable,
-                Transport::Threads,
                 Transport::Chaos(ChaosConfig::heavy(seed)),
                 Transport::Sharded {
                     shards: 3,

@@ -3,7 +3,9 @@
 
 use lbmv::core::scenario::{paper_system, paper_true_values, PAPER_ARRIVAL_RATE};
 use lbmv::mechanism::{run_mechanism, CompensationBonusMechanism, Profile};
-use lbmv::proto::{run_round, NodeSpec, ProtocolConfig, RoundSpec, Transport};
+use lbmv::proto::{
+    expected_sharded_message_count, run_round, NodeSpec, ProtocolConfig, RoundSpec, Transport,
+};
 use lbmv::sim::driver::{verified_round, SimulationConfig};
 use lbmv::sim::estimator::EstimatorConfig;
 use lbmv::sim::server::ServiceModel;
@@ -101,6 +103,8 @@ fn protocol_and_direct_mechanism_agree() {
     assert!(proto.payments[0] < 0.0);
 }
 
+/// The concurrent transport (the sharded topology, its machines on worker
+/// threads) pays exactly what the deterministic simulated network pays.
 #[test]
 fn threaded_and_deterministic_protocols_agree_across_scenarios() {
     let mech = CompensationBonusMechanism::paper();
@@ -117,15 +121,20 @@ fn threaded_and_deterministic_protocols_agree_across_scenarios() {
             .map(|r| r.outcome)
             .unwrap();
         let mt = run_round(&RoundSpec {
-            transport: Transport::Threads,
+            transport: Transport::Sharded {
+                shards: 3,
+                profiler: None,
+            },
             ..RoundSpec::new(&mech, &specs, config)
         })
         .map(|r| r.outcome)
         .unwrap();
-        assert_eq!(st.stats, mt.stats, "traffic for ({bid_f},{exec_f})");
-        for i in 0..16 {
-            assert!((st.payments[i] - mt.payments[i]).abs() < 1e-9);
-        }
+        assert_eq!(
+            mt.stats.messages,
+            expected_sharded_message_count(specs.len(), 3),
+            "traffic for ({bid_f},{exec_f})"
+        );
+        assert_eq!(st.payments, mt.payments, "payments for ({bid_f},{exec_f})");
     }
 }
 

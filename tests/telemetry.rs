@@ -227,7 +227,6 @@ fn every_driver_keeps_verification_off_the_span_clock() {
     };
     for (label, transport) in [
         ("reliable", Transport::Reliable),
-        ("threads", Transport::Threads),
         ("chaos", Transport::Chaos(ChaosConfig::heavy(7))),
         (
             "sharded k = 1",
