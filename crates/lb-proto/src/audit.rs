@@ -117,32 +117,6 @@ pub fn audit_broadcast_cost(record: &SettlementRecord, n: usize) -> MessageStats
     }
 }
 
-/// [`audit_broadcast_cost`], additionally recording the cost into a
-/// telemetry collector as `audit.messages` / `audit.bytes` counters at time
-/// `at` — so a session recording can account for the audit broadcast
-/// alongside the control-plane traffic it rides on.
-pub fn audit_broadcast_cost_observed(
-    record: &SettlementRecord,
-    n: usize,
-    at: f64,
-    collector: &dyn lb_telemetry::Collector,
-) -> MessageStats {
-    let stats = audit_broadcast_cost(record, n);
-    collector.counter(
-        at,
-        "audit.messages",
-        lb_telemetry::Subsystem::Coordinator,
-        stats.messages,
-    );
-    collector.counter(
-        at,
-        "audit.bytes",
-        lb_telemetry::Subsystem::Coordinator,
-        stats.bytes,
-    );
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,21 +209,6 @@ mod tests {
             "record too large: {} bytes",
             cost16.bytes / 16
         );
-    }
-
-    #[test]
-    fn observed_broadcast_cost_matches_the_registry_counters() {
-        use lb_telemetry::{MetricsRegistry, RingCollector};
-        let record = settled_record();
-        let n = record.bids.len();
-        let ring = RingCollector::new(16);
-        let stats = audit_broadcast_cost_observed(&record, n, 1.5, &ring);
-        assert_eq!(stats, audit_broadcast_cost(&record, n));
-
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&ring.snapshot());
-        assert_eq!(reg.counter("audit.messages"), stats.messages);
-        assert_eq!(reg.counter("audit.bytes"), stats.bytes);
     }
 
     #[test]

@@ -170,16 +170,6 @@ struct ChaosInjector {
 }
 
 impl ChaosInjector {
-    fn new(config: &ChaosConfig, round: RoundId, bid_attempts: Rc<RefCell<Vec<u32>>>) -> Self {
-        Self {
-            // Stream `round` of the base seed: reproducible, and provably
-            // non-overlapping with every other round's stream.
-            rng: Xoshiro256StarStar::seed_from_u64(config.seed).stream(round.0),
-            chaos: config.clone(),
-            bid_attempts,
-        }
-    }
-
     fn fate(&mut self, from: Endpoint, to: Endpoint, message: &Message) -> FrameFate {
         // Exactly five draws per frame regardless of the outcome, so one
         // frame's fate never shifts the random stream seen by the next.
@@ -230,8 +220,8 @@ impl ChaosNetStats {
     }
 }
 
-/// What it took to push one round through its crash schedule
-/// ([`ChaosRuntime::run_round`] with a journal).
+/// What it took to push rounds through their crash schedule (a durable
+/// [`crate::session::run_chaos_session`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRecoveryStats {
     /// Injected crashes consumed while completing the round.
@@ -617,9 +607,9 @@ fn send_from_coordinator<L: Link>(
 /// The network (and its clock) lives across rounds, so late frames from a
 /// previous round can straggle into the next one — where the coordinator
 /// absorbs them as [`Anomaly::StaleRound`]. Construct once, then call
-/// [`ChaosRuntime::run_round`] per round; multi-round sessions with health
-/// tracking live in [`crate::session::run_chaos_session`].
-pub struct ChaosRuntime {
+/// [`ChaosRuntime::run_round`] per round; [`crate::session::run_chaos_session`]
+/// is the one public driver of multi-round sessions.
+pub(crate) struct ChaosRuntime {
     network: SimNetwork,
     timers: EventQueue<ChaosTimer>,
     chaos: ChaosConfig,
@@ -631,6 +621,10 @@ pub struct ChaosRuntime {
     /// Session-cumulative bid-transmission counts for the declarative
     /// `lose_bid_attempts` faults (shared with the per-round injector).
     bid_attempts: Rc<RefCell<Vec<u32>>>,
+    /// The injector's stream of the latest round, `(r, stream r of the
+    /// chaos seed)`. The next round's stream is one jump on from it, where
+    /// deriving stream `r` from the seed costs `r + 1` jumps.
+    stream: (u64, Xoshiro256StarStar),
     collector: Arc<dyn Collector>,
 }
 
@@ -696,6 +690,7 @@ impl ChaosRuntime {
         Ok(Self {
             network: SimNetwork::with_constant_latency(latency),
             timers: EventQueue::new(),
+            stream: (0, Xoshiro256StarStar::seed_from_u64(chaos.seed).stream(0)),
             chaos,
             lossy,
             protocol,
@@ -723,13 +718,27 @@ impl ChaosRuntime {
         self.collector = collector;
     }
 
+    /// Stream `round` of the chaos seed: reproducible, and provably
+    /// non-overlapping with every other round's stream.
+    fn chaos_stream(&mut self, round: RoundId) -> Xoshiro256StarStar {
+        let (at, stream) = &mut self.stream;
+        if round.0 < *at {
+            *stream = Xoshiro256StarStar::seed_from_u64(self.chaos.seed).stream(round.0);
+        } else if round.0 > *at {
+            // `stream(k)` is `k + 1` jumps on.
+            *stream = stream.stream(round.0 - *at - 1);
+        }
+        *at = round.0;
+        stream.clone()
+    }
+
     /// Runs one round over the network.
     ///
     /// `active[i] == false` quarantines machine `i` for this round: it is
     /// excluded up front and receives no bid request. Each round derives its
-    /// simulation seed as `base seed + round` (matching
-    /// [`crate::session::run_session`]) and its chaos stream as stream
-    /// `round` of the chaos seed.
+    /// simulation seed as `base seed + round` (matching independent
+    /// [`crate::run_round`] calls) and its chaos stream as stream `round` of
+    /// the chaos seed.
     ///
     /// With a `journal` the round is durable: it runs against the
     /// crash-injecting journal, recovering and resuming after every
@@ -815,8 +824,11 @@ impl ChaosRuntime {
             if self.lossy {
                 // Fresh per-attempt injector: fresh RNG stream, but
                 // session-cumulative bid-attempt counts.
-                let mut injector =
-                    ChaosInjector::new(&self.chaos, round, Rc::clone(&self.bid_attempts));
+                let mut injector = ChaosInjector {
+                    rng: self.chaos_stream(round),
+                    chaos: self.chaos.clone(),
+                    bid_attempts: Rc::clone(&self.bid_attempts),
+                };
                 self.network
                     .set_fate_fn(move |from, to, m| injector.fate(from, to, m));
             }
@@ -934,6 +946,18 @@ mod tests {
             result,
             Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
         )
+    }
+
+    #[test]
+    fn chaos_stream_cursor_matches_indexed_derivation() {
+        let mut runtime = ChaosRuntime::new(2, config(), ChaosConfig::heavy(17)).unwrap();
+        let base = Xoshiro256StarStar::seed_from_u64(17);
+        // Repeats (crash retries), steps, skips and a step back.
+        for round in [0, 0, 1, 4, 4, 5, 2, 9] {
+            let mut got = runtime.chaos_stream(RoundId(round));
+            let mut want = base.stream(round);
+            assert_eq!(got.next_u64(), want.next_u64(), "round {round}");
+        }
     }
 
     fn run_on(

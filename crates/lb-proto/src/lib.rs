@@ -9,25 +9,23 @@
 //!
 //! # Running rounds
 //!
-//! Six entry points cover every way to run the protocol:
+//! Four entry points cover every way to run the protocol:
 //!
 //! * [`run_round`] runs one round described by a [`RoundSpec`]: the
 //!   [`Transport`] its frames travel over (the reliable simulated network,
 //!   the simulated network under seeded [`ChaosConfig`] fault injection, or
 //!   the two-level [`shard`] topology of `k` shard coordinators on worker
 //!   threads, optionally profiled), and the [`Observers`] watching it.
-//! * [`ChaosRuntime::run_round`] runs one round of a persistent simulated
-//!   network — late frames straggle into the next round — optionally
-//!   against a crash-injecting journal it recovers from.
 //! * [`drive_sharded_round`] drives a sharded round on a root coordinator,
 //!   fresh or recovered mid-round from its journal, and returns its
 //!   [`RoundReport`] with the root's phase timings.
-//! * [`run_session`] and [`run_chaos_session`] run multi-round sessions
-//!   under a policy callback; the chaos session tracks machine health,
-//!   quarantines and re-admits flaky machines, and is durable when given a
-//!   journal.
-//! * [`run_online_session`] runs the streaming mechanism over a churn
-//!   stream.
+//! * [`run_chaos_session`] runs every multi-round session under a policy
+//!   callback over one persistent simulated network (late frames straggle
+//!   into the next round): it tracks machine health, quarantines and
+//!   re-admits flaky machines, and is durable when given a crash-injecting
+//!   journal. A reliable session is `ChaosConfig::reliable(seed)`.
+//! * [`OnlineSession`] runs the streaming mechanism over a stream of
+//!   joins, leaves, re-bids and settle ticks.
 //!
 //! Every round, sharded or not, runs through the one event loop in
 //! [`chaos`] and crosses its phases through the same four [`Coordinator`]
@@ -118,13 +116,8 @@ pub mod session;
 pub mod shard;
 pub mod trace;
 
-pub use audit::{
-    audit_broadcast_cost, audit_broadcast_cost_observed, audit_settlement, AuditReport,
-    SettlementRecord,
-};
-pub use chaos::{
-    chaos_message_bound, ChaosConfig, ChaosNetStats, ChaosRuntime, RoundRecoveryStats,
-};
+pub use audit::{audit_broadcast_cost, audit_settlement, AuditReport, SettlementRecord};
+pub use chaos::{chaos_message_bound, ChaosConfig, ChaosNetStats, RoundRecoveryStats};
 pub use codec::{decode, decode_with_context, encode, encode_with_context, CodecError, Wire};
 pub use coordinator::{Coordinator, CoordinatorPhase, Outbound, ProtocolError};
 pub use faults::FaultPlan;
@@ -142,8 +135,8 @@ pub use runtime::{
     run_round, Observers, ProtocolConfig, ProtocolOutcome, RoundReport, RoundSpec, Transport,
 };
 pub use session::{
-    run_chaos_session, run_online_session, run_session, ChaosRoundResult, ChaosSessionConfig,
-    ChaosSessionReport, CrashPlan, MachineHealth, SessionReport,
+    run_chaos_session, ChaosRoundResult, ChaosSessionConfig, ChaosSessionReport, CrashPlan,
+    MachineHealth,
 };
 pub use shard::{
     drive_sharded_round, expected_sharded_message_count, shard_ranges, ShardPhaseTimings,

@@ -1,34 +1,32 @@
 //! Multi-round protocol sessions.
 //!
 //! The paper describes a single round; a deployed system runs the protocol
-//! repeatedly (its load changes, its machines learn). A [`run_session`] call drives a
-//! sequence of rounds, letting the caller supply each round's node behaviour
-//! through a policy callback — which is how the strategic learners from
-//! `lb-agents` plug into the real protocol (see the workspace integration
-//! tests) — and aggregates the per-round outcomes and traffic statistics.
+//! repeatedly (its load changes, its machines learn). [`run_chaos_session`]
+//! drives a sequence of rounds over one persistent simulated network,
+//! letting the caller supply each round's node behaviour through a policy
+//! callback — which is how the strategic learners from `lb-agents` plug
+//! into the real protocol (see the workspace integration tests) — and
+//! aggregates the per-round reports and traffic statistics. A reliable
+//! session is the `ChaosConfig::reliable(seed)` case.
 //!
-//! [`run_chaos_session`] is the fault-tolerant variant: the same policy
-//! interface driven over one persistent [`ChaosRuntime`], with per-machine
-//! health tracking across rounds. A machine excluded too often in a row is
-//! *quarantined* (excluded up front, no retransmission budget wasted on it)
-//! for an exponentially growing number of rounds, then re-admitted — so a
-//! transiently faulty machine rejoins the mechanism instead of being lost
-//! forever, exactly the recovery story a deployed mechanism needs. Its
-//! [`Observers`] record the whole session down to frame level, sampled per
-//! round, and given a crash-injecting journal the session is durable: it
-//! survives the coordinator being killed mid-record and restarts from a
-//! previous process generation's journal.
+//! The session tracks per-machine health across rounds. A machine excluded
+//! too often in a row is *quarantined* (excluded up front, no
+//! retransmission budget wasted on it) for an exponentially growing number
+//! of rounds, then re-admitted — so a transiently faulty machine rejoins
+//! the mechanism instead of being lost forever, exactly the recovery story
+//! a deployed mechanism needs. Its [`Observers`] record the whole session
+//! down to frame level, sampled per round, and given a crash-injecting
+//! journal the session is durable: it survives the coordinator being
+//! killed mid-record and restarts from a previous process generation's
+//! journal.
 
 use crate::chaos::{ChaosConfig, ChaosNetStats, ChaosRuntime, RoundRecoveryStats};
 use crate::coordinator::ProtocolError;
 use crate::journal::CrashingJournal;
 use crate::message::RoundId;
 use crate::node::NodeSpec;
-use crate::online::{OnlineEvent, OnlineReport, OnlineSession};
 use crate::recovery::split_rounds;
-use crate::runtime::{
-    run_round, Observers, ProtocolConfig, ProtocolOutcome, RoundReport, RoundSpec,
-};
+use crate::runtime::{Observers, ProtocolConfig, RoundReport};
 use crate::trace::AnomalyStats;
 use lb_core::CoreError;
 use lb_mechanism::{MechanismError, VerifiedMechanism};
@@ -36,101 +34,6 @@ use lb_stats::{Rng, Xoshiro256StarStar};
 use lb_telemetry::{Field, Subsystem};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Summary of a finished session.
-#[derive(Debug, Clone)]
-pub struct SessionReport {
-    /// Outcome of every round, in order.
-    pub rounds: Vec<ProtocolOutcome>,
-    /// Total control messages across the session.
-    pub total_messages: u64,
-    /// Total control bytes across the session.
-    pub total_bytes: u64,
-}
-
-impl SessionReport {
-    /// Number of rounds played.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Whether the session is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// Cumulative payment received by machine `i` over the session.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn cumulative_payment(&self, i: usize) -> f64 {
-        self.rounds.iter().map(|r| r.payments[i]).sum()
-    }
-
-    /// Cumulative utility of machine `i` over the session.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn cumulative_utility(&self, i: usize) -> f64 {
-        self.rounds.iter().map(|r| r.utilities[i]).sum()
-    }
-}
-
-/// Runs `rounds` protocol rounds over the reliable transport. Before each
-/// round, `policy` is called with the round index and the previous round's
-/// outcome (None for the first) and must return every node's behaviour for
-/// the round; after each round it can observe the outcome through the next
-/// call.
-///
-/// Each round uses a distinct simulation seed (`base seed + round`) so the
-/// measurement noise is independent across rounds.
-///
-/// # Errors
-/// Propagates mechanism/protocol errors from any round — including an
-/// empty spec list from the policy — and rejects `rounds == 0`.
-pub fn run_session<M, P>(
-    mechanism: &M,
-    config: &ProtocolConfig,
-    rounds: u32,
-    mut policy: P,
-) -> Result<SessionReport, MechanismError>
-where
-    M: VerifiedMechanism,
-    P: FnMut(u32, Option<&ProtocolOutcome>) -> Vec<NodeSpec>,
-{
-    if rounds == 0 {
-        return Err(no_rounds().into_mechanism());
-    }
-    let mut outcomes: Vec<ProtocolOutcome> = Vec::with_capacity(rounds as usize);
-    let mut total_messages = 0;
-    let mut total_bytes = 0;
-    for round in 0..rounds {
-        let specs = policy(round, outcomes.last());
-        let mut round_config = *config;
-        round_config.simulation.seed = config.simulation.seed.wrapping_add(u64::from(round));
-        let outcome = run_round(&RoundSpec::new(mechanism, &specs, round_config))
-            .map_err(ProtocolError::into_mechanism)?
-            .outcome;
-        total_messages += outcome.stats.messages;
-        total_bytes += outcome.stats.bytes;
-        outcomes.push(outcome);
-    }
-    Ok(SessionReport {
-        rounds: outcomes,
-        total_messages,
-        total_bytes,
-    })
-}
-
-fn no_rounds() -> ProtocolError {
-    ProtocolError::InvalidConfig {
-        what: "a session needs at least one round",
-    }
-}
 
 /// Per-machine health state a chaos session tracks across rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -406,13 +309,15 @@ fn fold_journal(
     Ok(folded)
 }
 
-/// Runs a fault-tolerant multi-round session over one persistent chaotic
+/// Runs a fault-tolerant multi-round session over one persistent simulated
 /// network.
 ///
 /// `policy` is called before each round with the round index and the most
 /// recent *settled* report (`None` before the first settlement) and returns
-/// every machine's behaviour — the same interface as [`run_session`], so
-/// strategic agents plug in unchanged. Machine count must stay constant.
+/// every machine's behaviour; strategic agents read `prev.map(|r| &r.outcome)`.
+/// Machine count must stay constant. Round `r` simulates with seed
+/// `config.simulation.seed + r`, so under [`ChaosConfig::reliable`] the
+/// session settles exactly like independent [`crate::run_round`] calls.
 ///
 /// Health policy: a machine excluded in `quarantine_after` consecutive
 /// active rounds is quarantined for `quarantine_rounds` rounds, doubling on
@@ -488,10 +393,12 @@ where
         cumulative_payments: folded.cumulative_payments,
     };
     let mut runtime: Option<ChaosRuntime> = None;
-    let mut last_settled: Option<RoundReport> = None;
+    // Index into `report.rounds` of the latest settled round.
+    let mut last_settled: Option<usize> = None;
 
     for round in folded.start_round..session.rounds {
-        let specs = policy(round, last_settled.as_ref());
+        let prev = last_settled.and_then(|i| report.rounds[i].settled());
+        let specs = policy(round, prev);
         let n = specs.len();
         let runtime = if let Some(runtime) = runtime.as_mut() {
             runtime
@@ -586,7 +493,7 @@ where
                 {
                     *total += x;
                 }
-                last_settled = Some(settled.clone());
+                last_settled = Some(report.rounds.len());
                 report
                     .rounds
                     .push(ChaosRoundResult::Settled(Box::new(settled)));
@@ -692,32 +599,10 @@ impl CrashPlan {
     }
 }
 
-/// Runs a whole online session over a deterministic churn stream: the
-/// seed-reproducible membership events from [`lb_sim::churn::ChurnGen`]
-/// (truthful behaviour) drive an [`OnlineSession`] — joins / leaves /
-/// re-bids update the harmonic sum incrementally in O(1) amortized, and
-/// every [`lb_sim::churn::ChurnEvent::Tick`] settles a payment round.
-///
-/// This is the streaming counterpart of [`run_session`]: instead of a fixed
-/// population re-running the full protocol each round, the population
-/// churns between settles and only the settle itself is O(live).
-///
-/// # Errors
-/// Propagates the first event or settle failure, as
-/// [`OnlineSession::apply`].
-pub fn run_online_session<M: VerifiedMechanism>(
-    mechanism: &M,
-    config: &ProtocolConfig,
-    churn: lb_sim::churn::ChurnConfig,
-    seed: u64,
-) -> Result<OnlineReport, ProtocolError> {
-    let mut session = OnlineSession::new(mechanism, *config)?;
-    session.run(lb_sim::churn::ChurnGen::new(churn, seed).map(OnlineEvent::from_churn))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{run_round, RoundSpec};
     use lb_core::scenario::{paper_true_values, PAPER_ARRIVAL_RATE};
     use lb_mechanism::CompensationBonusMechanism;
     use lb_sim::driver::SimulationConfig;
@@ -738,34 +623,66 @@ mod tests {
         }
     }
 
+    fn reliable_session<P>(rounds: u32, policy: P) -> ChaosSessionReport
+    where
+        P: FnMut(u32, Option<&RoundReport>) -> Vec<NodeSpec>,
+    {
+        let session = ChaosSessionConfig::new(rounds, ChaosConfig::reliable(0));
+        let mech = CompensationBonusMechanism::paper();
+        run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            policy,
+            &Observers::default(),
+            None,
+        )
+        .unwrap()
+    }
+
+    fn settled(report: &ChaosSessionReport) -> Vec<&RoundReport> {
+        report
+            .rounds
+            .iter()
+            .map(|r| r.settled().expect("reliable round settles"))
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn constant_policy_session_accumulates_linearly() {
-        let mech = CompensationBonusMechanism::paper();
         let specs: Vec<NodeSpec> = paper_true_values()
             .iter()
             .map(|&t| NodeSpec::truthful(t))
             .collect();
-        let report = run_session(&mech, &config(), 5, |_, _| specs.clone()).unwrap();
-        assert_eq!(report.len(), 5);
+        let report = reliable_session(5, |_, _| specs.clone());
+        let rounds = settled(&report);
+        assert_eq!(rounds.len(), 5);
         assert_eq!(report.total_messages, 5 * 80);
         // Deterministic service: every round pays the same, so the cumulative
         // payment is 5x a single round.
-        let single = report.rounds[0].payments[0];
+        let single = rounds[0].outcome.payments[0];
         assert!((report.cumulative_payment(0) - 5.0 * single).abs() < 1e-9);
-        assert!((report.cumulative_utility(0) - 5.0 * report.rounds[0].utilities[0]).abs() < 1e-9);
+        let utility: f64 = rounds.iter().map(|r| r.outcome.utilities[0]).sum();
+        assert!((utility - 5.0 * rounds[0].outcome.utilities[0]).abs() < 1e-9);
     }
 
     #[test]
-    fn policy_sees_previous_outcomes() {
-        let mech = CompensationBonusMechanism::paper();
+    fn reliable_chaos_session_matches_independent_rounds() {
+        // A reactive policy: machine 0 throttles whenever its previous
+        // utility was above 10 (an arbitrary rule to exercise the plumbing),
+        // so the specs change from round to round.
         let trues = paper_true_values();
-        let mut observed_rounds = Vec::new();
-        let report = run_session(&mech, &config(), 3, |round, prev| {
-            observed_rounds.push((round, prev.is_some()));
-            // A reactive policy: machine 0 throttles whenever its previous
-            // utility was above 10 (an arbitrary rule to exercise the plumbing).
-            let throttle = prev.is_some_and(|o| o.utilities[0] > 10.0);
-            trues
+        let mut played: Vec<Vec<NodeSpec>> = Vec::new();
+        let mut seen: Vec<Option<Vec<u64>>> = Vec::new();
+        let report = reliable_session(6, |round, prev| {
+            assert_eq!(round as usize, played.len());
+            seen.push(prev.map(|r| bits(&r.outcome.payments)));
+            let throttle = prev.is_some_and(|r| r.outcome.utilities[0] > 10.0);
+            let specs: Vec<NodeSpec> = trues
                 .iter()
                 .enumerate()
                 .map(|(i, &t)| {
@@ -775,29 +692,55 @@ mod tests {
                         NodeSpec::truthful(t)
                     }
                 })
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(observed_rounds, vec![(0, false), (1, true), (2, true)]);
-        // Round 0 truthful (utility 19.13 > 10) -> round 1 throttles -> its
-        // utility falls below 10 -> round 2 truthful again.
-        assert!(report.rounds[0].utilities[0] > 10.0);
-        assert!(report.rounds[1].utilities[0] < report.rounds[0].utilities[0]);
-        assert!(report.rounds[2].utilities[0] > 10.0);
-    }
+                .collect();
+            played.push(specs.clone());
+            specs
+        });
+        let rounds = settled(&report);
+        assert_eq!(rounds.len(), 6);
+        assert_eq!(report.aborted_rounds, 0);
+        assert_eq!(report.total_retries, 0);
+        assert_eq!(report.anomalies.total(), 0);
+        assert_eq!(report.faults, ChaosNetStats::default());
+        assert!(report.health.iter().all(|h| *h == MachineHealth::default()));
 
-    #[test]
-    fn zero_rounds_is_an_error() {
-        let mech = CompensationBonusMechanism::paper();
-        let err =
-            run_session(&mech, &config(), 0, |_, _| vec![NodeSpec::truthful(1.0)]).unwrap_err();
-        assert!(err.to_string().contains("at least one round"), "{err}");
-    }
+        // The policy saw each round's predecessor, and reacted to it: round 0
+        // truthful (utility 19.13 > 10) -> round 1 throttles -> its utility
+        // falls below 10 -> round 2 truthful again, and so on.
+        assert_eq!(seen[0], None);
+        for r in 1..rounds.len() {
+            assert_eq!(
+                seen[r],
+                Some(bits(&rounds[r - 1].outcome.payments)),
+                "round {r}"
+            );
+            assert_ne!(played[r][0], played[r - 1][0], "round {r}");
+        }
 
-    #[test]
-    fn empty_policy_is_an_error() {
+        // Round r is the independent reliable round at seed `base + r`.
         let mech = CompensationBonusMechanism::paper();
-        assert!(run_session(&mech, &config(), 2, |_, _| Vec::new()).is_err());
+        let (mut messages, mut bytes) = (0, 0);
+        for (r, (got, specs)) in rounds.iter().zip(&played).enumerate() {
+            let mut round_config = config();
+            round_config.simulation.seed += r as u64;
+            let want = run_round(&RoundSpec::new(&mech, specs, round_config))
+                .unwrap()
+                .outcome;
+            let (got, want) = (&got.outcome, &want);
+            assert_eq!(bits(&got.rates), bits(&want.rates), "round {r}");
+            assert_eq!(bits(&got.payments), bits(&want.payments), "round {r}");
+            assert_eq!(
+                bits(&got.estimated_exec_values),
+                bits(&want.estimated_exec_values),
+                "round {r}"
+            );
+            assert_eq!(bits(&got.utilities), bits(&want.utilities), "round {r}");
+            assert_eq!(got.stats, want.stats, "round {r}");
+            messages += want.stats.messages;
+            bytes += want.stats.bytes;
+        }
+        assert_eq!(report.total_messages, messages);
+        assert_eq!(report.total_bytes, bytes);
     }
 }
 
@@ -832,40 +775,6 @@ mod chaos_tests {
         (0..n)
             .map(|i| NodeSpec::truthful(1.0 + i as f64 * 0.5))
             .collect()
-    }
-
-    #[test]
-    fn reliable_chaos_session_matches_plain_session() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = specs(6);
-        let plain = run_session(&mech, &config(), 4, |_, _| specs.clone()).unwrap();
-        let session = ChaosSessionConfig::new(4, ChaosConfig::reliable(0));
-        let report = run_chaos_session(
-            &mech,
-            &config(),
-            &session,
-            |_, _| specs.clone(),
-            &Observers::default(),
-            None,
-        )
-        .unwrap();
-
-        assert_eq!(report.rounds.len(), 4);
-        assert_eq!(report.aborted_rounds, 0);
-        assert_eq!(report.total_retries, 0);
-        assert_eq!(report.anomalies.total(), 0);
-        assert_eq!(report.faults, ChaosNetStats::default());
-        assert_eq!(report.total_messages, plain.total_messages);
-        assert_eq!(report.total_bytes, plain.total_bytes);
-        for (r, result) in report.rounds.iter().enumerate() {
-            let settled = result.settled().expect("reliable round settles");
-            assert_eq!(
-                settled.outcome.payments, plain.rounds[r].payments,
-                "round {r}"
-            );
-            assert_eq!(settled.outcome.rates, plain.rounds[r].rates, "round {r}");
-        }
-        assert!(report.health.iter().all(|h| *h == MachineHealth::default()));
     }
 
     #[test]
@@ -1140,7 +1049,6 @@ mod chaos_tests {
     fn invalid_session_config_is_an_error() {
         let mech = CompensationBonusMechanism::paper();
         for session in [
-            ChaosSessionConfig::new(0, ChaosConfig::reliable(0)),
             ChaosSessionConfig {
                 quarantine_after: 0,
                 ..ChaosSessionConfig::new(2, ChaosConfig::reliable(0))
@@ -1163,6 +1071,29 @@ mod chaos_tests {
             );
             assert!(result.is_err(), "{session:?}");
         }
+        let zero = ChaosSessionConfig::new(0, ChaosConfig::reliable(0));
+        let err = run_chaos_session(
+            &mech,
+            &config(),
+            &zero,
+            |_, _| specs(3),
+            &Observers::default(),
+            None,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("at least one round"), "{err}");
+
+        // An empty spec list from the policy is rejected, not run.
+        let session = ChaosSessionConfig::new(2, ChaosConfig::reliable(0));
+        let empty = run_chaos_session(
+            &mech,
+            &config(),
+            &session,
+            |_, _| Vec::new(),
+            &Observers::default(),
+            None,
+        );
+        assert!(empty.is_err());
     }
 
     #[test]

@@ -188,6 +188,17 @@ pub fn replay_check(trace: &RoundTrace, n: usize) -> Vec<TraceViolation> {
     let mut requested = vec![false; n];
     let mut bid = vec![false; n];
     let mut assigned = vec![false; n];
+    // A machine that never bids anywhere in the trace counts as excluded;
+    // one that bids later is unresolved until its first bid arrives.
+    let mut bids_somewhere = vec![false; n];
+    for entry in &trace.entries {
+        if let (Endpoint::Coordinator, Message::Bid { machine, .. }) = (&entry.to, &entry.message) {
+            if let Some(slot) = bids_somewhere.get_mut(*machine as usize) {
+                *slot = true;
+            }
+        }
+    }
+    let mut unresolved = bids_somewhere.iter().filter(|&&b| b).count();
 
     for (idx, entry) in trace.entries.iter().enumerate() {
         if entry.at < last_time {
@@ -205,27 +216,21 @@ pub fn replay_check(trace: &RoundTrace, n: usize) -> Vec<TraceViolation> {
                 if !requested.get(m).copied().unwrap_or(false) {
                     violations.push(TraceViolation::UnsolicitedBid { machine: *machine });
                 }
-                if bid.get(m).copied().unwrap_or(false) {
-                    violations.push(TraceViolation::DuplicateBid { machine: *machine });
-                }
-                if let Some(slot) = bid.get_mut(m) {
-                    *slot = true;
+                match bid.get_mut(m) {
+                    Some(true) => {
+                        violations.push(TraceViolation::DuplicateBid { machine: *machine });
+                    }
+                    Some(slot) => {
+                        *slot = true;
+                        unresolved -= 1;
+                    }
+                    None => {}
                 }
             }
             (Endpoint::Node(i), Message::Assign { .. }) => {
                 // Allocation must wait for the full bid picture: every machine
-                // has either bid or been excluded (never assigned later). We
-                // approximate exclusion as "never bids in the whole trace".
-                let all_resolved = (0..n).all(|m| {
-                    bid[m]
-                        || !trace.entries.iter().any(|e| {
-                            matches!(
-                                (&e.to, &e.message),
-                                (Endpoint::Coordinator, Message::Bid { machine, .. }) if *machine as usize == m
-                            )
-                        })
-                });
-                if !all_resolved {
+                // has either bid or been excluded (never assigned later).
+                if unresolved > 0 {
                     violations.push(TraceViolation::PrematureAssign(idx));
                 }
                 if let Some(slot) = assigned.get_mut(*i as usize) {
@@ -386,6 +391,13 @@ mod tests {
             v.iter()
                 .any(|x| matches!(x, TraceViolation::PrematureAssign(_))),
             "{v:?}"
+        );
+        // A third machine that never bids was excluded: it does not hold
+        // up the allocation, and it does not excuse the premature one.
+        assert!(replay_check(&clean_trace(), 3).is_empty());
+        assert_eq!(
+            replay_check(&t, 3),
+            vec![TraceViolation::PrematureAssign(3)],
         );
     }
 

@@ -1,8 +1,8 @@
 //! The [`Collector`] trait and the free [`NoopCollector`].
 //!
 //! Instrumentation points accept `&dyn Collector` (usually through an
-//! `Arc<dyn Collector>` so the threaded runtime can share one collector
-//! across threads). Implementors provide three primitives — [`Collector::enabled`],
+//! `Arc<dyn Collector>` so the shard tier's worker threads can share one
+//! collector). Implementors provide three primitives — [`Collector::enabled`],
 //! [`Collector::record`] and [`Collector::next_span_id`] — and inherit the
 //! span/instant/counter/gauge/histogram convenience API, every method of
 //! which returns immediately when the collector is disabled, plus the
@@ -16,8 +16,8 @@ use std::sync::{Arc, OnceLock};
 /// A sink for telemetry events.
 ///
 /// All timestamps are caller-supplied seconds (see the crate docs for the
-/// clock discipline). Implementations must be thread-safe: the threaded
-/// runtime records from node threads and the coordinator concurrently.
+/// clock discipline). Implementations must be thread-safe: the shard tier
+/// records from its worker threads and the root coordinator concurrently.
 pub trait Collector: Send + Sync {
     /// Whether events are being recorded. Hot paths check this before
     /// building field vectors; the default convenience methods already do.

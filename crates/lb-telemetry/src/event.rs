@@ -301,8 +301,8 @@ impl EventKind {
 /// category, a kind and structured fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryEvent {
-    /// Timestamp in seconds on the clock the caller injected (sim time for
-    /// the deterministic runtimes, monotonic offset for the threaded one).
+    /// Timestamp in seconds on the clock the caller injected (sim time on
+    /// the simulated network, wall-clock seconds since round start on the shard tier).
     pub at: f64,
     /// Event name (static at instrumentation sites, owned after parsing).
     pub name: Cow<'static, str>,

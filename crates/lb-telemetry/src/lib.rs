@@ -44,8 +44,8 @@
 //! # Clock discipline
 //!
 //! Every API takes the timestamp explicitly (`at`, in seconds). The caller
-//! owns the clock: the deterministic runtimes pass the simulated network
-//! clock, the threaded runtime passes a monotonic `Instant` offset, and the
+//! owns the clock: the simulated network passes its simulated clock, the
+//! shard tier passes wall-clock seconds since the round started, and the
 //! simulator passes its own sim time. Telemetry never reads a wall clock by
 //! itself, so a recording is a pure function of the run that produced it.
 //!

@@ -9,7 +9,10 @@
 use lbmv::agents::adaptive::EpsilonGreedyAgent;
 use lbmv::agents::game::consistent_strategy_menu;
 use lbmv::mechanism::CompensationBonusMechanism;
-use lbmv::proto::{run_session, NodeSpec, ProtocolConfig};
+use lbmv::proto::{
+    run_chaos_session, ChaosConfig, ChaosRoundResult, ChaosSessionConfig, NodeSpec, Observers,
+    ProtocolConfig,
+};
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::stats::Xoshiro256StarStar;
@@ -41,32 +44,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     };
 
-    let rounds = 600;
-    let report = run_session(&mechanism, &config, rounds, |_, prev| {
-        let mut learners = learners.borrow_mut();
-        let mut arms = arms.borrow_mut();
-        // Feed back the previous round's utilities.
-        if let Some(outcome) = prev {
-            for (i, learner) in learners.iter_mut().enumerate() {
-                learner.observe(arms[i], outcome.utilities[i]);
+    // Every machine bids over a reliable network, so no round can abort.
+    let session = ChaosSessionConfig::new(600, ChaosConfig::reliable(config.simulation.seed));
+    let report = run_chaos_session(
+        &mechanism,
+        &config,
+        &session,
+        |_, prev| {
+            let mut learners = learners.borrow_mut();
+            let mut arms = arms.borrow_mut();
+            // Feed back the previous round's utilities.
+            if let Some(outcome) = prev.map(|r| &r.outcome) {
+                for (i, learner) in learners.iter_mut().enumerate() {
+                    learner.observe(arms[i], outcome.utilities[i]);
+                }
             }
-        }
-        // Choose this round's strategies.
-        trues
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let arm = learners[i].choose();
-                arms[i] = arm;
-                let s = menu[arm];
-                NodeSpec::strategic(t, t * s.bid_factor, t * s.exec_factor.max(1.0))
-            })
-            .collect()
-    })?;
+            // Choose this round's strategies.
+            trues
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    let arm = learners[i].choose();
+                    arms[i] = arm;
+                    let s = menu[arm];
+                    NodeSpec::strategic(t, t * s.bid_factor, t * s.exec_factor.max(1.0))
+                })
+                .collect()
+        },
+        &Observers::default(),
+        None,
+    )?;
 
     println!(
         "{} protocol rounds, {} control messages total",
-        report.len(),
+        report.rounds.len(),
         report.total_messages
     );
     let learners = learners.borrow();
@@ -80,10 +91,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             learner.mean_utility(learner.best_arm()),
         );
     }
-    println!(
-        "\ncumulative utility of machine 0 over the session: {:+.1}",
-        report.cumulative_utility(0)
-    );
+    let utility: f64 = report
+        .rounds
+        .iter()
+        .filter_map(ChaosRoundResult::settled)
+        .map(|r| r.outcome.utilities[0])
+        .sum();
+    println!("\ncumulative utility of machine 0 over the session: {utility:+.1}");
     println!(
         "(every learner's best arm should be `truthful` — Theorem 3.1, discovered empirically)"
     );

@@ -28,10 +28,10 @@ use lbmv::mechanism::{
 };
 use lbmv::prof::RoundProfiler;
 use lbmv::proto::{
-    drive_sharded_round, encode, replay_check, run_round, shard_ranges, ChaosConfig, ChaosNetStats,
-    ChaosRuntime, Coordinator, CrashPlan, FaultPlan, Journal, MemJournal, Message, MessageStats,
-    NodeSpec, Observers, ProtocolConfig, ProtocolError, ProtocolOutcome, RoundId, RoundReport,
-    RoundSpec, Transport,
+    drive_sharded_round, encode, replay_check, run_chaos_session, run_round, shard_ranges,
+    ChaosConfig, ChaosNetStats, ChaosSessionConfig, Coordinator, CrashPlan, FaultPlan, Journal,
+    MemJournal, Message, MessageStats, NodeSpec, Observers, ProtocolConfig, ProtocolError,
+    ProtocolOutcome, RoundId, RoundReport, RoundSpec, Transport,
 };
 use lbmv::sim::driver::{verified_round, SimulationConfig};
 use lbmv::sim::server::ServiceModel;
@@ -546,12 +546,19 @@ fn prop_observers_are_inert_on_every_transport() {
             let mut journals = Vec::new();
             for (observers, profiled) in arms(&ring, &monitor()) {
                 let journal = CrashPlan::none().journal(Vec::new());
-                let mut runtime = ChaosRuntime::new(n, config, ChaosConfig::heavy(seed)).unwrap();
-                runtime.set_collector(observers.round_collector(seed, 0));
-                let chaos = runtime
-                    .run_round(&mech, &specs, RoundId(0), &vec![true; n], Some(&journal))
-                    .map(|(report, _)| fingerprint(&report))
-                    .map_err(|e| e.to_string());
+                // One round: the session records it with
+                // `observers.round_collector(seed, 0)`.
+                let session = ChaosSessionConfig::new(1, ChaosConfig::heavy(seed));
+                let chaos = run_chaos_session(
+                    &mech,
+                    &config,
+                    &session,
+                    |_, _| specs.clone(),
+                    &observers,
+                    Some(&journal),
+                )
+                .map(|report| report.rounds[0].settled().map(fingerprint))
+                .map_err(|e| e.to_string());
 
                 let sharded_journal = Rc::new(RefCell::new(MemJournal::new()));
                 let mut root = Coordinator::try_new(&mech, n, rate, RoundId(0), config.simulation)

@@ -12,8 +12,8 @@ use lbmv::mechanism::{
 use lbmv::proto::audit::{audit_settlement, SettlementRecord};
 use lbmv::proto::faults::FaultPlan;
 use lbmv::proto::{
-    run_round, run_session, ChaosConfig, NodeSpec, ProtocolConfig, ProtocolOutcome, RoundSpec,
-    Transport,
+    run_chaos_session, run_round, ChaosConfig, ChaosSessionConfig, NodeSpec, Observers,
+    ProtocolConfig, ProtocolOutcome, RoundSpec, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
@@ -51,25 +51,33 @@ fn learners_converge_to_truth_through_the_real_protocol() {
     let mut cfg = config();
     cfg.total_rate = 10.0;
     cfg.simulation.horizon = 60.0;
-    let _report = run_session(&mechanism, &cfg, 1500, |_, prev| {
-        let mut learners = learners.borrow_mut();
-        let mut arms = arms.borrow_mut();
-        if let Some(outcome) = prev {
-            for (i, learner) in learners.iter_mut().enumerate() {
-                learner.observe(arms[i], outcome.utilities[i]);
+    let session = ChaosSessionConfig::new(1500, ChaosConfig::reliable(cfg.simulation.seed));
+    let _report = run_chaos_session(
+        &mechanism,
+        &cfg,
+        &session,
+        |_, prev| {
+            let mut learners = learners.borrow_mut();
+            let mut arms = arms.borrow_mut();
+            if let Some(outcome) = prev.map(|r| &r.outcome) {
+                for (i, learner) in learners.iter_mut().enumerate() {
+                    learner.observe(arms[i], outcome.utilities[i]);
+                }
             }
-        }
-        trues
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let arm = learners[i].choose();
-                arms[i] = arm;
-                let s = menu[arm];
-                NodeSpec::strategic(t, t * s.bid_factor, t * s.exec_factor.max(1.0))
-            })
-            .collect()
-    })
+            trues
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    let arm = learners[i].choose();
+                    arms[i] = arm;
+                    let s = menu[arm];
+                    NodeSpec::strategic(t, t * s.bid_factor, t * s.exec_factor.max(1.0))
+                })
+                .collect()
+        },
+        &Observers::default(),
+        None,
+    )
     .unwrap();
 
     for (i, learner) in learners.borrow().iter().enumerate() {

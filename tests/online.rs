@@ -11,8 +11,8 @@
 use lbmv::core::{inv_sum_dd, pr_allocate_with_sum, TwoF64};
 use lbmv::mechanism::{CompensationBonusMechanism, OnlinePool};
 use lbmv::proto::{
-    read_journal, run_online_session, run_round, split_rounds, Journal, MemJournal, NodeSpec,
-    OnlineApplied, OnlineEvent, OnlineSession, ProtocolConfig, RoundSpec,
+    read_journal, run_round, split_rounds, Journal, MemJournal, NodeSpec, OnlineApplied,
+    OnlineEvent, OnlineSession, ProtocolConfig, RoundSpec,
 };
 use lbmv::sim::churn::{ChurnConfig, ChurnEvent, ChurnGen};
 use lbmv::sim::driver::SimulationConfig;
@@ -212,8 +212,11 @@ fn journalled_churn_session_reports_consistent_totals() {
     let blocks = split_rounds(&replay.records).unwrap();
     assert_eq!(blocks.len() as u64, report.ticks_settled);
 
-    // And the convenience driver reproduces the same session end to end.
-    let again = run_online_session(&mech, &config, churn, seed).unwrap();
+    // And an unjournalled session reproduces the same session end to end.
+    let again = OnlineSession::new(&mech, config)
+        .unwrap()
+        .run(ChurnGen::new(churn, seed).map(OnlineEvent::from_churn))
+        .unwrap();
     assert_eq!(again.events, report.events);
     assert_eq!(again.ticks_settled, report.ticks_settled);
     assert_eq!(again.live, report.live);
