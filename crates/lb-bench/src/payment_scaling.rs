@@ -13,7 +13,7 @@
 
 use lb_core::allocation::optimal_latency_excluding_legacy;
 use lb_core::{pr_allocate, total_latency_linear, Allocation};
-use lb_mechanism::{CompensationBonusMechanism, PaymentBreakdown};
+use lb_mechanism::{CompensationBonusMechanism, PaymentBreakdown, VerifiedMechanism};
 use std::time::Instant;
 
 /// The `n` grid of the scaling study.
@@ -103,7 +103,7 @@ pub fn measure(ns: &[usize], samples: usize, legacy_cap: usize) -> Vec<ScalingRo
             let (values, alloc, r) = workload(n);
             let batch_ns = time_ns(
                 || {
-                    mech.payment_breakdown(&values, &alloc, &values, r)
+                    mech.payments(&values, &alloc, &values, r)
                         .expect("batch settle")
                         .len()
                 },

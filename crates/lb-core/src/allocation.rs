@@ -259,12 +259,13 @@ pub fn optimal_latency_linear(values: &[f64], r: f64) -> Result<f64, CoreError> 
 /// most one machine can dominate at a time, so the kernel stays O(n).
 const LOO_RESIDUAL_GUARD: f64 = 1e-18;
 
-/// `L_{-i} = r² / (S − 1/values[i])` at double-double precision: the one
-/// per-machine term of [`LeaveOneOut`], [`optimal_latency_excluding`] and
-/// the mechanism's payment loop. When machine `i` dominates `S` the residual
-/// is re-summed from the other reciprocals instead of subtracted. `values`
-/// must be validated and `s` must pass [`validate_inv_sum`]; the caller
-/// checks that the result is finite.
+/// `L_{-i} = r² / (S − 1/values[i])` at double-double precision for one
+/// machine: the reference that the blocked [`for_each_latency_excluding`]
+/// matches bit for bit, and its fallback for a machine that dominates `S`.
+/// Such a machine's residual is re-summed from the other reciprocals
+/// instead of subtracted. [`optimal_latency_excluding`] checks its result.
+/// `values` must be validated and `s` must pass [`validate_inv_sum`]; the
+/// caller checks that the result is finite.
 ///
 /// # Panics
 /// Panics if `i` is out of bounds.
@@ -284,6 +285,45 @@ pub fn latency_excluding_dd(values: &[f64], i: usize, r: f64, s: TwoF64) -> TwoF
     };
     // `(r/S₋ᵢ)·r` delays overflow like `r·(r/S)`.
     (TwoF64::from_f64(r) / s_minus).mul_f64(r)
+}
+
+/// Machines per block of [`for_each_latency_excluding`]: enough independent
+/// division chains to keep the floating-point units busy, few enough that
+/// the residuals stay in registers and L1.
+const LOO_BLOCK: usize = 16;
+
+/// Hands `f` every machine's `L_{-i}` in index order, each bit-identical to
+/// [`latency_excluding_dd`]`(values, i, r, s)`.
+///
+/// One machine's term is a chain of four dependent divisions; done one
+/// machine at a time the chains run back to back. This kernel takes
+/// 16 machines (`LOO_BLOCK`) at a time: first every residual `S − 1/t_i` of
+/// the block, then every quotient `(r / S₋ᵢ)·r`, so independent chains
+/// overlap. Each machine gets exactly the reference's operations; a
+/// machine whose residual trips the guard is handed to the reference
+/// itself, which re-sums it. `values` must be validated and `s`
+/// must pass [`validate_inv_sum`]; `f` checks that each result is finite.
+pub fn for_each_latency_excluding(
+    values: &[f64],
+    r: f64,
+    s: TwoF64,
+    mut f: impl FnMut(usize, TwoF64),
+) {
+    let mut residuals = [TwoF64::ZERO; LOO_BLOCK];
+    for (b, block) in values.chunks(LOO_BLOCK).enumerate() {
+        let residuals = &mut residuals[..block.len()];
+        for (diff, &t) in residuals.iter_mut().zip(block) {
+            *diff = s - TwoF64::recip(t);
+        }
+        for (i, &diff) in (b * LOO_BLOCK..).zip(residuals.iter()) {
+            let l_minus = if diff.hi > LOO_RESIDUAL_GUARD * s.hi {
+                (TwoF64::from_f64(r) / diff).mul_f64(r)
+            } else {
+                latency_excluding_dd(values, i, r, s)
+            };
+            f(i, l_minus);
+        }
+    }
 }
 
 /// All leave-one-out optima of Theorem 2.1 in **one O(n) pass**.
@@ -371,20 +411,21 @@ impl LeaveOneOut {
         }
         let mut excluding = Vec::with_capacity(values.len());
         let mut marginals = Vec::with_capacity(values.len());
-        for (i, &t) in values.iter().enumerate() {
-            let l_minus_dd = latency_excluding_dd(values, i, r, s);
+        let mut finite = true;
+        for_each_latency_excluding(values, r, s, |i, l_minus_dd| {
             let l_minus = l_minus_dd.value();
             // Cancellation-free closed form: share_i = (1/t_i)/S ∈ (0, 1],
             // then marginal = L_{-i} · share_i — no subtraction of
             // near-equal O(R²/S) quantities anywhere.
-            let marginal = (TwoF64::recip(t) / s * l_minus_dd).value();
-            if !l_minus.is_finite() || !marginal.is_finite() {
-                return Err(CoreError::NumericalOverflow {
-                    what: "leave-one-out latency r²/(S − 1/t_i)",
-                });
-            }
+            let marginal = (TwoF64::recip(values[i]) / s * l_minus_dd).value();
+            finite &= l_minus.is_finite() & marginal.is_finite();
             excluding.push(l_minus);
             marginals.push(marginal);
+        });
+        if !finite {
+            return Err(CoreError::NumericalOverflow {
+                what: "leave-one-out latency r²/(S − 1/t_i)",
+            });
         }
         Ok(Self {
             optimal,
@@ -670,6 +711,59 @@ mod tests {
         assert!(loo.marginal(0) > 0.0);
         for i in 1..values.len() {
             assert!(loo.marginal(i) > 0.0, "marginal {i} not positive");
+        }
+    }
+
+    /// The blocked kernel hands every machine the per-machine reference's
+    /// bits: at block edges (n = 15, 16, 17, 33), with values across the
+    /// whole validated domain, and with a dominant machine on the re-sum
+    /// fallback at the first, block-edge and last indices.
+    #[test]
+    fn blocked_kernel_is_bit_identical_to_the_per_machine_reference() {
+        use crate::machine::{MAX_LATENCY_PARAM, MIN_LATENCY_PARAM};
+        use lb_stats::{Rng, Xoshiro256StarStar};
+        let bits = |x: TwoF64| (x.hi.to_bits(), x.lo.to_bits());
+        let check = |values: &[f64], r: f64| {
+            validate_values("latency coefficient", values).unwrap();
+            let s = inv_sum_dd(values);
+            let mut next = 0;
+            for_each_latency_excluding(values, r, s, |i, got| {
+                assert_eq!(i, next, "machines must come in index order");
+                let want = latency_excluding_dd(values, i, r, s);
+                assert_eq!(bits(got), bits(want), "n = {}, machine {i}", values.len());
+                next += 1;
+            });
+            assert_eq!(next, values.len());
+            let loo = LeaveOneOut::compute(values, r).unwrap();
+            for i in 0..values.len() {
+                let want = latency_excluding_dd(values, i, r, s).value();
+                assert_eq!(loo.excluding(i).to_bits(), want.to_bits(), "machine {i}");
+            }
+        };
+        let mut rng = Xoshiro256StarStar::seed_from_u64(29);
+        let mut draw = |lo: f64, n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    10f64
+                        .powf(rng.next_range(lo, 300.0))
+                        .clamp(MIN_LATENCY_PARAM, MAX_LATENCY_PARAM)
+                })
+                .collect()
+        };
+        // R ≤ 1e3 keeps every L_{-i} ≤ R²·max t finite over the domain.
+        let rates = [1e-3, 1.0, 1e3];
+        for (k, n) in [2usize, 15, 16, 17, 33, 1000].into_iter().enumerate() {
+            let r = rates[k % rates.len()];
+            check(&draw(-300.0, n), r);
+            for dominant in [0, 15, 16, n - 1].into_iter().filter(|&d| d < n) {
+                // The rest of S stays below 1e-18 of the dominant 1/t.
+                let mut values = draw(-270.0, n);
+                values[dominant] = MIN_LATENCY_PARAM;
+                let s = inv_sum_dd(&values);
+                let residual = s - TwoF64::recip(values[dominant]);
+                assert!(residual.hi <= LOO_RESIDUAL_GUARD * s.hi, "no fallback");
+                check(&values, r);
+            }
         }
     }
 

@@ -104,6 +104,7 @@ pub struct TwoF64 {
 }
 
 /// Exact sum of two `f64`s: returns `(fl(a+b), err)` with `a+b = fl(a+b)+err`.
+#[inline]
 fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let bb = s - a;
@@ -112,6 +113,7 @@ fn two_sum(a: f64, b: f64) -> (f64, f64) {
 }
 
 /// Like [`two_sum`] but requires `|a| ≥ |b|` (one branch cheaper).
+#[inline]
 fn quick_two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let err = b - (s - a);
@@ -119,6 +121,7 @@ fn quick_two_sum(a: f64, b: f64) -> (f64, f64) {
 }
 
 /// Exact product of two `f64`s via fused multiply-add.
+#[inline]
 fn two_prod(a: f64, b: f64) -> (f64, f64) {
     let p = a * b;
     let err = a.mul_add(b, -p);
@@ -131,18 +134,21 @@ impl TwoF64 {
 
     /// Lifts an `f64` exactly.
     #[must_use]
+    #[inline]
     pub fn from_f64(x: f64) -> Self {
         Self { hi: x, lo: 0.0 }
     }
 
     /// Rounds back to the nearest `f64`.
     #[must_use]
+    #[inline]
     pub fn value(self) -> f64 {
         self.hi + self.lo
     }
 
     /// Double-double + `f64`.
     #[must_use]
+    #[inline]
     pub fn add_f64(self, b: f64) -> Self {
         let (s, e) = two_sum(self.hi, b);
         let (hi, lo) = quick_two_sum(s, e + self.lo);
@@ -151,6 +157,7 @@ impl TwoF64 {
 
     /// Double-double × `f64`.
     #[must_use]
+    #[inline]
     pub fn mul_f64(self, b: f64) -> Self {
         let (p, e) = two_prod(self.hi, b);
         let (hi, lo) = quick_two_sum(p, e + self.lo * b);
@@ -158,12 +165,14 @@ impl TwoF64 {
     }
 
     /// Double-double ÷ `f64`.
+    #[inline]
     fn div_f64(self, b: f64) -> Self {
         self / Self::from_f64(b)
     }
 
     /// The reciprocal `1/b` at double-double precision.
     #[must_use]
+    #[inline]
     pub fn recip(b: f64) -> Self {
         Self::from_f64(1.0).div_f64(b)
     }
@@ -173,6 +182,7 @@ impl std::ops::Neg for TwoF64 {
     type Output = Self;
 
     /// Negation (exact).
+    #[inline]
     fn neg(self) -> Self {
         Self {
             hi: -self.hi,
@@ -185,6 +195,7 @@ impl std::ops::Add for TwoF64 {
     type Output = Self;
 
     /// Double-double + double-double.
+    #[inline]
     fn add(self, other: Self) -> Self {
         let (s, e) = two_sum(self.hi, other.hi);
         let (hi, lo) = quick_two_sum(s, e + self.lo + other.lo);
@@ -196,6 +207,7 @@ impl std::ops::Sub for TwoF64 {
     type Output = Self;
 
     /// Double-double − double-double.
+    #[inline]
     fn sub(self, other: Self) -> Self {
         self + -other
     }
@@ -205,6 +217,7 @@ impl std::ops::Mul for TwoF64 {
     type Output = Self;
 
     /// Double-double × double-double.
+    #[inline]
     fn mul(self, other: Self) -> Self {
         let (p, e) = two_prod(self.hi, other.hi);
         let (hi, lo) = quick_two_sum(p, e + self.hi * other.lo + self.lo * other.hi);
@@ -217,6 +230,7 @@ impl std::ops::Div for TwoF64 {
 
     /// Double-double ÷ double-double (one Newton correction step — accurate
     /// to the full double-double precision for the kernels' purposes).
+    #[inline]
     fn div(self, other: Self) -> Self {
         let q0 = self.hi / other.hi;
         let r = self - other.mul_f64(q0);

@@ -22,19 +22,27 @@
 //! `payments_with_sum` against the merged sums of 1–4 random cut points,
 //! `run_mechanism(..).payments` and `payment_breakdown(..).total()`, and
 //! each batch `L_{-i}` with the single-index `optimal_latency_excluding`.
+//!
+//! A second profile of 2–64 machines, mostly not a multiple of the
+//! leave-one-out kernel's 16-machine block and half the time with a
+//! dominant machine on the re-sum fallback, checks `payments_with_sum` and
+//! `LeaveOneOut::compute` bit for bit against the per-machine
+//! `latency_excluding_dd` reference.
 
 use crate::extended::{
     marginal_contribution_dd, optimal_latency_excluding_dd, total_latency_dd, TwoF64,
 };
 use crate::generate::{arrival_rate, latency_values, rng_for, spread_half_width};
 use crate::oracles::REL_TOL;
-use lb_core::allocation::{optimal_latency_excluding, optimal_latency_excluding_legacy};
-use lb_core::{inv_sum_dd, merge_inv_sums, LeaveOneOut};
+use lb_core::allocation::{
+    latency_excluding_dd, optimal_latency_excluding, optimal_latency_excluding_legacy,
+};
+use lb_core::{inv_sum_dd, merge_inv_sums, total_latency_linear, LeaveOneOut};
 use lb_mechanism::traits::ValuationModel;
 use lb_mechanism::{
     run_mechanism, CompensationBonusMechanism, PaymentBreakdown, Profile, VerifiedMechanism,
 };
-use lb_stats::Rng;
+use lb_stats::{Rng, Xoshiro256StarStar};
 
 /// Runs one payment-oracle iteration.
 ///
@@ -177,6 +185,57 @@ pub fn check(seed: u64) -> Result<(), String> {
             return Err(format!(
                 "marginal[{i}] closed form {:e} vs dd reference {marginal_dd:e} (r = {r:e})",
                 loo.marginal(i)
+            ));
+        }
+    }
+    check_blocked(&mut rng)
+}
+
+/// The blocked settle across block edges: `payments_with_sum` and
+/// `LeaveOneOut::compute` against the per-machine reference, bit for bit.
+fn check_blocked(rng: &mut Xoshiro256StarStar) -> Result<(), String> {
+    #[allow(clippy::cast_possible_truncation)]
+    let n = 2 + rng.next_below(63) as usize;
+    let half_width = spread_half_width(rng);
+    let mut bids = latency_values(rng, n, half_width);
+    if rng.next_bool(0.5) {
+        // 1e20 times the fastest rate: the rest of S is below 1e-18 of it.
+        #[allow(clippy::cast_possible_truncation)]
+        let dominant = rng.next_below(n as u64) as usize;
+        bids[dominant] = bids.iter().copied().fold(f64::INFINITY, f64::min) * 1e-20;
+    }
+    let exec_values: Vec<f64> = bids.iter().map(|&b| b * rng.next_range(1.0, 3.0)).collect();
+    let r = arrival_rate(rng);
+    let mech = if rng.next_bool(0.5) {
+        CompensationBonusMechanism::paper()
+    } else {
+        CompensationBonusMechanism::contributed()
+    };
+    let s = inv_sum_dd(&bids);
+    let alloc = mech
+        .allocate_with_sum(&bids, r, s)
+        .map_err(|e| format!("blocked: allocate failed on valid profile: {e}"))?;
+    let latency = total_latency_linear(&alloc, &exec_values)
+        .map_err(|e| format!("blocked: realised latency failed: {e}"))?;
+    let paid = mech
+        .payments_with_sum(&bids, &alloc, &exec_values, r, s)
+        .map_err(|e| format!("blocked: payments_with_sum failed on valid profile: {e}"))?;
+    let loo = LeaveOneOut::compute(&bids, r)
+        .map_err(|e| format!("blocked: LeaveOneOut failed on valid profile: {e}"))?;
+    for i in 0..n {
+        let excluding = latency_excluding_dd(&bids, i, r, s).value();
+        let compensation = mech.valuation.compensation(alloc.rate(i), exec_values[i]);
+        let want = compensation + (excluding - latency);
+        if paid[i].to_bits() != want.to_bits() {
+            return Err(format!(
+                "blocked P[{i}] = {:e} vs per-machine reference {want:e} (n = {n})",
+                paid[i]
+            ));
+        }
+        if loo.excluding(i).to_bits() != excluding.to_bits() {
+            return Err(format!(
+                "blocked L_-[{i}] = {:e} vs per-machine reference {excluding:e} (n = {n})",
+                loo.excluding(i)
             ));
         }
     }

@@ -26,7 +26,9 @@
 
 use crate::error::{check_arity, finite, MechanismError};
 use crate::traits::{ValuationModel, VerifiedMechanism};
-use lb_core::allocation::{latency_excluding_dd, validate_inv_sum, validate_rate};
+use lb_core::allocation::{
+    for_each_latency_excluding, latency_excluding_dd, validate_inv_sum, validate_rate,
+};
 use lb_core::machine::validate_values;
 use lb_core::{inv_sum_dd, pr_allocate_with_sum, total_latency_linear, Allocation, TwoF64};
 
@@ -93,9 +95,10 @@ impl CompensationBonusMechanism {
     }
 
     /// [`CompensationBonusMechanism::payment_breakdown`] against a
-    /// pre-aggregated double-double harmonic sum `s = Σ 1/b_j`. It shares
-    /// the per-machine term of [`VerifiedMechanism::payments_with_sum`], so
-    /// the components add up to the payment bit for bit.
+    /// pre-aggregated double-double harmonic sum `s = Σ 1/b_j`. Its
+    /// per-machine term does the arithmetic of
+    /// [`VerifiedMechanism::payments_with_sum`], so the components add up to
+    /// the payment bit for bit.
     ///
     /// # Errors
     /// Same contract as [`CompensationBonusMechanism::payment_breakdown`].
@@ -111,6 +114,27 @@ impl CompensationBonusMechanism {
         (0..bids.len()).map(term).collect()
     }
 
+    /// Validates one settle's inputs, each column once, and returns the
+    /// realised latency `L`.
+    fn settle_inputs(
+        bids: &[f64],
+        allocation: &Allocation,
+        exec_values: &[f64],
+        total_rate: f64,
+        s: TwoF64,
+    ) -> Result<f64, MechanismError> {
+        if bids.len() < 2 {
+            return Err(MechanismError::NeedTwoAgents);
+        }
+        validate_values("bid", bids)?;
+        validate_values("execution value", exec_values)?;
+        validate_rate(total_rate)?;
+        check_arity(bids.len(), allocation.len(), exec_values.len())?;
+        let actual_latency = total_latency_linear(allocation, exec_values)?;
+        validate_inv_sum(s)?;
+        Ok(actual_latency)
+    }
+
     /// Validates one settle's inputs and computes the realised latency `L`
     /// once; returns machine `i`'s compensation and bonus `L_{-i} − L` as a
     /// function of `i`, with no per-machine vector.
@@ -123,15 +147,7 @@ impl CompensationBonusMechanism {
         s: TwoF64,
     ) -> Result<impl Fn(usize) -> Result<PaymentBreakdown, MechanismError> + 'a, MechanismError>
     {
-        if bids.len() < 2 {
-            return Err(MechanismError::NeedTwoAgents);
-        }
-        validate_values("bid", bids)?;
-        validate_values("execution value", exec_values)?;
-        validate_rate(total_rate)?;
-        check_arity(bids.len(), allocation.len(), exec_values.len())?;
-        let actual_latency = total_latency_linear(allocation, exec_values)?;
-        validate_inv_sum(s)?;
+        let actual_latency = Self::settle_inputs(bids, allocation, exec_values, total_rate, s)?;
         let valuation = self.valuation;
         Ok(move |i| {
             let excluding = finite(
@@ -191,13 +207,44 @@ impl VerifiedMechanism for CompensationBonusMechanism {
         total_rate: f64,
         s: TwoF64,
     ) -> Result<Vec<f64>, MechanismError> {
-        let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
-        // Sized up front: collecting the `Result`s would grow it by doubling.
+        self.settle_with_sum(bids, allocation, exec_values, total_rate, s)
+            .map(|(payments, _)| payments)
+    }
+
+    /// The blocked leave-one-out kernel writes the `L_{-i}` column straight
+    /// into the payment vector, and one pass turns it into
+    /// `C_i + (L_{-i} − L)` in place, against one `L`. The terms are checked
+    /// with one finiteness flag; only when it trips is the settle re-walked
+    /// machine by machine, so the error is the one
+    /// [`CompensationBonusMechanism::payment_breakdown`] reports at the
+    /// lowest failing index.
+    fn settle_with_sum(
+        &self,
+        bids: &[f64],
+        allocation: &Allocation,
+        exec_values: &[f64],
+        total_rate: f64,
+        s: TwoF64,
+    ) -> Result<(Vec<f64>, f64), MechanismError> {
+        let latency = Self::settle_inputs(bids, allocation, exec_values, total_rate, s)?;
+        let (rates, valuation) = (allocation.rates(), self.valuation);
         let mut payments = Vec::with_capacity(bids.len());
-        for i in 0..bids.len() {
-            payments.push(term(i)?.total());
+        for_each_latency_excluding(bids, total_rate, s, |_, l_minus| {
+            payments.push(l_minus.value());
+        });
+        let mut all_finite = true;
+        for ((p, &x), &e) in payments.iter_mut().zip(rates).zip(exec_values) {
+            let compensation = valuation.compensation(x, e);
+            all_finite &= p.is_finite() & compensation.is_finite();
+            *p = compensation + (*p - latency);
         }
-        Ok(payments)
+        if !all_finite {
+            let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
+            if let Some(err) = (0..bids.len()).find_map(|i| term(i).err()) {
+                return Err(err);
+            }
+        }
+        Ok((payments, latency))
     }
 }
 
@@ -368,6 +415,72 @@ mod tests {
         let p_sum = m.payments_with_sum(&bids, &plain, &exec, r, s).unwrap();
         for i in 0..bids.len() {
             assert_eq!(p_plain[i].to_bits(), p_sum[i].to_bits());
+        }
+    }
+
+    /// When a leave-one-out latency overflows, the one-flag settle returns
+    /// exactly the error of the per-machine walk: with one overflowing
+    /// machine at the last index, and with two.
+    #[test]
+    fn overflowing_settle_returns_the_per_machine_error() {
+        let overflow = Err(MechanismError::Core(
+            lb_core::CoreError::NumericalOverflow {
+                what: "leave-one-out latency r²/(S − 1/t_i)",
+            },
+        ));
+        // One: without the dominant last machine S₋ᵢ = 3, so L₋ᵢ = R²/3
+        // overflows while every other L₋ⱼ ≈ R²/1e300 and L ≈ 1e20 stay finite.
+        let one = (vec![1.0, 1.0, 1.0, 1e-300], 1e160);
+        // Two: each twin leaves the other's 1e300, so L₋ᵢ = R²/1e300 = 2.25e308
+        // overflows while L = R²/2e300 stays finite.
+        let two = (vec![1.0, 1.0, 1e-300, 1e-300], 1.5e304);
+        for m in [mech(), CompensationBonusMechanism::contributed()] {
+            for (bids, r) in [&one, &two] {
+                let (bids, r) = (bids.as_slice(), *r);
+                let s = inv_sum_dd(bids);
+                let alloc = m.allocate_with_sum(bids, r, s).unwrap();
+                assert!(total_latency_linear(&alloc, bids).unwrap().is_finite());
+                let walk = m.payment_breakdown_with_sum(bids, &alloc, bids, r, s);
+                assert_eq!(walk.map(drop), overflow);
+                let settle = m.settle_with_sum(bids, &alloc, bids, r, s);
+                assert_eq!(settle.map(drop), overflow);
+                let paid = m.payments_with_sum(bids, &alloc, bids, r, s);
+                assert_eq!(paid.map(drop), overflow);
+                let profile = Profile::new(bids.to_vec(), bids.to_vec(), bids.to_vec(), r);
+                assert_eq!(run_mechanism(&m, &profile.unwrap()).map(drop), overflow);
+            }
+        }
+    }
+
+    /// The blocked settle at 2^20 machines against the per-machine
+    /// reference `C_i + (latency_excluding_dd(..) − L)`, bit for bit. Run in
+    /// release: `cargo test --release -p lb-mechanism -- --ignored
+    /// settle_at_scale`.
+    #[test]
+    #[ignore = "2^20 machines; run in release"]
+    fn settle_at_scale_matches_the_per_machine_reference() {
+        use lb_core::allocation::latency_excluding_dd;
+        use lb_stats::{Rng, Xoshiro256StarStar};
+        let n = 1 << 20;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(20);
+        let bids: Vec<f64> = (0..n)
+            .map(|_| 10f64.powf(rng.next_range(-3.0, 3.0)))
+            .collect();
+        let exec: Vec<f64> = bids.iter().map(|&b| b * rng.next_range(1.0, 3.0)).collect();
+        #[allow(clippy::cast_precision_loss)]
+        let r = n as f64;
+        for m in [mech(), CompensationBonusMechanism::contributed()] {
+            let s = inv_sum_dd(&bids);
+            let alloc = m.allocate_with_sum(&bids, r, s).unwrap();
+            let (payments, latency) = m.settle_with_sum(&bids, &alloc, &exec, r, s).unwrap();
+            let want_latency = total_latency_linear(&alloc, &exec).unwrap();
+            assert_eq!(latency.to_bits(), want_latency.to_bits());
+            for (i, p) in payments.iter().enumerate() {
+                let excluding = latency_excluding_dd(&bids, i, r, s).value();
+                let compensation = m.valuation.compensation(alloc.rate(i), exec[i]);
+                let want = compensation + (excluding - latency);
+                assert_eq!(p.to_bits(), want.to_bits(), "machine {i}");
+            }
         }
     }
 

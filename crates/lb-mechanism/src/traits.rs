@@ -151,6 +151,30 @@ pub trait VerifiedMechanism {
         let _ = s;
         self.payments(bids, allocation, exec_values, total_rate)
     }
+
+    /// One settle: the payments of [`VerifiedMechanism::payments_with_sum`]
+    /// and the [`VerifiedMechanism::realised_latency`] of the `observed`
+    /// execution values, in that order. [`run_verified`] settles through it.
+    ///
+    /// The default makes those two calls. A mechanism whose payments already
+    /// compute the realised latency
+    /// ([`crate::cb::CompensationBonusMechanism`]) returns that one value
+    /// instead of summing it again; both parts stay bit-identical to the two
+    /// calls.
+    ///
+    /// # Errors
+    /// The first error of the two calls.
+    fn settle_with_sum(
+        &self,
+        bids: &[f64],
+        allocation: &Allocation,
+        observed: &[f64],
+        total_rate: f64,
+        s: TwoF64,
+    ) -> Result<(Vec<f64>, f64), MechanismError> {
+        let payments = self.payments_with_sum(bids, allocation, observed, total_rate, s)?;
+        Ok((payments, self.realised_latency(allocation, observed)?))
+    }
 }
 
 /// Complete accounting of one mechanism round.
@@ -218,19 +242,19 @@ pub fn run_verified<M: VerifiedMechanism + ?Sized>(
     let (bids, r) = (profile.bids(), profile.total_rate());
     let s = inv_sum_dd(bids);
     let allocation = mechanism.allocate_with_sum(bids, r, s)?;
-    let payments = mechanism.payments_with_sum(bids, &allocation, observed, r, s)?;
-    let valuations: Vec<f64> = allocation
+    let (payments, total_latency) = mechanism.settle_with_sum(bids, &allocation, observed, r, s)?;
+    let n = payments.len();
+    let (mut valuations, mut utilities) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for ((&x, &e), &p) in allocation
         .rates()
         .iter()
         .zip(profile.exec_values())
-        .map(|(&x, &e)| mechanism.valuation(x, e))
-        .collect();
-    let utilities: Vec<f64> = payments
-        .iter()
-        .zip(&valuations)
-        .map(|(p, v)| p + v)
-        .collect();
-    let total_latency = mechanism.realised_latency(&allocation, observed)?;
+        .zip(&payments)
+    {
+        let v = mechanism.valuation(x, e);
+        valuations.push(v);
+        utilities.push(p + v);
+    }
     Ok(MechanismOutcome {
         allocation,
         payments,
@@ -287,6 +311,68 @@ mod tests {
         for (x, y) in a.utilities.iter().zip(&b.utilities) {
             assert!((x - y).abs() < 1e-9);
         }
+    }
+
+    /// `run_verified` equals the composed calls bit for bit: allocate and
+    /// settle against one `S`, the realised latency of the observed values,
+    /// valuations at the actual ones. CB overrides `settle_with_sum`;
+    /// `FeeAdjusted` and the unverified mechanism take the default.
+    #[test]
+    fn prop_run_verified_equals_the_composed_calls() {
+        use crate::fee::FeeAdjusted;
+        use crate::unverified::UnverifiedCompensationBonus;
+        use lb_stats::{prop, prop_assert_eq};
+        let fee = FeeAdjusted::new(CompensationBonusMechanism::paper(), 0.1);
+        let mechanisms: [&dyn VerifiedMechanism; 4] = [
+            &CompensationBonusMechanism::paper(),
+            &CompensationBonusMechanism::contributed(),
+            &fee,
+            &UnverifiedCompensationBonus::default(),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop::check(
+            "prop_run_verified_equals_the_composed_calls",
+            64,
+            (
+                prop::vec(-3.0f64..3.0, 2..40),
+                prop::vec(1.0f64..3.0, 40..41),
+                prop::vec(0.5f64..2.0, 40..41),
+                0.5f64..50.0,
+            ),
+            |(exponents, slowdowns, noise, r)| {
+                let trues: Vec<f64> = exponents.iter().map(|&e| 10f64.powf(e)).collect();
+                let exec: Vec<f64> = trues.iter().zip(&slowdowns).map(|(t, k)| t * k).collect();
+                let observed: Vec<f64> = exec.iter().zip(&noise).map(|(e, k)| e * k).collect();
+                let profile = Profile::new(trues.clone(), trues, exec, r).unwrap();
+                let (bids, actual) = (profile.bids(), profile.exec_values());
+                for m in mechanisms {
+                    let out = run_verified(m, &profile, &observed).unwrap();
+                    let s = inv_sum_dd(bids);
+                    let allocation = m.allocate_with_sum(bids, r, s).unwrap();
+                    let payments = m
+                        .payments_with_sum(bids, &allocation, &observed, r, s)
+                        .unwrap();
+                    let latency = m.realised_latency(&allocation, &observed).unwrap();
+                    let valuations: Vec<f64> = allocation
+                        .rates()
+                        .iter()
+                        .zip(actual)
+                        .map(|(&x, &e)| m.valuation(x, e))
+                        .collect();
+                    let utilities: Vec<f64> = payments
+                        .iter()
+                        .zip(&valuations)
+                        .map(|(p, v)| p + v)
+                        .collect();
+                    prop_assert_eq!(bits(out.allocation.rates()), bits(allocation.rates()));
+                    prop_assert_eq!(bits(&out.payments), bits(&payments));
+                    prop_assert_eq!(bits(&out.valuations), bits(&valuations));
+                    prop_assert_eq!(bits(&out.utilities), bits(&utilities));
+                    prop_assert_eq!(out.total_latency.to_bits(), latency.to_bits());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -84,9 +84,10 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// A fault-free configuration: all probabilities zero, retries armed.
-    /// With this configuration a chaos round reproduces the reliable
-    /// transport bit for bit.
+    /// A fault-free configuration: all probabilities zero, retry policy
+    /// set but never armed, since a runtime built from a configuration
+    /// that injects no fault is lossless. With this configuration a chaos
+    /// round reproduces the reliable transport bit for bit.
     #[must_use]
     pub fn reliable(seed: u64) -> Self {
         Self {
@@ -114,6 +115,16 @@ impl ChaosConfig {
             jitter: 0.005,
             ..Self::reliable(seed)
         }
+    }
+
+    /// Whether a frame can meet any fault: a nonzero probability, nonzero
+    /// jitter or a non-empty plan. Without one the link is lossless.
+    fn injects_faults(&self) -> bool {
+        self.drop_prob > 0.0
+            || self.duplicate_prob > 0.0
+            || self.corrupt_prob > 0.0
+            || self.jitter > 0.0
+            || !self.plan.is_empty()
     }
 
     /// Checks every field is in range.
@@ -639,7 +650,8 @@ impl std::fmt::Debug for ChaosRuntime {
 }
 
 impl ChaosRuntime {
-    /// Creates a chaos runtime for `n` machines.
+    /// Creates a chaos runtime for `n` machines. A configuration that
+    /// injects no fault builds a lossless runtime: no injector, no timers.
     ///
     /// # Errors
     /// Returns [`ProtocolError::MissingState`] for `n == 0`,
@@ -660,7 +672,10 @@ impl ChaosRuntime {
                 what: "retry_timeout and exec_timeout must exceed 2 * link_latency",
             });
         }
-        Self::build(n, protocol, chaos, true)
+        // Every node answers every request, so a link that cannot lose,
+        // delay or duplicate a frame needs neither the injector nor timers.
+        let lossy = chaos.injects_faults();
+        Self::build(n, protocol, chaos, lossy)
     }
 
     /// A runtime over the reliable network: no injector, no retry timers,
@@ -946,6 +961,32 @@ mod tests {
             result,
             Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
         )
+    }
+
+    #[test]
+    fn only_a_configuration_that_injects_faults_builds_a_lossy_runtime() {
+        let lossy = |chaos| ChaosRuntime::new(2, config(), chaos).unwrap().lossy;
+        assert!(!lossy(ChaosConfig::reliable(3)));
+        assert!(lossy(ChaosConfig::heavy(3)));
+        for faulty in [
+            ChaosConfig {
+                duplicate_prob: 0.1,
+                ..ChaosConfig::reliable(3)
+            },
+            ChaosConfig {
+                jitter: 0.001,
+                ..ChaosConfig::reliable(3)
+            },
+            ChaosConfig {
+                plan: FaultPlan {
+                    lose_acks_from: vec![1],
+                    ..FaultPlan::none()
+                },
+                ..ChaosConfig::reliable(3)
+            },
+        ] {
+            assert!(lossy(faulty));
+        }
     }
 
     #[test]

@@ -42,6 +42,14 @@ impl FaultPlan {
         Self::default()
     }
 
+    /// Whether the plan names no fault at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lose_bids_from.is_empty()
+            && self.lose_acks_from.is_empty()
+            && self.partitioned.is_empty()
+            && self.lose_bid_attempts.is_empty()
+    }
+
     fn drops(&self, from: Endpoint, to: Endpoint, message: &Message) -> bool {
         match (from, to, message) {
             (Endpoint::Node(i), _, Message::Bid { .. }) if self.lose_bids_from.contains(&i) => true,
