@@ -9,6 +9,8 @@
 //!   binary.
 //! * [`bench_log`] — the append-only schema for the checked-in
 //!   `BENCH_*.json` artifacts.
+//! * [`overhead`] — the paired off/on estimator, row type and renderers
+//!   every overhead study shares.
 //! * [`audit_overhead`] — cost of the streaming invariant monitor
 //!   (off / full / sampled) on the settle phase.
 //! * [`round_scaling`] — full sharded rounds at 10⁴–10⁶ machines:
@@ -32,6 +34,7 @@ pub mod bench_log;
 pub mod chart;
 pub mod figures;
 pub mod online_scaling;
+pub mod overhead;
 pub mod paper;
 pub mod payment_scaling;
 pub mod profile_overhead;

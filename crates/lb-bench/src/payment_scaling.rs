@@ -14,6 +14,7 @@
 use lb_core::allocation::optimal_latency_excluding_legacy;
 use lb_core::{pr_allocate, total_latency_linear, Allocation};
 use lb_mechanism::{CompensationBonusMechanism, PaymentBreakdown, VerifiedMechanism};
+use lb_telemetry::Json;
 use std::time::Instant;
 
 /// The `n` grid of the scaling study.
@@ -75,11 +76,6 @@ pub fn legacy_payment_breakdown(
         .collect()
 }
 
-fn median_ns(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn time_ns<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -90,7 +86,7 @@ fn time_ns<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         times.push(elapsed as f64);
     }
-    median_ns(times)
+    crate::overhead::median(&times)
 }
 
 /// Measures the grid. `samples` is the per-point repetition count (median
@@ -125,38 +121,10 @@ pub fn measure(ns: &[usize], samples: usize, legacy_cap: usize) -> Vec<ScalingRo
         .collect()
 }
 
-/// Renders the JSON artifact (`BENCH_payment.json`).
-#[must_use]
-pub fn to_json(rows: &[ScalingRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"payment_scaling\",\n  \"unit\": \"ns/settle-phase\",\n  \"rows\": [\n",
-    );
-    for (k, row) in rows.iter().enumerate() {
-        let legacy = row
-            .legacy_ns
-            .map_or_else(|| "null".to_string(), |v| format!("{v:.0}"));
-        let speedup = row
-            .speedup
-            .map_or_else(|| "null".to_string(), |v| format!("{v:.1}"));
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"batch_ns\": {:.0}, \"legacy_ns\": {}, \"speedup\": {}}}{}\n",
-            row.n,
-            row.batch_ns,
-            legacy,
-            speedup,
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The rows as JSON objects for the [`crate::bench_log`] artifact (the
-/// append-aware successor of [`to_json`]'s whole-file form).
+/// The rows as JSON objects for the [`crate::bench_log`] artifact.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
-pub fn rows_json(rows: &[ScalingRow]) -> Vec<lb_telemetry::Json> {
-    use lb_telemetry::Json;
+pub fn rows_json(rows: &[ScalingRow]) -> Vec<Json> {
     rows.iter()
         .map(|row| {
             Json::obj([
@@ -203,6 +171,7 @@ pub fn render_table(rows: &[ScalingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_log::BenchLog;
 
     #[test]
     fn batch_and_legacy_breakdowns_agree_on_the_bench_workload() {
@@ -238,14 +207,18 @@ mod tests {
                 speedup: None,
             },
         ];
-        let json = to_json(&rows);
-        assert!(json.contains("\"payment_scaling\""));
-        assert!(json.contains("\"n\": 64"));
-        assert!(json.contains("\"legacy_ns\": null"));
-        assert!(json.ends_with("}\n"));
-        // Balanced braces/brackets (cheap structural sanity).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let mut log = BenchLog::new("payment_scaling", "ns/settle-phase");
+        log.append("test", rows_json(&rows)).unwrap();
+        let reparsed = BenchLog::parse(&log.render()).unwrap();
+        assert_eq!(reparsed, log);
+        let parsed = &reparsed.entries[0].rows;
+        assert_eq!(parsed[0].get("n").and_then(Json::as_u64), Some(64));
+        assert_eq!(
+            parsed[0].get("legacy_ns").and_then(Json::as_f64),
+            Some(50_000.0)
+        );
+        assert_eq!(parsed[1].get("legacy_ns"), Some(&Json::Null));
+        assert_eq!(parsed[1].get("speedup"), Some(&Json::Null));
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   period, the recommended always-on posture: unsampled rounds take the
 //!   detached fast path.
 //!
-//! The reported number is minimum ns **per settled round**, so
-//! `overhead = arm/off − 1` is the fraction of round wall-time the rollup
-//! actually costs. The round *outcome* is bit-identical across all three
-//! arms (the inertness differentials in `tests/prof.rs` enforce that);
-//! this study prices the telemetry, it does not re-check inertness.
+//! Each arm is one [`batch`] of rounds, timed in ns **per settled round**,
+//! and the paired estimator in [`crate::overhead`] reports `on/off − 1`,
+//! the fraction of round wall-time the rollup actually costs. The round
+//! *outcome* is bit-identical across all three arms (the inertness
+//! differentials in `tests/prof.rs` enforce that); this study prices the
+//! telemetry, it does not re-check inertness.
 //!
 //! ```text
 //! cargo run -p lb-bench --release --bin experiments -- profile-overhead
@@ -28,9 +29,8 @@
 use lb_mechanism::CompensationBonusMechanism;
 use lb_prof::RoundProfiler;
 use lb_proto::{drive_sharded_round, Coordinator, FaultPlan, RoundId};
-use lb_telemetry::Json;
-use std::time::Instant;
 
+use crate::overhead::{self, OverheadRow};
 use crate::round_scaling::{config, specs};
 
 /// The `n` grid of the overhead study.
@@ -46,166 +46,56 @@ pub const SAMPLE_PERIOD: u64 = 8;
 /// sampled arm amortises to its steady state.
 pub const ROUNDS_PER_SAMPLE: u64 = 2 * SAMPLE_PERIOD;
 
-/// One measured grid point (all times minimum ns per settled round).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileOverheadRow {
-    /// Number of machines.
-    pub n: usize,
-    /// Shard coordinators under the root.
-    pub shards: usize,
-    /// Baseline: the round with no profiler.
-    pub off_ns: f64,
-    /// Profiler attached, every round profiled.
-    pub attached_ns: f64,
-    /// Profiler attached, one round in [`SAMPLE_PERIOD`] profiled.
-    pub sampled_ns: f64,
-}
-
-impl ProfileOverheadRow {
-    /// Fractional overhead of the always-profiling arm over the baseline.
-    #[must_use]
-    pub fn attached_overhead(&self) -> f64 {
-        self.attached_ns / self.off_ns - 1.0
-    }
-
-    /// Fractional overhead of the sampled arm over the baseline.
-    #[must_use]
-    pub fn sampled_overhead(&self) -> f64 {
-        self.sampled_ns / self.off_ns - 1.0
-    }
-}
-
-/// Drives `rounds` sharded rounds (round ids `0..rounds`, so the sampled
-/// arm actually skips) and returns ns per round. `every == 0` means no
-/// profiler at all; the profiler is fresh per batch so rollup growth
-/// cannot leak between samples.
-fn time_batch(
-    mech: &CompensationBonusMechanism,
-    specs: &[lb_proto::NodeSpec],
-    rounds: u64,
-    every: u64,
-) -> f64 {
-    let config = config();
-    let mut profiler = RoundProfiler::sampled(every.max(1));
-    let mut sink = 0.0_f64;
-    let start = Instant::now();
-    for round in 0..rounds {
-        let mut root = Coordinator::try_new(
-            mech,
-            specs.len(),
-            config.total_rate,
-            RoundId(round),
-            config.simulation,
-        )
-        .expect("bench coordinator");
-        let attach = (every > 0).then_some(&mut profiler);
-        let (report, _) = drive_sharded_round(
-            &mut root,
-            specs,
-            &config,
-            SHARDS,
-            &FaultPlan::none(),
-            attach,
-        )
-        .expect("bench round settles");
-        #[allow(clippy::cast_precision_loss)]
-        {
-            sink += report.outcome.stats.messages as f64;
-        }
-    }
-    let elapsed = start.elapsed().as_nanos();
-    assert!(sink > 0.0, "work was optimised away");
-    #[allow(clippy::cast_precision_loss)]
-    {
-        elapsed as f64 / rounds as f64
-    }
-}
-
-/// Measures the grid. `samples` is the per-arm repetition count; arms are
-/// interleaved inside every repetition and each arm reports its *minimum*
-/// per-round time, so machine-wide load drift hits all arms alike.
-#[must_use]
-pub fn measure(ns: &[usize], samples: usize) -> Vec<ProfileOverheadRow> {
-    assert!(samples > 0, "profile_overhead: need at least one sample");
-    let mech = CompensationBonusMechanism::paper();
-    ns.iter()
-        .map(|&n| {
-            let specs = specs(n);
-            let (mut off, mut attached, mut sampled) =
-                (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for _ in 0..samples {
-                off = off.min(time_batch(&mech, &specs, ROUNDS_PER_SAMPLE, 0));
-                attached = attached.min(time_batch(&mech, &specs, ROUNDS_PER_SAMPLE, 1));
-                sampled = sampled.min(time_batch(&mech, &specs, ROUNDS_PER_SAMPLE, SAMPLE_PERIOD));
-            }
-            ProfileOverheadRow {
-                n,
-                shards: SHARDS,
-                off_ns: off,
-                attached_ns: attached,
-                sampled_ns: sampled,
-            }
+/// The batch for a grid point of `n` machines: [`ROUNDS_PER_SAMPLE`]
+/// sharded rounds (round ids `0..ROUNDS_PER_SAMPLE`, so the sampled arm
+/// actually skips) with no profiler (`arm` 0), one profiling every round
+/// (1) or one round in [`SAMPLE_PERIOD`] (2). The profiler is fresh per
+/// batch, so rollup growth cannot leak between batches. Returns ns per
+/// round.
+pub fn batch(n: usize) -> impl Fn(usize) -> f64 {
+    let (mech, specs, config) = (CompensationBonusMechanism::paper(), specs(n), config());
+    move |arm| {
+        let every = [0, 1, SAMPLE_PERIOD][arm];
+        let mut profiler = RoundProfiler::sampled(every.max(1));
+        overhead::ns_per_round(ROUNDS_PER_SAMPLE, |round| {
+            let mut root = Coordinator::try_new(
+                &mech,
+                specs.len(),
+                config.total_rate,
+                RoundId(round),
+                config.simulation,
+            )
+            .expect("bench coordinator");
+            let attach = (every > 0).then_some(&mut profiler);
+            let faults = FaultPlan::none();
+            let (report, _) =
+                drive_sharded_round(&mut root, &specs, &config, SHARDS, &faults, attach)
+                    .expect("bench round settles");
+            report.outcome.stats.messages as usize
         })
-        .collect()
-}
-
-/// Renders the human-readable table the `experiments` target prints.
-#[must_use]
-pub fn render_table(rows: &[ProfileOverheadRow]) -> String {
-    let mut out = String::from(
-        "     n | shards |     off (µs) | attached (µs) | sampled (µs) | attached ovh | sampled ovh\n",
-    );
-    out.push_str(
-        "-------+--------+--------------+---------------+--------------+--------------+------------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:6} |{:7} |{:13.1} |{:14.1} |{:13.1} |{:12.1}% |{:10.1}%\n",
-            row.n,
-            row.shards,
-            row.off_ns / 1e3,
-            row.attached_ns / 1e3,
-            row.sampled_ns / 1e3,
-            100.0 * row.attached_overhead(),
-            100.0 * row.sampled_overhead(),
-        ));
     }
-    out
 }
 
-/// The rows as JSON objects for the [`crate::bench_log`] artifact.
+/// Measures the grid, `reps` paired repetitions per point.
 #[must_use]
-#[allow(clippy::cast_precision_loss)]
-pub fn rows_json(rows: &[ProfileOverheadRow]) -> Vec<Json> {
-    let r4 = |v: f64| (v * 1e4).round() / 1e4;
-    rows.iter()
-        .map(|row| {
-            Json::obj([
-                ("n", Json::Num(row.n as f64)),
-                ("shards", Json::Num(row.shards as f64)),
-                ("off_ns", Json::Num(row.off_ns.round())),
-                ("attached_ns", Json::Num(row.attached_ns.round())),
-                ("sampled_ns", Json::Num(row.sampled_ns.round())),
-                ("attached_overhead", Json::Num(r4(row.attached_overhead()))),
-                ("sampled_overhead", Json::Num(r4(row.sampled_overhead()))),
-            ])
-        })
-        .collect()
+pub fn measure(ns: &[usize], reps: usize) -> Vec<OverheadRow> {
+    overhead::measure(ns, reps, ["attached", "sampled"], Some(SHARDS), batch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bench_log::BenchLog;
+    use lb_telemetry::Json;
 
     #[test]
     fn measure_smoke_reports_finite_positive_times() {
-        let rows = measure(&[24], 1);
+        let rows = measure(&[24], 2);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert!(row.off_ns > 0.0 && row.attached_ns > 0.0 && row.sampled_ns > 0.0);
-        assert!(row.attached_overhead().is_finite() && row.sampled_overhead().is_finite());
-        let json = rows_json(&rows);
+        assert!(row.off_ns > 0.0 && row.on.iter().all(|on| on.ns > 0.0));
+        assert!(row.on.iter().all(|on| on.overhead.is_finite()));
+        let json = overhead::rows_json(&rows);
         assert_eq!(json[0].get("n").and_then(Json::as_u64), Some(24));
         assert_eq!(
             json[0].get("shards").and_then(Json::as_u64),
@@ -215,9 +105,9 @@ mod tests {
 
     #[test]
     fn rows_render_into_a_schema_valid_bench_log() {
-        let rows = measure(&[16], 1);
+        let rows = measure(&[16], 2);
         let mut log = BenchLog::new("profile_overhead", "ns/round");
-        log.append("test", rows_json(&rows)).unwrap();
+        log.append("test", overhead::rows_json(&rows)).unwrap();
         let reparsed = BenchLog::parse(&log.render()).unwrap();
         assert_eq!(reparsed, log);
     }

@@ -31,6 +31,7 @@
 //! [`Coordinator::close_execution`] settles from the coordinator's own
 //! measurements, which is all the payment needs.
 
+use crate::codec::CodecError;
 use crate::journal::{
     encode_record, ExclusionReason, Journal, JournalError, JournalRecord, LedgerChain,
 };
@@ -225,6 +226,8 @@ pub enum ProtocolError {
         /// The round's machine count.
         n: usize,
     },
+    /// A frame the receiver could not decode or encode.
+    Codec(CodecError),
     /// The durable journal failed (including injected crashes).
     Journal(JournalError),
     /// A mechanism or simulation error.
@@ -260,6 +263,7 @@ impl fmt::Display for ProtocolError {
             Self::MachineOutOfRange { machine, n } => {
                 write!(f, "machine {machine} is out of range for a round of {n}")
             }
+            Self::Codec(e) => write!(f, "codec: {e}"),
             Self::Journal(e) => write!(f, "journal: {e}"),
             Self::Mechanism(e) => write!(f, "mechanism: {e}"),
         }
@@ -277,6 +281,12 @@ impl From<MechanismError> for ProtocolError {
 impl From<CoreError> for ProtocolError {
     fn from(e: CoreError) -> Self {
         Self::Mechanism(MechanismError::Core(e))
+    }
+}
+
+impl From<CodecError> for ProtocolError {
+    fn from(e: CodecError) -> Self {
+        Self::Codec(e)
     }
 }
 

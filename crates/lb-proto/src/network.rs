@@ -5,10 +5,9 @@
 //! deterministic discrete-event queue with a constant link latency.
 
 use crate::chaos::ChaosNetStats;
-use crate::codec::{decode_with_context, encode_with_context, CodecError};
+use crate::codec::{decode_with_context, encode_with_context};
 use crate::coordinator::{ProtocolError, Topology};
 use crate::message::Message;
-use lb_mechanism::MechanismError;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
 use lb_telemetry::{noop_collector, Collector, Field, SpanId, Subsystem, TraceContext};
@@ -295,8 +294,7 @@ impl Link for SimNetwork {
                         at,
                     }));
                 }
-                let (message, ctx): (Message, _) =
-                    decode_with_context(&frame.payload).map_err(codec_error)?;
+                let (message, ctx): (Message, _) = decode_with_context(&frame.payload)?;
                 self.collector.instant(
                     at.seconds(),
                     "net.deliver",
@@ -370,21 +368,22 @@ impl Link for SimNetwork {
             },
         );
         let base = self.latency;
-        let delay = base + fate.extra_delay.max(0.0);
+        // Only a duplicated frame copies its payload; the original is
+        // still scheduled first, so queue tie-breaks are unchanged.
+        let duplicate = fate.duplicate.then(|| payload.clone());
         self.queue.schedule_in(
-            delay,
+            base + fate.extra_delay.max(0.0),
             Frame {
                 from,
                 to,
-                payload: payload.clone(),
+                payload,
                 corrupt: fate.corrupt,
             },
         );
-        if fate.duplicate {
+        if let Some(payload) = duplicate {
             self.duplicated += 1;
-            let dup_delay = base + fate.duplicate_extra_delay.max(0.0);
             self.queue.schedule_in(
-                dup_delay,
+                base + fate.duplicate_extra_delay.max(0.0),
                 Frame {
                     from,
                     to,
@@ -407,13 +406,6 @@ impl Link for SimNetwork {
             corrupted: self.corrupted,
         }
     }
-}
-
-/// A frame the receiver could not decode, as the round's error.
-pub(crate) fn codec_error(e: CodecError) -> MechanismError {
-    MechanismError::Core(lb_core::CoreError::Infeasible {
-        reason: e.to_string(),
-    })
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! `lb-fuzz` `shard` oracle re-checks this differentially every CI run.
 
 use crate::chaos::drive_round;
-use crate::codec::{decode_with_context, encode_with_context, put_with_context, CodecError};
+use crate::codec::{decode_with_context, encode_with_context, put_with_context};
 use crate::coordinator::{Coordinator, ProtocolError, Topology, VerifyInput};
 use crate::faults::FaultPlan;
 use crate::framing::{FrameReader, FrameWriter};
@@ -120,13 +120,8 @@ const STAGES: [&str; 4] = [
     "shard.settle",
 ];
 
-fn codec_err(e: CodecError) -> ProtocolError {
-    crate::network::codec_error(e).into()
-}
-
 fn decode_frame(frame: &[u8]) -> Result<Message, ProtocolError> {
-    let (msg, _ctx): (Message, Option<TraceContext>) =
-        decode_with_context(frame).map_err(codec_err)?;
+    let (msg, _ctx): (Message, Option<TraceContext>) = decode_with_context(frame)?;
     Ok(msg)
 }
 
@@ -257,8 +252,7 @@ impl Relay<'_> {
                 continue;
             }
             let framed = up.len();
-            up.write_with_context(&reply, up_ctx.as_ref())
-                .map_err(codec_err)?;
+            up.write_with_context(&reply, up_ctx.as_ref())?;
             // The stream's u32 length prefix is not part of the frame.
             count(up.len() - framed - 4);
         }
@@ -687,7 +681,7 @@ impl Link for ShardLink<'_> {
         }
         loop {
             let next = self.reader.next_frame_with_context::<Message>();
-            if let Some((message, ctx)) = next.map_err(codec_err)? {
+            if let Some((message, ctx)) = next? {
                 let from = message
                     .machine()
                     .map_or(Endpoint::Coordinator, Endpoint::Node);
@@ -1321,6 +1315,23 @@ mod tests {
             link.poll(),
             Err(ProtocolError::ReplayMismatch { .. })
         ));
+    }
+
+    // A whole frame whose payload does not decode fails the round with
+    // the typed codec error.
+    #[test]
+    fn undecodable_reply_frame_is_a_codec_error() {
+        let specs = truthful_specs();
+        let faults = FaultPlan::none();
+        let sim = config().simulation;
+        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector(), None);
+        let payload = [0xFF_u8; 3];
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&payload);
+        link.up = vec![bytes].into_iter();
+        let err = link.poll().unwrap_err();
+        assert!(matches!(err, ProtocolError::Codec(_)), "{err:?}");
+        assert!(err.to_string().starts_with("codec: "), "{err}");
     }
 
     // Pinned regression: a machine that stays silent inside a
