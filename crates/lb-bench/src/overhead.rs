@@ -9,7 +9,9 @@
 //!
 //! Each on arm is then compared against the *same repetition's* off batch.
 //! Its overhead is the median over repetitions of `on/off − 1`, reported
-//! with the Student-t interval of those ratios. A paired median shrugs off
+//! with the distribution-free 95 % interval of that median (two order
+//! statistics at binomial ranks), so the interval always contains the
+//! number the gate reads. A paired median shrugs off
 //! the odd batch a neighbour disturbs; a ratio of per-arm minima does not,
 //! because the two minima come from different moments of the run.
 //!
@@ -18,7 +20,7 @@
 //! the sharded study), `off_ns`, and per on arm `<arm>_ns`,
 //! `<arm>_overhead`, `<arm>_overhead_lo` and `<arm>_overhead_hi`.
 
-use lb_stats::{mean_confidence_interval, ConfidenceInterval, ConfidenceLevel, OnlineStats};
+use lb_stats::{median_confidence_interval, ConfidenceLevel, MedianInterval};
 use lb_telemetry::Json;
 use std::time::Instant;
 
@@ -89,8 +91,9 @@ pub struct OnArm {
     pub ns: f64,
     /// Median over repetitions of `on/off − 1`.
     pub overhead: f64,
-    /// 95 % Student-t interval of the paired ratios `on/off − 1`.
-    pub interval: ConfidenceInterval,
+    /// Distribution-free 95 % interval of the median paired ratio; `None`
+    /// below six repetitions, whose order statistics cannot reach 95 %.
+    pub interval: Option<MedianInterval>,
 }
 
 /// One measured grid point of an overhead study.
@@ -111,7 +114,7 @@ impl OverheadRow {
     /// names arms 1 and 2.
     ///
     /// # Panics
-    /// Panics with fewer than two repetitions, which carry no interval.
+    /// Panics with no repetitions.
     #[must_use]
     pub(crate) fn from_samples(
         n: usize,
@@ -119,7 +122,6 @@ impl OverheadRow {
         on: [&'static str; 2],
         samples: &[[f64; ARMS]],
     ) -> Self {
-        assert!(samples.len() >= 2, "paired overhead: need two repetitions");
         let column = |arm: usize| samples.iter().map(|s| s[arm]).collect::<Vec<_>>();
         Self {
             n,
@@ -131,10 +133,7 @@ impl OverheadRow {
                     name: on[k],
                     ns: median(&column(k + 1)),
                     overhead: median(&ratios),
-                    interval: mean_confidence_interval(
-                        &OnlineStats::from_slice(&ratios),
-                        ConfidenceLevel::P95,
-                    ),
+                    interval: median_confidence_interval(&ratios, ConfidenceLevel::P95),
                 }
             }),
         }
@@ -199,11 +198,12 @@ pub fn render_table(rows: &[OverheadRow]) -> String {
         cells.extend(row.shards.map(|k| k.to_string()));
         cells.push(format!("{:.1}", row.off_ns / 1e3));
         for on in &row.on {
-            let (lo, hi) = (pct(on.interval.lo()), pct(on.interval.hi()));
             cells.extend([
                 format!("{:.1}", on.ns / 1e3),
                 pct(on.overhead),
-                format!("{lo} .. {hi}"),
+                on.interval.map_or("-".to_string(), |ci| {
+                    format!("{} .. {}", pct(ci.lo), pct(ci.hi))
+                }),
             ]);
         }
         table.row(&cells);
@@ -230,9 +230,13 @@ pub fn rows_json(rows: &[OverheadRow]) -> Vec<Json> {
                 fields.extend([
                     (format!("{name}_ns"), ns.round()),
                     (format!("{name}_overhead"), r4(overhead)),
-                    (format!("{name}_overhead_lo"), r4(interval.lo())),
-                    (format!("{name}_overhead_hi"), r4(interval.hi())),
                 ]);
+                if let Some(ci) = interval {
+                    fields.extend([
+                        (format!("{name}_overhead_lo"), r4(ci.lo)),
+                        (format!("{name}_overhead_hi"), r4(ci.hi)),
+                    ]);
+                }
             }
             Json::obj(fields.into_iter().map(|(k, v)| (k, Json::Num(v))))
         })
@@ -291,7 +295,7 @@ mod tests {
     fn equal_arms_pass_the_gate() {
         let row = OverheadRow::from_samples(1024, Some(8), ON, &paired(20, 1.0, 1.0));
         assert_eq!(row.on[0].overhead, 0.0);
-        assert!(row.on[0].interval.contains(0.0));
+        assert!(row.on[0].interval.unwrap().contains(0.0));
         assert!(gate(&[row], "attached", 1024, 0.10).is_ok());
     }
 
@@ -299,7 +303,7 @@ mod tests {
     fn a_twenty_percent_arm_fails_the_gate() {
         let row = OverheadRow::from_samples(1024, Some(8), ON, &paired(20, 1.2, 1.0));
         assert!((row.on[0].overhead - 0.2).abs() < 1e-12);
-        assert!(row.on[0].interval.lo() > 0.10);
+        assert!(row.on[0].interval.unwrap().lo > 0.10);
         let err = gate(&[row], "attached", 1024, 0.10).unwrap_err();
         assert!(err.contains("n = 1024"), "{err}");
         // Only rows at or above the gate's n are checked.
@@ -318,10 +322,36 @@ mod tests {
     }
 
     #[test]
+    fn the_interval_contains_the_gated_median_when_the_mean_is_elsewhere() {
+        // Ten repetitions at no overhead and eleven at +10 %: the median is
+        // +10 %, the Student-t interval of the mean sits near +5 % and
+        // excludes it, and the order-statistic interval brackets it.
+        let mut samples = paired(21, 1.1, 1.0);
+        for s in &mut samples[..10] {
+            s[1] = s[0];
+        }
+        let row = OverheadRow::from_samples(64, None, ON, &samples);
+        let on = row.on[0];
+        let interval = on.interval.unwrap();
+        assert!((on.overhead - 0.1).abs() < 1e-12);
+        assert!(interval.contains(on.overhead));
+        let ratios: Vec<f64> = samples.iter().map(|s| s[1] / s[0] - 1.0).collect();
+        let mean = lb_stats::mean_confidence_interval(
+            &lb_stats::OnlineStats::from_slice(&ratios),
+            ConfidenceLevel::P95,
+        );
+        assert!(!mean.contains(on.overhead), "{mean:?}");
+        // Below six repetitions there is no 95 % interval to report.
+        let few = OverheadRow::from_samples(64, None, ON, &samples[..5]);
+        assert_eq!(few.on[0].interval, None);
+        assert!(rows_json(&[few])[0].get("attached_overhead_lo").is_none());
+    }
+
+    #[test]
     fn rows_render_every_key_and_reparse() {
         let rows = [
-            OverheadRow::from_samples(1024, Some(8), ON, &paired(4, 1.1, 1.0)),
-            OverheadRow::from_samples(64, None, ["full", "sampled"], &paired(3, 2.0, 1.5)),
+            OverheadRow::from_samples(1024, Some(8), ON, &paired(6, 1.1, 1.0)),
+            OverheadRow::from_samples(64, None, ["full", "sampled"], &paired(7, 2.0, 1.5)),
         ];
         let json = rows_json(&rows);
         for key in [

@@ -4,7 +4,7 @@
 //! explicit rates with some machines idle (rate 0 or ≤ 10⁻¹²) — and a
 //! random [`SimulationConfig`]: any of the four service models, Poisson or
 //! bursty arrivals, warm-up, a sample cap and estimator noise. It checks
-//! two properties of [`simulate_partition`]:
+//! three properties of [`simulate_partition`]:
 //!
 //! 1. **Partition transparency.** Cutting the fleet at 1–8 random points
 //!    and simulating each piece at its global stream offset must reproduce
@@ -15,18 +15,29 @@
 //! 2. **Totality.** Corrupting one input — an actual value that is not
 //!    finite and positive, a rate that is negative or not finite, a mean
 //!    response `t̃·x` that overflows, a length mismatch, a bad horizon,
-//!    bursty parameters or estimator noise — must return `Err` from
+//!    bursty parameters out of range (or in range but giving a busy
+//!    machine a calm rate that is not a normal float) or an estimator noise
+//!    cv whose square overflows — must return `Err` from
 //!    [`simulate_partition`] (and, for actual values, from
 //!    [`simulate_round`]), never panic.
+//! 3. **The kernel is its public pieces.** At a random stream offset up to
+//!    2⁶³, the one streaming kernel reproduces, bit for bit, a reference
+//!    assembled from the crate's public pieces one stage at a time: the
+//!    whole trace from [`per_machine_traces_offset`], then every response
+//!    from [`ServiceModel::responses`] on the indexed response stream, then
+//!    [`ExecValueEstimator`] beside an [`OnlineStats`] over the responses
+//!    past the warm-up.
 
 use super::{close, REL_TOL};
 use crate::generate::{latency_values, rng_for};
-use lb_sim::driver::{simulate_partition, simulate_round, PartitionReport, SimulationConfig};
-use lb_sim::estimator::EstimatorConfig;
+use lb_sim::driver::{
+    simulate_partition, simulate_round, PartitionReport, SimulationConfig, RESPONSE_STREAM_SALT,
+};
+use lb_sim::estimator::{EstimatorConfig, ExecValueEstimator};
 use lb_sim::metrics::MachineObservation;
 use lb_sim::server::ServiceModel;
-use lb_sim::workload::WorkloadModel;
-use lb_stats::{Rng, Xoshiro256StarStar};
+use lb_sim::workload::{per_machine_traces_offset, WorkloadModel};
+use lb_stats::{OnlineStats, Rng, Xoshiro256StarStar};
 
 const MODELS: [ServiceModel; 4] = [
     ServiceModel::StationaryExponential,
@@ -134,7 +145,18 @@ pub fn check(seed: u64) -> Result<(), String> {
         .map_err(|e| format!("partition {lo}..{hi} rejected: {e}"))?;
         parts.push(part);
     }
-    compare(&whole, &parts, &cuts)?;
+    compare(&whole, &parts, &format!("cuts {cuts:?}"))?;
+
+    // Property 3: at a random stream offset, the kernel is its pieces.
+    let offset = rng.next_u64() >> (1 + rng.next_below(63));
+    let kernel = simulate_partition(&bids, &actual, &rates, &config, offset, None)
+        .map_err(|e| format!("fleet at offset {offset} rejected: {e}"))?;
+    let pieces = reference(&bids, &actual, &rates, &config, offset);
+    compare(
+        &pieces,
+        &[kernel],
+        &format!("kernel vs public pieces at offset {offset}"),
+    )?;
 
     // Property 2: one corrupted input is an error, not a panic.
     let bad_values = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -163,6 +185,18 @@ pub fn check(seed: u64) -> Result<(), String> {
             "overflowing mean response at machine {at} accepted"
         ));
     }
+    let dwell_overflow = SimulationConfig {
+        workload: WorkloadModel::Bursty {
+            burstiness: rng.next_range(1.5, 8.0),
+            dwell_means: [f64::MAX, rng.next_range(0.5, 1.0) * f64::MAX],
+        },
+        ..config
+    };
+    if simulate_partition(&bids, &actual, &busy_rates, &dwell_overflow, 0, None).is_ok() {
+        return Err(format!(
+            "overflowing dwell sum at busy machine {at} accepted"
+        ));
+    }
     if simulate_partition(&bids, &actual, &rates[1..], &config, 0, None).is_ok() {
         return Err(format!("{} rates for {n} machines accepted", n - 1));
     }
@@ -181,7 +215,13 @@ pub fn check(seed: u64) -> Result<(), String> {
                 dwell_means: [1.0, bad],
             }
         }
-        _ => bad_config.estimator.noise_cv = f64::INFINITY,
+        _ => {
+            bad_config.estimator.noise_cv = if rng.next_bool(0.5) {
+                f64::INFINITY
+            } else {
+                rng.next_range(2.0, 1e4) * 1e154
+            }
+        }
     }
     if simulate_partition(&bids, &actual, &rates, &bad_config, 0, None).is_ok() {
         return Err(format!("invalid config accepted: {bad_config:?}"));
@@ -189,28 +229,75 @@ pub fn check(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The concatenated `parts` (cut at `cuts`) against `whole`.
-fn compare(
-    whole: &PartitionReport,
-    parts: &[PartitionReport],
-    cuts: &[usize],
-) -> Result<(), String> {
+/// The partition report built stage by stage from the public pieces: each
+/// machine's whole trace, then all its responses, then the estimator over
+/// the responses past the warm-up.
+fn reference(
+    bids: &[f64],
+    actual: &[f64],
+    rates: &[f64],
+    config: &SimulationConfig,
+    offset: u64,
+) -> PartitionReport {
+    let traces =
+        per_machine_traces_offset(rates, config.horizon, config.seed, config.workload, offset);
+    let responses = Xoshiro256StarStar::seed_from_u64(config.seed ^ RESPONSE_STREAM_SALT);
+    let mut report = PartitionReport {
+        observations: Vec::new(),
+        estimated_exec_values: Vec::new(),
+        estimated_total_latency: 0.0,
+    };
+    for (i, trace) in traces.iter().enumerate() {
+        let machine = offset + i as u64;
+        let mut rng = responses.stream(machine);
+        let arrivals: Vec<f64> = trace.iter().map(|job| job.arrival).collect();
+        let drawn = config
+            .model
+            .responses(&arrivals, actual[i], rates[i], &mut rng);
+        let mut estimator = ExecValueEstimator::new(config.estimator);
+        let mut observed = OnlineStats::new();
+        for (&a, &r) in arrivals.iter().zip(&drawn) {
+            if a >= config.warmup {
+                observed.push(r);
+                estimator.observe(r, &mut rng);
+            }
+        }
+        let estimate = estimator.estimate(&observed, rates[i]);
+        let obs = MachineObservation {
+            machine: usize::try_from(machine).unwrap_or(usize::MAX),
+            assigned_rate: rates[i],
+            jobs_arrived: arrivals.len() as u64,
+            response: observed,
+            estimated_exec: estimate,
+        };
+        report.estimated_total_latency += obs.latency_contribution();
+        report
+            .estimated_exec_values
+            .push(estimate.unwrap_or(bids[i]));
+        report.observations.push(obs);
+    }
+    report
+}
+
+/// The concatenated `parts` against `whole`; `what` names the comparison
+/// in any divergence.
+fn compare(whole: &PartitionReport, parts: &[PartitionReport], what: &str) -> Result<(), String> {
     let observations = parts.iter().flat_map(|p| &p.observations);
     let estimates = parts.iter().flat_map(|p| &p.estimated_exec_values);
     if observations.clone().count() != whole.observations.len() {
-        return Err(format!("cuts {cuts:?}: machine count differs"));
+        return Err(format!("{what}: machine count differs"));
     }
     for (i, (got, want)) in observations.zip(&whole.observations).enumerate() {
         if observation_bits(got) != observation_bits(want) {
             return Err(format!(
-                "cuts {cuts:?}: machine {i} observed {got:?}, one partition {want:?}"
+                "{what}: machine {i} observed {got:?}, expected {want:?}"
             ));
         }
     }
     for (i, (got, want)) in estimates.zip(&whole.estimated_exec_values).enumerate() {
         if got.to_bits() != want.to_bits() {
             return Err(format!(
-                "cuts {cuts:?}: machine {i} estimate {got:e}, one partition {want:e}"
+                "{what}: machine {i} estimate {got:e}, expected {want:e}"
             ));
         }
     }
@@ -218,7 +305,7 @@ fn compare(
     let want = whole.estimated_total_latency;
     if !close(total, want, want) {
         return Err(format!(
-            "cuts {cuts:?}: latency total {total:e} vs {want:e} (tolerance {REL_TOL:e})"
+            "{what}: latency total {total:e} vs {want:e} (tolerance {REL_TOL:e})"
         ));
     }
     Ok(())

@@ -262,9 +262,10 @@ pub fn profile_events(events: &[TelemetryEvent]) -> Result<RoundProfile, Profile
 
 impl RoundProfile {
     /// Appends a machine leaf under the deepest shard node of the path —
-    /// the rollup's `Instant`-timed slowest machine, which the sim-clock
-    /// trace cannot provide. `wall` is the machine's verification
-    /// wall-time; the leaf inherits the shard node's interval endpoints.
+    /// the first machine of the rollup's `Instant`-timed slowest block,
+    /// which the sim-clock trace cannot provide. `wall` is that block's
+    /// mean verification wall-time per machine; the leaf inherits the
+    /// shard node's interval endpoints.
     pub fn attach_machine_leaf(&mut self, machine: u64, wall: f64) {
         let Some(deepest) = self
             .path

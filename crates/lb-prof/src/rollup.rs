@@ -2,10 +2,10 @@
 //! latency distributions without shipping raw spans off-shard.
 //!
 //! Each shard worker of the hierarchical round summarizes its own
-//! per-machine verification wall-times into one [`WireShardProfile`] — a
-//! fixed-size [`WireSketch`] plus the identity of its slowest machine —
-//! that travels to the root alongside the `ShardSum`/`ShardEstimates`
-//! frames. The root feeds those frames plus its own per-shard, per-phase
+//! per-machine verification wall-times (timed in blocks of machines) into
+//! one [`WireShardProfile`] — a fixed-size [`WireSketch`] plus the first
+//! machine of its slowest block — that travels to the root alongside the
+//! `ShardSum`/`ShardEstimates` frames. The root feeds those frames plus its own per-shard, per-phase
 //! stage timings into a [`RoundProfiler`], which accumulates:
 //!
 //! * a per-shard [`ShardRollup`] — one [`LatencySketch`] per protocol phase
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 pub const PHASES: [&str; 4] = ["collect", "allocate", "execute", "settle"];
 
 /// What one shard worker ships to the root when a round is profiled: its
-/// machine-wall sketch and the slowest machine it saw. Indices are
+/// machine-wall sketch and the slowest block it saw. Indices are
 /// shard-local respondent ordinals; the root maps them to global machine
 /// ids (the worker does not know the global index space).
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +40,13 @@ pub struct WireShardProfile {
     pub shard: u32,
     /// Machines this shard simulated this round.
     pub machines: u64,
-    /// Per-machine verification wall-times, sketched.
+    /// Per-machine verification wall-times, sketched. The kernel times
+    /// blocks of `lb_sim::driver::PROBE_BLOCK` machines, one clock read
+    /// per block boundary, and each machine carries its block's mean: the
+    /// sketch sees no spread inside a block.
     pub machine_wall: WireSketch,
-    /// `(local respondent index, wall seconds)` of the slowest machine.
+    /// `(local respondent index, wall seconds)` of the slowest block: the
+    /// index of its first machine and its mean wall time per machine.
     pub slowest: Option<(u64, f64)>,
 }
 
@@ -55,8 +59,8 @@ pub struct ShardRollup {
     pub phases: [LatencySketch; 4],
     /// Per-machine verification wall-times across profiled rounds.
     pub machine_wall: LatencySketch,
-    /// Slowest machine of the most recent profiled round
-    /// `(global machine id, wall seconds)`.
+    /// Slowest block of the most recent profiled round `(global id of its
+    /// first machine, mean wall seconds per machine)`.
     pub slowest_machine: Option<(u64, f64)>,
 }
 

@@ -63,14 +63,15 @@ pub(crate) struct VerifyInput {
 
 impl VerifyInput {
     /// The verification kernel over this range: its estimates, in range
-    /// order. `on_machine` is the profiler's per-machine wall-time probe.
+    /// order. `on_block` is the profiler's wall-time probe, fired once per
+    /// block of machines.
     pub(crate) fn simulate(
         &self,
         sim: &SimulationConfig,
-        on_machine: Option<&mut dyn FnMut(u64, f64)>,
+        on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
     ) -> Result<Vec<f64>, CoreError> {
         let (bids, exec, rates) = (&self.bids, &self.exec, &self.rates);
-        simulate_partition(bids, exec, rates, sim, self.offset, on_machine)
+        simulate_partition(bids, exec, rates, sim, self.offset, on_block)
             .map(|report| report.estimated_exec_values)
     }
 }

@@ -73,7 +73,8 @@ pub enum Message {
         estimates: Vec<f64>,
     },
     /// Shard → root: profiling rollup — the shard's per-machine
-    /// verification wall-time sketch plus its slowest machine. Emitted
+    /// verification wall-time sketch (timed in blocks of machines) plus
+    /// the first machine of its slowest block. Emitted
     /// only when a profiler is attached and the round is sampled; counted
     /// exclusively by the profiler's own frame accounting (never
     /// [`crate::network::MessageStats`] or the `net.*` counters), so the

@@ -346,23 +346,26 @@ fn verify_shard(
     let mut batch = ShardBatch::default();
     let span = relay.span(STAGES[1], shard, input.bids.len());
     let ctx = upward_ctx(relay.wire, span);
-    // Profiled rounds probe each machine's wall time into the shard's
-    // sketch. The probe observes the kernel without participating, so the
-    // estimates are bit-identical to the unprofiled path.
+    // Profiled rounds time the kernel in blocks of machines and give each
+    // machine its block's mean wall time in the shard's sketch. The probe
+    // observes the kernel without participating, so the estimates are
+    // bit-identical to the unprofiled path.
     let mut wall = profile.then(|| (LatencySketch::new(), None::<(u64, f64)>));
-    let mut probe = |machine: u64, seconds: f64| {
+    let mut probe = |first: u64, machines: usize, seconds: f64| {
         if let Some((sketch, slowest)) = wall.as_mut() {
-            sketch.record(seconds);
-            if slowest.is_none_or(|(_, w)| seconds > w) {
-                // Keep the *local* respondent ordinal: the worker does not
-                // know the global index space; the root maps it.
-                *slowest = Some((machine - input.offset, seconds));
+            let mean = seconds / machines as f64;
+            sketch.record_n(mean, machines as u64);
+            if slowest.is_none_or(|(_, w)| mean > w) {
+                // Name the block by the *local* respondent ordinal of its
+                // first machine: the worker does not know the global index
+                // space; the root maps it.
+                *slowest = Some((first - input.offset, mean));
             }
         }
     };
     let estimates = input.simulate(
         sim,
-        profile.then_some(&mut probe as &mut dyn FnMut(u64, f64)),
+        profile.then_some(&mut probe as &mut dyn FnMut(u64, usize, f64)),
     )?;
     if let Some((machine_wall, slowest)) = wall {
         let msg = Message::ShardProfile {
@@ -393,9 +396,9 @@ fn verify_shard(
 }
 
 /// Folds one shard's profiling side channel into the profiler: its
-/// [`Message::ShardProfile`] frame, with the slowest machine's shard-local
-/// ordinal mapped back to a global index through `idx`, the shard's
-/// respondent map.
+/// [`Message::ShardProfile`] frame, with the shard-local ordinal of its
+/// slowest block's first machine mapped back to a global index through
+/// `idx`, the shard's respondent map.
 fn ingest_profile(
     profiler: &mut RoundProfiler,
     frame: Option<&[u8]>,
@@ -757,9 +760,9 @@ impl Link for ShardLink<'_> {
 /// partitioned machines see nothing. Lost frames are counted as sent.
 ///
 /// With a `profiler` that samples this round, each shard's verify worker
-/// ships a [`Message::ShardProfile`] frame (its per-machine wall-time
-/// sketch and slowest machine) into the profiler's cross-shard rollup,
-/// with each worker's per-phase wall time. Only the profiler counts those
+/// ships a [`Message::ShardProfile`] frame (its block-timed per-machine
+/// wall-time sketch and slowest block) into the profiler's cross-shard
+/// rollup, with each worker's per-phase wall time. Only the profiler counts those
 /// frames, and its probe only observes the kernel, so the outcome, the
 /// journal and [`MessageStats`] are bit-identical with or without it.
 ///

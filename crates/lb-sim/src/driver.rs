@@ -4,12 +4,13 @@
 
 use crate::estimator::{EstimatorConfig, ExecValueEstimator};
 use crate::metrics::MachineObservation;
-use crate::server::ServiceModel;
-use crate::workload::{WorkloadModel, IDLE_RATE};
+use crate::server::{ps_responses, ServiceModel};
+use crate::workload::IDLE_RATE;
 use lb_core::{pr_allocate, Allocation, CoreError};
 use lb_mechanism::{
     run_mechanism, run_verified, MechanismError, MechanismOutcome, Profile, VerifiedMechanism,
 };
+use lb_stats::online::OnlineStats;
 use lb_stats::rng::Xoshiro256StarStar;
 
 /// Configuration of one simulated round.
@@ -123,11 +124,16 @@ pub struct PartitionReport {
 /// observation, bit for bit. The caller supplies the rates — this function
 /// never re-runs the allocation.
 ///
-/// `on_machine(global_index, wall_seconds)`, when given, fires after each
-/// machine's kernel with the *host* time it took (`std::time::Instant`) —
-/// how profilers attribute verification wall time to machines. It observes
-/// the loop without participating in it, so results are bit-identical with
-/// and without it; with `None` the kernel reads no clock.
+/// `on_block(first_global_index, machines, wall_seconds)`, when given,
+/// fires after each block of [`PROBE_BLOCK`] consecutive machines (the
+/// last block may be shorter) with the *host* time the block took
+/// (`std::time::Instant`) — how profilers attribute verification wall time
+/// to machines. It reads the clock once per block boundary, not twice per
+/// machine, so a profiled partition pays ≈ 37 ns per block; the price is
+/// resolution: a machine's wall time is known only as its block's mean.
+/// It observes the loop without participating in it, so results are
+/// bit-identical with and without it; with `None` the kernel reads no
+/// clock.
 ///
 /// # Errors
 /// Returns [`CoreError::LengthMismatch`] on arity mismatches,
@@ -135,25 +141,38 @@ pub struct PartitionReport {
 /// negative or not finite, and [`CoreError::InvalidParameter`] for an
 /// actual execution value that is not finite and positive, a mean
 /// response `t̃·x` that overflows or underflows on a machine with jobs,
-/// bursty parameters out of range or infinite estimator noise.
+/// bursty parameters out of range (including calm or burst rates that are
+/// not normal floats), an estimator noise cv whose square overflows
+/// (infinite included), or a stream offset that
+/// overflows a `u64` when the machine count is added.
 pub fn simulate_partition(
     bids: &[f64],
     actual_exec_values: &[f64],
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
-    on_machine: Option<&mut dyn FnMut(u64, f64)>,
+    on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
 ) -> Result<PartitionReport, CoreError> {
     validate(bids, actual_exec_values, rates, config)?;
+    if stream_offset.checked_add(bids.len() as u64).is_none() {
+        return Err(CoreError::InvalidParameter {
+            name: "stream offset",
+            value: stream_offset as f64,
+        });
+    }
     Ok(simulate_machines(
         bids,
         actual_exec_values,
         rates,
         config,
         stream_offset,
-        on_machine,
+        on_block,
     ))
 }
+
+/// Machines per timed block of a profiled partition (see
+/// [`simulate_partition`]'s `on_block`).
+pub const PROBE_BLOCK: usize = 32;
 
 /// Rejects the caller input the kernel's samplers would panic on (see
 /// [`simulate_partition`]'s errors).
@@ -194,20 +213,12 @@ fn validate(
     {
         return invalid("mean response", mean);
     }
-    if let WorkloadModel::Bursty {
-        burstiness,
-        dwell_means,
-    } = config.workload
-    {
-        if !(burstiness.is_finite() && burstiness > 1.0) {
-            return invalid("burstiness", burstiness);
-        }
-        if let Some(&d) = dwell_means.iter().find(|d| !(d.is_finite() && **d > 0.0)) {
-            return invalid("dwell mean", d);
-        }
-    }
-    if config.estimator.noise_cv.is_infinite() {
-        return invalid("noise cv", config.estimator.noise_cv);
+    config.workload.check(rates)?;
+    // The noise law takes ln(1 + cv²): an infinite cv, or one whose square
+    // overflows, has no finite log-normal parameters.
+    let cv = config.estimator.noise_cv;
+    if (cv * cv).is_infinite() {
+        return invalid("noise cv", cv);
     }
     Ok(())
 }
@@ -215,60 +226,85 @@ fn validate(
 /// The per-machine execution kernel: generate arrivals, drive the service
 /// model, estimate execution values. [`validate`] has accepted the inputs.
 ///
-/// Each machine takes its trace stream and its response stream in lock
-/// step, fills the one arrivals buffer, then draws *all* its responses
-/// into the one responses buffer before any estimator noise (noise shares
-/// the response stream, so this order is part of the output). The two
-/// buffers are reused across machines: an idle machine still advances both
-/// streams but touches no heap.
+/// Each machine makes one streaming pass: every arrival drawn from its
+/// trace stream is served at once, its response drawn from the response
+/// stream and folded into the machine's one [`OnlineStats`] (one Welford
+/// update per job past the warm-up). The two streams are independent, so
+/// interleaving their draws leaves every bit as a trace-then-responses
+/// order would. Two cases keep a buffer, reused across machines:
+/// - the PS queue cannot answer a job before the whole trace is in, so it
+///   buffers the arrivals and then draws every service requirement;
+/// - an estimator with a sample cap or noise observes the responses it
+///   keeps only after all of them are drawn, since noise shares the
+///   response stream and that order is part of the output.
+///
+/// An idle machine still advances both streams but draws nothing.
 fn simulate_machines(
     bids: &[f64],
     actual_exec_values: &[f64],
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
-    mut on_machine: Option<&mut dyn FnMut(u64, f64)>,
+    mut on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
 ) -> PartitionReport {
-    // One jump per machine and stream (bit-identical to `stream(global
-    // index)`): indexed derivation turns the phase quadratic at scale.
+    // One jump per machine and stream, after an O(log offset) skip-ahead
+    // (bit-identical to `stream(global index)`).
     let trace_streams = Xoshiro256StarStar::seed_from_u64(config.seed).streams(stream_offset);
     let response_streams = Xoshiro256StarStar::seed_from_u64(config.seed ^ RESPONSE_STREAM_SALT)
         .streams(stream_offset);
+    let (horizon, warmup) = (config.horizon, config.warmup);
+    let keep = config.estimator.max_samples.unwrap_or(usize::MAX);
     let mut arrivals = Vec::new();
-    let mut responses = Vec::new();
+    let mut kept = Vec::new();
     let mut observations = Vec::with_capacity(bids.len());
     let mut estimated = Vec::with_capacity(bids.len());
     let mut total_latency = 0.0;
+    let mut block_start = on_block.as_ref().map(|_| std::time::Instant::now());
 
     let machines = rates.iter().zip(trace_streams.zip(response_streams));
     for (i, (&rate, (trace_rng, mut rng))) in machines.enumerate() {
-        let started = on_machine.as_ref().map(|_| std::time::Instant::now());
         let stream = stream_offset + i as u64;
-        config
-            .workload
-            .arrivals_into(rate, config.horizon, trace_rng, &mut arrivals);
-        config.model.responses_into(
-            &arrivals,
-            actual_exec_values[i],
-            rate,
-            &mut rng,
-            &mut responses,
-        );
-
         let mut estimator = ExecValueEstimator::new(config.estimator);
-        let mut stats = lb_stats::online::OnlineStats::new();
-        for (&arrival, &r) in arrivals.iter().zip(&responses) {
-            if arrival < config.warmup {
-                continue;
+        let apart = estimator.samples_apart();
+        let mut stats = OnlineStats::new();
+        let mut jobs = 0u64;
+        kept.clear();
+        let mut job = |arrival: f64, response: f64| {
+            jobs += 1;
+            if arrival >= warmup {
+                stats.push(response);
+                if apart && kept.len() < keep {
+                    kept.push(response);
+                }
             }
-            estimator.observe(r, &mut rng);
-            stats.push(r);
+        };
+        if rate > IDLE_RATE {
+            let mean_response = actual_exec_values[i] * rate;
+            let workload = config.workload;
+            match config.model.server(mean_response, rate) {
+                Some(mut server) => workload.for_each_arrival(rate, horizon, trace_rng, |a| {
+                    job(a, server.respond(a, &mut rng));
+                }),
+                None => {
+                    arrivals.clear();
+                    workload.for_each_arrival(rate, horizon, trace_rng, |a| arrivals.push(a));
+                    if !arrivals.is_empty() {
+                        let responses = ps_responses(&arrivals, mean_response, rate, &mut rng);
+                        for (&a, r) in arrivals.iter().zip(responses) {
+                            job(a, r);
+                        }
+                    }
+                }
+            }
         }
-        let estimate = estimator.estimate(rate);
+        for &r in &kept {
+            estimator.observe(r, &mut rng);
+        }
+        let estimate = estimator.estimate(&stats, rate);
         let obs = MachineObservation {
             machine: usize::try_from(stream).unwrap_or(usize::MAX),
             assigned_rate: rate,
-            jobs_arrived: arrivals.len() as u64,
+            jobs_arrived: jobs,
             response: stats,
             estimated_exec: estimate,
         };
@@ -276,8 +312,18 @@ fn simulate_machines(
         // Idle machines produce no verification evidence: fall back to the bid.
         estimated.push(estimate.unwrap_or(bids[i]));
         observations.push(obs);
-        if let (Some(probe), Some(t0)) = (on_machine.as_deref_mut(), started) {
-            probe(stream, t0.elapsed().as_secs_f64());
+        let done = i + 1;
+        if let (Some(probe), Some(t0)) = (on_block.as_deref_mut(), block_start.as_mut()) {
+            if done % PROBE_BLOCK == 0 || done == rates.len() {
+                let now = std::time::Instant::now();
+                let machines = (done - 1) % PROBE_BLOCK + 1;
+                probe(
+                    stream + 1 - machines as u64,
+                    machines,
+                    (now - *t0).as_secs_f64(),
+                );
+                *t0 = now;
+            }
         }
     }
 
@@ -676,6 +722,65 @@ mod tests {
     }
 
     #[test]
+    fn bursty_rates_that_overflow_or_vanish_are_typed_errors() {
+        // Each parameter is in range, but the calm rate they give is NaN
+        // (the dwell sum overflows) or zero (the burst weight overflows).
+        for (burstiness, dwell_means) in [(2.0, [1e308, 1e308]), (1e308, [1.0, 10.0])] {
+            let config = SimulationConfig {
+                workload: crate::workload::WorkloadModel::Bursty {
+                    burstiness,
+                    dwell_means,
+                },
+                ..deterministic_config()
+            };
+            assert!(matches!(
+                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0, None),
+                Err(CoreError::InvalidParameter {
+                    name: "bursty arrival rate",
+                    ..
+                })
+            ));
+            // An idle machine draws no arrivals, so its rates are not checked.
+            assert!(simulate_partition(&[1.0], &[1.0], &[0.0], &config, 0, None).is_ok());
+        }
+    }
+
+    #[test]
+    fn noise_cv_whose_square_overflows_is_a_typed_error() {
+        for noise_cv in [1e155, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = SimulationConfig {
+                estimator: EstimatorConfig {
+                    max_samples: None,
+                    noise_cv,
+                },
+                ..deterministic_config()
+            };
+            assert!(matches!(
+                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0, None),
+                Err(CoreError::InvalidParameter {
+                    name: "noise cv",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_stream_offset_past_u64_is_a_typed_error() {
+        let cfg = deterministic_config();
+        let at = |offset| simulate_partition(&[1.0, 1.0], &[1.0; 2], &[0.5; 2], &cfg, offset, None);
+        assert!(matches!(
+            at(u64::MAX - 1),
+            Err(CoreError::InvalidParameter {
+                name: "stream offset",
+                ..
+            })
+        ));
+        let top = at(u64::MAX - 2).unwrap();
+        assert_eq!(top.observations[1].machine as u64, u64::MAX - 1);
+    }
+
+    #[test]
     fn round_rejects_a_non_positive_actual_value() {
         let trues = paper_true_values();
         let mut actual = trues.clone();
@@ -690,24 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn timed_partition_probes_every_machine_without_changing_results() {
-        let trues = paper_true_values();
+    fn timed_partition_probes_every_block_without_changing_results() {
+        let trues: Vec<f64> = paper_true_values().into_iter().cycle().take(73).collect();
         let config = SimulationConfig {
-            horizon: 500.0,
+            horizon: 50.0,
             seed: 9,
             model: ServiceModel::StationaryExponential,
             workload: Default::default(),
             warmup: 0.0,
             estimator: EstimatorConfig::default(),
         };
-        let full = simulate_round(&trues, &trues, PAPER_ARRIVAL_RATE, &config).unwrap();
+        let full = simulate_round(&trues, &trues, 2.0 * trues.len() as f64, &config).unwrap();
         let rates = full.allocation.rates();
         let off = 3u64;
         let part = &trues[off as usize..];
         let sub_rates = &rates[off as usize..];
         let plain = simulate_partition(part, part, sub_rates, &config, off, None).unwrap();
         let mut probed = Vec::new();
-        let mut probe = |machine, wall| probed.push((machine, wall));
+        let mut probe = |first, machines, wall| probed.push((first, machines, wall));
         let timed =
             simulate_partition(part, part, sub_rates, &config, off, Some(&mut probe)).unwrap();
         // The probe observes; it must not perturb.
@@ -716,12 +821,20 @@ mod tests {
             bits(&timed.estimated_exec_values),
             bits(&plain.estimated_exec_values)
         );
-        // One probe per machine, global indices, non-negative wall times.
-        assert_eq!(probed.len(), part.len());
-        for (i, &(machine, wall)) in probed.iter().enumerate() {
-            assert_eq!(machine, off + i as u64);
+        // The blocks tile the partition in order, named by their first
+        // global index, with non-negative wall times: 70 = 32 + 32 + 6.
+        let sizes: Vec<usize> = probed.iter().map(|&(_, machines, _)| machines).collect();
+        assert_eq!(sizes, [PROBE_BLOCK, PROBE_BLOCK, 6]);
+        let mut next = off;
+        for &(first, machines, wall) in &probed {
+            assert_eq!(first, next);
             assert!(wall >= 0.0 && wall.is_finite());
+            next += machines as u64;
         }
+        assert_eq!(next, off + part.len() as u64);
+        // An empty partition has no block to time.
+        let mut none = |_, _, _| panic!("no machine, no block");
+        assert!(simulate_partition(&[], &[], &[], &config, off, Some(&mut none)).is_ok());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! The paper's latency abstraction is justified (Sec. 2) as "the expected
 //! waiting time in an M/G/1 queue under light load"; this module provides
 //! the actual queueing machinery so that justification can be *checked*:
-//! an event-driven FCFS server plus the closed-form M/M/1 stationary
-//! quantities (mean response `1/(μ−λ)`, utilization `ρ = λ/μ`, Little's law)
-//! the tests validate the simulator against.
+//! an FCFS server (Lindley's recursion) and a processor-sharing server,
+//! plus the closed-form M/M/1 stationary quantities (mean response
+//! `1/(μ−λ)`, utilization `ρ = λ/μ`, Little's law) the tests validate the
+//! simulator against.
 
-use crate::events::EventQueue;
-use crate::time::SimTime;
-use lb_stats::dist::Distribution;
+use lb_stats::dist::{sample, Distribution};
 use lb_stats::online::OnlineStats;
 use lb_stats::rng::Xoshiro256StarStar;
 
@@ -86,12 +85,34 @@ impl JobRecord {
     }
 }
 
+/// An FCFS single server between jobs, by Lindley's recursion: a job
+/// starts at its arrival or when the job before it completes, whichever is
+/// later. It needs only the jobs before it, so the verification kernel
+/// serves each job as it arrives.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Fcfs {
+    free_at: f64,
+}
+
+impl Fcfs {
+    /// Serves the next job (arrivals in order) for `service` seconds; a
+    /// negative service time counts as zero.
+    #[inline]
+    pub(crate) fn serve(&mut self, arrival: f64, service: f64) -> JobRecord {
+        let start = arrival.max(self.free_at);
+        self.free_at = start + service.max(0.0);
+        JobRecord {
+            arrival,
+            start,
+            completion: self.free_at,
+        }
+    }
+}
+
 /// Simulates an FCFS single-server queue over explicit arrival times with
-/// service times drawn from `service`.
+/// service times drawn from `service`, one per job in arrival order.
 ///
-/// Returns one [`JobRecord`] per arrival, in arrival order. Runs as an
-/// explicit discrete-event simulation over [`EventQueue`] (arrival and
-/// departure events), exercising the same engine the protocol layer uses.
+/// Returns one [`JobRecord`] per arrival, in arrival order.
 ///
 /// # Panics
 /// Panics if `arrivals` is not sorted ascending or contains negatives.
@@ -101,70 +122,19 @@ pub fn simulate_fcfs<D: Distribution + ?Sized>(
     service: &D,
     rng: &mut Xoshiro256StarStar,
 ) -> Vec<JobRecord> {
-    #[derive(Debug, Clone, Copy)]
-    enum Ev {
-        Arrival(usize),
-        Departure(usize),
-    }
-
-    let mut records: Vec<JobRecord> = arrivals
-        .iter()
-        .map(|&a| JobRecord {
-            arrival: a,
-            start: 0.0,
-            completion: 0.0,
-        })
-        .collect();
-    let mut queue = EventQueue::new();
     let mut prev = 0.0;
-    for (i, &a) in arrivals.iter().enumerate() {
+    for &a in arrivals {
         assert!(
             a >= prev && a >= 0.0,
             "simulate_fcfs: arrivals must be sorted and non-negative"
         );
         prev = a;
-        queue.schedule(SimTime::new(a), Ev::Arrival(i));
     }
-
-    let mut busy_until = 0.0f64;
-    let mut waiting: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut in_service: Option<usize> = None;
-    let next = move |rng: &mut Xoshiro256StarStar| {
-        use lb_stats::rng::Rng;
-        let mut f = || rng.next_u64();
-        service.sample(&mut f)
-    };
-
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Arrival(i) => {
-                if in_service.is_none() {
-                    let s = next(rng).max(0.0);
-                    records[i].start = now.seconds();
-                    records[i].completion = now.seconds() + s;
-                    busy_until = records[i].completion;
-                    in_service = Some(i);
-                    queue.schedule(SimTime::new(records[i].completion), Ev::Departure(i));
-                } else {
-                    waiting.push_back(i);
-                }
-            }
-            Ev::Departure(i) => {
-                debug_assert_eq!(in_service, Some(i));
-                in_service = None;
-                if let Some(j) = waiting.pop_front() {
-                    let s = next(rng).max(0.0);
-                    records[j].start = now.seconds();
-                    records[j].completion = now.seconds() + s;
-                    busy_until = records[j].completion;
-                    in_service = Some(j);
-                    queue.schedule(SimTime::new(records[j].completion), Ev::Departure(j));
-                }
-            }
-        }
-    }
-    let _ = busy_until;
-    records
+    let mut server = Fcfs::default();
+    arrivals
+        .iter()
+        .map(|&a| server.serve(a, sample(service, rng)))
+        .collect()
 }
 
 /// Simulates an egalitarian processor-sharing (PS) server: all jobs in the

@@ -19,8 +19,8 @@
 //!   most faithful realisation: responses are autocorrelated through the
 //!   queue, stressing the estimator the way a real system would.
 
-use crate::queue::{simulate_fcfs, JobRecord};
-use lb_stats::dist::{sample, Exponential};
+use crate::queue::{simulate_ps, Fcfs, JobRecord};
+use lb_stats::dist::Exponential;
 use lb_stats::rng::Xoshiro256StarStar;
 
 /// Stochastic realisation of the paper's latency abstraction.
@@ -56,26 +56,6 @@ impl ServiceModel {
         assigned_rate: f64,
         rng: &mut Xoshiro256StarStar,
     ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.responses_into(arrivals, exec_value, assigned_rate, rng, &mut out);
-        out
-    }
-
-    /// [`Self::responses`] into a caller-owned buffer: replaces the contents
-    /// of `out` with one response per arrival. The stationary models touch
-    /// no heap once `out` has grown to the largest machine's job count; the
-    /// two queue models still build their own job records.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters (negative rate, non-positive exec value).
-    pub(crate) fn responses_into(
-        self,
-        arrivals: &[f64],
-        exec_value: f64,
-        assigned_rate: f64,
-        rng: &mut Xoshiro256StarStar,
-        out: &mut Vec<f64>,
-    ) {
         assert!(
             exec_value.is_finite() && exec_value > 0.0,
             "ServiceModel: invalid exec value"
@@ -84,37 +64,83 @@ impl ServiceModel {
             assigned_rate.is_finite() && assigned_rate >= 0.0,
             "ServiceModel: invalid rate"
         );
-        out.clear();
         if arrivals.is_empty() || assigned_rate <= 0.0 {
-            return;
+            return Vec::new();
         }
         let mean_response = exec_value * assigned_rate;
-        match self {
-            Self::StationaryExponential => {
-                let d = Exponential::with_mean(mean_response);
-                out.extend(arrivals.iter().map(|_| sample(&d, rng)));
-            }
-            Self::StationaryDeterministic => out.resize(arrivals.len(), mean_response),
-            Self::Mm1Queue => {
-                // Calibrate mu so the stationary mean response equals t̃·x.
-                let mu = assigned_rate + 1.0 / mean_response;
-                let recs: Vec<JobRecord> = simulate_fcfs(arrivals, &Exponential::new(mu), rng);
-                out.extend(recs.iter().map(JobRecord::response));
-            }
-            Self::PsQueue => {
-                // M/M/1-PS shares the FCFS mean response 1/(mu - x): same
-                // calibration, processor-sharing dynamics.
-                let mu = assigned_rate + 1.0 / mean_response;
-                let svc = Exponential::new(mu);
-                let reqs: Vec<f64> = arrivals.iter().map(|_| sample(&svc, rng)).collect();
-                out.extend(
-                    crate::queue::simulate_ps(arrivals, &reqs)
-                        .iter()
-                        .map(JobRecord::response),
-                );
-            }
+        match self.server(mean_response, assigned_rate) {
+            Some(mut server) => arrivals.iter().map(|&a| server.respond(a, rng)).collect(),
+            None => ps_responses(arrivals, mean_response, assigned_rate, rng),
         }
     }
+
+    /// The per-job server of a busy machine with mean response
+    /// `mean_response` (finite and positive) at arrival rate
+    /// `assigned_rate`, or `None` for [`Self::PsQueue`], whose responses
+    /// need the whole trace ([`ps_responses`]).
+    pub(crate) fn server(self, mean_response: f64, assigned_rate: f64) -> Option<Server> {
+        match self {
+            Self::StationaryExponential => {
+                Some(Server::Exponential(Exponential::with_mean(mean_response)))
+            }
+            Self::StationaryDeterministic => Some(Server::Deterministic(mean_response)),
+            Self::Mm1Queue => Some(Server::Fcfs(
+                queue_service(mean_response, assigned_rate),
+                Fcfs::default(),
+            )),
+            Self::PsQueue => None,
+        }
+    }
+}
+
+/// The service law of both queue models: rate `mu` calibrated so the
+/// stationary mean response `1/(mu − x)` equals `t̃·x` (M/M/1-PS shares the
+/// FCFS mean: same calibration, processor-sharing dynamics).
+fn queue_service(mean_response: f64, assigned_rate: f64) -> Exponential {
+    Exponential::new(assigned_rate + 1.0 / mean_response)
+}
+
+/// One machine's server, stepped one job at a time in arrival order: what
+/// [`ServiceModel::responses`] and the verification kernel both run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Server {
+    /// I.i.d. responses from this law.
+    Exponential(Exponential),
+    /// Every response this long.
+    Deterministic(f64),
+    /// An FCFS queue with service times from this law.
+    Fcfs(Exponential, Fcfs),
+}
+
+impl Server {
+    /// The response time of the job arriving at `arrival`; the random
+    /// models draw from the machine's response stream `rng`.
+    #[inline]
+    pub(crate) fn respond(&mut self, arrival: f64, rng: &mut Xoshiro256StarStar) -> f64 {
+        match self {
+            Self::Exponential(d) => d.draw(rng),
+            Self::Deterministic(r) => *r,
+            Self::Fcfs(service, queue) => queue.serve(arrival, service.draw(rng)).response(),
+        }
+    }
+}
+
+/// The M/M/1-PS responses to `arrivals` (sorted, non-empty) at mean response
+/// `mean_response` and arrival rate `assigned_rate`: every job's service
+/// requirement is drawn from `rng` in arrival order before any job is
+/// served, since a PS response depends on the jobs that arrive after it.
+pub(crate) fn ps_responses(
+    arrivals: &[f64],
+    mean_response: f64,
+    assigned_rate: f64,
+    rng: &mut Xoshiro256StarStar,
+) -> Vec<f64> {
+    let service = queue_service(mean_response, assigned_rate);
+    let requirements: Vec<f64> = arrivals.iter().map(|_| service.draw(rng)).collect();
+    simulate_ps(arrivals, &requirements)
+        .iter()
+        .map(JobRecord::response)
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! Poisson streams, so the simulator generates one [`PoissonProcess`] per
 //! machine at its assigned rate.
 
-use lb_stats::dist::{sample, Exponential};
+use lb_core::CoreError;
+use lb_stats::dist::Exponential;
 use lb_stats::rng::Xoshiro256StarStar;
 
 /// A homogeneous Poisson arrival process with a private RNG stream.
@@ -40,27 +41,28 @@ impl PoissonProcess {
 
     /// Draws the next arrival time (strictly increasing).
     pub fn next_arrival(&mut self) -> f64 {
-        self.now += sample(&self.interarrival, &mut self.rng);
+        self.now += self.interarrival.draw(&mut self.rng);
         self.now
     }
 
     /// Generates all arrival times up to `horizon`.
     pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
         let mut out = Vec::with_capacity((self.rate() * horizon).ceil().max(1.0) as usize);
-        push_until(|| self.next_arrival(), horizon, &mut out);
+        until(|| self.next_arrival(), horizon, |t| out.push(t));
         out
     }
 }
 
-/// Appends `next()` arrivals to `out` until one lands past `horizon`. The
+/// Hands `next()` arrivals to `f` until one lands past `horizon`. The
 /// process is left past the horizon, so a later call continues it.
-fn push_until(mut next: impl FnMut() -> f64, horizon: f64, out: &mut Vec<f64>) {
+#[inline]
+fn until(mut next: impl FnMut() -> f64, horizon: f64, mut f: impl FnMut(f64)) {
     loop {
         let t = next();
         if t > horizon {
             break;
         }
-        out.push(t);
+        f(t);
     }
 }
 
@@ -73,8 +75,10 @@ fn push_until(mut next: impl FnMut() -> f64, horizon: f64, out: &mut Vec<f64>) {
 /// the paper's stationary-Poisson assumption.
 #[derive(Debug, Clone)]
 struct MmppProcess {
-    rates: [f64; 2],
-    dwell_means: [f64; 2],
+    /// Interarrival law in each state.
+    gaps: [Exponential; 2],
+    /// Dwell-time law in each state.
+    dwells: [Exponential; 2],
     state: usize,
     state_until: f64,
     now: f64,
@@ -82,23 +86,14 @@ struct MmppProcess {
 }
 
 impl MmppProcess {
-    /// Creates an MMPP-2 starting in state 0.
-    ///
-    /// # Panics
-    /// Panics unless all rates and dwell means are finite and positive.
+    /// Creates an MMPP-2 starting in state 0. All rates and dwell means
+    /// must be finite and positive ([`WorkloadModel::check`]).
     fn new(rates: [f64; 2], dwell_means: [f64; 2], mut rng: Xoshiro256StarStar) -> Self {
-        assert!(
-            rates.iter().all(|r| r.is_finite() && *r > 0.0),
-            "MmppProcess: rates must be finite and > 0"
-        );
-        assert!(
-            dwell_means.iter().all(|d| d.is_finite() && *d > 0.0),
-            "MmppProcess: dwell means must be finite and > 0"
-        );
-        let first_dwell = sample(&Exponential::with_mean(dwell_means[0]), &mut rng);
+        let dwells = dwell_means.map(Exponential::with_mean);
+        let first_dwell = dwells[0].draw(&mut rng);
         Self {
-            rates,
-            dwell_means,
+            gaps: rates.map(Exponential::new),
+            dwells,
             state: 0,
             state_until: first_dwell,
             now: 0.0,
@@ -108,10 +103,10 @@ impl MmppProcess {
 
     /// Draws the next arrival time (strictly increasing), switching states
     /// as dwell periods expire.
+    #[inline]
     fn next_arrival(&mut self) -> f64 {
         loop {
-            let gap = sample(&Exponential::new(self.rates[self.state]), &mut self.rng);
-            let candidate = self.now + gap;
+            let candidate = self.now + self.gaps[self.state].draw(&mut self.rng);
             if candidate <= self.state_until {
                 self.now = candidate;
                 return self.now;
@@ -121,13 +116,17 @@ impl MmppProcess {
             // this exact).
             self.now = self.state_until;
             self.state ^= 1;
-            let dwell = sample(
-                &Exponential::with_mean(self.dwell_means[self.state]),
-                &mut self.rng,
-            );
-            self.state_until = self.now + dwell;
+            self.state_until = self.now + self.dwells[self.state].draw(&mut self.rng);
         }
     }
+}
+
+/// The calm and burst arrival rates of a bursty machine at long-run rate
+/// `rate`: the burst state runs `burstiness` times faster, and the
+/// dwell-weighted mean is `rate`: `r_calm·d0 + b·r_calm·d1 = rate·(d0+d1)`.
+fn bursty_rates(rate: f64, burstiness: f64, [d0, d1]: [f64; 2]) -> [f64; 2] {
+    let r_calm = rate * (d0 + d1) / (d0 + burstiness * d1);
+    [r_calm, burstiness * r_calm]
 }
 
 /// A job flowing through the simulated system.
@@ -161,43 +160,66 @@ pub enum WorkloadModel {
 pub(crate) const IDLE_RATE: f64 = 1e-12;
 
 impl WorkloadModel {
-    /// Replaces the contents of `out` with one machine's arrival times up to
-    /// `horizon` at long-run rate `rate`, drawn from its trace stream `rng`.
-    /// An idle machine (rate ≤ 10⁻¹²) gets none and leaves `out` empty.
+    /// Rejects a bursty model whose burstiness is not finite and above 1,
+    /// whose dwell means are not finite and positive, or whose calm or
+    /// burst rate is not a normal float on a busy machine at one of
+    /// `rates` (say, a dwell sum that overflows).
     ///
-    /// # Panics
-    /// Panics if `rate` is non-finite, or if a `Bursty` model's burstiness
-    /// is not above 1 or a dwell mean is not finite and positive.
-    pub(crate) fn arrivals_into(
+    /// # Errors
+    /// [`CoreError::InvalidParameter`] naming the first bad value.
+    pub(crate) fn check(self, rates: &[f64]) -> Result<(), CoreError> {
+        let Self::Bursty {
+            burstiness,
+            dwell_means,
+        } = self
+        else {
+            return Ok(());
+        };
+        let invalid = |name, value| Err(CoreError::InvalidParameter { name, value });
+        if !(burstiness.is_finite() && burstiness > 1.0) {
+            return invalid("burstiness", burstiness);
+        }
+        if let Some(&d) = dwell_means.iter().find(|d| !(d.is_finite() && **d > 0.0)) {
+            return invalid("dwell mean", d);
+        }
+        if let Some(r) = rates
+            .iter()
+            .filter(|&&rate| rate > IDLE_RATE)
+            .flat_map(|&rate| bursty_rates(rate, burstiness, dwell_means))
+            .find(|r| !r.is_normal())
+        {
+            return invalid("bursty arrival rate", r);
+        }
+        Ok(())
+    }
+
+    /// Hands one machine's arrival times up to `horizon` at long-run rate
+    /// `rate`, drawn from its trace stream `rng`, to `f` in order. An idle
+    /// machine (rate ≤ 10⁻¹²) gets none. The caller has checked the rate
+    /// (finite) and the model ([`Self::check`]).
+    #[inline]
+    pub(crate) fn for_each_arrival(
         self,
         rate: f64,
         horizon: f64,
         rng: Xoshiro256StarStar,
-        out: &mut Vec<f64>,
+        f: impl FnMut(f64),
     ) {
-        out.clear();
         if rate <= IDLE_RATE {
             return;
         }
         match self {
             Self::Poisson => {
                 let mut p = PoissonProcess::new(rate, rng);
-                push_until(|| p.next_arrival(), horizon, out);
+                until(|| p.next_arrival(), horizon, f);
             }
             Self::Bursty {
                 burstiness,
                 dwell_means,
             } => {
-                assert!(
-                    burstiness > 1.0,
-                    "WorkloadModel::Bursty: burstiness must be > 1"
-                );
-                // Choose calm/burst rates so the dwell-weighted mean is `rate`:
-                // r_calm·d0 + b·r_calm·d1 = rate·(d0+d1).
-                let [d0, d1] = dwell_means;
-                let r_calm = rate * (d0 + d1) / (d0 + burstiness * d1);
-                let mut p = MmppProcess::new([r_calm, burstiness * r_calm], dwell_means, rng);
-                push_until(|| p.next_arrival(), horizon, out);
+                let rates = bursty_rates(rate, burstiness, dwell_means);
+                let mut p = MmppProcess::new(rates, dwell_means, rng);
+                until(|| p.next_arrival(), horizon, f);
             }
         }
     }
@@ -217,7 +239,9 @@ impl WorkloadModel {
 /// same arrivals from the same streams without materialising the traces.
 ///
 /// # Panics
-/// Panics if `horizon` is not positive or any rate is negative/non-finite.
+/// Panics if `horizon` is not positive, any rate is negative/non-finite,
+/// or a bursty model is out of range (burstiness not above 1, a dwell mean
+/// not finite and positive, or a calm or burst rate that is not normal).
 #[must_use]
 pub fn per_machine_traces_offset(
     rates: &[f64],
@@ -230,6 +254,12 @@ pub fn per_machine_traces_offset(
         horizon.is_finite() && horizon > 0.0,
         "per_machine_traces: invalid horizon"
     );
+    if let Some(rate) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
+        panic!("per_machine_traces: invalid rate {rate}");
+    }
+    if let Err(e) = model.check(rates) {
+        panic!("per_machine_traces: {e}");
+    }
     // Streams are positional: idle machines still consume theirs.
     let streams = Xoshiro256StarStar::seed_from_u64(seed).streams(offset);
     let first = usize::try_from(offset).unwrap_or(usize::MAX);
@@ -240,11 +270,8 @@ pub fn per_machine_traces_offset(
         .zip(streams)
         .enumerate()
         .map(|(i, (&rate, stream_rng))| {
-            assert!(
-                rate.is_finite() && rate >= 0.0,
-                "per_machine_traces: invalid rate {rate}"
-            );
-            model.arrivals_into(rate, horizon, stream_rng, &mut arrivals);
+            arrivals.clear();
+            model.for_each_arrival(rate, horizon, stream_rng, |t| arrivals.push(t));
             let machine = first.saturating_add(i);
             arrivals
                 .iter()
@@ -278,14 +305,16 @@ mod tests {
 
     /// Long-run average arrival rate of an MMPP-2 (dwell-weighted).
     fn mean_rate(p: &MmppProcess) -> f64 {
-        let w = p.dwell_means[0] + p.dwell_means[1];
-        (p.rates[0] * p.dwell_means[0] + p.rates[1] * p.dwell_means[1]) / w
+        let rates = p.gaps.map(|g| g.rate());
+        let dwell_means = p.dwells.map(|d| 1.0 / d.rate());
+        let w = dwell_means[0] + dwell_means[1];
+        (rates[0] * dwell_means[0] + rates[1] * dwell_means[1]) / w
     }
 
     /// All of an MMPP-2's arrival times up to `horizon`.
     fn mmpp_arrivals_until(p: &mut MmppProcess, horizon: f64) -> Vec<f64> {
         let mut out = Vec::new();
-        push_until(|| p.next_arrival(), horizon, &mut out);
+        until(|| p.next_arrival(), horizon, |t| out.push(t));
         out
     }
 

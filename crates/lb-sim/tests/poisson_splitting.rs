@@ -14,6 +14,7 @@ use lb_sim::estimator::ExecValueEstimator;
 use lb_sim::server::ServiceModel;
 use lb_sim::workload::PoissonProcess;
 use lb_stats::ks::{exponential_cdf, ks_test};
+use lb_stats::online::OnlineStats;
 use lb_stats::rng::{Rng, Xoshiro256StarStar};
 
 /// One dispatch-level round.
@@ -74,12 +75,14 @@ fn simulate_dispatch(
                     .model
                     .responses(machine_arrivals, actual_exec_values[i], rate, &mut rng);
             let mut estimator = ExecValueEstimator::new(config.estimator);
+            let mut observed = OnlineStats::new();
             for (&a, &r) in machine_arrivals.iter().zip(&responses) {
                 if a >= config.warmup {
+                    observed.push(r);
                     estimator.observe(r, &mut rng);
                 }
             }
-            estimator.estimate(rate).unwrap_or(bids[i])
+            estimator.estimate(&observed, rate).unwrap_or(bids[i])
         })
         .collect();
 

@@ -1,7 +1,10 @@
-//! Student-t confidence intervals for simulation output analysis.
+//! Confidence intervals for simulation output analysis.
 //!
 //! The standard way to report discrete-event simulation results: a
-//! t-interval over independent observations of the mean. The level is a
+//! t-interval over independent observations of the mean
+//! ([`mean_confidence_interval`]). Where a study reads a *median*, the
+//! matching interval is [`median_confidence_interval`]: two order
+//! statistics chosen by binomial ranks, distribution-free. The level is a
 //! [`ConfidenceLevel`], so only the levels the critical-value table covers
 //! can be asked for.
 
@@ -144,6 +147,79 @@ pub fn mean_confidence_interval(
     }
 }
 
+/// A distribution-free confidence interval for a population median: two
+/// order statistics of the sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MedianInterval {
+    /// Lower endpoint, the `l`-th smallest observation.
+    pub lo: f64,
+    /// Upper endpoint, the `l`-th largest observation.
+    pub hi: f64,
+    /// Confidence level asked for.
+    pub confidence: ConfidenceLevel,
+    /// Exact coverage of the interval for continuous data, at least the
+    /// level: `1 − 2·P(B < l)` for `B ~ Binomial(count, ½)`.
+    pub coverage: f64,
+    /// Number of observations behind the estimate.
+    pub count: u64,
+}
+
+impl MedianInterval {
+    /// Whether `value` lies inside the interval.
+    #[must_use]
+    pub fn contains(&self, value: f64) -> bool {
+        value >= self.lo && value <= self.hi
+    }
+}
+
+/// Distribution-free confidence interval for the median of the population
+/// `values` were drawn from (independently).
+///
+/// Each observation falls below the population median with probability ½,
+/// so the number below it is `B ~ Binomial(n, ½)`, and the `l`-th smallest
+/// and `l`-th largest observations bracket it with probability
+/// `1 − 2·P(B < l)` whatever the distribution. The interval takes the
+/// largest `l` whose coverage still reaches `confidence`, so it always
+/// contains the sample median.
+///
+/// Returns `None` when no pair of order statistics reaches the level: the
+/// widest pair, the minimum and maximum, covers `1 − 2⁻⁽ⁿ⁻¹⁾`, so 95 %
+/// needs six observations, 90 % five and 99 % eight.
+#[must_use]
+pub fn median_confidence_interval(
+    values: &[f64],
+    confidence: ConfidenceLevel,
+) -> Option<MedianInterval> {
+    let n = values.len();
+    let tail = (1.0 - confidence.value()) / 2.0;
+    // P(B ≤ k) for k = 0, 1, …, from the pmf's ratio recursion in log
+    // space (2⁻ⁿ underflows for n > 1074).
+    let mut log_pmf = -(n as f64) * std::f64::consts::LN_2;
+    let mut below = 0.0;
+    let mut l = 0;
+    while l < n.div_ceil(2) {
+        let next = below + log_pmf.exp();
+        if next > tail {
+            break;
+        }
+        below = next;
+        log_pmf += ((n - l) as f64 / (l + 1) as f64).ln();
+        l += 1;
+    }
+    if l == 0 {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    Some(MedianInterval {
+        lo: sorted[l - 1],
+        hi: sorted[n - l],
+        confidence,
+        coverage: 1.0 - 2.0 * below,
+        count: n as u64,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +267,84 @@ mod tests {
         }
         let ci = mean_confidence_interval(&reps, ConfidenceLevel::P99);
         assert!(ci.contains(2.0), "CI [{}, {}] misses 2.0", ci.lo(), ci.hi());
+    }
+
+    #[test]
+    fn median_interval_ranks_match_the_binomial_table() {
+        // n = 6 at 95 %: only the extremes, coverage 1 − 2/64.
+        let six = [6.0, 1.0, 5.0, 2.0, 4.0, 3.0];
+        let ci = median_confidence_interval(&six, ConfidenceLevel::P95).unwrap();
+        assert_eq!((ci.lo, ci.hi, ci.count), (1.0, 6.0, 6));
+        assert!((ci.coverage - (1.0 - 2.0 / 64.0)).abs() < 1e-15);
+        // n = 20 at 95 %: the 6th smallest and 6th largest (P(B ≤ 5) =
+        // 0.0207 ≤ 0.025 < P(B ≤ 6) = 0.0577).
+        let twenty: Vec<f64> = (1..=20).map(f64::from).collect();
+        let ci = median_confidence_interval(&twenty, ConfidenceLevel::P95).unwrap();
+        assert_eq!((ci.lo, ci.hi), (6.0, 15.0));
+        assert!((ci.coverage - 0.958_610_5).abs() < 1e-6, "{}", ci.coverage);
+        // Large n: no underflow, and the ranks close in on the median.
+        let many: Vec<f64> = (0..5000).map(f64::from).collect();
+        let ci = median_confidence_interval(&many, ConfidenceLevel::P99).unwrap();
+        assert!(ci.lo < 2499.5 && 2499.5 < ci.hi);
+        assert!(ci.hi - ci.lo < 200.0, "[{}, {}]", ci.lo, ci.hi);
+        assert!(
+            ci.coverage >= 0.99 && ci.coverage < 0.992,
+            "{}",
+            ci.coverage
+        );
+    }
+
+    #[test]
+    fn median_interval_needs_enough_observations_for_its_level() {
+        let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+        for (level, min_n) in [
+            (ConfidenceLevel::P90, 5),
+            (ConfidenceLevel::P95, 6),
+            (ConfidenceLevel::P99, 8),
+        ] {
+            for n in 0..min_n {
+                assert_eq!(median_confidence_interval(&values[..n], level), None);
+            }
+            let ci = median_confidence_interval(&values[..min_n], level).unwrap();
+            let sorted = {
+                let mut v = values[..min_n].to_vec();
+                v.sort_by(f64::total_cmp);
+                v
+            };
+            assert_eq!((ci.lo, ci.hi), (sorted[0], sorted[min_n - 1]));
+            assert!(ci.coverage >= level.value());
+        }
+    }
+
+    #[test]
+    fn median_interval_coverage_holds_on_known_distributions() {
+        // 4000 samples of 25 from each law: the interval covers the true
+        // median at its exact coverage (0.9567 for n = 25 at 95 %), whatever
+        // the distribution, within four binomial standard errors.
+        use crate::dist::{LogNormal, Pareto, Uniform};
+        let laws: [(&dyn crate::dist::Distribution, f64); 4] = [
+            (&Exponential::new(1.0), std::f64::consts::LN_2),
+            (&Uniform::new(-1.0, 3.0), 1.0),
+            (&LogNormal::new(0.5, 1.0), 0.5f64.exp()),
+            (&Pareto::new(1.0, 1.5), 2f64.powf(1.0 / 1.5)),
+        ];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x3ed1a);
+        for (law, true_median) in laws {
+            let (trials, mut covered, mut coverage) = (4000, 0, 0.0);
+            for _ in 0..trials {
+                let sample: Vec<f64> = (0..25).map(|_| sample(law, &mut rng)).collect();
+                let ci = median_confidence_interval(&sample, ConfidenceLevel::P95).unwrap();
+                covered += usize::from(ci.contains(true_median));
+                coverage = ci.coverage;
+            }
+            let rate = covered as f64 / f64::from(trials);
+            let se = (coverage * (1.0 - coverage) / f64::from(trials)).sqrt();
+            assert!(coverage >= 0.95);
+            assert!(
+                (rate - coverage).abs() < 4.0 * se,
+                "median {true_median}: covered {rate}, exact {coverage}"
+            );
+        }
     }
 
     #[test]

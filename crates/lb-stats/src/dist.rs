@@ -27,21 +27,13 @@ pub fn sample<D: Distribution + ?Sized, R: Rng>(dist: &D, rng: &mut R) -> f64 {
     dist.sample(&mut || rng.next_u64())
 }
 
-/// Converts raw bits into a uniform `f64` in `[0, 1)` (53-bit construction).
-#[inline]
-fn bits_to_unit(bits: u64) -> f64 {
-    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-    (bits >> 11) as f64 * SCALE
-}
+/// The object-safe sampler's bit source as an [`Rng`], so a sampler with a
+/// generic draw runs the same code through [`Distribution::sample`].
+struct Bits<'a>(&'a mut dyn FnMut() -> u64);
 
-/// Uniform `f64` in `(0, 1)` — rejects exact zeros for inverse-CDF use.
-#[inline]
-fn unit_open(next: &mut dyn FnMut() -> u64) -> f64 {
-    loop {
-        let u = bits_to_unit(next());
-        if u > 0.0 {
-            return u;
-        }
+impl Rng for Bits<'_> {
+    fn next_u64(&mut self) -> u64 {
+        (self.0)()
     }
 }
 
@@ -103,7 +95,7 @@ impl Uniform {
 
 impl Distribution for Uniform {
     fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.lo + (self.hi - self.lo) * bits_to_unit(rng())
+        self.lo + (self.hi - self.lo) * Bits(rng).next_f64()
     }
     fn mean(&self) -> Option<f64> {
         Some(0.5 * (self.lo + self.hi))
@@ -152,11 +144,18 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         self.rate
     }
+
+    /// One draw from a concrete generator, bit for bit [`sample`]`(self,
+    /// rng)` but with no `dyn` call per draw: the simulator's per-job path.
+    #[inline]
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        -rng.next_f64_open().ln() / self.rate
+    }
 }
 
 impl Distribution for Exponential {
     fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        -unit_open(rng).ln() / self.rate
+        self.draw(&mut Bits(rng))
     }
     fn mean(&self) -> Option<f64> {
         Some(1.0 / self.rate)
@@ -208,7 +207,7 @@ impl Pareto {
 
 impl Distribution for Pareto {
     fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        self.scale / unit_open(rng).powf(1.0 / self.shape)
+        self.scale / Bits(rng).next_f64_open().powf(1.0 / self.shape)
     }
     fn mean(&self) -> Option<f64> {
         (self.shape > 1.0).then(|| self.scale * self.shape / (self.shape - 1.0))
@@ -223,10 +222,11 @@ impl Distribution for Pareto {
 
 /// Standard normal deviate via the Marsaglia polar method (no cached spare,
 /// so the sampler stays `&self`).
-fn standard_normal(next: &mut dyn FnMut() -> u64) -> f64 {
+#[inline]
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
-        let u = 2.0 * bits_to_unit(next()) - 1.0;
-        let v = 2.0 * bits_to_unit(next()) - 1.0;
+        let u = 2.0 * rng.next_f64() - 1.0;
+        let v = 2.0 * rng.next_f64() - 1.0;
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
             return u * ((-2.0 * s.ln()) / s).sqrt();
@@ -268,11 +268,18 @@ impl LogNormal {
         let sigma2 = (1.0 + cv * cv).ln();
         Self::new(mean.ln() - 0.5 * sigma2, sigma2.sqrt())
     }
+
+    /// One draw from a concrete generator, bit for bit [`sample`]`(self,
+    /// rng)` but with no `dyn` call per draw.
+    #[inline]
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        (self.mu + self.sigma * standard_normal(rng)).exp()
+    }
 }
 
 impl Distribution for LogNormal {
     fn sample(&self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
+        self.draw(&mut Bits(rng))
     }
     fn mean(&self) -> Option<f64> {
         Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
@@ -352,6 +359,24 @@ mod tests {
         for _ in 0..10_000 {
             assert!(d.sample(&mut next) > 0.0);
         }
+    }
+
+    #[test]
+    fn generic_draws_are_the_object_safe_samples_bit_for_bit() {
+        let exp = Exponential::with_mean(0.7);
+        let log_normal = LogNormal::with_mean_cv(1.0, 0.4);
+        let (mut a, mut b) = (
+            Xoshiro256StarStar::seed_from_u64(31),
+            Xoshiro256StarStar::seed_from_u64(31),
+        );
+        for _ in 0..10_000 {
+            assert_eq!(exp.draw(&mut a).to_bits(), sample(&exp, &mut b).to_bits());
+            assert_eq!(
+                log_normal.draw(&mut a).to_bits(),
+                sample(&log_normal, &mut b).to_bits()
+            );
+        }
+        assert_eq!(a, b, "both consumed the same bits");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   single [`dist::Distribution`] trait, plus the fixtures its tests use.
 //! * [`online`] — numerically stable single-pass (Welford) statistics with
 //!   pairwise merge for parallel reductions.
-//! * [`ci`] — Student-t confidence intervals at a [`ConfidenceLevel`].
+//! * [`ci`] — Student-t confidence intervals for a mean and
+//!   distribution-free order-statistic intervals for a median, at a
+//!   [`ConfidenceLevel`].
 //! * [`sketch`] — [`LatencySketch`], the workspace's one latency summary:
 //!   exact moments plus fixed-geometry log-domain bins, merged exactly and
 //!   read as quantiles by the profiler, the metrics registry and the bench
@@ -37,7 +39,10 @@ pub mod rng;
 pub mod sketch;
 
 pub use autocorr::{autocorrelation, effective_sample_size};
-pub use ci::{mean_confidence_interval, ConfidenceInterval, ConfidenceLevel};
+pub use ci::{
+    mean_confidence_interval, median_confidence_interval, ConfidenceInterval, ConfidenceLevel,
+    MedianInterval,
+};
 pub use dist::Distribution;
 pub use ks::{ks_test, KsTest};
 pub use online::OnlineStats;

@@ -177,33 +177,38 @@ impl Xoshiro256StarStar {
     /// `stream(0)` is one jump ahead of `self` (never identical to it), so the
     /// parent generator may keep being used without overlapping any stream.
     ///
-    /// Cost is `index + 1` jumps (≈ 30–36 ns each), so deriving stream `i` for
-    /// every `i` in `0..n` this way is O(n²) — at n = 10⁶ machines that is
-    /// hours, not seconds. Loops over consecutive streams must use
-    /// [`Self::streams`], which yields the identical generators at one jump
-    /// per step.
+    /// Costs O(log `index`): one walk of a compile-time jump power per set
+    /// bit of `index` (≈ 300–490 ns each), a few µs at any index below 2²⁰.
     #[must_use]
     pub fn stream(&self, index: u64) -> Self {
-        let mut g = self.clone();
-        for _ in 0..=index {
-            g.jump();
-        }
+        let mut g = self.jumped(index);
+        g.jump();
         g
     }
 
     /// Iterator over consecutive independent streams: yields exactly
     /// `self.stream(start)`, `self.stream(start + 1)`, … — bit-identical to
-    /// indexed derivation — but advances incrementally, one jump per step,
-    /// after a `start`-jump skip-ahead. The difference between O(n²) and
-    /// O(n) stream derivation when walking machines `0..n`; the skip-ahead
-    /// of a partition starting at machine 875 000 costs ≈ 27–32 ms.
+    /// indexed derivation — at one table jump per step after an O(log
+    /// `start`) skip-ahead.
     #[must_use]
     pub fn streams(&self, start: u64) -> Streams {
-        let mut cur = self.clone();
-        for _ in 0..start {
-            cur.jump();
+        Streams {
+            cur: self.jumped(start),
         }
-        Streams { cur }
+    }
+
+    /// `self` advanced by `count` jumps: for each set bit `j` of `count`,
+    /// one walk of the polynomial `JUMP_POWERS[j]` (the jump applied 2ʲ
+    /// times). Jumps are polynomials in the state transition, so they
+    /// commute and the order of the walks does not matter.
+    fn jumped(&self, count: u64) -> Self {
+        let mut s = self.s;
+        let mut rest = count;
+        while rest != 0 {
+            s = jump_poly(&JUMP_POWERS[rest.trailing_zeros() as usize], s);
+            rest &= rest - 1;
+        }
+        Self { s }
     }
 }
 
@@ -227,14 +232,15 @@ const fn step(mut s: [u64; 4]) -> [u64; 4] {
     s
 }
 
-/// The reference jump (Blackman & Vigna): walk 256 steps, XORing the
-/// state into the result at every set bit of [`JUMP`]. It builds
-/// [`JUMP_TABLE`] and is the oracle the table is tested against.
-const fn jump_serial(mut s: [u64; 4]) -> [u64; 4] {
+/// Applies the polynomial `poly` (coefficient `k` at bit `k`, degree
+/// < 256) to the state: walk 256 steps, XORing the state into the result
+/// at every set bit. Stepping `k` times is `x^k`, so the walk of
+/// `x^k mod P` ([`CHAR_POLY`]) advances the state by `k` steps.
+const fn jump_poly(poly: &[u64; 4], mut s: [u64; 4]) -> [u64; 4] {
     let mut acc = [0u64; 4];
     let mut bit = 0;
     while bit < 256 {
-        if JUMP[bit / 64] & (1u64 << (bit % 64)) != 0 {
+        if poly[bit / 64] & (1u64 << (bit % 64)) != 0 {
             acc[0] ^= s[0];
             acc[1] ^= s[1];
             acc[2] ^= s[2];
@@ -245,6 +251,67 @@ const fn jump_serial(mut s: [u64; 4]) -> [u64; 4] {
     }
     acc
 }
+
+/// The reference jump (Blackman & Vigna): the walk of [`JUMP`]. It builds
+/// [`JUMP_TABLE`] and is the oracle the table and the jump powers are
+/// tested against.
+const fn jump_serial(s: [u64; 4]) -> [u64; 4] {
+    jump_poly(&JUMP, s)
+}
+
+/// The characteristic polynomial `P` of the state transition, without its
+/// leading `x²⁵⁶` term. `JUMP` is `x^(2¹²⁸) mod P`, and the tests derive
+/// both facts from the generator itself.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// `a² mod P` over GF(2): squaring spreads bit `i` to bit `2i`, then each
+/// set bit `i ≥ 256`, from the top down, is replaced by `P·x^(i−256)`.
+const fn square_mod(a: &[u64; 4]) -> [u64; 4] {
+    let mut r = [0u64; 8];
+    let mut i = 0;
+    while i < 256 {
+        if a[i / 64] & (1u64 << (i % 64)) != 0 {
+            r[i / 32] |= 1u64 << ((2 * i) % 64);
+        }
+        i += 1;
+    }
+    let mut top = 511;
+    while top >= 256 {
+        if r[top / 64] & (1u64 << (top % 64)) != 0 {
+            r[top / 64] ^= 1u64 << (top % 64);
+            let (words, bits) = ((top - 256) / 64, (top - 256) % 64);
+            let mut m = 0;
+            while m < 4 {
+                r[m + words] ^= CHAR_POLY[m] << bits;
+                if bits > 0 {
+                    r[m + words + 1] ^= CHAR_POLY[m] >> (64 - bits);
+                }
+                m += 1;
+            }
+        }
+        top -= 1;
+    }
+    [r[0], r[1], r[2], r[3]]
+}
+
+/// The jump applied `2ʲ` times, for `j` in `0..64`: entry `j` is the
+/// polynomial `x^(2¹²⁸⁺ʲ) mod P`, each the square of the one before.
+/// Built at compile time; 2 KiB covers every `u64` jump count.
+static JUMP_POWERS: [[u64; 4]; 64] = {
+    let mut p = [[0u64; 4]; 64];
+    p[0] = JUMP;
+    let mut j = 1;
+    while j < 64 {
+        p[j] = square_mod(&p[j - 1]);
+        j += 1;
+    }
+    p
+};
 
 /// Jump images per nibble: entry `[16·w + k][v]` is the jump of the state
 /// whose only set bits are `v` at bits `4k..4k + 4` of word `w`.
@@ -295,6 +362,7 @@ impl Iterator for Streams {
 }
 
 impl Rng for Xoshiro256StarStar {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         self.s = step(self.s);
@@ -425,6 +493,61 @@ mod tests {
             let s = [g.next_u64(), g.next_u64(), g.next_u64(), g.next_u64()];
             assert_eq!(table_jump(s), jump_serial(s), "random state {i}: {s:x?}");
         }
+    }
+
+    /// `P(step)` annihilates the state: the walk of `P`'s low terms equals
+    /// `x²⁵⁶`, 256 steps. And `JUMP` is `x` squared 128 times modulo `P`.
+    #[test]
+    fn char_poly_is_the_transition_polynomial_and_generates_the_jump() {
+        let mut g = Xoshiro256StarStar::seed_from_u64(0xc4a2);
+        for _ in 0..64 {
+            let s = [g.next_u64(), g.next_u64(), g.next_u64(), g.next_u64()];
+            let stepped = (0..256).fold(s, |s, _| step(s));
+            assert_eq!(jump_poly(&CHAR_POLY, s), stepped, "state {s:x?}");
+        }
+        let x = (0..128).fold([2, 0, 0, 0], |p, _| square_mod(&p));
+        assert_eq!(x, JUMP);
+        assert_eq!(JUMP_POWERS[0], JUMP);
+    }
+
+    /// `base` advanced by `count` reference jumps.
+    fn serial(base: &Xoshiro256StarStar, count: u64) -> [u64; 4] {
+        (0..count).fold(base.s, |s, _| jump_serial(s))
+    }
+
+    #[test]
+    fn indexed_derivation_matches_serial_jumps() {
+        let base = Xoshiro256StarStar::seed_from_u64(0x5eed);
+        let mut offsets = vec![0, 1, 2];
+        for k in 2..=12 {
+            offsets.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        let mut g = SplitMix64::new(17);
+        offsets.extend((0..16).map(|_| g.next_below(5000)));
+        offsets.sort_unstable();
+        offsets.dedup();
+        let (mut s, mut at) = (base.s, 0);
+        for &o in &offsets {
+            s = (at..o).fold(s, |s, _| jump_serial(s));
+            at = o;
+            assert_eq!(base.streams(o).cur.s, s, "streams({o}) skip-ahead");
+            assert_eq!(base.stream(o).s, jump_serial(s), "stream({o})");
+            assert_eq!(base.streams(o).next().unwrap(), base.stream(o));
+        }
+        assert_eq!(base.jumped(5).s, serial(&base, 5));
+    }
+
+    #[test]
+    fn large_offsets_compose() {
+        let base = Xoshiro256StarStar::seed_from_u64(0xb16);
+        let mut g = SplitMix64::new(23);
+        for _ in 0..32 {
+            let (a, b) = (g.next_u64() >> 2, g.next_u64() >> 2);
+            assert_eq!(base.jumped(a).jumped(b), base.jumped(a + b), "{a} + {b}");
+        }
+        let top = base.jumped(u64::MAX);
+        assert_eq!(top.jumped(1), base.jumped(1 << 63).jumped(1 << 63));
+        assert_eq!(base.stream(u64::MAX), top.stream(0));
     }
 
     #[test]

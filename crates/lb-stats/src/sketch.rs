@@ -122,16 +122,38 @@ impl LatencySketch {
             "LatencySketch: duration must be a non-negative number, got {seconds}"
         );
         self.stats.push(seconds);
-        // log10(0) = -inf falls below the domain and is counted as underflow.
+        *self.bin(seconds) += 1;
+    }
+
+    /// Records `n` observations of the same duration in O(1): how a
+    /// block-timed profiler gives each machine of a block the block's mean.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) on NaN or negative durations.
+    pub fn record_n(&mut self, seconds: f64, n: u64) {
+        debug_assert!(
+            seconds >= 0.0 && !seconds.is_nan(),
+            "LatencySketch: duration must be a non-negative number, got {seconds}"
+        );
+        let sum = seconds * n as f64;
+        if let Some(group) = OnlineStats::from_parts(n, seconds, 0.0, seconds, seconds, sum) {
+            self.stats.merge(&group);
+            *self.bin(seconds) += n;
+        }
+    }
+
+    /// The count a duration lands in. log10(0) = -inf falls below the
+    /// domain and is counted as underflow.
+    fn bin(&mut self, seconds: f64) -> &mut u64 {
         let log = seconds.log10();
         if log < SKETCH_LOG_LO {
-            self.underflow += 1;
+            &mut self.underflow
         } else if log >= SKETCH_LOG_HI {
-            self.overflow += 1;
+            &mut self.overflow
         } else {
             let frac = (log - SKETCH_LOG_LO) / (SKETCH_LOG_HI - SKETCH_LOG_LO);
             let idx = ((frac * SKETCH_BINS as f64) as usize).min(SKETCH_BINS - 1);
-            self.bins[idx] += 1;
+            &mut self.bins[idx]
         }
     }
 
@@ -331,6 +353,26 @@ mod tests {
     fn log_uniform(rng: &mut Xoshiro256StarStar, lo: f64, hi: f64) -> f64 {
         let u = rng.next_f64();
         10f64.powf(lo + u * (hi - lo))
+    }
+
+    #[test]
+    fn record_n_is_n_records_of_one_value() {
+        let mut g = Xoshiro256StarStar::seed_from_u64(0xb10c);
+        let (mut grouped, mut single) = (LatencySketch::new(), LatencySketch::new());
+        for _ in 0..50 {
+            let (v, n) = (log_uniform(&mut g, -9.0, 6.0), g.next_below(40));
+            grouped.record_n(v, n);
+            (0..n).for_each(|_| single.record(v));
+        }
+        grouped.record_n(0.0, 3);
+        (0..3).for_each(|_| single.record(0.0));
+        assert_eq!(grouped.count(), single.count());
+        assert_eq!(grouped.to_wire().bins, single.to_wire().bins);
+        assert_eq!((grouped.min(), grouped.max()), (single.min(), single.max()));
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(grouped.quantile(q).to_bits(), single.quantile(q).to_bits());
+        }
+        assert!((grouped.mean() - single.mean()).abs() <= 1e-12 * single.mean());
     }
 
     #[test]
