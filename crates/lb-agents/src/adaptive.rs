@@ -114,21 +114,6 @@ pub struct RepeatedPlayReport {
     pub cumulative_regret: Vec<f64>,
 }
 
-impl RepeatedPlayReport {
-    /// Average per-round regret of agent 0 over the final quarter of play.
-    ///
-    /// # Panics
-    /// Panics if the report holds fewer than 4 rounds.
-    #[must_use]
-    pub fn late_average_regret(&self) -> f64 {
-        let n = self.cumulative_regret.len();
-        assert!(n >= 4, "late_average_regret: too few rounds");
-        let late = n / 4;
-        let span = &self.cumulative_regret[n - late - 1..];
-        (span[span.len() - 1] - span[0]) / late as f64
-    }
-}
-
 /// Simulates `rounds` of repeated play: every agent is an independent
 /// ε-greedy learner over `menu`; each round they pick arms, the mechanism
 /// runs, and they observe only their own utility.
@@ -205,6 +190,15 @@ mod tests {
     use lb_core::optimal_latency_linear;
     use lb_mechanism::CompensationBonusMechanism;
 
+    /// Average per-round regret of agent 0 over the final quarter of play.
+    fn late_average_regret(report: &RepeatedPlayReport) -> f64 {
+        let n = report.cumulative_regret.len();
+        assert!(n >= 4, "late_average_regret: too few rounds");
+        let late = n / 4;
+        let span = &report.cumulative_regret[n - late - 1..];
+        (span[span.len() - 1] - span[0]) / late as f64
+    }
+
     #[test]
     fn learners_discover_truthfulness() {
         let trues = [1.0, 2.0, 5.0, 10.0];
@@ -267,7 +261,7 @@ mod tests {
         }
         // Sublinearity in practice: late per-round regret far below early.
         let early = regret[regret.len() / 10] / (regret.len() / 10) as f64;
-        let late = report.late_average_regret();
+        let late = late_average_regret(&report);
         assert!(late < 0.5 * early, "late {late} vs early {early}");
     }
 

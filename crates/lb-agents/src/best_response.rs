@@ -56,12 +56,6 @@ impl BestResponse {
     pub fn gain(&self) -> f64 {
         self.utility - self.truthful_utility
     }
-
-    /// Whether the best response *is* (numerically) the truthful strategy.
-    #[must_use]
-    pub fn truth_is_best(&self, tol: f64) -> bool {
-        self.gain() <= tol
-    }
 }
 
 /// Evaluates agent `agent`'s utility when it plays `(bid, exec)` against the
@@ -166,7 +160,7 @@ mod tests {
         let mech = CompensationBonusMechanism::paper();
         for agent in [0usize, 4, 12] {
             let br = best_response(&mech, &base, agent, &SearchOptions::default()).unwrap();
-            assert!(br.truth_is_best(1e-6), "agent {agent}: gain {}", br.gain());
+            assert!(br.gain() <= 1e-6, "agent {agent}: gain {}", br.gain());
             let t = base.true_values()[agent];
             assert!(
                 (br.bid - t).abs() / t < 0.05,
@@ -195,7 +189,7 @@ mod tests {
         let base = Profile::new(trues, bids, exec, PAPER_ARRIVAL_RATE).unwrap();
         let mech = CompensationBonusMechanism::paper();
         let br = best_response(&mech, &base, 0, &SearchOptions::default()).unwrap();
-        assert!(br.truth_is_best(1e-6), "gain {}", br.gain());
+        assert!(br.gain() <= 1e-6, "gain {}", br.gain());
     }
 
     #[test]

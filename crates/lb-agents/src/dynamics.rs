@@ -58,7 +58,7 @@ impl DynamicsReport {
     /// # Panics
     /// Panics if the report is empty.
     #[must_use]
-    pub fn final_exec(&self) -> &[f64] {
+    fn final_exec(&self) -> &[f64] {
         self.exec_history.last().expect("at least one sweep")
     }
 
@@ -82,24 +82,6 @@ impl DynamicsReport {
             .iter()
             .zip(true_values)
             .map(|(b, t)| (b - scale * t).abs() / (scale * t))
-            .fold(0.0, f64::max);
-        let exec_d = self
-            .final_exec()
-            .iter()
-            .zip(true_values)
-            .map(|(e, t)| (e - t).abs() / t)
-            .fold(0.0, f64::max);
-        bid_d.max(exec_d)
-    }
-
-    /// Maximum relative distance of the final profile from full truth.
-    #[must_use]
-    pub fn distance_from_truth(&self, true_values: &[f64]) -> f64 {
-        let bid_d = self
-            .final_bids()
-            .iter()
-            .zip(true_values)
-            .map(|(b, t)| (b - t).abs() / t)
             .fold(0.0, f64::max);
         let exec_d = self
             .final_exec()
@@ -160,6 +142,18 @@ mod tests {
     use lb_core::System;
     use lb_mechanism::CompensationBonusMechanism;
 
+    /// Maximum relative distance of the final profile from full truth.
+    fn distance_from_truth(report: &DynamicsReport, true_values: &[f64]) -> f64 {
+        let distance = |values: &[f64]| {
+            values
+                .iter()
+                .zip(true_values)
+                .map(|(v, t)| (v - t).abs() / t)
+                .fold(0.0, f64::max)
+        };
+        distance(report.final_bids()).max(distance(report.final_exec()))
+    }
+
     fn small_system() -> System {
         System::from_true_values(&[1.0, 2.0, 5.0, 10.0]).unwrap()
     }
@@ -215,7 +209,7 @@ mod tests {
         let report = run_dynamics(&mech, &start, &DynamicsOptions::default()).unwrap();
         assert!(report.converged);
         assert_eq!(report.sweeps, 1);
-        assert!(report.distance_from_truth(&sys.true_values()) < 0.05);
+        assert!(distance_from_truth(&report, &sys.true_values()) < 0.05);
     }
 
     #[test]

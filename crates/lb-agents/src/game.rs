@@ -21,38 +21,6 @@ pub struct StrategyOption {
     pub exec_factor: f64,
 }
 
-/// The canonical strategy menu mirroring the paper's Table 2 families.
-#[must_use]
-pub fn paper_strategy_menu() -> Vec<StrategyOption> {
-    vec![
-        StrategyOption {
-            name: "truthful",
-            bid_factor: 1.0,
-            exec_factor: 1.0,
-        },
-        StrategyOption {
-            name: "high-consistent",
-            bid_factor: 3.0,
-            exec_factor: 3.0,
-        },
-        StrategyOption {
-            name: "high-fast",
-            bid_factor: 3.0,
-            exec_factor: 1.0,
-        },
-        StrategyOption {
-            name: "low",
-            bid_factor: 0.5,
-            exec_factor: 1.0,
-        },
-        StrategyOption {
-            name: "lazy",
-            bid_factor: 1.0,
-            exec_factor: 2.0,
-        },
-    ]
-}
-
 /// A menu of *consistent* strategies (execution equals bid, at or above
 /// capacity) — the opponent class against which the paper's Theorem 3.1
 /// proof is exact, and within which truth-telling is weakly dominant.
@@ -89,7 +57,8 @@ pub struct EmpiricalGame {
     pub menu: Vec<StrategyOption>,
     /// Number of agents.
     pub n: usize,
-    /// `payoff[flat_profile][agent]` — utilities per joint profile.
+    /// `payoffs[flat][agent]` — utilities per joint profile, where profile
+    /// `p` sits at `flat = Σ_a p[a]·|menu|^a`.
     pub payoffs: Vec<Vec<f64>>,
     /// Strides for flattening joint profiles.
     strides: Vec<usize>,
@@ -101,7 +70,7 @@ impl EmpiricalGame {
     /// # Panics
     /// Panics if the profile length or any strategy index is out of range.
     #[must_use]
-    pub fn index(&self, profile: &[usize]) -> usize {
+    fn index(&self, profile: &[usize]) -> usize {
         assert_eq!(profile.len(), self.n, "profile arity mismatch");
         profile
             .iter()
@@ -115,7 +84,7 @@ impl EmpiricalGame {
 
     /// Utility of `agent` under a joint profile.
     #[must_use]
-    pub fn payoff(&self, profile: &[usize], agent: usize) -> f64 {
+    fn payoff(&self, profile: &[usize], agent: usize) -> f64 {
         self.payoffs[self.index(profile)][agent]
     }
 
@@ -267,6 +236,37 @@ pub fn empirical_game<M: VerifiedMechanism + ?Sized>(
 mod tests {
     use super::*;
     use lb_mechanism::CompensationBonusMechanism;
+
+    /// The canonical strategy menu mirroring the paper's Table 2 families.
+    fn paper_strategy_menu() -> Vec<StrategyOption> {
+        vec![
+            StrategyOption {
+                name: "truthful",
+                bid_factor: 1.0,
+                exec_factor: 1.0,
+            },
+            StrategyOption {
+                name: "high-consistent",
+                bid_factor: 3.0,
+                exec_factor: 3.0,
+            },
+            StrategyOption {
+                name: "high-fast",
+                bid_factor: 3.0,
+                exec_factor: 1.0,
+            },
+            StrategyOption {
+                name: "low",
+                bid_factor: 0.5,
+                exec_factor: 1.0,
+            },
+            StrategyOption {
+                name: "lazy",
+                bid_factor: 1.0,
+                exec_factor: 2.0,
+            },
+        ]
+    }
 
     fn game() -> EmpiricalGame {
         let sys = System::from_true_values(&[1.0, 2.0, 5.0]).unwrap();

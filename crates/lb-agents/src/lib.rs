@@ -4,8 +4,6 @@
 //! full-capacity execution is a dominant strategy. This crate provides the
 //! machinery to probe that claim the way a strategic participant would:
 //!
-//! * [`bidding`] / [`execution`] — a library of bidding and execution
-//!   strategies (truthful, scaled liars, random, adaptive).
 //! * [`mod@best_response`] — numerical best-response search: given the others'
 //!   behaviour, find the (bid, exec) pair maximising one agent's utility
 //!   under a given mechanism.
@@ -17,18 +15,10 @@
 
 pub mod adaptive;
 pub mod best_response;
-pub mod bidding;
-pub mod collusion;
 pub mod dynamics;
-pub mod execution;
-pub mod fictitious;
 pub mod game;
 
 pub use adaptive::{repeated_play, EpsilonGreedyAgent, RepeatedPlayReport};
 pub use best_response::{best_response, BestResponse, SearchOptions};
-pub use bidding::BiddingStrategy;
-pub use collusion::{coalition_search, CoalitionReport};
 pub use dynamics::{run_dynamics, DynamicsOptions, DynamicsReport};
-pub use execution::ExecutionStrategy;
-pub use fictitious::FictitiousPlay;
 pub use game::{empirical_game, EmpiricalGame, StrategyOption};

@@ -7,13 +7,16 @@
 //! table). For a mechanism whose truthful strategy is dominant within the
 //! menu, truth is a best response to *every* belief, so fictitious play
 //! locks onto it immediately and never leaves — a stronger convergence
-//! statement than the bandit's stochastic one, verified by the tests.
+//! statement than the bandit's stochastic one. These tests are the only
+//! user of the dynamic, so it lives here with them.
 
-use crate::game::EmpiricalGame;
+use lb_agents::game::{consistent_strategy_menu, empirical_game, EmpiricalGame};
+use lb_core::System;
+use lb_mechanism::CompensationBonusMechanism;
 
 /// State of one fictitious-play run.
 #[derive(Debug, Clone)]
-pub struct FictitiousPlay<'g> {
+struct FictitiousPlay<'g> {
     game: &'g EmpiricalGame,
     /// `counts[agent][strategy]`: how often each agent has played each arm.
     counts: Vec<Vec<u64>>,
@@ -28,7 +31,7 @@ impl<'g> FictitiousPlay<'g> {
     /// # Panics
     /// Panics if the profile arity or any index is out of range.
     #[must_use]
-    pub fn new(game: &'g EmpiricalGame, initial: &[usize]) -> Self {
+    fn new(game: &'g EmpiricalGame, initial: &[usize]) -> Self {
         assert_eq!(
             initial.len(),
             game.n,
@@ -53,7 +56,7 @@ impl<'g> FictitiousPlay<'g> {
     /// # Panics
     /// Panics if `agent` is out of range.
     #[must_use]
-    pub fn belief(&self, agent: usize) -> Vec<f64> {
+    fn belief(&self, agent: usize) -> Vec<f64> {
         let total: u64 = self.counts[agent].iter().sum();
         self.counts[agent]
             .iter()
@@ -65,7 +68,7 @@ impl<'g> FictitiousPlay<'g> {
     /// beliefs about everyone else (exact expectation over the product of
     /// opponent mixtures).
     #[must_use]
-    pub fn expected_utility(&self, agent: usize, strategy: usize) -> f64 {
+    fn expected_utility(&self, agent: usize, strategy: usize) -> f64 {
         let k = self.game.menu.len();
         let n = self.game.n;
         // Enumerate opponent profiles with an odometer, weighting by belief
@@ -82,7 +85,8 @@ impl<'g> FictitiousPlay<'g> {
                 }
             }
             if weight > 0.0 {
-                expected += weight * self.game.payoff(&profile, agent);
+                let flat = profile.iter().rev().fold(0, |acc, &s| acc * k + s);
+                expected += weight * self.game.payoffs[flat][agent];
             }
             // Advance the odometer over everyone but `agent`.
             let mut pos = 0;
@@ -106,7 +110,7 @@ impl<'g> FictitiousPlay<'g> {
 
     /// Plays one simultaneous round: every agent best-responds to current
     /// beliefs (ties to the lowest index), then all beliefs update.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let k = self.game.menu.len();
         let mut next = Vec::with_capacity(self.game.n);
         for agent in 0..self.game.n {
@@ -130,86 +134,78 @@ impl<'g> FictitiousPlay<'g> {
 
     /// Strategies chosen in the latest round.
     #[must_use]
-    pub fn current_profile(&self) -> &[usize] {
+    fn current_profile(&self) -> &[usize] {
         &self.last
     }
 
     /// Rounds played (including the initial profile).
     #[must_use]
-    pub fn rounds(&self) -> u64 {
+    fn rounds(&self) -> u64 {
         self.rounds
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::game::{consistent_strategy_menu, empirical_game};
-    use lb_core::System;
-    use lb_mechanism::CompensationBonusMechanism;
+fn game() -> EmpiricalGame {
+    let sys = System::from_true_values(&[1.0, 2.0, 5.0]).unwrap();
+    empirical_game(
+        &CompensationBonusMechanism::paper(),
+        &sys,
+        10.0,
+        &consistent_strategy_menu(),
+    )
+    .unwrap()
+}
 
-    fn game() -> EmpiricalGame {
-        let sys = System::from_true_values(&[1.0, 2.0, 5.0]).unwrap();
-        empirical_game(
-            &CompensationBonusMechanism::paper(),
-            &sys,
-            10.0,
-            &consistent_strategy_menu(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn converges_to_truth_from_any_pure_start() {
-        let g = game();
-        let k = g.menu.len();
-        for start in 0..k {
-            let mut fp = FictitiousPlay::new(&g, &[start, start, start]);
-            for _ in 0..20 {
-                fp.step();
-            }
-            assert_eq!(fp.current_profile(), &[0, 0, 0], "start {start}");
-        }
-    }
-
-    #[test]
-    fn truth_is_best_response_to_every_sampled_belief() {
-        // Dominance within the consistent menu: after arbitrary histories,
-        // the truthful arm's expected utility tops every alternative.
-        let g = game();
-        let mut fp = FictitiousPlay::new(&g, &[3, 1, 2]);
-        for _ in 0..5 {
+#[test]
+fn converges_to_truth_from_any_pure_start() {
+    let g = game();
+    let k = g.menu.len();
+    for start in 0..k {
+        let mut fp = FictitiousPlay::new(&g, &[start, start, start]);
+        for _ in 0..20 {
             fp.step();
         }
-        for agent in 0..3 {
-            let truthful = fp.expected_utility(agent, 0);
-            for s in 1..g.menu.len() {
-                assert!(
-                    fp.expected_utility(agent, s) <= truthful + 1e-9,
-                    "agent {agent} prefers {s}"
-                );
-            }
+        assert_eq!(fp.current_profile(), &[0, 0, 0], "start {start}");
+    }
+}
+
+#[test]
+fn truth_is_best_response_to_every_sampled_belief() {
+    // Dominance within the consistent menu: after arbitrary histories,
+    // the truthful arm's expected utility tops every alternative.
+    let g = game();
+    let mut fp = FictitiousPlay::new(&g, &[3, 1, 2]);
+    for _ in 0..5 {
+        fp.step();
+    }
+    for agent in 0..3 {
+        let truthful = fp.expected_utility(agent, 0);
+        for s in 1..g.menu.len() {
+            assert!(
+                fp.expected_utility(agent, s) <= truthful + 1e-9,
+                "agent {agent} prefers {s}"
+            );
         }
     }
+}
 
-    #[test]
-    fn beliefs_are_probability_vectors() {
-        let g = game();
-        let mut fp = FictitiousPlay::new(&g, &[1, 2, 3]);
-        fp.step();
-        fp.step();
-        for agent in 0..3 {
-            let b = fp.belief(agent);
-            assert!((b.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert!(b.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        }
-        assert_eq!(fp.rounds(), 3);
+#[test]
+fn beliefs_are_probability_vectors() {
+    let g = game();
+    let mut fp = FictitiousPlay::new(&g, &[1, 2, 3]);
+    fp.step();
+    fp.step();
+    for agent in 0..3 {
+        let b = fp.belief(agent);
+        assert!((b.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(b.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
+    assert_eq!(fp.rounds(), 3);
+}
 
-    #[test]
-    #[should_panic(expected = "profile arity mismatch")]
-    fn wrong_arity_panics() {
-        let g = game();
-        let _ = FictitiousPlay::new(&g, &[0, 0]);
-    }
+#[test]
+#[should_panic(expected = "profile arity mismatch")]
+fn wrong_arity_panics() {
+    let g = game();
+    let _ = FictitiousPlay::new(&g, &[0, 0]);
 }

@@ -1,17 +1,16 @@
-//! Live verification-health documents for the exposition server.
+//! Verification-health documents.
 //!
-//! Renders the monitor's cumulative state and the ledger verdict into the
-//! two JSON documents `lb_telemetry::ExposeServer` serves on
-//! `/invariants` (per-check detail of the latest round plus cumulative
-//! counts) and `/health` (one-line verdict: `ok` / `violating` /
-//! `tampered`, plus the ledger chain head so an external scraper holds an
-//! out-of-band copy — the piece that upgrades the non-cryptographic chain
-//! from self-consistency to tamper evidence).
+//! Renders the monitor's cumulative state and the ledger verdict into two
+//! JSON documents: `invariants` (per-check detail of the latest round plus
+//! cumulative counts) and `health` (one-line verdict: `ok` / `violating` /
+//! `tampered`, plus the ledger chain head so an operator who archives it
+//! holds an out-of-band copy — the piece that upgrades the
+//! non-cryptographic chain from self-consistency to tamper evidence).
 
 use crate::ledger::LedgerVerdict;
-use crate::monitor::{InvariantMonitor, MonitorStats};
+use crate::monitor::MonitorStats;
 use crate::report::MonitorReport;
-use lb_telemetry::{Exposition, Json};
+use lb_telemetry::Json;
 use std::collections::BTreeMap;
 
 #[allow(clippy::cast_precision_loss)]
@@ -19,7 +18,7 @@ fn num_u64(value: u64) -> Json {
     Json::Num(value as f64)
 }
 
-/// The `/invariants` document: cumulative check statistics and the latest
+/// The `invariants` document: cumulative check statistics and the latest
 /// round's full report.
 #[must_use]
 pub fn invariants_json(stats: &MonitorStats, latest: Option<&MonitorReport>) -> Json {
@@ -49,7 +48,7 @@ pub fn invariants_json(stats: &MonitorStats, latest: Option<&MonitorReport>) -> 
     Json::Obj(obj)
 }
 
-/// The `/health` document: an overall status string, headline counters and
+/// The `health` document: an overall status string, headline counters and
 /// the ledger chain state.
 ///
 /// Status is `tampered` if a ledger verdict shows a seal divergence,
@@ -100,20 +99,6 @@ pub fn health_json(stats: &MonitorStats, ledger: Option<&LedgerVerdict>) -> Json
     });
     obj.insert("ledger".to_string(), ledger_doc);
     Json::Obj(obj)
-}
-
-/// Renders both documents from a monitor (and optional ledger verdict) and
-/// publishes them on an [`Exposition`], making them visible on the bound
-/// server's `/invariants` and `/health` endpoints.
-pub fn publish(
-    exposition: &Exposition,
-    monitor: &InvariantMonitor,
-    ledger: Option<&LedgerVerdict>,
-) {
-    let stats = monitor.stats();
-    let latest = monitor.latest_report();
-    exposition.publish_invariants(invariants_json(&stats, latest.as_ref()).render() + "\n");
-    exposition.publish_health(health_json(&stats, ledger).render() + "\n");
 }
 
 #[cfg(test)]

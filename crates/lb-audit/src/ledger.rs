@@ -19,8 +19,8 @@
 //! byte and fix the frame checksum, and every subsequent seal digest
 //! diverges. The digest is a non-cryptographic 64-bit mix, so the trust
 //! model is tamper-*evidence* against an adversary who cannot also rewrite
-//! every later seal plus the out-of-band copy of the head published on
-//! `/health` — not cryptographic authentication.
+//! every later seal plus an out-of-band copy of the head (the `health`
+//! document carries it) — not cryptographic authentication.
 //!
 //! Frames whose payload no longer decodes (possible only under deliberate
 //! corruption, since `read_journal` would refuse them) are absorbed as
@@ -55,7 +55,7 @@ pub struct LedgerVerdict {
     /// Frames whose payload failed to decode and were absorbed opaquely.
     pub undecodable: usize,
     /// The recomputed chain head over the full valid prefix — compare
-    /// against an out-of-band copy (e.g. the `/health` document).
+    /// against an out-of-band copy (e.g. the `health` document).
     pub head: u64,
     /// Bytes past the last CRC-valid frame (a torn tail from a crash, or
     /// CRC-breaking corruption).

@@ -26,9 +26,9 @@
 //!   localising the first tampered frame. The per-record CRC catches
 //!   accidents; the chain catches *edits* that fix the CRC.
 //! * [`report`] — the per-round [`MonitorReport`] JSONL record.
-//! * [`health`] — renders `/invariants` and `/health` documents for the
-//!   std-only exposition server, including the ledger chain head (whose
-//!   out-of-band publication is what makes the chain tamper-*evident*).
+//! * [`health`] — renders the `invariants` and `health` JSON documents,
+//!   including the ledger chain head (whose out-of-band copy is what makes
+//!   the chain tamper-*evident*).
 
 pub mod health;
 pub mod ledger;
@@ -36,7 +36,7 @@ pub mod monitor;
 pub mod reference;
 pub mod report;
 
-pub use health::{health_json, invariants_json, publish};
+pub use health::{health_json, invariants_json};
 pub use ledger::{verify_ledger, LedgerDivergence, LedgerVerdict};
 pub use monitor::{InvariantMonitor, MonitorConfig, MonitorStats};
 pub use reference::reference_payments;

@@ -31,8 +31,8 @@
 //! `audit.drift.max`, counters `audit.rounds` and
 //! `audit.violation.<name>`, instants `audit.report` /
 //! `audit.violation`) right after the round's settlement gauges,
-//! accumulated in [`MonitorStats`], and kept as [`MonitorReport`]s for
-//! exposition.
+//! accumulated in [`MonitorStats`], and the latest round's
+//! [`MonitorReport`] is kept for the `invariants` document.
 
 use crate::reference::reference_payments;
 use crate::report::{CheckOutcome, MonitorReport};
@@ -77,7 +77,7 @@ impl Default for MonitorConfig {
     }
 }
 
-/// Cumulative monitor statistics, cheap to snapshot for exposition.
+/// Cumulative monitor statistics, cheap to snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorStats {
     /// Rounds observed to completion.
@@ -125,7 +125,7 @@ impl MonitorStats {
 #[derive(Default)]
 struct State {
     stats: MonitorStats,
-    reports: Vec<MonitorReport>,
+    latest: Option<MonitorReport>,
 }
 
 /// The invariant monitor. See the module docs.
@@ -162,13 +162,7 @@ impl InvariantMonitor {
     /// The most recent round's report, if any round completed.
     #[must_use]
     pub fn latest_report(&self) -> Option<MonitorReport> {
-        self.state().reports.last().cloned()
-    }
-
-    /// All reports so far, in round-completion order.
-    #[must_use]
-    pub fn reports(&self) -> Vec<MonitorReport> {
-        self.state().reports.clone()
+        self.state().latest.clone()
     }
 
     /// Runs every check against a settled round.
@@ -413,7 +407,7 @@ impl InvariantMonitor {
             state.stats.clone()
         };
         self.emit(at, &report, &stats);
-        self.state().reports.push(report);
+        self.state().latest = Some(report);
     }
 }
 
@@ -699,10 +693,12 @@ mod tests {
             },
         );
         let (bids, rates, execs, excluded, payments) = truthful_round();
-        for round in 0..2 {
-            feed_round(&monitor, round, &bids, &rates, &execs, &excluded, &payments);
-        }
-        let reports = monitor.reports();
+        let reports: Vec<MonitorReport> = (0..2)
+            .map(|round| {
+                feed_round(&monitor, round, &bids, &rates, &execs, &excluded, &payments);
+                monitor.latest_report().expect("round observed")
+            })
+            .collect();
         assert!(reports[0].check("drift").is_some());
         assert!(reports[0].check("margin").is_some());
         assert!(reports[1].check("drift").is_none());

@@ -98,12 +98,6 @@ impl MonitorReport {
         Json::Obj(obj)
     }
 
-    /// One compact JSONL line (no trailing newline).
-    #[must_use]
-    pub fn to_jsonl_line(&self) -> String {
-        self.to_json().render()
-    }
-
     /// Rebuilds a report from [`MonitorReport::to_json`] output.
     ///
     /// Returns `None` on structurally foreign documents. Check names are
@@ -178,7 +172,7 @@ mod tests {
     #[test]
     fn jsonl_round_trip_is_exact() {
         let report = sample();
-        let line = report.to_jsonl_line();
+        let line = report.to_json().render();
         let parsed = Json::parse(&line).unwrap();
         assert_eq!(MonitorReport::from_json(&parsed), Some(report));
     }
@@ -197,7 +191,7 @@ mod tests {
         assert_eq!(MonitorReport::from_json(&Json::Null), None);
         let mut report = sample();
         report.checks[0].name = "conservation";
-        let line = report.to_jsonl_line().replace("conservation", "bogus");
+        let line = report.to_json().render().replace("conservation", "bogus");
         let parsed = Json::parse(&line).unwrap();
         assert_eq!(MonitorReport::from_json(&parsed), None);
     }

@@ -77,7 +77,7 @@ fn settle_round(
 
 /// The sampled-arm monitor configuration.
 #[must_use]
-pub fn sampled_config() -> MonitorConfig {
+fn sampled_config() -> MonitorConfig {
     MonitorConfig {
         sampler: Sampler::PerRound(SAMPLE_PERIOD),
         ..MonitorConfig::default()

@@ -26,7 +26,7 @@ use lb_telemetry::Json;
 
 /// The label legacy top-level `rows` are filed under when an old-format
 /// artifact is migrated.
-pub const LEGACY_LABEL: &str = "seed";
+const LEGACY_LABEL: &str = "seed";
 
 /// One labelled measurement batch inside an artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +86,7 @@ impl BenchLog {
     }
 
     /// Parses and validates an artifact, migrating the legacy top-level
-    /// `rows` form into a single [`LEGACY_LABEL`] entry.
+    /// `rows` form into a single `LEGACY_LABEL` (`"seed"`) entry.
     ///
     /// # Errors
     /// Describes the first schema problem found.

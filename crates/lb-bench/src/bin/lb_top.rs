@@ -1,54 +1,41 @@
 //! `lb-top` — a terminal dashboard over lbmv telemetry recordings.
 //!
 //! Reads a JSONL trace recording (the [`lb_telemetry::to_jsonl`] format every
-//! instrumented driver can produce) from a file or from a live
-//! [`lb_telemetry::ExposeServer`] `/trace` endpoint, rebuilds the span forest
+//! instrumented driver can produce) from a file, rebuilds the span forest
 //! and metric registry, and renders per-round phase timings, per-machine
 //! allocation and payment gauges, per-shard phase gauges for sharded rounds,
 //! the critical-path round profile, network counters and retransmission
-//! histograms as plain ANSI text. In `--url` mode the live `/profile` and
-//! `/regressions` documents (published by `lb-prof`) are fetched alongside
-//! the trace and rendered as extra panels.
+//! histograms as plain ANSI text.
 //!
 //! ```text
-//! lb_top --file round_trace.jsonl --once        # one frame (CI mode)
-//! lb_top --url 127.0.0.1:9100                   # live, refresh every second
-//! lb_top --url 127.0.0.1:9100 --interval 0.25   # faster refresh
+//! lb_top --file round_trace.jsonl --once            # one frame (CI mode)
+//! lb_top --file round_trace.jsonl                   # re-read every second
+//! lb_top --file round_trace.jsonl --interval 0.25   # faster refresh
 //! ```
 //!
 //! `--once` renders exactly one frame with no cursor control, so output is
-//! pipe- and CI-friendly; live mode redraws in place until interrupted.
+//! pipe- and CI-friendly; otherwise the file is re-read and the frame
+//! redrawn in place until interrupted.
 
 use lb_prof::PHASES;
 use lb_telemetry::{
-    from_jsonl, replay_spans, CompletedSpan, FieldValue, Json, MetricsRegistry, MetricsSnapshot,
+    from_jsonl, replay_spans, CompletedSpan, FieldValue, MetricsRegistry, MetricsSnapshot,
     TelemetryEvent,
 };
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::Write as _;
 use std::time::Duration;
-
-/// Where the recording comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Source {
-    /// A JSONL file on disk.
-    File(String),
-    /// `host:port` of a live exposition server; `/trace` is fetched.
-    Url(String),
-}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Args {
-    source: Source,
+    file: String,
     once: bool,
     interval: f64,
 }
 
-const USAGE: &str = "usage: lb_top (--file PATH | --url HOST:PORT) [--once] [--interval SECS]";
+const USAGE: &str = "usage: lb_top --file PATH [--once] [--interval SECS]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut file = None;
-    let mut url = None;
     let mut once = false;
     let mut interval = 1.0f64;
     let mut it = argv.iter();
@@ -60,7 +47,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match arg.as_str() {
             "--file" => file = Some(value("--file")?),
-            "--url" => url = Some(value("--url")?),
             "--once" => once = true,
             "--interval" => {
                 interval = value("--interval")?
@@ -73,81 +59,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
-    let source = match (file, url) {
-        (Some(f), None) => Source::File(f),
-        (None, Some(u)) => Source::Url(u),
-        _ => return Err(format!("exactly one of --file/--url required\n{USAGE}")),
-    };
+    let file = file.ok_or_else(|| format!("--file is required\n{USAGE}"))?;
     Ok(Args {
-        source,
+        file,
         once,
         interval,
     })
 }
 
-/// Minimal HTTP/1.0 GET against the std-only exposition server: one request,
-/// read to EOF, split off the headers.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| format!("socket timeout: {e}"))?;
-    let request = format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let (status, rest) = response
-        .split_once("\r\n")
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    if !status.contains("200") {
-        return Err(format!("GET {path}: {status}"));
-    }
-    let body = rest
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or_default();
-    Ok(body.to_string())
-}
-
-fn load_events(source: &Source) -> Result<Vec<TelemetryEvent>, String> {
-    let text = match source {
-        Source::File(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?
-        }
-        Source::Url(addr) => http_get(addr, "/trace")?,
-    };
+fn load_events(path: &str) -> Result<Vec<TelemetryEvent>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     from_jsonl(&text).map_err(|e| format!("parse recording: {e}"))
-}
-
-/// Live documents only an exposition server can provide: the `lb-prof`
-/// rollup at `/profile` and the regression-sentinel verdicts at
-/// `/regressions`. Both endpoints serve `{}` until a profiler publishes,
-/// so "nothing yet" and "fetch failed" alike render as an absent panel.
-#[derive(Debug, Default)]
-struct LiveDocs {
-    profile: Option<Json>,
-    regressions: Option<Json>,
-}
-
-impl LiveDocs {
-    /// Fetches both documents, tolerating any failure: a dashboard must
-    /// keep rendering the trace even against an older server without the
-    /// profile endpoints.
-    fn fetch(addr: &str) -> Self {
-        let doc = |path: &str| {
-            http_get(addr, path)
-                .ok()
-                .and_then(|body| Json::parse(&body).ok())
-        };
-        Self {
-            profile: doc("/profile"),
-            regressions: doc("/regressions"),
-        }
-    }
 }
 
 fn field_u64(span: &CompletedSpan, key: &str) -> Option<u64> {
@@ -183,10 +105,8 @@ fn phase_line(out: &mut String, spans: &[CompletedSpan], round: &CompletedSpan) 
     }
 }
 
-/// Renders one dashboard frame from a parsed recording. `live` carries the
-/// `/profile` and `/regressions` documents in `--url` mode; file mode
-/// passes `None` and those panels are simply absent.
-fn render(events: &[TelemetryEvent], source_label: &str, live: Option<&LiveDocs>) -> String {
+/// Renders one dashboard frame from a parsed recording.
+fn render(events: &[TelemetryEvent], source_label: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "lb-top — {source_label} — {} events\n\n",
@@ -226,9 +146,6 @@ fn render(events: &[TelemetryEvent], source_label: &str, live: Option<&LiveDocs>
     render_verification(&mut out, &snapshot);
     render_durability(&mut out, &snapshot);
     render_metrics(&mut out, &snapshot);
-    if let Some(live) = live {
-        render_live(&mut out, live);
-    }
     out
 }
 
@@ -299,73 +216,6 @@ fn render_profile(out: &mut String, events: &[TelemetryEvent]) {
     out.push_str("\nPROFILE (critical path)\n");
     for line in profile.render_text().lines() {
         out.push_str(&format!("  {line}\n"));
-    }
-}
-
-/// The live panels: `/profile` (cross-shard rollup) and `/regressions`
-/// (sentinel verdicts), rendered only once a profiler has published — the
-/// endpoints serve `{}` before that.
-fn render_live(out: &mut String, live: &LiveDocs) {
-    if let Some(doc) = live
-        .profile
-        .as_ref()
-        .filter(|d| d.get("rounds_profiled").is_some())
-    {
-        out.push_str("\nLIVE PROFILE\n");
-        for key in [
-            "rounds_profiled",
-            "sampling_period",
-            "profile_frames",
-            "profile_bytes",
-        ] {
-            if let Some(v) = doc.get(key).and_then(Json::as_f64) {
-                out.push_str(&format!("  {key:<18} {v:>12.0}\n"));
-            }
-        }
-        if let Some(fleet) = doc.get("fleet") {
-            out.push_str(&format!(
-                "  {:<12} {:>8} {:>12} {:>12} {:>12}\n",
-                "fleet phase", "count", "mean ms", "p99 ms", "max ms"
-            ));
-            for phase in PHASES.iter().chain(["machine_wall"].iter()) {
-                let Some(s) = fleet.get(phase) else { continue };
-                let ms = |key: &str| s.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN) * 1e3;
-                out.push_str(&format!(
-                    "  {phase:<12} {:>8.0} {:>12.3} {:>12.3} {:>12.3}\n",
-                    s.get("count").and_then(Json::as_f64).unwrap_or(0.0),
-                    ms("mean_s"),
-                    ms("p99_s"),
-                    ms("max_s"),
-                ));
-            }
-        }
-    }
-    if let Some(doc) = live
-        .regressions
-        .as_ref()
-        .filter(|d| d.get("verdicts").is_some())
-    {
-        let regressed = doc.get("regressed").and_then(Json::as_bool) == Some(true);
-        out.push_str(&format!(
-            "\nREGRESSIONS vs {:?} ({})\n",
-            doc.get("label").and_then(Json::as_str).unwrap_or("?"),
-            if regressed { "REGRESSED" } else { "ok" }
-        ));
-        for v in doc.get("verdicts").and_then(Json::as_array).unwrap_or(&[]) {
-            let num = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "  {:<10} mean {:>10.3} ms  ci-lo {:>10.3} ms  threshold {:>10.3} ms  {}\n",
-                v.get("phase").and_then(Json::as_str).unwrap_or("?"),
-                num("observed_mean_ms"),
-                num("ci_lo_ms"),
-                num("threshold_ms"),
-                if v.get("regressed").and_then(Json::as_bool) == Some(true) {
-                    "REGRESSED"
-                } else {
-                    "ok"
-                }
-            ));
-        }
     }
 }
 
@@ -492,22 +342,14 @@ fn render_metrics(out: &mut String, snapshot: &MetricsSnapshot) {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let label = match &args.source {
-        Source::File(path) => path.clone(),
-        Source::Url(addr) => format!("http://{addr}/trace"),
-    };
     loop {
-        let events = load_events(&args.source)?;
-        let live = match &args.source {
-            Source::File(_) => None,
-            Source::Url(addr) => Some(LiveDocs::fetch(addr)),
-        };
-        let frame = render(&events, &label, live.as_ref());
+        let events = load_events(&args.file)?;
+        let frame = render(&events, &args.file);
         if args.once {
             print!("{frame}");
             return Ok(());
         }
-        // Live mode: clear and home, redraw, sleep. Plain ANSI, no raw mode.
+        // Refresh mode: clear and home, redraw, sleep. Plain ANSI, no raw mode.
         print!("\x1b[2J\x1b[H{frame}");
         let _ = std::io::stdout().flush();
         std::thread::sleep(Duration::from_secs_f64(args.interval));
@@ -542,13 +384,14 @@ mod tests {
     #[test]
     fn args_parse_and_reject() {
         let a = parse_args(&strings(&["--file", "x.jsonl", "--once"])).unwrap();
-        assert_eq!(a.source, Source::File("x.jsonl".into()));
+        assert_eq!(a.file, "x.jsonl");
         assert!(a.once);
-        let a = parse_args(&strings(&["--url", "127.0.0.1:9", "--interval", "0.5"])).unwrap();
-        assert_eq!(a.source, Source::Url("127.0.0.1:9".into()));
+        let a = parse_args(&strings(&["--file", "x.jsonl", "--interval", "0.5"])).unwrap();
+        assert!(!a.once);
         assert!((a.interval - 0.5).abs() < 1e-12);
         assert!(parse_args(&strings(&[])).is_err());
-        assert!(parse_args(&strings(&["--file", "a", "--url", "b"])).is_err());
+        assert!(parse_args(&strings(&["--once"])).is_err());
+        assert!(parse_args(&strings(&["--url", "127.0.0.1:9"])).is_err());
         assert!(parse_args(&strings(&["--file", "a", "--interval", "-1"])).is_err());
         assert!(parse_args(&strings(&["--bogus"])).is_err());
     }
@@ -556,7 +399,7 @@ mod tests {
     #[test]
     fn fixture_renders_every_section() {
         let events = from_jsonl(FIXTURE).expect("fixture parses");
-        let frame = render(&events, "fixture", None);
+        let frame = render(&events, "fixture");
         for needle in [
             "ROUNDS",
             "phase.collect_bids",
@@ -585,7 +428,7 @@ mod tests {
     #[test]
     fn verification_panel_marks_failed_checks() {
         let events = from_jsonl(FIXTURE).expect("fixture parses");
-        let frame = render(&events, "fixture", None);
+        let frame = render(&events, "fixture");
         // The fixture's drift check is violated, every other check passes.
         assert!(frame.contains("! audit.check.drift"), "{frame}");
         assert!(frame.contains("VIOLATED"), "{frame}");
@@ -595,7 +438,7 @@ mod tests {
             .into_iter()
             .filter(|e| !e.name.starts_with("audit.") && !e.name.starts_with("durable."))
             .collect();
-        let frame = render(&plain, "fixture", None);
+        let frame = render(&plain, "fixture");
         assert!(!frame.contains("VERIFICATION"), "{frame}");
         assert!(!frame.contains("DURABILITY"), "{frame}");
     }
@@ -603,7 +446,7 @@ mod tests {
     #[test]
     fn shard_panel_orders_shards_and_scales_bars() {
         let events = from_jsonl(FIXTURE).expect("fixture parses");
-        let frame = render(&events, "fixture", None);
+        let frame = render(&events, "fixture");
         // Both fixture shards render, in index order, with phase columns.
         let s0 = frame.find("  s0").expect("shard 0 row");
         let s1 = frame.find("  s1").expect("shard 1 row");
@@ -616,53 +459,63 @@ mod tests {
             .into_iter()
             .filter(|e| !e.name.starts_with("shard."))
             .collect();
-        let frame = render(&unsharded, "fixture", None);
+        let frame = render(&unsharded, "fixture");
         assert!(!frame.contains("SHARDS"), "{frame}");
     }
 
+    /// The MACHINES panel over a recording of a real round: the gauge names
+    /// `SettledRound::record_gauges` writes must be the ones the panel reads.
     #[test]
-    fn live_docs_render_profile_and_regressions_panels() {
-        let events = from_jsonl(FIXTURE).expect("fixture parses");
-        // Unpublished endpoints serve `{}`: no live panels.
-        let empty = LiveDocs {
-            profile: Some(Json::parse("{}").unwrap()),
-            regressions: Some(Json::parse("{}").unwrap()),
-        };
-        let frame = render(&events, "fixture", Some(&empty));
-        assert!(!frame.contains("LIVE PROFILE"), "{frame}");
-        assert!(!frame.contains("REGRESSIONS"), "{frame}");
-        // Published documents render both panels with their headline rows.
-        let live = LiveDocs {
-            profile: Some(
-                Json::parse(
-                    r#"{"rounds_profiled": 3, "sampling_period": 1, "profile_frames": 24,
-                        "profile_bytes": 960,
-                        "fleet": {"settle": {"count": 3, "mean_s": 0.004, "p50_s": 0.004,
-                                             "p99_s": 0.005, "max_s": 0.005}}}"#,
-                )
-                .unwrap(),
-            ),
-            regressions: Some(
-                Json::parse(
-                    r#"{"bench": "round_scaling", "label": "seed", "n": 1024,
-                        "confidence": 0.99, "slack": 0.25, "regressed": true,
-                        "verdicts": [{"phase": "settle", "rounds": 8,
-                                      "observed_mean_ms": 9.1, "ci_lo_ms": 8.7,
-                                      "ci_hi_ms": 9.5, "baseline_p99_ms": 4.0,
-                                      "threshold_ms": 5.0, "regressed": true}]}"#,
-                )
-                .unwrap(),
-            ),
-        };
-        let frame = render(&events, "fixture", Some(&live));
-        assert!(frame.contains("LIVE PROFILE"), "{frame}");
-        assert!(frame.contains("rounds_profiled"), "{frame}");
-        assert!(frame.contains("fleet phase"), "{frame}");
+    fn machines_panel_reads_a_real_round() {
+        use lb_mechanism::CompensationBonusMechanism;
+        use lb_proto::{run_round, NodeSpec, Observers, ProtocolConfig, RoundSpec};
+        use lb_telemetry::RingCollector;
+        use std::sync::Arc;
+
+        let mechanism = CompensationBonusMechanism::paper();
+        let specs: Vec<NodeSpec> = [1.0, 1.5, 2.0, 4.0, 5.0]
+            .iter()
+            .map(|&t| NodeSpec::truthful(t))
+            .collect();
+        let ring = Arc::new(RingCollector::new(65_536));
+        let report = run_round(&RoundSpec {
+            observers: Observers {
+                collector: ring.clone(),
+                ..Observers::default()
+            },
+            ..RoundSpec::new(&mechanism, &specs, ProtocolConfig::default())
+        })
+        .expect("round settles");
+        assert_eq!(ring.overwritten(), 0);
+        let frame = render(&ring.snapshot(), "run_round");
+
+        let n = specs.len();
+        let header = format!("MACHINES ({n})");
+        let rows: Vec<Vec<&str>> = frame
+            .lines()
+            .skip_while(|line| *line != header)
+            .skip(2)
+            .take_while(|line| line.starts_with("  m"))
+            .map(|line| line.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), n, "{frame}");
+        let outcome = &report.outcome;
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row[0], format!("m{i}"), "{frame}");
+            assert_eq!(row[1], format!("{:.6}", outcome.rates[i]), "{frame}");
+            assert_eq!(row[3], format!("{:.6}", outcome.payments[i]), "{frame}");
+        }
+        let total: f64 = frame
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("total payment: "))
+            .expect("total payment row")
+            .parse()
+            .unwrap();
+        let sum: f64 = outcome.payments.iter().sum();
         assert!(
-            frame.contains("REGRESSIONS vs \"seed\" (REGRESSED)"),
-            "{frame}"
+            (total - sum).abs() <= 5e-7 * (1.0 + sum.abs()),
+            "{total} vs {sum}"
         );
-        assert!(frame.contains("settle"), "{frame}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use lb_sim::server::ServiceModel;
 ///
 /// # Errors
 /// Propagates mechanism errors.
-pub fn all_experiments() -> Result<Vec<ExperimentResult>, MechanismError> {
+fn all_experiments() -> Result<Vec<ExperimentResult>, MechanismError> {
     paper_experiments().iter().map(run_experiment).collect()
 }
 

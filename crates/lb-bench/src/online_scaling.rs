@@ -43,10 +43,10 @@ pub const EVENTS_PER_POINT: usize = 100_000;
 pub const SCRATCH_SAMPLE: usize = 1_000;
 
 /// Total arrival rate distributed by the bench pool.
-pub const TOTAL_RATE: f64 = 20.0;
+const TOTAL_RATE: f64 = 20.0;
 
 /// Churn-stream seed (fixed: the study is deterministic end to end).
-pub const STREAM_SEED: u64 = 42;
+const STREAM_SEED: u64 = 42;
 
 /// One measured grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -56,7 +56,7 @@ pub fn workload(n: usize) -> (Vec<f64>, Allocation, f64) {
 /// # Panics
 /// Panics on the validated bench workload only if the kernel regresses.
 #[must_use]
-pub fn legacy_payment_breakdown(
+fn legacy_payment_breakdown(
     mech: &CompensationBonusMechanism,
     bids: &[f64],
     alloc: &Allocation,

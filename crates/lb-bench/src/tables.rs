@@ -29,15 +29,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of display-formatted cells.
-    ///
-    /// # Panics
-    /// Panics if the row arity does not match the header.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Stop collecting after this many failures per oracle: enough to see a
 /// pattern, bounded enough to keep reports readable.
-pub const MAX_FAILURES_PER_ORACLE: usize = 5;
+const MAX_FAILURES_PER_ORACLE: usize = 5;
 
 /// A named differential oracle.
 pub struct Oracle {
@@ -171,12 +171,6 @@ pub fn run_oracle(oracle: &Oracle, config: &FuzzConfig) -> OracleReport {
         iterations: executed,
         failures,
     }
-}
-
-/// Runs every registered oracle under the same configuration.
-#[must_use]
-pub fn run_all(config: &FuzzConfig) -> Vec<OracleReport> {
-    registry().iter().map(|o| run_oracle(o, config)).collect()
 }
 
 #[cfg(test)]

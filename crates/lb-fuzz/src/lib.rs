@@ -71,6 +71,4 @@ pub use extended::{
     inv_sum_dd, marginal_contribution_dd, optimal_latency_dd, optimal_latency_excluding_dd,
     pr_rates_dd, total_latency_dd, TwoF64,
 };
-pub use harness::{
-    registry, run_all, run_one, run_oracle, FuzzConfig, FuzzFailure, Oracle, OracleReport,
-};
+pub use harness::{registry, run_one, run_oracle, FuzzConfig, FuzzFailure, Oracle, OracleReport};

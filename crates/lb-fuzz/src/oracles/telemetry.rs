@@ -223,8 +223,9 @@ pub fn check(seed: u64) -> Result<(), String> {
         let mut registry = MetricsRegistry::new();
         registry.ingest(&survivors);
         let snapshot = registry.snapshot();
-        let _ = snapshot.to_prometheus();
+        let _ = snapshot.to_text();
         let _ = snapshot.to_json().render();
+        let _ = lb_prof::profile_events(&survivors);
     }
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! pins keep them fixed deterministically.
 
 use lb_core::{optimal_latency_linear, pr_allocate, Allocation, CoreError};
-use lb_fuzz::{registry, run_all, run_oracle, FuzzConfig};
+use lb_fuzz::{registry, run_oracle, FuzzConfig};
 use lb_mechanism::{CompensationBonusMechanism, MechanismError};
 use lb_proto::{decode, CodecError, FrameReader, Message, MAX_FRAME_LEN};
 
@@ -66,11 +66,10 @@ fn corrupt_sub_4gib_length_prefix_is_rejected() {
 }
 
 /// `codec` oracle class: a hostile frame header announcing 4 GiB must hit
-/// the hard frame bound before any buffering, even with a huge configured
-/// limit (which is clamped).
+/// the hard frame bound before any buffering.
 #[test]
 fn hostile_frame_header_hits_the_hard_bound() {
-    let mut reader = FrameReader::with_max_frame(usize::MAX);
+    let mut reader = FrameReader::new();
     reader.feed(&u32::MAX.to_le_bytes());
     match reader.next_frame::<Message>() {
         Err(CodecError::FrameTooLarge { len, max }) => {
@@ -88,6 +87,9 @@ fn harness_is_deterministic_and_clean_on_a_small_budget() {
     let config = FuzzConfig {
         seed: 0x1db5_0b5e,
         iterations: 40,
+    };
+    let run_all = |config: &FuzzConfig| -> Vec<_> {
+        registry().iter().map(|o| run_oracle(o, config)).collect()
     };
     let first = run_all(&config);
     let second = run_all(&config);

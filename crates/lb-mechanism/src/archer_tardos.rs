@@ -37,7 +37,7 @@ use lb_core::{pr_allocate, Allocation};
 
 /// How the Archer–Tardos payment integral is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PaymentEvaluation {
+enum PaymentEvaluation {
     /// Closed-form `R²/(S(1+Sb))` (exact, fast).
     #[default]
     ClosedForm,
@@ -51,7 +51,7 @@ pub enum PaymentEvaluation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArcherTardosMechanism {
     /// Selected payment-integral evaluation strategy.
-    pub evaluation: PaymentEvaluation,
+    evaluation: PaymentEvaluation,
 }
 
 impl ArcherTardosMechanism {

@@ -102,7 +102,7 @@ impl CompensationBonusMechanism {
     ///
     /// # Errors
     /// Same contract as [`CompensationBonusMechanism::payment_breakdown`].
-    pub fn payment_breakdown_with_sum(
+    fn payment_breakdown_with_sum(
         &self,
         bids: &[f64],
         allocation: &Allocation,

@@ -14,7 +14,7 @@
 
 use crate::error::MechanismError;
 use crate::traits::{ValuationModel, VerifiedMechanism};
-use lb_core::allocation::{optimal_latency_excluding, LeaveOneOut};
+use lb_core::allocation::LeaveOneOut;
 use lb_core::Allocation;
 
 /// A wrapped mechanism whose payments are reduced by a fee
@@ -23,7 +23,8 @@ use lb_core::Allocation;
 /// advantage `L_{-i}(b_{-i}) − L_opt(b)`, which is a function of the full
 /// bid vector's others-part only through `L_{-i}` and of `b_i` through
 /// `L_opt` — so to keep strategyproofness exact we charge
-/// `fraction · L_{-i}(b_{-i})`-relative form detailed in [`Self::fee`].
+/// `fraction · L_{-i}(b_{-i})`-relative form: agent `i`'s fee is
+/// `fraction · L_{-i}(b_{-i}) / n`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeeAdjusted<M> {
     /// The underlying mechanism.
@@ -46,32 +47,16 @@ impl<M> FeeAdjusted<M> {
         Self { inner, fraction }
     }
 
-    /// The fee charged to agent `i`: `fraction × [L_{-i}(b_{-i}) − L̂_{-i}]`
-    /// where `L̂_{-i}` is the optimal latency of the others *at their own
-    /// load share* — algebraically `L_{-i}·(1 − s_i)²/1` with
-    /// `s_i = (1/b_i)/Σ(1/b_j)`… any function of `b` that is constant in
-    /// `b_i` works; we use the simplest sound choice: a fraction of
-    /// `L_{-i}(b_{-i})` scaled by the *others-only* machine count, i.e.
-    /// `fraction · L_{-i}(b_{-i}) / n`. It depends only on `b_{-i}` (and the
+    /// The fees of all agents from one [`LeaveOneOut`] batch call, in O(n).
+    ///
+    /// Agent `i`'s fee is `fraction · L_{-i}(b_{-i}) / n`. Any function of
+    /// `b` that is constant in `b_i` keeps the mechanism truthful; this is
+    /// the simplest sound choice. It depends only on `b_{-i}` (and the
     /// public `n`, `R`), never on agent `i`'s own report.
     ///
     /// # Errors
     /// Propagates benchmark computation errors.
-    pub fn fee(&self, bids: &[f64], i: usize, total_rate: f64) -> Result<f64, MechanismError> {
-        let l_minus_i = optimal_latency_excluding(bids, i, total_rate)?;
-        Ok(self.fraction * l_minus_i / bids.len() as f64)
-    }
-
-    /// The fees of *all* agents from one [`LeaveOneOut`] batch call.
-    ///
-    /// [`Self::fee`] in a per-agent loop re-derives the harmonic sum for
-    /// every agent — O(n²) for a payment vector. This is the O(n) path
-    /// [`Self::payments`] takes; the single-index method stays for callers
-    /// that genuinely need one fee.
-    ///
-    /// # Errors
-    /// Propagates benchmark computation errors.
-    pub fn fees(&self, bids: &[f64], total_rate: f64) -> Result<Vec<f64>, MechanismError> {
+    fn fees(&self, bids: &[f64], total_rate: f64) -> Result<Vec<f64>, MechanismError> {
         let loo = LeaveOneOut::compute(bids, total_rate)?;
         #[allow(clippy::cast_precision_loss)]
         let n = bids.len() as f64;
@@ -160,12 +145,19 @@ mod tests {
     use crate::cb::CompensationBonusMechanism;
     use crate::profile::Profile;
     use crate::traits::run_mechanism;
+    use lb_core::allocation::optimal_latency_excluding;
     use lb_core::scenario::{paper_system, PAPER_ARRIVAL_RATE};
     use lb_stats::prop;
     use lb_stats::prop_assert;
 
     fn mech(fraction: f64) -> FeeAdjusted<CompensationBonusMechanism> {
         FeeAdjusted::new(CompensationBonusMechanism::paper(), fraction)
+    }
+
+    /// Agent `i`'s fee on its own, from the per-agent `L_{-i}` reference.
+    fn fee<M>(m: &FeeAdjusted<M>, bids: &[f64], i: usize, total_rate: f64) -> f64 {
+        let l_minus_i = optimal_latency_excluding(bids, i, total_rate).unwrap();
+        m.fraction * l_minus_i / bids.len() as f64
     }
 
     #[test]
@@ -193,7 +185,7 @@ mod tests {
         let batch = m.fees(&bids, PAPER_ARRIVAL_RATE).unwrap();
         assert_eq!(batch.len(), bids.len());
         for (i, &f) in batch.iter().enumerate() {
-            let single = m.fee(&bids, i, PAPER_ARRIVAL_RATE).unwrap();
+            let single = fee(&m, &bids, i, PAPER_ARRIVAL_RATE);
             assert!(
                 (f - single).abs() <= 1e-12 * single.abs().max(1.0),
                 "agent {i}: {f} vs {single}"
@@ -243,8 +235,8 @@ mod tests {
                 let mut bids_b = trues.clone();
                 bids_a[0] = own_bid_a;
                 bids_b[0] = own_bid_b;
-                let fa = m.fee(&bids_a, 0, rate).unwrap();
-                let fb = m.fee(&bids_b, 0, rate).unwrap();
+                let fa = fee(&m, &bids_a, 0, rate);
+                let fb = fee(&m, &bids_b, 0, rate);
                 prop_assert!(
                     (fa - fb).abs() < 1e-12,
                     "fee moved with own bid: {} vs {}",

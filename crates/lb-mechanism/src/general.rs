@@ -82,15 +82,7 @@ pub struct GeneralizedCompensationBonus<F> {
     pub family: F,
     /// Valuation/compensation model.
     pub valuation: ValuationModel,
-    /// Convex-solver options used for allocation and benchmarks.
-    pub solver: SolverOptionsWrapper,
 }
-
-/// Wrapper giving `ConvexSolverOptions` `Eq` semantics for derive purposes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolverOptionsWrapper(pub ConvexSolverOptions);
-
-impl Eq for SolverOptionsWrapper {}
 
 impl<F: LatencyFamily> GeneralizedCompensationBonus<F> {
     /// Creates the mechanism with default options.
@@ -99,7 +91,6 @@ impl<F: LatencyFamily> GeneralizedCompensationBonus<F> {
         Self {
             family,
             valuation: ValuationModel::default(),
-            solver: SolverOptionsWrapper::default(),
         }
     }
 
@@ -110,7 +101,7 @@ impl<F: LatencyFamily> GeneralizedCompensationBonus<F> {
     fn optimal_latency(&self, values: &[f64], rate: f64) -> Result<f64, MechanismError> {
         let fns = self.fns(values)?;
         let refs: Vec<&F::Fn> = fns.iter().collect();
-        let alloc = solve_convex(&refs, rate, self.solver.0)?;
+        let alloc = solve_convex(&refs, rate, ConvexSolverOptions::default())?;
         Ok(alloc
             .rates()
             .iter()
@@ -179,7 +170,11 @@ impl<F: LatencyFamily> VerifiedMechanism for GeneralizedCompensationBonus<F> {
     fn allocate(&self, bids: &[f64], total_rate: f64) -> Result<Allocation, MechanismError> {
         let fns = self.fns(bids)?;
         let refs: Vec<&F::Fn> = fns.iter().collect();
-        Ok(solve_convex(&refs, total_rate, self.solver.0)?)
+        Ok(solve_convex(
+            &refs,
+            total_rate,
+            ConvexSolverOptions::default(),
+        )?)
     }
 
     fn payments(

@@ -64,8 +64,8 @@ pub use error::MechanismError;
 pub use fee::FeeAdjusted;
 pub use general::{GeneralizedCompensationBonus, LatencyFamily, LinearFamily, Mm1Family};
 pub use metrics::{degradation, frugality_ratio};
-pub use online::{OnlineError, OnlinePool, DRIFT_REL_TOL};
-pub use probe::{truthfulness_probe, utility_with_bid, CounterfactualProbe};
+pub use online::{OnlineError, OnlinePool};
+pub use probe::{truthfulness_probe, CounterfactualProbe};
 pub use profile::Profile;
 pub use properties::{
     dominant_strategy_check, truthfulness_scan, voluntary_participation_scan, DeviationGrid,

@@ -39,32 +39,6 @@ pub fn degradation(actual: f64, optimal: f64) -> f64 {
     (actual - optimal) / optimal
 }
 
-/// Aggregate payment-structure summary used by the Figure 6 harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaymentStructure {
-    /// Sum of payments handed out.
-    pub total_payment: f64,
-    /// Sum of |valuations| (the realised total latency).
-    pub total_valuation: f64,
-    /// Sum of agent utilities.
-    pub total_utility: f64,
-    /// `total_payment / total_valuation`.
-    pub frugality: f64,
-}
-
-impl PaymentStructure {
-    /// Summarises a mechanism outcome.
-    #[must_use]
-    pub fn from_outcome(outcome: &MechanismOutcome) -> Self {
-        Self {
-            total_payment: outcome.total_payment(),
-            total_valuation: outcome.total_valuation_abs(),
-            total_utility: outcome.total_utility(),
-            frugality: frugality_ratio(outcome),
-        }
-    }
-}
-
 /// Closed-form frugality of the truthful profile on a *uniform* system of
 /// `n` identical machines, under the contributed-latency valuation:
 ///
@@ -171,15 +145,5 @@ mod tests {
     #[should_panic(expected = "optimal latency must be positive")]
     fn degradation_rejects_bad_optimum() {
         let _ = degradation(1.0, 0.0);
-    }
-
-    #[test]
-    fn payment_structure_is_consistent() {
-        let profile = Profile::truthful(&paper_system(), PAPER_ARRIVAL_RATE).unwrap();
-        let out = run_mechanism(&CompensationBonusMechanism::paper(), &profile).unwrap();
-        let ps = PaymentStructure::from_outcome(&out);
-        assert!((ps.total_payment - out.total_payment()).abs() < 1e-12);
-        assert!((ps.total_utility - (ps.total_payment - ps.total_valuation)).abs() < 1e-9);
-        assert!((ps.frugality - ps.total_payment / ps.total_valuation).abs() < 1e-12);
     }
 }

@@ -14,7 +14,7 @@
 //! bit for bit.
 //!
 //! Drift from the incremental updates is bounded explicitly: once the
-//! tracked bound crosses [`DRIFT_REL_TOL`] relative (heavy cancellation) or
+//! tracked bound crosses `DRIFT_REL_TOL` relative (heavy cancellation) or
 //! the event count since the last re-found reaches the live-machine count
 //! (amortization), the pool re-founds `S` with one compensated from-scratch
 //! fold — keeping the state within `1e-12` relative of a batch rebuild at
@@ -26,7 +26,7 @@ use std::fmt;
 
 /// Relative drift at which the pool re-founds `S` from the live bids. Two
 /// decades of headroom under the `1e-12` equivalence bar the oracle checks.
-pub const DRIFT_REL_TOL: f64 = 1e-14;
+const DRIFT_REL_TOL: f64 = 1e-14;
 
 /// Floor on the re-sum period, so tiny pools do not re-found on every event.
 const MIN_RESUM_PERIOD: u64 = 64;
@@ -175,7 +175,7 @@ impl OnlinePool {
         Ok(old)
     }
 
-    /// Re-founds `S` when the drift bound crosses [`DRIFT_REL_TOL`]
+    /// Re-founds `S` when the drift bound crosses `DRIFT_REL_TOL`
     /// relative (cancellation guard) or one period of events has elapsed
     /// (amortization: the period is at least the live count, so the O(live)
     /// fold costs O(1) per event).
@@ -232,7 +232,7 @@ impl OnlinePool {
 
     /// The bid at `slot`, if live.
     #[must_use]
-    pub fn bid_of(&self, slot: usize) -> Option<f64> {
+    fn bid_of(&self, slot: usize) -> Option<f64> {
         self.bids.get(slot).copied().flatten()
     }
 

@@ -57,7 +57,7 @@ impl CounterfactualProbe {
 /// of bids, `actual` the agent) if `agent` is out of range, and propagates
 /// mechanism errors: out-of-domain counterfactual bids, arity mismatches,
 /// or singleton systems.
-pub fn utility_with_bid(
+fn utility_with_bid(
     mechanism: &dyn VerifiedMechanism,
     bids: &[f64],
     agent: usize,
@@ -84,7 +84,7 @@ pub fn utility_with_bid(
 ///
 /// # Errors
 /// Returns [`lb_core::CoreError::LengthMismatch`] if `agent` is out of
-/// range, as [`utility_with_bid`] does, and propagates mechanism errors
+/// range, as `utility_with_bid` does, and propagates mechanism errors
 /// from either evaluation; in particular a perturbation that pushes the
 /// bid out of the validated domain.
 pub fn truthfulness_probe(

@@ -143,16 +143,6 @@ impl Profile {
         self.total_rate
     }
 
-    /// Whether every agent bids truthfully and executes at full capacity.
-    #[must_use]
-    pub fn is_fully_truthful(&self) -> bool {
-        self.true_values
-            .iter()
-            .zip(&self.bids)
-            .zip(&self.exec_values)
-            .all(|((&t, &b), &e)| (b - t).abs() < 1e-12 && (e - t).abs() < 1e-12)
-    }
-
     /// Returns a copy with agent `agent`'s bid and execution value replaced.
     ///
     /// # Errors
@@ -187,8 +177,8 @@ mod tests {
     fn truthful_profile_is_truthful() {
         let p = Profile::truthful(&paper_system(), 20.0).unwrap();
         assert_eq!(p.len(), 16);
-        assert!(p.is_fully_truthful());
         assert_eq!(p.bids(), p.true_values());
+        assert_eq!(p.exec_values(), p.true_values());
         assert_eq!(p.total_rate(), 20.0);
     }
 
@@ -222,7 +212,7 @@ mod tests {
         let p = Profile::with_deviation(&sys, 20.0, 0, 3.0, 0.5).unwrap();
         assert_eq!(p.exec_values()[0], 1.0);
         assert_eq!(p.bids()[0], 3.0);
-        assert!(!p.is_fully_truthful());
+        assert_ne!(p.bids(), p.true_values());
         // All other agents untouched.
         assert_eq!(p.bids()[1..], p.true_values()[1..]);
     }

@@ -17,12 +17,7 @@ use lb_core::CoreError;
 /// is reached before the error estimate falls below `tol` or the integrand
 /// produces non-finite values, and a typed validation error for an invalid
 /// interval or tolerance (fuzzed inputs must never abort).
-pub fn integrate<F: Fn(f64) -> f64>(
-    f: &F,
-    a: f64,
-    b: f64,
-    tol: f64,
-) -> Result<f64, MechanismError> {
+fn integrate<F: Fn(f64) -> f64>(f: &F, a: f64, b: f64, tol: f64) -> Result<f64, MechanismError> {
     if !(a.is_finite() && b.is_finite() && a <= b) {
         return Err(CoreError::InvalidParameter {
             name: "integration bound",

@@ -204,12 +204,6 @@ impl MechanismOutcome {
     pub fn total_valuation_abs(&self) -> f64 {
         self.valuations.iter().map(|v| v.abs()).sum()
     }
-
-    /// Sum of agent utilities.
-    #[must_use]
-    pub fn total_utility(&self) -> f64 {
-        self.utilities.iter().sum()
-    }
 }
 
 /// Runs one full round of `mechanism` on `profile`: allocate from the bids,

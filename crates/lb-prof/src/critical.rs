@@ -4,7 +4,7 @@
 //! root's phase spans are sequential and partition the round span, and
 //! within each phase the barrier joins on its *straggler* — the shard span
 //! with the latest end, since the root cannot proceed until every worker
-//! has reported. [`analyze`] walks that structure over the
+//! has reported. [`profile_events`] walks that structure over the
 //! [`CompletedSpan`] forest of [`lb_telemetry::replay_spans`]:
 //!
 //! 1. find the round root (the `round` span);
@@ -23,9 +23,13 @@
 //! Simulator (`sim.*`) spans are deliberately excluded from the wall-time
 //! path: the simulator records none today, but recordings made by earlier
 //! builds carry `sim.machine` spans stamped on the *simulation* clock
-//! (`0 → horizon`), whose durations are not wall-time. The machine link of
-//! the chain comes from the rollup's `Instant`-timed machine sketches
-//! instead ([`RoundProfile::attach_machine_leaf`]).
+//! (`0 → horizon`), whose durations are not wall-time. Per-machine
+//! wall-time lives in the rollup's `Instant`-timed block sketches instead
+//! ([`crate::rollup`]).
+//!
+//! Timestamps are ordered with [`f64::total_cmp`], so a non-finite span
+//! timestamp in a caller's recording gives a (meaningless) profile rather
+//! than a panic.
 //!
 //! The resulting [`RoundProfile`] serializes to JSONL ([`to_jsonl`] /
 //! [`from_jsonl`]) and renders as text for terminal dashboards.
@@ -137,7 +141,7 @@ fn union_length(mut intervals: Vec<(f64, f64)>, lo: f64, hi: f64) -> f64 {
         iv.0 = iv.0.max(lo);
         iv.1 = iv.1.min(hi);
     }
-    intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut covered = 0.0;
     let mut cursor = lo;
     for (s, e) in intervals {
@@ -155,7 +159,7 @@ fn union_length(mut intervals: Vec<(f64, f64)>, lo: f64, hi: f64) -> f64 {
 /// # Errors
 /// [`ProfileError::NoRoundSpan`] when the trace has no round root,
 /// [`ProfileError::EmptyRound`] when the root has no duration.
-pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
+fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
     let root = spans
         .iter()
         .find(|s| s.name == "round")
@@ -170,7 +174,7 @@ pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
             .iter()
             .filter(|s| s.parent == Some(id) && s.cat != Subsystem::Sim)
             .collect();
-        kids.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite timestamps"));
+        kids.sort_by(|a, b| a.start.total_cmp(&b.start));
         kids
     };
 
@@ -213,10 +217,7 @@ pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
             if current.cat == Subsystem::Shard {
                 // Shard ranking is recorded at the phase level below.
             }
-            let Some(straggler) = kids
-                .iter()
-                .max_by(|a, b| a.end.partial_cmp(&b.end).expect("finite timestamps"))
-            else {
+            let Some(straggler) = kids.iter().max_by(|a, b| a.end.total_cmp(&b.end)) else {
                 break;
             };
             current = straggler;
@@ -227,11 +228,7 @@ pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
             .into_iter()
             .filter(|s| s.cat == Subsystem::Shard)
             .collect();
-        shard_kids.sort_by(|a, b| {
-            b.duration()
-                .partial_cmp(&a.duration())
-                .expect("finite timestamps")
-        });
+        shard_kids.sort_by(|a, b| b.duration().total_cmp(&a.duration()));
         for s in shard_kids.iter().take(STRAGGLERS_PER_PHASE) {
             if let Some(shard) = field_u64(s, "shard") {
                 stragglers.push(Straggler {
@@ -254,41 +251,16 @@ pub fn analyze(spans: &[CompletedSpan]) -> Result<RoundProfile, ProfileError> {
 /// Replays `events` (with shard-lineage validation) and profiles the result.
 ///
 /// # Errors
-/// Propagates replay errors and [`analyze`] errors.
+/// Propagates replay errors; [`ProfileError::NoRoundSpan`] when the trace
+/// has no round root, [`ProfileError::EmptyRound`] when the root has no
+/// duration.
 pub fn profile_events(events: &[TelemetryEvent]) -> Result<RoundProfile, ProfileError> {
     let spans = replay_spans(events)?;
     analyze(&spans)
 }
 
 impl RoundProfile {
-    /// Appends a machine leaf under the deepest shard node of the path —
-    /// the first machine of the rollup's `Instant`-timed slowest block,
-    /// which the sim-clock trace cannot provide. `wall` is that block's
-    /// mean verification wall-time per machine; the leaf inherits the
-    /// shard node's interval endpoints.
-    pub fn attach_machine_leaf(&mut self, machine: u64, wall: f64) {
-        let Some(deepest) = self
-            .path
-            .iter()
-            .filter(|n| n.shard.is_some())
-            .max_by_key(|n| n.depth)
-            .cloned()
-        else {
-            return;
-        };
-        self.path.push(PathNode {
-            name: "machine".to_string(),
-            depth: deepest.depth + 1,
-            start: deepest.start,
-            end: deepest.start + wall,
-            self_time: wall,
-            blocked_time: 0.0,
-            shard: deepest.shard,
-            machine: Some(machine),
-        });
-    }
-
-    /// The profile as a JSON document. Inverse of [`Self::from_json`].
+    /// The profile as a JSON document, one line of [`to_jsonl`].
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
     pub fn to_json(&self) -> Json {
@@ -335,7 +307,7 @@ impl RoundProfile {
     ///
     /// # Errors
     /// [`ProfileError::BadDocument`] on missing keys or non-finite numbers.
-    pub fn from_json(doc: &Json) -> Result<Self, ProfileError> {
+    fn from_json(doc: &Json) -> Result<Self, ProfileError> {
         let bad = |m: &str| ProfileError::BadDocument(m.to_string());
         let num = |j: &Json, key: &str| -> Result<f64, ProfileError> {
             let v = j
@@ -477,7 +449,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<RoundProfile>, ProfileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lb_telemetry::{Collector, Field, RingCollector};
+    use lb_telemetry::{Collector, Field, RingCollector, SpanId};
 
     /// A synthetic two-shard round: phases sequential under the round span,
     /// shard spans under each phase, one shard clearly the straggler.
@@ -575,23 +547,46 @@ mod tests {
     }
 
     #[test]
-    fn machine_leaf_attaches_under_the_deepest_shard() {
-        let mut profile = profile_events(&synthetic_round()).unwrap();
-        profile.attach_machine_leaf(17, 0.3);
-        let leaf = profile.path.last().unwrap();
-        assert_eq!(leaf.machine, Some(17));
-        assert_eq!(leaf.shard, Some(1));
-        assert!((leaf.self_time - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
     fn jsonl_round_trip_is_identity() {
         let mut profile = profile_events(&synthetic_round()).unwrap();
-        profile.attach_machine_leaf(3, 0.2);
+        // A machine leaf under the straggler shard, so every node field
+        // round-trips, `machine` included.
+        let shard = profile.path[2].clone();
+        profile.path.push(PathNode {
+            name: "machine".to_string(),
+            depth: shard.depth + 1,
+            end: shard.start + 0.2,
+            self_time: 0.2,
+            blocked_time: 0.0,
+            machine: Some(3),
+            ..shard
+        });
         let text = to_jsonl(&[profile.clone(), profile.clone()]);
         let back = from_jsonl(&text).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], profile);
+    }
+
+    #[test]
+    fn nan_timestamp_profiles_without_panicking() {
+        let span = |id: u64, parent: Option<u64>, name: &str, start: f64, end: f64| CompletedSpan {
+            id: SpanId(id),
+            parent: parent.map(SpanId),
+            name: name.to_string(),
+            cat: Subsystem::Coordinator,
+            start,
+            end,
+            depth: usize::from(parent.is_some()),
+            fields: vec![],
+        };
+        let spans = [
+            span(1, None, "round", 0.0, 1.0),
+            span(2, Some(1), "phase.collect_bids", f64::NAN, 0.4),
+            span(3, Some(1), "phase.allocate", 0.4, 0.9),
+        ];
+        let profile = analyze(&spans).expect("a round root with a duration");
+        assert_eq!(profile.path[0].name, "round");
+        assert_eq!(profile.path.len(), 3, "both phases stay on the path");
     }
 
     #[test]

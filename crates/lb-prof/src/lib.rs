@@ -22,20 +22,13 @@
 //!   series against a labelled `BENCH_*.json` baseline using Student-t
 //!   confidence intervals: flagged only when the CI lower bound clears
 //!   the baseline p99 plus slack.
-//!
-//! [`publish`] pushes both documents onto the live exposition endpoint
-//! (`/profile`, `/regressions`).
 
 pub mod critical;
-pub mod publish;
 pub mod rollup;
 pub mod sentinel;
 
 pub use critical::{
-    analyze, from_jsonl, profile_events, to_jsonl, PathNode, ProfileError, RoundProfile, Straggler,
+    from_jsonl, profile_events, to_jsonl, PathNode, ProfileError, RoundProfile, Straggler,
 };
-pub use publish::{publish_profile, publish_regressions};
 pub use rollup::{Rollup, RoundProfiler, ShardRollup, WireShardProfile, PHASES};
-pub use sentinel::{
-    check, render, verdicts_json, Baseline, BaselineError, BaselineRow, SentinelConfig, Verdict,
-};
+pub use sentinel::{check, render, Baseline, BaselineError, BaselineRow, SentinelConfig, Verdict};

@@ -22,7 +22,6 @@
 //! sketch merge is exact.
 
 use lb_stats::{LatencySketch, OnlineStats, WireError, WireSketch};
-use lb_telemetry::Json;
 use std::collections::BTreeMap;
 
 /// Phase labels, in protocol order — the same vocabulary as the
@@ -133,21 +132,6 @@ impl Rollup {
         }
         fleet
     }
-}
-
-/// Summarizes a sketch for the JSON documents: count + p50/p99/max/mean.
-fn sketch_json(sketch: &LatencySketch) -> Json {
-    if sketch.is_empty() {
-        return Json::obj([("count", Json::Num(0.0))]);
-    }
-    #[allow(clippy::cast_precision_loss)]
-    Json::obj([
-        ("count", Json::Num(sketch.count() as f64)),
-        ("mean_s", Json::Num(sketch.mean())),
-        ("p50_s", Json::Num(sketch.p50())),
-        ("p99_s", Json::Num(sketch.p99())),
-        ("max_s", Json::Num(sketch.max())),
-    ])
 }
 
 /// Collects per-shard rollup frames and root phase timings across rounds;
@@ -282,77 +266,6 @@ impl RoundProfiler {
     pub fn rounds_profiled(&self) -> u64 {
         self.rounds_profiled
     }
-
-    /// The `/profile` document: sampling state, frame accounting, the
-    /// latest round's phase breakdown, per-shard and fleet-wide sketch
-    /// summaries.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn to_json(&self) -> Json {
-        let last = match self.last_round {
-            Some((round, walls)) => Json::obj([
-                ("round", Json::Num(round as f64)),
-                (
-                    "phase_wall_s",
-                    Json::obj(
-                        PHASES
-                            .iter()
-                            .zip(walls)
-                            .map(|(name, w)| (name.to_string(), Json::Num(w))),
-                    ),
-                ),
-            ]),
-            None => Json::Null,
-        };
-        let shards: Vec<Json> = self
-            .rollup
-            .shards()
-            .map(|s| {
-                Json::obj([
-                    ("shard", Json::Num(f64::from(s.shard))),
-                    (
-                        "phases",
-                        Json::obj(
-                            PHASES
-                                .iter()
-                                .zip(&s.phases)
-                                .map(|(name, sk)| (name.to_string(), sketch_json(sk))),
-                        ),
-                    ),
-                    ("machine_wall", sketch_json(&s.machine_wall)),
-                    (
-                        "slowest_machine",
-                        match s.slowest_machine {
-                            Some((m, w)) => Json::obj([
-                                ("machine", Json::Num(m as f64)),
-                                ("wall_s", Json::Num(w)),
-                            ]),
-                            None => Json::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect();
-        let fleet = Json::obj(
-            PHASES
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (name.to_string(), sketch_json(&self.rollup.fleet_phase(i))))
-                .chain(std::iter::once((
-                    "machine_wall".to_string(),
-                    sketch_json(&self.rollup.fleet_machine()),
-                ))),
-        );
-        Json::obj([
-            ("rounds_profiled", Json::Num(self.rounds_profiled as f64)),
-            ("sampling_period", Json::Num(self.every as f64)),
-            ("profile_frames", Json::Num(self.prof_frames as f64)),
-            ("profile_bytes", Json::Num(self.prof_bytes as f64)),
-            ("last_round", last),
-            ("shards", Json::Arr(shards)),
-            ("fleet", fleet),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn series_and_document_reflect_finished_rounds() {
+    fn series_reflect_finished_rounds() {
         let mut p = RoundProfiler::new();
         p.record_phase(0, 0, 0.01);
         p.record_phase(0, 3, 0.02);
@@ -433,12 +346,7 @@ mod tests {
         p.finish_round(1, [0.012, 0.005, 0.002, 0.022]);
         assert_eq!(p.series()[0].count(), 2);
         assert_eq!(p.last_round(), Some((1, [0.012, 0.005, 0.002, 0.022])));
-
-        let doc = p.to_json();
-        assert_eq!(doc.get("rounds_profiled").and_then(Json::as_u64), Some(2));
-        let text = doc.render();
-        let back = Json::parse(&text).expect("document is real JSON");
-        assert_eq!(back.get("sampling_period").and_then(Json::as_u64), Some(1));
+        assert_eq!(p.rounds_profiled(), 2);
     }
 
     #[test]

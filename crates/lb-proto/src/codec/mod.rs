@@ -168,7 +168,7 @@ impl<'a> Decoder<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.input.len()
     }
 

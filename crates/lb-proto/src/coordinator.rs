@@ -570,10 +570,9 @@ impl<'m> Coordinator<'m> {
     /// The current head of the tamper-evidence ledger chain, covering every
     /// framed byte in the attached journal. `None` without a journal (or if
     /// the journal's bytes cannot be read). This is the digest `seal` writes
-    /// into [`JournalRecord::LedgerSealed`] and the value the `/health`
-    /// endpoint publishes as the external trust anchor.
-    #[must_use]
-    pub fn ledger_head(&self) -> Option<u64> {
+    /// into [`JournalRecord::LedgerSealed`] and the value the `health`
+    /// document carries as the external trust anchor.
+    fn ledger_head(&self) -> Option<u64> {
         let journal = self.journal.clone()?;
         self.ensure_ledger(&journal).ok()?;
         self.ledger.borrow().as_ref().map(LedgerChain::head)
@@ -2514,10 +2513,7 @@ mod tests {
         }
         c.end_bidding().unwrap();
         let rates = c.allocate(inv_sum_dd(&[1.0, 2.0])).unwrap();
-        let state = |c: &Coordinator<'_>| {
-            let journal = journal.borrow();
-            (c.phase(), journal.bytes().unwrap(), journal.committed_len())
-        };
+        let state = |c: &Coordinator<'_>| (c.phase(), journal.borrow().clone());
         let before = state(&c);
         assert!(matches!(
             c.commit_allocation(vec![-1.0, 4.0], vec![1.0, 2.0]),

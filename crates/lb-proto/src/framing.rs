@@ -15,9 +15,6 @@ use lb_telemetry::TraceContext;
 /// path compares against this bound *before* buffering or allocating.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Maximum frame size accepted by default (alias of [`MAX_FRAME_LEN`]).
-pub const DEFAULT_MAX_FRAME: usize = MAX_FRAME_LEN;
-
 /// Encodes values into length-prefixed frames.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
@@ -96,7 +93,6 @@ impl FrameWriter {
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
-    max_frame: usize,
 }
 
 impl Default for FrameReader {
@@ -106,24 +102,12 @@ impl Default for FrameReader {
 }
 
 impl FrameReader {
-    /// Creates a reader with the default frame-size limit.
+    /// Creates a reader that accepts frames up to [`MAX_FRAME_LEN`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_max_frame(DEFAULT_MAX_FRAME)
-    }
-
-    /// Creates a reader with an explicit frame-size limit. Limits above the
-    /// hard bound [`MAX_FRAME_LEN`] are clamped to it.
-    ///
-    /// # Panics
-    /// Panics if `max_frame == 0`.
-    #[must_use]
-    pub fn with_max_frame(max_frame: usize) -> Self {
-        assert!(max_frame > 0, "FrameReader: max_frame must be positive");
         Self {
             buf: Vec::new(),
             start: 0,
-            max_frame: max_frame.min(MAX_FRAME_LEN),
         }
     }
 
@@ -167,10 +151,10 @@ impl FrameReader {
             return Ok(None);
         };
         let len = u32::from_le_bytes(*header) as usize;
-        if len > self.max_frame {
+        if len > MAX_FRAME_LEN {
             return Err(CodecError::FrameTooLarge {
                 len: len as u64,
-                max: self.max_frame as u64,
+                max: MAX_FRAME_LEN as u64,
             });
         }
         if pending.len() < 4 + len {
@@ -271,12 +255,14 @@ mod tests {
 
     #[test]
     fn oversized_header_is_rejected() {
-        let mut r = FrameReader::with_max_frame(16);
-        r.feed(&1_000u32.to_le_bytes());
+        let mut r = FrameReader::new();
+        let len = MAX_FRAME_LEN as u32 + 1;
+        r.feed(&len.to_le_bytes());
         r.feed(&[0u8; 8]);
         assert!(matches!(
             r.next_frame::<Message>(),
-            Err(CodecError::FrameTooLarge { len: 1000, max: 16 })
+            Err(CodecError::FrameTooLarge { len, max })
+                if len == u64::from(MAX_FRAME_LEN as u32 + 1) && max == MAX_FRAME_LEN as u64
         ));
     }
 
@@ -284,9 +270,8 @@ mod tests {
     fn corrupted_header_cannot_exceed_hard_bound() {
         // Regression for the `codec` fuzz-oracle class: a hostile header
         // announcing u32::MAX (4 GiB) must be rejected against MAX_FRAME_LEN
-        // before any buffering, even on a reader configured with a huge
-        // custom limit (which is clamped to the hard bound).
-        let mut r = FrameReader::with_max_frame(usize::MAX);
+        // before any buffering.
+        let mut r = FrameReader::new();
         r.feed(&u32::MAX.to_le_bytes());
         r.feed(&[0u8; 32]);
         match r.next_frame::<Message>() {

@@ -178,7 +178,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Upper bound on a single record's payload; a length prefix beyond this is
 /// treated as garbage (torn tail), bounding allocation during replay.
-pub const MAX_RECORD_LEN: u32 = 1 << 20;
+const MAX_RECORD_LEN: u32 = 1 << 20;
 
 /// FNV-1a over `bytes`, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -235,14 +235,6 @@ impl LedgerChain {
     #[must_use]
     pub fn new() -> Self {
         Self { head: Self::SEED }
-    }
-
-    /// A chain resumed from a previously exported `head` — lets a long-lived
-    /// session carry the chain across rounds without re-reading the whole
-    /// journal.
-    #[must_use]
-    pub fn with_head(head: u64) -> Self {
-        Self { head }
     }
 
     /// Folds one framed record (as produced by [`encode_record`]) into the
@@ -397,7 +389,7 @@ pub trait Journal {
 
 /// In-memory journal backend. `commit` advances a watermark so tests can
 /// distinguish durable bytes from staged ones.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemJournal {
     buf: Vec<u8>,
     committed: usize,
@@ -419,12 +411,6 @@ impl MemJournal {
             buf: bytes,
             committed,
         }
-    }
-
-    /// Bytes made durable by `commit` so far.
-    #[must_use]
-    pub fn committed_len(&self) -> usize {
-        self.committed
     }
 }
 
@@ -565,12 +551,6 @@ impl CrashingJournal {
             crash_offsets,
             crashed: false,
         }
-    }
-
-    /// Whether the journal is currently dead.
-    #[must_use]
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Simulates a process restart: discards the torn tail (if any), clears
@@ -756,9 +736,9 @@ mod tests {
     fn mem_journal_commit_watermark() {
         let mut j = MemJournal::new();
         j.append(&JournalRecord::RoundSealed).unwrap();
-        assert_eq!(j.committed_len(), 0);
+        assert_eq!(j.committed, 0);
         j.commit().unwrap();
-        assert_eq!(j.committed_len(), j.bytes().unwrap().len());
+        assert_eq!(j.committed, j.bytes().unwrap().len());
     }
 
     #[test]
@@ -815,7 +795,7 @@ mod tests {
             }
         }
         assert_eq!(failed_at, Some(4));
-        assert!(j.is_crashed());
+        assert!(j.crashed);
         // Dead until revived.
         assert!(matches!(j.commit(), Err(JournalError::Crashed { .. })));
         let replay = j.revive().unwrap();
@@ -843,7 +823,7 @@ mod tests {
         assert_ne!(incremental.head(), LedgerChain::SEED);
         // Resume from an exported head: same terminal state.
         let mid = LedgerChain::replay(&journal_bytes(&records[..4]));
-        let mut resumed = LedgerChain::with_head(mid.head());
+        let mut resumed = LedgerChain { head: mid.head() };
         let tail = journal_bytes(&records);
         let boundaries = JournalReplay::boundaries(&tail);
         let mut at = boundaries[4];

@@ -121,7 +121,7 @@ pub use chaos::{chaos_message_bound, ChaosConfig, ChaosNetStats, RoundRecoverySt
 pub use codec::{decode, decode_with_context, encode, encode_with_context, CodecError, Wire};
 pub use coordinator::{Coordinator, CoordinatorPhase, Outbound, ProtocolError};
 pub use faults::FaultPlan;
-pub use framing::{FrameReader, FrameWriter, DEFAULT_MAX_FRAME, MAX_FRAME_LEN};
+pub use framing::{FrameReader, FrameWriter, MAX_FRAME_LEN};
 pub use journal::{
     read_journal, CrashingJournal, ExclusionReason, FileJournal, Journal, JournalError,
     JournalRecord, JournalReplay, LedgerChain, MemJournal,

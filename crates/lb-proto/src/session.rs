@@ -163,21 +163,6 @@ pub struct ChaosSessionReport {
     pub cumulative_payments: Vec<f64>,
 }
 
-impl ChaosSessionReport {
-    /// Cumulative payment received by machine `i` over the settled rounds.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn cumulative_payment(&self, i: usize) -> f64 {
-        self.rounds
-            .iter()
-            .filter_map(ChaosRoundResult::settled)
-            .map(|r| r.outcome.payments[i])
-            .sum()
-    }
-}
-
 /// Applies the post-settlement health policy for one round: blame active
 /// excluded machines (quarantining repeat offenders), clear the record of
 /// active machines that completed. Shared by the live driver and by
@@ -665,7 +650,7 @@ mod tests {
         // Deterministic service: every round pays the same, so the cumulative
         // payment is 5x a single round.
         let single = rounds[0].outcome.payments[0];
-        assert!((report.cumulative_payment(0) - 5.0 * single).abs() < 1e-9);
+        assert!((super::chaos_tests::cumulative_payment(&report, 0) - 5.0 * single).abs() < 1e-9);
         let utility: f64 = rounds.iter().map(|r| r.outcome.utilities[0]).sum();
         assert!((utility - 5.0 * rounds[0].outcome.utilities[0]).abs() < 1e-9);
     }
@@ -755,6 +740,17 @@ mod chaos_tests {
     use std::sync::Arc;
 
     const RATE: f64 = 12.0;
+
+    /// Payment received by machine `i`, summed over the rounds this process
+    /// settled (recovered rounds excluded, unlike `cumulative_payments`).
+    pub(super) fn cumulative_payment(report: &ChaosSessionReport, i: usize) -> f64 {
+        report
+            .rounds
+            .iter()
+            .filter_map(ChaosRoundResult::settled)
+            .map(|r| r.outcome.payments[i])
+            .sum()
+    }
 
     pub(super) fn config() -> ProtocolConfig {
         ProtocolConfig {
@@ -1146,8 +1142,8 @@ mod chaos_tests {
         }
         for i in 0..4 {
             assert_eq!(
-                report.cumulative_payment(i).to_bits(),
-                clean.cumulative_payment(i).to_bits(),
+                cumulative_payment(&report, i).to_bits(),
+                cumulative_payment(&clean, i).to_bits(),
                 "machine {i}"
             );
         }
@@ -1156,7 +1152,7 @@ mod chaos_tests {
 
 #[cfg(test)]
 mod durable_tests {
-    use super::chaos_tests::{config, specs};
+    use super::chaos_tests::{config, cumulative_payment, specs};
     use super::*;
     use crate::faults::FaultPlan;
     use crate::journal::Journal;
@@ -1228,7 +1224,7 @@ mod durable_tests {
         for i in 0..3 {
             assert_eq!(
                 durable.report.cumulative_payments[i].to_bits(),
-                plain.cumulative_payment(i).to_bits(),
+                cumulative_payment(&plain, i).to_bits(),
                 "machine {i}"
             );
         }

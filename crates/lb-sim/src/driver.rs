@@ -125,7 +125,7 @@ pub struct PartitionReport {
 /// never re-runs the allocation.
 ///
 /// `on_block(first_global_index, machines, wall_seconds)`, when given,
-/// fires after each block of [`PROBE_BLOCK`] consecutive machines (the
+/// fires after each block of `PROBE_BLOCK` (32) consecutive machines (the
 /// last block may be shorter) with the *host* time the block took
 /// (`std::time::Instant`) — how profilers attribute verification wall time
 /// to machines. It reads the clock once per block boundary, not twice per
@@ -172,7 +172,7 @@ pub fn simulate_partition(
 
 /// Machines per timed block of a profiled partition (see
 /// [`simulate_partition`]'s `on_block`).
-pub const PROBE_BLOCK: usize = 32;
+const PROBE_BLOCK: usize = 32;
 
 /// Rejects the caller input the kernel's samplers would panic on (see
 /// [`simulate_partition`]'s errors).

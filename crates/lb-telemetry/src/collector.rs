@@ -1,4 +1,4 @@
-//! The [`Collector`] trait and the free [`NoopCollector`].
+//! The [`Collector`] trait and the free [`noop_collector`].
 //!
 //! Instrumentation points accept `&dyn Collector` (usually through an
 //! `Arc<dyn Collector>` so the shard tier's worker threads can share one
@@ -159,7 +159,7 @@ pub trait Collector: Send + Sync {
 /// The do-nothing collector: every instrumented hot path costs one virtual
 /// call returning `false`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopCollector;
+struct NoopCollector;
 
 impl Collector for NoopCollector {
     fn enabled(&self) -> bool {

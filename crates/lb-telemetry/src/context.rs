@@ -39,10 +39,10 @@ pub const TRAILER_LEN: usize = 28;
 
 /// Trailer magic bytes (`"TC"`), distinguishing a trailer from accidental
 /// trailing garbage.
-pub const TRAILER_MAGIC: [u8; 2] = [0x54, 0x43];
+const TRAILER_MAGIC: [u8; 2] = [0x54, 0x43];
 
 /// Current trailer format version.
-pub const TRAILER_VERSION: u8 = 1;
+const TRAILER_VERSION: u8 = 1;
 
 /// Bit 0 of the flags byte: the trace is sampled.
 const FLAG_SAMPLED: u8 = 0b0000_0001;

@@ -54,12 +54,6 @@ impl Phase {
             Phase::Settle => "phase.settle",
         }
     }
-
-    /// Inverse of [`Phase::span_name`].
-    #[must_use]
-    pub fn from_span_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.span_name() == name)
-    }
 }
 
 /// Subsystem that emitted an event — the Chrome-trace category and lane.
@@ -329,10 +323,12 @@ mod tests {
     #[test]
     fn phase_names_roundtrip() {
         for p in Phase::ALL {
-            assert_eq!(Phase::from_span_name(p.span_name()), Some(p));
+            let named = Phase::ALL
+                .into_iter()
+                .find(|q| q.span_name() == p.span_name());
+            assert_eq!(named, Some(p));
             assert!(p.span_name().ends_with(p.name()));
         }
-        assert_eq!(Phase::from_span_name("phase.nonsense"), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`event`] — the typed event vocabulary: spans, instants, counters,
 //!   gauges, histogram samples, with structured key/value fields.
 //! * [`collector`] — the [`Collector`] trait every instrumentation point
-//!   accepts, and the free [`NoopCollector`] that makes instrumented hot
+//!   accepts, and the free [`noop_collector`] that makes instrumented hot
 //!   paths cost (almost) nothing when telemetry is off.
 //! * [`ring`] — [`RingCollector`]: a fixed-capacity ring buffer behind a
 //!   `std::sync::Mutex` recording every event in order.
@@ -33,10 +33,7 @@
 //!   parent span id, sampled flag) and its fixed-size backward-compatible
 //!   frame trailer, so one trace stitches across coordinator and nodes.
 //! * [`sampler`] — deterministic head-based sampling
-//!   (always/never/ratio/per-round as a pure function of the round seed)
-//!   and the [`MeteredCollector`] overhead accountant.
-//! * [`expose`] — a std-only HTTP 1.0 exposition server: Prometheus
-//!   text-format `/metrics` and recent-recording `/trace` JSONL.
+//!   (always/never/ratio/per-round as a pure function of the round seed).
 //! * [`settled`] — [`SettledRound`], the typed view of a settled round a
 //!   coordinator hands [`Collector::settled`], and the one definition of
 //!   the settlement-gauge export format.
@@ -54,14 +51,13 @@
 //! All convenience methods check [`Collector::enabled`] before building an
 //! event, so call sites may construct field vectors inside an
 //! `if collector.enabled()` guard (or rely on the default methods, which
-//! return early). With [`NoopCollector`] the cost per instrumentation point
+//! return early). With [`noop_collector`] the cost per instrumentation point
 //! is one virtual call returning a constant.
 
 pub mod collector;
 pub mod context;
 pub mod event;
 pub mod export;
-pub mod expose;
 pub mod json;
 pub mod registry;
 pub mod replay;
@@ -70,15 +66,14 @@ pub mod sampler;
 pub mod settled;
 pub mod timeline;
 
-pub use collector::{noop_collector, Collector, NoopCollector};
-pub use context::{TraceContext, TRAILER_LEN, TRAILER_MAGIC, TRAILER_VERSION};
+pub use collector::{noop_collector, Collector};
+pub use context::{TraceContext, TRAILER_LEN};
 pub use event::{EventKind, Field, FieldValue, Phase, SpanId, Subsystem, TelemetryEvent};
 pub use export::{from_jsonl, to_chrome_trace, to_jsonl, ExportError};
-pub use expose::{ExposeServer, Exposition};
 pub use json::{Json, JsonError};
 pub use registry::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use replay::{replay_spans, CompletedSpan, ReplayError};
 pub use ring::RingCollector;
-pub use sampler::{MeteredCollector, Sampler};
+pub use sampler::Sampler;
 pub use settled::{ColumnLengthError, SettledRound};
 pub use timeline::render_timeline;

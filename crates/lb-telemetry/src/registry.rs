@@ -6,7 +6,7 @@
 //! exactly, and a quantile read here is the same read `/profile` serves for
 //! the same durations.
 //!
-//! A registry can be fed directly (`add` / `set_gauge` / `observe`) or can
+//! A registry can be fed directly (`add` / `observe`) or can
 //! [`MetricsRegistry::ingest`] a recording, deriving per-phase latency
 //! histograms from span durations, per-machine message counts from network
 //! instants and anomaly counts from coordinator instants.
@@ -75,7 +75,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the named gauge.
-    pub fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
+    fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
         self.gauges.insert(name.into(), value);
     }
 
@@ -110,16 +110,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<HistogramSummary> {
         self.histograms.get(name).map(summary)
-    }
-
-    /// Counters whose names start with `prefix`, in name order.
-    #[must_use]
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
     }
 
     /// Feeds a recording through the registry.
@@ -278,63 +268,6 @@ impl MetricsSnapshot {
                     h.count, h.mean, h.std_dev, h.min, h.p50, h.p95, h.p99, h.max
                 );
             }
-        }
-        out
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4) — what the `/metrics` endpoint of
-    /// [`crate::expose::ExposeServer`] serves.
-    ///
-    /// Metric names are sanitised to `[a-zA-Z0-9_:]` (anything else becomes
-    /// `_`, a leading digit gains a `_` prefix). Counters gain an `_total`
-    /// suffix per convention; histograms render as Prometheus summaries:
-    /// `<name>{quantile="…"}` sample lines plus `<name>_sum` /
-    /// `<name>_count`. Non-finite values are skipped (Prometheus has no
-    /// NaN/Inf samples worth scraping).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 1);
-            for (i, c) in name.chars().enumerate() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                    if i == 0 && c.is_ascii_digit() {
-                        out.push('_');
-                    }
-                    out.push(c);
-                } else {
-                    out.push('_');
-                }
-            }
-            out
-        }
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name}_total counter");
-            let _ = writeln!(out, "{name}_total {value}");
-        }
-        for (name, value) in &self.gauges {
-            if !value.is_finite() {
-                continue;
-            }
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, h) in &self.histograms {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-                if v.is_finite() {
-                    let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
-                }
-            }
-            let sum = h.mean * h.count as f64;
-            if sum.is_finite() {
-                let _ = writeln!(out, "{name}_sum {sum}");
-            }
-            let _ = writeln!(out, "{name}_count {}", h.count);
         }
         out
     }
@@ -525,19 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_query_is_sorted_and_bounded() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("net.machine.1", 4);
-        reg.add("net.machine.0", 2);
-        reg.add("netother", 9);
-        let per_machine = reg.counters_with_prefix("net.machine.");
-        assert_eq!(
-            per_machine,
-            vec![("net.machine.0", 2), ("net.machine.1", 4)]
-        );
-    }
-
-    #[test]
     fn merge_of_two_collectors_matches_one_combined_stream() {
         // Two RingCollectors record disjoint halves of the same activity;
         // each feeds its own registry, the registries are merged, and the
@@ -602,14 +522,13 @@ mod tests {
         assert_eq!((h.count, h.min, h.max), (500, sketch.min(), sketch.max()));
     }
 
-    /// Feeds `events` through every surface `lb_top --file` and `/metrics`
-    /// use, returning the snapshot.
+    /// Feeds `events` through every surface `lb_top` uses, returning the
+    /// snapshot.
     fn render_all(events: &[TelemetryEvent]) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
         reg.ingest(events);
         let snap = reg.snapshot();
         let _ = snap.to_text();
-        let _ = snap.to_prometheus();
         assert!(Json::parse(&snap.to_json().render()).is_ok());
         snap
     }
@@ -646,40 +565,6 @@ mod tests {
         assert_eq!(h.count, 50);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 50.0);
-    }
-
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("net.messages", 12);
-        reg.add("anomaly.late-bid", 1);
-        reg.set_gauge("session.healthy", 4.0);
-        reg.set_gauge("broken", f64::NAN);
-        for i in 1..=100 {
-            reg.observe("span.round.seconds", f64::from(i) / 100.0);
-        }
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE net_messages_total counter"));
-        assert!(text.contains("net_messages_total 12"));
-        assert!(text.contains("anomaly_late_bid_total 1"), "{text}");
-        assert!(text.contains("# TYPE session_healthy gauge"));
-        assert!(text.contains("session_healthy 4"));
-        assert!(!text.contains("broken"), "non-finite gauges are skipped");
-        assert!(text.contains("# TYPE span_round_seconds summary"));
-        assert!(text.contains("span_round_seconds{quantile=\"0.5\"}"));
-        assert!(text.contains("span_round_seconds_count 100"));
-        assert!(text.contains("span_round_seconds_sum "));
-        // Every non-comment line is "name[{labels}] value".
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.split_whitespace();
-            let name = parts.next().unwrap();
-            let value = parts.next().unwrap();
-            assert!(parts.next().is_none(), "extra tokens in '{line}'");
-            assert!(name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || "_:{}=\".".contains(c)));
-            assert!(value.parse::<f64>().is_ok(), "bad value in '{line}'");
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default event capacity: enough for several heavy chaos rounds.
-pub const DEFAULT_CAPACITY: usize = 16_384;
+const DEFAULT_CAPACITY: usize = 16_384;
 
 struct RingInner {
     buf: VecDeque<TelemetryEvent>,

@@ -6,16 +6,8 @@
 //! reproduces identical traces. The decision is then carried to every
 //! participant in the `sampled` flag of the wire
 //! [`TraceContext`](crate::context::TraceContext).
-//!
-//! [`MeteredCollector`] wraps any collector and counts the events and span
-//! ids that actually flow through it, giving each collector an explicit
-//! overhead account (events recorded ≈ allocations + ring traffic paid).
 
-use crate::collector::Collector;
-use crate::event::{SpanId, TelemetryEvent};
 use lb_stats::derive_seed;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Salt so the sampling hash is independent of the trace-id derivation.
 const SAMPLE_SALT: u64 = 0x7361_6D70_6C65_7221; // "sampler!"
@@ -64,74 +56,9 @@ impl Sampler {
     }
 }
 
-/// A collector wrapper that meters what flows through it.
-///
-/// Forwards everything to the inner collector while counting recorded
-/// events and allocated span ids, so the overhead a given instrumentation
-/// configuration pays is observable rather than guessed at. Disabled inner
-/// collectors stay free: the convenience methods short-circuit on
-/// [`Collector::enabled`] before ever reaching [`Collector::record`].
-pub struct MeteredCollector {
-    inner: Arc<dyn Collector>,
-    events: AtomicU64,
-    spans: AtomicU64,
-}
-
-impl std::fmt::Debug for MeteredCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MeteredCollector")
-            .field("events", &self.events_recorded())
-            .field("spans", &self.spans_started())
-            .finish()
-    }
-}
-
-impl MeteredCollector {
-    /// Wraps `inner`, metering everything recorded through the wrapper.
-    #[must_use]
-    pub fn new(inner: Arc<dyn Collector>) -> Self {
-        Self {
-            inner,
-            events: AtomicU64::new(0),
-            spans: AtomicU64::new(0),
-        }
-    }
-
-    /// Events forwarded to the inner collector so far.
-    #[must_use]
-    pub fn events_recorded(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Span ids allocated through this wrapper so far.
-    #[must_use]
-    pub fn spans_started(&self) -> u64 {
-        self.spans.load(Ordering::Relaxed)
-    }
-}
-
-impl Collector for MeteredCollector {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn record(&self, event: TelemetryEvent) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.inner.record(event);
-    }
-
-    fn next_span_id(&self) -> SpanId {
-        self.spans.fetch_add(1, Ordering::Relaxed);
-        self.inner.next_span_id()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::{noop_collector, NoopCollector};
-    use crate::event::Subsystem;
-    use crate::ring::RingCollector;
 
     #[test]
     fn always_and_never_are_constant() {
@@ -173,33 +100,5 @@ mod tests {
         let admitted: Vec<u64> = (0..13).filter(|&r| s.admits(3, r)).collect();
         assert_eq!(admitted, vec![0, 4, 8, 12]);
         assert!(!Sampler::PerRound(0).admits(3, 0), "PerRound(0) is Never");
-    }
-
-    #[test]
-    fn metered_collector_counts_what_flows_through() {
-        let ring = Arc::new(RingCollector::new(32));
-        let metered = MeteredCollector::new(ring.clone());
-        let span = metered.span_start(0.0, "round", Subsystem::Coordinator, vec![]);
-        metered.instant(0.1, "tick", Subsystem::Network, vec![]);
-        metered.span_end(0.2, span);
-        assert_eq!(metered.events_recorded(), 3);
-        assert_eq!(metered.spans_started(), 1);
-        assert_eq!(ring.len(), 3, "events reach the inner collector");
-    }
-
-    #[test]
-    fn metered_noop_stays_free() {
-        let metered = MeteredCollector::new(noop_collector());
-        assert!(!metered.enabled());
-        let id = metered.span_start(0.0, "round", Subsystem::Coordinator, vec![]);
-        assert!(id.is_null());
-        metered.instant(0.1, "tick", Subsystem::Network, vec![]);
-        assert_eq!(
-            metered.events_recorded(),
-            0,
-            "disabled paths record nothing"
-        );
-        assert_eq!(metered.spans_started(), 0);
-        let _ = NoopCollector; // keep the import honest
     }
 }

@@ -1,6 +1,6 @@
 //! Verification health, live: a streaming invariant monitor over a
 //! protocol session, the tamper-evident round ledger, and the
-//! `/invariants` + `/health` documents an operator would scrape.
+//! `invariants` + `health` documents an operator would archive.
 //!
 //! Three acts:
 //!
@@ -10,7 +10,7 @@
 //!    drift, truthfulness margin) and the journal's hash chain verifies;
 //! 2. a byte of the journal is flipped *with its frame CRC recomputed* —
 //!    the per-record checksum passes, but the ledger chain localises the
-//!    divergence and `/health` flips to `tampered`;
+//!    divergence and `health` flips to `tampered`;
 //! 3. a settled round with a skimmed payment is handed to a monitor — the
 //!    double-double reference catches the theft the aggregate total check
 //!    cannot see.
@@ -19,7 +19,7 @@
 //! cargo run --example verification_health
 //! ```
 
-use lbmv::audit::{health_json, publish, verify_ledger, InvariantMonitor, MonitorConfig};
+use lbmv::audit::{health_json, invariants_json, verify_ledger, InvariantMonitor, MonitorConfig};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::journal::crc32;
 use lbmv::proto::{
@@ -28,7 +28,7 @@ use lbmv::proto::{
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
-use lbmv::telemetry::{noop_collector, Collector, Exposition, SettledRound};
+use lbmv::telemetry::{noop_collector, Collector, SettledRound};
 use std::sync::Arc;
 
 const RATE: f64 = 9.0;
@@ -84,13 +84,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verdict.head,
         verdict.is_intact()
     );
-    let exposition = Exposition::new();
-    publish(&exposition, &monitor, Some(&verdict));
-    println!("/health    -> {}", exposition.health_text().trim());
+    println!(
+        "/health    -> {}",
+        health_json(&stats, Some(&verdict)).render()
+    );
     println!("/invariants (first 120 chars) ->");
-    let invariants = exposition.invariants_text();
-    let head = invariants.trim();
-    println!("  {}…", &head[..head.len().min(120)]);
+    let invariants = invariants_json(&stats, monitor.latest_report().as_ref()).render();
+    println!("  {}…", &invariants[..invariants.len().min(120)]);
 
     // Act 2 — flip one byte inside a journalled record and recompute the
     // frame CRC, the edit a per-record checksum cannot see.

@@ -8,11 +8,11 @@
 //! * **Clean rounds are clean** — an honest multi-round durable session
 //!   produces zero violations and a ledger that verifies intact, one seal
 //!   per round.
-//! * **Exposition round-trip** — publishing the monitor + ledger verdict
-//!   renders valid `/invariants` and `/health` documents carrying the
-//!   chain head.
+//! * **Health documents round-trip** — the monitor + ledger verdict render
+//!   as valid `invariants` and `health` JSON documents carrying the chain
+//!   head.
 
-use lbmv::audit::{health_json, invariants_json, publish, verify_ledger};
+use lbmv::audit::{health_json, invariants_json, verify_ledger};
 use lbmv::audit::{InvariantMonitor, MonitorConfig};
 use lbmv::mechanism::CompensationBonusMechanism;
 use lbmv::proto::{
@@ -21,9 +21,7 @@ use lbmv::proto::{
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
-use lbmv::telemetry::{
-    noop_collector, to_jsonl, Collector, Exposition, Json, RingCollector, Subsystem,
-};
+use lbmv::telemetry::{noop_collector, to_jsonl, Collector, Json, RingCollector, Subsystem};
 use std::sync::Arc;
 
 const RATE: f64 = 9.0;
@@ -157,18 +155,16 @@ fn honest_session_verifies_clean_end_to_end() {
 }
 
 #[test]
-fn exposition_documents_round_trip() {
+fn health_documents_round_trip() {
     let monitor = Arc::new(InvariantMonitor::new(
         noop_collector(),
         MonitorConfig::default(),
     ));
     let report = run_session(monitor.clone() as Arc<dyn Collector>);
     let verdict = verify_ledger(&report.journal_bytes);
+    let stats = monitor.stats();
 
-    let exposition = Exposition::new();
-    publish(&exposition, &monitor, Some(&verdict));
-
-    let health = Json::parse(exposition.health_text().trim()).unwrap();
+    let health = Json::parse(&health_json(&stats, Some(&verdict)).render()).unwrap();
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
     let ledger = health.get("ledger").unwrap();
     assert_eq!(ledger.get("intact").unwrap().as_bool(), Some(true));
@@ -176,22 +172,12 @@ fn exposition_documents_round_trip() {
     assert!(head.starts_with("0x") && head.len() == 18, "{head}");
     assert_eq!(head, format!("{:#018x}", verdict.head));
 
-    let invariants = Json::parse(exposition.invariants_text().trim()).unwrap();
+    let invariants =
+        Json::parse(&invariants_json(&stats, monitor.latest_report().as_ref()).render()).unwrap();
     assert_eq!(
         invariants.get("rounds").unwrap().as_u64(),
         Some(ROUNDS as u64)
     );
     let latest = invariants.get("latest").unwrap();
     assert_eq!(latest.get("consistent").unwrap().as_bool(), Some(true));
-
-    // The pure builders agree with what was published.
-    let stats = monitor.stats();
-    assert_eq!(
-        invariants_json(&stats, monitor.latest_report().as_ref()).render() + "\n",
-        exposition.invariants_text()
-    );
-    assert_eq!(
-        health_json(&stats, Some(&verdict)).render() + "\n",
-        exposition.health_text()
-    );
 }

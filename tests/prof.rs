@@ -221,8 +221,6 @@ fn rollup_matches_whole_fleet_recompute() {
     // within SKETCH_RTOL of itself re-read through per-shard merges is
     // already bitwise; check the read stays inside the exact extrema.
     assert!(machine.p50() >= machine.min() && machine.p50() <= machine.max());
-    let json = profiler.to_json().render();
-    assert!(json.contains("\"fleet\"") && json.contains("\"machine_wall\""));
 }
 
 #[test]

@@ -190,7 +190,7 @@ fn recovered_rounds_re_emit_spans_and_bit_identical_monitor_reports() {
     c.end_telemetry();
     let bytes = journal.borrow().bytes().unwrap();
     let reference_report = monitor.latest_report().expect("reference round observed");
-    let reference_line = reference_report.to_jsonl_line();
+    let reference_line = reference_report.to_json().render();
     let reference_spans: BTreeSet<String> = replay_spans(&ring.snapshot())
         .unwrap()
         .iter()
@@ -221,7 +221,7 @@ fn recovered_rounds_re_emit_spans_and_bit_identical_monitor_reports() {
         let report = monitor
             .latest_report()
             .unwrap_or_else(|| panic!("cut {cut}: recovered round unobserved"));
-        assert_eq!(report.to_jsonl_line(), reference_line, "cut {cut}");
+        assert_eq!(report.to_json().render(), reference_line, "cut {cut}");
         assert_eq!(report, reference_report, "cut {cut}");
         let spans: BTreeSet<String> = replay_spans(&ring.snapshot())
             .unwrap_or_else(|e| panic!("cut {cut}: spans do not replay: {e}"))
