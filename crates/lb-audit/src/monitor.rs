@@ -625,10 +625,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let spec = RoundSpec {
-            transport: Transport::Sharded {
-                shards: 5,
-                profiler: None,
-            },
+            transport: Transport::Sharded { shards: 5 },
             observers: Observers {
                 collector: Arc::clone(&monitor) as Arc<dyn Collector>,
                 ..Observers::default()

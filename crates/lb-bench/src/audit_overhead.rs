@@ -11,7 +11,7 @@
 //! * **full** — the same round handed to an [`InvariantMonitor`] over such
 //!   a ring, with every check on every round ([`Sampler::Always`]);
 //! * **sampled** — drift reference and truthfulness probe admitted once
-//!   every [`SAMPLE_PERIOD`] rounds, the recommended production posture.
+//!   every `SAMPLE_PERIOD` (16) rounds, the recommended production posture.
 //!
 //! Each arm is one [`batch`] of settled rounds, timed in ns **per settled
 //! round** (payments + emission + any monitoring), and the paired
@@ -39,11 +39,11 @@ pub const OVERHEAD_NS: &[usize] = &[64, 1024, 16384];
 
 /// Sampling period of the `sampled` arm: drift + probe once every this
 /// many rounds.
-pub const SAMPLE_PERIOD: u64 = 16;
+const SAMPLE_PERIOD: u64 = 16;
 
 /// Rounds driven per timing sample — enough for the periodic sampler to
 /// amortise to its steady state.
-pub const ROUNDS_PER_SAMPLE: u64 = 2 * SAMPLE_PERIOD;
+const ROUNDS_PER_SAMPLE: u64 = 2 * SAMPLE_PERIOD;
 
 /// One settled round of coordinator compute — allocation, payment vector,
 /// and the settled round handed to `collector`. Returns the payment count
@@ -90,7 +90,7 @@ fn ring() -> Arc<RingCollector> {
     Arc::new(RingCollector::new(1 << 18))
 }
 
-/// The batch for a grid point of `n` machines: [`ROUNDS_PER_SAMPLE`]
+/// The batch for a grid point of `n` machines: `ROUNDS_PER_SAMPLE` (32)
 /// settled rounds, each handed to a plain ring (`arm` 0), the always-on
 /// monitor (1) or the sampled one (2). Returns ns per round.
 pub fn batch(n: usize) -> impl Fn(usize) -> f64 {
@@ -111,7 +111,7 @@ pub fn batch(n: usize) -> impl Fn(usize) -> f64 {
 /// Measures the grid, `reps` paired repetitions per point.
 #[must_use]
 pub fn measure(ns: &[usize], reps: usize) -> Vec<OverheadRow> {
-    overhead::measure(ns, reps, ["full", "sampled"], None, batch)
+    overhead::measure(ns, reps, ["full", "sampled"], batch)
 }
 
 #[cfg(test)]
@@ -147,7 +147,7 @@ mod tests {
         let rows = measure(&[16], 2);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert_eq!((row.n, row.shards), (16, None));
+        assert_eq!(row.n, 16);
         assert!(row.off_ns > 0.0 && row.on.iter().all(|on| on.ns > 0.0));
         assert_eq!(row.on.map(|on| on.name), ["full", "sampled"]);
         assert!(row.on.iter().all(|on| on.overhead.is_finite()));

@@ -6,8 +6,7 @@
 //! ```
 
 use lb_bench::{
-    audit_overhead, bench_log, figures, online_scaling, overhead, payment_scaling,
-    profile_overhead, round_scaling,
+    audit_overhead, bench_log, figures, online_scaling, overhead, payment_scaling, round_scaling,
 };
 use lb_telemetry::Json;
 use std::error::Error;
@@ -323,35 +322,6 @@ fn run(target: &str) -> Result<(), Box<dyn Error>> {
             );
             overhead::gate(&rows, "sampled", 1024, 0.5)?;
         }
-        "profile-overhead" => {
-            let rows = profile_overhead::measure(profile_overhead::OVERHEAD_NS, overhead::REPS);
-            print_section(
-                "Profiler overhead: full sharded round, off vs attached vs sampled rollup",
-                &overhead::render_table(&rows),
-            );
-            append_artifact(
-                "BENCH_profile_overhead.json",
-                "profile_overhead",
-                "ns/round",
-                overhead::rows_json(&rows),
-            )?;
-        }
-        "profile-overhead-smoke" => {
-            // CI-sized: the acceptance point only, artifact schema-checked
-            // on a scratch path.
-            let rows = profile_overhead::measure(&[1024], overhead::REPS);
-            print_section(
-                "Profiler overhead (smoke): off vs attached vs sampled at n = 1024",
-                &overhead::render_table(&rows),
-            );
-            overhead::gate(&rows, "attached", 1024, 0.10)?;
-            check_smoke_artifact(
-                "BENCH_profile_overhead.json",
-                "profile_overhead",
-                "ns/round",
-                overhead::rows_json(&rows),
-            )?;
-        }
         "all" => {
             for t in [
                 "table1",
@@ -387,7 +357,7 @@ fn run(target: &str) -> Result<(), Box<dyn Error>> {
         other => {
             eprintln!("unknown target '{other}'");
             eprintln!(
-                "targets: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig1-sim messages ablation faults audit learning mm1 bursty dynamic telemetry payment-scaling payment-scaling-smoke online-scaling online-scaling-smoke audit-overhead audit-overhead-smoke round-scaling round-scaling-smoke profile-overhead profile-overhead-smoke all"
+                "targets: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig1-sim messages ablation faults audit learning mm1 bursty dynamic telemetry payment-scaling payment-scaling-smoke online-scaling online-scaling-smoke audit-overhead audit-overhead-smoke round-scaling round-scaling-smoke all"
             );
             std::process::exit(2);
         }

@@ -3,9 +3,9 @@
 //! Reads a JSONL trace recording (the [`lb_telemetry::to_jsonl`] format every
 //! instrumented driver can produce) from a file, rebuilds the span forest
 //! and metric registry, and renders per-round phase timings, per-machine
-//! allocation and payment gauges, per-shard phase gauges for sharded rounds,
-//! the critical-path round profile, network counters and retransmission
-//! histograms as plain ANSI text.
+//! allocation and payment gauges, per-shard stage times from the shard
+//! spans of sharded rounds, the critical-path round profile, network
+//! counters and retransmission histograms as plain ANSI text.
 //!
 //! ```text
 //! lb_top --file round_trace.jsonl --once            # one frame (CI mode)
@@ -17,11 +17,11 @@
 //! pipe- and CI-friendly; otherwise the file is re-read and the frame
 //! redrawn in place until interrupted.
 
-use lb_prof::PHASES;
 use lb_telemetry::{
     from_jsonl, replay_spans, CompletedSpan, FieldValue, MetricsRegistry, MetricsSnapshot,
     TelemetryEvent,
 };
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::time::Duration;
 
@@ -117,7 +117,8 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
     registry.ingest(events);
     let snapshot = registry.snapshot();
 
-    match replay_spans(events) {
+    let spans = replay_spans(events);
+    match &spans {
         Ok(spans) => {
             let rounds: Vec<&CompletedSpan> = spans.iter().filter(|s| s.name == "round").collect();
             out.push_str(&format!("ROUNDS ({})\n", rounds.len()));
@@ -132,7 +133,7 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
                     "  round {id}  n={n}  {:.6}s{trace}\n",
                     round.end - round.start
                 ));
-                phase_line(&mut out, &spans, round);
+                phase_line(&mut out, spans, round);
             }
             let node_spans = spans.iter().filter(|s| s.name.starts_with("node.")).count();
             out.push_str(&format!("  node spans: {node_spans}\n"));
@@ -141,7 +142,9 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
     }
 
     render_machines(&mut out, &snapshot);
-    render_shards(&mut out, &snapshot);
+    if let Ok(spans) = &spans {
+        render_shards(&mut out, spans);
+    }
     render_profile(&mut out, events);
     render_verification(&mut out, &snapshot);
     render_durability(&mut out, &snapshot);
@@ -149,60 +152,53 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
     out
 }
 
-/// The per-shard panel of a sharded round: the `shard.<s>.<phase>.seconds`
-/// gauges the registry derives from shard workers' `shard.phase.seconds`
-/// events, one row per shard with phases in protocol order and a bar over
-/// the shard's total.
-fn render_shards(out: &mut String, snapshot: &MetricsSnapshot) {
-    let mut rows: Vec<(u64, [f64; 4])> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        let Some(rest) = name.strip_prefix("shard.") else {
+/// The span each shard worker records per stage of a sharded round, in
+/// protocol order, and the panel's column for it.
+const STAGES: [(&str, &str); 4] = [
+    ("shard.collect", "collect"),
+    ("shard.verify", "verify"),
+    ("shard.execute", "execute"),
+    ("shard.settle", "settle"),
+];
+
+/// The per-shard panel of a sharded recording: each shard's wall seconds
+/// per stage, summed over its `shard.*` spans, one row per shard with a bar
+/// over the shard's total. A stage with no span reads `-`: the settle
+/// stage runs after the settle phase span has closed, so a recorded round
+/// has a `shard.settle` instant there, not a span.
+fn render_shards(out: &mut String, spans: &[CompletedSpan]) {
+    let mut rows: BTreeMap<u64, [Option<f64>; 4]> = BTreeMap::new();
+    for span in spans {
+        let Some(slot) = STAGES.iter().position(|(name, _)| span.name == *name) else {
             continue;
         };
-        let Some((shard, phase)) = rest.split_once('.') else {
+        let Some(shard) = field_u64(span, "shard") else {
             continue;
         };
-        let (Ok(shard), Some(phase)) = (shard.parse::<u64>(), phase.strip_suffix(".seconds"))
-        else {
-            continue;
-        };
-        let Some(slot) = PHASES.iter().position(|p| *p == phase) else {
-            continue;
-        };
-        match rows.iter_mut().find(|r| r.0 == shard) {
-            Some(row) => row.1[slot] = *value,
-            None => {
-                let mut walls = [f64::NAN; 4];
-                walls[slot] = *value;
-                rows.push((shard, walls));
-            }
-        }
+        let row = rows.entry(shard).or_insert([None; 4]);
+        *row[slot].get_or_insert(0.0) += span.duration();
     }
     if rows.is_empty() {
         return;
     }
-    rows.sort_by_key(|r| r.0);
-    let total = |walls: &[f64; 4]| walls.iter().filter(|w| w.is_finite()).sum::<f64>();
-    let max_total = rows
-        .iter()
-        .map(|r| total(&r.1))
-        .fold(0.0f64, f64::max)
-        .max(1e-300);
+    let total = |walls: &[Option<f64>; 4]| walls.iter().flatten().sum::<f64>();
+    let max_total = rows.values().map(total).fold(0.0f64, f64::max).max(1e-300);
     out.push_str(&format!("\nSHARDS ({})\n", rows.len()));
-    out.push_str(&format!(
-        "  shard  {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        PHASES[0], PHASES[1], PHASES[2], PHASES[3], "total"
-    ));
+    out.push_str("  shard ");
+    for (_, column) in STAGES {
+        out.push_str(&format!(" {column:>10}"));
+    }
+    out.push_str(&format!(" {:>10}\n", "total"));
     for (shard, walls) in &rows {
+        out.push_str(&format!("  s{shard:<5}"));
+        for wall in walls {
+            match wall {
+                Some(seconds) => out.push_str(&format!(" {seconds:>10.6}")),
+                None => out.push_str(&format!(" {:>10}", "-")),
+            }
+        }
         let total = total(walls);
-        out.push_str(&format!(
-            "  s{shard:<5} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {total:>10.6}  {}\n",
-            walls[0],
-            walls[1],
-            walls[2],
-            walls[3],
-            bar(total / max_total, 16)
-        ));
+        out.push_str(&format!(" {total:>10.6}  {}\n", bar(total / max_total, 16)));
     }
 }
 
@@ -451,16 +447,75 @@ mod tests {
         let s0 = frame.find("  s0").expect("shard 0 row");
         let s1 = frame.find("  s1").expect("shard 1 row");
         assert!(s0 < s1, "shard rows out of order:\n{frame}");
-        assert!(frame.contains("collect"), "{frame}");
-        assert!(frame.contains("settle"), "{frame}");
-        // A recording with no shard gauges has no panel at all.
-        let unsharded: Vec<TelemetryEvent> = from_jsonl(FIXTURE)
-            .unwrap()
-            .into_iter()
-            .filter(|e| !e.name.starts_with("shard."))
+        let s0 = &frame[s0..];
+        let row = s0[..s0.find('\n').unwrap()].split_whitespace();
+        // Summed span seconds per stage; the settle stage has instants only.
+        assert_eq!(
+            row.collect::<Vec<_>>(),
+            [
+                "s0",
+                "0.008100",
+                "0.002400",
+                "0.046400",
+                "-",
+                "0.056900",
+                "###############."
+            ],
+            "{frame}"
+        );
+    }
+
+    /// The SHARDS panel over a recording of a real sharded round: every
+    /// shard worker's spans become its row, and a single-coordinator round
+    /// has no panel.
+    #[test]
+    fn shards_panel_reads_a_real_sharded_round() {
+        use lb_mechanism::CompensationBonusMechanism;
+        use lb_proto::{run_round, NodeSpec, Observers, ProtocolConfig, RoundSpec, Transport};
+        use lb_telemetry::RingCollector;
+        use std::sync::Arc;
+
+        let mechanism = CompensationBonusMechanism::paper();
+        let specs: Vec<NodeSpec> = [1.0, 1.5, 2.0, 4.0, 5.0]
+            .iter()
+            .map(|&t| NodeSpec::truthful(t))
             .collect();
-        let frame = render(&unsharded, "fixture");
-        assert!(!frame.contains("SHARDS"), "{frame}");
+        let frame = |transport| {
+            let ring = Arc::new(RingCollector::new(65_536));
+            run_round(&RoundSpec {
+                transport,
+                observers: Observers {
+                    collector: ring.clone(),
+                    ..Observers::default()
+                },
+                ..RoundSpec::new(&mechanism, &specs, ProtocolConfig::default())
+            })
+            .expect("round settles");
+            assert_eq!(ring.overwritten(), 0);
+            render(&ring.snapshot(), "run_round")
+        };
+
+        let sharded = frame(Transport::Sharded { shards: 2 });
+        assert!(sharded.contains("SHARDS (2)"), "{sharded}");
+        let rows: Vec<&str> = sharded
+            .lines()
+            .skip_while(|line| *line != "SHARDS (2)")
+            .skip(2)
+            .take_while(|line| line.starts_with("  s"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{sharded}");
+        for (shard, row) in rows.iter().enumerate() {
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cells[0], format!("s{shard}"), "{sharded}");
+            // collect, verify and execute ran as spans; settle did not.
+            for cell in &cells[1..4] {
+                assert!(cell.parse::<f64>().is_ok_and(|s| s >= 0.0), "{row}");
+            }
+            assert_eq!(cells[4], "-", "{row}");
+        }
+
+        let single = frame(Transport::Reliable);
+        assert!(!single.contains("SHARDS"), "{single}");
     }
 
     /// The MACHINES panel over a recording of a real round: the gauge names

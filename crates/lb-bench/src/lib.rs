@@ -16,9 +16,6 @@
 //! * [`round_scaling`] — full sharded rounds at 10⁴–10⁶ machines:
 //!   rounds/sec and p99 phase latency through the hierarchical
 //!   coordinator.
-//! * [`profile_overhead`] — cost of the cross-shard telemetry rollup
-//!   (off / attached / sampled `lb-prof` profiler) on a full sharded
-//!   round.
 //! * [`online_scaling`] — the online mechanism's event path: incremental
 //!   O(1) harmonic-sum updates vs from-scratch per-event recomputation,
 //!   in events/sec over 10⁵-event churn streams.
@@ -37,7 +34,6 @@ pub mod online_scaling;
 pub mod overhead;
 pub mod paper;
 pub mod payment_scaling;
-pub mod profile_overhead;
 pub mod round_scaling;
 pub mod tables;
 

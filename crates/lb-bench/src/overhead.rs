@@ -16,9 +16,9 @@
 //! because the two minima come from different moments of the run.
 //!
 //! [`render_table`] and [`rows_json`] render every study's rows, so the
-//! `BENCH_*_overhead.json` artifacts share one schema: `n`, `shards` (for
-//! the sharded study), `off_ns`, and per on arm `<arm>_ns`,
-//! `<arm>_overhead`, `<arm>_overhead_lo` and `<arm>_overhead_hi`.
+//! `BENCH_*_overhead.json` artifacts share one schema: `n`, `off_ns`, and
+//! per on arm `<arm>_ns`, `<arm>_overhead`, `<arm>_overhead_lo` and
+//! `<arm>_overhead_hi`.
 
 use lb_stats::{median_confidence_interval, ConfidenceLevel, MedianInterval};
 use lb_telemetry::Json;
@@ -30,9 +30,9 @@ use crate::tables::{pct, Table};
 pub(crate) const ARMS: usize = 3;
 
 /// Paired repetitions per grid point, in the studies and their smokes. On a
-/// 2-vCPU x86-64 host one repetition's attached/off ratio in the profiler
-/// study scatters with a standard deviation of ≈ 11 %; over 200
-/// repetitions the median moves ≈ 0.6 % from run to run, over 20 ≈ 3 %.
+/// 2-vCPU x86-64 host one repetition's on/off ratio of a sharded round
+/// scattered with a standard deviation of ≈ 11 %; over 200 repetitions the
+/// median moved ≈ 0.6 % from run to run, over 20 ≈ 3 %.
 pub const REPS: usize = 200;
 
 /// Runs `reps` repetitions of `batch(arm)` and returns the ns-per-round
@@ -101,8 +101,6 @@ pub struct OnArm {
 pub struct OverheadRow {
     /// Number of machines.
     pub n: usize,
-    /// Shard coordinators under the root, for a sharded study.
-    pub shards: Option<usize>,
     /// Median ns per round of the off arm.
     pub off_ns: f64,
     /// The two on arms, in arm order (indices 1 and 2).
@@ -116,16 +114,10 @@ impl OverheadRow {
     /// # Panics
     /// Panics with no repetitions.
     #[must_use]
-    pub(crate) fn from_samples(
-        n: usize,
-        shards: Option<usize>,
-        on: [&'static str; 2],
-        samples: &[[f64; ARMS]],
-    ) -> Self {
+    pub(crate) fn from_samples(n: usize, on: [&'static str; 2], samples: &[[f64; ARMS]]) -> Self {
         let column = |arm: usize| samples.iter().map(|s| s[arm]).collect::<Vec<_>>();
         Self {
             n,
-            shards,
             off_ns: median(&column(0)),
             on: std::array::from_fn(|k| {
                 let ratios: Vec<f64> = samples.iter().map(|s| s[k + 1] / s[0] - 1.0).collect();
@@ -146,11 +138,10 @@ pub(crate) fn measure<B: FnMut(usize) -> f64>(
     ns: &[usize],
     reps: usize,
     on: [&'static str; 2],
-    shards: Option<usize>,
     batch: impl Fn(usize) -> B,
 ) -> Vec<OverheadRow> {
     ns.iter()
-        .map(|&n| OverheadRow::from_samples(n, shards, on, &sample(reps, batch(n))))
+        .map(|&n| OverheadRow::from_samples(n, on, &sample(reps, batch(n))))
         .collect()
 }
 
@@ -182,9 +173,7 @@ pub fn render_table(rows: &[OverheadRow]) -> String {
     let Some(first) = rows.first() else {
         return String::new();
     };
-    let mut header = vec!["n".to_string()];
-    header.extend(first.shards.map(|_| "shards".to_string()));
-    header.push("off (µs)".to_string());
+    let mut header = vec!["n".to_string(), "off (µs)".to_string()];
     for name in first.on.map(|on| on.name) {
         header.extend([
             format!("{name} (µs)"),
@@ -194,9 +183,7 @@ pub fn render_table(rows: &[OverheadRow]) -> String {
     }
     let mut table = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     for row in rows {
-        let mut cells = vec![row.n.to_string()];
-        cells.extend(row.shards.map(|k| k.to_string()));
-        cells.push(format!("{:.1}", row.off_ns / 1e3));
+        let mut cells = vec![row.n.to_string(), format!("{:.1}", row.off_ns / 1e3)];
         for on in &row.on {
             cells.extend([
                 format!("{:.1}", on.ns / 1e3),
@@ -217,9 +204,10 @@ pub fn rows_json(rows: &[OverheadRow]) -> Vec<Json> {
     let r4 = |v: f64| (v * 1e4).round() / 1e4;
     rows.iter()
         .map(|row| {
-            let mut fields = vec![("n".to_string(), row.n as f64)];
-            fields.extend(row.shards.map(|k| ("shards".to_string(), k as f64)));
-            fields.push(("off_ns".to_string(), row.off_ns.round()));
+            let mut fields = vec![
+                ("n".to_string(), row.n as f64),
+                ("off_ns".to_string(), row.off_ns.round()),
+            ];
             for OnArm {
                 name,
                 ns,
@@ -293,7 +281,7 @@ mod tests {
 
     #[test]
     fn equal_arms_pass_the_gate() {
-        let row = OverheadRow::from_samples(1024, Some(8), ON, &paired(20, 1.0, 1.0));
+        let row = OverheadRow::from_samples(1024, ON, &paired(20, 1.0, 1.0));
         assert_eq!(row.on[0].overhead, 0.0);
         assert!(row.on[0].interval.unwrap().contains(0.0));
         assert!(gate(&[row], "attached", 1024, 0.10).is_ok());
@@ -301,7 +289,7 @@ mod tests {
 
     #[test]
     fn a_twenty_percent_arm_fails_the_gate() {
-        let row = OverheadRow::from_samples(1024, Some(8), ON, &paired(20, 1.2, 1.0));
+        let row = OverheadRow::from_samples(1024, ON, &paired(20, 1.2, 1.0));
         assert!((row.on[0].overhead - 0.2).abs() < 1e-12);
         assert!(row.on[0].interval.unwrap().lo > 0.10);
         let err = gate(&[row], "attached", 1024, 0.10).unwrap_err();
@@ -316,7 +304,7 @@ mod tests {
     fn the_median_ratio_ignores_one_disturbed_batch() {
         let mut samples = paired(21, 1.05, 1.0);
         samples[4][1] *= 3.0;
-        let row = OverheadRow::from_samples(64, None, ON, &samples);
+        let row = OverheadRow::from_samples(64, ON, &samples);
         assert!((row.on[0].overhead - 0.05).abs() < 1e-12);
         assert!(gate(&[row], "attached", 64, 0.10).is_ok());
     }
@@ -330,7 +318,7 @@ mod tests {
         for s in &mut samples[..10] {
             s[1] = s[0];
         }
-        let row = OverheadRow::from_samples(64, None, ON, &samples);
+        let row = OverheadRow::from_samples(64, ON, &samples);
         let on = row.on[0];
         let interval = on.interval.unwrap();
         assert!((on.overhead - 0.1).abs() < 1e-12);
@@ -342,7 +330,7 @@ mod tests {
         );
         assert!(!mean.contains(on.overhead), "{mean:?}");
         // Below six repetitions there is no 95 % interval to report.
-        let few = OverheadRow::from_samples(64, None, ON, &samples[..5]);
+        let few = OverheadRow::from_samples(64, ON, &samples[..5]);
         assert_eq!(few.on[0].interval, None);
         assert!(rows_json(&[few])[0].get("attached_overhead_lo").is_none());
     }
@@ -350,13 +338,12 @@ mod tests {
     #[test]
     fn rows_render_every_key_and_reparse() {
         let rows = [
-            OverheadRow::from_samples(1024, Some(8), ON, &paired(6, 1.1, 1.0)),
-            OverheadRow::from_samples(64, None, ["full", "sampled"], &paired(7, 2.0, 1.5)),
+            OverheadRow::from_samples(1024, ON, &paired(6, 1.1, 1.0)),
+            OverheadRow::from_samples(64, ["full", "sampled"], &paired(7, 2.0, 1.5)),
         ];
         let json = rows_json(&rows);
         for key in [
             "n",
-            "shards",
             "off_ns",
             "attached_ns",
             "attached_overhead",
@@ -367,7 +354,6 @@ mod tests {
         ] {
             assert!(json[0].get(key).is_some(), "missing {key}");
         }
-        assert!(json[1].get("shards").is_none());
         assert_eq!(
             json[1].get("full_overhead").and_then(Json::as_f64),
             Some(1.0)

@@ -43,7 +43,7 @@ pub const ROUNDS_PER_POINT: usize = 8;
 
 /// Shard count used at every grid point (one shard per worker thread; a
 /// fixed count keeps grid points comparable and the study deterministic).
-pub const SHARDS: usize = 8;
+const SHARDS: usize = 8;
 
 /// One measured grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,15 +121,9 @@ pub fn measure(ns: &[usize], rounds: usize) -> Vec<RoundScalingRow> {
                     config.simulation,
                 )
                 .expect("bench coordinator");
-                let (report, t) = drive_sharded_round(
-                    &mut root,
-                    &specs,
-                    &config,
-                    SHARDS,
-                    &FaultPlan::none(),
-                    None,
-                )
-                .expect("bench round settles");
+                let (report, t) =
+                    drive_sharded_round(&mut root, &specs, &config, SHARDS, &FaultPlan::none())
+                        .expect("bench round settles");
                 assert!(root.is_sealed());
                 // The paper's O(n) claim, checked at every bench size: a
                 // fan-out that drops or duplicates frames fails here.

@@ -75,7 +75,7 @@ pub fn registry() -> &'static [Oracle] {
         Oracle {
             name: "prof",
             description:
-                "cross-shard sketch merge vs. whole-population recompute, frame validation, profile JSONL robustness",
+                "sharded sketch merge vs. whole-population recompute, profile JSONL robustness",
             run: oracles::prof::check,
         },
         Oracle {

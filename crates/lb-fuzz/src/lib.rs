@@ -35,11 +35,10 @@
 //!   round raises no monitor violations and verifies an intact ledger,
 //!   while an injected skimmed payment, a CRC-fixed journal byte flip and
 //!   a violated Theorem 3.2 floor must each be flagged.
-//! * `prof` — the cross-shard telemetry rollup: sketches split across a
-//!   random shard partition must merge to bitwise the same quantile reads
-//!   as a whole-population recompute, corrupt profile frames must be
-//!   rejected without perturbing the rollup, and profile JSONL documents
-//!   must round-trip exactly and survive byte mutation without panicking.
+//! * `prof` — the profiler's reads: latency sketches split across a random
+//!   shard partition must merge to bitwise the same quantile reads as a
+//!   whole-population recompute, and profile JSONL documents must
+//!   round-trip exactly and survive byte mutation without panicking.
 //! * `online` — the streaming mechanism layer: after every churn event the
 //!   incrementally maintained harmonic sum and factored allocation must
 //!   agree with from-scratch recomputation to 10⁻¹² relative (bit-exact

@@ -117,7 +117,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     let single = single.outcome;
     let mut root = Coordinator::try_new(&mech, n, config.total_rate, round, config.simulation)
         .map_err(|e| format!("root: {e}"))?;
-    let (report, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults, None)
+    let (report, _timings) = drive_sharded_round(&mut root, &specs, &config, shards, &faults)
         .map_err(|e| format!("sharded round (k = {shards}): {e}"))?;
     let excluded = &report.excluded;
     let anomalies = report.anomalies;
@@ -163,7 +163,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     let mut durable = Coordinator::try_new(&mech, n, ctx.total_rate, round, ctx.sim)
         .map_err(|e| format!("durable root: {e}"))?
         .with_journal(journal.clone());
-    drive_sharded_round(&mut durable, &specs, &config, shards, &faults, None)
+    drive_sharded_round(&mut durable, &specs, &config, shards, &faults)
         .map_err(|e| format!("durable sharded round: {e}"))?;
     let reference_bytes = journal
         .borrow()
@@ -180,7 +180,7 @@ pub fn check(seed: u64) -> Result<(), String> {
         )));
         let (mut rec, _report) = recover_round(&mech, revived.clone(), &ctx, noop_collector(), 0.0)
             .map_err(|e| format!("cut {cut}: recover: {e}"))?;
-        drive_sharded_round(&mut rec, &specs, &config, shards, &faults, None)
+        drive_sharded_round(&mut rec, &specs, &config, shards, &faults)
             .map_err(|e| format!("cut {cut}: re-drive: {e}"))?;
         let payments = bits(rec.payments().ok_or("recovered round has no payments")?);
         if payments != reference_payments {

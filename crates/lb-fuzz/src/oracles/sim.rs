@@ -123,7 +123,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     let config = config(&mut rng);
 
     // Property 1: partitions concatenate to the one-partition report.
-    let whole = simulate_partition(&bids, &actual, &rates, &config, 0, None)
+    let whole = simulate_partition(&bids, &actual, &rates, &config, 0)
         .map_err(|e| format!("valid fleet rejected: {e}"))?;
     #[allow(clippy::cast_possible_truncation)]
     let mut cuts: Vec<usize> = (0..1 + rng.next_below(8))
@@ -140,7 +140,6 @@ pub fn check(seed: u64) -> Result<(), String> {
             &rates[lo..hi],
             &config,
             lo as u64,
-            None,
         )
         .map_err(|e| format!("partition {lo}..{hi} rejected: {e}"))?;
         parts.push(part);
@@ -149,7 +148,7 @@ pub fn check(seed: u64) -> Result<(), String> {
 
     // Property 3: at a random stream offset, the kernel is its pieces.
     let offset = rng.next_u64() >> (1 + rng.next_below(63));
-    let kernel = simulate_partition(&bids, &actual, &rates, &config, offset, None)
+    let kernel = simulate_partition(&bids, &actual, &rates, &config, offset)
         .map_err(|e| format!("fleet at offset {offset} rejected: {e}"))?;
     let pieces = reference(&bids, &actual, &rates, &config, offset);
     compare(
@@ -167,7 +166,7 @@ pub fn check(seed: u64) -> Result<(), String> {
     );
     let mut bad_actual = actual.clone();
     bad_actual[at] = bad;
-    if simulate_partition(&bids, &bad_actual, &rates, &config, 0, None).is_ok() {
+    if simulate_partition(&bids, &bad_actual, &rates, &config, 0).is_ok() {
         return Err(format!("actual value {bad} at machine {at} accepted"));
     }
     if simulate_round(&bids, &bad_actual, 1.0, &config).is_ok() {
@@ -175,12 +174,12 @@ pub fn check(seed: u64) -> Result<(), String> {
     }
     let mut bad_rates = rates.clone();
     bad_rates[at] = if bad == 0.0 { -f64::MIN_POSITIVE } else { bad };
-    if simulate_partition(&bids, &actual, &bad_rates, &config, 0, None).is_ok() {
+    if simulate_partition(&bids, &actual, &bad_rates, &config, 0).is_ok() {
         return Err(format!("rate {} at machine {at} accepted", bad_rates[at]));
     }
     let (mut huge_actual, mut busy_rates) = (actual.clone(), rates.clone());
     (huge_actual[at], busy_rates[at]) = (f64::MAX, 2.0);
-    if simulate_partition(&bids, &huge_actual, &busy_rates, &config, 0, None).is_ok() {
+    if simulate_partition(&bids, &huge_actual, &busy_rates, &config, 0).is_ok() {
         return Err(format!(
             "overflowing mean response at machine {at} accepted"
         ));
@@ -192,12 +191,12 @@ pub fn check(seed: u64) -> Result<(), String> {
         },
         ..config
     };
-    if simulate_partition(&bids, &actual, &busy_rates, &dwell_overflow, 0, None).is_ok() {
+    if simulate_partition(&bids, &actual, &busy_rates, &dwell_overflow, 0).is_ok() {
         return Err(format!(
             "overflowing dwell sum at busy machine {at} accepted"
         ));
     }
-    if simulate_partition(&bids, &actual, &rates[1..], &config, 0, None).is_ok() {
+    if simulate_partition(&bids, &actual, &rates[1..], &config, 0).is_ok() {
         return Err(format!("{} rates for {n} machines accepted", n - 1));
     }
     let mut bad_config = config;
@@ -223,7 +222,7 @@ pub fn check(seed: u64) -> Result<(), String> {
             }
         }
     }
-    if simulate_partition(&bids, &actual, &rates, &bad_config, 0, None).is_ok() {
+    if simulate_partition(&bids, &actual, &rates, &bad_config, 0).is_ok() {
         return Err(format!("invalid config accepted: {bad_config:?}"));
     }
     Ok(())

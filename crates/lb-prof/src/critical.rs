@@ -23,9 +23,8 @@
 //! Simulator (`sim.*`) spans are deliberately excluded from the wall-time
 //! path: the simulator records none today, but recordings made by earlier
 //! builds carry `sim.machine` spans stamped on the *simulation* clock
-//! (`0 → horizon`), whose durations are not wall-time. Per-machine
-//! wall-time lives in the rollup's `Instant`-timed block sketches instead
-//! ([`crate::rollup`]).
+//! (`0 → horizon`), whose durations are not wall-time. The shard tier's
+//! `shard.*` spans are on the wall clock, one per shard and stage.
 //!
 //! Timestamps are ordered with [`f64::total_cmp`], so a non-finite span
 //! timestamp in a caller's recording gives a (meaningless) profile rather
@@ -587,6 +586,31 @@ mod tests {
         let profile = analyze(&spans).expect("a round root with a duration");
         assert_eq!(profile.path[0].name, "round");
         assert_eq!(profile.path.len(), 3, "both phases stay on the path");
+    }
+
+    // Pinned regression: a recording whose phase starts at NaN used to
+    // profile, then panic when the profile's NaN coverage was rendered.
+    // The NaN now renders as null, which the parser rejects by type.
+    #[test]
+    fn nan_phase_start_renders_and_parses_without_panicking() {
+        let ring = RingCollector::new(16);
+        let round = ring.span_start(0.0, "round", Subsystem::Coordinator, vec![]);
+        let collect = ring.span_start_in(
+            f64::NAN,
+            "phase.collect_bids",
+            Subsystem::Coordinator,
+            round,
+            vec![],
+        );
+        ring.span_end(0.4, collect);
+        ring.span_end(1.0, round);
+        let profile = profile_events(&ring.snapshot()).expect("a round root with a duration");
+        let text = to_jsonl(std::slice::from_ref(&profile));
+        assert!(text.contains("null"), "{text}");
+        assert!(matches!(
+            from_jsonl(&text),
+            Err(ProfileError::BadDocument(_))
+        ));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! does not depend on lb-bench) and selects one labelled entry.
 //!
 //! [`check`] then compares a live series of per-round phase wall-times
-//! (the [`RoundProfiler`](crate::rollup::RoundProfiler) accumulates one
-//! [`OnlineStats`] per phase) against the baseline row for the same fleet
+//! (one [`OnlineStats`] per phase, e.g. pushed from each round's
+//! `ShardPhaseTimings`) against the baseline row for the same fleet
 //! size. A phase is flagged **regressed** when the lower bound of the
 //! Student-t confidence interval of its observed mean exceeds the
 //! baseline p99 by more than the configured slack:
@@ -25,11 +25,15 @@
 //! mean and clears the threshold. The slack absorbs hardware drift
 //! between the machine that produced the baseline and the live one.
 
-use crate::rollup::PHASES;
 use lb_stats::{mean_confidence_interval, ConfidenceLevel, OnlineStats};
 use lb_telemetry::Json;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// Phase labels, in protocol order: the `p99_<phase>_ms` columns of
+/// `BENCH_round_scaling.json` and the fields of lb-proto's
+/// `ShardPhaseTimings`.
+const PHASES: [&str; 4] = ["collect", "allocate", "execute", "settle"];
 
 /// Why a baseline document could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +60,8 @@ impl std::error::Error for BaselineError {}
 pub struct BaselineRow {
     /// Fleet size the row was measured at.
     pub n: u64,
-    /// p99 per phase, ms, in [`PHASES`] order (collect, allocate,
-    /// execute, settle).
+    /// p99 per phase, ms, in protocol order (collect, allocate, execute,
+    /// settle).
     pub phase_p99_ms: [f64; 4],
 }
 

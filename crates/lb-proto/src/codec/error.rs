@@ -14,8 +14,6 @@ pub enum CodecError {
     },
     /// The input contained extra bytes after the value.
     TrailingBytes(usize),
-    /// An option tag byte held a value other than `0` or `1`.
-    InvalidTag(u8),
     /// An enum variant tag was out of range for the target enum.
     InvalidVariant(u32),
     /// A length prefix exceeded the remaining input (corruption guard).
@@ -43,7 +41,6 @@ impl fmt::Display for CodecError {
                 )
             }
             Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-            Self::InvalidTag(t) => write!(f, "invalid tag byte {t}"),
             Self::InvalidVariant(v) => write!(f, "invalid enum variant index {v}"),
             Self::LengthOverflow(n) => write!(f, "length prefix {n} exceeds remaining input"),
             Self::FrameTooLarge { len, max } => {
@@ -72,7 +69,6 @@ mod tests {
         .to_string()
         .contains('4'));
         assert!(CodecError::TrailingBytes(3).to_string().contains('3'));
-        assert!(CodecError::InvalidTag(9).to_string().contains('9'));
         assert!(CodecError::InvalidVariant(2).to_string().contains('2'));
         assert!(CodecError::LengthOverflow(7).to_string().contains('7'));
         let e = CodecError::FrameTooLarge {

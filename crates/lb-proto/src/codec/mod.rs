@@ -13,8 +13,7 @@
 //! | `u32` | 4, little-endian |
 //! | `u64` | 8, little-endian |
 //! | `f64` | 8, the IEEE-754 bits as a little-endian `u64` |
-//! | `Vec<f64>`, `Vec<u64>` | `u64` element count, then the elements |
-//! | `Option<(u64, f64)>` | tag byte `0` (none) or `1` (some), then the pair |
+//! | `Vec<f64>` | `u64` element count, then the elements |
 //! | enum | `u32` variant tag (declaration order), then the variant's fields |
 //! | struct | its fields in declaration order, no padding |
 //!
@@ -30,12 +29,6 @@
 //!   4 Payment             round:u64 amount:f64
 //!   5 ShardSum            round:u64 shard:u32 sum_hi:f64 sum_lo:f64
 //!   6 ShardEstimates      round:u64 shard:u32 estimates:Vec<f64>
-//!   7 ShardProfile        round:u64 shard:u32 profile:WireShardProfile
-//! WireShardProfile        shard:u32 machines:u64 machine_wall:WireSketch
-//!                         slowest:Option<(u64, f64)>
-//! WireSketch              count:u64 mean:f64 m2:f64 min:f64 max:f64 sum:f64
-//!                         log_lo:f64 log_hi:f64 bins:Vec<u64>
-//!                         underflow:u64 overflow:u64
 //! JournalRecord
 //!   0 RoundOpened         round:u64 n:u32 total_rate:f64
 //!   1 BidAccepted         machine:u32 value:f64
@@ -51,10 +44,9 @@
 //! ```
 //!
 //! A `Bid` is therefore 24 bytes: tag `1`, round, machine, value. Decoding
-//! rejects truncated input, unknown variant tags, option tags other than
-//! `0`/`1`, element counts beyond the remaining input (before anything is
-//! allocated) and unexplained trailing bytes, each as a typed
-//! [`CodecError`].
+//! rejects truncated input, unknown variant tags, element counts beyond the
+//! remaining input (before anything is allocated) and unexplained trailing
+//! bytes, each as a typed [`CodecError`].
 //!
 //! # Trace-context trailer
 //!
@@ -236,40 +228,11 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-    }
-    fn take(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok((A::take(input)?, B::take(input)?))
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(value) => {
-                out.push(1);
-                value.put(out);
-            }
-        }
-    }
-    fn take(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match input.array::<1>()?[0] {
-            0 => Ok(None),
-            1 => T::take(input).map(Some),
-            tag => Err(CodecError::InvalidTag(tag)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{Message, RoundId};
-    use lb_stats::prop::{self, any_bool, any_f64, any_u32, any_u64, any_u8, one_of, vec, Gen};
+    use lb_stats::prop::{self, any_f64, any_u32, any_u64, any_u8, one_of, vec, Gen};
     use lb_stats::{prop_assert_eq, prop_assume};
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
@@ -285,8 +248,6 @@ mod tests {
         roundtrip(&f64::NEG_INFINITY);
         roundtrip(&vec![1.0f64, 2.0, 3.0]);
         roundtrip(&Vec::<u64>::new());
-        roundtrip(&Some((5u64, -0.5f64)));
-        roundtrip(&Option::<(u64, f64)>::None);
     }
 
     #[test]
@@ -296,17 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn options_use_one_byte_tags() {
-        assert_eq!(encode(&Option::<(u64, f64)>::None), [0]);
-        let some = encode(&Some((7u64, 0.0f64)));
-        assert_eq!(some[..9], [1, 7, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(some.len(), 1 + 8 + 8);
-    }
-
-    #[test]
     fn primitive_decode() {
         assert_eq!(decode::<u32>(&[4, 3, 2, 1]), Ok(0x0102_0304));
-        assert_eq!(decode::<Option<(u64, f64)>>(&[0]), Ok(None));
     }
 
     #[test]
@@ -386,16 +338,6 @@ mod tests {
         assert_eq!(
             decode::<crate::journal::ExclusionReason>(&bytes),
             Err(CodecError::InvalidVariant(17))
-        );
-    }
-
-    #[test]
-    fn invalid_option_tag_is_rejected() {
-        let mut bytes = vec![7];
-        bytes.extend_from_slice(&[0; 16]);
-        assert_eq!(
-            decode::<Option<(u64, f64)>>(&bytes),
-            Err(CodecError::InvalidTag(7))
         );
     }
 
@@ -544,22 +486,6 @@ mod tests {
             prop_assert_eq!(decode::<Vec<f64>>(&encode(&v)), Ok(v));
             Ok(())
         });
-    }
-
-    #[test]
-    fn prop_roundtrip_options() {
-        prop::check(
-            "prop_roundtrip_options",
-            256,
-            (vec(any_u64(), 0..32), any_bool(), any_u64(), any_f64()),
-            |(v, some, i, x)| {
-                prop_assume!(!x.is_nan());
-                let slowest = some.then_some((i, x));
-                prop_assert_eq!(decode::<Vec<u64>>(&encode(&v)), Ok(v));
-                prop_assert_eq!(decode::<Option<(u64, f64)>>(&encode(&slowest)), Ok(slowest));
-                Ok(())
-            },
-        );
     }
 
     #[test]

@@ -5,8 +5,6 @@ use super::{CodecError, Decoder, Wire};
 use crate::audit::SettlementRecord;
 use crate::journal::{ExclusionReason, JournalRecord};
 use crate::message::{Message, RoundId};
-use lb_prof::WireShardProfile;
-use lb_stats::WireSketch;
 
 impl Wire for RoundId {
     fn put(&self, out: &mut Vec<u8>) {
@@ -71,16 +69,6 @@ impl Wire for Message {
                 shard.put(out);
                 estimates.put(out);
             }
-            Self::ShardProfile {
-                round,
-                shard,
-                profile,
-            } => {
-                7u32.put(out);
-                round.put(out);
-                shard.put(out);
-                profile.put(out);
-            }
         }
     }
 
@@ -117,64 +105,7 @@ impl Wire for Message {
                 shard: input.get()?,
                 estimates: input.get()?,
             },
-            7 => Self::ShardProfile {
-                round: input.get()?,
-                shard: input.get()?,
-                profile: Box::new(input.get()?),
-            },
             tag => return Err(CodecError::InvalidVariant(tag)),
-        })
-    }
-}
-
-impl Wire for WireShardProfile {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.shard.put(out);
-        self.machines.put(out);
-        self.machine_wall.put(out);
-        self.slowest.put(out);
-    }
-    fn take(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            shard: input.get()?,
-            machines: input.get()?,
-            machine_wall: input.get()?,
-            slowest: input.get()?,
-        })
-    }
-}
-
-impl Wire for WireSketch {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.count.put(out);
-        for x in [
-            self.mean,
-            self.m2,
-            self.min,
-            self.max,
-            self.sum,
-            self.log_lo,
-            self.log_hi,
-        ] {
-            x.put(out);
-        }
-        self.bins.put(out);
-        self.underflow.put(out);
-        self.overflow.put(out);
-    }
-    fn take(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            count: input.get()?,
-            mean: input.get()?,
-            m2: input.get()?,
-            min: input.get()?,
-            max: input.get()?,
-            sum: input.get()?,
-            log_lo: input.get()?,
-            log_hi: input.get()?,
-            bins: input.get()?,
-            underflow: input.get()?,
-            overflow: input.get()?,
         })
     }
 }
@@ -351,34 +282,6 @@ mod golden {
             &frame(&[
                 &[6, 0, 0, 0], round, &[1, 0, 0, 0],
                 &[2, 0, 0, 0, 0, 0, 0, 0], &F_2_0, &F_0_5, // count 2, elements
-            ]),
-        );
-        let profile = WireShardProfile {
-            shard: 4,
-            machines: 5,
-            machine_wall: WireSketch {
-                count: 1, mean: 0.5, m2: 2.0, min: 0.5, max: 0.5, sum: 0.5,
-                log_lo: -1.0, log_hi: 2.0, bins: vec![1, 0], underflow: 0, overflow: 0x0100,
-            },
-            slowest: Some((3, 0.5)),
-        };
-        assert_golden(
-            &Message::ShardProfile { round: RoundId(9), shard: 4, profile: Box::new(profile) },
-            &frame(&[
-                &[7, 0, 0, 0], round, &[4, 0, 0, 0],
-                // WireShardProfile
-                &[4, 0, 0, 0],             // shard
-                &[5, 0, 0, 0, 0, 0, 0, 0], // machines
-                // WireSketch
-                &[1, 0, 0, 0, 0, 0, 0, 0], // count
-                &F_0_5, &F_2_0, &F_0_5, &F_0_5, &F_0_5, // mean m2 min max sum
-                &F_NEG_1, &F_2_0,          // log_lo log_hi
-                &[2, 0, 0, 0, 0, 0, 0, 0], // bins: count 2
-                &[1, 0, 0, 0, 0, 0, 0, 0], &[0; 8],
-                &[0; 8],                   // underflow
-                &[0, 1, 0, 0, 0, 0, 0, 0], // overflow 0x0100
-                // slowest: Some((3, 0.5))
-                &[1], &[3, 0, 0, 0, 0, 0, 0, 0], &F_0_5,
             ]),
         );
     }

@@ -63,15 +63,10 @@ pub(crate) struct VerifyInput {
 
 impl VerifyInput {
     /// The verification kernel over this range: its estimates, in range
-    /// order. `on_block` is the profiler's wall-time probe, fired once per
-    /// block of machines.
-    pub(crate) fn simulate(
-        &self,
-        sim: &SimulationConfig,
-        on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
-    ) -> Result<Vec<f64>, CoreError> {
+    /// order.
+    pub(crate) fn simulate(&self, sim: &SimulationConfig) -> Result<Vec<f64>, CoreError> {
         let (bids, exec, rates) = (&self.bids, &self.exec, &self.rates);
-        simulate_partition(bids, exec, rates, sim, self.offset, on_block)
+        simulate_partition(bids, exec, rates, sim, self.offset)
             .map(|report| report.estimated_exec_values)
     }
 }
@@ -103,7 +98,7 @@ pub(crate) trait Topology {
     ) -> Result<Vec<f64>, ProtocolError> {
         let inputs =
             c.verify_inputs(std::iter::once(0..c.bids.len()), rates, actual_exec_values)?;
-        let simulate = |input: &VerifyInput| input.simulate(&c.sim_config, None);
+        let simulate = |input: &VerifyInput| input.simulate(&c.sim_config);
         let estimates = inputs.iter().map(simulate).collect::<Result<Vec<_>, _>>()?;
         Ok(c.scatter(inputs.iter().map(|input| &input.idx).zip(&estimates)))
     }
@@ -193,7 +188,7 @@ pub enum ProtocolError {
     },
     /// The sharded round asked for more shards than the `u32` wire format
     /// can index: shard ids travel as `u32` in `ShardSum` / `ShardEstimates`
-    /// / `ShardProfile` frames. Reachable only through an absurd shard
+    /// frames. Reachable only through an absurd shard
     /// count, but it surfaces as a typed error instead of a mid-round panic
     /// — the same contract as [`ProtocolError::TooManyNodes`].
     TooManyShards {
@@ -1087,8 +1082,7 @@ impl<'m> Coordinator<'m> {
             | Message::Assign { .. }
             | Message::Payment { .. }
             | Message::ShardSum { .. }
-            | Message::ShardEstimates { .. }
-            | Message::ShardProfile { .. } => Ok(self.reject(Anomaly::Misrouted)),
+            | Message::ShardEstimates { .. } => Ok(self.reject(Anomaly::Misrouted)),
         }
     }
 
@@ -2288,7 +2282,6 @@ mod tests {
                 &rates[range],
                 &config(),
                 offset,
-                None,
             )
             .unwrap();
             estimates.extend(part.estimated_exec_values);

@@ -15,7 +15,7 @@
 //!   [`Transport`] its frames travel over (the reliable simulated network,
 //!   the simulated network under seeded [`ChaosConfig`] fault injection, or
 //!   the two-level [`shard`] topology of `k` shard coordinators on worker
-//!   threads, optionally profiled), and the [`Observers`] watching it.
+//!   threads), and the [`Observers`] watching it.
 //! * [`drive_sharded_round`] drives a sharded round on a root coordinator,
 //!   fresh or recovered mid-round from its journal, and returns its
 //!   [`RoundReport`] with the root's phase timings.
@@ -82,9 +82,8 @@
 //! # Observability
 //!
 //! An [`Observers`] value carries every attachment: a telemetry collector
-//! (e.g. [`lb_telemetry::RingCollector`]), a head-based
-//! [`lb_telemetry::Sampler`], and, for sharded rounds, a
-//! [`lb_prof::RoundProfiler`]. A round's phase spans, frame fates,
+//! (e.g. [`lb_telemetry::RingCollector`]) and a head-based
+//! [`lb_telemetry::Sampler`]. A round's phase spans, frame fates,
 //! retransmissions and session health decisions are recorded on the
 //! simulated clock (wall-clock seconds on the shard tier). The
 //! default is the noop collector, which keeps unobserved rounds free.

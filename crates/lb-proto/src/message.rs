@@ -72,23 +72,6 @@ pub enum Message {
         /// Estimated `t̃_i` per respondent, shard-local respondent order.
         estimates: Vec<f64>,
     },
-    /// Shard → root: profiling rollup — the shard's per-machine
-    /// verification wall-time sketch (timed in blocks of machines) plus
-    /// the first machine of its slowest block. Emitted
-    /// only when a profiler is attached and the round is sampled; counted
-    /// exclusively by the profiler's own frame accounting (never
-    /// [`crate::network::MessageStats`] or the `net.*` counters), so the
-    /// protocol's message statistics are bit-identical with and without
-    /// profiling.
-    ShardProfile {
-        /// Round being profiled.
-        round: RoundId,
-        /// Shard index (not a machine index).
-        shard: u32,
-        /// The sketch frame payload, boxed so this rare variant does not
-        /// widen every per-machine frame.
-        profile: Box<lb_prof::WireShardProfile>,
-    },
 }
 
 impl Message {
@@ -102,8 +85,7 @@ impl Message {
             | Self::ExecutionDone { round, .. }
             | Self::Payment { round, .. }
             | Self::ShardSum { round, .. }
-            | Self::ShardEstimates { round, .. }
-            | Self::ShardProfile { round, .. } => *round,
+            | Self::ShardEstimates { round, .. } => *round,
         }
     }
 
@@ -119,7 +101,6 @@ impl Message {
             Self::Payment { .. } => "payment",
             Self::ShardSum { .. } => "shard_sum",
             Self::ShardEstimates { .. } => "shard_estimates",
-            Self::ShardProfile { .. } => "shard_profile",
         }
     }
 
@@ -132,8 +113,7 @@ impl Message {
             | Self::Assign { .. }
             | Self::Payment { .. }
             | Self::ShardSum { .. }
-            | Self::ShardEstimates { .. }
-            | Self::ShardProfile { .. } => None,
+            | Self::ShardEstimates { .. } => None,
         }
     }
 
@@ -148,7 +128,6 @@ impl Message {
             Self::Payment { .. } => "payment",
             Self::ShardSum { .. } => "shard-sum",
             Self::ShardEstimates { .. } => "shard-estimates",
-            Self::ShardProfile { .. } => "shard-profile",
         }
     }
 }
@@ -190,17 +169,6 @@ mod tests {
                 shard: 2,
                 estimates: vec![1.0, 2.5, 4.125],
             },
-            Message::ShardProfile {
-                round: RoundId(1),
-                shard: 2,
-                profile: Box::new(lb_prof::WireShardProfile {
-                    shard: 2,
-                    machines: 3,
-                    machine_wall: lb_stats::LatencySketch::from_slice(&[1e-4, 2e-4, 3e-4])
-                        .to_wire(),
-                    slowest: Some((2, 3e-4)),
-                }),
-            },
         ];
         for m in &msgs {
             let bytes = encode(m);
@@ -232,8 +200,7 @@ mod tests {
 
     #[test]
     fn message_stays_forty_bytes_wide() {
-        // Every per-machine frame is held as a `Message`; the rare
-        // `ShardProfile` payload is boxed so it does not set that width.
+        // Every per-machine frame is held as a `Message`.
         assert!(std::mem::size_of::<Message>() <= 40);
     }
 

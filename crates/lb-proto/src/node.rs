@@ -126,8 +126,7 @@ impl NodeAgent {
             Message::Bid { .. }
             | Message::ExecutionDone { .. }
             | Message::ShardSum { .. }
-            | Message::ShardEstimates { .. }
-            | Message::ShardProfile { .. } => None,
+            | Message::ShardEstimates { .. } => None,
         }
     }
 
@@ -255,12 +254,6 @@ mod tests {
     #[test]
     fn misrouted_messages_get_no_reply_and_no_panic() {
         let round = RoundId(0);
-        let profile = lb_prof::WireShardProfile {
-            shard: 0,
-            machines: 1,
-            machine_wall: lb_stats::LatencySketch::new().to_wire(),
-            slowest: None,
-        };
         let misrouted = [
             Message::Bid {
                 round,
@@ -278,11 +271,6 @@ mod tests {
                 round,
                 shard: 0,
                 estimates: vec![1.0],
-            },
-            Message::ShardProfile {
-                round,
-                shard: 0,
-                profile: Box::new(profile),
             },
         ];
         let mut node = NodeAgent::new(0, NodeSpec::truthful(1.0));

@@ -18,8 +18,8 @@
 //! *incrementally maintained* double-double sum, with verification
 //! simulated exactly as a batch round. Journal grammar, telemetry spans and
 //! settlement gauges are identical to batch rounds, so crash recovery
-//! ([`crate::recovery`]), the audit monitors and the profilers all work
-//! unchanged: attach them through [`OnlineSession::with_journal`] /
+//! ([`crate::recovery`]), the audit monitors and the critical-path
+//! profiler work unchanged: attach them through [`OnlineSession::with_journal`] /
 //! [`OnlineSession::with_collector`].
 
 use crate::coordinator::{Coordinator, Local, ProtocolError, Topology};

@@ -19,10 +19,8 @@ use crate::node::{NodeAgent, NodeSpec};
 use crate::shard::drive_sharded_round;
 use crate::trace::{AnomalyStats, RoundTrace};
 use lb_mechanism::VerifiedMechanism;
-use lb_prof::RoundProfiler;
 use lb_sim::driver::SimulationConfig;
 use lb_telemetry::{noop_collector, Collector, Sampler, TraceContext};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Configuration of a protocol round.
@@ -141,7 +139,7 @@ impl RoundReport {
 
 /// What carries a round's frames between the coordinator and its machines.
 #[derive(Debug, Clone)]
-pub enum Transport<'a> {
+pub enum Transport {
     /// The in-memory simulated network, lossless: no fault injector, no
     /// retry timers. Round traces are rooted at the simulation seed.
     Reliable,
@@ -158,8 +156,6 @@ pub enum Transport<'a> {
     Sharded {
         /// Shard count `k`.
         shards: usize,
-        /// Cross-shard profiler; its own sampling period applies.
-        profiler: Option<&'a RefCell<RoundProfiler>>,
     },
 }
 
@@ -211,7 +207,7 @@ pub struct RoundSpec<'a> {
     /// Rate, link latency and verification simulation.
     pub config: ProtocolConfig,
     /// What carries the frames.
-    pub transport: Transport<'a>,
+    pub transport: Transport,
     /// What watches the round.
     pub observers: Observers,
 }
@@ -259,21 +255,19 @@ pub fn run_round(spec: &RoundSpec<'_>) -> Result<RoundReport, ProtocolError> {
     let mut runtime = match &spec.transport {
         Transport::Reliable => ChaosRuntime::reliable(n, spec.config)?,
         Transport::Chaos(chaos) => ChaosRuntime::new(n, spec.config, chaos.clone())?,
-        Transport::Sharded { shards, profiler } => {
+        Transport::Sharded { shards } => {
             // The root's trace is rooted at the simulation seed (inert
             // unless the collector is enabled).
             let (rate, sim) = (spec.config.total_rate, spec.config.simulation);
             let mut root = Coordinator::try_new(spec.mechanism, n, rate, RoundId(0), sim)?
                 .with_trace(TraceContext::root(seed, 0, true))
                 .with_collector(collector);
-            let mut profiler = profiler.map(RefCell::borrow_mut);
             return drive_sharded_round(
                 &mut root,
                 spec.specs,
                 &spec.config,
                 *shards,
                 &FaultPlan::none(),
-                profiler.as_deref_mut(),
             )
             .map(|(report, _)| report);
         }
@@ -466,10 +460,7 @@ mod tests {
         for transport in [
             Transport::Reliable,
             Transport::Chaos(ChaosConfig::reliable(1)),
-            Transport::Sharded {
-                shards: 3,
-                profiler: None,
-            },
+            Transport::Sharded { shards: 3 },
         ] {
             let spec = RoundSpec {
                 transport,

@@ -45,13 +45,10 @@ use crate::network::{Delivery, Endpoint, Link, MessageStats, NetPoll};
 use crate::node::{NodeAgent, NodeSpec};
 use crate::runtime::{ProtocolConfig, RoundReport};
 use lb_core::{merge_inv_sums, CoreError, TwoF64};
-use lb_prof::{RoundProfiler, WireShardProfile, PHASES};
 use lb_sim::driver::SimulationConfig;
 use lb_sim::events::EventQueue;
 use lb_sim::time::SimTime;
-use lb_stats::LatencySketch;
-use lb_telemetry::{Collector, EventKind, Field, SpanId, Subsystem, TelemetryEvent, TraceContext};
-use std::borrow::Cow;
+use lb_telemetry::{Collector, Field, SpanId, Subsystem, TraceContext};
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::Builder;
@@ -81,9 +78,8 @@ fn shard_of(ranges: &[Range<usize>], i: usize) -> usize {
 }
 
 /// Narrows a shard index to the `u32` wire width used by `ShardSum` /
-/// `ShardEstimates` / `ShardProfile` frames. Reachable only with an absurd
-/// shard count, but it answers with a typed error instead of panicking
-/// mid-round.
+/// `ShardEstimates` frames. Reachable only with an absurd shard count, but
+/// it answers with a typed error instead of panicking mid-round.
 fn shard_wire_id(shard: usize) -> Result<u32, ProtocolError> {
     u32::try_from(shard).map_err(|_| ProtocolError::TooManyShards { shard })
 }
@@ -112,7 +108,8 @@ pub fn expected_sharded_message_count(n: usize, shards: usize) -> u64 {
     5 * n as u64 + 2 * shard_ranges(n, shards).len() as u64
 }
 
-/// The span or instant name of each stage, indexed like [`PHASES`].
+/// The span or instant name of each stage, indexed like the fields of
+/// [`ShardPhaseTimings`].
 const STAGES: [&str; 4] = [
     "shard.collect",
     "shard.verify",
@@ -143,7 +140,7 @@ struct Shard {
     down: Vec<(u32, f64)>,
 }
 
-/// A downward frame's stage, as an index into [`PHASES`], and the rate or
+/// A downward frame's stage, as an index into [`STAGES`], and the rate or
 /// payment `x` it carries (0 for a bid request).
 fn stage_of(message: &Message) -> Option<(usize, f64)> {
     match *message {
@@ -168,15 +165,11 @@ fn stage_frame(phase: usize, round: RoundId, x: f64) -> Message {
 /// directions): on a relay stage, the replies that arrived, length-prefixed
 /// ([`FrameWriter`]) in machine order; on the verify stage,
 /// the encoded [`Message::ShardEstimates`] frame, which can outgrow a
-/// stream frame. `elapsed` and `prof` are profiler-only side channels: the
-/// worker's wall time and, on profiled verify stages, the encoded
-/// [`Message::ShardProfile`] frame, kept out of the protocol's accounting.
+/// stream frame.
 #[derive(Default)]
 struct ShardBatch {
     up: Vec<u8>,
     sent: MessageStats,
-    elapsed: f64,
-    prof: Option<Vec<u8>>,
 }
 
 /// What every worker of one stage shares: the round and the fault plan, the
@@ -256,26 +249,16 @@ impl Relay<'_> {
             // The stream's u32 length prefix is not part of the frame.
             count(up.len() - framed - 4);
         }
-        let up = up.take();
         Ok(ShardBatch {
-            up,
+            up: up.take(),
             sent,
-            ..ShardBatch::default()
         })
     }
 }
 
-/// The profiled round's per-shard phase wall times: fed to the profiler as
-/// each stage joins, and kept for the `shard.phase.seconds` gauges once the
-/// round is sealed.
-struct PhaseClock<'p> {
-    profiler: &'p mut RoundProfiler,
-    seconds: Vec<[f64; 4]>,
-}
-
 /// Runs one stage on every shard at once — one scoped worker thread per
 /// work item — and joins the workers in shard order, folding their traffic
-/// into `stats` and their wall times into `clock`'s `phase`.
+/// into `stats`.
 ///
 /// Every handle is joined even after a failure: an unjoined panicked scoped
 /// thread would re-raise its panic when the scope closes, turning a
@@ -287,22 +270,13 @@ fn fan_out<T: Send>(
     items: impl IntoIterator<Item = T>,
     work: impl Fn(usize, T) -> Result<ShardBatch, ProtocolError> + Sync,
     stats: &mut MessageStats,
-    clock: Option<&mut PhaseClock<'_>>,
-    phase: usize,
 ) -> Result<Vec<ShardBatch>, ProtocolError> {
     let joined: Vec<_> = std::thread::scope(|scope| {
         let work = &work;
         let handles: Vec<_> = items
             .into_iter()
             .enumerate()
-            .map(|(s, item)| {
-                Builder::new().spawn_scoped(scope, move || {
-                    let started = Instant::now();
-                    let mut batch = work(s, item)?;
-                    batch.elapsed = started.elapsed().as_secs_f64();
-                    Ok(batch)
-                })
-            })
+            .map(|(s, item)| Builder::new().spawn_scoped(scope, move || work(s, item)))
             .collect();
         handles.into_iter().map(|h| h.map(|h| h.join())).collect()
     });
@@ -322,16 +296,10 @@ fn fan_out<T: Send>(
         };
         first_err = first_err.or(Some(err));
     }
-    if let Some(e) = first_err {
-        return Err(e);
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(batches),
     }
-    if let Some(clock) = clock {
-        for (s, batch) in batches.iter().enumerate() {
-            clock.profiler.record_phase(s as u32, phase, batch.elapsed);
-            clock.seconds[s][phase] = batch.elapsed;
-        }
-    }
-    Ok(batches)
 }
 
 fn verify_shard(
@@ -340,91 +308,23 @@ fn verify_shard(
     sim: &SimulationConfig,
     round: RoundId,
     relay: &Relay<'_>,
-    profile: bool,
 ) -> Result<ShardBatch, ProtocolError> {
     let shard_u32 = shard_wire_id(shard)?;
-    let mut batch = ShardBatch::default();
     let span = relay.span(STAGES[1], shard, input.bids.len());
-    let ctx = upward_ctx(relay.wire, span);
-    // Profiled rounds time the kernel in blocks of machines and give each
-    // machine its block's mean wall time in the shard's sketch. The probe
-    // observes the kernel without participating, so the estimates are
-    // bit-identical to the unprofiled path.
-    let mut wall = profile.then(|| (LatencySketch::new(), None::<(u64, f64)>));
-    let mut probe = |first: u64, machines: usize, seconds: f64| {
-        if let Some((sketch, slowest)) = wall.as_mut() {
-            let mean = seconds / machines as f64;
-            sketch.record_n(mean, machines as u64);
-            if slowest.is_none_or(|(_, w)| mean > w) {
-                // Name the block by the *local* respondent ordinal of its
-                // first machine: the worker does not know the global index
-                // space; the root maps it.
-                *slowest = Some((first - input.offset, mean));
-            }
-        }
-    };
-    let estimates = input.simulate(
-        sim,
-        profile.then_some(&mut probe as &mut dyn FnMut(u64, usize, f64)),
-    )?;
-    if let Some((machine_wall, slowest)) = wall {
-        let msg = Message::ShardProfile {
-            round,
-            shard: shard_u32,
-            profile: Box::new(WireShardProfile {
-                shard: shard_u32,
-                machines: input.bids.len() as u64,
-                machine_wall: machine_wall.to_wire(),
-                slowest,
-            }),
-        };
-        // Deliberately not counted: profiling frames are accounted by the
-        // profiler alone, never MessageStats or the net.* counters.
-        batch.prof = Some(encode_with_context(&msg, ctx.as_ref()));
-    }
     let msg = Message::ShardEstimates {
         round,
         shard: shard_u32,
-        estimates,
+        estimates: input.simulate(sim)?,
     };
-    batch.up = encode_with_context(&msg, ctx.as_ref());
+    let mut batch = ShardBatch {
+        up: encode_with_context(&msg, upward_ctx(relay.wire, span).as_ref()),
+        ..ShardBatch::default()
+    };
     batch
         .sent
         .count(batch.up.len(), &*relay.collector, || relay.now());
     relay.collector.span_end(relay.now(), span);
     Ok(batch)
-}
-
-/// Folds one shard's profiling side channel into the profiler: its
-/// [`Message::ShardProfile`] frame, with the shard-local ordinal of its
-/// slowest block's first machine mapped back to a global index through
-/// `idx`, the shard's respondent map.
-fn ingest_profile(
-    profiler: &mut RoundProfiler,
-    frame: Option<&[u8]>,
-    idx: &[usize],
-) -> Result<(), ProtocolError> {
-    let mismatch = |what| ProtocolError::ReplayMismatch { what };
-    let frame = frame.ok_or(mismatch("missing shard profile frame"))?;
-    profiler.note_frame(frame.len());
-    let Message::ShardProfile { profile, .. } = decode_frame(frame)? else {
-        return Err(mismatch(
-            "shard profile frame decoded to a different message",
-        ));
-    };
-    let slowest = profile
-        .slowest
-        .map(|(local, wall)| {
-            usize::try_from(local)
-                .ok()
-                .and_then(|l| idx.get(l))
-                .map(|&i| (i as u64, wall))
-                .ok_or(mismatch("shard profile names a machine outside its shard"))
-        })
-        .transpose()?;
-    profiler
-        .ingest_shard(&profile, slowest)
-        .map_err(|_| mismatch("corrupt shard profile frame"))
 }
 
 /// The shard tier as the round engine's link and topology. The machines
@@ -447,8 +347,7 @@ struct ShardLink<'a> {
     stats: MessageStats,
     /// The harmonic sum merged at allocation, which settlement reuses.
     merged: Option<TwoF64>,
-    clock: Option<PhaseClock<'a>>,
-    /// When the root first entered each phase (indexed like [`PHASES`]).
+    /// When the root first entered each phase (indexed like [`STAGES`]).
     starts: [Option<Instant>; 4],
 }
 
@@ -460,7 +359,6 @@ impl<'a> ShardLink<'a> {
         sim: SimulationConfig,
         faults: &'a FaultPlan,
         collector: &Arc<dyn Collector>,
-        profiler: Option<&'a mut RoundProfiler>,
     ) -> Self {
         let ranges = shard_ranges(specs.len(), shards);
         // The root's width fits the u32 wire format, so the zip never
@@ -483,10 +381,6 @@ impl<'a> ShardLink<'a> {
                 collector: Arc::clone(collector),
                 epoch: Instant::now(),
             },
-            clock: profiler.map(|profiler| PhaseClock {
-                profiler,
-                seconds: vec![[0.0; 4]; ranges.len()],
-            }),
             ranges,
             shards,
             sim,
@@ -514,8 +408,6 @@ impl<'a> ShardLink<'a> {
                 batch
             },
             &mut self.stats,
-            self.clock.as_mut(),
-            phase,
         )?;
         self.at = self.now();
         self.queued = 0;
@@ -527,32 +419,13 @@ impl<'a> ShardLink<'a> {
         Ok(())
     }
 
-    /// Closes the round's clocks: the root's wall seconds per phase, fed
-    /// to the profiler's trend series, and each shard's phase seconds as
-    /// `shard.phase.seconds` gauges (telemetry only — the round's outcome
-    /// was sealed before and never depends on the profiler).
-    fn finish(self, round: RoundId) -> ShardPhaseTimings {
+    /// Closes the round's clock: the root's wall seconds per phase.
+    fn finish(&self) -> ShardPhaseTimings {
         let (mut seconds, mut stop) = ([0.0; 4], Instant::now());
         for (phase, start) in self.starts.iter().enumerate().rev() {
             if let Some(start) = *start {
                 seconds[phase] = stop.duration_since(start).as_secs_f64();
                 stop = start;
-            }
-        }
-        if let Some(clock) = self.clock {
-            clock.profiler.finish_round(round.0, seconds);
-            let (collector, at) = (&self.relay.collector, self.relay.now());
-            let shards = clock.seconds.iter().filter(|_| collector.enabled());
-            for (s, phases) in shards.enumerate() {
-                for (phase, &value) in PHASES.iter().zip(phases) {
-                    collector.record(TelemetryEvent {
-                        at,
-                        name: Cow::Borrowed("shard.phase.seconds"),
-                        cat: Subsystem::Shard,
-                        kind: EventKind::Gauge { value },
-                        fields: vec![Field::u64("shard", s as u64), Field::str("phase", *phase)],
-                    });
-                }
             }
         }
         let [collect, allocate, execute, settle] = seconds;
@@ -627,23 +500,16 @@ impl Topology for ShardLink<'_> {
         self.relay.wire = coordinator.wire_context();
         self.relay.parent = coordinator.phase_span();
         let (relay, sim, round) = (&self.relay, self.sim, coordinator.round());
-        let profiling = self.clock.is_some();
         let batches = fan_out(
             &inputs,
-            |s, input| verify_shard(s, input, &sim, round, relay, profiling),
+            |s, input| verify_shard(s, input, &sim, round, relay),
             &mut self.stats,
-            self.clock.as_mut(),
-            1,
         )?;
         coordinator.set_now(self.now().seconds());
-        // Fold each shard's profile frame into the profiler and scatter its
-        // estimates into the full-width vector the commit journals
-        // (excluded machines: no verification evidence, 0).
+        // Scatter each shard's estimates into the full-width vector the
+        // commit journals (excluded machines: no verification evidence, 0).
         let mut shard_estimates = Vec::with_capacity(inputs.len());
         for (batch, input) in batches.iter().zip(&inputs) {
-            if let Some(clock) = self.clock.as_mut() {
-                ingest_profile(clock.profiler, batch.prof.as_deref(), &input.idx)?;
-            }
             let Message::ShardEstimates { estimates, .. } = decode_frame(&batch.up)? else {
                 return Err(ProtocolError::ReplayMismatch {
                     what: "shard estimate frame decoded to a different message",
@@ -759,19 +625,17 @@ impl Link for ShardLink<'_> {
 /// the machine at the bid timeout, lost acks don't delay settlement,
 /// partitioned machines see nothing. Lost frames are counted as sent.
 ///
-/// With a `profiler` that samples this round, each shard's verify worker
-/// ships a [`Message::ShardProfile`] frame (its block-timed per-machine
-/// wall-time sketch and slowest block) into the profiler's cross-shard
-/// rollup, with each worker's per-phase wall time. Only the profiler counts those
-/// frames, and its probe only observes the kernel, so the outcome, the
-/// journal and [`MessageStats`] are bit-identical with or without it.
+/// With an enabled collector on `root`, every stage records one
+/// `shard.collect` / `shard.verify` / `shard.execute` span per shard under
+/// the root's phase span (the settle stage, which runs once the settle span
+/// has closed, records a `shard.settle` instant): the per-shard, per-stage
+/// wall times the profiler and the dashboard read.
 ///
 /// # Errors
 /// Propagates mechanism errors (notably
 /// [`lb_mechanism::MechanismError::NeedTwoAgents`] when fewer than two bids
 /// survive), journal failures (including injected crashes) and codec
-/// errors; [`ProtocolError::ReplayMismatch`] if a profiled verify worker
-/// returns a missing or corrupt profile frame. A panicking shard worker
+/// errors. A panicking shard worker
 /// does not take the root down: it surfaces as
 /// [`ProtocolError::ShardPanicked`] after every other worker has been
 /// joined, with the journal truncated at a record boundary so the round
@@ -782,7 +646,6 @@ pub fn drive_sharded_round(
     config: &ProtocolConfig,
     shards: usize,
     faults: &FaultPlan,
-    profiler: Option<&mut RoundProfiler>,
 ) -> Result<(RoundReport, ShardPhaseTimings), ProtocolError> {
     let n = specs.len();
     if n != root.excluded().len() {
@@ -793,9 +656,8 @@ pub fn drive_sharded_round(
         .into());
     }
     let (round, collector) = (root.round(), Arc::clone(root.collector()));
-    let profiler = profiler.filter(|p| p.should_profile(round.0));
     let sim = config.simulation;
-    let mut link = ShardLink::new(round, specs, shards, sim, faults, &collector, profiler);
+    let mut link = ShardLink::new(round, specs, shards, sim, faults, &collector);
     let actual: Vec<f64> = specs.iter().map(|spec| spec.exec_value).collect();
     root.set_now(link.now().seconds());
     // A fresh root opens by requesting every bid, a recovered one with
@@ -813,8 +675,7 @@ pub fn drive_sharded_round(
         opening,
         true,
     )?;
-    let timings = link.finish(round);
-    Ok((drive.report(root, specs, &[])?, timings))
+    Ok((drive.report(root, specs, &[])?, link.finish()))
 }
 
 #[cfg(test)]
@@ -845,11 +706,10 @@ mod tests {
         mech: &CompensationBonusMechanism,
         specs: &[NodeSpec],
         shards: usize,
-        profiler: Option<&RefCell<RoundProfiler>>,
         observers: Observers,
     ) -> RoundReport {
         let spec = RoundSpec {
-            transport: Transport::Sharded { shards, profiler },
+            transport: Transport::Sharded { shards },
             observers,
             ..RoundSpec::new(mech, specs, config())
         };
@@ -890,7 +750,7 @@ mod tests {
         let reference = run_round(&RoundSpec::new(&mech, &specs, config())).unwrap();
         assert_ne!(reference.outcome.estimated_exec_values[0], 1.0);
         for k in [1usize, 2, 3, 4, 5, 7, 16, 64] {
-            let report = sharded(&mech, &specs, k, None, Observers::default());
+            let report = sharded(&mech, &specs, k, Observers::default());
             assert!(report.excluded.iter().all(|&x| !x), "k = {k}");
             assert_eq!(report.anomalies.total(), 0, "k = {k}");
             assert_eq!(
@@ -933,7 +793,7 @@ mod tests {
         let mut root = Coordinator::try_new(&mech, ctx.n, ctx.total_rate, ctx.round, ctx.sim)
             .unwrap()
             .with_journal(journal.clone());
-        drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none(), None).unwrap();
+        drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
         let reference_bytes = journal.borrow().bytes().unwrap();
         let reference_payments = root.payments().unwrap().to_vec();
         assert!(root.is_sealed());
@@ -947,7 +807,7 @@ mod tests {
                 Rc::new(RefCell::new(MemJournal::from_bytes(truncated)));
             let (mut root, _report) =
                 recover_round(&mech, recovered.clone(), &ctx, noop_collector(), 0.0).unwrap();
-            drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none(), None).unwrap();
+            drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
             assert_eq!(
                 root.payments().unwrap(),
                 &reference_payments[..],
@@ -972,7 +832,6 @@ mod tests {
             &mech,
             &specs,
             k,
-            None,
             Observers {
                 collector: ring.clone(),
                 ..Observers::default()
@@ -1018,148 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_round_is_bit_identical_and_fills_the_rollup() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let k = 4;
-        let plain = sharded(&mech, &specs, k, None, Observers::default());
-
-        let profiler = RefCell::new(RoundProfiler::new());
-        let profiled = sharded(&mech, &specs, k, Some(&profiler), Observers::default());
-        let profiler = profiler.into_inner();
-
-        assert_eq!(
-            plain.outcome.rates, profiled.outcome.rates,
-            "allocations bit-identical"
-        );
-        assert_eq!(
-            plain.outcome.payments, profiled.outcome.payments,
-            "payments bit-identical"
-        );
-        assert_eq!(
-            plain.outcome.estimated_exec_values, profiled.outcome.estimated_exec_values,
-            "estimates bit-identical"
-        );
-        assert_eq!(plain.excluded, profiled.excluded);
-        assert_eq!(
-            plain.outcome.stats.messages, profiled.outcome.stats.messages,
-            "profile frames never enter the protocol's message count"
-        );
-        assert_eq!(plain.outcome.stats.bytes, profiled.outcome.stats.bytes);
-
-        assert_eq!(profiler.rounds_profiled(), 1);
-        let (frames, bytes) = profiler.frames();
-        assert_eq!(frames, k as u64, "one profile frame per shard");
-        assert!(bytes > 0);
-        let rollup = profiler.rollup();
-        assert_eq!(rollup.shards().count(), k);
-        assert_eq!(
-            rollup.fleet_machine().count(),
-            specs.len() as u64,
-            "every respondent's verification wall time lands in the fleet sketch"
-        );
-        for phase in 0..PHASES.len() {
-            assert_eq!(rollup.fleet_phase(phase).count(), k as u64);
-            assert_eq!(profiler.series()[phase].count(), 1);
-        }
-        for shard in rollup.shards() {
-            let (machine, wall) = shard.slowest_machine.expect("slowest recorded");
-            assert!(
-                shard_ranges(specs.len(), k)[shard.shard as usize].contains(&(machine as usize)),
-                "slowest machine id is global and inside its own shard"
-            );
-            assert!(wall.is_finite() && wall >= 0.0);
-        }
-        let (round, phase_wall) = profiler.last_round().expect("round recorded");
-        assert_eq!(round, 0);
-        assert!(phase_wall.iter().all(|w| w.is_finite() && *w >= 0.0));
-    }
-
-    #[test]
-    fn sampled_profiler_skips_unsampled_rounds_without_perturbing_them() {
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let round = RoundId(1);
-        let mut root = Coordinator::try_new(
-            &mech,
-            specs.len(),
-            config().total_rate,
-            round,
-            config().simulation,
-        )
-        .unwrap();
-        // Every-2nd-round sampling: round 1 is off-sample, so the profiled
-        // driver must behave exactly like the plain one.
-        let mut profiler = RoundProfiler::sampled(2);
-        let (report, _timings) = drive_sharded_round(
-            &mut root,
-            &specs,
-            &config(),
-            3,
-            &FaultPlan::none(),
-            Some(&mut profiler),
-        )
-        .unwrap();
-        assert_eq!(
-            report.outcome.stats.messages,
-            expected_sharded_message_count(specs.len(), 3)
-        );
-        assert_eq!(profiler.rounds_profiled(), 0);
-        assert_eq!(profiler.frames(), (0, 0));
-        assert!(profiler.rollup().is_empty());
-        assert_eq!(report.anomalies.total(), 0);
-        let plain = sharded(&mech, &specs, 3, None, Observers::default());
-        assert_eq!(plain.outcome.rates, report.outcome.rates);
-        assert_eq!(plain.outcome.payments, report.outcome.payments);
-    }
-
-    #[test]
-    fn profiled_round_emits_per_shard_phase_gauges_and_stays_replayable() {
-        use lb_telemetry::{replay_spans, FieldValue, RingCollector};
-        let mech = CompensationBonusMechanism::paper();
-        let specs = truthful_specs();
-        let ring = Arc::new(RingCollector::new(16_384));
-        let k = 4;
-        let profiler = RefCell::new(RoundProfiler::new());
-        let report = sharded(
-            &mech,
-            &specs,
-            k,
-            Some(&profiler),
-            Observers {
-                collector: ring.clone(),
-                ..Observers::default()
-            },
-        );
-
-        let events = ring.snapshot();
-        replay_spans(&events).expect("profiled recording still replays cleanly");
-        // The net counters still agree with the report: gauges and profile
-        // frames are invisible to the protocol's accounting.
-        let mut reg = lb_telemetry::MetricsRegistry::new();
-        reg.ingest(&events);
-        assert_eq!(reg.counter("net.messages"), report.outcome.stats.messages);
-        assert_eq!(reg.counter("net.bytes"), report.outcome.stats.bytes);
-
-        let gauges: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "shard.phase.seconds")
-            .collect();
-        assert_eq!(gauges.len(), k * PHASES.len(), "one gauge per shard-phase");
-        for phase in PHASES {
-            for shard in 0..k as u64 {
-                assert!(
-                    gauges.iter().any(|e| {
-                        e.field("shard") == Some(&FieldValue::U64(shard))
-                            && e.field("phase") == Some(&FieldValue::Str(phase.to_string()))
-                    }),
-                    "gauge for shard {shard} phase {phase}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sharded_transitions_enforce_width_agreement() {
         let mech = CompensationBonusMechanism::paper();
         let specs = truthful_specs();
@@ -1172,7 +889,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            drive_sharded_round(&mut root, &specs, &config(), 2, &FaultPlan::none(), None),
+            drive_sharded_round(&mut root, &specs, &config(), 2, &FaultPlan::none()),
             Err(ProtocolError::Mechanism(MechanismError::Core(
                 CoreError::LengthMismatch { .. }
             )))
@@ -1211,7 +928,7 @@ mod tests {
             }
             Ok(batch)
         };
-        let Err(err) = fan_out(vec![(); 3], work, &mut stats, None, 0) else {
+        let Err(err) = fan_out(vec![(); 3], work, &mut stats) else {
             panic!("a panicking worker must fail the stage");
         };
         assert!(matches!(err, ProtocolError::ShardPanicked { shard: 1 }));
@@ -1219,43 +936,6 @@ mod tests {
         // Traffic from the shards that completed is still accounted.
         assert_eq!(stats.messages, 3);
         assert_eq!(stats.bytes, 96);
-    }
-
-    // Pinned regression: a profile frame whose slowest machine lies outside
-    // its shard's respondent map is a replay mismatch, not an index panic.
-    #[test]
-    fn out_of_range_profile_ordinal_is_a_replay_mismatch() {
-        let frame = |slowest| {
-            let profile = WireShardProfile {
-                shard: 0,
-                machines: 3,
-                machine_wall: LatencySketch::new().to_wire(),
-                slowest,
-            };
-            encode_with_context(
-                &Message::ShardProfile {
-                    round: RoundId(0),
-                    shard: 0,
-                    profile: Box::new(profile),
-                },
-                None,
-            )
-        };
-        let idx = [4, 5, 6];
-        let mut profiler = RoundProfiler::new();
-        for local in [3, u64::MAX] {
-            assert!(matches!(
-                ingest_profile(&mut profiler, Some(&frame(Some((local, 0.1)))), &idx),
-                Err(ProtocolError::ReplayMismatch { .. })
-            ));
-        }
-        assert!(matches!(
-            ingest_profile(&mut profiler, None, &idx),
-            Err(ProtocolError::ReplayMismatch { .. })
-        ));
-        ingest_profile(&mut profiler, Some(&frame(Some((2, 0.1)))), &idx).unwrap();
-        let shard = profiler.rollup().shards().next().unwrap();
-        assert_eq!(shard.slowest_machine, Some((6, 0.1)));
     }
 
     #[test]
@@ -1279,7 +959,7 @@ mod tests {
         )
         .unwrap()
         .with_journal(Rc::clone(&journal));
-        let result = drive_sharded_round(&mut root, &specs, &cfg, 3, &FaultPlan::none(), None);
+        let result = drive_sharded_round(&mut root, &specs, &cfg, 3, &FaultPlan::none());
         assert!(matches!(result, Err(ProtocolError::Mechanism(_))));
         let replay = crate::journal::read_journal(&journal.borrow().bytes().unwrap()).unwrap();
         let bids = replay
@@ -1289,10 +969,7 @@ mod tests {
         assert_eq!(bids.count(), specs.len(), "every bid was in");
 
         let spec = RoundSpec {
-            transport: Transport::Sharded {
-                shards: 3,
-                profiler: None,
-            },
+            transport: Transport::Sharded { shards: 3 },
             ..RoundSpec::new(&mech, &specs, cfg)
         };
         assert!(run_round(&spec).is_err());
@@ -1305,7 +982,7 @@ mod tests {
         let specs = truthful_specs();
         let faults = FaultPlan::none();
         let sim = config().simulation;
-        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector(), None);
+        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector());
         let mut stream = FrameWriter::new();
         stream
             .write(&Message::RequestBid { round: RoundId(0) })
@@ -1327,7 +1004,7 @@ mod tests {
         let specs = truthful_specs();
         let faults = FaultPlan::none();
         let sim = config().simulation;
-        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector(), None);
+        let mut link = ShardLink::new(RoundId(0), &specs, 2, sim, &faults, &noop_collector());
         let payload = [0xFF_u8; 3];
         let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&payload);
@@ -1362,7 +1039,7 @@ mod tests {
         .unwrap()
         .with_journal(Rc::clone(&journal));
         let (report, _timings) =
-            drive_sharded_round(&mut root, &specs, &config(), 3, &faults, None).unwrap();
+            drive_sharded_round(&mut root, &specs, &config(), 3, &faults).unwrap();
         assert_eq!(report.anomalies.total(), 0);
         assert!(report.excluded[5], "silent machine is excluded");
         assert_eq!(report.outcome.rates[5], 0.0);

@@ -82,14 +82,7 @@ pub fn simulate_round(
 ) -> Result<RoundReport, CoreError> {
     let allocation = pr_allocate(bids, total_rate)?;
     validate(bids, actual_exec_values, allocation.rates(), config)?;
-    let part = simulate_machines(
-        bids,
-        actual_exec_values,
-        allocation.rates(),
-        config,
-        0,
-        None,
-    );
+    let part = simulate_machines(bids, actual_exec_values, allocation.rates(), config, 0);
     Ok(RoundReport {
         allocation,
         observations: part.observations,
@@ -124,17 +117,6 @@ pub struct PartitionReport {
 /// observation, bit for bit. The caller supplies the rates — this function
 /// never re-runs the allocation.
 ///
-/// `on_block(first_global_index, machines, wall_seconds)`, when given,
-/// fires after each block of `PROBE_BLOCK` (32) consecutive machines (the
-/// last block may be shorter) with the *host* time the block took
-/// (`std::time::Instant`) — how profilers attribute verification wall time
-/// to machines. It reads the clock once per block boundary, not twice per
-/// machine, so a profiled partition pays ≈ 37 ns per block; the price is
-/// resolution: a machine's wall time is known only as its block's mean.
-/// It observes the loop without participating in it, so results are
-/// bit-identical with and without it; with `None` the kernel reads no
-/// clock.
-///
 /// # Errors
 /// Returns [`CoreError::LengthMismatch`] on arity mismatches,
 /// [`CoreError::InvalidRate`] for a non-positive horizon or a rate that is
@@ -151,7 +133,6 @@ pub fn simulate_partition(
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
-    on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
 ) -> Result<PartitionReport, CoreError> {
     validate(bids, actual_exec_values, rates, config)?;
     if stream_offset.checked_add(bids.len() as u64).is_none() {
@@ -166,13 +147,8 @@ pub fn simulate_partition(
         rates,
         config,
         stream_offset,
-        on_block,
     ))
 }
-
-/// Machines per timed block of a profiled partition (see
-/// [`simulate_partition`]'s `on_block`).
-const PROBE_BLOCK: usize = 32;
 
 /// Rejects the caller input the kernel's samplers would panic on (see
 /// [`simulate_partition`]'s errors).
@@ -245,7 +221,6 @@ fn simulate_machines(
     rates: &[f64],
     config: &SimulationConfig,
     stream_offset: u64,
-    mut on_block: Option<&mut dyn FnMut(u64, usize, f64)>,
 ) -> PartitionReport {
     // One jump per machine and stream, after an O(log offset) skip-ahead
     // (bit-identical to `stream(global index)`).
@@ -259,7 +234,6 @@ fn simulate_machines(
     let mut observations = Vec::with_capacity(bids.len());
     let mut estimated = Vec::with_capacity(bids.len());
     let mut total_latency = 0.0;
-    let mut block_start = on_block.as_ref().map(|_| std::time::Instant::now());
 
     let machines = rates.iter().zip(trace_streams.zip(response_streams));
     for (i, (&rate, (trace_rng, mut rng))) in machines.enumerate() {
@@ -312,19 +286,6 @@ fn simulate_machines(
         // Idle machines produce no verification evidence: fall back to the bid.
         estimated.push(estimate.unwrap_or(bids[i]));
         observations.push(obs);
-        let done = i + 1;
-        if let (Some(probe), Some(t0)) = (on_block.as_deref_mut(), block_start.as_mut()) {
-            if done % PROBE_BLOCK == 0 || done == rates.len() {
-                let now = std::time::Instant::now();
-                let machines = (done - 1) % PROBE_BLOCK + 1;
-                probe(
-                    stream + 1 - machines as u64,
-                    machines,
-                    (now - *t0).as_secs_f64(),
-                );
-                *t0 = now;
-            }
-        }
     }
 
     PartitionReport {
@@ -478,7 +439,7 @@ mod tests {
             for (s, part) in trues.chunks(chunk).enumerate() {
                 let off = s * chunk;
                 let rates = &full.allocation.rates()[off..off + part.len()];
-                let p = simulate_partition(part, part, rates, &config, off as u64, None).unwrap();
+                let p = simulate_partition(part, part, rates, &config, off as u64).unwrap();
                 estimates.extend(p.estimated_exec_values);
                 observations.extend(p.observations);
                 latency_parts.push(p.estimated_total_latency);
@@ -605,15 +566,13 @@ mod tests {
                         estimated_exec_values: round.estimated_exec_values,
                         estimated_total_latency: round.estimated_total_latency,
                     };
-                    let whole =
-                        simulate_partition(&bids, &actual, &rates, &config, 0, None).unwrap();
+                    let whole = simulate_partition(&bids, &actual, &rates, &config, 0).unwrap();
                     let tail = simulate_partition(
                         &bids[OFFSET..],
                         &actual[OFFSET..],
                         &rates[OFFSET..],
                         &config,
                         OFFSET as u64,
-                        None,
                     )
                     .unwrap();
                     let parts = [round, whole, tail];
@@ -651,10 +610,10 @@ mod tests {
     #[test]
     fn partition_arity_mismatches_are_rejected() {
         let cfg = deterministic_config();
-        assert!(simulate_partition(&[1.0, 2.0], &[1.0], &[0.5, 0.5], &cfg, 0, None).is_err());
-        assert!(simulate_partition(&[1.0, 2.0], &[1.0, 2.0], &[0.5], &cfg, 0, None).is_err());
+        assert!(simulate_partition(&[1.0, 2.0], &[1.0], &[0.5, 0.5], &cfg, 0).is_err());
+        assert!(simulate_partition(&[1.0, 2.0], &[1.0, 2.0], &[0.5], &cfg, 0).is_err());
         assert!(matches!(
-            simulate_partition(&[1.0], &[1.0], &[], &cfg, 0, None),
+            simulate_partition(&[1.0], &[1.0], &[], &cfg, 0),
             Err(CoreError::LengthMismatch {
                 expected: 1,
                 actual: 0
@@ -662,13 +621,13 @@ mod tests {
         ));
         let mut bad = cfg;
         bad.horizon = -1.0;
-        assert!(simulate_partition(&[1.0], &[1.0], &[0.5], &bad, 0, None).is_err());
+        assert!(simulate_partition(&[1.0], &[1.0], &[0.5], &bad, 0).is_err());
     }
 
     /// One machine through `simulate_partition` with the given actual
     /// value and rate: the shape of each input that used to panic.
     fn one_machine(actual: f64, rate: f64) -> Result<PartitionReport, CoreError> {
-        simulate_partition(&[1.0], &[actual], &[rate], &deterministic_config(), 0, None)
+        simulate_partition(&[1.0], &[actual], &[rate], &deterministic_config(), 0)
     }
 
     #[test]
@@ -734,14 +693,14 @@ mod tests {
                 ..deterministic_config()
             };
             assert!(matches!(
-                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0, None),
+                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0),
                 Err(CoreError::InvalidParameter {
                     name: "bursty arrival rate",
                     ..
                 })
             ));
             // An idle machine draws no arrivals, so its rates are not checked.
-            assert!(simulate_partition(&[1.0], &[1.0], &[0.0], &config, 0, None).is_ok());
+            assert!(simulate_partition(&[1.0], &[1.0], &[0.0], &config, 0).is_ok());
         }
     }
 
@@ -756,7 +715,7 @@ mod tests {
                 ..deterministic_config()
             };
             assert!(matches!(
-                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0, None),
+                simulate_partition(&[1.0], &[1.0], &[0.5], &config, 0),
                 Err(CoreError::InvalidParameter {
                     name: "noise cv",
                     ..
@@ -768,7 +727,7 @@ mod tests {
     #[test]
     fn a_stream_offset_past_u64_is_a_typed_error() {
         let cfg = deterministic_config();
-        let at = |offset| simulate_partition(&[1.0, 1.0], &[1.0; 2], &[0.5; 2], &cfg, offset, None);
+        let at = |offset| simulate_partition(&[1.0, 1.0], &[1.0; 2], &[0.5; 2], &cfg, offset);
         assert!(matches!(
             at(u64::MAX - 1),
             Err(CoreError::InvalidParameter {
@@ -792,49 +751,6 @@ mod tests {
                 value: -2.0
             })
         ));
-    }
-
-    #[test]
-    fn timed_partition_probes_every_block_without_changing_results() {
-        let trues: Vec<f64> = paper_true_values().into_iter().cycle().take(73).collect();
-        let config = SimulationConfig {
-            horizon: 50.0,
-            seed: 9,
-            model: ServiceModel::StationaryExponential,
-            workload: Default::default(),
-            warmup: 0.0,
-            estimator: EstimatorConfig::default(),
-        };
-        let full = simulate_round(&trues, &trues, 2.0 * trues.len() as f64, &config).unwrap();
-        let rates = full.allocation.rates();
-        let off = 3u64;
-        let part = &trues[off as usize..];
-        let sub_rates = &rates[off as usize..];
-        let plain = simulate_partition(part, part, sub_rates, &config, off, None).unwrap();
-        let mut probed = Vec::new();
-        let mut probe = |first, machines, wall| probed.push((first, machines, wall));
-        let timed =
-            simulate_partition(part, part, sub_rates, &config, off, Some(&mut probe)).unwrap();
-        // The probe observes; it must not perturb.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&timed.estimated_exec_values),
-            bits(&plain.estimated_exec_values)
-        );
-        // The blocks tile the partition in order, named by their first
-        // global index, with non-negative wall times: 70 = 32 + 32 + 6.
-        let sizes: Vec<usize> = probed.iter().map(|&(_, machines, _)| machines).collect();
-        assert_eq!(sizes, [PROBE_BLOCK, PROBE_BLOCK, 6]);
-        let mut next = off;
-        for &(first, machines, wall) in &probed {
-            assert_eq!(first, next);
-            assert!(wall >= 0.0 && wall.is_finite());
-            next += machines as u64;
-        }
-        assert_eq!(next, off + part.len() as u64);
-        // An empty partition has no block to time.
-        let mut none = |_, _, _| panic!("no machine, no block");
-        assert!(simulate_partition(&[], &[], &[], &config, off, Some(&mut none)).is_ok());
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn allocations_for(n: usize) -> (usize, u64) {
         ..SimulationConfig::default()
     };
     let before = ALLOCS.with(Cell::get);
-    let report = simulate_partition(&bids, &bids, &rates, &config, 0, None).unwrap();
+    let report = simulate_partition(&bids, &bids, &rates, &config, 0).unwrap();
     let allocs = ALLOCS.with(Cell::get) - before;
     let max_jobs = report.observations.iter().map(|o| o.jobs_arrived).max();
     (allocs, max_jobs.unwrap_or(0))

@@ -49,4 +49,4 @@ pub use online::OnlineStats;
 pub use parallel::par_map;
 pub use quantile::nearest_rank;
 pub use rng::{derive_seed, Rng, SplitMix64, Streams, Xoshiro256StarStar};
-pub use sketch::{LatencySketch, WireError, WireSketch, SKETCH_BINS, SKETCH_RTOL};
+pub use sketch::{LatencySketch, SKETCH_RTOL};

@@ -139,47 +139,10 @@ impl OnlineStats {
         self.max
     }
 
-    /// The raw Welford state `(count, mean, m2, min, max, sum)`, for
-    /// serializing a partial summary across a wire or process boundary.
-    /// Inverse of [`Self::from_parts`].
+    /// The raw Welford state `(count, mean, m2, min, max, sum)`.
     #[must_use]
     pub fn parts(&self) -> (u64, f64, f64, f64, f64, f64) {
         (self.count, self.mean, self.m2, self.min, self.max, self.sum)
-    }
-
-    /// Rebuilds an accumulator from the state captured by [`Self::parts`].
-    ///
-    /// Returns `None` when the state could not have come from a valid
-    /// accumulator: NaN anywhere, negative `m2`, non-finite moments for a
-    /// non-empty summary, or a non-empty payload claiming `count == 0`.
-    #[must_use]
-    pub fn from_parts(
-        count: u64,
-        mean: f64,
-        m2: f64,
-        min: f64,
-        max: f64,
-        sum: f64,
-    ) -> Option<Self> {
-        if [mean, m2, min, max, sum].iter().any(|v| v.is_nan()) || m2 < 0.0 {
-            return None;
-        }
-        if count == 0 {
-            // The only empty state is the canonical one — anything else is a
-            // corrupted frame, not a summary.
-            return (mean == 0.0 && m2 == 0.0 && sum == 0.0 && min > max).then(Self::new);
-        }
-        if !(mean.is_finite() && m2.is_finite() && sum.is_finite()) || min > max {
-            return None;
-        }
-        Some(Self {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-            sum,
-        })
     }
 }
 
@@ -255,28 +218,5 @@ mod tests {
             "variance = {}",
             s.variance()
         );
-    }
-
-    #[test]
-    fn parts_round_trip_is_exact() {
-        let s = OnlineStats::from_slice(&[2.0, 4.0, 8.0, 16.0]);
-        let (count, mean, m2, min, max, sum) = s.parts();
-        let back = OnlineStats::from_parts(count, mean, m2, min, max, sum).unwrap();
-        assert_eq!(back, s);
-
-        let empty = OnlineStats::new();
-        let (count, mean, m2, min, max, sum) = empty.parts();
-        let back = OnlineStats::from_parts(count, mean, m2, min, max, sum).unwrap();
-        assert_eq!(back, empty);
-    }
-
-    #[test]
-    fn from_parts_rejects_corrupted_states() {
-        // NaN, negative m2, inverted extrema, phantom-empty payloads.
-        assert!(OnlineStats::from_parts(1, f64::NAN, 0.0, 1.0, 1.0, 1.0).is_none());
-        assert!(OnlineStats::from_parts(2, 1.0, -0.5, 0.0, 2.0, 2.0).is_none());
-        assert!(OnlineStats::from_parts(2, 1.0, 0.0, 2.0, 0.0, 2.0).is_none());
-        assert!(OnlineStats::from_parts(0, 1.0, 0.0, 1.0, 1.0, 1.0).is_none());
-        assert!(OnlineStats::from_parts(1, f64::INFINITY, 0.0, 1.0, 1.0, 1.0).is_none());
     }
 }

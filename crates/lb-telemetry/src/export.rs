@@ -68,14 +68,7 @@ fn field_value_json(value: &FieldValue) -> Json {
         FieldValue::U64(v) => ("u64", Json::Str(v.to_string())),
         FieldValue::I64(v) if v.unsigned_abs() <= EXACT_JSON_INT => ("i64", Json::Num(*v as f64)),
         FieldValue::I64(v) => ("i64", Json::Str(v.to_string())),
-        FieldValue::F64(v) => (
-            "f64",
-            if v.is_finite() {
-                Json::Num(*v)
-            } else {
-                Json::Null
-            },
-        ),
+        FieldValue::F64(v) => ("f64", Json::Num(*v)),
         FieldValue::Bool(v) => ("bool", Json::Bool(*v)),
         FieldValue::Str(v) => ("str", Json::Str(v.clone())),
     };
@@ -102,14 +95,7 @@ fn event_json(event: &TelemetryEvent) -> Json {
             obj.insert("delta".into(), Json::Num(*delta as f64));
         }
         EventKind::Gauge { value } | EventKind::Histogram { value } => {
-            obj.insert(
-                "value".into(),
-                if value.is_finite() {
-                    Json::Num(*value)
-                } else {
-                    Json::Null
-                },
-            );
+            obj.insert("value".into(), Json::Num(*value));
         }
         EventKind::Instant => {}
     }
@@ -198,8 +184,9 @@ fn parse_event(line: usize, json: &Json) -> Result<TelemetryEvent, ExportError> 
         .get("at")
         .and_then(Json::as_f64)
         .ok_or_else(|| schema_err(line, "missing numeric 'at'"))?;
-    // `to_jsonl` cannot render a non-finite timestamp, so accepting one here
-    // would take the parser's image outside the serialiser's domain.
+    // `to_jsonl` writes a non-finite timestamp as null, rejected above; an
+    // overflowing literal such as `1e999` is rejected here, so the parser's
+    // image stays inside the serialiser's domain.
     if !at.is_finite() {
         return Err(schema_err(line, "non-finite 'at'"));
     }
@@ -294,13 +281,7 @@ fn args_json(fields: &[Field]) -> Json {
                 let v = match &f.value {
                     FieldValue::U64(v) => Json::Num(*v as f64),
                     FieldValue::I64(v) => Json::Num(*v as f64),
-                    FieldValue::F64(v) => {
-                        if v.is_finite() {
-                            Json::Num(*v)
-                        } else {
-                            Json::Null
-                        }
-                    }
+                    FieldValue::F64(v) => Json::Num(*v),
                     FieldValue::Bool(v) => Json::Bool(*v),
                     FieldValue::Str(v) => Json::Str(v.clone()),
                 };
@@ -392,17 +373,7 @@ pub fn to_chrome_trace(events: &[TelemetryEvent]) -> Result<String, ExportError>
                 ("ph", Json::Str("C".into())),
                 ("ts", Json::Num(event.at * MICROS)),
                 ("pid", Json::Num(1.0)),
-                (
-                    "args",
-                    Json::obj([(
-                        "value",
-                        if value.is_finite() {
-                            Json::Num(*value)
-                        } else {
-                            Json::Null
-                        },
-                    )]),
-                ),
+                ("args", Json::obj([("value", Json::Num(*value))])),
             ])),
             EventKind::Histogram { value } => trace.push(Json::obj([
                 ("name", Json::Str(event.name.clone().into_owned())),
@@ -412,17 +383,7 @@ pub fn to_chrome_trace(events: &[TelemetryEvent]) -> Result<String, ExportError>
                 ("ts", Json::Num(event.at * MICROS)),
                 ("pid", Json::Num(1.0)),
                 ("tid", Json::Num(event.cat.lane() as f64)),
-                (
-                    "args",
-                    Json::obj([(
-                        "value",
-                        if value.is_finite() {
-                            Json::Num(*value)
-                        } else {
-                            Json::Null
-                        },
-                    )]),
-                ),
+                ("args", Json::obj([("value", Json::Num(*value))])),
             ])),
             EventKind::SpanStart { .. } | EventKind::SpanEnd { .. } => {}
         }

@@ -82,11 +82,8 @@ impl Json {
         }
     }
 
-    /// Emits compact JSON text.
-    ///
-    /// # Panics
-    /// Panics if a number is non-finite (JSON cannot represent it; the
-    /// telemetry clock and metrics are finite by construction).
+    /// Emits compact JSON text. A non-finite number, which JSON cannot
+    /// represent, is written as `null`, as `JSON.stringify` writes it.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -98,10 +95,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                assert!(v.is_finite(), "Json: non-finite number {v}");
+            Json::Num(v) if v.is_finite() => {
                 let _ = write!(out, "{v}");
             }
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -455,8 +452,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-finite")]
     fn non_finite_numbers_are_rejected_at_emission() {
-        let _ = Json::Num(f64::NAN).render();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(v).render(), "null");
+        }
+        let doc = Json::obj([("a", Json::Num(f64::NAN)), ("b", Json::Num(1.5))]);
+        assert_eq!(doc.render(), r#"{"a":null,"b":1.5}"#);
     }
 }

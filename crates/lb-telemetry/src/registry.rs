@@ -115,10 +115,6 @@ impl MetricsRegistry {
     /// Feeds a recording through the registry.
     ///
     /// * counter / gauge / histogram events update the same-named metric;
-    /// * `shard.phase.seconds` gauges carrying `shard`/`phase` fields (the
-    ///   profiled sharded runtime's emission) derive a per-shard metric
-    ///   `shard.<s>.<phase>.seconds`, so one fleet of gauges doesn't
-    ///   collapse into a single last-writer cell;
     /// * each completed span contributes its duration to a
     ///   `span.<name>.seconds` histogram (so phase spans become per-phase
     ///   latency distributions);
@@ -135,17 +131,7 @@ impl MetricsRegistry {
         for event in events {
             match &event.kind {
                 EventKind::Counter { delta } => self.add(event.name.clone(), *delta),
-                EventKind::Gauge { value } => {
-                    if event.name.as_ref() == "shard.phase.seconds" {
-                        if let (Some(FieldValue::U64(shard)), Some(FieldValue::Str(phase))) =
-                            (event.field("shard"), event.field("phase"))
-                        {
-                            self.set_gauge(format!("shard.{shard}.{phase}.seconds"), *value);
-                            continue;
-                        }
-                    }
-                    self.set_gauge(event.name.clone(), *value);
-                }
+                EventKind::Gauge { value } => self.set_gauge(event.name.clone(), *value),
                 EventKind::Histogram { value } => self.observe(event.name.clone(), *value),
                 EventKind::SpanStart { id, .. } => {
                     open.insert(*id, (event.name.clone().into_owned(), event.at));
@@ -418,43 +404,6 @@ mod tests {
         assert!((collect_lat.mean - 0.5).abs() < 1e-12);
         let round_lat = reg.histogram("span.round.seconds").unwrap();
         assert!((round_lat.mean - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_phase_gauges_derive_per_shard_metric_names() {
-        use crate::event::TelemetryEvent;
-        use std::borrow::Cow;
-        let mut events = Vec::new();
-        for shard in 0..2u64 {
-            for (p, phase) in ["collect", "allocate", "execute", "settle"]
-                .iter()
-                .enumerate()
-            {
-                events.push(TelemetryEvent {
-                    at: 1.0,
-                    name: Cow::Borrowed("shard.phase.seconds"),
-                    cat: Subsystem::Shard,
-                    kind: EventKind::Gauge {
-                        value: (shard * 10 + p as u64) as f64,
-                    },
-                    fields: vec![Field::u64("shard", shard), Field::str("phase", *phase)],
-                });
-            }
-        }
-        // A same-named gauge without the fields falls back to the flat name.
-        events.push(TelemetryEvent {
-            at: 2.0,
-            name: Cow::Borrowed("shard.phase.seconds"),
-            cat: Subsystem::Shard,
-            kind: EventKind::Gauge { value: 7.0 },
-            fields: vec![],
-        });
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&events);
-        assert_eq!(reg.gauge("shard.0.collect.seconds"), Some(0.0));
-        assert_eq!(reg.gauge("shard.1.settle.seconds"), Some(13.0));
-        assert_eq!(reg.gauge("shard.0.allocate.seconds"), Some(1.0));
-        assert_eq!(reg.gauge("shard.phase.seconds"), Some(7.0));
     }
 
     #[test]

@@ -58,10 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let sharded = run_round(&RoundSpec {
-        transport: Transport::Sharded {
-            shards: 4,
-            profiler: None,
-        },
+        transport: Transport::Sharded { shards: 4 },
         ..RoundSpec::new(&mechanism, &specs, config)
     })
     .map(|r| r.outcome)?;

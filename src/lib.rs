@@ -17,9 +17,9 @@
 //! * [`audit`] — verification observability: a streaming economic-invariant
 //!   monitor, a tamper-evident round ledger, and live `/invariants` +
 //!   `/health` documents.
-//! * [`prof`] — performance observability: mergeable cross-shard latency
-//!   sketches, a critical-path round profiler, and a perf-regression
-//!   sentinel against the checked-in `BENCH_*.json` baselines.
+//! * [`prof`] — performance observability as analyses over recorded
+//!   spans: a critical-path round profiler and a perf-regression sentinel
+//!   against the checked-in `BENCH_*.json` baselines.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 //!

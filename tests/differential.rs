@@ -26,7 +26,6 @@ use lbmv::mechanism::{
     run_mechanism, CompensationBonusMechanism, MechanismOutcome, OnlinePool, Profile,
     VerifiedMechanism,
 };
-use lbmv::prof::RoundProfiler;
 use lbmv::proto::{
     drive_sharded_round, encode, replay_check, run_chaos_session, run_round, shard_ranges,
     ChaosConfig, ChaosNetStats, ChaosSessionConfig, Coordinator, CrashPlan, FaultPlan, Journal,
@@ -183,11 +182,7 @@ fn prop_zero_fault_chaos_equals_reliable_runtimes() {
                 .unwrap()
             };
             let reliable = round(Transport::Reliable).outcome;
-            let sharded = round(Transport::Sharded {
-                shards: 3,
-                profiler: None,
-            })
-            .outcome;
+            let sharded = round(Transport::Sharded { shards: 3 }).outcome;
             let chaos = round(Transport::Chaos(ChaosConfig::reliable(chaos_seed)));
 
             prop_assert_eq!(chaos.retries, 0);
@@ -377,7 +372,7 @@ fn prop_fault_plan_equals_chaos_without_retries() {
                 Coordinator::try_new(&mech, specs.len(), rate, RoundId(0), config.simulation)
                     .unwrap();
             let (sharded, _) =
-                drive_sharded_round(&mut root, &specs, &config, shards, &plan, None).unwrap();
+                drive_sharded_round(&mut root, &specs, &config, shards, &plan).unwrap();
 
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let (o, s) = (&report.outcome, &sharded.outcome);
@@ -433,9 +428,9 @@ fn fingerprint(report: &RoundReport) -> Fingerprint {
 }
 
 /// Observers observe: over every transport (reliable, threads, chaos,
-/// sharded) a round with no observers, a recording collector, or a
-/// collector sampled out by `Sampler::Never` — and a sharded round with or
-/// without a profiler — settles bit for bit the same: rates, payments,
+/// sharded) a round with no observers, a recording collector, a collector
+/// sampled out by `Sampler::Never` or the invariant monitor settles bit
+/// for bit the same: rates, payments,
 /// utilities, estimates, exclusions, retries, anomalies, faults and message
 /// counts. Byte counts are identical too, except that a recorded round's
 /// frames carry the trace-context trailer, which only adds bytes.
@@ -452,34 +447,22 @@ fn prop_observers_are_inert_on_every_transport() {
             let n = specs.len();
             let mut config = proto_config();
             config.total_rate = rate;
-            let profiler = RefCell::new(RoundProfiler::new());
-            // (observers, whether a sharded round carries the profiler); the
-            // invariant monitor over a disabled collector comes last.
+            // The invariant monitor over a disabled collector comes last.
             let arms = |ring: &Arc<RingCollector>, monitor: &Arc<InvariantMonitor>| {
                 [
-                    (Observers::default(), false),
-                    (
-                        Observers {
-                            collector: ring.clone(),
-                            ..Observers::default()
-                        },
-                        false,
-                    ),
-                    (
-                        Observers {
-                            collector: ring.clone(),
-                            sampler: Sampler::Never,
-                        },
-                        false,
-                    ),
-                    (Observers::default(), true),
-                    (
-                        Observers {
-                            collector: monitor.clone() as Arc<dyn Collector>,
-                            ..Observers::default()
-                        },
-                        false,
-                    ),
+                    Observers::default(),
+                    Observers {
+                        collector: ring.clone(),
+                        ..Observers::default()
+                    },
+                    Observers {
+                        collector: ring.clone(),
+                        sampler: Sampler::Never,
+                    },
+                    Observers {
+                        collector: monitor.clone() as Arc<dyn Collector>,
+                        ..Observers::default()
+                    },
                 ]
             };
             let monitor = || {
@@ -492,30 +475,19 @@ fn prop_observers_are_inert_on_every_transport() {
             for transport in [
                 Transport::Reliable,
                 Transport::Chaos(ChaosConfig::heavy(seed)),
-                Transport::Sharded {
-                    shards: 3,
-                    profiler: None,
-                },
+                Transport::Sharded { shards: 3 },
             ] {
                 let ring = Arc::new(RingCollector::new(1 << 16));
                 let watcher = monitor();
                 let runs: Vec<_> = arms(&ring, &watcher)
                     .into_iter()
-                    .filter_map(|(observers, profiled)| {
-                        let transport = match &transport {
-                            Transport::Sharded { shards, .. } if profiled => Transport::Sharded {
-                                shards: *shards,
-                                profiler: Some(&profiler),
-                            },
-                            _ if profiled => return None,
-                            other => other.clone(),
-                        };
+                    .map(|observers| {
                         let spec = RoundSpec {
-                            transport,
+                            transport: transport.clone(),
                             observers,
                             ..RoundSpec::new(&mech, &specs, config)
                         };
-                        Some(run_round(&spec).map_err(|e| e.to_string()))
+                        run_round(&spec).map_err(|e| e.to_string())
                     })
                     .collect();
                 let plain = &runs[0];
@@ -544,7 +516,7 @@ fn prop_observers_are_inert_on_every_transport() {
             // write the same bytes whatever watches them.
             let ring = Arc::new(RingCollector::new(1 << 16));
             let mut journals = Vec::new();
-            for (observers, profiled) in arms(&ring, &monitor()) {
+            for observers in arms(&ring, &monitor()) {
                 let journal = CrashPlan::none().journal(Vec::new());
                 // One round: the session records it with
                 // `observers.round_collector(seed, 0)`.
@@ -565,16 +537,7 @@ fn prop_observers_are_inert_on_every_transport() {
                     .unwrap()
                     .with_journal(sharded_journal.clone())
                     .with_collector(observers.round_collector(config.simulation.seed, 0));
-                let mut attached = profiled.then(|| profiler.borrow_mut());
-                drive_sharded_round(
-                    &mut root,
-                    &specs,
-                    &config,
-                    3,
-                    &FaultPlan::none(),
-                    attached.as_deref_mut(),
-                )
-                .unwrap();
+                drive_sharded_round(&mut root, &specs, &config, 3, &FaultPlan::none()).unwrap();
                 journals.push((
                     chaos,
                     journal.borrow().bytes().unwrap(),

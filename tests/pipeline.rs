@@ -121,10 +121,7 @@ fn threaded_and_deterministic_protocols_agree_across_scenarios() {
             .map(|r| r.outcome)
             .unwrap();
         let mt = run_round(&RoundSpec {
-            transport: Transport::Sharded {
-                shards: 3,
-                profiler: None,
-            },
+            transport: Transport::Sharded { shards: 3 },
             ..RoundSpec::new(&mech, &specs, config)
         })
         .map(|r| r.outcome)

@@ -1,22 +1,28 @@
-//! End-to-end `lb-prof`: the cross-shard rollup, the critical-path round
-//! profiler and the regression sentinel — and above all their **inertness**:
-//! a detached, attached or sampling-skipped profiler must leave every
+//! End-to-end `lb-prof`: the profiler as analyses over the spans a
+//! sharded round records — per-shard stage durations, the critical-path
+//! round profiler and the regression sentinel — and above all their
+//! **inertness**: recording a round for the profiler leaves every
 //! runtime's settled outcome bit-identical.
 
 use lbmv::mechanism::CompensationBonusMechanism;
-use lbmv::prof::{check, profile_events, Baseline, RoundProfiler, SentinelConfig};
+use lbmv::prof::{check, profile_events, Baseline, SentinelConfig};
 use lbmv::proto::{
     drive_sharded_round, run_round, Coordinator, FaultPlan, NodeSpec, Observers, ProtocolConfig,
-    RoundId, RoundReport, RoundSpec, Transport,
+    RoundId, RoundReport, RoundSpec, ShardPhaseTimings, Transport,
 };
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::stats::{LatencySketch, OnlineStats, SKETCH_RTOL};
-use lbmv::telemetry::{noop_collector, RingCollector};
-use std::cell::RefCell;
+use lbmv::telemetry::{
+    noop_collector, replay_spans, Collector, FieldValue, RingCollector, Sampler,
+};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const BASELINE_LOG: &str = include_str!("../BENCH_round_scaling.json");
+
+/// The spans each shard worker records per stage, in protocol order.
+const STAGES: [&str; 3] = ["shard.collect", "shard.verify", "shard.execute"];
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -33,17 +39,11 @@ fn config() -> ProtocolConfig {
     }
 }
 
-/// One sharded round (`shards` coordinators, optionally profiled) watched
-/// by `observers`.
-fn sharded_round(
-    specs: &[NodeSpec],
-    shards: usize,
-    profiler: Option<&RefCell<RoundProfiler>>,
-    observers: Observers,
-) -> RoundReport {
+/// One sharded round (`shards` coordinators) watched by `observers`.
+fn sharded_round(specs: &[NodeSpec], shards: usize, observers: Observers) -> RoundReport {
     let mech = CompensationBonusMechanism::paper();
     let spec = RoundSpec {
-        transport: Transport::Sharded { shards, profiler },
+        transport: Transport::Sharded { shards },
         observers,
         ..RoundSpec::new(&mech, specs, config())
     };
@@ -56,14 +56,14 @@ fn specs(n: usize) -> Vec<NodeSpec> {
         .collect()
 }
 
-/// Drives `rounds` profiled sharded rounds with consecutive round ids, so
-/// sampling periods actually skip rounds.
+/// Drives `rounds` sharded rounds with consecutive round ids, recording
+/// each into `collector`; returns each round's report and root timings.
 fn drive_rounds(
     n: usize,
     shards: usize,
     rounds: u64,
-    profiler: &mut RoundProfiler,
-) -> Vec<(Vec<f64>, Vec<f64>)> {
+    collector: &Arc<dyn Collector>,
+) -> Vec<(RoundReport, ShardPhaseTimings)> {
     let mech = CompensationBonusMechanism::paper();
     let specs = specs(n);
     let config = config();
@@ -76,21 +76,35 @@ fn drive_rounds(
                 RoundId(round),
                 config.simulation,
             )
-            .unwrap();
-            let (report, _) = drive_sharded_round(
-                &mut root,
-                &specs,
-                &config,
-                shards,
-                &FaultPlan::none(),
-                Some(profiler),
-            )
-            .unwrap();
+            .unwrap()
+            .with_collector(Arc::clone(collector));
+            let (report, timings) =
+                drive_sharded_round(&mut root, &specs, &config, shards, &FaultPlan::none())
+                    .unwrap();
             // A reliable transport delivers nothing anomalous.
             assert_eq!(report.anomalies.total(), 0);
-            (report.outcome.rates, report.outcome.payments)
+            (report, timings)
         })
         .collect()
+}
+
+/// Every shard stage span of a recording: its duration, keyed by
+/// `(stage index into STAGES, shard)`.
+fn stage_durations(ring: &RingCollector) -> BTreeMap<(usize, u64), Vec<f64>> {
+    let spans = replay_spans(&ring.snapshot()).expect("recording replays cleanly");
+    let mut out: BTreeMap<(usize, u64), Vec<f64>> = BTreeMap::new();
+    for span in &spans {
+        let Some(stage) = STAGES.iter().position(|s| span.name == *s) else {
+            continue;
+        };
+        let Some(FieldValue::U64(shard)) = span.field("shard") else {
+            panic!("{} span without a shard field", span.name);
+        };
+        out.entry((stage, *shard))
+            .or_default()
+            .push(span.duration());
+    }
+    out
 }
 
 #[test]
@@ -100,12 +114,12 @@ fn profiler_is_bit_inert_across_runtimes() {
     let specs = specs(n);
     let config = config();
 
-    // The detached runtimes agree bit-for-bit (the established
+    // The unobserved runtimes agree bit-for-bit (the established
     // cross-runtime differential), giving the baseline outcome.
     let deterministic = run_round(&RoundSpec::new(&mech, &specs, config))
         .unwrap()
         .outcome;
-    let sharded = sharded_round(&specs, shards, None, Observers::default());
+    let sharded = sharded_round(&specs, shards, Observers::default());
     let sharded_excluded = sharded.excluded;
     let sharded = sharded.outcome;
     assert_eq!(deterministic.rates, sharded.rates);
@@ -115,112 +129,100 @@ fn profiler_is_bit_inert_across_runtimes() {
         sharded.estimated_exec_values
     );
 
-    // Attaching a profiler must change nothing observable: outcome vectors,
-    // exclusions and the audited message statistics are all bit-identical.
-    let profiler = RefCell::new(RoundProfiler::new());
-    let profiled = sharded_round(
+    // Recording the round for the profiler changes nothing the round
+    // decides: outcome vectors, exclusions and message counts are
+    // bit-identical. Bytes differ only by the trace-context trailers.
+    let ring = Arc::new(RingCollector::new(1 << 16));
+    let recorded = sharded_round(
         &specs,
         shards,
-        Some(&profiler),
         Observers {
-            collector: noop_collector(),
+            collector: ring.clone(),
             ..Observers::default()
         },
     );
-    let profiler = profiler.into_inner();
-    let profiled_excluded = profiled.excluded;
-    let profiled = profiled.outcome;
-    assert_eq!(profiled.rates, sharded.rates);
-    assert_eq!(profiled.payments, sharded.payments);
+    let recorded_excluded = recorded.excluded;
+    let recorded = recorded.outcome;
+    assert_eq!(recorded.rates, sharded.rates);
+    assert_eq!(recorded.payments, sharded.payments);
     assert_eq!(
-        profiled.estimated_exec_values,
+        recorded.estimated_exec_values,
         sharded.estimated_exec_values
     );
-    assert_eq!(profiled_excluded, sharded_excluded);
-    assert_eq!(
-        profiled.stats, sharded.stats,
-        "profile frames are a side channel"
-    );
-    assert_eq!(profiler.rounds_profiled(), 1);
-    let (frames, bytes) = profiler.frames();
-    assert_eq!(frames, shards as u64, "one profile frame per shard");
-    assert!(bytes > 0);
+    assert_eq!(recorded_excluded, sharded_excluded);
+    assert_eq!(recorded.stats.messages, sharded.stats.messages);
+    assert!(recorded.stats.bytes > sharded.stats.bytes);
 
-    // A sampling-skipped round takes the detached fast path: no rollup, no
-    // frames, and the same settled outcome as a detached drive of the same
-    // round id.
-    let drive = |attach: Option<&mut RoundProfiler>| {
-        let mut root =
-            Coordinator::try_new(&mech, n, config.total_rate, RoundId(1), config.simulation)
-                .unwrap();
-        let (report, _) = drive_sharded_round(
-            &mut root,
-            &specs,
-            &config,
-            shards,
-            &FaultPlan::none(),
-            attach,
-        )
-        .unwrap();
-        assert_eq!(report.anomalies.total(), 0);
-        let o = report.outcome;
-        (o.rates, o.payments, o.stats)
-    };
-    let mut sampled = RoundProfiler::sampled(2);
-    assert!(!sampled.should_profile(1));
-    let skipped = drive(Some(&mut sampled));
-    let detached = drive(None);
-    assert_eq!(skipped, detached);
-    assert_eq!(sampled.rounds_profiled(), 0);
-    assert_eq!(sampled.frames(), (0, 0));
-    assert!(sampled.rollup().is_empty());
+    // The profiler reads that recording: one span per shard and stage.
+    let durations = stage_durations(&ring);
+    assert_eq!(durations.len(), STAGES.len() * shards);
+    assert!(durations.values().all(|d| d.len() == 1));
+    profile_events(&ring.snapshot()).expect("recorded round profiles");
+
+    // A round the sampler skips records nothing and is the unobserved
+    // round exactly, bytes included.
+    let skipped = Arc::new(RingCollector::new(1 << 10));
+    let unsampled = sharded_round(
+        &specs,
+        shards,
+        Observers {
+            collector: skipped.clone(),
+            sampler: Sampler::Never,
+        },
+    );
+    assert!(skipped.snapshot().is_empty());
+    assert_eq!(unsampled.outcome.rates, sharded.rates);
+    assert_eq!(unsampled.outcome.payments, sharded.payments);
+    assert_eq!(unsampled.outcome.stats, sharded.stats);
 }
 
 #[test]
 fn rollup_matches_whole_fleet_recompute() {
     let (n, shards, rounds) = (64, 4, 5u64);
-    let mut profiler = RoundProfiler::new();
-    let outcomes = drive_rounds(n, shards, rounds, &mut profiler);
-    // Determinism across rounds of the same spec set: the profiler's
-    // presence every round never perturbs the settled outcome.
-    for o in &outcomes[1..] {
-        assert_eq!(*o, outcomes[0]);
+    let ring = Arc::new(RingCollector::new(1 << 18));
+    let outcomes = drive_rounds(n, shards, rounds, &(ring.clone() as Arc<dyn Collector>));
+    assert_eq!(ring.overwritten(), 0, "ring too small for the rounds");
+    // Determinism across rounds of the same spec set: recording every
+    // round never perturbs the settled outcome.
+    let first = &outcomes[0].0.outcome;
+    for (report, timings) in &outcomes {
+        assert_eq!(report.outcome.rates, first.rates);
+        assert_eq!(report.outcome.payments, first.payments);
+        let [c, a, e, s] = [
+            timings.collect,
+            timings.allocate,
+            timings.execute,
+            timings.settle,
+        ];
+        assert!([c, a, e, s].iter().all(|w| w.is_finite() && *w >= 0.0));
     }
 
-    assert_eq!(profiler.rounds_profiled(), rounds);
-    for series in profiler.series() {
-        assert_eq!(series.count(), rounds, "one observation per round/phase");
-    }
-
-    // Each profiled round contributes one sample per shard per phase and
-    // one machine-wall observation per machine.
-    let rollup = profiler.rollup();
-    let shard_rollups: Vec<_> = rollup.shards().collect();
-    assert_eq!(shard_rollups.len(), shards);
-    for phase in 0..4 {
-        let fleet = rollup.fleet_phase(phase);
-        assert_eq!(fleet.count(), rounds * shards as u64);
-        // The fleet view is the exact merge of the per-shard sketches:
-        // recomputing it by hand answers every quantile read bitwise.
-        let mut manual = LatencySketch::new();
-        for s in &shard_rollups {
-            manual.merge(&s.phases[phase]);
+    // Each round contributes one span per shard per stage. Per-shard
+    // sketches of those durations merge into the fleet view exactly:
+    // every quantile read is bitwise the whole-population sketch's.
+    let durations = stage_durations(&ring);
+    for stage in 0..STAGES.len() {
+        let per_shard: Vec<&Vec<f64>> = (0..shards as u64)
+            .map(|s| &durations[&(stage, s)])
+            .collect();
+        assert!(per_shard.iter().all(|d| d.len() == rounds as usize));
+        let mut fleet = LatencySketch::new();
+        let mut whole = Vec::new();
+        for d in &per_shard {
+            fleet.merge(&LatencySketch::from_slice(d));
+            whole.extend_from_slice(d);
         }
+        let whole = LatencySketch::from_slice(&whole);
+        assert_eq!(fleet.count(), rounds * shards as u64);
         for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(manual.quantile(q).to_bits(), fleet.quantile(q).to_bits());
+            assert_eq!(fleet.quantile(q).to_bits(), whole.quantile(q).to_bits());
         }
         // And every per-shard quantile lies inside the fleet's exact range.
-        for s in &shard_rollups {
-            let p99 = s.phases[phase].p99();
+        for d in &per_shard {
+            let p99 = LatencySketch::from_slice(d).p99();
             assert!(p99 >= fleet.min() && p99 <= fleet.max());
         }
     }
-    let machine = rollup.fleet_machine();
-    assert_eq!(machine.count(), rounds * n as u64);
-    // The sketch accuracy contract on a real population: the fleet p50
-    // within SKETCH_RTOL of itself re-read through per-shard merges is
-    // already bitwise; check the read stays inside the exact extrema.
-    assert!(machine.p50() >= machine.min() && machine.p50() <= machine.max());
 }
 
 #[test]
@@ -230,7 +232,6 @@ fn critical_path_profile_covers_an_observed_sharded_round() {
     sharded_round(
         &specs(n),
         shards,
-        None,
         Observers {
             collector: ring.clone(),
             ..Observers::default()
@@ -268,7 +269,6 @@ fn critical_path_coverage_at_scale() {
     sharded_round(
         &specs(n),
         shards,
-        None,
         Observers {
             collector: ring.clone(),
             ..Observers::default()
@@ -321,22 +321,24 @@ fn sentinel_flags_injected_settle_slowdown_but_not_clean_series() {
     assert!(check(&series_at([2.0; 4]), 31_337, &baseline, &cfg).is_empty());
 }
 
-/// The full sentinel acceptance loop against live rounds: profile real
+/// The full sentinel acceptance loop against live rounds: time real
 /// sharded rounds at n = 10⁴ and check the unmodified run is not flagged
 /// against the checked-in seed baseline. Timing-sensitive; run with
 /// `--ignored` on a quiet machine.
 #[test]
 #[ignore = "timing-dependent acceptance run at n = 10^4"]
 fn sentinel_accepts_live_rounds_against_seed_baseline() {
-    let mut profiler = RoundProfiler::new();
-    drive_rounds(10_000, 8, 4, &mut profiler);
+    let mut series = [OnlineStats::new(); 4];
+    for (_, t) in drive_rounds(10_000, 8, 4, &noop_collector()) {
+        for (stats, seconds) in series
+            .iter_mut()
+            .zip([t.collect, t.allocate, t.execute, t.settle])
+        {
+            stats.push(seconds);
+        }
+    }
     let baseline = Baseline::parse(BASELINE_LOG, "seed").unwrap();
-    let verdicts = check(
-        profiler.series(),
-        10_000,
-        &baseline,
-        &SentinelConfig::default(),
-    );
+    let verdicts = check(&series, 10_000, &baseline, &SentinelConfig::default());
     assert_eq!(verdicts.len(), 4);
     assert!(
         verdicts.iter().all(|v| !v.regressed),
@@ -346,21 +348,24 @@ fn sentinel_accepts_live_rounds_against_seed_baseline() {
 
 #[test]
 fn sketch_tolerance_bounds_hold_on_profiled_phase_reads() {
-    // Drive enough profiled rounds that the per-phase sketches hold a real
+    // Record enough rounds that each stage's sketch holds a real
     // population, then check each read honours the documented relative
-    // tolerance against the exact mean/extrema bracket.
-    let mut profiler = RoundProfiler::new();
-    drive_rounds(48, 3, 6, &mut profiler);
-    let rollup = profiler.rollup();
-    for phase in 0..4 {
-        let fleet = rollup.fleet_phase(phase);
-        assert!(!fleet.is_empty());
+    // tolerance against the exact extrema bracket.
+    let ring = Arc::new(RingCollector::new(1 << 18));
+    drive_rounds(48, 3, 6, &(ring.clone() as Arc<dyn Collector>));
+    let durations = stage_durations(&ring);
+    for (stage, name) in STAGES.iter().enumerate() {
+        let mut fleet = LatencySketch::new();
+        for (_, d) in durations.iter().filter(|((s, _), _)| *s == stage) {
+            fleet.merge(&LatencySketch::from_slice(d));
+        }
+        assert_eq!(fleet.count(), 6 * 3, "{name}");
         for q in [0.25, 0.5, 0.9, 0.99] {
             let read = fleet.quantile(q);
             assert!(
                 read >= fleet.min() / (1.0 + SKETCH_RTOL)
                     && read <= fleet.max() * (1.0 + SKETCH_RTOL),
-                "phase {phase} q{q} read {read} outside tolerance of [{}, {}]",
+                "{name} q{q} read {read} outside tolerance of [{}, {}]",
                 fleet.min(),
                 fleet.max()
             );

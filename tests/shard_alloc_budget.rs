@@ -82,10 +82,7 @@ fn bytes_per_machine(n: usize) -> f64 {
         ..ProtocolConfig::default()
     };
     let spec = RoundSpec {
-        transport: Transport::Sharded {
-            shards: SHARDS,
-            profiler: None,
-        },
+        transport: Transport::Sharded { shards: SHARDS },
         ..RoundSpec::new(&mech, &specs, config)
     };
     let before = BYTES.load(Ordering::Relaxed);

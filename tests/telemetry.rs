@@ -224,20 +224,8 @@ fn every_driver_keeps_verification_off_the_span_clock() {
     for (label, transport) in [
         ("reliable", Transport::Reliable),
         ("chaos", Transport::Chaos(ChaosConfig::heavy(7))),
-        (
-            "sharded k = 1",
-            Transport::Sharded {
-                shards: 1,
-                profiler: None,
-            },
-        ),
-        (
-            "sharded k = 4",
-            Transport::Sharded {
-                shards: 4,
-                profiler: None,
-            },
-        ),
+        ("sharded k = 1", Transport::Sharded { shards: 1 }),
+        ("sharded k = 4", Transport::Sharded { shards: 4 }),
     ] {
         assert_clock_discipline(label, &record(transport));
     }
