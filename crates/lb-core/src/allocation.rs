@@ -15,8 +15,9 @@
 
 use crate::error::CoreError;
 use crate::latency::LatencyFunction;
-use crate::machine::{validate_values, System};
+use crate::machine::{validate_positive, validate_values, System};
 use crate::numeric::{compensated_sum, feasibility_tolerance, inv_sum_dd, TwoF64};
+use std::cell::Cell;
 
 /// Default base tolerance used when checking allocation feasibility.
 ///
@@ -293,7 +294,30 @@ pub fn latency_excluding_dd(values: &[f64], i: usize, r: f64, s: TwoF64) -> TwoF
 const LOO_BLOCK: usize = 16;
 
 /// Hands `f` every machine's `L_{-i}` in index order, each bit-identical to
+/// [`latency_excluding_dd`]`(values, i, r, s)`: the one blocked kernel,
+/// with each reciprocal built on the spot. `values` must be validated and
+/// `s` must pass [`validate_inv_sum`]; `f` checks that each result is
+/// finite.
+pub fn for_each_latency_excluding(
+    values: &[f64],
+    r: f64,
+    s: TwoF64,
+    mut f: impl FnMut(usize, TwoF64),
+) {
+    let recip = |_, t| TwoF64::recip(t);
+    latency_excluding_blocks(values, r, s, recip, |i, _, l_minus| f(i, l_minus));
+}
+
+/// The one `L_{-i}` kernel: hands `f` every machine's reciprocal and
+/// `L_{-i}` in index order, each `L_{-i}` bit-identical to
 /// [`latency_excluding_dd`]`(values, i, r, s)`.
+///
+/// `recip(i, t)` supplies machine `i`'s `TwoF64::recip(t)`, `t = values[i]`:
+/// built on the spot, or kept from the pass that summed `S`
+/// ([`BidColumns::new`]).
+/// It is called for every machine of a block before `f` sees the first of
+/// them, and `f` gets the same reciprocal back, so a caller that needs
+/// `1/t_i` again (the marginal of [`LeaveOneOut`]) does not rebuild it.
 ///
 /// One machine's term is a chain of four dependent divisions; done one
 /// machine at a time the chains run back to back. This kernel takes
@@ -301,28 +325,127 @@ const LOO_BLOCK: usize = 16;
 /// the block, then every quotient `(r / S₋ᵢ)·r`, so independent chains
 /// overlap. Each machine gets exactly the reference's operations; a
 /// machine whose residual trips the guard is handed to the reference
-/// itself, which re-sums it. `values` must be validated and `s`
-/// must pass [`validate_inv_sum`]; `f` checks that each result is finite.
-pub fn for_each_latency_excluding(
+/// itself, which re-sums it.
+fn latency_excluding_blocks(
     values: &[f64],
     r: f64,
     s: TwoF64,
-    mut f: impl FnMut(usize, TwoF64),
+    mut recip: impl FnMut(usize, f64) -> TwoF64,
+    mut f: impl FnMut(usize, TwoF64, TwoF64),
 ) {
+    let mut recips = [TwoF64::ZERO; LOO_BLOCK];
     let mut residuals = [TwoF64::ZERO; LOO_BLOCK];
     for (b, block) in values.chunks(LOO_BLOCK).enumerate() {
+        let recips = &mut recips[..block.len()];
         let residuals = &mut residuals[..block.len()];
-        for (diff, &t) in residuals.iter_mut().zip(block) {
-            *diff = s - TwoF64::recip(t);
+        let first = b * LOO_BLOCK;
+        for (i, ((q, diff), &t)) in
+            (first..).zip(recips.iter_mut().zip(residuals.iter_mut()).zip(block))
+        {
+            *q = recip(i, t);
+            *diff = s - *q;
         }
-        for (i, &diff) in (b * LOO_BLOCK..).zip(residuals.iter()) {
+        for (i, (&q, &diff)) in (first..).zip(recips.iter().zip(residuals.iter())) {
             let l_minus = if diff.hi > LOO_RESIDUAL_GUARD * s.hi {
                 (TwoF64::from_f64(r) / diff).mul_f64(r)
             } else {
                 latency_excluding_dd(values, i, r, s)
             };
-            f(i, l_minus);
+            f(i, q, l_minus);
         }
+    }
+}
+
+/// The bid side of a round (Theorem 2.1), from one reciprocal per bid: the
+/// harmonic sum `S`, the PR allocation and every `L_{-i}`.
+///
+/// Def. 3.3 pays `P_i = C_i + L_{-i}(b_{-i}) − L(x(b), t̃)`. The allocation
+/// and each `L_{-i} = R²/(S − 1/b_i)` depend on the bids alone, so a round
+/// that settles several times (against estimated and against true
+/// execution values) derives them once here and each settle adds only
+/// `C_i` and `L`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BidColumns {
+    s: TwoF64,
+    allocation: Allocation,
+    excluding: Vec<f64>,
+}
+
+impl BidColumns {
+    /// Derives the bid side of `values` at total rate `r` in two passes.
+    ///
+    /// 1. One validated pass checks each value (named `name` in the
+    ///    error), builds its reciprocal once and folds `S` exactly as
+    ///    [`inv_sum_dd`] does. The two parts of each reciprocal
+    ///    (`TwoF64::recip_parts`) wait in the buffers that become the
+    ///    rates and the `L_{-i}` column, so the pass keeps no buffer of its
+    ///    own.
+    /// 2. The blocked `L_{-i}` kernel reads them back: each `q0 = 1/t_i`
+    ///    becomes the rate `q0 / S · r`, and each reciprocal becomes
+    ///    `L_{-i}`, in place.
+    ///
+    /// The rates are [`pr_allocate_with_sum`]`(values, r, inv_sum_dd(values))`
+    /// bit for bit, since `q0` is the very quotient `1.0 / t`, and each
+    /// `L_{-i}` is [`latency_excluding_dd`]'s value. With one machine the
+    /// column holds no `L_{-i}` (there is none); the settle rejects it.
+    ///
+    /// # Errors
+    /// [`pr_allocate`]'s errors in its order: [`CoreError::EmptySystem`],
+    /// the invalid value at the lowest index, an invalid rate, then
+    /// [`CoreError::NumericalOverflow`] for `S` or a rate.
+    pub fn new(name: &'static str, values: &[f64], r: f64) -> Result<Self, CoreError> {
+        if values.is_empty() {
+            return Err(CoreError::EmptySystem);
+        }
+        let mut rates = Vec::with_capacity(values.len());
+        let mut excluding = Vec::with_capacity(values.len());
+        let mut s = TwoF64::ZERO;
+        for &t in values {
+            validate_positive(name, t)?;
+            let (q0, q1) = TwoF64::recip_parts(t);
+            s = s + TwoF64::join_recip_parts(q0, q1);
+            rates.push(q0);
+            excluding.push(q1);
+        }
+        validate_rate(r)?;
+        let inv_sum = s.value();
+        if !inv_sum.is_finite() || inv_sum <= 0.0 {
+            return Err(CoreError::NumericalOverflow {
+                what: "sum of inverse latency coefficients",
+            });
+        }
+        // Both callbacks touch the column: the first reads machine i's q1,
+        // the second writes L_{-i} over it once the block is done.
+        let column = Cell::from_mut(excluding.as_mut_slice()).as_slice_of_cells();
+        let mut finite = true;
+        latency_excluding_blocks(
+            values,
+            r,
+            s,
+            |i, _| {
+                let q0 = rates[i];
+                rates[i] = q0 / inv_sum * r;
+                finite &= rates[i].is_finite();
+                TwoF64::join_recip_parts(q0, column[i].get())
+            },
+            |i, _, l_minus| column[i].set(l_minus.value()),
+        );
+        if !finite {
+            return Err(CoreError::NumericalOverflow {
+                what: "PR allocation rate",
+            });
+        }
+        Ok(Self {
+            s,
+            allocation: Allocation::from_raw(rates),
+            excluding,
+        })
+    }
+
+    /// The harmonic sum `S`, the PR allocation and the `L_{-i}` column.
+    #[must_use]
+    pub fn into_parts(self) -> (TwoF64, Allocation, Vec<f64>) {
+        (self.s, self.allocation, self.excluding)
     }
 }
 
@@ -412,12 +535,13 @@ impl LeaveOneOut {
         let mut excluding = Vec::with_capacity(values.len());
         let mut marginals = Vec::with_capacity(values.len());
         let mut finite = true;
-        for_each_latency_excluding(values, r, s, |i, l_minus_dd| {
+        let recip = |_, t| TwoF64::recip(t);
+        latency_excluding_blocks(values, r, s, recip, |_, recip, l_minus_dd| {
             let l_minus = l_minus_dd.value();
             // Cancellation-free closed form: share_i = (1/t_i)/S ∈ (0, 1],
             // then marginal = L_{-i} · share_i — no subtraction of
             // near-equal O(R²/S) quantities anywhere.
-            let marginal = (TwoF64::recip(values[i]) / s * l_minus_dd).value();
+            let marginal = (recip / s * l_minus_dd).value();
             finite &= l_minus.is_finite() & marginal.is_finite();
             excluding.push(l_minus);
             marginals.push(marginal);
@@ -764,6 +888,99 @@ mod tests {
                 assert!(residual.hi <= LOO_RESIDUAL_GUARD * s.hi, "no fallback");
                 check(&values, r);
             }
+        }
+    }
+
+    /// The bid side's passes against the per-machine ones, bit for bit: `S`
+    /// against [`inv_sum_dd`], the rates against [`pr_allocate_with_sum`]
+    /// and the column against [`latency_excluding_dd`].
+    fn check_bid_columns(values: &[f64], r: f64) {
+        let bits = |x: TwoF64| (x.hi.to_bits(), x.lo.to_bits());
+        let columns = BidColumns::new("latency coefficient", values, r).unwrap();
+        let (s, allocation, excluding) = columns.into_parts();
+        let want_s = inv_sum_dd(values);
+        assert_eq!(bits(s), bits(want_s), "n = {}: S", values.len());
+        let want = pr_allocate_with_sum(values, r, want_s).unwrap();
+        assert_eq!(allocation.len(), values.len());
+        assert_eq!(excluding.len(), values.len());
+        for (i, &got) in excluding.iter().enumerate() {
+            assert_eq!(
+                allocation.rate(i).to_bits(),
+                want.rate(i).to_bits(),
+                "rate {i}"
+            );
+            let l_minus = latency_excluding_dd(values, i, r, want_s).value();
+            assert_eq!(got.to_bits(), l_minus.to_bits(), "L_-{i}");
+        }
+    }
+
+    /// [`BidColumns::new`] at block edges (n = 15, 16, 17, 33), with values
+    /// log-uniform over the whole validated domain, and with a dominant
+    /// machine on the re-sum fallback at the first, block-edge and last
+    /// indices.
+    #[test]
+    fn bid_columns_are_bit_identical_to_the_per_machine_passes() {
+        use crate::machine::{MAX_LATENCY_PARAM, MIN_LATENCY_PARAM};
+        use lb_stats::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(35);
+        let mut draw = |lo: f64, n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    10f64
+                        .powf(rng.next_range(lo, 300.0))
+                        .clamp(MIN_LATENCY_PARAM, MAX_LATENCY_PARAM)
+                })
+                .collect()
+        };
+        // R ≤ 1e3 keeps every L_{-i} ≤ R²·max t finite over the domain.
+        let rates = [1e-3, 1.0, 1e3];
+        for (k, n) in [2usize, 15, 16, 17, 33, 1000].into_iter().enumerate() {
+            let r = rates[k % rates.len()];
+            check_bid_columns(&draw(-300.0, n), r);
+            for dominant in [0, 15, 16, n - 1].into_iter().filter(|&d| d < n) {
+                let mut values = draw(-270.0, n);
+                values[dominant] = MIN_LATENCY_PARAM;
+                let s = inv_sum_dd(&values);
+                let residual = s - TwoF64::recip(values[dominant]);
+                assert!(residual.hi <= LOO_RESIDUAL_GUARD * s.hi, "no fallback");
+                check_bid_columns(&values, r);
+            }
+        }
+    }
+
+    /// [`BidColumns::new`] at 2^20 machines against the per-machine passes.
+    /// Run in release: `cargo test --release -p lb-core -- --ignored
+    /// bid_columns_at_scale`.
+    #[test]
+    #[ignore = "2^20 machines; run in release"]
+    fn bid_columns_at_scale_match_the_per_machine_passes() {
+        use lb_stats::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(20);
+        let values: Vec<f64> = (0..1 << 20)
+            .map(|_| 10f64.powf(rng.next_range(-3.0, 3.0)))
+            .collect();
+        check_bid_columns(&values, f64::from(1u32 << 20));
+    }
+
+    /// An invalid input fails [`BidColumns::new`] as it fails
+    /// [`pr_allocate`]: the same variant and message, the value at the
+    /// lowest index, values before the rate.
+    #[test]
+    fn bid_columns_fail_like_pr_allocate() {
+        let cases: [(&[f64], f64); 7] = [
+            (&[], 1.0),
+            (&[1.0, f64::NAN, -1.0], 1.0),
+            (&[1.0, 2.0, 1e-301, 0.0], 1.0),
+            (&[1e301, 1.0], 1.0),
+            (&[1.0, 2.0], 0.0),
+            (&[1.0, 2.0], f64::INFINITY),
+            (&[f64::INFINITY], f64::NAN),
+        ];
+        for (values, r) in cases {
+            let got = BidColumns::new("latency coefficient", values, r).map(drop);
+            let want = pr_allocate(values, r).map(drop);
+            assert!(want.is_err());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
     }
 

@@ -64,7 +64,7 @@ pub const MAX_LATENCY_PARAM: f64 = 1e300;
 ///
 /// # Errors
 /// Returns [`CoreError::InvalidParameter`] otherwise.
-fn validate_positive(name: &'static str, value: f64) -> Result<(), CoreError> {
+pub(crate) fn validate_positive(name: &'static str, value: f64) -> Result<(), CoreError> {
     if value.is_finite() && (MIN_LATENCY_PARAM..=MAX_LATENCY_PARAM).contains(&value) {
         Ok(())
     } else {

@@ -164,17 +164,32 @@ impl TwoF64 {
         Self { hi, lo }
     }
 
-    /// Double-double ÷ `f64`.
-    #[inline]
-    fn div_f64(self, b: f64) -> Self {
-        self / Self::from_f64(b)
-    }
-
-    /// The reciprocal `1/b` at double-double precision.
+    /// The reciprocal `1/b` at double-double precision: `1 ÷ b` with the
+    /// one Newton correction of the double-double quotient.
     #[must_use]
     #[inline]
     pub fn recip(b: f64) -> Self {
-        Self::from_f64(1.0).div_f64(b)
+        let (q0, q1) = Self::recip_parts(b);
+        Self::join_recip_parts(q0, q1)
+    }
+
+    /// [`TwoF64::recip`] before its last step: the `f64` quotient
+    /// `q0 = 1.0 / b`, the very bits of a plain division, and its
+    /// correction `q1`. A caller that keeps both has the PR rate's `1/b`
+    /// and, through [`TwoF64::join_recip_parts`], the reciprocal itself.
+    #[inline]
+    pub(crate) fn recip_parts(b: f64) -> (f64, f64) {
+        let q0 = 1.0 / b;
+        let r = Self::from_f64(1.0) - Self::from_f64(b).mul_f64(q0);
+        (q0, (r.hi + r.lo) / b)
+    }
+
+    /// The last step of [`TwoF64::recip`]: `recip(b)` bit for bit from
+    /// `recip_parts(b)`.
+    #[inline]
+    pub(crate) fn join_recip_parts(q0: f64, q1: f64) -> Self {
+        let (hi, lo) = quick_two_sum(q0, q1);
+        Self { hi, lo }
     }
 }
 

@@ -25,12 +25,13 @@
 //! this precondition explicitly.
 
 use crate::error::{check_arity, finite, MechanismError};
-use crate::traits::{ValuationModel, VerifiedMechanism};
+use crate::traits::{BidSide, ValuationModel, VerifiedMechanism};
 use lb_core::allocation::{
-    for_each_latency_excluding, latency_excluding_dd, validate_inv_sum, validate_rate,
+    for_each_latency_excluding, latency_excluding_dd, validate_inv_sum, validate_rate, BidColumns,
 };
 use lb_core::machine::validate_values;
 use lb_core::{inv_sum_dd, pr_allocate_with_sum, total_latency_linear, Allocation, TwoF64};
+use std::borrow::Cow;
 
 /// The load balancing mechanism with verification of Grosu & Chronopoulos.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -135,6 +136,51 @@ impl CompensationBonusMechanism {
         Ok(actual_latency)
     }
 
+    /// [`Self::settle_inputs`] for a settle against a bid side, whose one
+    /// pass validated the bids, the rate and `S`: the checks left, in the
+    /// same order, and `L`.
+    fn observed_latency(allocation: &Allocation, observed: &[f64]) -> Result<f64, MechanismError> {
+        if allocation.len() < 2 {
+            return Err(MechanismError::NeedTwoAgents);
+        }
+        validate_values("execution value", observed)?;
+        check_arity(allocation.len(), allocation.len(), observed.len())?;
+        Ok(total_latency_linear(allocation, observed)?)
+    }
+
+    /// The settle pass of Def. 3.3: turns the `L_{-i}` column into
+    /// `C_i + (L_{-i} − L)` in place, against one `L`. The terms are
+    /// checked with one finiteness flag; only when it trips is the settle
+    /// re-walked machine by machine, so the error is the one
+    /// [`CompensationBonusMechanism::payment_breakdown`] reports at the
+    /// lowest failing index.
+    #[allow(clippy::too_many_arguments)]
+    fn pay(
+        &self,
+        bids: &[f64],
+        allocation: &Allocation,
+        exec_values: &[f64],
+        total_rate: f64,
+        s: TwoF64,
+        latency: f64,
+        mut excluding: Vec<f64>,
+    ) -> Result<Vec<f64>, MechanismError> {
+        let (rates, valuation) = (allocation.rates(), self.valuation);
+        let mut all_finite = true;
+        for ((p, &x), &e) in excluding.iter_mut().zip(rates).zip(exec_values) {
+            let compensation = valuation.compensation(x, e);
+            all_finite &= p.is_finite() & compensation.is_finite();
+            *p = compensation + (*p - latency);
+        }
+        if !all_finite {
+            let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
+            if let Some(err) = (0..bids.len()).find_map(|i| term(i).err()) {
+                return Err(err);
+            }
+        }
+        Ok(excluding)
+    }
+
     /// Validates one settle's inputs and computes the realised latency `L`
     /// once; returns machine `i`'s compensation and bonus `L_{-i} − L` as a
     /// function of `i`, with no per-machine vector.
@@ -212,12 +258,8 @@ impl VerifiedMechanism for CompensationBonusMechanism {
     }
 
     /// The blocked leave-one-out kernel writes the `L_{-i}` column straight
-    /// into the payment vector, and one pass turns it into
-    /// `C_i + (L_{-i} − L)` in place, against one `L`. The terms are checked
-    /// with one finiteness flag; only when it trips is the settle re-walked
-    /// machine by machine, so the error is the one
-    /// [`CompensationBonusMechanism::payment_breakdown`] reports at the
-    /// lowest failing index.
+    /// into the payment vector, and the settle pass (`pay`) turns it into
+    /// `C_i + (L_{-i} − L)` in place, against one `L`.
     fn settle_with_sum(
         &self,
         bids: &[f64],
@@ -227,24 +269,68 @@ impl VerifiedMechanism for CompensationBonusMechanism {
         s: TwoF64,
     ) -> Result<(Vec<f64>, f64), MechanismError> {
         let latency = Self::settle_inputs(bids, allocation, exec_values, total_rate, s)?;
-        let (rates, valuation) = (allocation.rates(), self.valuation);
-        let mut payments = Vec::with_capacity(bids.len());
+        let mut excluding = Vec::with_capacity(bids.len());
         for_each_latency_excluding(bids, total_rate, s, |_, l_minus| {
-            payments.push(l_minus.value());
+            excluding.push(l_minus.value());
         });
-        let mut all_finite = true;
-        for ((p, &x), &e) in payments.iter_mut().zip(rates).zip(exec_values) {
-            let compensation = valuation.compensation(x, e);
-            all_finite &= p.is_finite() & compensation.is_finite();
-            *p = compensation + (*p - latency);
-        }
-        if !all_finite {
-            let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
-            if let Some(err) = (0..bids.len()).find_map(|i| term(i).err()) {
-                return Err(err);
-            }
-        }
+        let payments = self.pay(
+            bids,
+            allocation,
+            exec_values,
+            total_rate,
+            s,
+            latency,
+            excluding,
+        )?;
         Ok((payments, latency))
+    }
+
+    /// `S`, the PR allocation and the `L_{-i}` column from one reciprocal
+    /// per bid ([`BidColumns`]).
+    fn bid_side<'a>(
+        &self,
+        bids: &'a [f64],
+        total_rate: f64,
+    ) -> Result<BidSide<'a>, MechanismError> {
+        let (s, allocation, excluding) = BidColumns::new("bid", bids, total_rate)?.into_parts();
+        Ok(BidSide {
+            bids,
+            total_rate,
+            s,
+            columns: Some((allocation, excluding)),
+        })
+    }
+
+    /// `L`, then the settle pass over the side's `L_{-i}` column: a
+    /// borrowed side lends a copy of its allocation and column, which
+    /// become this settle's; an owned one hands them over. A side without
+    /// columns settles on the default path.
+    fn settle_bid_side(
+        &self,
+        side: Cow<'_, BidSide<'_>>,
+        observed: &[f64],
+    ) -> Result<(Allocation, Vec<f64>, f64), MechanismError> {
+        match side.into_owned() {
+            BidSide {
+                bids,
+                total_rate,
+                s,
+                columns: Some((allocation, excluding)),
+            } => {
+                let latency = Self::observed_latency(&allocation, observed)?;
+                let payments = self.pay(
+                    bids,
+                    &allocation,
+                    observed,
+                    total_rate,
+                    s,
+                    latency,
+                    excluding,
+                )?;
+                Ok((allocation, payments, latency))
+            }
+            side => side.settle_with_sum(self, observed),
+        }
     }
 }
 
@@ -449,6 +535,58 @@ mod tests {
                 let profile = Profile::new(bids.to_vec(), bids.to_vec(), bids.to_vec(), r);
                 assert_eq!(run_mechanism(&m, &profile.unwrap()).map(drop), overflow);
             }
+        }
+    }
+
+    /// A settle against a bid side fails as the settle against `S` does:
+    /// an overflowing `L_{-i}` (the cases above) whether the side is
+    /// borrowed or consumed, then a single agent, an invalid and a short
+    /// observed column.
+    #[test]
+    fn bid_side_settles_fail_like_the_settle_against_the_sum() {
+        use crate::traits::settle_verified;
+        use std::borrow::Cow;
+        let shown =
+            |r: Result<(Allocation, Vec<f64>, f64), MechanismError>| format!("{:?}", r.map(drop));
+        let cases = [
+            (
+                vec![1.0, 1.0, 1.0, 1e-300],
+                1e160,
+                vec![1.0, 1.0, 1.0, 1e-300],
+            ),
+            (
+                vec![1.0, 1.0, 1e-300, 1e-300],
+                1.5e304,
+                vec![1.0, 1.0, 1e-300, 1e-300],
+            ),
+            (vec![2.0], 3.0, vec![2.0]),
+            (vec![1.0, 2.0], 3.0, vec![1.0, f64::NAN]),
+            (vec![1.0, 2.0], 3.0, vec![1.0]),
+        ];
+        for m in [mech(), CompensationBonusMechanism::contributed()] {
+            for (bids, r, observed) in &cases {
+                let (bids, r, observed) = (bids.as_slice(), *r, observed.as_slice());
+                let s = inv_sum_dd(bids);
+                let want = m.allocate_with_sum(bids, r, s).and_then(|alloc| {
+                    let (payments, latency) = m.settle_with_sum(bids, &alloc, observed, r, s)?;
+                    Ok((alloc, payments, latency))
+                });
+                assert!(want.is_err());
+                let side = m.bid_side(bids, r).unwrap();
+                assert_eq!(
+                    shown(m.settle_bid_side(Cow::Borrowed(&side), observed)),
+                    shown(want.clone())
+                );
+                assert_eq!(
+                    shown(m.settle_bid_side(Cow::Owned(side), observed)),
+                    shown(want)
+                );
+            }
+            let (bids, r) = (&cases[0].0, cases[0].1);
+            let profile = Profile::new(bids.clone(), bids.clone(), bids.clone(), r).unwrap();
+            let side = m.bid_side(bids, r).unwrap();
+            let borrowed = settle_verified(&m, &profile, Cow::Borrowed(&side), bids);
+            assert!(matches!(borrowed, Err(MechanismError::Core(_))));
         }
     }
 

@@ -71,5 +71,7 @@ pub use properties::{
     dominant_strategy_check, truthfulness_scan, voluntary_participation_scan, DeviationGrid,
     DeviationReport,
 };
-pub use traits::{run_mechanism, run_verified, MechanismOutcome, VerifiedMechanism};
+pub use traits::{
+    run_mechanism, run_verified, settle_verified, BidSide, MechanismOutcome, VerifiedMechanism,
+};
 pub use unverified::UnverifiedCompensationBonus;
