@@ -19,9 +19,12 @@
 //! dd subtractive marginal.
 //!
 //! The settle entry points must also agree **bit for bit**: `payments`,
-//! `payments_with_sum` against the merged sums of 1–4 random cut points,
-//! `run_mechanism(..).payments` and `payment_breakdown(..).total()`, and
-//! each batch `L_{-i}` with the single-index `optimal_latency_excluding`.
+//! `run_mechanism(..).payments`, `payment_breakdown(..).total()` and three
+//! settles against the merged sums of 1–4 random cut points — a folded bid
+//! side (`bid_side` with no given `S`), a side given the merged sum and
+//! CB's `payments_with_sum` against it — in payments and, for the two
+//! sides, in the allocation and `L`; and each batch `L_{-i}` with the
+//! single-index `optimal_latency_excluding`.
 //!
 //! A second profile of 2–64 machines, mostly not a multiple of the
 //! leave-one-out kernel's 16-machine block and half the time with a
@@ -43,6 +46,7 @@ use lb_mechanism::{
     run_mechanism, CompensationBonusMechanism, PaymentBreakdown, Profile, VerifiedMechanism,
 };
 use lb_stats::{Rng, Xoshiro256StarStar};
+use std::borrow::Cow;
 
 /// Runs one payment-oracle iteration.
 ///
@@ -136,12 +140,40 @@ pub fn check(seed: u64) -> Result<(), String> {
         partials.push(inv_sum_dd(&bids[start..cut]));
         start = cut;
     }
+    let s = merge_inv_sums(&partials);
+    let settle = |given| {
+        let side = mech.bid_side(Cow::Borrowed(&bids), r, given)?;
+        mech.settle_bid_side(Cow::Owned(side), &exec_values)
+    };
+    let (folded_alloc, folded, folded_latency) =
+        settle(None).map_err(|e| format!("folded side failed on valid profile: {e}"))?;
+    let (given_alloc, given, given_latency) =
+        settle(Some(s)).map_err(|e| format!("given-S side failed on valid profile: {e}"))?;
     let merged = mech
-        .payments_with_sum(&bids, &alloc, &exec_values, r, merge_inv_sums(&partials))
+        .payments_with_sum(&bids, &alloc, &exec_values, r, s)
         .map_err(|e| format!("payments_with_sum failed on valid profile: {e}"))?;
+    let latency = total_latency_linear(&alloc, &exec_values)
+        .map_err(|e| format!("realised latency failed: {e}"))?;
+    for (name, side_alloc, side_latency) in [
+        ("folded side", &folded_alloc, folded_latency),
+        ("given-S side", &given_alloc, given_latency),
+    ] {
+        if bits(side_alloc.rates()) != bits(alloc.rates())
+            || side_latency.to_bits() != latency.to_bits()
+        {
+            return Err(format!(
+                "{name}: rates {:?}, L {side_latency:e} vs pr_allocate {:?}, L {latency:e} \
+                 (cuts {cuts:?})",
+                side_alloc.rates(),
+                alloc.rates()
+            ));
+        }
+    }
     for (name, got) in [
         ("payments", &plain),
         ("run_mechanism", &round.payments),
+        ("folded side", &folded),
+        ("given-S side", &given),
         ("payments_with_sum", &merged),
     ] {
         if bits(got) != bits(&totals) {
@@ -213,7 +245,7 @@ fn check_blocked(rng: &mut Xoshiro256StarStar) -> Result<(), String> {
     };
     let s = inv_sum_dd(&bids);
     let alloc = mech
-        .allocate_with_sum(&bids, r, s)
+        .allocate(&bids, r)
         .map_err(|e| format!("blocked: allocate failed on valid profile: {e}"))?;
     let latency = total_latency_linear(&alloc, &exec_values)
         .map_err(|e| format!("blocked: realised latency failed: {e}"))?;

@@ -80,7 +80,9 @@ impl CompensationBonusMechanism {
     /// degenerate input (subnormal bid, non-finite rate) answers with a
     /// typed error here instead of NaN-poisoning `1/b_i` and every `L_{-i}`
     /// bonus term downstream. All `n` bonus terms share one harmonic sum
-    /// `S = Σ 1/b_j`, so a full settle phase is O(n).
+    /// `S = Σ 1/b_j`, so a full settle phase is O(n). Its per-machine term
+    /// does the arithmetic of the settle, so the components add up to the
+    /// payment bit for bit.
     ///
     /// # Errors
     /// Returns [`MechanismError::NeedTwoAgents`] for singleton systems
@@ -92,27 +94,30 @@ impl CompensationBonusMechanism {
         exec_values: &[f64],
         total_rate: f64,
     ) -> Result<Vec<PaymentBreakdown>, MechanismError> {
-        self.payment_breakdown_with_sum(bids, allocation, exec_values, total_rate, inv_sum_dd(bids))
+        let term = self.terms(bids, allocation, exec_values, total_rate, inv_sum_dd(bids))?;
+        (0..bids.len()).map(term).collect()
     }
 
-    /// [`CompensationBonusMechanism::payment_breakdown`] against a
-    /// pre-aggregated double-double harmonic sum `s = Σ 1/b_j`. Its
-    /// per-machine term does the arithmetic of
-    /// [`VerifiedMechanism::payments_with_sum`], so the components add up to
-    /// the payment bit for bit.
+    /// CB's settle against a given allocation and harmonic sum
+    /// `s = Σ 1/b_j`, without its realised latency: the body of the settle
+    /// of a bid side whose `S` was given ([`VerifiedMechanism::bid_side`]).
+    /// [`VerifiedMechanism::payments`] is this call at `s = inv_sum_dd(bids)`;
+    /// a caller that keeps its own allocation and `S` (an online pool read
+    /// on a tick) pays through it without building a side.
     ///
     /// # Errors
-    /// Same contract as [`CompensationBonusMechanism::payment_breakdown`].
-    fn payment_breakdown_with_sum(
+    /// Returns [`MechanismError::NeedTwoAgents`] for singleton systems, or
+    /// arity and validation errors.
+    pub fn payments_with_sum(
         &self,
         bids: &[f64],
         allocation: &Allocation,
         exec_values: &[f64],
         total_rate: f64,
         s: TwoF64,
-    ) -> Result<Vec<PaymentBreakdown>, MechanismError> {
-        let term = self.terms(bids, allocation, exec_values, total_rate, s)?;
-        (0..bids.len()).map(term).collect()
+    ) -> Result<Vec<f64>, MechanismError> {
+        let latency = Self::settle_inputs(bids, allocation, exec_values, total_rate, s)?;
+        self.pay(bids, allocation, exec_values, total_rate, s, latency, None)
     }
 
     /// Validates one settle's inputs, each column once, and returns the
@@ -148,10 +153,11 @@ impl CompensationBonusMechanism {
         Ok(total_latency_linear(allocation, observed)?)
     }
 
-    /// The settle pass of Def. 3.3: turns the `L_{-i}` column into
-    /// `C_i + (L_{-i} − L)` in place, against one `L`. The terms are
-    /// checked with one finiteness flag; only when it trips is the settle
-    /// re-walked machine by machine, so the error is the one
+    /// The settle pass of Def. 3.3: turns the `L_{-i}` column (a bid
+    /// side's, or with `None` the blocked leave-one-out kernel's against
+    /// `s`) into `C_i + (L_{-i} − L)` in place, against one `L`. The terms
+    /// are checked with one finiteness flag; only when it trips is the
+    /// settle re-walked machine by machine, so the error is the one
     /// [`CompensationBonusMechanism::payment_breakdown`] reports at the
     /// lowest failing index.
     #[allow(clippy::too_many_arguments)]
@@ -163,8 +169,15 @@ impl CompensationBonusMechanism {
         total_rate: f64,
         s: TwoF64,
         latency: f64,
-        mut excluding: Vec<f64>,
+        excluding: Option<Vec<f64>>,
     ) -> Result<Vec<f64>, MechanismError> {
+        let mut excluding = excluding.unwrap_or_else(|| {
+            let mut column = Vec::with_capacity(bids.len());
+            for_each_latency_excluding(bids, total_rate, s, |_, l_minus| {
+                column.push(l_minus.value());
+            });
+            column
+        });
         let (rates, valuation) = (allocation.rates(), self.valuation);
         let mut all_finite = true;
         for ((p, &x), &e) in excluding.iter_mut().zip(rates).zip(exec_values) {
@@ -222,7 +235,8 @@ impl VerifiedMechanism for CompensationBonusMechanism {
     }
 
     fn allocate(&self, bids: &[f64], total_rate: f64) -> Result<Allocation, MechanismError> {
-        self.allocate_with_sum(bids, total_rate, inv_sum_dd(bids))
+        let side = self.bid_side(Cow::Borrowed(bids), total_rate, Some(inv_sum_dd(bids)))?;
+        Ok(side.allocation)
     }
 
     fn payments(
@@ -235,102 +249,67 @@ impl VerifiedMechanism for CompensationBonusMechanism {
         self.payments_with_sum(bids, allocation, exec_values, total_rate, inv_sum_dd(bids))
     }
 
-    fn allocate_with_sum(
-        &self,
-        bids: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<Allocation, MechanismError> {
-        validate_values("bid", bids)?;
-        Ok(pr_allocate_with_sum(bids, total_rate, s)?)
-    }
-
-    fn payments_with_sum(
-        &self,
-        bids: &[f64],
-        allocation: &Allocation,
-        exec_values: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<Vec<f64>, MechanismError> {
-        self.settle_with_sum(bids, allocation, exec_values, total_rate, s)
-            .map(|(payments, _)| payments)
-    }
-
-    /// The blocked leave-one-out kernel writes the `L_{-i}` column straight
-    /// into the payment vector, and the settle pass (`pay`) turns it into
-    /// `C_i + (L_{-i} − L)` in place, against one `L`.
-    fn settle_with_sum(
-        &self,
-        bids: &[f64],
-        allocation: &Allocation,
-        exec_values: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<(Vec<f64>, f64), MechanismError> {
-        let latency = Self::settle_inputs(bids, allocation, exec_values, total_rate, s)?;
-        let mut excluding = Vec::with_capacity(bids.len());
-        for_each_latency_excluding(bids, total_rate, s, |_, l_minus| {
-            excluding.push(l_minus.value());
-        });
-        let payments = self.pay(
-            bids,
-            allocation,
-            exec_values,
-            total_rate,
-            s,
-            latency,
-            excluding,
-        )?;
-        Ok((payments, latency))
-    }
-
-    /// `S`, the PR allocation and the `L_{-i}` column from one reciprocal
-    /// per bid ([`BidColumns`]).
+    /// Folded: `S`, the PR allocation and the `L_{-i}` column from one
+    /// reciprocal per bid ([`BidColumns`]). Given: the bids validated and
+    /// the PR allocation against the given `S`; the settle builds the
+    /// `L_{-i}` column against it.
     fn bid_side<'a>(
         &self,
-        bids: &'a [f64],
+        bids: Cow<'a, [f64]>,
         total_rate: f64,
+        s: Option<TwoF64>,
     ) -> Result<BidSide<'a>, MechanismError> {
-        let (s, allocation, excluding) = BidColumns::new("bid", bids, total_rate)?.into_parts();
+        let (s, allocation, excluding) = match s {
+            None => {
+                let (s, allocation, excluding) =
+                    BidColumns::new("bid", &bids, total_rate)?.into_parts();
+                (s, allocation, Some(excluding))
+            }
+            Some(s) => {
+                validate_values("bid", &bids)?;
+                (s, pr_allocate_with_sum(&bids, total_rate, s)?, None)
+            }
+        };
         Ok(BidSide {
             bids,
             total_rate,
             s,
-            columns: Some((allocation, excluding)),
+            allocation,
+            excluding,
         })
     }
 
     /// `L`, then the settle pass over the side's `L_{-i}` column: a
     /// borrowed side lends a copy of its allocation and column, which
     /// become this settle's; an owned one hands them over. A side without
-    /// columns settles on the default path.
+    /// the column (its `S` was given) settles as
+    /// [`CompensationBonusMechanism::payments_with_sum`] does.
     fn settle_bid_side(
         &self,
         side: Cow<'_, BidSide<'_>>,
         observed: &[f64],
     ) -> Result<(Allocation, Vec<f64>, f64), MechanismError> {
-        match side.into_owned() {
-            BidSide {
-                bids,
-                total_rate,
-                s,
-                columns: Some((allocation, excluding)),
-            } => {
-                let latency = Self::observed_latency(&allocation, observed)?;
-                let payments = self.pay(
-                    bids,
-                    &allocation,
-                    observed,
-                    total_rate,
-                    s,
-                    latency,
-                    excluding,
-                )?;
-                Ok((allocation, payments, latency))
-            }
-            side => side.settle_with_sum(self, observed),
-        }
+        let BidSide {
+            bids,
+            total_rate,
+            s,
+            allocation,
+            excluding,
+        } = side.into_owned();
+        let latency = match excluding {
+            Some(_) => Self::observed_latency(&allocation, observed)?,
+            None => Self::settle_inputs(&bids, &allocation, observed, total_rate, s)?,
+        };
+        let payments = self.pay(
+            &bids,
+            &allocation,
+            observed,
+            total_rate,
+            s,
+            latency,
+            excluding,
+        )?;
+        Ok((allocation, payments, latency))
     }
 }
 
@@ -447,10 +426,10 @@ mod tests {
 
     #[test]
     fn with_sum_entry_points_match_the_plain_mechanism_bitwise() {
-        // Shard-count invariance at the mechanism layer: feeding the merged
-        // per-shard TwoF64 harmonic partials into the *_with_sum entry points
-        // must reproduce the single-coordinator allocation and payments bit
-        // for bit, for every shard count.
+        // Shard-count invariance at the mechanism layer: a bid side given the
+        // merged per-shard TwoF64 harmonic partials, and `payments_with_sum`
+        // against them, must reproduce the single-coordinator allocation and
+        // payments bit for bit, for every shard count.
         use lb_core::merge_inv_sums;
         let n: usize = 4096;
         #[allow(clippy::cast_precision_loss)]
@@ -465,8 +444,11 @@ mod tests {
             let chunk = n.div_ceil(k);
             let partials: Vec<_> = bids.chunks(chunk).map(inv_sum_dd).collect();
             let s = merge_inv_sums(&partials);
-            let alloc = m.allocate_with_sum(&bids, r, s).unwrap();
-            let pay = m.payments_with_sum(&bids, &alloc, &exec, r, s).unwrap();
+            let side = m.bid_side(Cow::Borrowed(&bids), r, Some(s)).unwrap();
+            let pay = m
+                .payments_with_sum(&bids, side.allocation(), &exec, r, s)
+                .unwrap();
+            let (alloc, settled, _) = m.settle_bid_side(Cow::Owned(side), &exec).unwrap();
             for i in 0..n {
                 assert_eq!(
                     alloc.rate(i).to_bits(),
@@ -478,29 +460,38 @@ mod tests {
                     ref_pay[i].to_bits(),
                     "k = {k}, agent {i}: payment diverged"
                 );
+                assert_eq!(
+                    settled[i].to_bits(),
+                    ref_pay[i].to_bits(),
+                    "k = {k}, agent {i}: settle diverged"
+                );
             }
         }
     }
 
     #[test]
-    fn default_with_sum_methods_fall_back_to_the_plain_path() {
-        // A mechanism that does not override the *_with_sum hooks ignores the
-        // merged sum and recomputes from the bid vector — still well-defined
+    fn a_default_side_settles_like_allocate_payments_and_realised_latency() {
+        // A mechanism that keeps the default bid side ignores a given sum:
+        // folded or given, borrowed or owned, its settle is `allocate`,
+        // `payments` and `realised_latency`, bit for bit — still well-defined
         // and shard-count invariant (same full vector either way).
         let m = crate::unverified::UnverifiedCompensationBonus::default();
         let bids = [1.0, 2.0, 4.0];
         let exec = [1.0, 2.5, 4.0];
         let r = 10.0;
-        let s = inv_sum_dd(&bids);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let plain = m.allocate(&bids, r).unwrap();
-        let with_sum = m.allocate_with_sum(&bids, r, s).unwrap();
-        for i in 0..bids.len() {
-            assert_eq!(plain.rate(i).to_bits(), with_sum.rate(i).to_bits());
-        }
         let p_plain = m.payments(&bids, &plain, &exec, r).unwrap();
-        let p_sum = m.payments_with_sum(&bids, &plain, &exec, r, s).unwrap();
-        for i in 0..bids.len() {
-            assert_eq!(p_plain[i].to_bits(), p_sum[i].to_bits());
+        let l_plain = m.realised_latency(&plain, &exec).unwrap();
+        for s in [None, Some(inv_sum_dd(&bids)), Some(inv_sum_dd(&[3.0]))] {
+            let side = m.bid_side(Cow::Borrowed(&bids), r, s).unwrap();
+            let borrowed = m.settle_bid_side(Cow::Borrowed(&side), &exec).unwrap();
+            let owned = m.settle_bid_side(Cow::Owned(side), &exec).unwrap();
+            for (alloc, payments, latency) in [borrowed, owned] {
+                assert_eq!(bits(alloc.rates()), bits(plain.rates()));
+                assert_eq!(bits(&payments), bits(&p_plain));
+                assert_eq!(latency.to_bits(), l_plain.to_bits());
+            }
         }
     }
 
@@ -524,11 +515,12 @@ mod tests {
             for (bids, r) in [&one, &two] {
                 let (bids, r) = (bids.as_slice(), *r);
                 let s = inv_sum_dd(bids);
-                let alloc = m.allocate_with_sum(bids, r, s).unwrap();
+                let alloc = pr_allocate_with_sum(bids, r, s).unwrap();
                 assert!(total_latency_linear(&alloc, bids).unwrap().is_finite());
-                let walk = m.payment_breakdown_with_sum(bids, &alloc, bids, r, s);
+                let walk = m.payment_breakdown(bids, &alloc, bids, r);
                 assert_eq!(walk.map(drop), overflow);
-                let settle = m.settle_with_sum(bids, &alloc, bids, r, s);
+                let side = m.bid_side(Cow::Borrowed(bids), r, Some(s)).unwrap();
+                let settle = m.settle_bid_side(Cow::Owned(side), bids);
                 assert_eq!(settle.map(drop), overflow);
                 let paid = m.payments_with_sum(bids, &alloc, bids, r, s);
                 assert_eq!(paid.map(drop), overflow);
@@ -538,14 +530,13 @@ mod tests {
         }
     }
 
-    /// A settle against a bid side fails as the settle against `S` does:
-    /// an overflowing `L_{-i}` (the cases above) whether the side is
-    /// borrowed or consumed, then a single agent, an invalid and a short
-    /// observed column.
+    /// A settle against a bid side, folded or given its `S`, fails as the
+    /// settle against `S` does: an overflowing `L_{-i}` (the cases above)
+    /// whether the side is borrowed or consumed, then a single agent, an
+    /// invalid and a short observed column.
     #[test]
     fn bid_side_settles_fail_like_the_settle_against_the_sum() {
         use crate::traits::settle_verified;
-        use std::borrow::Cow;
         let shown =
             |r: Result<(Allocation, Vec<f64>, f64), MechanismError>| format!("{:?}", r.map(drop));
         let cases = [
@@ -567,24 +558,27 @@ mod tests {
             for (bids, r, observed) in &cases {
                 let (bids, r, observed) = (bids.as_slice(), *r, observed.as_slice());
                 let s = inv_sum_dd(bids);
-                let want = m.allocate_with_sum(bids, r, s).and_then(|alloc| {
-                    let (payments, latency) = m.settle_with_sum(bids, &alloc, observed, r, s)?;
+                let want = m.allocate(bids, r).and_then(|alloc| {
+                    let payments = m.payments_with_sum(bids, &alloc, observed, r, s)?;
+                    let latency = total_latency_linear(&alloc, observed)?;
                     Ok((alloc, payments, latency))
                 });
                 assert!(want.is_err());
-                let side = m.bid_side(bids, r).unwrap();
-                assert_eq!(
-                    shown(m.settle_bid_side(Cow::Borrowed(&side), observed)),
-                    shown(want.clone())
-                );
-                assert_eq!(
-                    shown(m.settle_bid_side(Cow::Owned(side), observed)),
-                    shown(want)
-                );
+                for given in [None, Some(s)] {
+                    let side = m.bid_side(Cow::Borrowed(bids), r, given).unwrap();
+                    assert_eq!(
+                        shown(m.settle_bid_side(Cow::Borrowed(&side), observed)),
+                        shown(want.clone())
+                    );
+                    assert_eq!(
+                        shown(m.settle_bid_side(Cow::Owned(side), observed)),
+                        shown(want.clone())
+                    );
+                }
             }
             let (bids, r) = (&cases[0].0, cases[0].1);
             let profile = Profile::new(bids.clone(), bids.clone(), bids.clone(), r).unwrap();
-            let side = m.bid_side(bids, r).unwrap();
+            let side = m.bid_side(Cow::Borrowed(bids), r, None).unwrap();
             let borrowed = settle_verified(&m, &profile, Cow::Borrowed(&side), bids);
             assert!(matches!(borrowed, Err(MechanismError::Core(_))));
         }
@@ -609,8 +603,8 @@ mod tests {
         let r = n as f64;
         for m in [mech(), CompensationBonusMechanism::contributed()] {
             let s = inv_sum_dd(&bids);
-            let alloc = m.allocate_with_sum(&bids, r, s).unwrap();
-            let (payments, latency) = m.settle_with_sum(&bids, &alloc, &exec, r, s).unwrap();
+            let side = m.bid_side(Cow::Borrowed(&bids), r, Some(s)).unwrap();
+            let (alloc, payments, latency) = m.settle_bid_side(Cow::Owned(side), &exec).unwrap();
             let want_latency = total_latency_linear(&alloc, &exec).unwrap();
             assert_eq!(latency.to_bits(), want_latency.to_bits());
             for (i, p) in payments.iter().enumerate() {

@@ -11,12 +11,12 @@
 //! evidence the deployed payment rule has drifted from the mechanism it is
 //! supposed to implement.
 //!
-//! Each probe is O(n): one harmonic sum, one allocation, one batch payment
-//! evaluation and one valuation.
+//! Each probe is O(n): one bid side of the counterfactual bids
+//! ([`VerifiedMechanism::bid_side`]), settled once, and one valuation.
 
 use crate::error::MechanismError;
 use crate::traits::VerifiedMechanism;
-use lb_core::inv_sum_dd;
+use std::borrow::Cow;
 
 /// The outcome of one counterfactual bid probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,10 +72,8 @@ fn utility_with_bid(
             expected: bids.len(),
             actual: agent,
         })? = bid;
-    let s = inv_sum_dd(&probe_bids);
-    let allocation = mechanism.allocate_with_sum(&probe_bids, total_rate, s)?;
-    let payments =
-        mechanism.payments_with_sum(&probe_bids, &allocation, exec_values, total_rate, s)?;
+    let side = mechanism.bid_side(Cow::Owned(probe_bids), total_rate, None)?;
+    let (allocation, payments, _) = mechanism.settle_bid_side(Cow::Owned(side), exec_values)?;
     Ok(payments[agent] + mechanism.valuation(allocation.rate(agent), exec_values[agent]))
 }
 

@@ -54,7 +54,10 @@ impl ValuationModel {
 
 /// A direct-revelation load balancing mechanism with verification
 /// (Def. 3.2 of the paper): an allocation function over bids plus a payment
-/// function over bids *and observed execution values*.
+/// function over bids *and observed execution values*. A mechanism defines
+/// the two ([`VerifiedMechanism::allocate`], [`VerifiedMechanism::payments`]);
+/// every settle derives its bid side, the bids-only half, and settles it
+/// ([`VerifiedMechanism::bid_side`], [`VerifiedMechanism::settle_bid_side`]).
 pub trait VerifiedMechanism {
     /// Human-readable mechanism name (for reports and tables).
     fn name(&self) -> &'static str;
@@ -114,101 +117,43 @@ pub trait VerifiedMechanism {
         total_rate: f64,
     ) -> Result<Vec<f64>, MechanismError>;
 
-    /// [`VerifiedMechanism::allocate`] against a pre-aggregated harmonic sum
-    /// `s = Σ 1/b_j` in double-double precision: the coordinator merges it
-    /// from per-shard partials, [`run_mechanism`] computes it once a round.
+    /// What a round derives from the bids alone (Theorem 2.1), once for
+    /// every settle of the round: the mechanism's allocation, the harmonic
+    /// sum `S = Σ 1/b_j` and, where the mechanism pays it, the `L_{-i}`
+    /// column. The side owns its bids or borrows its caller's, so it can
+    /// outlive the call that built it.
     ///
-    /// The default ignores `s` and recomputes from `bids`, which is still
-    /// shard-count invariant. Mechanisms built on the harmonic sum
-    /// ([`crate::cb::CompensationBonusMechanism`]) consume `s` directly, so
-    /// sharded and single-coordinator rounds run bit-identical arithmetic.
-    ///
-    /// # Errors
-    /// Returns a [`MechanismError`] for invalid bids or rate.
-    fn allocate_with_sum(
-        &self,
-        bids: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<Allocation, MechanismError> {
-        let _ = s;
-        self.allocate(bids, total_rate)
-    }
-
-    /// [`VerifiedMechanism::payments`] against the same `s`, with the same
-    /// contract as [`VerifiedMechanism::allocate_with_sum`]: the default
-    /// ignores `s`, and leave-one-out mechanisms settle against it.
-    ///
-    /// # Errors
-    /// Returns a [`MechanismError`] for arity mismatches or degenerate
-    /// systems (fewer than two agents).
-    fn payments_with_sum(
-        &self,
-        bids: &[f64],
-        allocation: &Allocation,
-        exec_values: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<Vec<f64>, MechanismError> {
-        let _ = s;
-        self.payments(bids, allocation, exec_values, total_rate)
-    }
-
-    /// One settle: the payments of [`VerifiedMechanism::payments_with_sum`]
-    /// and the [`VerifiedMechanism::realised_latency`] of the `observed`
-    /// execution values, in that order. The default
-    /// [`VerifiedMechanism::settle_bid_side`] settles through it.
-    ///
-    /// The default makes those two calls. A mechanism whose payments already
-    /// compute the realised latency
-    /// ([`crate::cb::CompensationBonusMechanism`]) returns that one value
-    /// instead of summing it again; both parts stay bit-identical to the two
-    /// calls.
-    ///
-    /// # Errors
-    /// The first error of the two calls.
-    fn settle_with_sum(
-        &self,
-        bids: &[f64],
-        allocation: &Allocation,
-        observed: &[f64],
-        total_rate: f64,
-        s: TwoF64,
-    ) -> Result<(Vec<f64>, f64), MechanismError> {
-        let payments = self.payments_with_sum(bids, allocation, observed, total_rate, s)?;
-        Ok((payments, self.realised_latency(allocation, observed)?))
-    }
-
-    /// What a round derives from the bids alone, once, for every settle
-    /// of the round ([`VerifiedMechanism::settle_bid_side`]).
-    ///
-    /// The default keeps only `S = Σ 1/b_j`; each settle then allocates and
-    /// settles against it. [`crate::cb::CompensationBonusMechanism`], whose
-    /// allocation and `L_{-i}` terms read nothing but the bids, derives
-    /// them here in one pass ([`lb_core::allocation::BidColumns`]).
+    /// `s` is the source of `S`: `None` folds it from the bids, `Some(s)` is
+    /// a sum aggregated elsewhere (the shard tier's merged partials, the
+    /// online pool's incremental sum), which CB allocates and pays against.
+    /// The default keeps [`VerifiedMechanism::allocate`]; its settle ignores
+    /// `S`.
     ///
     /// # Errors
     /// Returns a [`MechanismError`] for invalid bids or rate.
     fn bid_side<'a>(
         &self,
-        bids: &'a [f64],
+        bids: Cow<'a, [f64]>,
         total_rate: f64,
+        s: Option<TwoF64>,
     ) -> Result<BidSide<'a>, MechanismError> {
+        let allocation = self.allocate(&bids, total_rate)?;
+        let s = s.unwrap_or_else(|| inv_sum_dd(&bids));
         Ok(BidSide {
             bids,
             total_rate,
-            s: inv_sum_dd(bids),
-            columns: None,
+            s,
+            allocation,
+            excluding: None,
         })
     }
 
-    /// One settle against a bid side of this mechanism: the allocation,
-    /// the payments and the realised latency of the `observed` execution
-    /// values. A borrowed side can settle again; an owned one gives its
-    /// columns up to this settle.
-    ///
-    /// The default makes [`VerifiedMechanism::allocate_with_sum`] and
-    /// [`VerifiedMechanism::settle_with_sum`] against the side's `S`.
+    /// One settle against a bid side of this mechanism: the allocation, the
+    /// payments and the realised latency of the `observed` execution values.
+    /// A borrowed side can settle again; an owned one gives its columns up.
+    /// The default makes [`VerifiedMechanism::payments`] and
+    /// [`VerifiedMechanism::realised_latency`], in that order; CB returns
+    /// the `L` its payments computed, bit-identical to the two calls.
     ///
     /// # Errors
     /// The errors of those two calls, in their order.
@@ -217,49 +162,50 @@ pub trait VerifiedMechanism {
         side: Cow<'_, BidSide<'_>>,
         observed: &[f64],
     ) -> Result<(Allocation, Vec<f64>, f64), MechanismError> {
-        side.settle_with_sum(self, observed)
+        let BidSide {
+            bids,
+            total_rate,
+            allocation,
+            ..
+        } = side.into_owned();
+        let payments = self.payments(&bids, &allocation, observed, total_rate)?;
+        let latency = self.realised_latency(&allocation, observed)?;
+        Ok((allocation, payments, latency))
     }
 }
 
-/// The bid side of one round (Theorem 2.1): the bids, the total rate, the
-/// harmonic sum `S` and, for a mechanism that pays `L_{-i}(b_{-i})`, the PR
-/// allocation and the `L_{-i}` column. See [`VerifiedMechanism::bid_side`].
+/// The bid side of one round (Theorem 2.1): the bids, the total rate, `S`,
+/// the mechanism's allocation and, for CB's folded side, the `L_{-i}`
+/// column. See [`VerifiedMechanism::bid_side`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BidSide<'a> {
-    pub(crate) bids: &'a [f64],
+    pub(crate) bids: Cow<'a, [f64]>,
     pub(crate) total_rate: f64,
     pub(crate) s: TwoF64,
-    pub(crate) columns: Option<(Allocation, Vec<f64>)>,
+    pub(crate) allocation: Allocation,
+    pub(crate) excluding: Option<Vec<f64>>,
 }
 
 impl BidSide<'_> {
+    /// The mechanism's allocation of the bids, which the side's settle pays.
+    #[must_use]
+    pub fn allocation(&self) -> &Allocation {
+        &self.allocation
+    }
+
     /// The PR allocation of the bids, which the simulator executes
-    /// whatever the mechanism: the side's own when it has one, otherwise
-    /// [`pr_allocate_with_sum`] against `S` — [`lb_core::pr_allocate`] bit
-    /// for bit either way.
+    /// whatever the mechanism: a copy of the side's own when it carries the
+    /// `L_{-i}` column of the same pass, otherwise [`pr_allocate_with_sum`]
+    /// against `S` — [`lb_core::pr_allocate`] bit for bit either way.
     ///
     /// # Errors
     /// [`lb_core::pr_allocate`]'s errors.
     pub fn pr_allocation(&self) -> Result<Allocation, CoreError> {
-        match &self.columns {
-            Some((allocation, _)) => Ok(allocation.clone()),
-            None => {
-                validate_values("latency coefficient", self.bids)?;
-                pr_allocate_with_sum(self.bids, self.total_rate, self.s)
-            }
+        if self.excluding.is_some() {
+            return Ok(self.allocation.clone());
         }
-    }
-
-    /// The default settle: allocate, then settle, against `S`.
-    pub(crate) fn settle_with_sum<M: VerifiedMechanism + ?Sized>(
-        &self,
-        mechanism: &M,
-        observed: &[f64],
-    ) -> Result<(Allocation, Vec<f64>, f64), MechanismError> {
-        let (bids, r, s) = (self.bids, self.total_rate, self.s);
-        let allocation = mechanism.allocate_with_sum(bids, r, s)?;
-        let (payments, latency) = mechanism.settle_with_sum(bids, &allocation, observed, r, s)?;
-        Ok((allocation, payments, latency))
+        validate_values("latency coefficient", &self.bids)?;
+        pr_allocate_with_sum(&self.bids, self.total_rate, self.s)
     }
 }
 
@@ -323,7 +269,7 @@ pub fn run_verified<M: VerifiedMechanism + ?Sized>(
     profile: &Profile,
     observed: &[f64],
 ) -> Result<MechanismOutcome, MechanismError> {
-    let side = mechanism.bid_side(profile.bids(), profile.total_rate())?;
+    let side = mechanism.bid_side(profile.bids().into(), profile.total_rate(), None)?;
     settle_verified(mechanism, profile, Cow::Owned(side), observed)
 }
 
@@ -414,10 +360,11 @@ mod tests {
         }
     }
 
-    /// `run_verified` equals the composed calls bit for bit: allocate and
-    /// settle against one `S`, the realised latency of the observed values,
-    /// valuations at the actual ones. CB overrides `settle_with_sum`;
-    /// `FeeAdjusted` and the unverified mechanism take the default.
+    /// `run_verified` equals the composed calls bit for bit: `allocate` and
+    /// `payments` (for CB, its settle against `S = inv_sum_dd(bids)`), the
+    /// realised latency of the observed values, valuations at the actual
+    /// ones. CB overrides the bid side and its settle; `FeeAdjusted` and
+    /// the unverified mechanism take the defaults.
     #[test]
     fn prop_run_verified_equals_the_composed_calls() {
         use crate::fee::FeeAdjusted;
@@ -448,11 +395,8 @@ mod tests {
                 let (bids, actual) = (profile.bids(), profile.exec_values());
                 for m in mechanisms {
                     let out = run_verified(m, &profile, &observed).unwrap();
-                    let s = inv_sum_dd(bids);
-                    let allocation = m.allocate_with_sum(bids, r, s).unwrap();
-                    let payments = m
-                        .payments_with_sum(bids, &allocation, &observed, r, s)
-                        .unwrap();
+                    let allocation = m.allocate(bids, r).unwrap();
+                    let payments = m.payments(bids, &allocation, &observed, r).unwrap();
                     let latency = m.realised_latency(&allocation, &observed).unwrap();
                     let valuations: Vec<f64> = allocation
                         .rates()

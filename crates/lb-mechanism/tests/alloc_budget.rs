@@ -1,7 +1,8 @@
-//! Allocation budget of the settle kernel: `payments_with_sum` allocates
-//! only its output, and `run_mechanism` only its four output columns
-//! (rates, payments, valuations, utilities) — no leave-one-out, marginal
-//! or breakdown vector on the way.
+//! Allocation budget of the settle kernel: CB's inherent
+//! `payments_with_sum`, the body of a settle against a given `S`, allocates
+//! only its output, and `run_mechanism` (a folded bid side settled once)
+//! only its four output columns (rates, payments, valuations, utilities) —
+//! no leave-one-out, marginal or breakdown vector on the way.
 
 // Counting bytes needs a `GlobalAlloc` impl, which is `unsafe` to write;
 // this test binary is the only place the workspace lint gives way.
@@ -78,7 +79,7 @@ fn payments_allocate_only_their_output() {
     let (bids, exec, r) = (profile.bids(), profile.exec_values(), profile.total_rate());
     let m = CompensationBonusMechanism::paper();
     let s = inv_sum_dd(bids);
-    let alloc = m.allocate_with_sum(bids, r, s).unwrap();
+    let alloc = m.allocate(bids, r).unwrap();
     let (bytes, payments) = bytes_during(|| m.payments_with_sum(bids, &alloc, exec, r, s));
     assert_eq!(payments.unwrap().len(), N);
     let budget = 8 * N + SLACK;

@@ -81,7 +81,7 @@ fn a_verified_round_allocates_only_the_columns_it_returns() {
     let estimated: Vec<f64> = exec.iter().map(|e| e * 1.01).collect();
     let m = CompensationBonusMechanism::paper();
     let (bytes, (outcome, oracle)) = bytes_during(|| {
-        let side = m.bid_side(bids, r).unwrap();
+        let side = m.bid_side(bids.into(), r, None).unwrap();
         let outcome = settle_verified(&m, &profile, Cow::Borrowed(&side), &estimated);
         let oracle = settle_verified(&m, &profile, Cow::Owned(side), exec);
         (outcome.unwrap(), oracle.unwrap())

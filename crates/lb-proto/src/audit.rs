@@ -11,6 +11,7 @@
 
 use crate::network::MessageStats;
 use lb_mechanism::{MechanismError, VerifiedMechanism};
+use std::borrow::Cow;
 
 /// The public settlement record the coordinator broadcasts.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +57,9 @@ impl AuditReport {
     }
 }
 
-/// Audits a settlement record against the public mechanism: recomputes the
-/// allocation and payments from the broadcast data and compares.
+/// Audits a settlement record against the public mechanism: derives the
+/// bid side of the broadcast bids ([`VerifiedMechanism::bid_side`]),
+/// settles it once with the broadcast estimates and compares the payments.
 ///
 /// `tolerance` absorbs floating-point differences between the coordinator's
 /// and the auditor's computation (they run the same code here, but a real
@@ -82,13 +84,9 @@ pub fn audit_settlement<M: VerifiedMechanism + ?Sized>(
         }
         .into());
     }
-    let allocation = mechanism.allocate(&record.bids, record.total_rate)?;
-    let recomputed = mechanism.payments(
-        &record.bids,
-        &allocation,
-        &record.estimated_exec_values,
-        record.total_rate,
-    )?;
+    let side = mechanism.bid_side(Cow::Borrowed(&record.bids), record.total_rate, None)?;
+    let (_, recomputed, _) =
+        mechanism.settle_bid_side(Cow::Owned(side), &record.estimated_exec_values)?;
     let verified: Vec<bool> = recomputed
         .iter()
         .zip(&record.claimed_payments)

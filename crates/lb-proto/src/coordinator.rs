@@ -7,9 +7,9 @@
 //! ```
 //!
 //! One private transition crosses each phase boundary of the paper's
-//! protocol (end of Sec. 3): `end_bidding`, `allocate` against a harmonic
-//! sum `s = Σ 1/b_i`, `commit_allocation` of the rates and the
-//! verification estimates, and `settle` against `s`. Only the
+//! protocol (end of Sec. 3): `end_bidding`, `allocate` (a bid side against
+//! a harmonic sum `s = Σ 1/b_i`), `commit_allocation` of its rates and the
+//! verification estimates, and `settle` of the side. Only the
 //! message-driven triggers ([`Coordinator::handle`],
 //! [`Coordinator::close_bidding`], [`Coordinator::close_execution`],
 //! [`Coordinator::resume`]) run them, every driver's round included, and
@@ -38,7 +38,7 @@ use crate::journal::{
 use crate::message::{Message, RoundId};
 use crate::trace::{Anomaly, AnomalyStats};
 use lb_core::{inv_sum_dd, Allocation, CoreError, TwoF64};
-use lb_mechanism::{MechanismError, VerifiedMechanism};
+use lb_mechanism::{BidSide, MechanismError, VerifiedMechanism};
 use lb_sim::driver::{simulate_partition, SimulationConfig};
 use lb_telemetry::{
     noop_collector, Collector, Field, Phase, SettledRound, SpanId, Subsystem, TraceContext,
@@ -344,6 +344,7 @@ pub struct Coordinator<'m> {
     /// Respondents that still owe a completion acknowledgement.
     outstanding_acks: usize,
     allocation: Option<Allocation>,
+    side: Option<BidSide<'static>>,
     estimated_exec: Option<Vec<f64>>,
     payments: Option<Vec<f64>>,
     anomalies: AnomalyStats,
@@ -426,6 +427,7 @@ impl<'m> Coordinator<'m> {
             outstanding_bids: n,
             outstanding_acks: 0,
             allocation: None,
+            side: None,
             estimated_exec: None,
             payments: None,
             anomalies: AnomalyStats::default(),
@@ -1005,21 +1007,20 @@ impl<'m> Coordinator<'m> {
     }
 
     /// Allocates against the topology's harmonic sum, verifies through it
-    /// and commits.
+    /// and commits, bid side included.
     fn allocate_in(
         &mut self,
         actual_exec_values: &[f64],
         topology: &mut dyn Topology,
     ) -> Result<Vec<u32>, ProtocolError> {
-        let rates = self.allocate(topology.inv_sum(self, true)?)?;
+        let (rates, side) = self.allocate(topology.inv_sum(self, true)?)?;
         let estimates = topology.verify(self, &rates, actual_exec_values)?;
-        self.commit_allocation(rates, estimates)
+        self.commit_allocation(rates, estimates, Some(side))
     }
 
     /// Settles against the topology's harmonic sum.
     fn settle_in(&mut self, topology: &mut dyn Topology) -> Result<Vec<u32>, ProtocolError> {
-        let s = topology.inv_sum(self, false)?;
-        self.settle(s)
+        self.settle(topology.inv_sum(self, false)?)
     }
 
     /// Absorbs one node message *without* triggering a phase transition:
@@ -1117,13 +1118,11 @@ impl<'m> Coordinator<'m> {
         Ok(())
     }
 
-    /// Allocates over the respondents against `s`, the harmonic sum
-    /// `Σ 1/b_i` of their bids (through the mechanism's
-    /// [`VerifiedMechanism::allocate_with_sum`]), opens the allocate phase
-    /// span and returns the full-width rate vector (excluded machines at
-    /// 0). The round stays in the collection phase: verification runs
-    /// between this call and [`Coordinator::commit_allocation`].
-    fn allocate(&mut self, s: TwoF64) -> Result<Vec<f64>, ProtocolError> {
+    /// Builds the mechanism's bid side of the respondents' bids, owned,
+    /// against `s`, their harmonic sum `Σ 1/b_i`, opens the allocate phase
+    /// span and returns the side's rates at full width (excluded machines at
+    /// 0) with the side. Verification runs before the commit.
+    fn allocate(&mut self, s: TwoF64) -> Result<(Vec<f64>, BidSide<'static>), ProtocolError> {
         self.expect_phase("allocate", CoordinatorPhase::CollectingBids)?;
         let (respondents, bids) = self.respondent_bids(0..self.bids.len());
         if respondents.len() < 2 {
@@ -1136,24 +1135,26 @@ impl<'m> Coordinator<'m> {
             Some(Phase::Allocate),
             vec![Field::u64("respondents", respondents.len() as u64)],
         );
-        let allocation = self
+        let side = self
             .mechanism
-            .allocate_with_sum(&bids, self.total_rate, s)?;
-        Ok(self.scatter([(&respondents, allocation.rates())]))
+            .bid_side(bids.into(), self.total_rate, Some(s))?;
+        let rates = self.scatter([(&respondents, side.allocation().rates())]);
+        Ok((rates, side))
     }
 
     /// Commits the allocation: validates it, emits the `verify` instant
     /// (the verification simulation ran between [`Coordinator::allocate`]
     /// and this call), journals `AllocationCommitted` and commits, installs
-    /// the allocation and the estimates, advances to the execution phase
-    /// and returns the respondents, each to be sent its `Assign`. `rates`
-    /// and `estimates` are full-width (excluded machines at 0). A call
-    /// rejected for its input (a column that is not `n` wide, rates that
-    /// are not an allocation of the total) changes nothing.
+    /// the allocation, the estimates and their bid side, advances to the
+    /// execution phase and returns the respondents, each to be sent its
+    /// `Assign`. `rates` and `estimates` are full-width (excluded machines at
+    /// 0). A call rejected for its input (a column that is not `n` wide,
+    /// rates that are not an allocation of the total) changes nothing.
     fn commit_allocation(
         &mut self,
         rates: Vec<f64>,
         estimates: Vec<f64>,
+        side: Option<BidSide<'static>>,
     ) -> Result<Vec<u32>, ProtocolError> {
         self.expect_phase("commit_allocation", CoordinatorPhase::CollectingBids)?;
         let n = self.bids.len();
@@ -1186,23 +1187,25 @@ impl<'m> Coordinator<'m> {
             self.journal_commit()?;
         }
         self.allocation = Some(allocation);
+        self.side = side;
         self.estimated_exec = Some(estimates);
         self.phase = CoordinatorPhase::Executing;
         self.switch_phase_span(Some(Phase::Execute), Vec::new());
         Ok(respondents)
     }
 
-    /// Settles the round against `s`, the respondents' harmonic sum
-    /// (through the mechanism's [`VerifiedMechanism::payments_with_sum`]):
-    /// journals and commits the payment ledger and returns the
-    /// respondents, each to be sent its `Payment`. O(n): the payment rule
-    /// takes every `L_{-i}` from one batch kernel pass.
+    /// Settles the kept bid side (rebuilt against `s` when gone, with the
+    /// committed rates bit for bit) with the respondents' estimates; journals
+    /// and commits the payment ledger and returns the respondents, each to be
+    /// sent its `Payment`. A failure before the commit drops only the side.
     fn settle(&mut self, s: TwoF64) -> Result<Vec<u32>, ProtocolError> {
         self.expect_phase("settle", CoordinatorPhase::Executing)?;
         // A recovered generation whose journal already holds every ack
         // reaches settle straight from `resume`, with no span open yet.
         self.ensure_round_span();
-        let (respondents, bids) = self.respondent_bids(0..self.bids.len());
+        let respondents: Vec<usize> = (0..self.bids.len())
+            .filter(|&i| self.respondent_bid(i).is_some())
+            .collect();
         self.switch_phase_span(
             Some(Phase::Settle),
             vec![Field::u64(
@@ -1210,28 +1213,27 @@ impl<'m> Coordinator<'m> {
                 respondents.iter().filter(|&&i| self.done[i]).count() as u64,
             )],
         );
-        let allocation = self
-            .allocation
-            .as_ref()
-            .ok_or(ProtocolError::MissingState { what: "allocation" })?;
-        let estimates = self
-            .estimated_exec
-            .as_ref()
-            .ok_or(ProtocolError::MissingState {
-                what: "execution estimates",
-            })?;
-        let sub_alloc = Allocation::new(
-            respondents.iter().map(|&i| allocation.rate(i)).collect(),
-            self.total_rate,
-        )?;
+        let (Some(allocation), Some(estimates)) = (&self.allocation, &self.estimated_exec) else {
+            return Err(ProtocolError::MissingState { what: "allocation" });
+        };
+        let side = match self.side.take() {
+            Some(side) => side,
+            None => self.mechanism.bid_side(
+                self.respondent_bids(0..self.bids.len()).1.into(),
+                self.total_rate,
+                Some(s),
+            )?,
+        };
+        let committed = respondents.iter().map(|&i| allocation.rate(i).to_bits());
+        if !committed.eq(side.allocation().rates().iter().map(|x| x.to_bits())) {
+            return Err(ProtocolError::ReplayMismatch {
+                what: "committed rates differ from the bids' allocation",
+            });
+        }
         let sub_estimates: Vec<f64> = respondents.iter().map(|&i| estimates[i]).collect();
-        let sub_payments = self.mechanism.payments_with_sum(
-            &bids,
-            &sub_alloc,
-            &sub_estimates,
-            self.total_rate,
-            s,
-        )?;
+        let (_, sub_payments, _) = self
+            .mechanism
+            .settle_bid_side(std::borrow::Cow::Owned(side), &sub_estimates)?;
         let payments = self.scatter([(&respondents, &sub_payments)]);
         // Commit point: the payment ledger must be durable before the settle
         // fan-out leaves — on replay payments come from this record, never a
@@ -2273,7 +2275,7 @@ mod tests {
         sharded.end_bidding().unwrap();
         assert_eq!(sharded.phase(), CoordinatorPhase::CollectingBids);
         let s = merge_inv_sums(&[inv_sum_dd(&bids[..2]), inv_sum_dd(&bids[2..])]);
-        let rates = sharded.allocate(s).unwrap();
+        let (rates, side) = sharded.allocate(s).unwrap();
         let mut estimates = Vec::new();
         for (range, offset) in [(0..2, 0), (2..4, 2)] {
             let part = simulate_partition(
@@ -2286,7 +2288,9 @@ mod tests {
             .unwrap();
             estimates.extend(part.estimated_exec_values);
         }
-        let assigns = sharded.commit_allocation(rates, estimates).unwrap();
+        let assigns = sharded
+            .commit_allocation(rates, estimates, Some(side))
+            .unwrap();
         assert_eq!(frames(&sharded, &assigns), classic_assigns);
         for machine in 0..4u32 {
             sharded
@@ -2330,7 +2334,7 @@ mod tests {
             Err(ProtocolError::Mechanism(MechanismError::NeedTwoAgents))
         ));
         assert!(matches!(
-            c.commit_allocation(vec![1.0], vec![1.0]),
+            c.commit_allocation(vec![1.0], vec![1.0], None),
             Err(ProtocolError::Mechanism(_))
         ));
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
@@ -2353,7 +2357,7 @@ mod tests {
             .unwrap();
         }
         c.end_bidding().unwrap();
-        let rates = c.allocate(inv_sum_dd(&bids)).unwrap();
+        let (rates, side) = c.allocate(inv_sum_dd(&bids)).unwrap();
         let width = |r: Result<Vec<u32>, ProtocolError>| match r {
             Err(ProtocolError::Mechanism(MechanismError::Core(CoreError::LengthMismatch {
                 expected,
@@ -2362,15 +2366,20 @@ mod tests {
             other => panic!("expected a width error, got {other:?}"),
         };
         assert_eq!(
-            width(c.commit_allocation(rates.clone(), vec![1.0; 5])),
+            width(c.commit_allocation(rates.clone(), vec![1.0; 5], None)),
             (4, 5)
         );
         assert_eq!(
-            width(c.commit_allocation(vec![1.0; 3], vec![1.0; 4])),
+            width(c.commit_allocation(vec![1.0; 3], vec![1.0; 4], None)),
             (4, 3)
         );
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
-        assert_eq!(c.commit_allocation(rates, bids.to_vec()).unwrap().len(), 4);
+        assert_eq!(
+            c.commit_allocation(rates, bids.to_vec(), Some(side))
+                .unwrap()
+                .len(),
+            4
+        );
     }
 
     #[test]
@@ -2464,9 +2473,9 @@ mod tests {
         }
         c.end_bidding().unwrap();
         assert_counters_match_a_scan(&c, "end_bidding");
-        let rates = c.allocate(c.partial_inv_sum(0..trues.len())).unwrap();
+        let (rates, side) = c.allocate(c.partial_inv_sum(0..trues.len())).unwrap();
         let estimates = Local.verify(&c, &rates, &trues).unwrap();
-        c.commit_allocation(rates, estimates).unwrap();
+        c.commit_allocation(rates, estimates, Some(side)).unwrap();
         assert_counters_match_a_scan(&c, "commit_allocation");
         for machine in [1, 1, 5, 2, 3] {
             c.ingest(&Message::ExecutionDone { round, machine })
@@ -2505,11 +2514,11 @@ mod tests {
             .unwrap();
         }
         c.end_bidding().unwrap();
-        let rates = c.allocate(inv_sum_dd(&[1.0, 2.0])).unwrap();
+        let (rates, side) = c.allocate(inv_sum_dd(&[1.0, 2.0])).unwrap();
         let state = |c: &Coordinator<'_>| (c.phase(), journal.borrow().clone());
         let before = state(&c);
         assert!(matches!(
-            c.commit_allocation(vec![-1.0, 4.0], vec![1.0, 2.0]),
+            c.commit_allocation(vec![-1.0, 4.0], vec![1.0, 2.0], None),
             Err(ProtocolError::Mechanism(MechanismError::Core(
                 CoreError::Infeasible { .. }
             )))
@@ -2517,7 +2526,11 @@ mod tests {
         assert_eq!(state(&c), before);
         assert_eq!(c.phase(), CoordinatorPhase::CollectingBids);
         assert!(c.allocation().is_none());
-        assert_eq!(c.commit_allocation(rates, vec![1.0, 2.0]).unwrap(), [0, 1]);
+        assert_eq!(
+            c.commit_allocation(rates, vec![1.0, 2.0], Some(side))
+                .unwrap(),
+            [0, 1]
+        );
         assert_eq!(c.phase(), CoordinatorPhase::Executing);
     }
 
@@ -2554,5 +2567,83 @@ mod tests {
             ));
         }
         assert_eq!(state(&c), before);
+    }
+
+    /// Verification that measures the actual execution values exactly, so
+    /// a test round can run at rates no simulation could serve.
+    struct Exact;
+
+    impl Topology for Exact {
+        fn verify(
+            &mut self,
+            _: &Coordinator<'_>,
+            _: &[f64],
+            actual_exec_values: &[f64],
+        ) -> Result<Vec<f64>, ProtocolError> {
+            Ok(actual_exec_values.to_vec())
+        }
+    }
+
+    /// A settle whose `L_{-i}` overflows (the bids and rates of
+    /// `cb::tests::overflowing_settle_returns_the_per_machine_error`)
+    /// fails with the mechanism's error through the kept side, changes no
+    /// round state and journals nothing; a second settle fails the same way
+    /// through the rebuilt side.
+    #[test]
+    fn an_overflowing_settle_is_error_atomic_and_fails_again_through_the_rebuilt_side() {
+        use crate::journal::{read_journal, MemJournal};
+        let mech = CompensationBonusMechanism::paper();
+        let want =
+            "Mechanism(Core(NumericalOverflow { what: \"leave-one-out latency r²/(S − 1/t_i)\" }))";
+        let round = RoundId(0);
+        for (bids, r) in [
+            ([1.0, 1.0, 1.0, 1e-300], 1e160),
+            ([1.0, 1.0, 1e-300, 1e-300], 1.5e304),
+        ] {
+            let journal = Rc::new(RefCell::new(MemJournal::new()));
+            let mut c = Coordinator::try_new(&mech, 4, r, round, config())
+                .unwrap()
+                .with_journal(journal.clone());
+            for (machine, &value) in (0..).zip(&bids) {
+                let bid = Message::Bid {
+                    round,
+                    machine,
+                    value,
+                };
+                c.handle_in(&bid, &bids, &mut Exact).unwrap();
+            }
+            let rates = c.allocation().unwrap().rates().to_vec();
+            for machine in 0..3 {
+                let done = Message::ExecutionDone { round, machine };
+                assert!(c.handle_in(&done, &bids, &mut Exact).unwrap().is_empty());
+            }
+            let state = |c: &Coordinator<'_>| {
+                let bytes = journal.borrow().bytes().unwrap();
+                let records = read_journal(&bytes).unwrap().records;
+                assert!(records
+                    .iter()
+                    .all(|r| !matches!(r, JournalRecord::PaymentsCommitted { .. })));
+                let rates: Vec<u64> = c
+                    .allocation()
+                    .unwrap()
+                    .rates()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                (c.phase(), rates, c.payments().is_none(), bytes.len())
+            };
+            let last = Message::ExecutionDone { round, machine: 3 };
+            let first = c.handle_in(&last, &bids, &mut Exact).unwrap_err();
+            let after = state(&c);
+            assert_eq!(format!("{first:?}"), want);
+            let bits: Vec<u64> = rates.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                (after.0, &after.1, after.2),
+                (CoordinatorPhase::Executing, &bits, true)
+            );
+            let second = c.close_execution().unwrap_err();
+            assert_eq!(format!("{second:?}"), want);
+            assert_eq!(state(&c), after);
+        }
     }
 }

@@ -379,6 +379,56 @@ mod tests {
         assert!(spans.iter().any(|s| s.name == "phase.settle"));
     }
 
+    /// A journal whose `AllocationCommitted` rates are not the allocation
+    /// of its bids (two rates swapped: still an allocation of the total)
+    /// is a typed error at the settle, on resume and on a later settle,
+    /// whether every acknowledgement was journalled or none was.
+    #[test]
+    fn committed_rates_unlike_the_rebuilt_side_are_a_typed_error() {
+        let mech = CompensationBonusMechanism::paper();
+        let (bytes, _, _) = recorded_round(&mech);
+        let records = read_journal(&bytes).unwrap().records;
+        let settled = records
+            .iter()
+            .position(|r| matches!(r, JournalRecord::PaymentsCommitted { .. }))
+            .unwrap();
+        let committed = records
+            .iter()
+            .position(|r| matches!(r, JournalRecord::AllocationCommitted { .. }))
+            .unwrap();
+        let mismatch = |r: Result<Vec<u32>, ProtocolError>| matches!(r, Err(ProtocolError::ReplayMismatch { what }) if what.contains("rates"));
+        for (end, acked) in [(settled, true), (committed + 1, false)] {
+            let mut tampered = Vec::new();
+            for record in &records[..end] {
+                let record = match record {
+                    JournalRecord::AllocationCommitted {
+                        rates,
+                        estimated_exec,
+                    } => JournalRecord::AllocationCommitted {
+                        rates: vec![rates[1], rates[0]],
+                        estimated_exec: estimated_exec.clone(),
+                    },
+                    other => other.clone(),
+                };
+                tampered.extend(encode_record(&record).unwrap());
+            }
+            let journal: Rc<RefCell<dyn Journal>> =
+                Rc::new(RefCell::new(MemJournal::from_bytes(tampered)));
+            let (mut c, report) =
+                recover_round(&mech, journal, &ctx(2), noop_collector(), 0.0).unwrap();
+            assert_eq!(report.phase, CoordinatorPhase::Executing);
+            let resumed = c.resume(&[1.0, 2.0]);
+            if acked {
+                assert!(mismatch(resumed), "resume settles against the journal");
+            } else {
+                assert_eq!(resumed.unwrap(), [0, 1], "the assignments are re-sent");
+            }
+            assert!(mismatch(c.close_execution()));
+            assert_eq!(c.phase(), CoordinatorPhase::Executing);
+            assert!(c.payments().is_none());
+        }
+    }
+
     #[test]
     fn empty_journal_recovers_to_fresh_round() {
         let mech = CompensationBonusMechanism::paper();

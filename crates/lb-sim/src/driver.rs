@@ -360,7 +360,7 @@ pub fn verified_round<M: VerifiedMechanism + ?Sized>(
     config: &SimulationConfig,
 ) -> Result<VerifiedRound, MechanismError> {
     let (bids, exec) = (profile.bids(), profile.exec_values());
-    let side = mechanism.bid_side(bids, profile.total_rate())?;
+    let side = mechanism.bid_side(bids.into(), profile.total_rate(), None)?;
     let report = simulate_allocated(bids, exec, side.pr_allocation()?, config)?;
 
     // The estimate may come out slightly below an agent's true value due to

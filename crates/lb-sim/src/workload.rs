@@ -369,7 +369,7 @@ mod tests {
             gaps.push(t - prev);
             prev = t;
         }
-        let test = lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(rate));
+        let test = lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(rate)).unwrap();
         assert!(!test.rejects_at(0.01), "KS p-value {}", test.p_value);
     }
 
@@ -389,7 +389,8 @@ mod tests {
             gaps.push(t - prev);
             prev = t;
         }
-        let test = lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(mean_rate(&p)));
+        let test =
+            lb_stats::ks::ks_test(&gaps, lb_stats::ks::exponential_cdf(mean_rate(&p))).unwrap();
         assert!(test.rejects_at(0.001), "KS p-value {}", test.p_value);
     }
 

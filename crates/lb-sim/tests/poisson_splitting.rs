@@ -140,7 +140,7 @@ fn thinned_streams_are_poisson() {
             gaps.push(t - prev);
             prev = t;
         }
-        let test = ks_test(&gaps, exponential_cdf(report.allocation.rate(i)));
+        let test = ks_test(&gaps, exponential_cdf(report.allocation.rate(i))).unwrap();
         assert!(
             !test.rejects_at(0.01),
             "machine {i}: KS p = {}",

@@ -24,15 +24,40 @@ impl KsTest {
     }
 }
 
+/// A sample [`ks_test`] cannot test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KsError {
+    /// The sample has no observations.
+    EmptySample,
+    /// The sample holds a NaN, which has no place in the order.
+    NanInSample,
+}
+
+impl std::fmt::Display for KsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::EmptySample => "ks_test: empty sample",
+            Self::NanInSample => "ks_test: NaN in sample",
+        })
+    }
+}
+
+impl std::error::Error for KsError {}
+
 /// Runs a one-sample KS test of `sample` against the continuous CDF `cdf`.
 ///
-/// # Panics
-/// Panics if the sample is empty or contains NaN.
-#[must_use]
-pub fn ks_test<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> KsTest {
-    assert!(!sample.is_empty(), "ks_test: empty sample");
+/// # Errors
+/// [`KsError::EmptySample`] for an empty sample, [`KsError::NanInSample`]
+/// for a sample holding a NaN.
+pub fn ks_test<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> Result<KsTest, KsError> {
+    if sample.is_empty() {
+        return Err(KsError::EmptySample);
+    }
+    if sample.iter().any(|x| x.is_nan()) {
+        return Err(KsError::NanInSample);
+    }
     let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("ks_test: NaN in sample"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     let nf = n as f64;
     let mut d = 0.0f64;
@@ -42,11 +67,11 @@ pub fn ks_test<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> KsTest {
         let lower = f - i as f64 / nf;
         d = d.max(upper).max(lower);
     }
-    KsTest {
+    Ok(KsTest {
         statistic: d,
         p_value: kolmogorov_sf((nf.sqrt() + 0.12 + 0.11 / nf.sqrt()) * d),
         n,
-    }
+    })
 }
 
 /// Survival function of the Kolmogorov distribution,
@@ -102,7 +127,7 @@ mod tests {
     #[test]
     fn exponential_sample_passes_against_its_own_cdf() {
         let s = draw(&Exponential::new(2.0), 5_000, 1);
-        let test = ks_test(&s, exponential_cdf(2.0));
+        let test = ks_test(&s, exponential_cdf(2.0)).unwrap();
         assert!(
             !test.rejects_at(0.01),
             "D = {}, p = {}",
@@ -114,14 +139,14 @@ mod tests {
     #[test]
     fn uniform_sample_passes_against_its_own_cdf() {
         let s = draw(&Uniform::new(-1.0, 3.0), 5_000, 2);
-        let test = ks_test(&s, uniform_cdf(-1.0, 3.0));
+        let test = ks_test(&s, uniform_cdf(-1.0, 3.0)).unwrap();
         assert!(!test.rejects_at(0.01), "p = {}", test.p_value);
     }
 
     #[test]
     fn wrong_rate_is_rejected() {
         let s = draw(&Exponential::new(2.0), 5_000, 3);
-        let test = ks_test(&s, exponential_cdf(1.0));
+        let test = ks_test(&s, exponential_cdf(1.0)).unwrap();
         assert!(test.rejects_at(0.001), "p = {}", test.p_value);
         assert!(test.statistic > 0.1);
     }
@@ -131,7 +156,7 @@ mod tests {
         // LogNormal with mean 0.5 vs exponential(2) (mean 0.5): moments agree
         // at first order, the KS test still separates them.
         let s = draw(&LogNormal::with_mean_cv(0.5, 0.4), 5_000, 4);
-        let test = ks_test(&s, exponential_cdf(2.0));
+        let test = ks_test(&s, exponential_cdf(2.0)).unwrap();
         assert!(test.rejects_at(0.001), "p = {}", test.p_value);
     }
 
@@ -145,8 +170,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        let _ = ks_test(&[], exponential_cdf(1.0));
+    fn empty_and_nan_samples_are_typed_errors() {
+        assert_eq!(
+            ks_test(&[], exponential_cdf(1.0)),
+            Err(KsError::EmptySample)
+        );
+        assert_eq!(
+            ks_test(&[0.5, f64::NAN, 1.0], exponential_cdf(1.0)),
+            Err(KsError::NanInSample)
+        );
+        assert_eq!(KsError::NanInSample.to_string(), "ks_test: NaN in sample");
     }
 }

@@ -44,7 +44,7 @@ pub use ci::{
     MedianInterval,
 };
 pub use dist::Distribution;
-pub use ks::{ks_test, KsTest};
+pub use ks::{ks_test, KsError, KsTest};
 pub use online::OnlineStats;
 pub use parallel::par_map;
 pub use quantile::nearest_rank;
