@@ -162,10 +162,10 @@ const STAGES: [(&str, &str); 4] = [
 ];
 
 /// The per-shard panel of a sharded recording: each shard's wall seconds
-/// per stage, summed over its `shard.*` spans, one row per shard with a bar
-/// over the shard's total. A stage with no span reads `-`: the settle
-/// stage runs after the settle phase span has closed, so a recorded round
-/// has a `shard.settle` instant there, not a span.
+/// per stage, summed over its `shard.*` spans (every stage runs inside its
+/// phase span, the settle stage inside `phase.settle`, which ends at the
+/// seal), one row per shard with a bar over the shard's total. A stage
+/// with no span in the recording reads `-`.
 fn render_shards(out: &mut String, spans: &[CompletedSpan]) {
     let mut rows: BTreeMap<u64, [Option<f64>; 4]> = BTreeMap::new();
     for span in spans {
@@ -449,7 +449,7 @@ mod tests {
         assert!(s0 < s1, "shard rows out of order:\n{frame}");
         let s0 = &frame[s0..];
         let row = s0[..s0.find('\n').unwrap()].split_whitespace();
-        // Summed span seconds per stage; the settle stage has instants only.
+        // Summed span seconds per stage, settle included.
         assert_eq!(
             row.collect::<Vec<_>>(),
             [
@@ -457,8 +457,8 @@ mod tests {
                 "0.008100",
                 "0.002400",
                 "0.046400",
-                "-",
-                "0.056900",
+                "0.001500",
+                "0.058400",
                 "###############."
             ],
             "{frame}"
@@ -507,14 +507,13 @@ mod tests {
         for (shard, row) in rows.iter().enumerate() {
             let cells: Vec<&str> = row.split_whitespace().collect();
             assert_eq!(cells[0], format!("s{shard}"), "{sharded}");
-            // collect, verify and execute ran as spans; settle did not.
-            for cell in &cells[1..4] {
+            // Every stage ran as a span, settle included.
+            for cell in &cells[1..5] {
                 assert!(cell.parse::<f64>().is_ok_and(|s| s >= 0.0), "{row}");
             }
-            assert_eq!(cells[4], "-", "{row}");
         }
 
-        let single = frame(Transport::Reliable);
+        let single = frame(RoundSpec::new(&mechanism, &specs, ProtocolConfig::default()).transport);
         assert!(!single.contains("SHARDS"), "{single}");
     }
 

@@ -84,10 +84,9 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// A fault-free configuration: all probabilities zero, retry policy
-    /// set but never armed, since a runtime built from a configuration
-    /// that injects no fault is lossless. With this configuration a chaos
-    /// round reproduces the reliable transport bit for bit.
+    /// A fault-free configuration, the reliable transport: all probabilities
+    /// zero, retry policy set but never armed, since a runtime built from a
+    /// configuration that injects no fault is lossless.
     #[must_use]
     pub fn reliable(seed: u64) -> Self {
         Self {
@@ -296,8 +295,8 @@ impl Drive {
 /// timers. `opening` names the first recipients of the current phase's
 /// frame: the missing bids of a fresh round, or what a recovered
 /// coordinator derived from its replayed state ([`Coordinator::resume`]).
-/// With `seal` the round is sealed in the journal once settled and
-/// drained.
+/// The round opens at the link's clock, and is sealed at it once settled
+/// and drained: the seal ends the settle phase.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_round<L: Link>(
     link: &mut L,
@@ -308,7 +307,6 @@ pub(crate) fn drive_round<L: Link>(
     nodes: &mut [NodeAgent],
     actual_exec: &[f64],
     opening: Vec<u32>,
-    seal: bool,
 ) -> Result<Drive, ProtocolError> {
     let round = coordinator.round();
     let stats0 = link.stats();
@@ -323,8 +321,9 @@ pub(crate) fn drive_round<L: Link>(
     let mut exec_timer_armed = false;
     let mut now: SimTime = link.now().max(timers.now());
 
-    // Open the round's telemetry spans first so the opening frames already
-    // carry the current phase span in their trace context.
+    // Open the round first so the opening frames already carry the current
+    // phase span in their trace context.
+    coordinator.set_now(now.seconds());
     coordinator.ensure_round_span();
     send_from_coordinator(link, coordinator, opening, now, &mut out.trace)?;
     if let Some(chaos) = retry {
@@ -447,15 +446,10 @@ pub(crate) fn drive_round<L: Link>(
         arm_exec_timer(timers, retry, coordinator, now, &mut exec_timer_armed);
     }
 
-    if seal {
-        coordinator.set_now(now.seconds());
-        coordinator.seal()?;
-    }
-    // A round recovered *after* its settle re-opened telemetry spans for
-    // this generation (so its re-emitted settlement gauges parent cleanly)
-    // but has no settle() call left to close them; close here. No-op when
-    // settle already ended the round's telemetry.
-    coordinator.end_telemetry();
+    // The payment fan-out has been handed over: the seal ends the settle
+    // phase and closes the round's spans.
+    coordinator.set_now(now.max(link.now()).seconds());
+    coordinator.seal()?;
 
     out.stats = MessageStats {
         messages: link.stats().messages - stats0.messages,
@@ -657,44 +651,26 @@ impl ChaosRuntime {
     /// Returns [`ProtocolError::MissingState`] for `n == 0`,
     /// [`ProtocolError::TooManyNodes`] beyond the `u32` wire width, and
     /// [`ProtocolError::InvalidConfig`] for an invalid chaos configuration
-    /// or link latency, or a `retry_timeout` or `exec_timeout` that does not
-    /// exceed one round trip (`2 · link_latency`): such a timer fires before
-    /// any reply can arrive and excludes every machine.
+    /// or link latency, or, on a lossy link, a `retry_timeout` or
+    /// `exec_timeout` that does not exceed one round trip
+    /// (`2 · link_latency`): such a timer fires before any reply can arrive
+    /// and excludes every machine.
     pub fn new(
         n: usize,
         protocol: ProtocolConfig,
         chaos: ChaosConfig,
     ) -> Result<Self, ProtocolError> {
         chaos.validate()?;
+        // Every node answers every request, so a link that cannot lose,
+        // delay or duplicate a frame needs neither the injector nor timers,
+        // and has no timer to bound.
+        let lossy = chaos.injects_faults();
         let round_trip = 2.0 * protocol.link_latency;
-        if chaos.retry_timeout <= round_trip || chaos.exec_timeout <= round_trip {
+        if lossy && (chaos.retry_timeout <= round_trip || chaos.exec_timeout <= round_trip) {
             return Err(ProtocolError::InvalidConfig {
                 what: "retry_timeout and exec_timeout must exceed 2 * link_latency",
             });
         }
-        // Every node answers every request, so a link that cannot lose,
-        // delay or duplicate a frame needs neither the injector nor timers.
-        let lossy = chaos.injects_faults();
-        Self::build(n, protocol, chaos, lossy)
-    }
-
-    /// A runtime over the reliable network: no injector, no retry timers,
-    /// and round traces rooted at the simulation seed.
-    pub(crate) fn reliable(n: usize, protocol: ProtocolConfig) -> Result<Self, ProtocolError> {
-        Self::build(
-            n,
-            protocol,
-            ChaosConfig::reliable(protocol.simulation.seed),
-            false,
-        )
-    }
-
-    fn build(
-        n: usize,
-        protocol: ProtocolConfig,
-        chaos: ChaosConfig,
-        lossy: bool,
-    ) -> Result<Self, ProtocolError> {
         check_width(n)?;
         let latency = protocol.link_latency;
         if !(latency.is_finite() && latency >= 0.0) {
@@ -877,7 +853,6 @@ impl ChaosRuntime {
                     &mut nodes,
                     &actual_exec,
                     opening,
-                    journal.is_some(),
                 )
             })(&mut coordinator);
             match attempt {
@@ -1264,7 +1239,6 @@ mod tests {
             &mut nodes,
             &actual,
             opening,
-            false,
         )
         .unwrap();
         assert_eq!(drive.anomalies.misrouted, 1);
@@ -1317,6 +1291,22 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.name == "phase.settle" && s.depth == 1));
+
+        // The settle phase ends at the seal, once the payment fan-out has
+        // drained: every payment delivery falls inside it.
+        let settle = spans.iter().find(|s| s.name == "phase.settle").unwrap();
+        let paid: Vec<f64> = events
+            .iter()
+            .filter(|e| e.name == "node.payment")
+            .map(|e| e.at)
+            .collect();
+        assert!(!paid.is_empty());
+        assert!(
+            paid.iter().all(|&at| settle.start < at && at <= settle.end),
+            "payments at {paid:?} outside phase.settle {}..{}",
+            settle.start,
+            settle.end
+        );
 
         // Retransmissions and anomalies are visible one-for-one.
         let retransmits = events

@@ -318,12 +318,12 @@ impl JournalReplay {
 /// Parses the record starting at `at`, returning `(payload_range, next)` if
 /// the header, payload, and checksum are all intact.
 fn next_record(bytes: &[u8], at: usize) -> Option<(std::ops::Range<usize>, usize)> {
-    let header = bytes.get(at..at + 8)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *bytes.get(at..)?.first_chunk::<8>()?;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_RECORD_LEN {
         return None;
     }
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     let start = at + 8;
     let end = start.checked_add(len as usize)?;
     let payload = bytes.get(start..end)?;

@@ -12,10 +12,10 @@
 //! Four entry points cover every way to run the protocol:
 //!
 //! * [`run_round`] runs one round described by a [`RoundSpec`]: the
-//!   [`Transport`] its frames travel over (the reliable simulated network,
-//!   the simulated network under seeded [`ChaosConfig`] fault injection, or
-//!   the two-level [`shard`] topology of `k` shard coordinators on worker
-//!   threads), and the [`Observers`] watching it.
+//!   [`Transport`] its frames travel over (the simulated network, reliable
+//!   with [`ChaosConfig::reliable`] or under seeded [`ChaosConfig`] fault
+//!   injection, or the two-level [`shard`] topology of `k` shard
+//!   coordinators on worker threads), and the [`Observers`] watching it.
 //! * [`drive_sharded_round`] drives a sharded round on a root coordinator,
 //!   fresh or recovered mid-round from its journal, and returns its
 //!   [`RoundReport`] with the root's phase timings.
@@ -86,6 +86,9 @@
 //! [`lb_telemetry::Sampler`]. A round's phase spans, frame fates,
 //! retransmissions and session health decisions are recorded on the
 //! simulated clock (wall-clock seconds on the shard tier). The
+//! coordinator is the round's one phase clock: its phase spans and
+//! [`ShardPhaseTimings`] read the same recorded phase boundaries, and the
+//! settle phase ends at the seal, after the payment fan-out. The
 //! default is the noop collector, which keeps unobserved rounds free.
 //!
 //! Observed rounds also carry a **wire-propagated trace context**: a

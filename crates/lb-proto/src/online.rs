@@ -22,7 +22,7 @@
 //! profiler work unchanged: attach them through [`OnlineSession::with_journal`] /
 //! [`OnlineSession::with_collector`].
 
-use crate::coordinator::{Coordinator, Local, ProtocolError, Topology};
+use crate::coordinator::{Coordinator, ProtocolError, Topology};
 use crate::journal::Journal;
 use crate::message::{Message, RoundId};
 use crate::node::NodeSpec;
@@ -153,30 +153,18 @@ fn online_err(e: OnlineError) -> ProtocolError {
     }
 }
 
-/// A tick's topology, `Tick(s, epoch)`: the pool's incremental sum `s`
-/// and the single coordinator's verification, each step moving the
-/// telemetry clock as a link's does (the allocate span covers the kernel).
+/// A tick's topology, `Tick(s, epoch)`: the pool's incremental sum `s`,
+/// the single coordinator's verification, and the session epoch's wall
+/// seconds as the phase clock (the allocate span covers the kernel).
 struct Tick(TwoF64, Instant);
 
 impl Topology for Tick {
-    fn inv_sum(
-        &mut self,
-        coordinator: &Coordinator<'_>,
-        _allocating: bool,
-    ) -> Result<TwoF64, ProtocolError> {
-        coordinator.set_now(self.1.elapsed().as_secs_f64());
-        Ok(self.0)
+    fn clock(&self, _: &Coordinator<'_>) -> f64 {
+        self.1.elapsed().as_secs_f64()
     }
 
-    fn verify(
-        &mut self,
-        coordinator: &Coordinator<'_>,
-        rates: &[f64],
-        actual_exec_values: &[f64],
-    ) -> Result<Vec<f64>, ProtocolError> {
-        let estimates = Local.verify(coordinator, rates, actual_exec_values)?;
-        coordinator.set_now(self.1.elapsed().as_secs_f64());
-        Ok(estimates)
+    fn inv_sum(&mut self, _: &Coordinator<'_>) -> Result<TwoF64, ProtocolError> {
+        Ok(self.0)
     }
 }
 
@@ -388,7 +376,8 @@ impl<'m> OnlineSession<'m> {
         for k in paid.into_iter().map(|machine| machine as usize) {
             self.ledger[slots[k]] += payments[k];
         }
-        root.seal()?;
+        root.set_now(self.epoch.elapsed().as_secs_f64());
+        root.seal().inspect_err(|_| root.end_telemetry())?;
 
         self.next_round += 1;
         self.ticks_settled += 1;

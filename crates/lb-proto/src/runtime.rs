@@ -140,11 +140,11 @@ impl RoundReport {
 /// What carries a round's frames between the coordinator and its machines.
 #[derive(Debug, Clone)]
 pub enum Transport {
-    /// The in-memory simulated network, lossless: no fault injector, no
-    /// retry timers. Round traces are rooted at the simulation seed.
-    Reliable,
-    /// The simulated network under seeded fault injection, with the
-    /// retransmission protocol. Round traces are rooted at the chaos seed.
+    /// The in-memory simulated network: under seeded fault injection, with
+    /// the retransmission protocol, when the configuration injects faults;
+    /// lossless, with no injector and no retry timers, when it does not
+    /// ([`ChaosConfig::reliable`]). Round traces are rooted at the chaos
+    /// seed.
     Chaos(ChaosConfig),
     /// The two-level topology of [`crate::shard`]: a root coordinator over
     /// `shards` shard coordinators (clamped to `1..=n`, so `shards: 1` is
@@ -213,8 +213,8 @@ pub struct RoundSpec<'a> {
 }
 
 impl<'a> RoundSpec<'a> {
-    /// A single-coordinator round over the reliable transport with no
-    /// observers.
+    /// A single-coordinator round over the reliable transport, whose traces
+    /// are rooted at the simulation seed, with no observers.
     #[must_use]
     pub fn new(
         mechanism: &'a dyn VerifiedMechanism,
@@ -225,7 +225,7 @@ impl<'a> RoundSpec<'a> {
             mechanism,
             specs,
             config,
-            transport: Transport::Reliable,
+            transport: Transport::Chaos(ChaosConfig::reliable(config.simulation.seed)),
             observers: Observers::default(),
         }
     }
@@ -234,8 +234,8 @@ impl<'a> RoundSpec<'a> {
 /// Runs one round (round id 0) as `spec` describes.
 ///
 /// Every transport settles identically on the same inputs: the reliable
-/// network and a fault-free chaos configuration agree bit for bit, and so
-/// does the sharded topology on its worker threads for every `k`.
+/// network agrees bit for bit with the sharded topology on its worker
+/// threads for every `k`.
 ///
 /// # Errors
 /// Returns [`ProtocolError::MissingState`] for an empty `specs`,
@@ -249,11 +249,10 @@ pub fn run_round(spec: &RoundSpec<'_>) -> Result<RoundReport, ProtocolError> {
     check_width(n)?;
     let seed = match &spec.transport {
         Transport::Chaos(chaos) => chaos.seed,
-        Transport::Reliable | Transport::Sharded { .. } => spec.config.simulation.seed,
+        Transport::Sharded { .. } => spec.config.simulation.seed,
     };
     let collector = spec.observers.round_collector(seed, 0);
     let mut runtime = match &spec.transport {
-        Transport::Reliable => ChaosRuntime::reliable(n, spec.config)?,
         Transport::Chaos(chaos) => ChaosRuntime::new(n, spec.config, chaos.clone())?,
         Transport::Sharded { shards } => {
             // The root's trace is rooted at the simulation seed (inert
@@ -458,7 +457,6 @@ mod tests {
     fn empty_specs_are_a_typed_error() {
         let mech = CompensationBonusMechanism::paper();
         for transport in [
-            Transport::Reliable,
             Transport::Chaos(ChaosConfig::reliable(1)),
             Transport::Sharded { shards: 3 },
         ] {
@@ -509,11 +507,15 @@ mod tests {
         let specs = paper_specs();
         let mut slow = config();
         slow.link_latency = 0.025; // one round trip = the 0.05 s retry timeout
-        let short_exec = ChaosConfig {
-            exec_timeout: 2.0 * config().link_latency,
+        let lossy = ChaosConfig {
+            drop_prob: 0.1,
             ..ChaosConfig::reliable(0)
         };
-        for (protocol, chaos) in [(slow, ChaosConfig::reliable(0)), (config(), short_exec)] {
+        let short_exec = ChaosConfig {
+            exec_timeout: 2.0 * config().link_latency,
+            ..lossy.clone()
+        };
+        for (protocol, chaos) in [(slow, lossy), (config(), short_exec)] {
             assert!(matches!(
                 ChaosRuntime::new(specs.len(), protocol, chaos.clone()),
                 Err(ProtocolError::InvalidConfig { .. })
@@ -527,7 +529,7 @@ mod tests {
                 Err(ProtocolError::InvalidConfig { .. })
             ));
         }
-        // The reliable transport arms no timers, so it has no such bound.
+        // A lossless link arms no timers, so it has no such bound.
         assert!(run_round(&RoundSpec::new(&mech, &specs, slow)).is_ok());
     }
 

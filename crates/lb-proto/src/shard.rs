@@ -15,7 +15,9 @@
 //! * **Aggregate** — at allocation each shard's partial double-double sum
 //!   `Σ 1/b_i` travels upward as a [`Message::ShardSum`] carrying both
 //!   limbs, and the root merges the partials with
-//!   [`lb_core::merge_inv_sums`]. Settlement reuses the merged sum.
+//!   [`lb_core::merge_inv_sums`]. Settlement reuses the bid side built on
+//!   the merged sum; only a settle that lost it (a recovered generation, a
+//!   retry after an error) runs the same exchange again to rebuild it.
 //! * **Verify** — each shard simulates its respondents
 //!   ([`lb_sim::driver::simulate_partition`], with RNG streams keyed by
 //!   global respondent ordinal, so the observation is bit-identical to the
@@ -84,10 +86,13 @@ fn shard_wire_id(shard: usize) -> Result<u32, ProtocolError> {
     u32::try_from(shard).map_err(|_| ProtocolError::TooManyShards { shard })
 }
 
-/// Wall-clock seconds spent in each phase of a sharded round, measured at
-/// the root (collect includes the upward bid forwarding; allocate includes
-/// the partial-sum merge and the distributed verification simulation). A
-/// phase a recovered round resumed past reads 0.
+/// Wall-clock seconds a sharded round spent in each phase, from the phase
+/// boundaries the root coordinator records at the link's clock — the same
+/// times its `phase.*` spans start and end at (collect includes the upward
+/// bid forwarding; allocate includes the partial-sum merge and the
+/// distributed verification simulation). The four add up to the time from
+/// the round's opening to its seal. A phase a recovered round resumed past
+/// reads 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardPhaseTimings {
     /// Bid request fan-out, shard-local collection, upward ingest, timeout.
@@ -96,7 +101,7 @@ pub struct ShardPhaseTimings {
     pub allocate: f64,
     /// Assign fan-out and completion acknowledgements.
     pub execute: f64,
-    /// Payment computation, downward delivery, seal.
+    /// Payment computation and downward delivery, up to the seal.
     pub settle: f64,
 }
 
@@ -108,7 +113,7 @@ pub fn expected_sharded_message_count(n: usize, shards: usize) -> u64 {
     5 * n as u64 + 2 * shard_ranges(n, shards).len() as u64
 }
 
-/// The span or instant name of each stage, indexed like the fields of
+/// The span name of each stage, indexed like the fields of
 /// [`ShardPhaseTimings`].
 const STAGES: [&str; 4] = [
     "shard.collect",
@@ -189,8 +194,8 @@ impl Relay<'_> {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Opens shard `shard`'s `name` span under the root's phase span. With
-    /// no phase span open (the round has settled) it records an instant.
+    /// Opens shard `shard`'s `name` span under the root's phase span, which
+    /// every stage runs inside: the settle phase stays open until the seal.
     fn span(&self, name: &'static str, shard: usize, machines: usize) -> SpanId {
         if !self.collector.enabled() {
             return SpanId::NULL;
@@ -200,10 +205,6 @@ impl Relay<'_> {
             Field::u64("shard", shard as u64),
             Field::u64("machines", machines as u64),
         ];
-        if self.parent.is_null() {
-            c.instant(at, name, Subsystem::Shard, fields);
-            return SpanId::NULL;
-        }
         c.span_start_in(at, name, Subsystem::Shard, self.parent, fields)
     }
 
@@ -345,10 +346,6 @@ struct ShardLink<'a> {
     reader: FrameReader,
     at: SimTime,
     stats: MessageStats,
-    /// The harmonic sum merged at allocation, which settlement reuses.
-    merged: Option<TwoF64>,
-    /// When the root first entered each phase (indexed like [`STAGES`]).
-    starts: [Option<Instant>; 4],
 }
 
 impl<'a> ShardLink<'a> {
@@ -390,8 +387,6 @@ impl<'a> ShardLink<'a> {
             reader: FrameReader::new(),
             at: SimTime::ZERO,
             stats: MessageStats::default(),
-            merged: None,
-            starts: [None; 4],
         }
     }
 
@@ -418,49 +413,22 @@ impl<'a> ShardLink<'a> {
             .into_iter();
         Ok(())
     }
-
-    /// Closes the round's clock: the root's wall seconds per phase.
-    fn finish(&self) -> ShardPhaseTimings {
-        let (mut seconds, mut stop) = ([0.0; 4], Instant::now());
-        for (phase, start) in self.starts.iter().enumerate().rev() {
-            if let Some(start) = *start {
-                seconds[phase] = stop.duration_since(start).as_secs_f64();
-                stop = start;
-            }
-        }
-        let [collect, allocate, execute, settle] = seconds;
-        ShardPhaseTimings {
-            collect,
-            allocate,
-            execute,
-            settle,
-        }
-    }
 }
 
 impl Topology for ShardLink<'_> {
-    fn inv_sum(
-        &mut self,
-        coordinator: &Coordinator<'_>,
-        allocating: bool,
-    ) -> Result<TwoF64, ProtocolError> {
-        self.starts[if allocating { 1 } else { 3 }].get_or_insert_with(Instant::now);
-        // The root's telemetry clock follows the wall clock across the
-        // aggregate steps, so its phase spans enclose the shards' spans.
-        coordinator.set_now(self.now().seconds());
-        if let (false, Some(s)) = (allocating, self.merged) {
-            return Ok(s);
-        }
+    /// The relay epoch's wall seconds, so the root's phase spans enclose the
+    /// shards' spans.
+    fn clock(&self, _: &Coordinator<'_>) -> f64 {
+        self.relay.now()
+    }
+
+    fn inv_sum(&mut self, coordinator: &Coordinator<'_>) -> Result<TwoF64, ProtocolError> {
         self.relay.wire = coordinator.wire_context();
         let mut partials = Vec::with_capacity(self.ranges.len());
         for (s, range) in self.ranges.iter().enumerate() {
             let partial = coordinator.partial_inv_sum(range.clone());
-            if !allocating {
-                partials.push(partial);
-                continue;
-            }
-            // At allocation the partials travel as ShardSum frames: both
-            // double-double limbs on the wire, so the merge is exact.
+            // The partials travel as ShardSum frames: both double-double
+            // limbs on the wire, so the merge is exact.
             let msg = Message::ShardSum {
                 round: coordinator.round(),
                 shard: shard_wire_id(s)?,
@@ -480,9 +448,7 @@ impl Topology for ShardLink<'_> {
                 lo: sum_lo,
             });
         }
-        let s = merge_inv_sums(&partials);
-        self.merged = Some(s);
-        Ok(s)
+        Ok(merge_inv_sums(&partials))
     }
 
     /// Each shard simulates its own respondents at their global respondent
@@ -505,7 +471,6 @@ impl Topology for ShardLink<'_> {
             |s, input| verify_shard(s, input, &sim, round, relay),
             &mut self.stats,
         )?;
-        coordinator.set_now(self.now().seconds());
         // Scatter each shard's estimates into the full-width vector the
         // commit journals (excluded machines: no verification evidence, 0).
         let mut shard_estimates = Vec::with_capacity(inputs.len());
@@ -603,7 +568,6 @@ impl Link for ShardLink<'_> {
         self.phase = phase;
         self.queued += 1;
         self.relay.wire = ctx.copied();
-        self.starts[phase].get_or_insert_with(Instant::now);
         Ok(())
     }
 
@@ -618,7 +582,8 @@ impl Link for ShardLink<'_> {
 /// ([`Coordinator::resume`]) and continues the journal exactly where an
 /// uninterrupted run would have, so both produce byte-identical journals.
 /// The round is sealed once settled. Returns the report (utilities from the
-/// coordinator's ledger; no trace) and the root's phase timings.
+/// coordinator's ledger; no trace) and the root's phase timings, recorded
+/// whether or not a collector is attached.
 ///
 /// `faults` drops frames exactly as a single-coordinator round under
 /// [`crate::chaos::ChaosConfig`] with `bid_retries: 0`: lost bids exclude
@@ -626,10 +591,9 @@ impl Link for ShardLink<'_> {
 /// partitioned machines see nothing. Lost frames are counted as sent.
 ///
 /// With an enabled collector on `root`, every stage records one
-/// `shard.collect` / `shard.verify` / `shard.execute` span per shard under
-/// the root's phase span (the settle stage, which runs once the settle span
-/// has closed, records a `shard.settle` instant): the per-shard, per-stage
-/// wall times the profiler and the dashboard read.
+/// `shard.collect` / `shard.verify` / `shard.execute` / `shard.settle` span
+/// per shard under the root's phase span: the per-shard, per-stage wall
+/// times the profiler and the dashboard read.
 ///
 /// # Errors
 /// Propagates mechanism errors (notably
@@ -662,20 +626,30 @@ pub fn drive_sharded_round(
     root.set_now(link.now().seconds());
     // A fresh root opens by requesting every bid, a recovered one with
     // whatever its replayed phase still owes.
-    let opening = root.resume_in(&actual, &mut link)?;
     let timers = &mut EventQueue::new();
-    let drive = drive_round(
-        &mut link,
-        timers,
-        None,
-        &*collector,
-        root,
-        &mut [],
-        &actual,
-        opening,
-        true,
-    )?;
-    Ok((drive.report(root, specs, &[])?, link.finish()))
+    let drive = root.resume_in(&actual, &mut link).and_then(|opening| {
+        let nodes = &mut [];
+        drive_round(
+            &mut link,
+            timers,
+            None,
+            &*collector,
+            root,
+            nodes,
+            &actual,
+            opening,
+        )
+    });
+    // An abandoned round closes its spans, as the chaos runtime's does.
+    let drive = drive.inspect_err(|_| root.end_telemetry())?;
+    let [collect, allocate, execute, settle] = root.phase_seconds();
+    let timings = ShardPhaseTimings {
+        collect,
+        allocate,
+        execute,
+        settle,
+    };
+    Ok((drive.report(root, specs, &[])?, timings))
 }
 
 #[cfg(test)]
@@ -850,10 +824,12 @@ mod tests {
         let collect = phase_id("phase.collect_bids");
         let allocate = phase_id("phase.allocate");
         let execute = phase_id("phase.execute");
+        let settle = phase_id("phase.settle");
         for (name, parent) in [
             ("shard.collect", collect),
             ("shard.verify", allocate),
             ("shard.execute", execute),
+            ("shard.settle", settle),
         ] {
             let shard_spans: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
             assert_eq!(shard_spans.len(), k, "{name}: one span per shard");
@@ -865,15 +841,89 @@ mod tests {
         // Verification runs on the simulation clock, so it records no
         // per-machine spans under the wall-clock shard spans.
         assert!(!spans.iter().any(|s| s.name == "sim.machine"));
-        assert_eq!(
-            events.iter().filter(|e| e.name == "shard.settle").count(),
-            k
-        );
         // The net counters agree with the report's frame accounting.
         let mut reg = lb_telemetry::MetricsRegistry::new();
         reg.ingest(&events);
         assert_eq!(reg.counter("net.messages"), report.outcome.stats.messages);
         assert_eq!(reg.counter("net.bytes"), report.outcome.stats.bytes);
+    }
+
+    /// The root's phase timings are its phase spans: each equals the
+    /// duration of its `phase.*` span, and together they run from the
+    /// round's opening to its seal. An unobserved round times every phase
+    /// too.
+    #[test]
+    fn phase_timings_are_the_durations_of_the_phase_spans() {
+        use lb_telemetry::{replay_spans, Phase, RingCollector};
+        let mech = CompensationBonusMechanism::paper();
+        let (specs, cfg) = (truthful_specs(), config());
+        let root = |collector: Arc<dyn Collector>| {
+            let (n, r) = (specs.len(), cfg.total_rate);
+            Coordinator::try_new(&mech, n, r, RoundId(0), cfg.simulation)
+                .unwrap()
+                .with_collector(collector)
+        };
+        let ring = Arc::new(RingCollector::new(16_384));
+        let mut observed = root(ring.clone());
+        let (_, t) =
+            drive_sharded_round(&mut observed, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+        let seconds = [t.collect, t.allocate, t.execute, t.settle];
+        let spans = replay_spans(&ring.snapshot()).expect("recording replays cleanly");
+        let span = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        for (phase, seconds) in Phase::ALL.into_iter().zip(seconds) {
+            let duration = span(phase.span_name()).duration();
+            assert_eq!(duration.to_bits(), seconds.to_bits(), "{}", phase.name());
+        }
+        let round = span("round").duration();
+        let sum: f64 = seconds.iter().sum();
+        assert!((sum - round).abs() <= 1e-12, "{sum} vs {round}");
+
+        let mut unobserved = root(noop_collector());
+        let (_, t) =
+            drive_sharded_round(&mut unobserved, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+        let seconds = [t.collect, t.allocate, t.execute, t.settle];
+        assert!(seconds.iter().all(|&s| s > 0.0), "{t:?}");
+    }
+
+    /// A round recovered mid-execute opens, and is timed, as execute: it
+    /// records `phase.execute`, never `phase.collect_bids`, and reads 0 for
+    /// the phases it resumed past.
+    #[test]
+    fn a_round_recovered_mid_execute_opens_the_execute_phase() {
+        use lb_telemetry::{replay_spans, RingCollector};
+        let mech = CompensationBonusMechanism::paper();
+        let (specs, cfg) = (truthful_specs(), config());
+        let ctx = RoundContext {
+            n: specs.len(),
+            total_rate: cfg.total_rate,
+            round: RoundId(0),
+            sim: cfg.simulation,
+        };
+        let journal = Rc::new(RefCell::new(MemJournal::new()));
+        let mut root = Coordinator::try_new(&mech, ctx.n, ctx.total_rate, ctx.round, ctx.sim)
+            .unwrap()
+            .with_journal(journal.clone());
+        drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+        let bytes = journal.borrow().bytes().unwrap();
+        let records = crate::journal::read_journal(&bytes).unwrap().records;
+        let committed = records
+            .iter()
+            .position(|r| matches!(r, JournalRecord::AllocationCommitted { .. }))
+            .unwrap();
+        let cut = JournalReplay::boundaries(&bytes)[committed + 1];
+        let torn: Rc<RefCell<dyn Journal>> =
+            Rc::new(RefCell::new(MemJournal::from_bytes(bytes[..cut].to_vec())));
+
+        let ring = Arc::new(RingCollector::new(16_384));
+        let (mut root, _) = recover_round(&mech, torn, &ctx, ring.clone(), 0.0).unwrap();
+        assert_eq!(root.phase(), crate::CoordinatorPhase::Executing);
+        let (_, t) = drive_sharded_round(&mut root, &specs, &cfg, 4, &FaultPlan::none()).unwrap();
+        let spans = replay_spans(&ring.snapshot()).expect("recording replays cleanly");
+        let named = |name: &str| spans.iter().any(|s| s.name == name);
+        assert!(named("phase.execute") && named("phase.settle"));
+        assert!(!named("phase.collect_bids") && !named("phase.allocate"));
+        assert_eq!((t.collect, t.allocate), (0.0, 0.0));
+        assert!(t.execute > 0.0 && t.settle > 0.0, "{t:?}");
     }
 
     #[test]

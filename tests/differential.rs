@@ -181,7 +181,7 @@ fn prop_zero_fault_chaos_equals_reliable_runtimes() {
                 })
                 .unwrap()
             };
-            let reliable = round(Transport::Reliable).outcome;
+            let reliable = round(RoundSpec::new(&mech, &specs, config).transport).outcome;
             let sharded = round(Transport::Sharded { shards: 3 }).outcome;
             let chaos = round(Transport::Chaos(ChaosConfig::reliable(chaos_seed)));
 
@@ -473,7 +473,7 @@ fn prop_observers_are_inert_on_every_transport() {
             };
 
             for transport in [
-                Transport::Reliable,
+                RoundSpec::new(&mech, &specs, config).transport,
                 Transport::Chaos(ChaosConfig::heavy(seed)),
                 Transport::Sharded { shards: 3 },
             ] {

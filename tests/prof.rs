@@ -22,7 +22,12 @@ use std::sync::Arc;
 const BASELINE_LOG: &str = include_str!("../BENCH_round_scaling.json");
 
 /// The spans each shard worker records per stage, in protocol order.
-const STAGES: [&str; 3] = ["shard.collect", "shard.verify", "shard.execute"];
+const STAGES: [&str; 4] = [
+    "shard.collect",
+    "shard.verify",
+    "shard.execute",
+    "shard.settle",
+];
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -238,6 +243,14 @@ fn critical_path_profile_covers_an_observed_sharded_round() {
         },
     );
     assert_eq!(ring.overwritten(), 0, "ring too small for the round");
+
+    // The settle stage relays the payments inside the settle phase, which
+    // ends at the seal.
+    let spans = replay_spans(&ring.snapshot()).expect("recording replays cleanly");
+    let settle = spans.iter().find(|s| s.name == "phase.settle").unwrap();
+    let relays: Vec<_> = spans.iter().filter(|s| s.name == "shard.settle").collect();
+    assert_eq!(relays.len(), shards);
+    assert!(relays.iter().all(|s| s.parent == Some(settle.id)));
 
     let profile = profile_events(&ring.snapshot()).unwrap();
     assert!(profile.round_wall > 0.0);

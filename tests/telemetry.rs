@@ -222,7 +222,10 @@ fn every_driver_keeps_verification_off_the_span_clock() {
         ring.snapshot()
     };
     for (label, transport) in [
-        ("reliable", Transport::Reliable),
+        (
+            "reliable",
+            RoundSpec::new(&mechanism, &specs, paper_config(3)).transport,
+        ),
         ("chaos", Transport::Chaos(ChaosConfig::heavy(7))),
         ("sharded k = 1", Transport::Sharded { shards: 1 }),
         ("sharded k = 4", Transport::Sharded { shards: 4 }),
