@@ -4,7 +4,7 @@
 //! coordinator expects its telemetry collector. Every settle hands it the
 //! round as one typed [`SettledRound`] view ([`Collector::settled`]); the
 //! monitor forwards the view to the wrapped collector (which records the
-//! settlement gauges if enabled) and then checks it. Everything else —
+//! settlement events if enabled) and then checks it. Everything else —
 //! [`Collector::enabled`], [`Collector::record`], span ids — is the wrapped
 //! collector's, so the monitor is *additive*: attaching it turns no tracing
 //! on, and detaching it leaves the recording, the allocation and the
@@ -27,21 +27,20 @@
 //!    round the observed bid must weakly dominate (Theorem 3.1).
 //!
 //! Outcomes are re-emitted as `audit.*` telemetry under
-//! [`Subsystem::Audit`] (gauges `audit.check.<name>`, `audit.margin.min`,
-//! `audit.drift.max`, counters `audit.rounds` and
-//! `audit.violation.<name>`, instants `audit.report` /
-//! `audit.violation`) right after the round's settlement gauges,
-//! accumulated in [`MonitorStats`], and the latest round's
+//! [`Subsystem::Audit`] right after the round's settlement events: gauges
+//! `audit.margin.last`, `audit.margin.min` and `audit.drift.max`, the
+//! counter `audit.rounds`, an `audit.violation` instant for a failing
+//! round, and one `audit.report` instant whose fields are `round`, `ok`,
+//! the first violation (`first`, if any) and each check's outcome as a
+//! bool keyed by the check's stable name (`conservation`, …, `margin`).
+//! They are also accumulated in [`MonitorStats`], and the latest round's
 //! [`MonitorReport`] is kept for the `invariants` document.
 
 use crate::reference::reference_payments;
 use crate::report::{CheckOutcome, MonitorReport};
 use lb_core::{compensated_sum, feasibility_tolerance};
 use lb_mechanism::{truthfulness_probe, CompensationBonusMechanism};
-use lb_telemetry::{
-    Collector, EventKind, Field, Sampler, SettledRound, SpanId, Subsystem, TelemetryEvent,
-};
-use std::borrow::Cow;
+use lb_telemetry::{Collector, Field, Sampler, SettledRound, SpanId, Subsystem, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -351,26 +350,6 @@ impl InvariantMonitor {
         if !self.inner.enabled() {
             return;
         }
-        for check in &report.checks {
-            self.inner.record(TelemetryEvent {
-                at,
-                name: Cow::Owned(format!("audit.check.{}", check.name)),
-                cat: Subsystem::Audit,
-                kind: EventKind::Gauge {
-                    value: if check.ok { 1.0 } else { 0.0 },
-                },
-                fields: Vec::new(),
-            });
-            if !check.ok {
-                self.inner.record(TelemetryEvent {
-                    at,
-                    name: Cow::Owned(format!("audit.violation.{}", check.name)),
-                    cat: Subsystem::Audit,
-                    kind: EventKind::Counter { delta: 1 },
-                    fields: Vec::new(),
-                });
-            }
-        }
         if let Some(margin) = report.check("margin").map(|c| c.value) {
             self.inner
                 .gauge(at, "audit.margin.last", Subsystem::Audit, margin);
@@ -393,6 +372,7 @@ impl InvariantMonitor {
             self.inner
                 .instant(at, "audit.violation", Subsystem::Audit, fields.clone());
         }
+        fields.extend(report.checks.iter().map(|c| Field::bool(c.name, c.ok)));
         self.inner
             .instant(at, "audit.report", Subsystem::Audit, fields);
     }
@@ -436,7 +416,7 @@ mod tests {
     use super::*;
     use lb_core::scenario::{paper_system, PAPER_ARRIVAL_RATE};
     use lb_mechanism::{run_mechanism, Profile};
-    use lb_telemetry::{noop_collector, RingCollector};
+    use lb_telemetry::{noop_collector, FieldValue, RingCollector};
 
     /// Hands one settled paper-rate round to the monitor, as a settling
     /// coordinator would.
@@ -653,20 +633,25 @@ mod tests {
         let (bids, rates, execs, excluded, payments) = truthful_round();
         feed_round(&monitor, 3, &bids, &rates, &execs, &excluded, &payments);
         let events = ring.snapshot();
-        // The settlement gauges reach the wrapped collector first…
+        // The settlement events reach the wrapped collector first…
         let total = events
             .iter()
             .position(|e| e.name == "round.payment.total")
-            .expect("settlement gauges forwarded");
-        assert_eq!(total, 5 * bids.len() + 2);
+            .expect("settlement events forwarded");
+        assert_eq!(total, bids.len() + 2);
         // …then the audit re-emission.
         assert!(events[total + 1..]
             .iter()
             .all(|e| e.cat == Subsystem::Audit));
-        assert!(events
+        let report = events
             .iter()
-            .any(|e| e.name == "audit.check.conservation" && e.cat == Subsystem::Audit));
-        assert!(events.iter().any(|e| e.name == "audit.report"));
+            .find(|e| e.name == "audit.report")
+            .expect("audit.report recorded");
+        let latest = monitor.latest_report().unwrap();
+        assert_eq!(report.fields.len(), 2 + latest.checks.len());
+        for check in &latest.checks {
+            assert_eq!(report.field(check.name), Some(&FieldValue::Bool(check.ok)));
+        }
         assert!(events.iter().any(|e| e.name == "audit.rounds"));
     }
 

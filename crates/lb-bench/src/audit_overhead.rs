@@ -6,7 +6,7 @@
 //! [`SettledRound`], as the coordinator does:
 //!
 //! * **off** — allocation and payments computed and the round handed to a
-//!   plain [`RingCollector`], which records the settlement gauges: the
+//!   plain [`RingCollector`], which records the settlement events: the
 //!   per-round coordinator compute without a monitor;
 //! * **full** — the same round handed to an [`InvariantMonitor`] over such
 //!   a ring, with every check on every round ([`Sampler::Always`]);

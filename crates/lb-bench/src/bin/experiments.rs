@@ -302,7 +302,7 @@ fn run(target: &str) -> Result<(), Box<dyn Error>> {
         "audit-overhead" => {
             let rows = audit_overhead::measure(audit_overhead::OVERHEAD_NS, overhead::REPS);
             print_section(
-                "Monitor overhead: settle + gauges, off vs full vs sampled invariant monitor",
+                "Monitor overhead: settle + settlement events, off vs full vs sampled invariant monitor",
                 &overhead::render_table(&rows),
             );
             append_artifact(

@@ -3,9 +3,11 @@
 //! Reads a JSONL trace recording (the [`lb_telemetry::to_jsonl`] format every
 //! instrumented driver can produce) from a file, rebuilds the span forest
 //! and metric registry, and renders per-round phase timings, per-machine
-//! allocation and payment gauges, per-shard stage times from the shard
-//! spans of sharded rounds, the critical-path round profile, network
-//! counters and retransmission histograms as plain ANSI text.
+//! allocation and payment from the typed `settle.machine` instants,
+//! per-shard stage times from the shard spans of sharded rounds, the
+//! critical-path round profile, the audit and durability records, network
+//! counters and retransmission histograms as plain ANSI text. Every panel
+//! reads typed fields of fixed-name events; no metric name is parsed.
 //!
 //! ```text
 //! lb_top --file round_trace.jsonl --once            # one frame (CI mode)
@@ -115,7 +117,6 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
 
     let mut registry = MetricsRegistry::new();
     registry.ingest(events);
-    let snapshot = registry.snapshot();
 
     let spans = replay_spans(events);
     match &spans {
@@ -141,14 +142,14 @@ fn render(events: &[TelemetryEvent], source_label: &str) -> String {
         Err(e) => out.push_str(&format!("ROUNDS — trace does not replay: {e}\n")),
     }
 
-    render_machines(&mut out, &snapshot);
+    render_machines(&mut out, events, &registry);
     if let Ok(spans) = &spans {
         render_shards(&mut out, spans);
     }
     render_profile(&mut out, events);
-    render_verification(&mut out, &snapshot);
-    render_durability(&mut out, &snapshot);
-    render_metrics(&mut out, &snapshot);
+    render_verification(&mut out, events, &registry);
+    render_durability(&mut out, events);
+    render_metrics(&mut out, &registry.snapshot());
     out
 }
 
@@ -215,106 +216,99 @@ fn render_profile(out: &mut String, events: &[TelemetryEvent]) {
     }
 }
 
-/// The verification panel: per-invariant pass/fail from the
-/// `audit.check.*` gauges the `lb-audit` monitor re-emits, plus the
-/// headline margin/drift gauges and per-check violation counters.
-fn render_verification(out: &mut String, snapshot: &MetricsSnapshot) {
-    let mut checks: Vec<(&str, f64)> = snapshot
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| name.strip_prefix("audit.check.").map(|c| (c, *value)))
-        .collect();
-    if checks.is_empty() {
-        return;
-    }
-    checks.sort_by_key(|(name, _)| *name);
-    let rounds = snapshot
-        .counters
-        .iter()
-        .find(|(name, _)| name == "audit.rounds")
-        .map_or(0, |(_, v)| *v);
-    out.push_str(&format!("\nVERIFICATION ({rounds} rounds audited)\n"));
-    for (name, value) in checks {
-        let verdict = if value == 1.0 { "ok" } else { "VIOLATED" };
-        let marker = if value == 1.0 { "#" } else { "!" };
-        out.push_str(&format!("  {marker} audit.check.{name:<14} {verdict}\n"));
-    }
-    for gauge in ["audit.margin.last", "audit.margin.min", "audit.drift.max"] {
-        if let Some(value) = snapshot
-            .gauges
-            .iter()
-            .find(|(name, _)| name == gauge)
-            .map(|(_, v)| *v)
-        {
-            out.push_str(&format!("    {gauge:<22} {value:>14.6e}\n"));
-        }
-    }
-    for (name, count) in &snapshot.counters {
-        if let Some(check) = name.strip_prefix("audit.violation.") {
-            out.push_str(&format!("    violations[{check}]: {count}\n"));
-        }
-    }
+/// The recorded events named `name`.
+fn named<'a>(
+    events: &'a [TelemetryEvent],
+    name: &'a str,
+) -> impl Iterator<Item = &'a TelemetryEvent> {
+    events.iter().filter(move |e| e.name == name)
 }
 
-/// The durability panel: the crash-recovery gauges a durable session
-/// exports (`durable.crashes`, `durable.recovered_rounds`, …).
-fn render_durability(out: &mut String, snapshot: &MetricsSnapshot) {
-    let mut rows: Vec<(&str, f64)> = snapshot
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| name.strip_prefix("durable.").map(|c| (c, *value)))
-        .collect();
-    if rows.is_empty() {
-        return;
-    }
-    rows.sort_by_key(|(name, _)| *name);
-    out.push_str("\nDURABILITY\n");
-    for (name, value) in rows {
-        out.push_str(&format!("  durable.{name:<24} {value:>12.0}\n"));
-    }
-}
-
-fn render_machines(out: &mut String, snapshot: &MetricsSnapshot) {
-    let mut rows: Vec<(u64, f64, f64)> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        if let Some(m) = name
-            .strip_prefix("alloc.rate.m")
-            .and_then(|m| m.parse().ok())
-        {
-            rows.push((m, *value, f64::NAN));
-        }
-    }
-    for (name, value) in &snapshot.gauges {
-        if let Some(m) = name
-            .strip_prefix("payment.m")
-            .and_then(|m| m.parse::<u64>().ok())
-        {
-            if let Some(row) = rows.iter_mut().find(|r| r.0 == m) {
-                row.2 = *value;
-            } else {
-                rows.push((m, f64::NAN, *value));
+/// The verification panel: each check's outcome in the latest
+/// `audit.report` instant of the `lb-audit` monitor (a bool field per
+/// check), the headline margin/drift gauges, and per check the number of
+/// reports it failed.
+fn render_verification(out: &mut String, events: &[TelemetryEvent], registry: &MetricsRegistry) {
+    let mut latest = BTreeMap::new();
+    let mut violations = BTreeMap::new();
+    for report in named(events, "audit.report") {
+        for field in report.fields.iter().filter(|f| f.key != "ok") {
+            if let FieldValue::Bool(ok) = field.value {
+                latest.insert(field.key.as_ref(), ok);
+                *violations.entry(field.key.as_ref()).or_insert(0) += u64::from(!ok);
             }
         }
     }
+    if latest.is_empty() {
+        return;
+    }
+    let rounds = registry.counter("audit.rounds");
+    out.push_str(&format!("\nVERIFICATION ({rounds} rounds audited)\n"));
+    for (name, ok) in latest {
+        let (marker, verdict) = if ok { ("#", "ok") } else { ("!", "VIOLATED") };
+        out.push_str(&format!("  {marker} audit.check.{name:<14} {verdict}\n"));
+    }
+    for gauge in ["audit.margin.last", "audit.margin.min", "audit.drift.max"] {
+        if let Some(value) = registry.gauge(gauge) {
+            out.push_str(&format!("    {gauge:<22} {value:>14.6e}\n"));
+        }
+    }
+    for (check, count) in violations.into_iter().filter(|(_, count)| *count > 0) {
+        out.push_str(&format!("    violations[{check}]: {count}\n"));
+    }
+}
+
+/// The durability panel: the crash history a durable session records as
+/// the u64 fields of its `session.durable` instant.
+fn render_durability(out: &mut String, events: &[TelemetryEvent]) {
+    let Some(durable) = named(events, "session.durable").last() else {
+        return;
+    };
+    let mut rows: Vec<(&str, u64)> = durable
+        .fields
+        .iter()
+        .filter_map(|f| match f.value {
+            FieldValue::U64(value) => Some((f.key.as_ref(), value)),
+            _ => None,
+        })
+        .collect();
+    rows.sort_unstable();
+    out.push_str("\nDURABILITY\n");
+    for (name, value) in rows {
+        out.push_str(&format!("  durable.{name:<24} {value:>12}\n"));
+    }
+}
+
+/// The machines panel: each machine's rate and payment from the latest
+/// `settle.machine` instant that names it.
+fn render_machines(out: &mut String, events: &[TelemetryEvent], registry: &MetricsRegistry) {
+    let f64_field = |event: &TelemetryEvent, key| match event.field(key) {
+        Some(FieldValue::F64(value)) => *value,
+        _ => f64::NAN,
+    };
+    let mut rows = BTreeMap::new();
+    for event in named(events, "settle.machine") {
+        if let Some(FieldValue::U64(m)) = event.field("machine") {
+            rows.insert(*m, (f64_field(event, "rate"), f64_field(event, "payment")));
+        }
+    }
     if rows.is_empty() {
         return;
     }
-    rows.sort_by_key(|r| r.0);
-    let max_rate = rows.iter().map(|r| r.1).fold(0.0f64, f64::max).max(1e-300);
+    let max_rate = rows
+        .values()
+        .map(|r| r.0)
+        .fold(0.0f64, f64::max)
+        .max(1e-300);
     out.push_str(&format!("\nMACHINES ({})\n", rows.len()));
     out.push_str("  machine        rate                              payment\n");
-    for (m, rate, payment) in rows {
+    for (m, (rate, payment)) in rows {
         out.push_str(&format!(
             "  m{m:<4} {rate:>12.6}  {}  {payment:>12.6}\n",
             bar(rate / max_rate, 24)
         ));
     }
-    if let Some(total) = snapshot
-        .gauges
-        .iter()
-        .find(|(n, _)| n == "round.payment.total")
-        .map(|(_, v)| *v)
-    {
+    if let Some(total) = registry.gauge("round.payment.total") {
         out.push_str(&format!("  total payment: {total:.6}\n"));
     }
 }
@@ -432,7 +426,7 @@ mod tests {
         // Panels are absent entirely when a recording has no audit events.
         let plain: Vec<TelemetryEvent> = events
             .into_iter()
-            .filter(|e| !e.name.starts_with("audit.") && !e.name.starts_with("durable."))
+            .filter(|e| !e.name.starts_with("audit.") && e.name != "session.durable")
             .collect();
         let frame = render(&plain, "fixture");
         assert!(!frame.contains("VERIFICATION"), "{frame}");
@@ -517,8 +511,9 @@ mod tests {
         assert!(!single.contains("SHARDS"), "{single}");
     }
 
-    /// The MACHINES panel over a recording of a real round: the gauge names
-    /// `SettledRound::record_gauges` writes must be the ones the panel reads.
+    /// The MACHINES panel over a recording of a real round: the
+    /// `settle.machine` fields the default settle hook records must be the
+    /// ones the panel reads.
     #[test]
     fn machines_panel_reads_a_real_round() {
         use lb_mechanism::CompensationBonusMechanism;

@@ -74,8 +74,7 @@ pub fn registry() -> &'static [Oracle] {
         },
         Oracle {
             name: "prof",
-            description:
-                "sharded sketch merge vs. whole-population recompute, profile JSONL robustness",
+            description: "sharded sketch merge vs. whole-population recompute",
             run: oracles::prof::check,
         },
         Oracle {

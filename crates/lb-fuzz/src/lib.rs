@@ -37,8 +37,7 @@
 //!   a violated Theorem 3.2 floor must each be flagged.
 //! * `prof` — the profiler's reads: latency sketches split across a random
 //!   shard partition must merge to bitwise the same quantile reads as a
-//!   whole-population recompute, and profile JSONL documents must
-//!   round-trip exactly and survive byte mutation without panicking.
+//!   whole-population recompute.
 //! * `online` — the streaming mechanism layer: after every churn event the
 //!   incrementally maintained harmonic sum and factored allocation must
 //!   agree with from-scratch recomputation to 10⁻¹² relative (bit-exact

@@ -30,10 +30,9 @@
 //! timestamp in a caller's recording gives a (meaningless) profile rather
 //! than a panic.
 //!
-//! The resulting [`RoundProfile`] serializes to JSONL ([`to_jsonl`] /
-//! [`from_jsonl`]) and renders as text for terminal dashboards.
+//! The resulting [`RoundProfile`] renders as text for terminal dashboards.
 
-use lb_telemetry::{replay_spans, CompletedSpan, Json, ReplayError, Subsystem, TelemetryEvent};
+use lb_telemetry::{replay_spans, CompletedSpan, ReplayError, Subsystem, TelemetryEvent};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -47,8 +46,6 @@ pub enum ProfileError {
     /// The round span has zero (or negative) duration, so attribution is
     /// undefined.
     EmptyRound,
-    /// A serialized profile failed to parse back.
-    BadDocument(String),
 }
 
 impl fmt::Display for ProfileError {
@@ -57,7 +54,6 @@ impl fmt::Display for ProfileError {
             ProfileError::Replay(e) => write!(f, "trace does not replay: {e}"),
             ProfileError::NoRoundSpan => write!(f, "no round span in trace"),
             ProfileError::EmptyRound => write!(f, "round span has no duration"),
-            ProfileError::BadDocument(m) => write!(f, "bad profile document: {m}"),
         }
     }
 }
@@ -259,122 +255,6 @@ pub fn profile_events(events: &[TelemetryEvent]) -> Result<RoundProfile, Profile
 }
 
 impl RoundProfile {
-    /// The profile as a JSON document, one line of [`to_jsonl`].
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn to_json(&self) -> Json {
-        let node = |n: &PathNode| {
-            let mut pairs = vec![
-                ("name".to_string(), Json::Str(n.name.clone())),
-                ("depth".to_string(), Json::Num(n.depth as f64)),
-                ("start".to_string(), Json::Num(n.start)),
-                ("end".to_string(), Json::Num(n.end)),
-                ("self_time".to_string(), Json::Num(n.self_time)),
-                ("blocked_time".to_string(), Json::Num(n.blocked_time)),
-            ];
-            if let Some(s) = n.shard {
-                pairs.push(("shard".to_string(), Json::Num(s as f64)));
-            }
-            if let Some(m) = n.machine {
-                pairs.push(("machine".to_string(), Json::Num(m as f64)));
-            }
-            Json::obj(pairs)
-        };
-        Json::obj([
-            ("round_wall", Json::Num(self.round_wall)),
-            ("coverage", Json::Num(self.coverage)),
-            ("path", Json::Arr(self.path.iter().map(node).collect())),
-            (
-                "stragglers",
-                Json::Arr(
-                    self.stragglers
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("phase", Json::Str(s.phase.clone())),
-                                ("shard", Json::Num(s.shard as f64)),
-                                ("duration", Json::Num(s.duration)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a document produced by [`Self::to_json`].
-    ///
-    /// # Errors
-    /// [`ProfileError::BadDocument`] on missing keys or non-finite numbers.
-    fn from_json(doc: &Json) -> Result<Self, ProfileError> {
-        let bad = |m: &str| ProfileError::BadDocument(m.to_string());
-        let num = |j: &Json, key: &str| -> Result<f64, ProfileError> {
-            let v = j
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(&format!("missing number {key}")))?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(bad(&format!("non-finite {key}")))
-            }
-        };
-        let round_wall = num(doc, "round_wall")?;
-        let coverage = num(doc, "coverage")?;
-        let path = doc
-            .get("path")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("missing path"))?
-            .iter()
-            .map(|n| {
-                Ok(PathNode {
-                    name: n
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("missing node name"))?
-                        .to_string(),
-                    depth: n
-                        .get("depth")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("missing node depth"))?
-                        as usize,
-                    start: num(n, "start")?,
-                    end: num(n, "end")?,
-                    self_time: num(n, "self_time")?,
-                    blocked_time: num(n, "blocked_time")?,
-                    shard: n.get("shard").and_then(Json::as_u64),
-                    machine: n.get("machine").and_then(Json::as_u64),
-                })
-            })
-            .collect::<Result<Vec<_>, ProfileError>>()?;
-        let stragglers = doc
-            .get("stragglers")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("missing stragglers"))?
-            .iter()
-            .map(|s| {
-                Ok(Straggler {
-                    phase: s
-                        .get("phase")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("missing straggler phase"))?
-                        .to_string(),
-                    shard: s
-                        .get("shard")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("missing straggler shard"))?,
-                    duration: num(s, "duration")?,
-                })
-            })
-            .collect::<Result<Vec<_>, ProfileError>>()?;
-        Ok(Self {
-            round_wall,
-            coverage,
-            path,
-            stragglers,
-        })
-    }
-
     /// Renders the profile as a fixed-width text block.
     #[must_use]
     pub fn render_text(&self) -> String {
@@ -417,32 +297,6 @@ impl RoundProfile {
         }
         out
     }
-}
-
-/// Serializes profiles as JSONL, one profile per line.
-#[must_use]
-pub fn to_jsonl(profiles: &[RoundProfile]) -> String {
-    let mut out = String::new();
-    for p in profiles {
-        out.push_str(&p.to_json().render());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSONL stream produced by [`to_jsonl`]. Blank lines are skipped.
-///
-/// # Errors
-/// [`ProfileError::BadDocument`] on the first malformed line.
-pub fn from_jsonl(text: &str) -> Result<Vec<RoundProfile>, ProfileError> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| {
-            let doc = Json::parse(line)
-                .map_err(|e| ProfileError::BadDocument(format!("line does not parse: {e}")))?;
-            RoundProfile::from_json(&doc)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -546,27 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip_is_identity() {
-        let mut profile = profile_events(&synthetic_round()).unwrap();
-        // A machine leaf under the straggler shard, so every node field
-        // round-trips, `machine` included.
-        let shard = profile.path[2].clone();
-        profile.path.push(PathNode {
-            name: "machine".to_string(),
-            depth: shard.depth + 1,
-            end: shard.start + 0.2,
-            self_time: 0.2,
-            blocked_time: 0.0,
-            machine: Some(3),
-            ..shard
-        });
-        let text = to_jsonl(&[profile.clone(), profile.clone()]);
-        let back = from_jsonl(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0], profile);
-    }
-
-    #[test]
     fn nan_timestamp_profiles_without_panicking() {
         let span = |id: u64, parent: Option<u64>, name: &str, start: f64, end: f64| CompletedSpan {
             id: SpanId(id),
@@ -590,9 +423,8 @@ mod tests {
 
     // Pinned regression: a recording whose phase starts at NaN used to
     // profile, then panic when the profile's NaN coverage was rendered.
-    // The NaN now renders as null, which the parser rejects by type.
     #[test]
-    fn nan_phase_start_renders_and_parses_without_panicking() {
+    fn nan_phase_start_profiles_and_renders_without_panicking() {
         let ring = RingCollector::new(16);
         let round = ring.span_start(0.0, "round", Subsystem::Coordinator, vec![]);
         let collect = ring.span_start_in(
@@ -605,19 +437,8 @@ mod tests {
         ring.span_end(0.4, collect);
         ring.span_end(1.0, round);
         let profile = profile_events(&ring.snapshot()).expect("a round root with a duration");
-        let text = to_jsonl(std::slice::from_ref(&profile));
-        assert!(text.contains("null"), "{text}");
-        assert!(matches!(
-            from_jsonl(&text),
-            Err(ProfileError::BadDocument(_))
-        ));
-    }
-
-    #[test]
-    fn malformed_jsonl_is_rejected_not_panicked() {
-        assert!(from_jsonl("{\"round_wall\": 1.0}").is_err());
-        assert!(from_jsonl("not json at all").is_err());
-        assert!(from_jsonl("{\"round_wall\": 1.0, \"coverage\": \"NaN\"}").is_err());
+        assert!(profile.coverage.is_nan());
+        assert!(profile.render_text().contains("coverage NaN%"));
     }
 
     #[test]

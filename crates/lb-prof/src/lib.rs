@@ -9,7 +9,7 @@
 //!   trace and extracts the coordinator → phase → straggler-shard chain
 //!   that bounded wall-time, with per-node self/blocked time, coverage,
 //!   and a per-phase straggler ranking over the `shard.*` spans;
-//!   structured as a [`RoundProfile`] (JSONL and text renderings).
+//!   structured as a [`RoundProfile`] with a text rendering.
 //! * **Regression sentinel** ([`sentinel`]) — compares a live per-phase
 //!   series against a labelled `BENCH_*.json` baseline using Student-t
 //!   confidence intervals: flagged only when the CI lower bound clears
@@ -18,7 +18,5 @@
 pub mod critical;
 pub mod sentinel;
 
-pub use critical::{
-    from_jsonl, profile_events, to_jsonl, PathNode, ProfileError, RoundProfile, Straggler,
-};
+pub use critical::{profile_events, PathNode, ProfileError, RoundProfile, Straggler};
 pub use sentinel::{check, render, Baseline, BaselineError, BaselineRow, SentinelConfig, Verdict};

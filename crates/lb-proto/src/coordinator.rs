@@ -2097,8 +2097,8 @@ mod tests {
     }
 
     #[test]
-    fn settlement_emits_per_machine_gauges() {
-        use lb_telemetry::{EventKind, RingCollector};
+    fn settlement_records_one_typed_instant_per_machine() {
+        use lb_telemetry::{EventKind, FieldValue, RingCollector};
         let mech = CompensationBonusMechanism::paper();
         let trues = [1.0, 2.0];
         let ring = Arc::new(RingCollector::new(256));
@@ -2135,10 +2135,16 @@ mod tests {
         };
         let alloc = c.allocation().unwrap();
         let payments = c.payments().unwrap();
-        assert_eq!(gauge("alloc.rate.m0"), Some(alloc.rate(0)));
-        assert_eq!(gauge("alloc.rate.m1"), Some(alloc.rate(1)));
-        assert_eq!(gauge("payment.m0"), Some(payments[0]));
-        assert_eq!(gauge("payment.m1"), Some(payments[1]));
+        let settled: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "settle.machine")
+            .collect();
+        assert_eq!(settled.len(), 2);
+        for (i, event) in settled.iter().enumerate() {
+            assert_eq!(event.field("machine"), Some(&FieldValue::U64(i as u64)));
+            assert_eq!(event.field("rate"), Some(&FieldValue::F64(alloc.rate(i))));
+            assert_eq!(event.field("payment"), Some(&FieldValue::F64(payments[i])));
+        }
         assert_eq!(
             gauge("round.payment.total"),
             Some(payments.iter().sum::<f64>())

@@ -604,13 +604,16 @@ mod tests {
         assert_eq!(reg.counter("net.bytes"), net.stats().bytes);
         assert_eq!(reg.counter("net.fate.dropped"), net.faults().dropped);
         assert_eq!(reg.counter("net.fate.delivered"), 2);
-        assert_eq!(reg.counter("net.machine.0"), 2);
-        assert_eq!(reg.counter("net.machine.1"), 1);
-        let deliveries = ring
-            .snapshot()
-            .iter()
-            .filter(|e| e.name == "net.deliver")
-            .count();
+        let events = ring.snapshot();
+        let sends_to = |node: u64| {
+            events
+                .iter()
+                .filter(|e| e.name == "net.send")
+                .filter(|e| e.field("node") == Some(&lb_telemetry::FieldValue::U64(node)))
+                .count()
+        };
+        assert_eq!((sends_to(0), sends_to(1)), (2, 1));
+        let deliveries = events.iter().filter(|e| e.name == "net.deliver").count();
         assert_eq!(deliveries, 2);
     }
 

@@ -17,7 +17,7 @@
 //! settles (the batch payment kernel underneath), both against the
 //! *incrementally maintained* double-double sum, with verification
 //! simulated exactly as a batch round. Journal grammar, telemetry spans and
-//! settlement gauges are identical to batch rounds, so crash recovery
+//! settlement events are identical to batch rounds, so crash recovery
 //! ([`crate::recovery`]), the audit monitors and the critical-path
 //! profiler work unchanged: attach them through [`OnlineSession::with_journal`] /
 //! [`OnlineSession::with_collector`].
@@ -373,11 +373,13 @@ impl<'m> OnlineSession<'m> {
                 what: "payment ledger",
             })?
             .to_vec();
+        root.set_now(self.epoch.elapsed().as_secs_f64());
+        root.seal().inspect_err(|_| root.end_telemetry())?;
+        // Credit only a sealed tick: a failed seal leaves the ledger as it
+        // was, so the retried tick pays its round once.
         for k in paid.into_iter().map(|machine| machine as usize) {
             self.ledger[slots[k]] += payments[k];
         }
-        root.set_now(self.epoch.elapsed().as_secs_f64());
-        root.seal().inspect_err(|_| root.end_telemetry())?;
 
         self.next_round += 1;
         self.ticks_settled += 1;
@@ -419,7 +421,9 @@ impl<'m> OnlineSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{read_journal, Journal, MemJournal};
+    use crate::journal::{
+        read_journal, CrashingJournal, Journal, JournalRecord, JournalReplay, MemJournal,
+    };
     use crate::runtime::{run_round, RoundSpec};
     use lb_core::inv_sum_dd;
     use lb_mechanism::CompensationBonusMechanism;
@@ -538,5 +542,58 @@ mod tests {
         assert!(!replay.records.is_empty());
         // Consecutive ticks continue the round-id sequence.
         assert_eq!(session.next_round(), report.ticks_settled);
+    }
+
+    #[test]
+    fn tick_whose_seal_crashes_pays_once_when_retried() {
+        let mech = CompensationBonusMechanism::paper();
+        let session = |journal: Rc<RefCell<CrashingJournal>>| {
+            let mut session = OnlineSession::new(&mech, config())
+                .unwrap()
+                .with_journal(journal);
+            for (slot, t) in [(0, 1.0), (1, 2.0), (2, 4.0)] {
+                session
+                    .apply(OnlineEvent::Join {
+                        machine: slot,
+                        spec: NodeSpec::truthful(t),
+                    })
+                    .unwrap();
+            }
+            session
+        };
+
+        // The uncrashed tick; its journal block ends with `LedgerSealed`,
+        // then `RoundSealed`.
+        let clean = Rc::new(RefCell::new(CrashingJournal::new()));
+        let mut reference = session(Rc::clone(&clean));
+        reference.apply(OnlineEvent::RoundTick).unwrap();
+        let bytes = clean.borrow().bytes().unwrap();
+        let records = read_journal(&bytes).unwrap().records;
+        let ledger_sealed = records.len() - 2;
+        assert!(matches!(
+            records[ledger_sealed],
+            JournalRecord::LedgerSealed { .. }
+        ));
+        let sealed_at = JournalReplay::boundaries(&bytes)[ledger_sealed];
+
+        // Crash inside that record, revive, tick again.
+        let crashing = Rc::new(RefCell::new(CrashingJournal::with_crashes(
+            Vec::new(),
+            vec![sealed_at as u64 + 3],
+        )));
+        let mut retried = session(Rc::clone(&crashing));
+        assert!(retried.apply(OnlineEvent::RoundTick).is_err());
+        crashing.borrow_mut().revive().unwrap();
+        assert!(matches!(
+            retried.apply(OnlineEvent::RoundTick).unwrap(),
+            OnlineApplied::Settled(_)
+        ));
+        for slot in 0..3 {
+            assert_eq!(
+                retried.cumulative_payment(slot).to_bits(),
+                reference.cumulative_payment(slot).to_bits(),
+                "slot {slot}"
+            );
+        }
     }
 }

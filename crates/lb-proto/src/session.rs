@@ -334,7 +334,9 @@ fn fold_journal(
 /// torn tail is truncated on open; sealed rounds are folded into the health
 /// state and payment totals (the policy is *not* re-consulted for them); an
 /// unsealed final round is resumed mid-flight. The session closes by
-/// publishing `durable.*` gauges of its crash history.
+/// recording its crash history as one `session.durable` instant with the
+/// u64 fields `crashes`, `recovered_rounds`, `records_replayed` and
+/// `truncated_tail_bytes`.
 ///
 /// # Errors
 /// Propagates unexpected mechanism errors ([`MechanismError::NeedTwoAgents`]
@@ -504,33 +506,23 @@ where
         }
     }
 
-    if journal.is_some() && observers.collector.enabled() {
-        // Durability counters, exported as gauges so `/metrics` and lb_top
-        // show the session's crash history without access to the report.
-        // The runtime is lazily constructed per round; a session with no
-        // live round never builds one and reports its gauges at t = 0.
+    if journal.is_some() {
+        // The crash history as one typed instant, so lb_top shows it
+        // without access to the report. The runtime is lazily constructed
+        // per round; a session with no live round never builds one and
+        // records the instant at t = 0.
         let at = runtime.as_ref().map_or(0.0, |rt| rt.now().seconds());
-        #[allow(clippy::cast_precision_loss)]
-        let durable = [
-            ("durable.crashes", report.recovery.crashes as f64),
-            (
-                "durable.recovered_rounds",
-                f64::from(report.recovered_rounds),
-            ),
-            (
-                "durable.records_replayed",
-                report.recovery.records_replayed as f64,
-            ),
-            (
-                "durable.truncated_tail_bytes",
-                report.recovery.truncated_bytes as f64,
-            ),
-        ];
-        for (name, value) in durable {
-            observers
-                .collector
-                .gauge(at, name, Subsystem::Session, value);
-        }
+        observers.collector.instant(
+            at,
+            "session.durable",
+            Subsystem::Session,
+            vec![
+                Field::u64("crashes", report.recovery.crashes),
+                Field::u64("recovered_rounds", u64::from(report.recovered_rounds)),
+                Field::u64("records_replayed", report.recovery.records_replayed),
+                Field::u64("truncated_tail_bytes", report.recovery.truncated_bytes),
+            ],
+        );
     }
     Ok(report)
 }

@@ -6,7 +6,8 @@
 //! [`Collector::record`] and [`Collector::next_span_id`] — and inherit the
 //! span/instant/counter/gauge/histogram convenience API, every method of
 //! which returns immediately when the collector is disabled, plus the
-//! [`Collector::settled`] end-of-round hook.
+//! [`Collector::settled`] end-of-round hook, whose default records the
+//! round as typed `settle.machine` instants (see [`crate::settled`]).
 
 use crate::event::{EventKind, Field, SpanId, Subsystem, TelemetryEvent};
 use crate::settled::SettledRound;
@@ -146,12 +147,13 @@ pub trait Collector: Send + Sync {
     }
 
     /// A coordinator settled a round. Called on every settle, enabled or
-    /// not; the default records the settlement gauges (see
-    /// [`crate::settled`]) when the collector is enabled. Observers that
-    /// check rounds override it and read the typed view.
+    /// not; the default records one `settle.machine` instant per machine
+    /// and the three `round.*` gauges (see [`crate::settled`]) when the
+    /// collector is enabled. Observers that check rounds override it and
+    /// read the typed view.
     fn settled(&self, at: f64, round: &SettledRound<'_>) {
         if self.enabled() {
-            round.record_gauges(self, at);
+            round.record(self, at);
         }
     }
 }

@@ -36,7 +36,7 @@
 //!   (always/never/ratio/per-round as a pure function of the round seed).
 //! * [`settled`] — [`SettledRound`], the typed view of a settled round a
 //!   coordinator hands [`Collector::settled`], and the one definition of
-//!   the settlement-gauge export format.
+//!   its export format: a typed `settle.machine` instant per machine.
 //!
 //! # Clock discipline
 //!

@@ -8,8 +8,10 @@
 //!
 //! A registry can be fed directly (`add` / `observe`) or can
 //! [`MetricsRegistry::ingest`] a recording, deriving per-phase latency
-//! histograms from span durations, per-machine message counts from network
-//! instants and anomaly counts from coordinator instants.
+//! histograms from span durations, message-fate counts from network
+//! instants and anomaly counts from coordinator instants. Metric names are
+//! never per machine: the machine of a `net.send` or `chaos.retransmit`
+//! instant stays a typed field of the recorded event.
 
 use crate::event::{EventKind, FieldValue, SpanId, TelemetryEvent};
 use crate::json::Json;
@@ -119,9 +121,7 @@ impl MetricsRegistry {
     ///   `span.<name>.seconds` histogram (so phase spans become per-phase
     ///   latency distributions);
     /// * `anomaly` instants bump `anomaly.total` and `anomaly.<kind>`;
-    /// * `net.send` instants bump `net.fate.<fate>` and, when the frame's
-    ///   node endpoint is known, `net.machine.<machine>`;
-    /// * `chaos.retransmit` instants bump `chaos.retransmit.machine.<m>`.
+    /// * `net.send` instants bump `net.fate.<fate>`.
     ///
     /// Span bookkeeping here is intentionally forgiving — it tracks open
     /// spans by id and skips unmatched ends, leaving structural validation
@@ -151,14 +151,6 @@ impl MetricsRegistry {
                     "net.send" => {
                         if let Some(FieldValue::Str(fate)) = event.field("fate") {
                             self.add(format!("net.fate.{fate}"), 1);
-                        }
-                        if let Some(FieldValue::U64(node)) = event.field("node") {
-                            self.add(format!("net.machine.{node}"), 1);
-                        }
-                    }
-                    "chaos.retransmit" => {
-                        if let Some(FieldValue::U64(machine)) = event.field("machine") {
-                            self.add(format!("chaos.retransmit.machine.{machine}"), 1);
                         }
                     }
                     _ => {}
@@ -390,12 +382,16 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.ingest(&ring.snapshot());
 
-        assert_eq!(reg.counter("net.machine.2"), 2);
         assert_eq!(reg.counter("net.fate.delivered"), 1);
         assert_eq!(reg.counter("net.fate.dropped"), 1);
         assert_eq!(reg.counter("anomaly.total"), 1);
         assert_eq!(reg.counter("anomaly.late_bid"), 1);
-        assert_eq!(reg.counter("chaos.retransmit.machine.2"), 1);
+        // No counter is derived per machine.
+        assert!(reg
+            .snapshot()
+            .counters
+            .iter()
+            .all(|(name, _)| !name.contains(|c: char| c.is_ascii_digit())));
         assert_eq!(reg.counter("net.messages"), 2);
         assert_eq!(reg.gauge("session.healthy"), Some(3.0));
         assert_eq!(reg.histogram("chaos.backoff").unwrap().count, 1);

@@ -2,18 +2,18 @@
 //! the pay phase.
 //!
 //! A settling coordinator calls [`Collector::settled`] once with a borrowed
-//! [`SettledRound`]. The default implementation exports the view as the
-//! settlement gauges, all under [`Subsystem::Coordinator`] at the settle
-//! timestamp: per machine, in index order, `bid.m{i}`, `alloc.rate.m{i}`,
-//! `exec.est.m{i}`, `excluded.m{i}` (1 or 0) and `payment.m{i}`; then
-//! `round.index`, `round.total_rate` and, last, `round.payment.total`.
-//! Dashboards and recorded JSONL read those names; an observer that checks
-//! the round (lb-audit's invariant monitor) overrides
+//! [`SettledRound`]. The default implementation records the view under
+//! [`Subsystem::Coordinator`] at the settle timestamp: per machine, in index
+//! order, one `settle.machine` instant whose typed fields are `machine`
+//! (u64), `bid`, `rate`, `estimate`, `excluded` (bool) and `payment`; then
+//! the gauges `round.index`, `round.total_rate` and, last,
+//! `round.payment.total`. Event names are fixed, so no name carries a
+//! machine index; dashboards and recorded JSONL read the fields. An observer
+//! that checks the round (lb-audit's invariant monitor) overrides
 //! [`Collector::settled`] and reads the typed slices instead.
 
 use crate::collector::Collector;
-use crate::event::{EventKind, Subsystem, TelemetryEvent};
-use std::borrow::Cow;
+use crate::event::{Field, Subsystem};
 use std::fmt;
 
 /// One settled round, borrowed from the coordinator that settled it.
@@ -107,37 +107,35 @@ impl<'a> SettledRound<'a> {
         self.payments.len()
     }
 
-    /// Records the settlement gauges of the module docs into `collector`.
-    pub(crate) fn record_gauges<C: Collector + ?Sized>(&self, collector: &C, at: f64) {
-        let gauge = |name: Cow<'static, str>, value: f64| {
-            collector.record(TelemetryEvent {
-                at,
-                name,
-                cat: Subsystem::Coordinator,
-                kind: EventKind::Gauge { value },
-                fields: Vec::new(),
-            });
-        };
+    /// Records the settlement events of the module docs into `collector`.
+    pub(crate) fn record<C: Collector + ?Sized>(&self, collector: &C, at: f64) {
         for i in 0..self.machines() {
-            gauge(Cow::Owned(format!("bid.m{i}")), self.bids[i]);
-            gauge(Cow::Owned(format!("alloc.rate.m{i}")), self.rates[i]);
-            gauge(Cow::Owned(format!("exec.est.m{i}")), self.estimates[i]);
-            gauge(
-                Cow::Owned(format!("excluded.m{i}")),
-                if self.excluded[i] { 1.0 } else { 0.0 },
+            collector.instant(
+                at,
+                "settle.machine",
+                Subsystem::Coordinator,
+                vec![
+                    Field::u64("machine", i as u64),
+                    Field::f64("bid", self.bids[i]),
+                    Field::f64("rate", self.rates[i]),
+                    Field::f64("estimate", self.estimates[i]),
+                    Field::bool("excluded", self.excluded[i]),
+                    Field::f64("payment", self.payments[i]),
+                ],
             );
-            gauge(Cow::Owned(format!("payment.m{i}")), self.payments[i]);
         }
+        let gauge = |name, value| collector.gauge(at, name, Subsystem::Coordinator, value);
         #[allow(clippy::cast_precision_loss)]
-        gauge(Cow::Borrowed("round.index"), self.round as f64);
-        gauge(Cow::Borrowed("round.total_rate"), self.total_rate);
-        gauge(Cow::Borrowed("round.payment.total"), self.payment_total);
+        gauge("round.index", self.round as f64);
+        gauge("round.total_rate", self.total_rate);
+        gauge("round.payment.total", self.payment_total);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{EventKind, FieldValue};
     use crate::ring::RingCollector;
 
     #[test]
@@ -153,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn default_hook_records_the_settlement_gauges_in_order() {
+    fn default_hook_records_one_instant_per_machine_then_the_round_gauges() {
         let ring = RingCollector::new(64);
         let view = SettledRound::new(
             7,
@@ -172,34 +170,34 @@ mod tests {
         assert_eq!(
             names,
             [
-                "bid.m0",
-                "alloc.rate.m0",
-                "exec.est.m0",
-                "excluded.m0",
-                "payment.m0",
-                "bid.m1",
-                "alloc.rate.m1",
-                "exec.est.m1",
-                "excluded.m1",
-                "payment.m1",
+                "settle.machine",
+                "settle.machine",
                 "round.index",
                 "round.total_rate",
                 "round.payment.total",
             ]
         );
-        let values: Vec<f64> = events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Gauge { value } => value,
-                _ => f64::NAN,
-            })
-            .collect();
+        assert_eq!(
+            events[1].fields,
+            [
+                Field::u64("machine", 1),
+                Field::f64("bid", 2.0),
+                Field::f64("rate", 1.0),
+                Field::f64("estimate", 2.5),
+                Field::bool("excluded", true),
+                Field::f64("payment", 0.0),
+            ]
+        );
+        assert_eq!(events[0].kind, EventKind::Instant);
+        assert_eq!(events[0].field("machine"), Some(&FieldValue::U64(0)));
+        assert_eq!(events[0].field("excluded"), Some(&FieldValue::Bool(false)));
+        let values: Vec<EventKind> = events[2..].iter().map(|e| e.kind.clone()).collect();
         assert_eq!(
             values,
-            [1.0, 2.0, 1.5, 0.0, 0.25, 2.0, 1.0, 2.5, 1.0, 0.0, 7.0, 3.0, 0.25]
+            [7.0, 3.0, 0.25].map(|value| EventKind::Gauge { value })
         );
         assert!(events
             .iter()
-            .all(|e| e.at == 4.5 && e.cat == Subsystem::Coordinator && e.fields.is_empty()));
+            .all(|e| e.at == 4.5 && e.cat == Subsystem::Coordinator));
     }
 }

@@ -265,17 +265,13 @@ fn critical_path_profile_covers_an_observed_sharded_round() {
         "path descends into the shard tier"
     );
     assert!(!profile.stragglers.is_empty());
-
-    // The JSONL codec is the dashboard interchange: exact round-trip.
-    let text = lbmv::prof::to_jsonl(std::slice::from_ref(&profile));
-    let back = lbmv::prof::from_jsonl(&text).unwrap();
-    assert_eq!(back, vec![profile]);
 }
 
 /// The n = 10⁵ acceptance point: critical-path span sum ≥ 95% of round
-/// wall-time on a sharded round. Minutes-scale; run with `--ignored`.
+/// wall-time on a sharded round. Run in release with `--ignored`; CI runs
+/// it in its "Settle at scale" step.
 #[test]
-#[ignore = "n = 100_000 acceptance run; minutes on a laptop"]
+#[ignore = "n = 100_000 acceptance run; run in release"]
 fn critical_path_coverage_at_scale() {
     let (n, shards) = (100_000, 8);
     let ring = Arc::new(RingCollector::new(1 << 22));

@@ -16,8 +16,8 @@ use lbmv::proto::{
 use lbmv::sim::driver::SimulationConfig;
 use lbmv::sim::server::ServiceModel;
 use lbmv::telemetry::{
-    from_jsonl, replay_spans, to_chrome_trace, to_jsonl, Json, MetricsRegistry, RingCollector,
-    Subsystem, TelemetryEvent, TRAILER_LEN,
+    from_jsonl, replay_spans, to_chrome_trace, to_jsonl, FieldValue, Json, MetricsRegistry,
+    RingCollector, Subsystem, TelemetryEvent, TRAILER_LEN,
 };
 use std::sync::Arc;
 
@@ -243,4 +243,85 @@ fn every_driver_keeps_verification_off_the_span_clock() {
     let tick = session.apply(OnlineEvent::RoundTick).unwrap();
     assert!(matches!(tick, OnlineApplied::Settled(_)));
     assert_clock_discipline("online tick", &ring.snapshot());
+}
+
+/// An observed sharded round records its settlement as one typed
+/// `settle.machine` instant per machine, whose fields are the report's
+/// columns bit for bit; no event name carries a machine index.
+#[test]
+fn sharded_round_settles_into_one_typed_record_per_machine() {
+    const N: usize = 1 << 12;
+    let mechanism = CompensationBonusMechanism::paper();
+    #[allow(clippy::cast_precision_loss)]
+    let specs: Vec<NodeSpec> = (0..N)
+        .map(|i| NodeSpec::truthful(1.0 + (i % 7) as f64))
+        .collect();
+    let config = ProtocolConfig {
+        total_rate: 20.0,
+        simulation: SimulationConfig {
+            horizon: 50.0,
+            seed: 7,
+            model: ServiceModel::StationaryDeterministic,
+            ..SimulationConfig::default()
+        },
+        ..ProtocolConfig::default()
+    };
+    let ring = Arc::new(RingCollector::new(1 << 16));
+    let report = run_round(&RoundSpec {
+        transport: Transport::Sharded { shards: 8 },
+        observers: Observers {
+            collector: ring.clone(),
+            ..Observers::default()
+        },
+        ..RoundSpec::new(&mechanism, &specs, config)
+    })
+    .unwrap();
+    assert_eq!(ring.overwritten(), 0);
+    let events = ring.snapshot();
+
+    let settled: Vec<&TelemetryEvent> = events
+        .iter()
+        .filter(|e| e.name == "settle.machine")
+        .collect();
+    assert_eq!(settled.len(), N);
+    let bits = |event: &TelemetryEvent, key: &str| match event.field(key) {
+        Some(FieldValue::F64(value)) => value.to_bits(),
+        other => panic!("{key}: {other:?}"),
+    };
+    let outcome = &report.outcome;
+    for (i, event) in settled.into_iter().enumerate() {
+        assert_eq!(event.field("machine"), Some(&FieldValue::U64(i as u64)));
+        assert_eq!(bits(event, "bid"), specs[i].bid.to_bits(), "machine {i}");
+        assert_eq!(
+            bits(event, "rate"),
+            outcome.rates[i].to_bits(),
+            "machine {i}"
+        );
+        assert_eq!(
+            bits(event, "estimate"),
+            outcome.estimated_exec_values[i].to_bits(),
+            "machine {i}"
+        );
+        assert_eq!(
+            event.field("excluded"),
+            Some(&FieldValue::Bool(report.excluded[i]))
+        );
+        assert_eq!(
+            bits(event, "payment"),
+            outcome.payments[i].to_bits(),
+            "machine {i}"
+        );
+    }
+
+    let indexed: Vec<&str> = events
+        .iter()
+        .map(|e| e.name.as_ref())
+        .filter(|name| name.contains(|c: char| c.is_ascii_digit()))
+        .collect();
+    assert!(
+        indexed.is_empty(),
+        "{} indexed names, e.g. {:?}",
+        indexed.len(),
+        indexed.first()
+    );
 }
